@@ -201,6 +201,14 @@ type Report struct {
 	Builds     int
 	SharedHits int
 	StoreHits  int
+
+	// InteriorIters counts the interior (all-local) forall iterations
+	// executed, summed over nodes; SegmentIters the subset a loop's
+	// Segment body ran a row segment at a time (forall.Loop.Segment) —
+	// the bytecode VM's kernel for .kali programs — rather than per
+	// element through Body.
+	InteriorIters int
+	SegmentIters  int
 }
 
 // OverheadPct returns the paper's "inspector overhead" column:
@@ -280,6 +288,8 @@ func runOn(m *machine.Machine, noOverlap, noFuse bool, store *forall.SharedStore
 			rep.Builds += e.Builds()
 			rep.SharedHits += e.SharedHits()
 			rep.StoreHits += e.StoreHits()
+			rep.InteriorIters += e.InteriorIters()
+			rep.SegmentIters += e.SegmentIters()
 		}
 	}
 	rep.PlanEvictions = darray.PlanEvictions(m)

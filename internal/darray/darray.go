@@ -409,6 +409,39 @@ func rowSegEnd(g, hi, nx int) int {
 	return end
 }
 
+// Span1 returns the local storage of elements lo..hi of a rank-1 array
+// as one slice, element x at index x-lo — the row view a forall's
+// segment kernel runs against.  It validates the whole span at once:
+// the result is nil unless the node's local index set is one
+// contiguous window (block, collapsed, replicated) that contains every
+// element of lo..hi, so a caller holding a non-nil span needs no
+// per-element locality or bounds test, and a caller holding nil falls
+// back to the checked per-element accessors (and their panics).  The
+// slice aliases the partition until the next Redistribute.
+func (a *Array) Span1(lo, hi int) []float64 {
+	if !a.fast || len(a.shape) != 1 || hi < lo {
+		return nil
+	}
+	l := lo - a.flo[0]
+	if l < 0 || hi-a.flo[0] >= a.fn[0] {
+		return nil
+	}
+	return a.local[l : l+hi-lo+1]
+}
+
+// Span2 is Span1 for row i, columns jLo..jHi, of a rank-2 array.
+func (a *Array) Span2(i, jLo, jHi int) []float64 {
+	if !a.fast || len(a.shape) != 2 || jHi < jLo {
+		return nil
+	}
+	li, lj := i-a.flo[0], jLo-a.flo[1]
+	if uint(li) >= uint(a.fn[0]) || lj < 0 || jHi-a.flo[1] >= a.fn[1] {
+		return nil
+	}
+	off := li*a.lshape[1] + lj
+	return a.local[off : off+jHi-jLo+1]
+}
+
 // LocalValues exposes the raw local partition (replicated arrays: the
 // whole array).  Mutating it directly bypasses ownership checks; it is
 // intended for initialization and the executor's commit step.

@@ -186,3 +186,73 @@ func TestIntArray2DMetadata(t *testing.T) {
 		}
 	})
 }
+
+// TestSpanViews: Span1/Span2 hand out the local row exactly when the
+// whole span is inside one contiguous local window — the check a forall
+// segment kernel makes once per span instead of once per element — and
+// nil otherwise, without ever panicking.
+func TestSpanViews(t *testing.T) {
+	g := topology.MustGrid(2)
+	// Rank 1, block: node 0 owns 1..4, node 1 owns 5..8.
+	onEachNode(2, func(n *machine.Node) {
+		a := New("a", blockDist(8, 2), n)
+		lo := 1 + 4*n.ID()
+		for i := lo; i < lo+4; i++ {
+			a.Set1(i, float64(i))
+		}
+		v := a.Span1(lo+1, lo+3)
+		if len(v) != 3 || v[0] != float64(lo+1) || v[2] != float64(lo+3) {
+			t.Fatalf("node %d: Span1(%d,%d) = %v", n.ID(), lo+1, lo+3, v)
+		}
+		v[1] = -1 // the view aliases the partition
+		if a.Get1(lo+2) != -1 {
+			t.Error("Span1 must alias local storage")
+		}
+		for _, sp := range [][2]int{{lo - 1, lo + 1}, {lo + 2, lo + 4}, {0, 2}, {7, 9}, {lo + 2, lo + 1}} {
+			if sp[0] >= lo && sp[1] < lo+4 && sp[0] <= sp[1] {
+				continue
+			}
+			if a.Span1(sp[0], sp[1]) != nil {
+				t.Errorf("node %d: Span1(%d,%d) leaves the local window, want nil", n.ID(), sp[0], sp[1])
+			}
+		}
+		if a.Span2(1, 1, 2) != nil {
+			t.Error("Span2 of a rank-1 array must be nil")
+		}
+	})
+	// Cyclic has no contiguous window: never a span, even of length 1.
+	onEachNode(2, func(n *machine.Node) {
+		d := dist.Must([]int{8}, []dist.DimSpec{dist.CyclicDim()}, g)
+		a := New("c", d, n)
+		if a.Span1(1+n.ID(), 1+n.ID()) != nil {
+			t.Error("cyclic array must not hand out spans")
+		}
+	})
+	// Rank 2, [block, *] and replicated.
+	onEachNode(2, func(n *machine.Node) {
+		d := dist.Must([]int{4, 6}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
+		a := New("m", d, n)
+		r := 1 + 2*n.ID() // first local row
+		for j := 1; j <= 6; j++ {
+			a.Set2(r+1, j, float64(10*(r+1)+j))
+		}
+		v := a.Span2(r+1, 2, 5)
+		if len(v) != 4 || v[0] != float64(10*(r+1)+2) || v[3] != float64(10*(r+1)+5) {
+			t.Fatalf("node %d: Span2(%d,2,5) = %v", n.ID(), r+1, v)
+		}
+		other := 3 - 2*n.ID() // a row of the other node
+		if a.Span2(other, 1, 6) != nil || a.Span2(r, 0, 3) != nil || a.Span2(r, 4, 7) != nil || a.Span2(5, 1, 2) != nil {
+			t.Errorf("node %d: span outside the local window must be nil", n.ID())
+		}
+		if a.Span1(1, 2) != nil {
+			t.Error("Span1 of a rank-2 array must be nil")
+		}
+		rep := New("w", dist.NewReplicated([]int{5}, g), n)
+		if v := rep.Span1(1, 5); len(v) != 5 {
+			t.Errorf("replicated Span1(1,5) = %v, want the whole array", v)
+		}
+		if rep.Span1(1, 6) != nil {
+			t.Error("replicated span out of bounds must be nil")
+		}
+	})
+}

@@ -37,7 +37,9 @@ func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
 	s := &Schedule{kind: BuildCompileTime}
-	sets.ExecLocal.Each(func(i int) { s.execLocal = append(s.execLocal, iteration{i: i}) })
+	for _, iv := range sets.ExecLocal.Intervals() {
+		s.execLocal = append(s.execLocal, segment{lo: iv.Lo, hi: iv.Hi})
+	}
 	sets.ExecNonlocal.Each(func(i int) { s.execNonlocal = append(s.execNonlocal, iteration{i: i}) })
 	e.assembleArrays(c, s, sets.In, sets.Out)
 	return s
@@ -45,8 +47,10 @@ func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
 
 // buildCompileTime2 is the rank-2 closed-form path: the exec and
 // execLocal rectangles and the per-peer element rectangles all come
-// from the per-dimension interval algebra; only the iteration lists
-// are enumerated (in loop order, matching the inspector).
+// from the per-dimension interval algebra.  The interior rectangle is
+// emitted a row segment at a time without enumerating it; only the
+// boundary iterations are listed one by one (both in loop order,
+// matching the inspector).
 func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
 	me := e.node.ID()
 	d := c.on.Dist()
@@ -66,16 +70,20 @@ func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
 	s := &Schedule{kind: BuildCompileTime}
-	// Enumerate the exec rectangle row-major; iterations outside the
-	// execLocal rectangle are nonlocal (some read leaves this node).
+	// Walk the exec rectangle's rows; iterations outside the execLocal
+	// rectangle are nonlocal (some read leaves this node).
+	localCols := sets.ExecCols.Intersect(sets.LocalCols).Intervals()
+	edgeCols := sets.ExecCols.Minus(sets.LocalCols)
 	sets.ExecRows.Each(func(i int) {
-		rowLocal := sets.LocalRows.Contains(i)
-		sets.ExecCols.Each(func(j int) {
-			if rowLocal && sets.LocalCols.Contains(j) {
-				s.execLocal = append(s.execLocal, iteration{i: i, j: j})
-			} else {
-				s.execNonlocal = append(s.execNonlocal, iteration{i: i, j: j})
+		cols := sets.ExecCols
+		if sets.LocalRows.Contains(i) {
+			for _, iv := range localCols {
+				s.execLocal = append(s.execLocal, segment{i: i, lo: iv.Lo, hi: iv.Hi})
 			}
+			cols = edgeCols
+		}
+		cols.Each(func(j int) {
+			s.execNonlocal = append(s.execNonlocal, iteration{i: i, j: j})
 		})
 	})
 	e.assembleArrays(c, s, sets.In, sets.Out)
@@ -257,7 +265,7 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 		builders: builders,
 	}
 	for _, it := range exec {
-		e.node.Charge(machine.Cost{LoopIters: 1})
+		e.node.ChargeLoopIter()
 		env.iterNonlocal = false
 		if c.enumerate {
 			env.enumRecord = env.enumRecord[:0]
@@ -275,7 +283,7 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 				e.node.Charge(machine.Cost{ListInserts: len(refs)})
 			}
 		} else {
-			s.execLocal = append(s.execLocal, it)
+			s.execLocal = appendIter(s.execLocal, c.rank, it)
 		}
 	}
 
@@ -419,37 +427,51 @@ func (e *Engine) execute(c *loopCore, s *Schedule, env *Env) {
 	bindArrays(env, c)
 
 	e.postSends(s, env)
-
-	// Do local iterations (the interior — posted sends are in flight).
-	for _, it := range s.execLocal {
-		e.node.Charge(machine.Cost{LoopIters: 1})
-		c.run(it, env)
-	}
-
+	e.runInterior(c, s, env) // posted sends are in flight
 	e.drainRecvs(c, s)
+	e.runBoundary(c, s, env)
+	env.commit()
+}
 
-	// Do nonlocal iterations.
+// runInterior runs the local iterations (Figure 3's local loop) of a
+// loop whose Env is in modeExecLocal.  It is the one place the segment
+// dispatch lives — single loops and fused windows both come through
+// here: each interior segment is offered whole to the loop's Segment
+// body, and runs through Body per element when there is none or it
+// declines.
+func (e *Engine) runInterior(c *loopCore, s *Schedule, env *Env) {
+	e.interiorIters += s.nLocal
+	for _, sg := range s.execLocal {
+		switch {
+		case c.runSegment(sg, env):
+			e.segmentIters += sg.hi - sg.lo + 1
+		case c.rank == 1:
+			for i := sg.lo; i <= sg.hi; i++ {
+				e.node.ChargeLoopIter()
+				c.l1.Body(i, env)
+			}
+		default:
+			for j := sg.lo; j <= sg.hi; j++ {
+				e.node.ChargeLoopIter()
+				c.l2.Body(sg.i, j, env)
+			}
+		}
+	}
+}
+
+// runBoundary runs the nonlocal iterations (Figure 3's nonlocal loop)
+// after the loop's receives have drained: always per element through
+// Body, every read testing locality and searching the buffers.
+func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 	env.mode = modeExecNonlocal
 	for k, it := range s.execNonlocal {
-		e.node.Charge(machine.Cost{LoopIters: 1})
+		e.node.ChargeLoopIter()
 		if c.enumerate {
 			env.enumList = s.enum[k]
 			env.enumPos = 0
 		}
 		c.run(it, env)
 	}
-
-	// Commit buffered writes: copy-in/copy-out semantics.  Write2
-	// records coordinates so rank-2 commits skip the linear-index
-	// decomposition.
-	for _, w := range env.writes {
-		if w.i != 0 {
-			w.a.Set2(w.i, w.j, w.v)
-		} else {
-			w.a.SetLinear(w.g, w.v)
-		}
-	}
-	env.writes = env.writes[:0]
 }
 
 // bindArrays binds the loop's distinct read arrays to the schedule's

@@ -42,6 +42,12 @@ type Env struct {
 
 	iterNonlocal bool
 	writes       []write
+	// spanRefused lists the arrays WriteSpan1/WriteSpan2 has refused a
+	// span of during this execution.  Refusal is sticky: once some
+	// stores to an array go to the write log, a later direct store to
+	// the same element would be overwritten by the earlier, logged one
+	// at commit.
+	spanRefused []*darray.Array
 
 	// Saltz-style enumeration (Loop.Enumerate / Loop2.Enumerate):
 	// during inspection, enumRecord collects every reference of the
@@ -64,8 +70,8 @@ type write struct {
 
 // reset prepares a (possibly pooled) Env for one execution.  The
 // arrays and writes slices keep their backing storage so a cached
-// replay allocates nothing; writes is empty here because execute
-// truncates it after committing.
+// replay allocates nothing; writes is empty here because commit
+// truncates it.
 func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, mode int) {
 	e.mode = mode
 	e.eng = eng
@@ -74,9 +80,24 @@ func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, mode int) {
 	e.sched = s
 	e.builders = nil
 	e.iterNonlocal = false
+	e.spanRefused = e.spanRefused[:0]
 	e.enumRecord = e.enumRecord[:0]
 	e.enumList = nil
 	e.enumPos = 0
+}
+
+// commit stores the buffered writes — the copy-out half of forall's
+// copy-in/copy-out semantics.  Write2 records coordinates so rank-2
+// commits skip the linear-index decomposition.
+func (e *Env) commit() {
+	for _, w := range e.writes {
+		if w.i != 0 {
+			w.a.Set2(w.i, w.j, w.v)
+		} else {
+			w.a.SetLinear(w.g, w.v)
+		}
+	}
+	e.writes = e.writes[:0]
 }
 
 func (e *Env) slotOf(a *darray.Array) int {
@@ -289,6 +310,70 @@ func (e *Env) Write2(a *darray.Array, i, j int, v float64) {
 			e.core.name, a.Name(), i, j, e.node.ID()))
 	}
 	e.writes = append(e.writes, write{a: a, i: i, j: j, v: v})
+}
+
+// WriteSpan1 is the store side of a Loop.Segment body: the local
+// storage of a[lo..hi] to store into directly, element x at index
+// x-lo, or nil when the stores must go through Write one by one.  A
+// direct store skips the write log, so it is legal only where
+// copy-in/copy-out cannot be observed and Write could not panic: the
+// array is not among the loop's declared Reads, is not replicated, and
+// the whole span is inside this node's local window (owner-computes,
+// checked once per span instead of once per element).  What the engine
+// cannot see is the caller's to guarantee: the body never reads a
+// through any accessor, and within one segment its stores to a are
+// all direct or all logged — a segment that is refused one span of a
+// logs every store to a.  Across segments the Env keeps the order
+// safe itself: after one refusal it refuses a for the rest of the
+// execution, so a logged store is never followed by a direct one it
+// would overwrite at commit.  The caller charges one memory reference
+// per element stored, as Write does.  If the body panics mid-segment,
+// elements already stored stay stored — in an array the failed run is
+// about to discard.
+func (e *Env) WriteSpan1(a *darray.Array, lo, hi int) []float64 {
+	if !e.directStore(a) {
+		return nil
+	}
+	return e.spanOrRefuse(a, a.Span1(lo, hi))
+}
+
+// WriteSpan2 is WriteSpan1 for row i, columns jLo..jHi, of a rank-2
+// array.
+func (e *Env) WriteSpan2(a *darray.Array, i, jLo, jHi int) []float64 {
+	if !e.directStore(a) {
+		return nil
+	}
+	return e.spanOrRefuse(a, a.Span2(i, jLo, jHi))
+}
+
+// directStore reports whether interior stores to a may bypass the
+// write log: only in the executor's local loop, never for a replicated
+// array (Write's panic must stand), never for a declared read, never
+// after a refused span.
+func (e *Env) directStore(a *darray.Array) bool {
+	if e.mode != modeExecLocal || a.Replicated() {
+		return false
+	}
+	for _, r := range e.core.reads {
+		if r.Array == a {
+			return false
+		}
+	}
+	for _, r := range e.spanRefused {
+		if r == a {
+			return false
+		}
+	}
+	return true
+}
+
+// spanOrRefuse passes a resolved span through and makes a failed one
+// (not wholly inside the local window) sticky.
+func (e *Env) spanOrRefuse(a *darray.Array, v []float64) []float64 {
+	if v == nil {
+		e.spanRefused = append(e.spanRefused, a)
+	}
+	return v
 }
 
 // Flops charges k floating-point operations of body arithmetic.  Free

@@ -22,7 +22,12 @@
 //     the senders' out sets (paper §3.3, Fig. 6).
 //  3. Run the executor: send all messages, run the local iterations,
 //     receive all messages, run the nonlocal iterations (Fig. 3),
-//     then commit buffered writes (copy-in/copy-out semantics).
+//     then commit buffered writes (copy-in/copy-out semantics).  The
+//     local iterations — the interior — are held and dispatched as
+//     row segments: a loop whose body can run a whole segment against
+//     raw local rows (Loop.Segment) gets one call per segment, with
+//     the locality and owner-computes checks hoisted to the span; the
+//     nonlocal iterations always take the general per-reference path.
 //
 // The executor is vectorized: schedules store per-peer range records,
 // message payloads are packed with one bulk copy per contiguous range
@@ -96,6 +101,22 @@ type Loop struct {
 	DependsOn []Dep
 	// Body is the loop body, executed once per iteration.
 	Body func(i int, e *Env)
+	// Segment, when non-nil, may run a whole run lo..hi of consecutive
+	// interior iterations in one call.  The paper's Figure 3 splits a
+	// forall into local and nonlocal iterations precisely so that the
+	// local ones need no locality test and no buffer search; a body
+	// that addresses the node's local rows directly (darray's Span1/
+	// Span2 for reads, Env.WriteSpan1/WriteSpan2 for stores) hoists
+	// what Body pays per reference to once per span.  The call must be
+	// observably identical to the engine's own per-element loop,
+	//
+	//	for i := lo; i <= hi; i++ { node.ChargeLoopIter(); Body(i, e) }
+	//
+	// — same values, same cost-model charges in the same order — or
+	// return false before any side effect to decline the span, which
+	// the engine then runs through Body.  Boundary iterations and the
+	// inspector's recording pass always use Body.
+	Segment func(lo, hi int, e *Env) bool
 	// Phase overrides the timing phase the execution is attributed to
 	// (default PhaseExecutor).  The paper's measurements time only the
 	// computational-core forall; auxiliary loops (the old_a := a copy)
@@ -138,7 +159,9 @@ type Loop2 struct {
 	Reads     []ReadSpec
 	DependsOn []Dep
 	Body      func(i, j int, e *Env)
-	Phase     string
+	// Segment is Loop.Segment for row i, columns jLo..jHi.
+	Segment func(i, jLo, jHi int, e *Env) bool
+	Phase   string
 	// Enumerate selects the Saltz-style executor for rank-2 loops, the
 	// same §5 contrast Loop.Enumerate provides in 1-D: every reference
 	// of every nonlocal iteration is resolved into a list (row-major
@@ -150,6 +173,37 @@ type Loop2 struct {
 // iteration is one loop iteration of either rank; j is unused (zero)
 // for rank-1 loops.
 type iteration struct{ i, j int }
+
+// segment is a run of consecutive interior iterations: lo..hi of a
+// rank-1 loop (i unused, zero), or columns lo..hi of row i of a rank-2
+// loop.  A schedule's interior is a list of these rather than one
+// iteration per element: the executor dispatches, and a Segment body
+// resolves its local rows, once per segment.
+type segment struct{ i, lo, hi int }
+
+// appendIter extends segs by one iteration, which must follow the
+// previous ones in loop order: it joins the last segment when it
+// continues that run, else starts a new one.
+func appendIter(segs []segment, rank int, it iteration) []segment {
+	row, x := 0, it.i
+	if rank == 2 {
+		row, x = it.i, it.j
+	}
+	if n := len(segs); n > 0 && segs[n-1].i == row && segs[n-1].hi+1 == x {
+		segs[n-1].hi = x
+		return segs
+	}
+	return append(segs, segment{i: row, lo: x, hi: x})
+}
+
+// segIters returns the number of iterations segs covers.
+func segIters(segs []segment) int {
+	n := 0
+	for _, sg := range segs {
+		n += sg.hi - sg.lo + 1
+	}
+	return n
+}
 
 // loopCore is the rank-independent lowering of a Loop or Loop2: the
 // single representation the schedule pipeline operates on.  Lowering
@@ -179,6 +233,16 @@ func (c *loopCore) run(it iteration, e *Env) {
 	} else {
 		c.l2.Body(it.i, it.j, e)
 	}
+}
+
+// runSegment offers one interior segment to the loop's Segment body;
+// false means there is none or it declined, and the caller runs the
+// segment per element.
+func (c *loopCore) runSegment(sg segment, e *Env) bool {
+	if c.rank == 1 {
+		return c.l1.Segment != nil && c.l1.Segment(sg.lo, sg.hi, e)
+	}
+	return c.l2.Segment != nil && c.l2.Segment(sg.i, sg.lo, sg.hi, e)
 }
 
 // lower fills c with the rank-1 loop's core form.
@@ -312,8 +376,13 @@ type slotPeer struct {
 // held by several cache entries at once (content-addressed sharing)
 // and replayed against different arrays.
 type Schedule struct {
-	rank         int
-	execLocal    []iteration
+	rank int
+	// execLocal is the interior (the paper's local_list) as row
+	// segments in loop order, nLocal its iteration count; execNonlocal
+	// (the nonlocal_list) stays one entry per iteration, because each
+	// boundary iteration takes the general per-reference path anyway.
+	execLocal    []segment
+	nLocal       int
 	execNonlocal []iteration
 	arrays       []*arraySched
 	kind         BuildKind
@@ -348,7 +417,7 @@ func (s *Schedule) Rank() int { return s.rank }
 
 // LocalIters returns the number of iterations with only local
 // references (paper's local_list).
-func (s *Schedule) LocalIters() int { return len(s.execLocal) }
+func (s *Schedule) LocalIters() int { return s.nLocal }
 
 // NonlocalIters returns the number of iterations needing communicated
 // data (paper's nonlocal_list).
@@ -370,13 +439,16 @@ func (s *Schedule) RecvCount() int {
 // MemBytes estimates the schedule's storage: iteration lists (one word
 // per index per rank), range records (Figure 5: ~20 bytes each),
 // buffers, and — for enumerated schedules — the per-reference list the
-// paper's §5 identifies as the storage cost of Saltz's approach.
+// paper's §5 identifies as the storage cost of Saltz's approach.  The
+// interior is charged per *iteration* although it is held as segments:
+// this is the paper's §5 iteration-list storage model, which the
+// benches' storage columns reproduce, not the host's footprint.
 func (s *Schedule) MemBytes() int {
 	words := s.rank
 	if words < 1 {
 		words = 1
 	}
-	n := 8 * words * (len(s.execLocal) + len(s.execNonlocal))
+	n := 8 * words * (s.nLocal + len(s.execNonlocal))
 	for _, as := range s.arrays {
 		n += recBytes * (len(as.in.Ranges) + len(as.out.Ranges))
 		n += 8 * len(as.buf)
@@ -501,6 +573,10 @@ type Engine struct {
 	builds     int
 	sharedHits int
 	storeHits  int
+	// interiorIters counts interior iterations executed, segmentIters
+	// the subset a loop's Segment body ran (the rest went through Body).
+	interiorIters int
+	segmentIters  int
 
 	// Fusion state: the bounded fused-plan store (fuse.go), the
 	// schedule-id mint backing its keys, and the window counter tests
@@ -554,6 +630,14 @@ func (e *Engine) SharedHits() int { return e.sharedHits }
 // cross-tenant SharedStore (built by another program, or revived from
 // the persistence directory) instead of building a schedule itself.
 func (e *Engine) StoreHits() int { return e.storeHits }
+
+// InteriorIters returns how many interior (all-local) iterations the
+// engine has executed; SegmentIters how many of them a loop's Segment
+// body ran a segment at a time instead of Body per element.
+func (e *Engine) InteriorIters() int { return e.interiorIters }
+
+// SegmentIters: see InteriorIters.
+func (e *Engine) SegmentIters() int { return e.segmentIters }
 
 // SharedSchedules returns the number of distinct schedules in the
 // content-addressed store.
@@ -801,6 +885,7 @@ func (e *Engine) build(c *loopCore) *Schedule {
 	}
 	e.node.StopPhase(PhaseInspector)
 	s.rank = c.rank
+	s.nLocal = segIters(s.execLocal)
 	return s
 }
 
@@ -893,7 +978,7 @@ func (e *Engine) execSet(c *loopCore) []int {
 		// iteration in range.
 		var out []int
 		for i := lo; i <= hi; i++ {
-			e.node.Charge(machine.Cost{LoopIters: 1})
+			e.node.ChargeLoopIter()
 			if c.onProc(i) == me {
 				out = append(out, i)
 			}

@@ -283,28 +283,10 @@ func (e *Engine) runWindow(cores []loopCore) {
 		e.node.StartPhase(ph)
 		env.reset(e, c, s, modeExecLocal)
 		bindArrays(env, c)
-		for _, it := range s.execLocal {
-			e.node.Charge(machine.Cost{LoopIters: 1})
-			c.run(it, env)
-		}
+		e.runInterior(c, s, env)
 		e.drainFused(plan, cores, k)
-		env.mode = modeExecNonlocal
-		for kk, it := range s.execNonlocal {
-			e.node.Charge(machine.Cost{LoopIters: 1})
-			if c.enumerate {
-				env.enumList = s.enum[kk]
-				env.enumPos = 0
-			}
-			c.run(it, env)
-		}
-		for _, w := range env.writes {
-			if w.i != 0 {
-				w.a.Set2(w.i, w.j, w.v)
-			} else {
-				w.a.SetLinear(w.g, w.v)
-			}
-		}
-		env.writes = env.writes[:0]
+		e.runBoundary(c, s, env)
+		env.commit()
 		e.node.StopPhase(ph)
 	}
 }

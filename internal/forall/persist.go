@@ -22,7 +22,7 @@ import (
 
 // schedCacheVersion is bumped whenever Blueprint's serialized form
 // changes; files carrying any other version are ignored and rebuilt.
-const schedCacheVersion = 1
+const schedCacheVersion = 2
 
 // diskSched is the on-disk envelope around a gob-encoded Blueprint.
 type diskSched struct {

@@ -24,12 +24,13 @@ func schedEqual(a, b *Schedule) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.rank != b.rank || len(a.execLocal) != len(b.execLocal) ||
+	al, bl := expand(a.execLocal, a.rank), expand(b.execLocal, b.rank)
+	if a.rank != b.rank || len(al) != len(bl) ||
 		len(a.execNonlocal) != len(b.execNonlocal) || len(a.arrays) != len(b.arrays) {
 		return false
 	}
-	for i := range a.execLocal {
-		if a.execLocal[i] != b.execLocal[i] {
+	for i := range al {
+		if al[i] != bl[i] {
 			return false
 		}
 	}

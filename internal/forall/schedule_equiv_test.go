@@ -27,13 +27,31 @@ type schedSnap struct {
 	Out          [][]comm.Range
 }
 
+// expand lists the iterations of an interior segment list in loop
+// order.  Schedules are compared on the expansion: how the interior is
+// cut into segments is a build-path detail (interval algebra vs
+// run-length compression), which iterations run in which order is not.
+func expand(segs []segment, rank int) []iteration {
+	var out []iteration
+	for _, sg := range segs {
+		for x := sg.lo; x <= sg.hi; x++ {
+			if rank == 2 {
+				out = append(out, iteration{i: sg.i, j: x})
+			} else {
+				out = append(out, iteration{i: x})
+			}
+		}
+	}
+	return out
+}
+
 // snapshot extracts the comparable parts of a schedule.  Out-set Buf
 // fields are receiver-side buffer offsets on the inspector path and
 // unused by the executor, so they are normalized away.
 func snapshot(s *Schedule) schedSnap {
 	snap := schedSnap{
 		Kind:         s.kind,
-		ExecLocal:    append([]iteration(nil), s.execLocal...),
+		ExecLocal:    expand(s.execLocal, s.rank),
 		ExecNonlocal: append([]iteration(nil), s.execNonlocal...),
 	}
 	for _, as := range s.arrays {

@@ -22,16 +22,17 @@ import (
 // part of a communication cycle.
 
 // Blueprint is the immutable, serializable structural form of a
-// compile-time Schedule: iteration lists plus per-slot in/out range
-// records.  A Schedule itself cannot be shared across concurrently
-// running engines — it carries mutable replay state (receive buffers,
-// pending-request slots) — so the store holds blueprints and each
-// adopting engine instantiates fresh mutable state around one
-// (Engine.instantiate).  The same representation is what schedule
-// persistence writes to disk.
+// compile-time Schedule: the interior as (row, lo, hi) segments (row 0
+// for rank-1 loops), the boundary as an iteration list, plus per-slot
+// in/out range records.  A Schedule itself cannot be shared across
+// concurrently running engines — it carries mutable replay state
+// (receive buffers, pending-request slots) — so the store holds
+// blueprints and each adopting engine instantiates fresh mutable state
+// around one (Engine.instantiate).  The same representation is what
+// schedule persistence writes to disk.
 type Blueprint struct {
 	Rank         int
-	ExecLocal    [][2]int
+	ExecLocal    [][3]int
 	ExecNonlocal [][2]int
 	Arrays       []SlotPlan
 }
@@ -51,7 +52,12 @@ type SlotPlan struct {
 // engine's storage.
 func blueprintOf(s *Schedule) *Blueprint {
 	bp := &Blueprint{Rank: s.rank}
-	bp.ExecLocal = pairsOf(s.execLocal)
+	if len(s.execLocal) > 0 {
+		bp.ExecLocal = make([][3]int, len(s.execLocal))
+		for k, sg := range s.execLocal {
+			bp.ExecLocal[k] = [3]int{sg.i, sg.lo, sg.hi}
+		}
+	}
 	bp.ExecNonlocal = pairsOf(s.execNonlocal)
 	for _, as := range s.arrays {
 		bp.Arrays = append(bp.Arrays, SlotPlan{
@@ -95,9 +101,13 @@ func (e *Engine) instantiate(bp *Blueprint) *Schedule {
 	s := &Schedule{
 		rank:         bp.Rank,
 		kind:         BuildCompileTime,
-		execLocal:    itersOf(bp.ExecLocal),
+		execLocal:    make([]segment, len(bp.ExecLocal)),
 		execNonlocal: itersOf(bp.ExecNonlocal),
 	}
+	for k, t := range bp.ExecLocal {
+		s.execLocal[k] = segment{i: t[0], lo: t[1], hi: t[2]}
+	}
+	s.nLocal = segIters(s.execLocal)
 	for _, sp := range bp.Arrays {
 		as := &arraySched{
 			in:  &comm.InSet{Ranges: append([]comm.Range(nil), sp.In...), Total: sp.InTotal},

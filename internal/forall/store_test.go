@@ -207,41 +207,82 @@ func TestStorePersistCorruptFallback(t *testing.T) {
 }
 
 // TestStorePersistStaleVersionFallback: a structurally valid envelope
-// with the wrong format version is rejected and rebuilt.
+// with the wrong format version is rejected and silently rebuilt — both
+// a version from the future and a genuine version-1 file, whose
+// blueprint still lists the interior one iteration per entry.  The
+// rebuild overwrites the stale files, so the next start is warm again.
 func TestStorePersistStaleVersionFallback(t *testing.T) {
 	const n, p = 24, 4
-	dir := t.TempDir()
-	runShiftWithStore(t, n, p, NewSharedStore(64, dir))
-	files, _ := filepath.Glob(filepath.Join(dir, "sched-*.ksched"))
-	if len(files) == 0 {
-		t.Fatal("no persisted files")
+	// blueprintV1 is Blueprint as schedCacheVersion 1 serialized it.
+	type blueprintV1 struct {
+		Rank         int
+		ExecLocal    [][2]int
+		ExecNonlocal [][2]int
+		Arrays       []SlotPlan
 	}
-	for _, fname := range files {
-		raw, err := os.ReadFile(fname)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env diskSched
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
-		env.Version = schedCacheVersion + 1
-		f, err := os.Create(fname)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewEncoder(f).Encode(&env); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	rewrite := map[string]func(env *diskSched){
+		"future version": func(env *diskSched) { env.Version = schedCacheVersion + 1 },
+		"version 1 file": func(env *diskSched) {
+			var bp Blueprint
+			if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&bp); err != nil {
+				t.Fatal(err)
+			}
+			old := blueprintV1{Rank: bp.Rank, ExecNonlocal: bp.ExecNonlocal, Arrays: bp.Arrays}
+			for _, sg := range bp.ExecLocal {
+				for x := sg[1]; x <= sg[2]; x++ {
+					old.ExecLocal = append(old.ExecLocal, [2]int{x, 0})
+				}
+			}
+			var payload bytes.Buffer
+			if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
+				t.Fatal(err)
+			}
+			env.Version, env.Payload, env.Sum = 1, payload.Bytes(), payloadSum(payload.Bytes())
+		},
 	}
-	s := NewSharedStore(64, dir)
-	_, builds, _ := runShiftWithStore(t, n, p, s)
-	if builds != p {
-		t.Fatalf("stale version: builds = %d, want %d (full rebuild)", builds, p)
-	}
-	if st := s.Stats(); st.DiskHits != 0 {
-		t.Fatalf("stale version produced %d disk hits", st.DiskHits)
+	for name, stale := range rewrite {
+		dir := t.TempDir()
+		want, _, _ := runShiftWithStore(t, n, p, NewSharedStore(64, dir))
+		files, _ := filepath.Glob(filepath.Join(dir, "sched-*.ksched"))
+		if len(files) == 0 {
+			t.Fatal("no persisted files")
+		}
+		for _, fname := range files {
+			raw, err := os.ReadFile(fname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env diskSched
+			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			stale(&env)
+			var file bytes.Buffer
+			if err := gob.NewEncoder(&file).Encode(&env); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(fname, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := NewSharedStore(64, dir)
+		got, builds, _ := runShiftWithStore(t, n, p, s)
+		if builds != p {
+			t.Fatalf("%s: builds = %d, want %d (full rebuild)", name, builds, p)
+		}
+		if st := s.Stats(); st.DiskHits != 0 {
+			t.Fatalf("%s produced %d disk hits", name, st.DiskHits)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: A[%d] = %g after rebuild, want %g", name, i, got[i], want[i])
+			}
+		}
+		warm := NewSharedStore(64, dir)
+		if _, builds, _ := runShiftWithStore(t, n, p, warm); builds != 0 || warm.Stats().DiskHits != p {
+			t.Fatalf("%s: rebuild did not replace the stale files: builds=%d diskHits=%d, want 0 and %d",
+				name, builds, warm.Stats().DiskHits, p)
+		}
 	}
 }
 

@@ -23,7 +23,12 @@ import (
 //   - strength reduction: affine subscripts a*v + c become a single
 //     opLinI instruction, and identity subscripts disappear entirely;
 //   - typed arithmetic: int and real operations are distinct opcodes
-//     over unboxed register files.
+//     over unboxed register files;
+//   - row-form classification: a load or store whose last subscript is
+//     the innermost index variable plus a constant, and whose row
+//     subscript depends on nothing the body changes, is marked
+//     hoistable — the VM's segment kernel (vm.go) resolves it once per
+//     interior segment to a slice of the node's local row.
 //
 // What it scrupulously preserves: evaluation order, the walker's float
 // compares (ints widen first), non-short-circuit and/or, Go wrapping
@@ -108,10 +113,19 @@ type comp struct {
 	ints   []string
 	intIx  map[string]int32
 
+	// rowForms records, by instruction index, every load and store
+	// emitted with row-form subscripts; assigned marks the int registers
+	// the body itself writes (assignments to, and inner loops over,
+	// scope variables).  finishHoists turns them into the body's hoist
+	// table.
+	rowForms   map[int]hoist
+	assigned   map[int32]bool
+	iReg, jReg int32 // the forall's index-variable registers
+
 	// barrier marks the last jump-target boundary; charge() may fold a
-	// new flop charge into an immediately preceding opFlops only when no
-	// label was bound in between (a jump landing between them would skip
-	// or double charges).
+	// new flop charge into a preceding opFlops only when no label was
+	// bound in between (a jump landing between them would skip or double
+	// charges).
 	barrier int
 }
 
@@ -129,6 +143,8 @@ func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
 		scalarIx:  map[string]int32{},
 		realIx:    map[string]int32{},
 		intIx:     map[string]int32{},
+		rowForms:  map[int]hoist{},
+		assigned:  map[int32]bool{},
 	}
 	for _, d := range f.Vars {
 		for _, name := range d.Names {
@@ -159,6 +175,7 @@ func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
 		cb.jReg = c.tmpI()
 		c.slots[fa.Var2] = slotRef{t: TInt, reg: cb.jReg}
 	}
+	c.iReg, c.jReg = cb.iReg, cb.jReg
 	// Forall locals reset to zero every iteration (the walker builds a
 	// fresh scope per element); the emitted body re-zeroes them at
 	// entry.
@@ -175,6 +192,7 @@ func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
 	}
 	c.stmts(fa.Body)
 	c.add(opRet, 0, 0, 0, 0)
+	c.finishHoists(cb)
 
 	cb.code = c.code
 	cb.nF, cb.nI = c.nextF, c.nextI
@@ -208,16 +226,26 @@ func (c *comp) add(op opcode, a, b, cc, d int32) int {
 }
 
 // charge emits k unit flop charges at the current code position,
-// coalescing with an immediately preceding opFlops when no jump target
-// separates them (adjacent charges replay as adjacent unit charges
-// either way, so coalescing is pure instruction-count savings).
+// coalescing with the preceding opFlops of the same basic block when
+// only register arithmetic lies between them.  What is observable is
+// the order of additions to the clock, so a charge may move back across
+// instructions that neither charge nor branch; charges that end up
+// adjacent replay as adjacent unit charges either way, so coalescing is
+// pure instruction-count savings — for a stencil body, one opFlops per
+// array access instead of one per operator.
 func (c *comp) charge(k int) {
 	if k == 0 {
 		return
 	}
-	if n := len(c.code); n > c.barrier && c.code[n-1].op == opFlops {
-		c.code[n-1].a += int32(k)
-		return
+	for pc := len(c.code) - 1; pc >= c.barrier; pc-- {
+		op := c.code[pc].op
+		if op == opFlops {
+			c.code[pc].a += int32(k)
+			return
+		}
+		if !op.pure() {
+			break
+		}
 	}
 	c.add(opFlops, int32(k), 0, 0, 0)
 }
@@ -316,6 +344,9 @@ func (c *comp) assign(s *Assign) {
 	// The walker evaluates the value first, then the indexes.
 	r, t := c.expr(s.X)
 	if sl, ok := c.slots[s.Name]; ok {
+		if sl.t != TReal {
+			c.assigned[sl.reg] = true
+		}
 		switch {
 		case sl.t == t && t == TReal:
 			c.add(opMovF, sl.reg, r, 0, 0)
@@ -335,12 +366,12 @@ func (c *comp) assign(s *Assign) {
 	slot := c.realSlot(s.Name)
 	switch len(s.Indexes) {
 	case 1:
-		i := c.idx(s.Indexes[0])
-		c.add(opSt1, r, slot, i, 0)
+		i, fi := c.idx(s.Indexes[0])
+		c.access(c.add(opSt1, r, slot, i, 0), true, fi)
 	case 2:
-		i := c.idx(s.Indexes[0])
-		j := c.idx(s.Indexes[1])
-		c.add(opSt2, r, slot, i, j)
+		i, fi := c.idx(s.Indexes[0])
+		j, fj := c.idx(s.Indexes[1])
+		c.access(c.add(opSt2, r, slot, i, j), true, fi, fj)
 	default:
 		panic("lang: compile: store rank > 2")
 	}
@@ -364,6 +395,7 @@ func (c *comp) forLoop(s *ForLoop) {
 		vs = slotRef{t: TInt, reg: c.tmpI()}
 		c.slots[s.Var] = vs
 	}
+	c.assigned[vs.reg] = true
 
 	head := len(c.code)
 	c.barrier = head
@@ -611,10 +643,11 @@ func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 		r := c.tmpI()
 		switch len(e.Indexes) {
 		case 1:
-			c.add(opLdInt1, r, slot, c.idx(e.Indexes[0]), 0)
+			i, _ := c.idx(e.Indexes[0])
+			c.add(opLdInt1, r, slot, i, 0)
 		case 2:
-			i := c.idx(e.Indexes[0])
-			j := c.idx(e.Indexes[1])
+			i, _ := c.idx(e.Indexes[0])
+			j, _ := c.idx(e.Indexes[1])
 			c.add(opLdInt2, r, slot, i, j)
 		default:
 			panic("lang: compile: int read rank > 2")
@@ -626,45 +659,120 @@ func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 	local := e.access == accReplicated || e.access == accAligned
 	switch len(e.Indexes) {
 	case 1:
-		i := c.idx(e.Indexes[0])
+		i, fi := c.idx(e.Indexes[0])
+		op := opLd1
 		if local {
-			c.add(opLdLoc1, r, slot, i, 0)
-		} else {
-			c.add(opLd1, r, slot, i, 0)
+			op = opLdLoc1
 		}
+		c.access(c.add(op, r, slot, i, 0), false, fi)
 	case 2:
-		i := c.idx(e.Indexes[0])
-		j := c.idx(e.Indexes[1])
+		i, fi := c.idx(e.Indexes[0])
+		j, fj := c.idx(e.Indexes[1])
+		op := opLd2
 		if local {
-			c.add(opLdLoc2, r, slot, i, j)
-		} else {
-			c.add(opLd2, r, slot, i, j)
+			op = opLdLoc2
 		}
+		c.access(c.add(op, r, slot, i, j), false, fi, fj)
 	default:
 		panic("lang: compile: read rank > 2")
 	}
 	return r, TReal
 }
 
-// idx compiles an integer subscript expression.  Affine forms a*v + k
-// strength-reduce to one opLinI (or to nothing, for the identity
-// subscript); the flops the walker would charge evaluating the original
-// expression are still counted, preserving cost-model parity.
-func (c *comp) idx(ix Expr) int32 {
+// subForm is the affine shape a*n[reg] + k of a compiled subscript
+// (reg < 0: the constant k); ok is false for anything else.
+type subForm struct {
+	reg  int32
+	a, k int
+	ok   bool
+}
+
+// idx compiles an integer subscript expression and reports its affine
+// shape.  Affine forms a*v + k strength-reduce to one opLinI (or to
+// nothing, for the identity subscript); the flops the walker would
+// charge evaluating the original expression are still counted,
+// preserving cost-model parity.
+func (c *comp) idx(ix Expr) (int32, subForm) {
 	if reg, a, k, ok := c.affine(ix); ok {
+		form := subForm{reg: reg, a: a, k: k, ok: true}
 		c.charge(flopCount(ix))
 		if reg < 0 {
-			return c.constI(k)
+			return c.constI(k), form
 		}
 		if a == 1 && k == 0 {
-			return reg
+			return reg, form
 		}
 		d := c.tmpI()
 		c.add(opLinI, d, reg, c.poolI(a), c.poolI(k))
-		return d
+		return d, form
 	}
 	r, _ := c.expr(ix)
-	return r
+	return r, subForm{}
+}
+
+// access records the real-array load or store just emitted at pc as a
+// hoist candidate when its subscripts have the row form: the last one
+// is the segment variable (the forall's innermost index) plus a
+// constant, so consecutive iterations touch consecutive elements, and
+// the row subscript before it, if any, is a constant or affine in the
+// outer index variable, so it is fixed across a segment.
+func (c *comp) access(pc int, store bool, subs ...subForm) {
+	segReg, outerReg := c.iReg, int32(-1)
+	if c.fa.Var2 != "" {
+		segReg, outerReg = c.jReg, c.iReg
+	}
+	col := subs[len(subs)-1]
+	if !col.ok || col.reg != segReg || col.a != 1 {
+		return
+	}
+	h := hoist{slot: c.code[pc].b, store: store, rank: len(subs), colK: col.k}
+	if len(subs) == 2 {
+		row := subs[0]
+		switch {
+		case !row.ok:
+			return
+		case row.reg < 0:
+			h.rowK = row.k
+		case row.reg == outerReg:
+			h.rowA, h.rowK = row.a, row.k
+		default:
+			return
+		}
+	}
+	c.rowForms[pc] = h
+}
+
+// finishHoists builds the body's hoist table from the recorded
+// row-form accesses.  None survive if the body assigns either index
+// variable (the registers the row forms are relative to).  A store is
+// kept only when it may go straight to local storage — its array is
+// loaded nowhere in the body, so skipping the write log cannot be
+// observed, and every store to that array has the row form, so direct
+// and logged stores to one array never mix; any other store keeps
+// logging through Env.Write.
+func (c *comp) finishHoists(cb *compiledBody) {
+	if c.assigned[cb.iReg] || (cb.rank == 2 && c.assigned[cb.jReg]) {
+		return
+	}
+	logged := map[int32]bool{} // slots that are loaded, or stored outside the row form
+	for pc, ins := range c.code {
+		switch ins.op {
+		case opLdLoc1, opLdLoc2, opLd1, opLd2:
+			logged[ins.b] = true
+		case opSt1, opSt2:
+			if _, ok := c.rowForms[pc]; !ok {
+				logged[ins.b] = true
+			}
+		}
+	}
+	for pc := range c.code {
+		h, ok := c.rowForms[pc]
+		if !ok || (h.store && logged[h.slot]) {
+			continue
+		}
+		cb.hoists = append(cb.hoists, h)
+		c.code[pc].h = int32(len(cb.hoists))
+	}
 }
 
 // affine tries to express ix as a*reg + k over a single integer

@@ -51,8 +51,10 @@ func TestQuickProgramsProcessorIndependent(t *testing.T) {
 // diffVMWalker runs src twice — once through the bytecode VM, once
 // through the tree walker — and fails unless the final arrays are
 // bit-identical and the simulated cost report (time, messages, bytes)
-// matches exactly.  The VM must be observationally invisible.
-func diffVMWalker(t *testing.T, src string, p int) {
+// matches exactly.  The VM must be observationally invisible.  It
+// returns the VM run's report, whose interior/segment iteration
+// counters say how much of the run the segment kernel took.
+func diffVMWalker(t *testing.T, src string, p int) core.Report {
 	t.Helper()
 	prog, err := Compile(src)
 	if err != nil {
@@ -97,23 +99,40 @@ func diffVMWalker(t *testing.T, src string, p int) {
 			vm.Report.MsgsSent, vm.Report.BytesSent,
 			walk.Report.MsgsSent, walk.Report.BytesSent, src)
 	}
+	if walk.Report.SegmentIters != 0 || walk.Report.InteriorIters != vm.Report.InteriorIters {
+		t.Fatalf("walker ran %d of %d interior iterations by segments; vm saw %d interior iterations\n%s",
+			walk.Report.SegmentIters, walk.Report.InteriorIters, vm.Report.InteriorIters, src)
+	}
+	return vm.Report
 }
 
-// TestQuickVMDifferential: every generated program produces
-// bit-identical arrays and an identical cost report on the VM and the
-// tree walker, across processor counts.
+// TestQuickVMDifferential: every generated program — rank 1 on any
+// processor count, rank 2 on the 2×2 grid — produces bit-identical
+// arrays and an identical cost report on the VM and the tree walker.
+// The generators mix shapes the VM's segment kernel can take with
+// shapes it must decline, so the test also checks that the kernel
+// actually ran a real share of the interiors: a differential test
+// whose optimized side silently fell back would prove nothing.
 func TestQuickVMDifferential(t *testing.T) {
+	interior, segment := 0, 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := langtest.GenVMProgram(r)
 		for _, p := range []int{1, 3, 4} {
-			diffVMWalker(t, src, p)
+			rep := diffVMWalker(t, src, p)
+			interior, segment = interior+rep.InteriorIters, segment+rep.SegmentIters
 		}
+		rep := diffVMWalker(t, langtest.GenVMProgram2D(r), 4)
+		interior, segment = interior+rep.InteriorIters, segment+rep.SegmentIters
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	if interior == 0 || 5*segment < interior {
+		t.Fatalf("segment kernel ran %d of %d generated interior iterations, want at least a fifth", segment, interior)
+	}
+	t.Logf("segment kernel ran %d of %d interior iterations", segment, interior)
 }
 
 // FuzzVMDifferential is the native-fuzzing entry point for the same
@@ -125,8 +144,8 @@ func FuzzVMDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		src := langtest.GenVMProgram(r)
-		diffVMWalker(t, src, 4)
+		diffVMWalker(t, langtest.GenVMProgram(r), 4)
+		diffVMWalker(t, langtest.GenVMProgram2D(r), 4)
 	})
 }
 
@@ -187,10 +206,12 @@ func TestQuickFusionDifferential(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		src := langtest.GenProgram(r)
 		diffFusion(t, src, 4)
-		src = langtest.GenVMProgram(rand.New(rand.NewSource(seed)))
+		r = rand.New(rand.NewSource(seed))
+		src = langtest.GenVMProgram(r)
 		for _, p := range []int{1, 3, 4} {
 			diffFusion(t, src, p)
 		}
+		diffFusion(t, langtest.GenVMProgram2D(r), 4)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

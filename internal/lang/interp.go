@@ -144,17 +144,29 @@ func (p *Program) Run(cfg core.Config) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{
+	res = p.newResult(el)
+	cfg.P = el.procP
+
+	rep := core.Run(cfg, func(ctx *core.Context) {
+		in := newInterp(p.file, ctx, el)
+		in.declareArrays()
+		in.execStmts(p.file.Main, nil, nil)
+		in.gather(res)
+	})
+	res.Report = rep
+	return res, nil
+}
+
+// newResult pre-allocates the gather buffers host-side (shapes are
+// elaborable without the machine), so nodes fill disjoint slots with
+// no synchronization.
+func (p *Program) newResult(el *elaboration) *Result {
+	res := &Result{
 		P:         el.procP,
 		Arrays:    map[string][]float64{},
 		IntArrays: map[string][]int{},
 		Scalars:   map[string]float64{},
 	}
-	cfg.P = el.procP
-
-	// Pre-allocate gather buffers host-side (shapes are elaborable
-	// without the machine), so nodes fill disjoint slots with no
-	// synchronization.
 	ce := &constEval{consts: el.consts}
 	for _, d := range p.file.Vars {
 		if len(d.Dims) == 0 {
@@ -172,15 +184,7 @@ func (p *Program) Run(cfg core.Config) (res *Result, err error) {
 			}
 		}
 	}
-
-	rep := core.Run(cfg, func(ctx *core.Context) {
-		in := newInterp(p.file, ctx, el)
-		in.declareArrays()
-		in.execStmts(p.file.Main, nil, nil)
-		in.gather(res)
-	})
-	res.Report = rep
-	return res, nil
+	return res
 }
 
 // value is a runtime scalar.
@@ -695,6 +699,9 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 		st := newVMState(cb, in)
 		in.vms[fa] = st
 		loop.Body = st.body2
+		if st.hasSegment() {
+			loop.Segment = st.segment2
+		}
 	} else {
 		loop.Body = func(i, j int, env *forall.Env) {
 			sc := scope{
@@ -754,6 +761,9 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 		st := newVMState(cb, in)
 		in.vms[fa] = st
 		loop.Body = st.body1
+		if st.hasSegment() {
+			loop.Segment = st.segment1
+		}
 	} else {
 		loop.Body = func(i int, env *forall.Env) {
 			sc := scope{fa.Var: &value{t: TInt, i: i}}

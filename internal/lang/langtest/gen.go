@@ -79,7 +79,15 @@ func GenProgram(r *rand.Rand) string {
 // compiler beyond the plain stencils of GenProgram: forall bodies with
 // local variables, if/else with boolean connectives, inner for loops,
 // builtin calls, unary minus, and integer div/mod — every construct
-// the VM lowers.
+// the VM lowers.  The loop shapes also straddle every decision the
+// VM's segment kernel makes: block distributions (rows resolve to local
+// spans) against cyclic ones (they cannot: per-element fallback), a
+// collapsed [dist, *] matrix read through an inner loop, unit-stride
+// subscripts against strided and indirect ones, stores to arrays the
+// body never loads (direct) against stores to arrays it also reads
+// (logged: copy-in/copy-out), and stores under a condition.  Programs
+// use a 1-D processor array and run on any P; GenVMProgram2D is the
+// rank-2 counterpart.
 func GenVMProgram(r *rand.Rand) string {
 	n := 8 + r.Intn(24)
 	k := 2 + r.Intn(4)
@@ -94,17 +102,21 @@ func GenVMProgram(r *rand.Rand) string {
 	fmt.Fprintf(&b, "var a : array[1..n] of real dist by [%s] on Procs;\n", distA)
 	fmt.Fprintf(&b, "    b : array[1..n] of real dist by [%s] on Procs;\n", distB)
 	fmt.Fprintf(&b, "    perm : array[1..n] of integer dist by [%s] on Procs;\n", distB)
-	fmt.Fprintf(&b, "    i : integer;\n")
+	// mat's rows travel with a (same first-dimension distribution), so
+	// mat[i,q] under "on a[i].loc" is an aligned, communication-free read.
+	fmt.Fprintf(&b, "    mat : array[1..n, 1..k] of real dist by [%s, *] on Procs;\n", distA)
+	fmt.Fprintf(&b, "    i, q : integer;\n")
 	fmt.Fprintf(&b, "begin\n")
 	fmt.Fprintf(&b, "  for i in 1..n do\n")
 	fmt.Fprintf(&b, "    a[i] := float(i) * %d.0 - %d.5;\n", 1+r.Intn(5), r.Intn(3))
 	fmt.Fprintf(&b, "    b[i] := float(i * i) / %d.0;\n", 2+r.Intn(3))
 	fmt.Fprintf(&b, "    perm[i] := (i * %d) mod n + 1;\n", 1+2*r.Intn(4))
+	fmt.Fprintf(&b, "    for q in 1..k do mat[i,q] := float(i) / float(q + %d); end;\n", r.Intn(3))
 	fmt.Fprintf(&b, "  end;\n")
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {
-		switch r.Intn(5) {
+		switch r.Intn(9) {
 		case 0: // affine stencil with a const-folded coefficient
 			c := r.Intn(3) - 1
 			lo, hi := 1, n
@@ -139,9 +151,130 @@ func GenVMProgram(r *rand.Rand) string {
 			fmt.Fprintf(&b, "    end;\n")
 			fmt.Fprintf(&b, "    a[i] := s2 / float(k);\n")
 			fmt.Fprintf(&b, "  end;\n")
+		case 4: // store to an array the body never loads
+			fmt.Fprintf(&b, "  forall i in 1..n on a[i].loc do\n")
+			fmt.Fprintf(&b, "    a[i] := float(i mod k) * 0.5 + b[i];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 5: // copy-in/copy-out: every read sees the pre-loop a
+			fmt.Fprintf(&b, "  forall i in 1..n-1 on a[i].loc do\n")
+			fmt.Fprintf(&b, "    a[i] := a[i+1] * 0.5 + a[i];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 6: // row sums over the collapsed dimension
+			fmt.Fprintf(&b, "  forall i in 1..n on a[i].loc do\n")
+			fmt.Fprintf(&b, "    var s2 : real; q : integer;\n")
+			fmt.Fprintf(&b, "    s2 := 0.0;\n")
+			fmt.Fprintf(&b, "    for q in 1..k do\n")
+			fmt.Fprintf(&b, "      s2 := s2 + mat[i,q] * float(q);\n")
+			fmt.Fprintf(&b, "    end;\n")
+			fmt.Fprintf(&b, "    a[i] := s2;\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 7: // shifted placement, conditional shifted store
+			fmt.Fprintf(&b, "  forall i in 1..n-1 on b[i+1].loc do\n")
+			fmt.Fprintf(&b, "    if i mod %d = 0 then\n", 2+r.Intn(2))
+			fmt.Fprintf(&b, "      b[i+1] := a[i] + 1.0;\n")
+			fmt.Fprintf(&b, "    end;\n")
+			fmt.Fprintf(&b, "  end;\n")
 		default: // strided update with integer arithmetic in subscripts
 			fmt.Fprintf(&b, "  forall i in 1..n div 2 on a[2*i].loc do\n")
 			fmt.Fprintf(&b, "    a[2*i] := a[2*i] * 0.5 + b[2*i-1];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		}
+	}
+	fmt.Fprintf(&b, "end.\n")
+	return b.String()
+}
+
+// GenVMProgram2D is GenVMProgram for rank-2 foralls: a fixed 2×2
+// processor grid (so it needs P >= 4), arrays tiled by a random pair of
+// per-dimension distributions, and loop nests whose row segments the
+// VM's segment kernel can or cannot run against raw local rows — a
+// whole-array copy, the five-point stencil under a shifted on clause,
+// an in-place smooth (stores to an array the body reads), a body with
+// locals, an inner loop, a condition and a replicated coefficient
+// vector, row-strided and column-strided placements, and, on square
+// arrays, a transposed (indirect) read.
+func GenVMProgram2D(r *rand.Rand) string {
+	ny := 6 + r.Intn(12)
+	nx := ny
+	if r.Intn(2) == 0 {
+		nx = 6 + r.Intn(12)
+	}
+	k := 2 + r.Intn(3)
+	pick := func() string {
+		switch r.Intn(4) {
+		case 0:
+			return "cyclic"
+		case 1:
+			return fmt.Sprintf("block_cyclic(%d)", 1+r.Intn(3))
+		default:
+			return "block"
+		}
+	}
+	dI, dJ := pick(), pick()
+	eI, eJ := pick(), pick()
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "processors Procs : array[1..2, 1..2];\n")
+	fmt.Fprintf(&b, "const ny = %d;\n      nx = %d;\n      k = %d;\n", ny, nx, k)
+	fmt.Fprintf(&b, "var u, v, w : array[1..ny, 1..nx] of real dist by [%s, %s] on Procs;\n", dI, dJ)
+	fmt.Fprintf(&b, "    x : array[1..ny, 1..nx] of real dist by [%s, %s] on Procs;\n", eI, eJ)
+	fmt.Fprintf(&b, "    c1 : array[1..nx] of real;\n")
+	fmt.Fprintf(&b, "    i, j, q : integer;\n")
+	fmt.Fprintf(&b, "    alpha : real;\n")
+	fmt.Fprintf(&b, "begin\n")
+	fmt.Fprintf(&b, "  alpha := 0.%d5;\n", 1+r.Intn(3))
+	fmt.Fprintf(&b, "  for j in 1..nx do c1[j] := float(j mod %d) + 0.5; end;\n", 2+r.Intn(4))
+	fmt.Fprintf(&b, "  for i in 1..ny do\n")
+	fmt.Fprintf(&b, "    for j in 1..nx do\n")
+	fmt.Fprintf(&b, "      u[i,j] := float((i*%d + j*7) mod 11);\n", 3+r.Intn(10))
+	fmt.Fprintf(&b, "      v[i,j] := float(i) / float(j + %d);\n", r.Intn(3))
+	fmt.Fprintf(&b, "      x[i,j] := float(i - j) * 0.25;\n")
+	fmt.Fprintf(&b, "    end;\n")
+	fmt.Fprintf(&b, "  end;\n")
+
+	stmts := 1 + r.Intn(3)
+	for s := 0; s < stmts; s++ {
+		kind := r.Intn(7)
+		if kind == 6 && nx != ny {
+			kind = 0
+		}
+		switch kind {
+		case 0: // whole-array copy, aligned
+			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx on v[i,j].loc do\n")
+			fmt.Fprintf(&b, "    v[i,j] := u[i,j];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 1: // five-point stencil, shifted on clause
+			fmt.Fprintf(&b, "  forall i in 1..ny-2, j in 1..nx-2 on u[i+1,j+1].loc do\n")
+			fmt.Fprintf(&b, "    u[i+1,j+1] := alpha*v[i,j+1] + alpha*v[i+1,j] + alpha*v[i+1,j+2] + alpha*v[i+2,j+1];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 2: // in-place smooth: reads see the pre-loop u
+			fmt.Fprintf(&b, "  forall i in 2..ny-1, j in 2..nx-1 on u[i,j].loc do\n")
+			fmt.Fprintf(&b, "    u[i,j] := 0.5*u[i,j] + 0.125*(u[i-1,j] + u[i+1,j] + u[i,j-1] + u[i,j+1]);\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 3: // locals, inner loop, condition, replicated vector, cross-distribution read
+			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx on w[i,j].loc do\n")
+			fmt.Fprintf(&b, "    var t : real; q : integer;\n")
+			fmt.Fprintf(&b, "    t := x[i,j];\n")
+			fmt.Fprintf(&b, "    for q in 1..k do\n")
+			fmt.Fprintf(&b, "      t := t + v[i,j] * float(q);\n")
+			fmt.Fprintf(&b, "    end;\n")
+			fmt.Fprintf(&b, "    if (t > c1[j]) and ((i + j) mod 2 = 0) then\n")
+			fmt.Fprintf(&b, "      w[i,j] := min(t, c1[j] * float(k));\n")
+			fmt.Fprintf(&b, "    else\n")
+			fmt.Fprintf(&b, "      w[i,j] := -t;\n")
+			fmt.Fprintf(&b, "    end;\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 4: // row-strided placement: rows 2i, unit stride along the row
+			fmt.Fprintf(&b, "  forall i in 1..ny div 2, j in 1..nx on w[2*i,j].loc do\n")
+			fmt.Fprintf(&b, "    w[2*i,j] := v[2*i-1,j] + u[2*i,j];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 5: // column-strided placement: no unit stride along the row
+			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx div 2 on w[i,2*j].loc do\n")
+			fmt.Fprintf(&b, "    w[i,2*j] := u[i,2*j] * 0.5 + c1[j];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		default: // transposed read: data-dependent in both variables, inspector
+			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx on w[i,j].loc do\n")
+			fmt.Fprintf(&b, "    w[i,j] := v[j,i] + x[i,j];\n")
 			fmt.Fprintf(&b, "  end;\n")
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"kali/internal/darray"
 	"kali/internal/forall"
+	"kali/internal/machine"
 )
 
 // This file is the execution half of the forall-body bytecode pipeline
@@ -29,6 +30,24 @@ import (
 // opFlops k as k unit charges, reproducing the walker's exact charge
 // sequence.  Simulated times and FlopCount match the walker
 // bit-for-bit while the host does less work.
+//
+// Segment kernel: the paper's Figure 3 executor separates local from
+// nonlocal iterations so that the local ones need no locality test, no
+// buffer search and no per-reference bookkeeping (§3.1).  The VM takes
+// that literally for a schedule's interior.  forall hands it whole row
+// segments (Loop.Segment); per segment, resolve turns every hoistable
+// load and store (compile.go: subscripts of the row form (f(i), j+c))
+// into a slice of the node's local row — the locality and
+// owner-computes checks made once for the whole span — and run then
+// executes the iterations of the segment against those slices, with
+// the virtual clock in a local variable, replaying the same float
+// additions in the same order the per-element path makes (LoopIter,
+// then MemRef and unit Flop charges where the walker makes them).
+// Whatever does not resolve — other subscript forms, integer arrays, a
+// span that leaves the local window, stores that must be logged —
+// takes the same Env call as before, with the clock written back
+// around it; a segment in which nothing resolves is declined and runs
+// per element.  Both entry points share the one interpreter loop.
 
 // opcode enumerates VM instructions.  Operand conventions: a is the
 // destination register (or sole operand), b and c are sources, d is an
@@ -89,10 +108,31 @@ const (
 	opSt2    // env.Write2(reals[b], n[c], n[d], f[a])
 )
 
-// instr is one VM instruction.
+// pure reports whether op only moves values between registers: it
+// makes no cost-model charge, no Env call and no jump, so a flop charge
+// may be reordered across it (comp.charge).  The opcode block keeps
+// these contiguous, between the control-flow and the array opcodes.
+func (op opcode) pure() bool { return op >= opMovF && op <= opMaxF }
+
+// instr is one VM instruction.  h, on real-array loads and stores,
+// is the instruction's entry in the body's hoist table plus one; zero
+// means the access always takes the Env path.
 type instr struct {
 	op         opcode
 	a, b, c, d int32
+	h          int32
+}
+
+// hoist describes one load or store the segment kernel may run against
+// a raw local row: over a segment lo..hi of the innermost index
+// variable (outer index i; zero in rank-1 bodies) it touches, in
+// order, elements lo+colK..hi+colK of the array in slot — of its row
+// rowA*i+rowK when the array has rank 2.
+type hoist struct {
+	slot             int32
+	store            bool
+	rank             int
+	rowA, rowK, colK int
 }
 
 // fInit / iInit preset a pinned register at vmState creation (constant
@@ -142,6 +182,8 @@ type compiledBody struct {
 	scalars []scalarInput
 	reals   []vmArraySlot
 	ints    []string
+
+	hoists []hoist
 }
 
 // vmState is one node's execution state for one compiled body: the
@@ -153,13 +195,35 @@ type vmState struct {
 	n  []int
 	ra []*darray.Array
 	ia []*darray.IntArray
+
+	// Segment-kernel state.  views[h] is the row slice instruction
+	// hoist h resolved to for the current segment (nil: take the Env
+	// path); entry 0 stays nil for instructions without a hoist.
+	// noViews is the same table, all nil, for per-element execution.
+	// cell and units are the node's clock cell and unit prices
+	// (machine.Node.ClockCell); idle stands in for the cell when the
+	// engine, not the VM, owns the clock.
+	node    *machine.Node
+	views   [][]float64
+	noViews [][]float64
+	cell    *float64
+	units   machine.UnitCosts
+	idle    float64
 }
 
 func newVMState(cb *compiledBody, in *interp) *vmState {
 	st := &vmState{
-		cb: cb,
-		f:  make([]float64, cb.nF),
-		n:  make([]int, cb.nI),
+		cb:      cb,
+		f:       make([]float64, cb.nF),
+		n:       make([]int, cb.nI),
+		node:    in.ctx.Node,
+		views:   make([][]float64, len(cb.hoists)+1),
+		noViews: make([][]float64, len(cb.hoists)+1),
+	}
+	if len(cb.hoists) > 0 {
+		// A virtual clock without an address leaves cell nil: no
+		// segment kernel, every segment runs per element.
+		st.cell, st.units, _ = st.node.ClockCell()
 	}
 	for _, c := range cb.initF {
 		st.f[c.reg] = c.v
@@ -207,132 +271,289 @@ func (st *vmState) bindScalars(in *interp) {
 }
 
 // body1 / body2 are the forall.Loop body entry points (method values,
-// bound once when the loop is built).
-func (st *vmState) body1(i int, env *forall.Env) { st.exec(i, 0, env) }
+// bound once when the loop is built): one iteration, every access
+// through Env, charges made by the engine and the Env.
+func (st *vmState) body1(i int, env *forall.Env) { st.run(0, i, i, env, false) }
 
-func (st *vmState) body2(i, j int, env *forall.Env) { st.exec(i, j, env) }
+func (st *vmState) body2(i, j int, env *forall.Env) { st.run(i, j, j, env, false) }
 
-// exec runs the compiled body for one iteration.
-func (st *vmState) exec(i, j int, env *forall.Env) {
+// segment1 / segment2 are the forall.Loop Segment entry points: a
+// whole interior segment against resolved row views, or false to have
+// the engine run it per element.
+func (st *vmState) segment1(lo, hi int, env *forall.Env) bool {
+	if !st.resolve(0, lo, hi, env) {
+		return false
+	}
+	st.run(0, lo, hi, env, true)
+	return true
+}
+
+func (st *vmState) segment2(i, jLo, jHi int, env *forall.Env) bool {
+	if !st.resolve(i, jLo, jHi, env) {
+		return false
+	}
+	st.run(i, jLo, jHi, env, true)
+	return true
+}
+
+// hasSegment reports whether the body can run segments at all: it has
+// hoistable accesses and the node's clock can be held in a register.
+// Loops get the segment entry points only then.
+func (st *vmState) hasSegment() bool { return st.cell != nil }
+
+// resolve fills views for the segment lo..hi (outer index i): loads
+// resolve to the array's row span when all of it is in the local
+// window, stores additionally need the engine's leave to bypass the
+// write log (Env.WriteSpan*).  If one store to an array does not
+// resolve, none to that array may: direct and logged stores to one
+// array must not mix within a loop execution.  It reports whether
+// anything resolved.
+func (st *vmState) resolve(i, lo, hi int, env *forall.Env) bool {
+	hoists := st.cb.hoists
+	resolved, refused := false, false
+	for k := range hoists {
+		h := &hoists[k]
+		a := st.ra[h.slot]
+		cLo, cHi := lo+h.colK, hi+h.colK
+		var v []float64
+		switch {
+		case h.store && h.rank == 2:
+			v = env.WriteSpan2(a, h.rowA*i+h.rowK, cLo, cHi)
+		case h.store:
+			v = env.WriteSpan1(a, cLo, cHi)
+		case h.rank == 2:
+			v = a.Span2(h.rowA*i+h.rowK, cLo, cHi)
+		default:
+			v = a.Span1(cLo, cHi)
+		}
+		st.views[k+1] = v
+		resolved = resolved || v != nil
+		refused = refused || (h.store && v == nil)
+	}
+	for k := range hoists {
+		if !refused {
+			break
+		}
+		if hoists[k].store && st.views[k+1] == nil {
+			for k2 := range hoists {
+				if hoists[k2].store && hoists[k2].slot == hoists[k].slot {
+					st.views[k2+1] = nil
+				}
+			}
+		}
+	}
+	return resolved
+}
+
+// run executes the compiled body for iterations lo..hi of the
+// innermost index variable (outer index i, unused in rank-1 bodies).
+//
+// With seg false it is the per-element path: the engine has charged
+// the iteration, every access and every flop charge goes through env,
+// in any Env mode.  With seg true (executor interior only) the VM owns
+// the clock for the whole segment: t is the node's virtual clock held
+// in a local, every charge is the float addition the per-element path
+// would make at that point, hoisted accesses index their row view by
+// the iteration's offset in the segment, and t is written back around
+// each remaining Env call and at the end.
+func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 	cb := st.cb
 	f, n := st.f, st.n
-	n[cb.iReg] = i
+	code, constI := cb.code, cb.constI
+	segReg := cb.iReg
 	if cb.rank == 2 {
-		n[cb.jReg] = j
+		n[cb.iReg] = i
+		segReg = cb.jReg
 	}
-	code := cb.code
-	for pc := 0; ; {
-		ins := &code[pc]
-		pc++
-		switch ins.op {
-		case opRet:
-			return
-		case opFlops:
-			// Replayed as unit charges: the walker calls Flops(1) per
-			// operator, and the simulated clock is a float accumulator,
-			// so both the unit size and the order of charges are
-			// observable.  One opFlops k == k adjacent walker charges;
-			// FlopsUnit performs exactly those k unit advances.
-			env.FlopsUnit(int(ins.a))
-		case opJmp:
-			pc = int(ins.a)
-		case opJmpIfNot:
-			if n[ins.b] == 0 {
+	// Per element the cell is a dummy and the prices zero, so the
+	// clock arithmetic below is dead but needs no branches.
+	views, cell := st.noViews, &st.idle
+	var u machine.UnitCosts
+	if seg {
+		views, cell, u = st.views, st.cell, st.units
+	}
+	t := *cell
+	flops := int64(0)
+	for x := lo; x <= hi; x++ {
+		n[segReg] = x
+		k := x - lo
+		t += u.LoopIter
+	body:
+		for pc := 0; ; {
+			ins := &code[pc]
+			pc++
+			switch ins.op {
+			case opRet:
+				break body
+			case opFlops:
+				// Replayed as unit charges: the walker calls Flops(1) per
+				// operator, and the simulated clock is a float accumulator,
+				// so both the unit size and the order of charges are
+				// observable.  One opFlops k == k adjacent walker charges;
+				// FlopsUnit performs exactly those k unit advances, and so
+				// does the loop on the held clock.
+				if seg {
+					for c := ins.a; c > 0; c-- {
+						t += u.Flop
+					}
+					flops += int64(ins.a)
+				} else {
+					env.FlopsUnit(int(ins.a))
+				}
+			case opJmp:
 				pc = int(ins.a)
+			case opJmpIfNot:
+				if n[ins.b] == 0 {
+					pc = int(ins.a)
+				}
+			case opJmpGtI:
+				if n[ins.b] > n[ins.c] {
+					pc = int(ins.a)
+				}
+
+			case opMovF:
+				f[ins.a] = f[ins.b]
+			case opMovI:
+				n[ins.a] = n[ins.b]
+			case opIntToF:
+				f[ins.a] = float64(n[ins.b])
+			case opTruncI:
+				n[ins.a] = int(f[ins.b])
+
+			case opNegF:
+				f[ins.a] = -f[ins.b]
+			case opNegI:
+				n[ins.a] = -n[ins.b]
+			case opAddF:
+				f[ins.a] = f[ins.b] + f[ins.c]
+			case opSubF:
+				f[ins.a] = f[ins.b] - f[ins.c]
+			case opMulF:
+				f[ins.a] = f[ins.b] * f[ins.c]
+			case opDivF:
+				f[ins.a] = f[ins.b] / f[ins.c]
+			case opAddI:
+				n[ins.a] = n[ins.b] + n[ins.c]
+			case opSubI:
+				n[ins.a] = n[ins.b] - n[ins.c]
+			case opMulI:
+				n[ins.a] = n[ins.b] * n[ins.c]
+			case opDivI:
+				n[ins.a] = n[ins.b] / n[ins.c]
+			case opModI:
+				n[ins.a] = n[ins.b] % n[ins.c]
+			case opIncI:
+				n[ins.a]++
+			case opLinI:
+				n[ins.a] = n[ins.b]*constI[ins.c] + constI[ins.d]
+
+			case opLtF:
+				n[ins.a] = b2i(f[ins.b] < f[ins.c])
+			case opLeF:
+				n[ins.a] = b2i(f[ins.b] <= f[ins.c])
+			case opGtF:
+				n[ins.a] = b2i(f[ins.b] > f[ins.c])
+			case opGeF:
+				n[ins.a] = b2i(f[ins.b] >= f[ins.c])
+			case opEqF:
+				n[ins.a] = b2i(f[ins.b] == f[ins.c])
+			case opNeF:
+				n[ins.a] = b2i(f[ins.b] != f[ins.c])
+			case opEqB:
+				n[ins.a] = b2i(n[ins.b] == n[ins.c])
+			case opNeB:
+				n[ins.a] = b2i(n[ins.b] != n[ins.c])
+			case opAndB:
+				n[ins.a] = n[ins.b] & n[ins.c]
+			case opOrB:
+				n[ins.a] = n[ins.b] | n[ins.c]
+			case opNotB:
+				n[ins.a] = 1 - n[ins.b]
+
+			case opAbsF:
+				f[ins.a] = math.Abs(f[ins.b])
+			case opSqrtF:
+				f[ins.a] = math.Sqrt(f[ins.b])
+			case opMinF:
+				f[ins.a] = math.Min(f[ins.b], f[ins.c])
+			case opMaxF:
+				f[ins.a] = math.Max(f[ins.b], f[ins.c])
+
+			// Real-array accesses: through the row view when this
+			// segment resolved one (a memory-reference charge and an
+			// indexed load or store — what the Env call amounts to in
+			// the executor's local loop), else through Env.
+			case opLdLoc1:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					f[ins.a] = v[k]
+					continue
+				}
+				*cell = t
+				f[ins.a] = env.ReadLocal(st.ra[ins.b], n[ins.c])
+				t = *cell
+			case opLdLoc2:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					f[ins.a] = v[k]
+					continue
+				}
+				*cell = t
+				f[ins.a] = env.ReadLocal2(st.ra[ins.b], n[ins.c], n[ins.d])
+				t = *cell
+			case opLd1:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					f[ins.a] = v[k]
+					continue
+				}
+				*cell = t
+				f[ins.a] = env.Read(st.ra[ins.b], n[ins.c])
+				t = *cell
+			case opLd2:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					f[ins.a] = v[k]
+					continue
+				}
+				*cell = t
+				f[ins.a] = env.Read2(st.ra[ins.b], n[ins.c], n[ins.d])
+				t = *cell
+			case opLdInt1:
+				*cell = t
+				n[ins.a] = env.ReadInt(st.ia[ins.b], n[ins.c])
+				t = *cell
+			case opLdInt2:
+				*cell = t
+				n[ins.a] = env.ReadInt2(st.ia[ins.b], n[ins.c], n[ins.d])
+				t = *cell
+			case opSt1:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					v[k] = f[ins.a]
+					continue
+				}
+				*cell = t
+				env.Write(st.ra[ins.b], st.lin1(ins.b, n[ins.c]), f[ins.a])
+				t = *cell
+			case opSt2:
+				if v := views[ins.h]; v != nil {
+					t += u.MemRef
+					v[k] = f[ins.a]
+					continue
+				}
+				*cell = t
+				env.Write2(st.ra[ins.b], n[ins.c], n[ins.d], f[ins.a])
+				t = *cell
+
+			default:
+				panic(fmt.Sprintf("lang: vm: bad opcode %d", ins.op))
 			}
-		case opJmpGtI:
-			if n[ins.b] > n[ins.c] {
-				pc = int(ins.a)
-			}
-
-		case opMovF:
-			f[ins.a] = f[ins.b]
-		case opMovI:
-			n[ins.a] = n[ins.b]
-		case opIntToF:
-			f[ins.a] = float64(n[ins.b])
-		case opTruncI:
-			n[ins.a] = int(f[ins.b])
-
-		case opNegF:
-			f[ins.a] = -f[ins.b]
-		case opNegI:
-			n[ins.a] = -n[ins.b]
-		case opAddF:
-			f[ins.a] = f[ins.b] + f[ins.c]
-		case opSubF:
-			f[ins.a] = f[ins.b] - f[ins.c]
-		case opMulF:
-			f[ins.a] = f[ins.b] * f[ins.c]
-		case opDivF:
-			f[ins.a] = f[ins.b] / f[ins.c]
-		case opAddI:
-			n[ins.a] = n[ins.b] + n[ins.c]
-		case opSubI:
-			n[ins.a] = n[ins.b] - n[ins.c]
-		case opMulI:
-			n[ins.a] = n[ins.b] * n[ins.c]
-		case opDivI:
-			n[ins.a] = n[ins.b] / n[ins.c]
-		case opModI:
-			n[ins.a] = n[ins.b] % n[ins.c]
-		case opIncI:
-			n[ins.a]++
-		case opLinI:
-			n[ins.a] = n[ins.b]*cb.constI[ins.c] + cb.constI[ins.d]
-
-		case opLtF:
-			n[ins.a] = b2i(f[ins.b] < f[ins.c])
-		case opLeF:
-			n[ins.a] = b2i(f[ins.b] <= f[ins.c])
-		case opGtF:
-			n[ins.a] = b2i(f[ins.b] > f[ins.c])
-		case opGeF:
-			n[ins.a] = b2i(f[ins.b] >= f[ins.c])
-		case opEqF:
-			n[ins.a] = b2i(f[ins.b] == f[ins.c])
-		case opNeF:
-			n[ins.a] = b2i(f[ins.b] != f[ins.c])
-		case opEqB:
-			n[ins.a] = b2i(n[ins.b] == n[ins.c])
-		case opNeB:
-			n[ins.a] = b2i(n[ins.b] != n[ins.c])
-		case opAndB:
-			n[ins.a] = n[ins.b] & n[ins.c]
-		case opOrB:
-			n[ins.a] = n[ins.b] | n[ins.c]
-		case opNotB:
-			n[ins.a] = 1 - n[ins.b]
-
-		case opAbsF:
-			f[ins.a] = math.Abs(f[ins.b])
-		case opSqrtF:
-			f[ins.a] = math.Sqrt(f[ins.b])
-		case opMinF:
-			f[ins.a] = math.Min(f[ins.b], f[ins.c])
-		case opMaxF:
-			f[ins.a] = math.Max(f[ins.b], f[ins.c])
-
-		case opLdLoc1:
-			f[ins.a] = env.ReadLocal(st.ra[ins.b], n[ins.c])
-		case opLdLoc2:
-			f[ins.a] = env.ReadLocal2(st.ra[ins.b], n[ins.c], n[ins.d])
-		case opLd1:
-			f[ins.a] = env.Read(st.ra[ins.b], n[ins.c])
-		case opLd2:
-			f[ins.a] = env.Read2(st.ra[ins.b], n[ins.c], n[ins.d])
-		case opLdInt1:
-			n[ins.a] = env.ReadInt(st.ia[ins.b], n[ins.c])
-		case opLdInt2:
-			n[ins.a] = env.ReadInt2(st.ia[ins.b], n[ins.c], n[ins.d])
-		case opSt1:
-			env.Write(st.ra[ins.b], st.lin1(ins.b, n[ins.c]), f[ins.a])
-		case opSt2:
-			env.Write2(st.ra[ins.b], n[ins.c], n[ins.d], f[ins.a])
-
-		default:
-			panic(fmt.Sprintf("lang: vm: bad opcode %d", ins.op))
 		}
+	}
+	*cell = t
+	if flops != 0 {
+		st.node.AddFlopCount(flops)
 	}
 }
 

@@ -10,39 +10,31 @@ import (
 	"kali/internal/machine"
 )
 
-// findForall returns the n-th forall statement of the program, walking
-// into sequential control flow.
-func findForall(ss []Stmt, n int) *Forall {
-	count := 0
-	var find func(ss []Stmt) *Forall
-	find = func(ss []Stmt) *Forall {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *Forall:
-				if count == n {
-					return s
-				}
-				count++
-			case *ForLoop:
-				if fa := find(s.Body); fa != nil {
-					return fa
-				}
-			case *While:
-				if fa := find(s.Body); fa != nil {
-					return fa
-				}
-			case *If:
-				if fa := find(s.Then); fa != nil {
-					return fa
-				}
-				if fa := find(s.Else); fa != nil {
-					return fa
-				}
-			}
+// foralls lists every forall statement of a program, in source order.
+func foralls(ss []Stmt) []*Forall {
+	var out []*Forall
+	for _, s := range ss {
+		switch s := s.(type) {
+		case *Forall:
+			out = append(out, s)
+		case *ForLoop:
+			out = append(out, foralls(s.Body)...)
+		case *While:
+			out = append(out, foralls(s.Body)...)
+		case *If:
+			out = append(out, foralls(s.Then)...)
+			out = append(out, foralls(s.Else)...)
 		}
-		return nil
 	}
-	return find(ss)
+	return out
+}
+
+// findForall returns the n-th forall statement of the program, or nil.
+func findForall(ss []Stmt, n int) *Forall {
+	if all := foralls(ss); n < len(all) {
+		return all[n]
+	}
+	return nil
 }
 
 // TestVMReplayAllocationFree: once a forall's schedule is cached and

@@ -295,6 +295,9 @@ type Node struct {
 	// per-operator charges on the body hot path skip the interface
 	// dispatch.  The arithmetic is the same either way.
 	clock *float64
+	// idleClock is the cell ClockCell hands out on real backends, where
+	// charges are free and nothing reads the sum.
+	idleClock float64
 
 	phases     map[string]float64
 	phaseStack []phaseFrame
@@ -389,9 +392,13 @@ func (n *Node) ChargeFlopsUnit(k int) {
 	}
 	f := n.m.params.Flop
 	if c := n.clock; c != nil {
+		// One load and one store around the k adds: through the pointer
+		// every add would round-trip memory.
+		t := *c
 		for i := 0; i < k; i++ {
-			*c += f
+			t += f
 		}
+		*c = t
 		return
 	}
 	for i := 0; i < k; i++ {
@@ -414,6 +421,46 @@ func (n *Node) ChargeLocTest() {
 		n.advance(n.m.params.LocTest)
 	}
 }
+
+// ChargeLoopIter charges one loop iteration's overhead, exactly like
+// Charge(Cost{LoopIters: 1}).
+func (n *Node) ChargeLoopIter() {
+	if n.virtual {
+		n.advance(n.m.params.LoopIter)
+	}
+}
+
+// UnitCosts are the prices of the three charges a forall body makes
+// per element, as ClockCell hands them out.
+type UnitCosts struct{ Flop, MemRef, LoopIter float64 }
+
+// ClockCell is the register-held form of the single-term charges, for
+// a loop that charges several times per element: the caller loads the
+// cell into a local variable once, adds unit prices to the local —
+// adding u.Flop, u.MemRef or u.LoopIter is bit-identical to
+// ChargeFlopsUnit(1), ChargeMemRefs(1) or ChargeLoopIter(), because
+// each of those is that one float addition on the same accumulator —
+// and stores the local back before anything else can observe the
+// clock: every other Node method, and so every forall.Env and
+// transport call.  Flops charged this way are reported through
+// AddFlopCount.  On real backends charges are free: the cell is a
+// scratch word and the prices are zero.  ok is false only for a
+// virtual transport whose clock has no address (no ClockAddr); such
+// callers keep the Charge* methods.
+func (n *Node) ClockCell() (cell *float64, u UnitCosts, ok bool) {
+	if !n.virtual {
+		return &n.idleClock, UnitCosts{}, true
+	}
+	if n.clock == nil {
+		return nil, UnitCosts{}, false
+	}
+	p := &n.m.params
+	return n.clock, UnitCosts{Flop: p.Flop, MemRef: p.MemRef, LoopIter: p.LoopIter}, true
+}
+
+// AddFlopCount records k flops whose time was charged through a
+// ClockCell: the Stats half of ChargeFlopsUnit.
+func (n *Node) AddFlopCount(k int64) { n.stats.FlopCount += k }
 
 // Cost is a bundle of primitive-operation counts for Charge.
 type Cost struct {

@@ -167,6 +167,59 @@ func TestChargeCosts(t *testing.T) {
 	})
 }
 
+// TestSingleTermChargesMatchCharge: the simulated clock is a float
+// accumulator, so a fast charge may replace the general Charge only if
+// it performs the identical additions.  ChargeLoopIter, and the
+// register-held form of the per-element charges (ClockCell), must
+// leave the clock bit-identical to the Charge / ChargeFlopsUnit /
+// ChargeMemRefs sequence they stand in for, and the same FlopCount.
+func TestSingleTermChargesMatchCharge(t *testing.T) {
+	for _, p := range []machine.Params{machine.NCUBE7(), machine.IPSC2(), machine.Ideal()} {
+		ref, got := MustNew(1, p), MustNew(1, p)
+		const elems = 1000
+		ref.Run(func(n *machine.Node) {
+			for e := 0; e < elems; e++ {
+				n.Charge(machine.Cost{LoopIters: 1})
+				n.ChargeMemRefs(1)
+				n.ChargeFlopsUnit(3)
+				n.ChargeMemRefs(1)
+				n.ChargeFlopsUnit(1)
+			}
+		})
+		got.Run(func(n *machine.Node) {
+			for e := 0; e < elems/2; e++ {
+				n.ChargeLoopIter()
+				n.ChargeMemRefs(1)
+				n.ChargeFlopsUnit(3)
+				n.ChargeMemRefs(1)
+				n.ChargeFlopsUnit(1)
+			}
+			cell, u, ok := n.ClockCell()
+			if !ok {
+				t.Fatal("simulator clock has no cell")
+			}
+			clk := *cell
+			for e := elems / 2; e < elems; e++ {
+				clk += u.LoopIter
+				clk += u.MemRef
+				for k := 0; k < 3; k++ {
+					clk += u.Flop
+				}
+				clk += u.MemRef
+				clk += u.Flop
+			}
+			*cell = clk
+			n.AddFlopCount(4 * (elems - elems/2))
+		})
+		if r, g := ref.Node(0).Clock(), got.Node(0).Clock(); r != g {
+			t.Errorf("%s: clock %v via fast charges, want %v (bitwise)", p.Name, g, r)
+		}
+		if r, g := ref.Node(0).Stats(), got.Node(0).Stats(); r != g {
+			t.Errorf("%s: stats %+v via fast charges, want %+v", p.Name, g, r)
+		}
+	}
+}
+
 func TestChargeSearchLog(t *testing.T) {
 	p := machine.NCUBE7()
 	m := MustNew(1, p)
