@@ -309,8 +309,10 @@ func BenchmarkCompileVsRuntime2D(b *testing.B) {
 }
 
 // BenchmarkRangeVsMap is ABL4: the paper's Figure 5 design choice —
-// sorted merged range records with binary search versus a hash map —
-// measured in host time over a boundary-exchange-like set.
+// sorted merged range records versus a hash map — measured in host
+// time over a boundary-exchange-like set.  (The host finds a record
+// through InSet.Find's bucket directory; the O(log r) binary search is
+// what the simulator charges.)
 func BenchmarkRangeVsMap(b *testing.B) {
 	// A typical inspector outcome: 512 nonlocal elements from 2
 	// senders, contiguous runs of 128.

@@ -18,6 +18,9 @@
 // This package reproduces that representation (the buffer pointer
 // becomes an offset into a receive buffer) and the derived operations:
 // building, merging, searching, and packing/unpacking message data.
+// The records are what the simulator prices (storage and the O(log r)
+// search); the host itself finds elements through a bucket directory
+// over the same records (index.go).
 // Pack/unpack are vectorized: every record covers a contiguous block
 // whose owner stores it densely, so PackInto and Unpack move one whole
 // range per copy instead of gathering element by element, and a
@@ -27,7 +30,9 @@ package comm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync/atomic"
 )
 
 // Range is one record of a communication set: the contiguous block of
@@ -51,10 +56,25 @@ func (r Range) String() string {
 
 // InSet is a processor's receive schedule: for each element it needs
 // from another processor, which processor sends it and where it lands
-// in the local communication buffer.
+// in the local communication buffer.  Ranges must not change once
+// Find has been called.
 type InSet struct {
 	Ranges []Range // sorted by (FromProc, Low), adjacent ranges merged
 	Total  int     // total number of elements received
+
+	// index is Find's directory over Ranges.  NewInSet and Finalize
+	// build it; an InSet literal gets it on its first Find.
+	index atomic.Pointer[inIndex]
+}
+
+// NewInSet wraps records already sorted by (FromProc, Low), with
+// adjacent ranges merged and Buf offsets assigned, covering total
+// elements.  It takes ownership of ranges and builds Find's index, so
+// the result can be searched from several goroutines at once.
+func NewInSet(ranges []Range, total int) *InSet {
+	s := &InSet{Ranges: ranges, Total: total}
+	s.index.Store(buildIndex(ranges))
+	return s
 }
 
 // OutSet is a processor's send schedule: which of its local elements go
@@ -69,12 +89,31 @@ type OutSet struct {
 // harmless (it is recorded once), matching the paper's set semantics.
 type Builder struct {
 	me    int
-	elems map[int]int // global index -> home processor
+	elems []elem  // distinct elements in insertion order
+	table []int32 // open-addressed set over elems keyed by g: index+1, 0 = empty
 }
+
+type elem struct{ home, g int }
 
 // NewBuilder creates a Builder for receiving processor me.
 func NewBuilder(me int) *Builder {
-	return &Builder{me: me, elems: map[int]int{}}
+	return &Builder{me: me}
+}
+
+// hashCell is the home slot of key k in a power-of-two table of n
+// int32 cells (Fibonacci hashing: consecutive keys spread out).
+func hashCell(k, n int) int {
+	return int((uint64(k) * 0x9E3779B97F4A7C15) >> (64 - uint(bits.TrailingZeros(uint(n)))))
+}
+
+// putCell enters id under key k in an open-addressed table that has a
+// free cell.
+func putCell(table []int32, k int, id int32) {
+	h := hashCell(k, len(table))
+	for table[h] != 0 {
+		h = (h + 1) & (len(table) - 1)
+	}
+	table[h] = id
 }
 
 // Add records that global element g, stored on processor home, is
@@ -85,14 +124,31 @@ func (b *Builder) Add(g, home int) bool {
 	if home == b.me {
 		panic("comm: Add of a local element")
 	}
-	if old, ok := b.elems[g]; ok {
-		if old != home {
-			panic(fmt.Sprintf("comm: element %d recorded with two homes %d and %d", g, old, home))
-		}
-		return false
+	if 2*len(b.elems) >= len(b.table) {
+		b.grow()
 	}
-	b.elems[g] = home
+	mask := len(b.table) - 1
+	h := hashCell(g, len(b.table))
+	for ; b.table[h] != 0; h = (h + 1) & mask {
+		if old := b.elems[b.table[h]-1]; old.g == g {
+			if old.home != home {
+				panic(fmt.Sprintf("comm: element %d recorded with two homes %d and %d", g, old.home, home))
+			}
+			return false
+		}
+	}
+	b.elems = append(b.elems, elem{home, g})
+	b.table[h] = int32(len(b.elems))
 	return true
+}
+
+// grow doubles the table (keeping it at most half full) and re-enters
+// every recorded element.
+func (b *Builder) grow() {
+	b.table = make([]int32, max(16, 2*len(b.table)))
+	for i, e := range b.elems {
+		putCell(b.table, e.g, int32(i+1))
+	}
 }
 
 // Count returns the number of distinct elements recorded so far.
@@ -102,63 +158,79 @@ func (b *Builder) Count() int { return len(b.elems) }
 // adjacent indices from the same home into single records, and assigns
 // buffer offsets.  This is the paper's in-set construction.
 func (b *Builder) Finalize() *InSet {
-	type elem struct{ g, home int }
-	es := make([]elem, 0, len(b.elems))
-	for g, home := range b.elems {
-		es = append(es, elem{g, home})
+	es := sortedElems(b.elems)
+	// An element starts a record unless it extends its predecessor's.
+	starts := func(k int) bool {
+		return k == 0 || es[k-1].home != es[k].home || es[k-1].g+1 != es[k].g
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].home != es[j].home {
-			return es[i].home < es[j].home
+	nrec := 0
+	for k := range es {
+		if starts(k) {
+			nrec++
 		}
-		return es[i].g < es[j].g
-	})
-	in := &InSet{Total: len(es)}
-	for _, e := range es {
-		if n := len(in.Ranges); n > 0 {
-			last := &in.Ranges[n-1]
-			if last.FromProc == e.home && last.High+1 == e.g {
-				last.High = e.g // combine adjacent ranges
-				continue
-			}
+	}
+	ranges := make([]Range, 0, nrec)
+	for k, e := range es {
+		if starts(k) {
+			ranges = append(ranges, Range{FromProc: e.home, ToProc: b.me, Low: e.g, High: e.g, Buf: k})
+		} else {
+			ranges[len(ranges)-1].High = e.g // combine adjacent ranges
 		}
-		in.Ranges = append(in.Ranges, Range{
-			FromProc: e.home,
-			ToProc:   b.me,
-			Low:      e.g,
-			High:     e.g,
-			Buf:      len(in.Ranges), // placeholder, fixed below
-		})
 	}
-	off := 0
-	for i := range in.Ranges {
-		in.Ranges[i].Buf = off
-		off += in.Ranges[i].Len()
-	}
-	return in
+	return NewInSet(ranges, len(es))
 }
 
-// Find locates global element g coming from processor home and returns
-// its offset in the communication buffer, using binary search over the
-// (FromProc, Low)-sorted records.  The second result is false when the
-// element is not in the set.  Probes returns alongside so callers can
-// charge the simulated O(log r) search cost.
-func (s *InSet) Find(home, g int) (buf int, ok bool) {
-	i := sort.Search(len(s.Ranges), func(i int) bool {
-		r := s.Ranges[i]
-		if r.FromProc != home {
-			return r.FromProc > home
+// sortedElems returns es ordered by (home, g), leaving es as it is: a
+// byte-wise radix sort, least significant byte first.  A byte on which
+// all elements agree takes no pass, and for real processor counts and
+// array sizes that is every byte but two or three, so the sort is a few
+// linear sweeps where a comparison sort spends most of an inspector
+// build.
+func sortedElems(es []elem) []elem {
+	var varies [2]uint64 // bits in which some g, some home differs from the first
+	for _, e := range es {
+		varies[0] |= uint64(e.g ^ es[0].g)
+		varies[1] |= uint64(e.home ^ es[0].home)
+	}
+	// Flipping the sign bit makes unsigned byte order the order of ints.
+	key := func(e elem, field int) uint64 {
+		if field == 0 {
+			return uint64(e.g) ^ 1<<63
 		}
-		return r.High >= g
-	})
-	if i >= len(s.Ranges) {
-		return 0, false
+		return uint64(e.home) ^ 1<<63
 	}
-	r := s.Ranges[i]
-	if r.FromProc != home || g < r.Low || g > r.High {
-		return 0, false
+	src := es
+	var bufs [2][]elem // passes write to these in turn, never to es
+	npass := 0
+	for field, v := range varies {
+		for shift := uint(0); shift < 64; shift += 8 {
+			if v>>shift&0xff == 0 {
+				continue
+			}
+			var next [256]int // counts, then each byte value's next output position
+			for _, e := range src {
+				next[key(e, field)>>shift&0xff]++
+			}
+			sum := 0
+			for k, c := range next {
+				next[k] = sum
+				sum += c
+			}
+			dst := bufs[npass&1]
+			if dst == nil {
+				dst = make([]elem, len(es))
+				bufs[npass&1] = dst
+			}
+			for _, e := range src {
+				k := key(e, field) >> shift & 0xff
+				dst[next[k]] = e
+				next[k]++
+			}
+			src = dst
+			npass++
+		}
 	}
-	return r.Buf + (g - r.Low), true
+	return src
 }
 
 // NumRanges returns the record count r used in the O(log r) search.

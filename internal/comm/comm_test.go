@@ -310,7 +310,7 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func BenchmarkFindBinarySearch(b *testing.B) {
+func BenchmarkFind(b *testing.B) {
 	bd := NewBuilder(0)
 	for g := 0; g < 4096; g += 2 { // 2048 singleton ranges
 		bd.Add(g, 1+g%7)

@@ -1,0 +1,266 @@
+package comm
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// findLinear is the reference Find: a scan over the records.
+func findLinear(ranges []Range, home, g int) (int, bool) {
+	for _, r := range ranges {
+		if r.FromProc == home && r.Low <= g && g <= r.High {
+			return r.Buf + g - r.Low, true
+		}
+	}
+	return 0, false
+}
+
+// The in-set shapes the tests draw from.
+const (
+	shapeBlock  = iota // a few long runs per sender
+	shapeCyclic        // single-element records, senders interleaved
+	shapeRows          // rank-2 block x block: many short rows per sender
+	shapeOneSender
+	shapeSkewed // a crowd of records in one corner of a wide span
+	shapeEmpty
+	numShapes
+)
+
+// genElems draws the (g, home) pairs of one in set for receiver 0.
+// Every g has one home, as under any real distribution; indices and
+// homes may be negative.
+func genElems(r *rand.Rand, shape int) [][2]int {
+	var es [][2]int
+	base := r.Intn(2000) - 300
+	switch shape {
+	case shapeBlock:
+		for q := 1; q <= 1+r.Intn(5); q++ {
+			g := base + q*5000
+			for k := 0; k < 1+r.Intn(3); k++ {
+				g += 2 + r.Intn(40)
+				for n := 1 + r.Intn(300); n > 0; n-- {
+					es = append(es, [2]int{g, q})
+					g++
+				}
+			}
+		}
+	case shapeCyclic:
+		p := 2 + r.Intn(9)
+		for g := base; g < base+50+r.Intn(600); g++ {
+			if q := ((g % p) + p) % p; q != 0 && r.Intn(4) > 0 {
+				es = append(es, [2]int{g, q})
+			}
+		}
+	case shapeRows:
+		nx := 16 + r.Intn(50)
+		for q := 1; q <= 1+r.Intn(4); q++ {
+			c0 := r.Intn(nx / 2)
+			c1 := c0 + r.Intn(nx/2)
+			for row := q * 40; row < q*40+3+r.Intn(60); row++ {
+				for c := c0; c <= c1; c++ {
+					es = append(es, [2]int{base + row*nx + c, q})
+				}
+			}
+		}
+	case shapeOneSender:
+		q := r.Intn(40) - 8
+		if q == 0 {
+			q = 1
+		}
+		for g := base; g < base+1+r.Intn(400); g++ {
+			if r.Intn(3) > 0 {
+				es = append(es, [2]int{g, q})
+			}
+		}
+	case shapeSkewed:
+		for q := 1; q <= 1+r.Intn(2); q++ {
+			for k := 0; k < 20+r.Intn(200); k++ {
+				es = append(es, [2]int{base + q*1_000_000 + 2*k, q})
+			}
+			es = append(es, [2]int{base + q*1_000_000 + 400_000 + r.Intn(1000), q})
+		}
+	}
+	return es
+}
+
+// checkFind compares Find with the reference for every element of the
+// set, every index in a gap between two records, the indices around
+// each sender's span, and homes that send nothing.
+func checkFind(t testing.TB, in *InSet) {
+	t.Helper()
+	check := func(home, g int) {
+		t.Helper()
+		wb, wok := findLinear(in.Ranges, home, g)
+		if gb, gok := in.Find(home, g); gb != wb || gok != wok {
+			t.Fatalf("Find(%d, %d) = %d, %v; linear scan says %d, %v (records %v)", home, g, gb, gok, wb, wok, in.Ranges)
+		}
+	}
+	for k, r := range in.Ranges {
+		for g := r.Low; g <= r.High; g++ {
+			check(r.FromProc, g)
+		}
+		lo, hi := r.Low-3, r.High+3 // the sender's span edges, unless a neighbour record says otherwise
+		if k > 0 && in.Ranges[k-1].FromProc == r.FromProc {
+			lo = max(in.Ranges[k-1].High+1, r.Low-50)
+		}
+		for g := lo; g < r.Low; g++ {
+			check(r.FromProc, g)
+		}
+		for g := r.High + 1; g <= hi; g++ {
+			check(r.FromProc, g)
+		}
+		for _, home := range []int{r.FromProc + 1, r.FromProc - 1, -r.FromProc, r.FromProc + 1<<40} {
+			check(home, r.Low)
+		}
+	}
+	for _, home := range []int{-1, 0, 1, 7, 1 << 33} {
+		for _, g := range []int{-1, 0, 1} {
+			check(home, g)
+		}
+	}
+}
+
+// inSets returns the same in set made three ways: by the Builder from
+// a shuffled Add stream, as a literal that has only Ranges (indexed on
+// first Find), and by NewInSet.
+func inSets(r *rand.Rand, elems [][2]int) []*InSet {
+	b := NewBuilder(0)
+	for _, k := range r.Perm(len(elems)) {
+		b.Add(elems[k][0], elems[k][1])
+	}
+	built := b.Finalize()
+	return []*InSet{
+		built,
+		{Ranges: slices.Clone(built.Ranges), Total: built.Total},
+		NewInSet(slices.Clone(built.Ranges), built.Total),
+	}
+}
+
+func TestFindMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, in := range inSets(r, genElems(r, int(seed)%numShapes)) {
+			checkFind(t, in)
+		}
+	}
+}
+
+func FuzzInSetFind(f *testing.F) {
+	for shape := 0; shape < numShapes; shape++ {
+		f.Add(int64(shape), uint8(shape))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		for _, in := range inSets(r, genElems(r, int(shape)%numShapes)) {
+			checkFind(t, in)
+		}
+	})
+}
+
+// TestFindLiteralFromManyGoroutines: an InSet literal may meet its
+// first Find on several goroutines at once (run under -race in CI).
+func TestFindLiteralFromManyGoroutines(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	in := inSets(r, genElems(r, shapeRows))[1]
+	done := make(chan bool)
+	for w := 0; w < 4; w++ {
+		go func() {
+			ok := true
+			for _, rg := range in.Ranges {
+				buf, found := in.Find(rg.FromProc, rg.High)
+				ok = ok && found && buf == rg.Buf+rg.Len()-1
+			}
+			done <- ok
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if !<-done {
+			t.Error("a concurrent Find missed a recorded element")
+		}
+	}
+}
+
+// refBuilder is the Builder this package had before the exact set and
+// the radix sort: a Go map from element to home, dumped and ordered by
+// sort.Slice.  It fixes what Add must answer and what Finalize must
+// produce.
+type refBuilder struct {
+	me    int
+	elems map[int]int
+}
+
+func (b *refBuilder) Add(g, home int) bool {
+	if _, ok := b.elems[g]; ok {
+		return false
+	}
+	b.elems[g] = home
+	return true
+}
+
+func (b *refBuilder) Finalize() (ranges []Range, total int) {
+	type elem struct{ g, home int }
+	es := make([]elem, 0, len(b.elems))
+	for g, home := range b.elems {
+		es = append(es, elem{g, home})
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].home != es[j].home {
+			return es[i].home < es[j].home
+		}
+		return es[i].g < es[j].g
+	})
+	for _, e := range es {
+		if n := len(ranges); n > 0 {
+			last := &ranges[n-1]
+			if last.FromProc == e.home && last.High+1 == e.g {
+				last.High = e.g
+				continue
+			}
+		}
+		ranges = append(ranges, Range{FromProc: e.home, ToProc: b.me, Low: e.g, High: e.g})
+	}
+	off := 0
+	for i := range ranges {
+		ranges[i].Buf = off
+		off += ranges[i].Len()
+	}
+	return ranges, len(es)
+}
+
+// TestBuilderAddFinalizeMatchesReference: on random Add streams with
+// duplicates the Builder gives the reference's answer to every Add —
+// the inspector charges a list insert exactly where Add says "new", so
+// the sequence decides simulated clocks — and the reference's records.
+func TestBuilderAddFinalizeMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		elems := genElems(r, int(seed)%numShapes)
+		me := 0
+		if seed%5 == 0 {
+			me = -77
+		}
+		b, ref := NewBuilder(me), &refBuilder{me: me, elems: map[int]int{}}
+		for n := 2 * len(elems); n > 0; n-- {
+			e := elems[r.Intn(len(elems))]
+			if got, want := b.Add(e[0], e[1]), ref.Add(e[0], e[1]); got != want {
+				t.Fatalf("seed %d: Add(%d, %d) = %v, reference %v", seed, e[0], e[1], got, want)
+			}
+			if b.Count() != len(ref.elems) {
+				t.Fatalf("seed %d: Count = %d, reference %d", seed, b.Count(), len(ref.elems))
+			}
+		}
+		in := b.Finalize()
+		ranges, total := ref.Finalize()
+		if in.Total != total || !slices.Equal(in.Ranges, ranges) {
+			t.Fatalf("seed %d: Finalize gave %d elements in %v, reference %d in %v", seed, in.Total, in.Ranges, total, ranges)
+		}
+		// Finalize leaves the Builder's set as it was.
+		for _, e := range elems {
+			if got, want := b.Add(e[0], e[1]), ref.Add(e[0], e[1]); got != want {
+				t.Fatalf("seed %d: after Finalize, Add(%d, %d) = %v, reference %v", seed, e[0], e[1], got, want)
+			}
+		}
+	}
+}

@@ -41,6 +41,7 @@ type header struct {
 	pats    []dist.Pattern // per array dim; nil when collapsed/replicated
 	myCoord []int          // per array dim; my grid coordinate in that dim (-1 if collapsed)
 	lshape  []int          // local extents
+	total   int            // ∏shape, the largest linear index (set by initFast)
 	version int
 
 	// fast, flo, fn are the precomputed per-dimension locality
@@ -55,10 +56,14 @@ type header struct {
 	fn   [2]int // window extent per dim
 }
 
-// initFast computes the contiguous locality windows, if any.  It must
-// run whenever the header's distribution binding changes (New and the
-// redistribution plan's target template).
+// initFast computes the element count and the contiguous locality
+// windows, if any.  It must run whenever the header's distribution
+// binding changes (New and the redistribution plan's target template).
 func (h *header) initFast() {
+	h.total = 1
+	for _, e := range h.shape {
+		h.total *= e
+	}
 	h.fast = false
 	rank := len(h.shape)
 	if rank > 2 {
@@ -179,19 +184,18 @@ func (h *header) ownerLinear(g int) int {
 	if h.repl {
 		return -1
 	}
+	if g < 1 || g > h.total {
+		panic(fmt.Sprintf("darray: linear index %d out of [1..%d] of %s", g, h.total, h.name))
+	}
+	if len(h.shape) == 1 && h.pats[0] != nil {
+		return h.pats[0].Owner(g)
+	}
 	// Decompose g and fold distributed dims into the grid id.
-	total := 1
-	for _, e := range h.shape {
-		total *= e
-	}
-	if g < 1 || g > total {
-		panic(fmt.Sprintf("darray: linear index %d out of [1..%d] of %s", g, total, h.name))
-	}
 	g--
 	id := 0
 	// Row-major: leftmost dim is most significant.  The grid linearizes
 	// distributed dims in order, also row-major.
-	div := total
+	div := h.total
 	for dim := 0; dim < len(h.shape); dim++ {
 		div /= h.shape[dim]
 		c := g/div + 1
@@ -262,13 +266,7 @@ func (h *header) Rank() int { return len(h.shape) }
 func (h *header) Shape() []int { return append([]int(nil), h.shape...) }
 
 // Size returns the total number of elements ∏shape.
-func (h *header) Size() int {
-	t := 1
-	for _, e := range h.shape {
-		t *= e
-	}
-	return t
-}
+func (h *header) Size() int { return h.total }
 
 // Replicated reports whether every node stores the whole array.
 func (h *header) Replicated() bool { return h.repl }
@@ -367,6 +365,20 @@ func (a *Array) GetLinear(g int) float64 { return a.local[a.offsetLinear(g)] }
 
 // SetLinear stores v at linearized global index g, which must be local.
 func (a *Array) SetLinear(g int, v float64) { a.local[a.offsetLinear(g)] = v }
+
+// LocalLinear returns element g of a rank-1 array when g lies in the
+// node's contiguous locality window — one compare, no owner
+// computation.  ok false decides nothing: g may be nonlocal, out of
+// range, or local under a distribution without a window, and the
+// caller goes on to OwnerLinear and GetLinear (and their panics).
+func (a *Array) LocalLinear(g int) (v float64, ok bool) {
+	if a.fast && len(a.shape) == 1 {
+		if li := g - a.flo[0]; uint(li) < uint(a.fn[0]) {
+			return a.local[li], true
+		}
+	}
+	return 0, false
+}
 
 // CopyLinearRange copies the elements with linearized global indices
 // [lo..hi] — all of which must be stored on this node — into dst,

@@ -256,3 +256,34 @@ func TestSpanViews(t *testing.T) {
 		}
 	})
 }
+
+// TestLocalLinear: LocalLinear answers only from the contiguous local
+// window of a rank-1 array — the value GetLinear would return — and
+// declines everything else without panicking: nonlocal and
+// out-of-range indices, cyclic arrays, rank 2.
+func TestLocalLinear(t *testing.T) {
+	g := topology.MustGrid(2)
+	onEachNode(2, func(n *machine.Node) {
+		a := New("a", blockDist(8, 2), n)
+		rep := New("w", dist.NewReplicated([]int{8}, g), n)
+		cyc := New("c", dist.Must([]int{8}, []dist.DimSpec{dist.CyclicDim()}, g), n)
+		m := New("m", dist.Must([]int{4, 2}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g), n)
+		a.EachLocal(func(x int) { a.SetLinear(x, float64(x)) })
+		rep.Fill(3)
+		for x := -2; x <= 11; x++ {
+			v, ok := a.LocalLinear(x)
+			if local := x >= 1 && x <= 8 && a.OwnerLinear(x) == n.ID(); ok != local || ok && v != a.GetLinear(x) {
+				t.Errorf("node %d: block LocalLinear(%d) = %g, %v; local %v", n.ID(), x, v, ok, local)
+			}
+			if v, ok := rep.LocalLinear(x); ok != (x >= 1 && x <= 8) || ok && v != 3 {
+				t.Errorf("node %d: replicated LocalLinear(%d) = %g, %v", n.ID(), x, v, ok)
+			}
+			if _, ok := cyc.LocalLinear(x); ok {
+				t.Errorf("node %d: cyclic LocalLinear(%d) answered without a window", n.ID(), x)
+			}
+			if _, ok := m.LocalLinear(x); ok {
+				t.Errorf("node %d: rank-2 LocalLinear(%d) answered", n.ID(), x)
+			}
+		}
+	})
+}

@@ -118,18 +118,16 @@ func (e *Engine) assembleArrays(c *loopCore, s *Schedule, in, out []map[int]inde
 
 // inSetFromSets builds a receive schedule from per-sender index sets.
 func inSetFromSets(me int, byQ map[int]index.Set) *comm.InSet {
-	qs := sortedKeys(byQ)
-	in := &comm.InSet{}
+	var ranges []comm.Range
 	off := 0
-	for _, q := range qs {
+	for _, q := range sortedKeys(byQ) {
 		for _, iv := range byQ[q].Intervals() {
 			r := comm.Range{FromProc: q, ToProc: me, Low: iv.Lo, High: iv.Hi, Buf: off}
 			off += r.Len()
-			in.Ranges = append(in.Ranges, r)
+			ranges = append(ranges, r)
 		}
 	}
-	in.Total = off
-	return in
+	return comm.NewInSet(ranges, off)
 }
 
 // outSetFromSets builds a send schedule from per-receiver index sets.

@@ -156,6 +156,10 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			return e.sched.arrays[ref.Slot].buf[ref.Buf]
 		}
 		e.node.ChargeLocTest()
+		if v, ok := a.LocalLinear(g); ok {
+			e.node.ChargeMemRefs(1)
+			return v
+		}
 		owner := a.OwnerLinear(g)
 		if owner == -1 || owner == e.node.ID() {
 			e.node.ChargeMemRefs(1)

@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"kali/internal/comm"
 )
 
 // Schedule persistence: compiled schedules serialized to a cache
@@ -68,6 +70,10 @@ func (s *SharedStore) loadDisk(node int, fp uint64) *Blueprint {
 	bp := new(Blueprint)
 	if err := gob.NewDecoder(bytes.NewReader(ds.Payload)).Decode(bp); err != nil {
 		return nil
+	}
+	for k := range bp.Arrays {
+		sp := &bp.Arrays[k]
+		sp.in = comm.NewInSet(sp.In, sp.InTotal)
 	}
 	return bp
 }

@@ -44,12 +44,17 @@ type SlotPlan struct {
 	InTotal  int
 	Out      []comm.Range
 	OutTotal int
+
+	// in is In as a searchable in set.  An in set never changes once
+	// made, so every schedule instantiated from the blueprint uses this
+	// one: its index is built once, by whoever made or loaded the
+	// blueprint, before a second engine can see it.
+	in *comm.InSet
 }
 
 // blueprintOf extracts the immutable structure of a built compile-time
-// schedule.  Range slices are copied: the blueprint outlives the
-// schedule and is shared across tenants, so it must not alias any
-// engine's storage.
+// schedule.  The in set is shared as it is; the out records are
+// copied.
 func blueprintOf(s *Schedule) *Blueprint {
 	bp := &Blueprint{Rank: s.rank}
 	if len(s.execLocal) > 0 {
@@ -61,8 +66,9 @@ func blueprintOf(s *Schedule) *Blueprint {
 	bp.ExecNonlocal = pairsOf(s.execNonlocal)
 	for _, as := range s.arrays {
 		bp.Arrays = append(bp.Arrays, SlotPlan{
-			In:       append([]comm.Range(nil), as.in.Ranges...),
+			In:       as.in.Ranges,
 			InTotal:  as.in.Total,
+			in:       as.in,
 			Out:      append([]comm.Range(nil), as.out.Ranges...),
 			OutTotal: as.out.Total,
 		})
@@ -94,9 +100,9 @@ func itersOf(pairs [][2]int) []iteration {
 
 // instantiate builds a fresh Schedule around a shared blueprint: new
 // receive buffers, new pending-request slots, a new sid — everything
-// mutable is private to this engine, only the range data is copied
-// from the shared structure.  The result is indistinguishable from a
-// locally built compile-time schedule.
+// mutable is private to this engine; the in set is the blueprint's own
+// and the out records are copied.  The result is indistinguishable
+// from a locally built compile-time schedule.
 func (e *Engine) instantiate(bp *Blueprint) *Schedule {
 	s := &Schedule{
 		rank:         bp.Rank,
@@ -110,7 +116,7 @@ func (e *Engine) instantiate(bp *Blueprint) *Schedule {
 	s.nLocal = segIters(s.execLocal)
 	for _, sp := range bp.Arrays {
 		as := &arraySched{
-			in:  &comm.InSet{Ranges: append([]comm.Range(nil), sp.In...), Total: sp.InTotal},
+			in:  sp.in,
 			out: &comm.OutSet{Ranges: append([]comm.Range(nil), sp.Out...), Total: sp.OutTotal},
 		}
 		as.buf = make([]float64, sp.InTotal)

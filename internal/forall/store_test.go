@@ -301,3 +301,67 @@ func TestStoreEvictionBounded(t *testing.T) {
 		t.Fatal("expected evictions under churn")
 	}
 }
+
+// TestAdoptedInSetsFindLikeLinearScan: the in sets of a schedule made
+// by the compile-time analysis, adopted from another tenant's
+// blueprint, and revived from disk all answer Find as a scan over
+// their records does.  The adopting engines share the blueprint's in
+// set, whose index its maker or loader built before publishing it.
+func TestAdoptedInSetsFindLikeLinearScan(t *testing.T) {
+	const n, p = 61, 4
+	g := topology.MustGrid(p)
+	for name, spec := range map[string]dist.DimSpec{"block": dist.BlockDim(), "cyclic": dist.CyclicDim()} {
+		d := dist.Must([]int{n}, []dist.DimSpec{spec}, g)
+		dir := t.TempDir()
+		store := NewSharedStore(64, dir)
+		for _, run := range []struct {
+			how       string
+			store     *SharedStore
+			storeHits int
+		}{
+			{"built", store, 0},
+			{"adopted", store, p},
+			{"revived from disk", NewSharedStore(64, dir), p},
+		} {
+			var mu sync.Mutex
+			hits, records := 0, 0
+			sim.MustNew(p, machine.Ideal()).Run(func(nd *machine.Node) {
+				a := darray.New("A", d, nd)
+				eng := NewEngine(nd)
+				eng.Store = run.store
+				eng.Run(&Loop{
+					Name: "shift", Lo: 1, Hi: n - 3,
+					On: a, OnF: analysis.Identity,
+					Reads: []ReadSpec{{Array: a, Affine: &analysis.Affine{A: 1, C: 3}}},
+					Body:  func(i int, e *Env) { e.Write(a, i, e.Read(a, i+3)) },
+				})
+				mu.Lock()
+				defer mu.Unlock()
+				hits += eng.StoreHits()
+				for _, as := range eng.Schedule("shift").arrays {
+					records += as.in.NumRanges()
+					for _, r := range as.in.Ranges {
+						for _, home := range []int{r.FromProc, r.FromProc + 1, -1} {
+							for x := r.Low - 2; x <= r.High+2; x++ {
+								wantBuf, want := 0, false
+								for _, s := range as.in.Ranges {
+									if s.FromProc == home && s.Low <= x && x <= s.High {
+										wantBuf, want = s.Buf+x-s.Low, true
+									}
+								}
+								if buf, ok := as.in.Find(home, x); buf != wantBuf || ok != want {
+									t.Errorf("%s, %s, node %d: Find(%d, %d) = %d, %v; a scan of %v says %d, %v",
+										name, run.how, nd.ID(), home, x, buf, ok, as.in.Ranges, wantBuf, want)
+								}
+							}
+						}
+					}
+				}
+			})
+			if hits != run.storeHits || records == 0 {
+				t.Fatalf("%s, %s: %d store hits over %d in-set records, want %d hits and some records",
+					name, run.how, hits, records, run.storeHits)
+			}
+		}
+	}
+}

@@ -18,6 +18,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -481,10 +482,7 @@ func (n *Node) ChargeSearch(r int) {
 		return
 	}
 	p := &n.m.params
-	probes := 1
-	for (1 << uint(probes)) <= r {
-		probes++
-	}
+	probes := max(1, bits.Len(uint(r))) // smallest k >= 1 with 2^k > r
 	n.advance(p.SearchBase + float64(probes)*p.SearchProbe)
 }
 

@@ -24,8 +24,7 @@ type transport struct {
 	p      int
 	cube   bool // node ids are hypercube addresses (P is a power of two)
 
-	clocks    []float64
-	nicFree   []float64 // per-node network-interface busy-until time (ISend wire serialization)
+	cells     []cell
 	mailboxes []chan machine.Message
 	pending   [][]machine.Message // received but not yet matched, per node
 
@@ -33,6 +32,19 @@ type transport struct {
 	reduceMu   sync.Mutex
 	reduceVals []float64
 }
+
+// cell is one node's virtual time.  Every charge of a forall body is a
+// store to clock from that node's OS thread, so cells are padded: the
+// hot words of two nodes are at least cellBytes-16 bytes apart and
+// never share a cache line (nor the adjacent line a prefetcher pairs
+// with it), wherever the slice happens to be aligned.
+type cell struct {
+	clock   float64
+	nicFree float64 // network-interface busy-until time (ISend wire serialization)
+	_       [cellBytes - 16]byte
+}
+
+const cellBytes = 128
 
 // New builds a simulated machine with p nodes and the given cost
 // model.  When p is a power of two the node ids are hypercube
@@ -43,8 +55,7 @@ func New(p int, params machine.Params) (*machine.Machine, error) {
 		params:    params,
 		p:         p,
 		cube:      p > 0 && p&(p-1) == 0,
-		clocks:    make([]float64, max(p, 0)),
-		nicFree:   make([]float64, max(p, 0)),
+		cells:     make([]cell, max(p, 0)),
 		mailboxes: make([]chan machine.Message, max(p, 0)),
 		pending:   make([][]machine.Message, max(p, 0)),
 		barrier:   newBarrier(p),
@@ -76,24 +87,24 @@ func (t *transport) Virtual() bool   { return true }
 func (t *transport) Begin()          {}
 func (t *transport) Done(me int)     {}
 
-func (t *transport) Elapsed(me int) float64 { return t.clocks[me] }
+func (t *transport) Elapsed(me int) float64 { return t.cells[me].clock }
 
 func (t *transport) MaxElapsed() float64 {
 	max := 0.0
-	for _, c := range t.clocks {
-		if c > max {
+	for i := range t.cells {
+		if c := t.cells[i].clock; c > max {
 			max = c
 		}
 	}
 	return max
 }
 
-func (t *transport) Advance(me int, seconds float64) { t.clocks[me] += seconds }
+func (t *transport) Advance(me int, seconds float64) { t.cells[me].clock += seconds }
 
 // ClockAddr exposes node me's clock accumulator for the Machine's
 // direct-charge fast path (machine.ClockAddr); Reset zeroes the
-// slice in place, so the address stays valid for the machine's life.
-func (t *transport) ClockAddr(me int) *float64 { return &t.clocks[me] }
+// cells in place, so the address stays valid for the machine's life.
+func (t *transport) ClockAddr(me int) *float64 { return &t.cells[me].clock }
 
 // hops returns the link distance between two nodes.
 func (t *transport) hops(p, q int) int {
@@ -113,10 +124,10 @@ func (t *transport) hops(p, q int) int {
 // and ISend on one node stays coherent, and a run made only of
 // blocking sends is bit-identical to the pre-overlap model.
 func (t *transport) Send(me, to int, msg machine.Message) {
-	p := &t.params
-	t.clocks[me] += p.MsgStartup + float64(msg.Bytes)*p.MsgPerByte
-	t.nicFree[me] = t.clocks[me]
-	msg.ArriveAt = t.clocks[me] + float64(t.hops(me, to))*p.PerHop
+	p, c := &t.params, &t.cells[me]
+	c.clock += p.MsgStartup + float64(msg.Bytes)*p.MsgPerByte
+	c.nicFree = c.clock
+	msg.ArriveAt = c.clock + float64(t.hops(me, to))*p.PerHop
 	t.mailboxes[to] <- msg
 }
 
@@ -131,14 +142,14 @@ func (t *transport) Send(me, to int, msg machine.Message) {
 // rules are monotone in ArriveAt, so overlap can only shrink simulated
 // clocks, never grow them.
 func (t *transport) ISend(me, to int, msg machine.Message) {
-	p := &t.params
-	t.clocks[me] += p.MsgStartup
-	start := t.clocks[me]
-	if t.nicFree[me] > start {
-		start = t.nicFree[me]
+	p, c := &t.params, &t.cells[me]
+	c.clock += p.MsgStartup
+	start := c.clock
+	if c.nicFree > start {
+		start = c.nicFree
 	}
 	end := start + float64(msg.Bytes)*p.MsgPerByte
-	t.nicFree[me] = end
+	c.nicFree = end
 	msg.ArriveAt = end + float64(t.hops(me, to))*p.PerHop
 	t.mailboxes[to] <- msg
 }
@@ -154,16 +165,16 @@ func (t *transport) ISend(me, to int, msg machine.Message) {
 // that never waits for intervening compute, while the unfused sender
 // posts them only after finishing the previous loop.
 func (t *transport) ISendPart(me, to int, msg machine.Message, first bool) {
-	p := &t.params
+	p, c := &t.params, &t.cells[me]
 	if first {
-		t.clocks[me] += p.MsgStartup
+		c.clock += p.MsgStartup
 	}
-	start := t.clocks[me]
-	if t.nicFree[me] > start {
-		start = t.nicFree[me]
+	start := c.clock
+	if c.nicFree > start {
+		start = c.nicFree
 	}
 	end := start + float64(msg.Bytes)*p.MsgPerByte
-	t.nicFree[me] = end
+	c.nicFree = end
 	msg.ArriveAt = end + float64(t.hops(me, to))*p.PerHop
 	t.mailboxes[to] <- msg
 }
@@ -206,10 +217,11 @@ func (t *transport) WaitAny(me int, reqs []machine.Request, done []bool) (int, m
 
 // deliver applies clock rules for consuming one message.
 func (t *transport) deliver(me int, msg machine.Message) {
-	if msg.ArriveAt > t.clocks[me] {
-		t.clocks[me] = msg.ArriveAt
+	c := &t.cells[me]
+	if msg.ArriveAt > c.clock {
+		c.clock = msg.ArriveAt
 	}
-	t.clocks[me] += t.params.RecvOverhead + float64(msg.Bytes)*t.params.MsgPerByte
+	c.clock += t.params.RecvOverhead + float64(msg.Bytes)*t.params.MsgPerByte
 }
 
 // collectiveCost returns the modeled time of one hypercube collective:
@@ -230,8 +242,8 @@ func (t *transport) collectiveCost(nbytes int) float64 {
 // Barrier synchronizes all nodes; afterwards every clock equals the
 // pre-barrier maximum plus the collective cost.
 func (t *transport) Barrier(me int) {
-	max := t.barrier.wait(t.clocks[me])
-	t.clocks[me] = max + t.collectiveCost(8)
+	max := t.barrier.wait(t.cells[me].clock)
+	t.cells[me].clock = max + t.collectiveCost(8)
 }
 
 // AllReduce combines one float64 from every node in node-id order
@@ -245,7 +257,7 @@ func (t *transport) AllReduce(me int, x float64, op string) float64 {
 	t.reduceVals[me] = x
 	t.reduceMu.Unlock()
 
-	max := t.barrier.wait(t.clocks[me])
+	max := t.barrier.wait(t.cells[me].clock)
 
 	t.reduceMu.Lock()
 	acc := machine.ReduceByID(t.reduceVals, op)
@@ -255,7 +267,7 @@ func (t *transport) AllReduce(me int, x float64, op string) float64 {
 	// scratch values of a subsequent AllReduce.
 	_ = t.barrier.wait(0)
 
-	t.clocks[me] = max + t.collectiveCost(8)
+	t.cells[me].clock = max + t.collectiveCost(8)
 	return acc
 }
 
@@ -263,9 +275,8 @@ func (t *transport) Poison() { t.barrier.poison() }
 
 func (t *transport) Reset() {
 	t.barrier.reset()
-	for i := range t.clocks {
-		t.clocks[i] = 0
-		t.nicFree[i] = 0
+	for i := range t.cells {
+		t.cells[i] = cell{}
 		t.pending[i] = t.pending[i][:0]
 	drain:
 		for {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"kali/internal/machine"
 )
@@ -234,6 +235,18 @@ func TestChargeSearchLog(t *testing.T) {
 		wantEight := p.SearchBase + 4*p.SearchProbe
 		if math.Abs(oneRange-wantOne) > 1e-12 || math.Abs(eight-wantEight) > 1e-12 {
 			t.Errorf("search costs: got %g,%g want %g,%g", oneRange, eight, wantOne, wantEight)
+		}
+		// Every r charges the probes of the paper's search: the
+		// smallest k >= 1 with 2^k > r, found here by counting up.
+		for r := 0; r <= 5000; r++ {
+			probes := 1
+			for 1<<probes <= r {
+				probes++
+			}
+			want := n.Clock() + (p.SearchBase + float64(probes)*p.SearchProbe)
+			if n.ChargeSearch(r); n.Clock() != want {
+				t.Fatalf("ChargeSearch(%d) moved the clock to %g, want %g", r, n.Clock(), want)
+			}
 		}
 	})
 }
@@ -485,4 +498,53 @@ func TestMachineAccessors(t *testing.T) {
 			t.Error("node accessors")
 		}
 	})
+}
+
+// TestSimClockCellsDoNotShareCacheLines: every charge is a store to
+// the node's clock from its own OS thread, so two nodes' clocks (and
+// the NIC word beside each) must never sit in one 64-byte line, and
+// the addresses the Machine cached must survive Reset.
+func TestSimClockCellsDoNotShareCacheLines(t *testing.T) {
+	const line = 64
+	for _, p := range []int{1, 2, 3, 8, 13} {
+		m := MustNew(p, machine.NCUBE7())
+		tp := tr(m)
+		addrs := make([]*float64, p)
+		for i := range addrs {
+			addrs[i] = tp.ClockAddr(i)
+		}
+		for i := range addrs {
+			for j := range addrs {
+				if i == j {
+					continue
+				}
+				ci := uintptr(unsafe.Pointer(addrs[i]))
+				for _, w := range []*float64{addrs[j], &tp.cells[j].nicFree} {
+					d := int64(ci) - int64(uintptr(unsafe.Pointer(w)))
+					if d < 0 {
+						d = -d
+					}
+					if d < line {
+						t.Fatalf("P=%d: clock of node %d is %d bytes from a word of node %d", p, i, d, j)
+					}
+				}
+			}
+		}
+		m.Run(func(n *machine.Node) {
+			n.ChargeFlops(n.ID() + 1)
+			n.Barrier()
+		})
+		if *addrs[p-1] == 0 || *addrs[p-1] != m.Node(p-1).Clock() {
+			t.Fatalf("P=%d: cached address reads %g, Clock() %g", p, *addrs[p-1], m.Node(p-1).Clock())
+		}
+		m.Reset()
+		for i := range addrs {
+			if tp.ClockAddr(i) != addrs[i] {
+				t.Fatalf("P=%d: ClockAddr(%d) moved across Reset", p, i)
+			}
+			if *addrs[i] != 0 || tp.cells[i].nicFree != 0 {
+				t.Fatalf("P=%d: Reset left node %d at clock %g nic %g", p, i, *addrs[i], tp.cells[i].nicFree)
+			}
+		}
+	}
 }
