@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kalirun [-machine ncube|ipsc|ideal] [-backend sim|wall] [-p N] [-overlap on|off] [-fuse on|off] [-print name,...] [-stats] prog.kali
+//	kalirun [-machine ncube|ipsc|ideal] [-backend sim|wall] [-p N] [-ref] [-novm] [-print name,...] [-stats] prog.kali
 //
 // -backend sim (default) runs on the virtual-clock simulator: times
 // are deterministic cost-model predictions for the chosen -machine.
@@ -11,18 +11,17 @@
 // with shared-memory message queues: times are measured wall-clock
 // seconds (and -machine only labels the report).
 //
-// -overlap on (default) executes foralls split-phase: sends are
-// posted nonblocking before the interior iterations, and the boundary
-// pass drains receives as they complete, so communication overlaps
-// computation.  -overlap off restores the paper's phase-synchronous
-// executor — same messages, same results, more critical-path time.
-//
-// -fuse on (default) aggregates messages across adjacent foralls:
-// runs of consecutive loops whose reads are untouched by the earlier
-// loops' writes post one combined message per processor pair up front
-// and pipeline their boundary passes.  -fuse off runs every loop
-// through the per-loop pipeline — same results and bytes, more
-// messages and startup time.
+// Foralls run on the production executor: sends are posted nonblocking
+// before the interior iterations and the boundary pass drains receives
+// as they complete, so communication overlaps computation; runs of
+// adjacent loops whose reads are untouched by the earlier loops' writes
+// post one combined message per processor pair up front and pipeline
+// their boundary passes.  -ref runs every loop through the reference
+// executor instead — the paper's Figure 3 literally: per loop, blocking
+// sends, fixed-order receives — same results and bytes, never fewer
+// messages, never less simulated time.  Like -novm (tree-walked instead
+// of compiled loop bodies) it is a differential oracle, not a mode to
+// run in.
 //
 // The program's processors declaration (the "real estate agent") may
 // choose fewer processors than -p provides.  After execution the
@@ -44,8 +43,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -56,111 +57,122 @@ import (
 	"kali/internal/server"
 )
 
-func main() {
-	machineName := flag.String("machine", "ncube", "cost model: ncube, ipsc, ideal")
-	backend := flag.String("backend", "sim", "node runtime: sim (virtual clock) or wall (real threads)")
-	procs := flag.Int("p", 8, "available processors")
-	printArrays := flag.String("print", "", "comma-separated array/scalar names to print")
-	stats := flag.Bool("stats", false, "print the traffic breakdown (forall vs redistribution)")
-	noVM := flag.Bool("novm", false, "run forall bodies on the tree-walking interpreter instead of the bytecode VM")
-	overlap := flag.String("overlap", "on", "communication/computation overlap: on (split-phase executors) or off (phase-synchronous)")
-	fuse := flag.String("fuse", "on", "cross-loop message aggregation: on (adjacent foralls share sends) or off (per-loop pipeline)")
-	serve := flag.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
-	poolSize := flag.Int("pool", 4, "with -serve: number of pooled machines (max concurrent tenants)")
-	cacheDir := flag.String("cachedir", "", "with -serve: persist compiled schedules here for warm starts")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *serve != "" {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: kalirun -serve addr [flags]")
-			os.Exit(2)
+// modeOnly lists the flags that apply to one of the two modes only;
+// setting one in the other mode is a usage error rather than a flag
+// silently ignored.
+var modeOnly = map[string]bool{ // flag -> needs -serve
+	"ref": false, "novm": false, "print": false, "stats": false,
+	"pool": true, "cachedir": true,
+}
+
+// run is main with its inputs and outputs passed in; it returns the
+// exit status: 2 for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kalirun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machineName := fs.String("machine", "ncube", "cost model: ncube, ipsc, ideal")
+	backend := fs.String("backend", "sim", "node runtime: sim (virtual clock) or wall (real threads)")
+	procs := fs.Int("p", 8, "available processors")
+	printArrays := fs.String("print", "", "comma-separated array/scalar names to print")
+	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution)")
+	noVM := fs.Bool("novm", false, "oracle: run forall bodies on the tree-walking interpreter instead of the bytecode VM")
+	ref := fs.Bool("ref", false, "oracle: run foralls on the reference executor (per loop, blocking, Figure 3 literally) instead of the production one")
+	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
+	poolSize := fs.Int("pool", 4, "with -serve: number of pooled machines (max concurrent tenants)")
+	cacheDir := fs.String("cachedir", "", "with -serve: persist compiled schedules here for warm starts")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		params, ok := machine.ByName(*machineName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "kalirun: unknown machine %q\n", *machineName)
-			os.Exit(2)
-		}
-		srv, err := server.New(server.Config{
-			P:         *procs,
-			Machines:  *poolSize,
-			Params:    params,
-			Backend:   *backend,
-			CacheDir:  *cacheDir,
-			NoOverlap: *overlap == "off",
-			NoFuse:    *fuse == "off",
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kalirun:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kalirun: serving on %s (pool %d × P=%d %s/%s)\n",
-			*serve, *poolSize, *procs, params.Name, *backend)
-		if err := http.ListenAndServe(*serve, srv.Handler()); err != nil {
-			fmt.Fprintln(os.Stderr, "kalirun:", err)
-			os.Exit(1)
-		}
-		return
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "kalirun: "+format+"\n", a...)
+		return 2
 	}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: kalirun [flags] prog.kali")
-		os.Exit(2)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kalirun:", err)
-		os.Exit(1)
-	}
+	// Every flag is validated before the modes part ways.
+	serving := *serve != ""
 	params, ok := machine.ByName(*machineName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "kalirun: unknown machine %q\n", *machineName)
-		os.Exit(2)
+		return usage("unknown machine %q", *machineName)
 	}
 	switch *backend {
 	case "sim", "wall", "wallclock":
 	default:
-		fmt.Fprintf(os.Stderr, "kalirun: unknown backend %q (want sim or wall)\n", *backend)
-		os.Exit(2)
+		return usage("unknown backend %q (want sim or wall)", *backend)
 	}
-	switch *overlap {
-	case "on", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "kalirun: unknown -overlap %q (want on or off)\n", *overlap)
-		os.Exit(2)
-	}
-	switch *fuse {
-	case "on", "off":
-	default:
-		fmt.Fprintf(os.Stderr, "kalirun: unknown -fuse %q (want on or off)\n", *fuse)
-		os.Exit(2)
+	misplaced := ""
+	fs.Visit(func(f *flag.Flag) {
+		if needsServe, ok := modeOnly[f.Name]; ok && needsServe != serving && misplaced == "" {
+			misplaced = f.Name
+		}
+	})
+	switch {
+	case misplaced != "" && serving:
+		return usage("-%s does not apply with -serve", misplaced)
+	case misplaced != "":
+		return usage("-%s applies only with -serve", misplaced)
+	case serving && fs.NArg() != 0:
+		return usage("-serve takes no program (usage: kalirun -serve addr [flags])")
+	case !serving && fs.NArg() != 1:
+		return usage("need exactly one program (usage: kalirun [flags] prog.kali)")
 	}
 
+	if serving {
+		srv, err := server.New(server.Config{
+			P:        *procs,
+			Machines: *poolSize,
+			Params:   params,
+			Backend:  *backend,
+			CacheDir: *cacheDir,
+		})
+		if err != nil {
+			fmt.Fprintln(stderr, "kalirun:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "kalirun: serving on %s (pool %d × P=%d %s/%s)\n",
+			*serve, *poolSize, *procs, params.Name, *backend)
+		if err := http.ListenAndServe(*serve, srv.Handler()); err != nil {
+			fmt.Fprintln(stderr, "kalirun:", err)
+			return 1
+		}
+		return 0
+	}
+
+	src, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(stderr, "kalirun:", err)
+		return 1
+	}
 	prog, err := lang.Compile(string(src))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kalirun: %s: %v\n", flag.Arg(0), err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "kalirun: %s: %v\n", fs.Arg(0), err)
+		return 1
 	}
 	prog.NoVM = *noVM
-	res, err := prog.Run(core.Config{P: *procs, Params: params, Backend: *backend, NoOverlap: *overlap == "off", NoFuse: *fuse == "off"})
+	res, err := prog.Run(core.Config{P: *procs, Params: params, Backend: *backend, Reference: *ref})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kalirun:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "kalirun:", err)
+		return 1
 	}
 
-	fmt.Printf("machine: %s, backend: %s, processors chosen: %d\n",
+	fmt.Fprintf(stdout, "machine: %s, backend: %s, processors chosen: %d\n",
 		params.Name, res.Report.Backend, res.P)
-	fmt.Printf("total %.4fs  executor %.4fs  inspector %.4fs  (overhead %.1f%%)\n",
+	fmt.Fprintf(stdout, "total %.4fs  executor %.4fs  inspector %.4fs  (overhead %.1f%%)\n",
 		res.Report.Total, res.Report.Executor, res.Report.Inspector,
 		res.Report.OverheadPct())
 	if res.Report.Redist > 0 {
-		fmt.Printf("redistribute %.4fs (outside the total above)\n", res.Report.Redist)
+		fmt.Fprintf(stdout, "redistribute %.4fs (outside the total above)\n", res.Report.Redist)
 	}
 	if *stats {
 		r := res.Report
-		fmt.Printf("messages: %d total, %d bytes\n", r.MsgsSent, r.BytesSent)
-		fmt.Printf("  forall/other:  %d msgs, %d bytes\n", r.MsgsSent-r.RedistMsgs, r.BytesSent-r.RedistBytes)
-		fmt.Printf("  redistribute:  %d msgs, %d bytes\n", r.RedistMsgs, r.RedistBytes)
-		fmt.Printf("  cross-loop fused:  %d msgs, %d bytes\n", r.FusedMsgs, r.FusedBytes)
+		fmt.Fprintf(stdout, "messages: %d total, %d bytes\n", r.MsgsSent, r.BytesSent)
+		fmt.Fprintf(stdout, "  forall/other:  %d msgs, %d bytes\n", r.MsgsSent-r.RedistMsgs, r.BytesSent-r.RedistBytes)
+		fmt.Fprintf(stdout, "  redistribute:  %d msgs, %d bytes\n", r.RedistMsgs, r.RedistBytes)
+		fmt.Fprintf(stdout, "  cross-loop fused:  %d msgs, %d bytes\n", r.FusedMsgs, r.FusedBytes)
 	}
 
 	for _, name := range strings.Split(*printArrays, ",") {
@@ -170,29 +182,16 @@ func main() {
 		}
 		switch {
 		case res.Arrays[name] != nil:
-			fmt.Printf("%s = %v\n", name, clip(res.Arrays[name]))
+			fmt.Fprintf(stdout, "%s = %v\n", name, res.Arrays[name][:min(len(res.Arrays[name]), 20)])
 		case res.IntArrays[name] != nil:
-			fmt.Printf("%s = %v\n", name, res.IntArrays[name][:min(len(res.IntArrays[name]), 20)])
+			fmt.Fprintf(stdout, "%s = %v\n", name, res.IntArrays[name][:min(len(res.IntArrays[name]), 20)])
 		default:
 			if v, ok := res.Scalars[name]; ok {
-				fmt.Printf("%s = %g\n", name, v)
+				fmt.Fprintf(stdout, "%s = %g\n", name, v)
 			} else {
-				fmt.Printf("%s: not found\n", name)
+				fmt.Fprintf(stdout, "%s: not found\n", name)
 			}
 		}
 	}
-}
-
-func clip(xs []float64) []float64 {
-	if len(xs) > 20 {
-		return xs[:20]
-	}
-	return xs
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return 0
 }

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunFlagHandling: every flag is validated before the serve/run
+// branch, and a flag that does not apply to the chosen mode is a usage
+// error (exit 2) instead of being silently ignored.
+func TestRunFlagHandling(t *testing.T) {
+	const prog = "../../internal/lang/testdata/shift.kali"
+	// An address nothing can listen on: the serve cases that pass
+	// validation fail there (exit 1) instead of blocking the test.
+	const badAddr = "256.256.256.256:1"
+	for _, c := range []struct {
+		name   string
+		args   []string
+		exit   int
+		stderr string // substring; "" = stderr must be empty
+	}{
+		{"run", []string{"-machine", "ideal", "-p", "4", prog}, 0, ""},
+		{"run -ref -novm -stats -print", []string{"-machine", "ideal", "-p", "4", "-ref", "-novm", "-stats", "-print", "A", prog}, 0, ""},
+		{"no program", nil, 2, "need exactly one program"},
+		{"two programs", []string{prog, prog}, 2, "need exactly one program"},
+		{"unknown flag", []string{"-overlap=off", prog}, 2, "flag provided but not defined"},
+		{"bad machine", []string{"-machine", "cray", prog}, 2, `unknown machine "cray"`},
+		{"bad backend", []string{"-backend", "mpi", prog}, 2, `unknown backend "mpi"`},
+		{"-pool without -serve", []string{"-pool", "2", prog}, 2, "-pool applies only with -serve"},
+		{"-cachedir without -serve", []string{"-cachedir", "/tmp/x", prog}, 2, "-cachedir applies only with -serve"},
+		{"missing file", []string{"no-such.kali"}, 1, "no-such.kali"},
+
+		{"serve", []string{"-serve", badAddr, "-pool", "2", "-p", "4", "-machine", "ideal", "-backend", "wall"}, 1, "listen"},
+		{"serve bad machine", []string{"-serve", badAddr, "-machine", "cray"}, 2, `unknown machine "cray"`},
+		{"serve bad backend", []string{"-serve", badAddr, "-backend", "mpi"}, 2, `unknown backend "mpi"`},
+		{"serve -ref", []string{"-serve", badAddr, "-ref"}, 2, "-ref does not apply with -serve"},
+		{"serve -novm", []string{"-serve", badAddr, "-novm"}, 2, "-novm does not apply with -serve"},
+		{"serve -print", []string{"-serve", badAddr, "-print", "A"}, 2, "-print does not apply with -serve"},
+		{"serve -stats", []string{"-serve", badAddr, "-stats"}, 2, "-stats does not apply with -serve"},
+		{"serve with program", []string{"-serve", badAddr, prog}, 2, "-serve takes no program"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run(c.args, &stdout, &stderr); got != c.exit {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", c.name, got, c.exit, stderr.String())
+		}
+		if c.stderr == "" && stderr.Len() != 0 || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%s: stderr %q, want %q", c.name, stderr.String(), c.stderr)
+		}
+	}
+}
+
+// TestRunRefMatchesProduction: -ref prints the same arrays as the
+// production run of the same program.
+func TestRunRefMatchesProduction(t *testing.T) {
+	const prog = "../../internal/lang/testdata/jacobi2d.kali"
+	out := func(extra ...string) string {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-machine", "ideal", "-p", "4", "-print", "u"}, append(extra, prog)...)
+		if got := run(args, &stdout, &stderr); got != 0 {
+			t.Fatalf("%v: exit %d: %s", args, got, stderr.String())
+		}
+		return stdout.String()
+	}
+	if prod, ref := out(), out("-ref"); prod != ref || !strings.Contains(prod, "u = [") {
+		t.Errorf("production printed\n%s\n-ref printed\n%s", prod, ref)
+	}
+}

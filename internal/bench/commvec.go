@@ -18,15 +18,14 @@ import (
 // CommVec measures the vectorized communication path: per-Range bulk
 // packing, message coalescing (all of a loop's reads in one message
 // per processor pair), content-addressed schedule sharing, and the
-// pooled zero-allocation replay.  Three variants of the same two-array
+// pooled zero-allocation replay.  Two variants of the same two-array
 // shift run on identical data:
 //
-//   - "per-array" disables coalescing (Engine.NoCombine): each read
-//     array's data travels in its own message, the pre-combining
-//     behavior the paper improves on ("sorting by processor id also
-//     allowed us to combine messages ...").
-//   - "coalesced" is the default executor: strictly fewer, larger
-//     messages.
+//   - "coalesced" is the executor: both read arrays' data for a
+//     destination travel in one message ("sorting by processor id also
+//     allowed us to combine messages ..."), so msgs/exec is the number
+//     of communicating processor pairs, not arrays × pairs
+//     (TestCommVecCombinesPerPair pins it).
 //   - "coalesced+shared" runs a second identically-shaped loop over
 //     different arrays: it adopts the first loop's schedule from the
 //     content-addressed store, so two loops cost one build.
@@ -49,14 +48,13 @@ func CommVec(opt Options) *Table {
 		},
 	}
 	for _, v := range []struct {
-		name              string
-		noCombine, second bool
+		name   string
+		second bool
 	}{
-		{"per-array (no combine)", true, false},
-		{"coalesced", false, false},
-		{"coalesced+shared", false, true},
+		{"coalesced", false},
+		{"coalesced+shared", true},
 	} {
-		r := commVecRun(n, p, reps, machine.NCUBE7(), v.noCombine, v.second)
+		r := commVecRun(n, p, reps, machine.NCUBE7(), v.second)
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			fmt.Sprint(r.builds), fmt.Sprint(r.sharedHits),
@@ -78,7 +76,7 @@ type commVecResult struct {
 // identically-shaped loops when second is set) reps times from the
 // schedule cache and measures machine-wide data messages, bytes,
 // mallocs and executor time over exactly that replay window.
-func commVecRun(n, p, reps int, params machine.Params, noCombine, second bool) commVecResult {
+func commVecRun(n, p, reps int, params machine.Params, second bool) commVecResult {
 	g := topology.MustGrid(p)
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
 	mach := sim.MustNew(p, params)
@@ -119,7 +117,6 @@ func commVecRun(n, p, reps int, params machine.Params, noCombine, second bool) c
 		}
 		outA, uA, vA := mkArrays("A")
 		eng := forall.NewEngine(nd)
-		eng.NoCombine = noCombine
 		la := mkLoop("vecA", outA, uA, vA)
 		var lb *forall.Loop
 		if second {

@@ -15,30 +15,29 @@ import (
 	"kali/internal/topology"
 )
 
-// Overlap measures the split-phase executors and the cross-loop
-// aggregation built on them: the same cached schedules replayed with
-// communication/computation overlap (ISend posts before the interior
-// sweep, completion-order drain before the boundary) against the
-// phase-synchronous oracle (-overlap=off), and the overlapped run
-// again with adjacent loops fused into one aggregated send per
-// processor pair (-fuse=off is the middle column).  Workloads: the
-// 2-D five-point jacobi (a single loop — fusion has nothing to merge,
-// its fused columns pin the no-regression case), an ADI cycle whose
-// coupled row/column sweep pairs read the same array and fuse between
-// [block,*]↔[*,block] transposes, and the multigrid V-cycle (whose
-// prolongation interpolates through the sequence API on every level).
+// Overlap measures what the production executor buys over the
+// reference one: the same cached schedules replayed split-phase (ISend
+// posts before the interior sweep, completion-order drain before the
+// boundary) with adjacent loops fused into one aggregated send per
+// processor pair, against the paper's Figure 3 taken literally
+// (kalirun -ref: per loop, blocking sends, fixed-order drain).
+// Workloads: the 2-D five-point jacobi (a single loop — a window of
+// one: fusion has nothing to merge, so its two msgs columns must
+// agree), an ADI cycle whose coupled row/column sweep pairs read the
+// same array and fuse between [block,*]↔[*,block] transposes, and the
+// multigrid V-cycle (whose prolongation interpolates through the
+// sequence API on every level).
 //
 // The sim columns are deterministic cost-model predictions and stay
-// under the CI gate; the pct columns express each win
-// gate-compatibly (overlap as a percentage of phase-sync, fused as a
-// percentage of overlap, < 100 when the mechanism pays; growth past
-// baseline means it stopped paying and fails -diff).  Wall columns
-// are measured and excluded as in the backend table.  Overlap never
-// changes traffic, but fusion merges messages: msgs/rep is reported
-// for the unfused and fused runs separately, and the fused column is
+// under the CI gate; the pct column expresses the win gate-compatibly
+// (production as a percentage of reference, < 100 when overlap and
+// fusion pay; growth past baseline means they stopped paying and fails
+// -diff).  Wall columns are measured and excluded as in the backend
+// table.  Overlap never changes traffic, but fusion merges messages:
+// msgs/rep is reported for both executors, and the production column is
 // gated so a lost merge (more envelopes) fails CI.  Byte totals are
 // identical in every cell of a row.  allocs/replay comes from the
-// fused sim run: warm fused replay must stay allocation-free.
+// production sim run: warm replay must stay allocation-free.
 func Overlap(opt Options) *Table {
 	jacobiN, adiN, mgDepth := 96, 128, 9
 	p, mgP := 8, 5
@@ -49,12 +48,11 @@ func Overlap(opt Options) *Table {
 	}
 	t := &Table{
 		ID:    "overlap",
-		Title: "split-phase executors: overlap vs phase-sync, cross-loop fusion vs per-loop",
+		Title: "production executor (split-phase, cross-loop fusion) vs the Figure 3 reference",
 		Header: []string{"workload", "threads",
-			"sim time/rep (sync)", "sim time/rep (overlap)", "sim time/rep (fused)",
-			"sim time pct (overlap/sync)", "sim time pct (fused/overlap)",
-			"wall ms/rep (sync)", "wall ms/rep (overlap)",
-			"msgs/rep (unfused)", "msgs/rep (fused)", "allocs/replay"},
+			"sim time/rep (ref)", "sim time/rep (prod)", "sim time pct (prod/ref)",
+			"wall ms/rep (ref)", "wall ms/rep (prod)",
+			"msgs/rep (ref)", "msgs/rep (prod)", "allocs/replay"},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7 sim vs measured wall; jacobi2d %dx%d, adi %dx%d coupled sweep pairs with transpose ping-pong, multigrid depth %d; %d replays",
 				jacobiN, jacobiN, adiN, adiN, mgDepth, reps),
@@ -64,37 +62,31 @@ func Overlap(opt Options) *Table {
 	for _, w := range []struct {
 		name    string
 		p       int
-		program func(noOverlap, noFuse bool) backendProgram
+		program func(reference bool) backendProgram
 	}{
-		{"jacobi2d", p, func(noOv, noFuse bool) backendProgram { return jacobi2DProgram(jacobiN, p, noOv, noFuse) }},
-		{"adi", p, func(noOv, noFuse bool) backendProgram { return adiOverlapProgram(adiN, p, noOv, noFuse) }},
-		{"mg", mgP, func(noOv, noFuse bool) backendProgram { return mgProgram(mgDepth, mgP, noOv, noFuse) }},
+		{"jacobi2d", p, func(ref bool) backendProgram { return jacobi2DProgram(jacobiN, p, ref) }},
+		{"adi", p, func(ref bool) backendProgram { return adiOverlapProgram(adiN, p, ref) }},
+		{"mg", mgP, func(ref bool) backendProgram { return mgProgram(mgDepth, mgP, ref) }},
 	} {
 		p := w.p
-		simSync := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(true, true))
-		simOver := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(false, true))
-		simFused := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(false, false))
-		wallSync := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(true, true))
-		wallOver := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(false, true))
-		pctOver, pctFused := 100.0, 100.0
-		if simSync.secPerRep > 0 {
-			pctOver = 100 * simOver.secPerRep / simSync.secPerRep
-		}
-		if simOver.secPerRep > 0 {
-			pctFused = 100 * simFused.secPerRep / simOver.secPerRep
+		simRef := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(true))
+		simProd := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(false))
+		wallRef := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(true))
+		wallProd := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(false))
+		pct := 100.0
+		if simRef.secPerRep > 0 {
+			pct = 100 * simProd.secPerRep / simRef.secPerRep
 		}
 		t.Rows = append(t.Rows, []string{
 			w.name, fmt.Sprint(p),
-			fmt.Sprintf("%.6f", simSync.secPerRep),
-			fmt.Sprintf("%.6f", simOver.secPerRep),
-			fmt.Sprintf("%.6f", simFused.secPerRep),
-			fmt.Sprintf("%.2f", pctOver),
-			fmt.Sprintf("%.2f", pctFused),
-			fmt.Sprintf("%.3f", wallSync.secPerRep*1e3),
-			fmt.Sprintf("%.3f", wallOver.secPerRep*1e3),
-			fmt.Sprintf("%.1f", simOver.msgsPerRep),
-			fmt.Sprintf("%.1f", simFused.msgsPerRep),
-			fmt.Sprintf("%.1f", simFused.allocsPerRep),
+			fmt.Sprintf("%.6f", simRef.secPerRep),
+			fmt.Sprintf("%.6f", simProd.secPerRep),
+			fmt.Sprintf("%.2f", pct),
+			fmt.Sprintf("%.3f", wallRef.secPerRep*1e3),
+			fmt.Sprintf("%.3f", wallProd.secPerRep*1e3),
+			fmt.Sprintf("%.1f", simRef.msgsPerRep),
+			fmt.Sprintf("%.1f", simProd.msgsPerRep),
+			fmt.Sprintf("%.1f", simProd.allocsPerRep),
 		})
 	}
 	return t
@@ -103,7 +95,7 @@ func Overlap(opt Options) *Table {
 // jacobi2DProgram replays the shared five-point stencil Loop2 on an
 // n×n [block,block] array: compile-time schedules, one coalesced
 // boundary message to each of up to four neighbors per rep.
-func jacobi2DProgram(n, p int, noOverlap, noFuse bool) backendProgram {
+func jacobi2DProgram(n, p int, reference bool) backendProgram {
 	pr, pc := grid2(p)
 	return func(nd *machine.Node) func() {
 		g := topology.MustGrid(pr, pc)
@@ -112,8 +104,7 @@ func jacobi2DProgram(n, p int, noOverlap, noFuse bool) backendProgram {
 		a.EachLocal(func(gl int) { a.SetLinear(gl, float64(gl%17)) })
 		old.EachLocal(func(gl int) { old.SetLinear(gl, float64(gl%13)) })
 		eng := forall.NewEngine(nd)
-		eng.NoOverlap = noOverlap
-		eng.NoFuse = noFuse
+		eng.Reference = reference
 		loop := Relax2DLoop(a, old, n)
 		return func() { eng.Run2(loop) }
 	}
@@ -146,7 +137,7 @@ func grid2(p int) (int, int) {
 // along the other axis, and the transpose back.  Redistribution stays
 // phase-synchronous — the contrast isolates what overlap and fusion
 // buy the foralls of an otherwise redistribution-bound cycle.
-func adiOverlapProgram(n, p int, noOverlap, noFuse bool) backendProgram {
+func adiOverlapProgram(n, p int, reference bool) backendProgram {
 	return func(nd *machine.Node) func() {
 		g := topology.MustGrid(p)
 		rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
@@ -159,8 +150,7 @@ func adiOverlapProgram(n, p int, noOverlap, noFuse bool) backendProgram {
 		v.EachLocal(func(gl int) { v.SetLinear(gl, 0) })
 		w.EachLocal(func(gl int) { w.SetLinear(gl, 0) })
 		eng := forall.NewEngine(nd)
-		eng.NoOverlap = noOverlap
-		eng.NoFuse = noFuse
+		eng.Reference = reference
 		// Unlike the pure ADI transpose (where each phase is fully
 		// local), every sweep here reads ±1 across the distributed
 		// dimension, so each rep has boundary traffic to overlap — and
@@ -240,11 +230,10 @@ func adiOverlapProgram(n, p int, noOverlap, noFuse bool) backendProgram {
 // exchanges are all compile-time schedules — many small messages whose
 // startup-dominated wire time the split-phase executor hides, and
 // whose per-level prolongation pair fuses through the sequence API.
-func mgProgram(depth, p int, noOverlap, noFuse bool) backendProgram {
+func mgProgram(depth, p int, reference bool) backendProgram {
 	return func(nd *machine.Node) func() {
 		eng := forall.NewEngine(nd)
-		eng.NoOverlap = noOverlap
-		eng.NoFuse = noFuse
+		eng.Reference = reference
 		ctx := &core.Context{Node: nd, Eng: eng, Grid: topology.MustGrid(p)}
 		s := mg.New(ctx, depth)
 		s.SetRHS(func(x float64) float64 { return x * (1 - x) })

@@ -38,19 +38,14 @@ type Config struct {
 	// virtual-clock simulator, deterministic predicted times) or
 	// "wall" (real threads and shared-memory queues, measured times).
 	Backend string
-	// NoOverlap runs the phase-synchronous executors (blocking sends,
-	// fixed-order drains) instead of the default split-phase overlap
-	// execution; `kalirun -overlap=off` sets it.  The escape hatch and
-	// the differential oracle: results and message counts are identical
-	// either way.
-	NoOverlap bool
-	// NoFuse disables cross-loop message aggregation: ForallSeq (and
-	// the language interpreter's adjacent-forall batching built on it)
-	// degrades to sequential per-loop execution — the phase-per-loop
-	// oracle `kalirun -fuse=off` selects.  Results, byte counts and
-	// contents are identical either way; only message counts and timing
-	// change.
-	NoFuse bool
+	// Reference runs every forall through the reference executor
+	// (forall.Engine.Reference: the paper's Figure 3 literally — per
+	// loop, blocking sends, fixed-order drain, no fusion, no row
+	// kernels, no pooled buffers) instead of the production wavefront;
+	// `kalirun -ref` sets it.  The differential oracle: results, byte
+	// and flop counts are identical either way; production sends
+	// fewer-or-equal messages and its simulated clocks are no later.
+	Reference bool
 	// Machine, when non-nil, runs the program on this existing machine
 	// (reset first) instead of building a fresh one — the schedule
 	// server's pool-reuse path.  It is honored only when its processor
@@ -236,24 +231,24 @@ func Run(cfg Config, prog func(ctx *Context)) Report {
 			panic(err)
 		}
 	}
-	return runOn(m, cfg.NoOverlap, cfg.NoFuse, cfg.Store, prog)
+	return runOn(m, cfg.Reference, cfg.Store, prog)
 }
 
 // RunOn executes prog on an existing machine (reset first), allowing
-// reuse across experiments.  Engines run with default options (overlap
-// and fusion on, no shared store); use Run with a Config to ablate.
+// reuse across experiments.  Engines run with default options (the
+// production executor, no shared store); use Run with a Config for the
+// reference executor or a store.
 func RunOn(m *machine.Machine, prog func(ctx *Context)) Report {
-	return runOn(m, false, false, nil, prog)
+	return runOn(m, false, nil, prog)
 }
 
-func runOn(m *machine.Machine, noOverlap, noFuse bool, store *forall.SharedStore, prog func(ctx *Context)) Report {
+func runOn(m *machine.Machine, reference bool, store *forall.SharedStore, prog func(ctx *Context)) Report {
 	m.Reset()
 	grid := topology.MustGrid(m.P())
 	engines := make([]*forall.Engine, m.P())
 	m.Run(func(n *machine.Node) {
 		eng := forall.NewEngine(n)
-		eng.NoOverlap = noOverlap
-		eng.NoFuse = noFuse
+		eng.Reference = reference
 		eng.Store = store
 		ctx := &Context{
 			Node: n,

@@ -66,12 +66,12 @@ func drawCase(r *rand.Rand) equivCase {
 }
 
 // equivExec selects one executor variant for a case: the schedule path
-// (compile-time unless forced/enumerated) and the execution discipline
-// (split-phase overlap by default, phase-synchronous with noOverlap).
+// (compile-time unless forced/enumerated) and the executor (production
+// by default, the Figure 3 oracle with reference).
 type equivExec struct {
 	force     bool
 	enumerate bool
-	noOverlap bool
+	reference bool
 }
 
 // runEquivCase executes the case's program on the given machine with
@@ -90,7 +90,7 @@ func runEquivCase(c equivCase, m *machine.Machine, ex equivExec) ([]float64, mac
 		b.EachLocal(func(gl int) { b.Set1(gl, 0) })
 		eng := NewEngine(nd)
 		eng.ForceInspector = ex.force
-		eng.NoOverlap = ex.noOverlap
+		eng.Reference = ex.reference
 
 		var loop *Loop
 		if c.affine {
@@ -171,15 +171,16 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestOverlapExecutorBackendMatrix is the full equivalence matrix:
-// {overlap, phase-sync} × {sim, wall} × {compile-time, inspector,
-// enumerate} over random distributions, reads and on-clauses.  All
-// four backend/overlap combinations of one executor kind must produce
-// bit-identical array contents and identical machine-wide Stats
-// (overlap moves traffic off the critical path; it never changes the
-// traffic), and the simulated clock with overlap may only shrink
-// relative to phase-sync, never grow.
-func TestOverlapExecutorBackendMatrix(t *testing.T) {
+// TestExecutorBackendMatrix is the full equivalence matrix: {prod,
+// ref} × {sim, wall} × {compile-time, inspector, enumerate} over random
+// distributions, reads and on-clauses.  Every loop here runs alone — a
+// window of one — so all four backend/executor combinations of one
+// schedule kind must produce bit-identical array contents and
+// identical machine-wide Stats (production moves traffic off the
+// critical path; it never changes the traffic), and the production
+// simulated clock may only shrink relative to the reference, never
+// grow.
+func TestExecutorBackendMatrix(t *testing.T) {
 	type kind struct {
 		name      string
 		force     bool
@@ -197,20 +198,20 @@ func TestOverlapExecutorBackendMatrix(t *testing.T) {
 		for _, k := range kinds {
 			var refVals []float64
 			var refStats machine.Stats
-			var simClock [2]float64 // indexed by noOverlap
+			var simClock [2]float64 // prod, ref
 			first := true
 			for _, backend := range []string{"sim", "wall"} {
-				for _, noOv := range []bool{false, true} {
+				for _, ref := range []bool{false, true} {
 					var m *machine.Machine
 					if backend == "sim" {
 						m = sim.MustNew(c.p, machine.Ideal())
 					} else {
 						m = wallclock.MustNew(c.p, machine.Ideal())
 					}
-					ex := equivExec{force: k.force, enumerate: k.enumerate, noOverlap: noOv}
+					ex := equivExec{force: k.force, enumerate: k.enumerate, reference: ref}
 					vals, stats, clock := runEquivCase(c, m, ex)
 					if backend == "sim" {
-						if noOv {
+						if ref {
 							simClock[1] = clock
 						} else {
 							simClock[0] = clock
@@ -222,31 +223,31 @@ func TestOverlapExecutorBackendMatrix(t *testing.T) {
 					}
 					for i := range vals {
 						if vals[i] != refVals[i] {
-							t.Fatalf("trial %d %s %s overlap=%v (%+v): element %d differs: %v vs %v",
-								trial, k.name, backend, !noOv, c, i, vals[i], refVals[i])
+							t.Fatalf("trial %d %s %s ref=%v (%+v): element %d differs: %v vs %v",
+								trial, k.name, backend, ref, c, i, vals[i], refVals[i])
 						}
 					}
 					if stats != refStats {
-						t.Fatalf("trial %d %s %s overlap=%v (%+v): stats differ: %+v vs %+v",
-							trial, k.name, backend, !noOv, c, stats, refStats)
+						t.Fatalf("trial %d %s %s ref=%v (%+v): stats differ: %+v vs %+v",
+							trial, k.name, backend, ref, c, stats, refStats)
 					}
 				}
 			}
 			if simClock[0] > simClock[1] {
-				t.Fatalf("trial %d %s (%+v): overlap grew the simulated clock: %.9g > %.9g",
+				t.Fatalf("trial %d %s (%+v): production grew the simulated clock over the reference: %.9g > %.9g",
 					trial, k.name, c, simClock[0], simClock[1])
 			}
 		}
 	}
 }
 
-// TestOverlapEquivalenceRedistribution runs a redistribute ping-pong
-// with foralls between the remaps through the same matrix: overlap ×
+// TestExecutorEquivalenceRedistribution runs a redistribute ping-pong
+// with foralls between the remaps through the same matrix: executor ×
 // backend must leave values and Stats identical (redistribution itself
-// stays on blocking sends), and overlap may only shrink sim clocks.
-func TestOverlapEquivalenceRedistribution(t *testing.T) {
+// stays on blocking sends), and production may only shrink sim clocks.
+func TestExecutorEquivalenceRedistribution(t *testing.T) {
 	const n, p = 48, 4
-	run := func(m *machine.Machine, noOverlap bool) ([]float64, machine.Stats, float64) {
+	run := func(m *machine.Machine, reference bool) ([]float64, machine.Stats, float64) {
 		g := topology.MustGrid(p)
 		db := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
 		dc := dist.Must([]int{n}, []dist.DimSpec{dist.CyclicDim()}, g)
@@ -258,7 +259,7 @@ func TestOverlapEquivalenceRedistribution(t *testing.T) {
 			a.EachLocal(func(gl int) { a.Set1(gl, float64(gl)*1.25) })
 			b.EachLocal(func(gl int) { b.Set1(gl, 0) })
 			eng := NewEngine(nd)
-			eng.NoOverlap = noOverlap
+			eng.Reference = reference
 			fwd := &Loop{
 				Name: "rd.fwd", Lo: 1, Hi: n - 1,
 				On: b, OnF: analysis.Identity,
@@ -292,33 +293,33 @@ func TestOverlapEquivalenceRedistribution(t *testing.T) {
 	}
 
 	refVals, refStats, _ := run(sim.MustNew(p, machine.Ideal()), false)
-	_, _, simSync := run(sim.MustNew(p, machine.Ideal()), true)
-	simOverlap := 0.0
+	_, _, simRef := run(sim.MustNew(p, machine.Ideal()), true)
+	simProd := 0.0
 	for _, backend := range []string{"sim", "wall"} {
-		for _, noOv := range []bool{false, true} {
+		for _, ref := range []bool{false, true} {
 			var m *machine.Machine
 			if backend == "sim" {
 				m = sim.MustNew(p, machine.Ideal())
 			} else {
 				m = wallclock.MustNew(p, machine.Ideal())
 			}
-			vals, stats, clock := run(m, noOv)
-			if backend == "sim" && !noOv {
-				simOverlap = clock
+			vals, stats, clock := run(m, ref)
+			if backend == "sim" && !ref {
+				simProd = clock
 			}
 			for i := range vals {
 				if vals[i] != refVals[i] {
-					t.Fatalf("%s overlap=%v: element %d differs: %v vs %v",
-						backend, !noOv, i, vals[i], refVals[i])
+					t.Fatalf("%s ref=%v: element %d differs: %v vs %v",
+						backend, ref, i, vals[i], refVals[i])
 				}
 			}
 			if stats != refStats {
-				t.Fatalf("%s overlap=%v: stats differ: %+v vs %+v", backend, !noOv, stats, refStats)
+				t.Fatalf("%s ref=%v: stats differ: %+v vs %+v", backend, ref, stats, refStats)
 			}
 		}
 	}
-	if simOverlap > simSync {
-		t.Fatalf("overlap grew the simulated clock: %.9g > %.9g", simOverlap, simSync)
+	if simProd > simRef {
+		t.Fatalf("production grew the simulated clock over the reference: %.9g > %.9g", simProd, simRef)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"kali/internal/analysis"
 	"kali/internal/comm"
 	"kali/internal/crystal"
+	"kali/internal/darray"
 	"kali/internal/index"
 	"kali/internal/machine"
 )
@@ -151,43 +152,24 @@ func sortedKeys(m map[int]index.Set) []int {
 }
 
 // finalizePeers precomputes every communication partner and message
-// size once at build time — per slot (outPeers/inPeers, for the
-// NoCombine ablation) and combined across slots (sendTo/recvFrom, for
-// the default coalesced one-message-per-processor-pair path) — so the
-// replay hot path never walks maps or allocates peer lists.
+// size once at build time — combined across slots (sendTo/recvFrom: one
+// coalesced message per processor pair) — together with the plan of the
+// window holding just this loop, so the replay hot path never walks
+// maps, allocates peer lists or pending-receive slots.
 func finalizePeers(s *Schedule) {
 	sendAll := map[int]int{}
 	recvAll := map[int]int{}
 	for _, as := range s.arrays {
 		for _, q := range as.out.Receivers() {
-			n := as.out.CountTo(q)
-			as.outPeers = append(as.outPeers, peerCount{q, n})
-			sendAll[q] += n
+			sendAll[q] += as.out.CountTo(q)
 		}
 		for _, q := range as.in.Senders() {
-			n := as.in.CountFrom(q)
-			as.inPeers = append(as.inPeers, peerCount{q, n})
-			recvAll[q] += n
+			recvAll[q] += as.in.CountFrom(q)
 		}
 	}
 	s.sendTo = peersOf(sendAll)
 	s.recvFrom = peersOf(recvAll)
-
-	// Preallocate the split-phase drain's pending-receive slots (both
-	// message layouts — which one runs is an executor-time choice), so
-	// overlap replay allocates nothing.
-	s.recvReqs = make([]machine.Request, len(s.recvFrom))
-	s.recvDone = make([]bool, len(s.recvFrom))
-	for i, pc := range s.recvFrom {
-		s.recvReqs[i] = machine.Request{From: pc.q, Tag: machine.TagData}
-	}
-	for k, as := range s.arrays {
-		for _, pc := range as.inPeers {
-			s.ncRecv = append(s.ncRecv, slotPeer{slot: k, pc: pc})
-			s.ncReqs = append(s.ncReqs, machine.Request{From: pc.q, Tag: tagFor(k)})
-		}
-	}
-	s.ncDone = make([]bool, len(s.ncReqs))
+	s.plan = buildWindowPlan([]*Schedule{s})
 }
 
 func peersOf(byQ map[int]int) []peerCount {
@@ -256,7 +238,6 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 	// Recording pass: run the body with an inspecting Env.
 	env := &Env{
 		mode:     modeInspect,
-		eng:      e,
 		node:     e.node,
 		core:     c,
 		arrays:   arrays,
@@ -406,54 +387,35 @@ func (e *Engine) exchange(parcels []crystal.Parcel) []crystal.Parcel {
 // warmed communication pattern replays without allocating.
 var payloadPool comm.BufPool
 
-// execute runs the split-phase form of the paper's Figure 3 pipeline
-// with a prepared schedule, for loops of either rank: post sends →
-// compute interior (execLocal) → drain receives → compute boundary
-// (execNonlocal).  By default sends are nonblocking and the drain
-// completes peers as their messages arrive, so communication overlaps
-// the interior compute; with Engine.NoOverlap the same traffic moves
-// through blocking sends and a fixed-order drain — the paper's
-// phase-synchronous executor, kept as the differential oracle.  The
-// schedule is structural; the loop's own arrays are bound to its slots
-// here, in the same first-appearance order assembleArrays used, so a
-// shared schedule executes correctly against whichever loop adopted
-// it.  On the cached-replay path this function allocates nothing: the
-// Env, write log, peer lists, pending-receive slots, receive buffers
-// and message payloads are all reused.
-func (e *Engine) execute(c *loopCore, s *Schedule, env *Env) {
-	env.reset(e, c, s, modeExecLocal)
-	bindArrays(env, c)
-
-	e.postSends(s, env)
-	e.runInterior(c, s, env) // posted sends are in flight
-	e.drainRecvs(c, s)
-	e.runBoundary(c, s, env)
-	env.commit()
-}
-
 // runInterior runs the local iterations (Figure 3's local loop) of a
 // loop whose Env is in modeExecLocal.  It is the one place the segment
-// dispatch lives — single loops and fused windows both come through
-// here: each interior segment is offered whole to the loop's Segment
-// body, and runs through Body per element when there is none or it
-// declines.
+// dispatch lives: each interior segment is offered whole to the loop's
+// Segment body, and runs through Body per element when there is none or
+// it declines.
 func (e *Engine) runInterior(c *loopCore, s *Schedule, env *Env) {
 	e.interiorIters += s.nLocal
 	for _, sg := range s.execLocal {
-		switch {
-		case c.runSegment(sg, env):
+		if c.runSegment(sg, env) {
 			e.segmentIters += sg.hi - sg.lo + 1
-		case c.rank == 1:
-			for i := sg.lo; i <= sg.hi; i++ {
-				e.node.ChargeLoopIter()
-				c.l1.Body(i, env)
-			}
-		default:
-			for j := sg.lo; j <= sg.hi; j++ {
-				e.node.ChargeLoopIter()
-				c.l2.Body(sg.i, j, env)
-			}
+		} else {
+			e.runPerElement(c, sg, env)
 		}
+	}
+}
+
+// runPerElement runs one interior segment through Body, an iteration
+// at a time.
+func (e *Engine) runPerElement(c *loopCore, sg segment, env *Env) {
+	if c.rank == 1 {
+		for i := sg.lo; i <= sg.hi; i++ {
+			e.node.ChargeLoopIter()
+			c.l1.Body(i, env)
+		}
+		return
+	}
+	for j := sg.lo; j <= sg.hi; j++ {
+		e.node.ChargeLoopIter()
+		c.l2.Body(sg.i, j, env)
 	}
 }
 
@@ -472,122 +434,39 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 	}
 }
 
-// bindArrays binds the loop's distinct read arrays to the schedule's
-// slots (appendDistinct order, the same the build used), reusing
-// env.arrays' backing storage.
-func bindArrays(env *Env, c *loopCore) {
-	env.arrays = appendDistinct(env.arrays[:0], c.reads)
-}
-
-// postSends ships this node's out sets: per-Range bulk copies from
-// local storage into a pooled payload.  The per-byte message charge
-// (paid at both ends by Send/Recv) covers the pack/unpack copies.  By
-// default all arrays' data for one destination travel in a single
-// combined message (the paper's message-combining), posted with ISend
-// so the wire time overlaps the interior compute; NoOverlap uses
-// blocking Send, NoCombine one message per (array, destination).
-func (e *Engine) postSends(s *Schedule, env *Env) {
-	if e.NoCombine {
-		for k, as := range s.arrays {
-			arr := env.arrays[k]
-			for _, pc := range as.outPeers {
-				pb := payloadPool.Get(pc.n)
-				off := 0
-				for _, r := range as.out.RangesTo(pc.q) {
-					arr.CopyLinearRange(r.Low, r.High, pb.Vals[off:off+r.Len()])
-					off += r.Len()
-				}
-				if e.NoOverlap {
-					e.node.Send(pc.q, tagFor(k), pb, 8*off)
-				} else {
-					e.node.ISend(pc.q, tagFor(k), pb, 8*off)
-				}
-			}
-		}
-		return
-	}
-	for _, pc := range s.sendTo {
-		pb := payloadPool.Get(pc.n)
-		off := 0
-		for k, as := range s.arrays {
-			arr := env.arrays[k]
-			for _, r := range as.out.RangesTo(pc.q) {
-				arr.CopyLinearRange(r.Low, r.High, pb.Vals[off:off+r.Len()])
-				off += r.Len()
-			}
-		}
-		if e.NoOverlap {
-			e.node.Send(pc.q, machine.TagData, pb, 8*off)
-		} else {
-			e.node.ISend(pc.q, machine.TagData, pb, 8*off)
+// packCombined gathers everything slot-bound arrays owe peer q into
+// vals — per-Range bulk copies from local storage, all arrays' data for
+// the one destination in a single combined message (the paper's
+// message-combining) — and returns the element count.  The per-byte
+// message charge (paid at both ends by the transport) covers the
+// pack/unpack copies.
+func packCombined(s *Schedule, arrays []*darray.Array, q int, vals []float64) int {
+	off := 0
+	for k, as := range s.arrays {
+		arr := arrays[k]
+		for _, r := range as.out.RangesTo(q) {
+			arr.CopyLinearRange(r.Low, r.High, vals[off:off+r.Len()])
+			off += r.Len()
 		}
 	}
-}
-
-// drainRecvs completes this node's in sets before the boundary pass;
-// each record lands in the slot's receive buffer with one bulk copy,
-// and the payload goes back to the pool.  The overlap drain waits on
-// all pending peers at once (schedule-preallocated request slots) and
-// unpacks whichever message is available — senders write disjoint
-// buffer regions, so completion order cannot change results; NoOverlap
-// drains in fixed ascending-peer order, blocking per peer.
-func (e *Engine) drainRecvs(c *loopCore, s *Schedule) {
-	switch {
-	case e.NoCombine && e.NoOverlap:
-		for k, as := range s.arrays {
-			for _, pc := range as.inPeers {
-				msg := e.node.Recv(pc.q, tagFor(k))
-				pb := msg.Payload.(*comm.Payload)
-				as.in.Unpack(pc.q, pb.Vals, as.buf)
-				payloadPool.Put(pb)
-			}
-		}
-	case e.NoCombine:
-		for i := range s.ncDone {
-			s.ncDone[i] = false
-		}
-		for range s.ncRecv {
-			i, msg := e.node.WaitAny(s.ncReqs, s.ncDone)
-			s.ncDone[i] = true
-			sp := s.ncRecv[i]
-			as := s.arrays[sp.slot]
-			pb := msg.Payload.(*comm.Payload)
-			as.in.Unpack(sp.pc.q, pb.Vals, as.buf)
-			payloadPool.Put(pb)
-		}
-	case e.NoOverlap:
-		for _, pc := range s.recvFrom {
-			msg := e.node.Recv(pc.q, machine.TagData)
-			e.unpackCombined(c, s, pc.q, msg)
-		}
-	default:
-		for i := range s.recvDone {
-			s.recvDone[i] = false
-		}
-		for range s.recvFrom {
-			i, msg := e.node.WaitAny(s.recvReqs, s.recvDone)
-			s.recvDone[i] = true
-			e.unpackCombined(c, s, s.recvFrom[i].q, msg)
-		}
-	}
+	return off
 }
 
 // unpackCombined scatters one combined message from peer q into every
-// slot's receive buffer.
-func (e *Engine) unpackCombined(c *loopCore, s *Schedule, q int, msg machine.Message) {
-	pb := msg.Payload.(*comm.Payload)
+// slot's receive buffer, one bulk copy per record; senders write
+// disjoint buffer regions, so completion order cannot change results.
+func unpackCombined(c *loopCore, s *Schedule, q int, vals []float64) {
 	off := 0
 	for _, as := range s.arrays {
 		n := as.in.CountFrom(q)
 		if n == 0 {
 			continue
 		}
-		as.in.Unpack(q, pb.Vals[off:off+n], as.buf)
+		as.in.Unpack(q, vals[off:off+n], as.buf)
 		off += n
 	}
-	if off != len(pb.Vals) {
+	if off != len(vals) {
 		panic(fmt.Sprintf("forall %s: combined message from %d has %d values, schedules expect %d",
-			c.name, q, len(pb.Vals), off))
+			c.name, q, len(vals), off))
 	}
-	payloadPool.Put(pb)
 }

@@ -32,7 +32,6 @@ const (
 // all writes through Write/WriteAt.
 type Env struct {
 	mode  int
-	eng   *Engine
 	node  *machine.Node
 	core  *loopCore
 	sched *Schedule
@@ -68,18 +67,19 @@ type write struct {
 	v float64
 }
 
-// reset prepares a (possibly pooled) Env for one execution.  The
-// arrays and writes slices keep their backing storage so a cached
-// replay allocates nothing; writes is empty here because commit
-// truncates it.
-func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, mode int) {
-	e.mode = mode
-	e.eng = eng
+// reset prepares the engine's pooled Env for one execution of loop c's
+// local iterations, with arrays bound to the schedule's slots.  The
+// writes slice keeps its backing storage so a cached replay allocates
+// nothing; commit leaves it empty, a body that panicked may not have.
+func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, arrays []*darray.Array) {
+	e.mode = modeExecLocal
 	e.node = eng.node
 	e.core = c
 	e.sched = s
+	e.arrays = arrays
 	e.builders = nil
 	e.iterNonlocal = false
+	e.writes = e.writes[:0]
 	e.spanRefused = e.spanRefused[:0]
 	e.enumRecord = e.enumRecord[:0]
 	e.enumList = nil

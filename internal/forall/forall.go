@@ -345,11 +345,9 @@ type peerCount struct{ q, n int }
 // arrays.  buf is the slot's receive buffer, allocated once at build
 // time and reused by every replay.
 type arraySched struct {
-	in       *comm.InSet
-	out      *comm.OutSet
-	buf      []float64
-	outPeers []peerCount // receivers of this slot's data, ascending
-	inPeers  []peerCount // senders of this slot's data, ascending
+	in  *comm.InSet
+	out *comm.OutSet
+	buf []float64
 }
 
 // enumRef is one resolved reference of a Saltz-style enumerated
@@ -359,14 +357,6 @@ type enumRef struct {
 	Slot int
 	G    int
 	Buf  int
-}
-
-// slotPeer is one (array slot, sending peer) pair of the NoCombine
-// receive schedule, flattened so the overlap drain can wait on all
-// slots' messages at once instead of slot by slot.
-type slotPeer struct {
-	slot int
-	pc   peerCount
 }
 
 // Schedule is the result of inspecting/analyzing one loop shape on one
@@ -392,15 +382,11 @@ type Schedule struct {
 	// allocating.
 	sendTo   []peerCount
 	recvFrom []peerCount
-	// Pending-receive slots for the split-phase drain, preallocated at
-	// build time so overlap replay stays zero-alloc: recvReqs/recvDone
-	// parallel recvFrom (combined messages), ncRecv/ncReqs/ncDone
-	// flatten every (slot, peer) of the NoCombine path.
-	recvReqs []machine.Request
-	recvDone []bool
-	ncRecv   []slotPeer
-	ncReqs   []machine.Request
-	ncDone   []bool
+	// plan is the drain/send layout of the window holding just this
+	// schedule's loop, built once with the peer lists so replaying a
+	// single loop never touches the engine's bounded plan store (which
+	// serves windows of two or more loops).
+	plan *windowPlan
 	// enum[k] lists every resolved reference of nonlocal iteration
 	// execNonlocal[k], in body order — row-major for rank-2 loops
 	// (Loop.Enumerate / Loop2.Enumerate only).
@@ -537,29 +523,16 @@ type Engine struct {
 	NoCache bool
 	// ForceInspector disables the compile-time path (ABL3).
 	ForceInspector bool
-	// NoCombine sends each array's data to a peer as a separate
-	// message.  By default the executor combines all arrays' data for
-	// the same destination into one message, as the paper's
-	// implementation does ("sorting by processor id also allowed us to
-	// combine messages between the same two processors, thus saving on
-	// the number of messages").
-	NoCombine bool
-	// NoOverlap restores the phase-synchronous executor the paper
-	// describes literally: blocking sends whose wire time lands on the
-	// sender's critical path, and a fixed-order receive drain.  By
-	// default execution is split-phase — nonblocking sends posted
-	// before the interior compute, boundary receives drained after it —
-	// so communication overlaps the local iterations.  The traffic is
-	// identical either way (same messages, same counts, same
-	// contents); only its placement relative to compute changes, which
-	// makes this flag the differential oracle for the overlap path.
-	NoOverlap bool
-	// NoFuse disables cross-loop message aggregation: RunSequence
-	// degrades to sequential Run/Run2 calls — the phase-per-loop
-	// executor kept as the differential oracle for the fusion path
-	// (kalirun -fuse=off).  Fusion also stands down automatically under
-	// NoOverlap and NoCombine, whose oracle semantics it composes with.
-	NoFuse bool
+	// Reference runs every loop through the reference executor
+	// (reference.go) instead of the production wavefront (fuse.go): the
+	// paper's Figure 3 taken literally, one loop at a time.  Both
+	// combine all arrays' data for one destination into one message, as
+	// the paper's implementation does ("sorting by processor id also
+	// allowed us to combine messages between the same two processors,
+	// thus saving on the number of messages"), so contents, byte and
+	// flop counts are identical and only clocks (and, across fusion
+	// windows, envelope counts) differ: the differential oracle.
+	Reference bool
 	// Store, when non-nil, is the cross-tenant content-addressed store
 	// (store.go): before building a shareable schedule the engine
 	// consults it (adopting blueprints other programs built, possibly
@@ -578,23 +551,21 @@ type Engine struct {
 	interiorIters int
 	segmentIters  int
 
-	// Fusion state: the bounded fused-plan store (fuse.go), the
-	// schedule-id mint backing its keys, and the window counter tests
-	// and benches use to assert fusion actually engaged.
-	fusedPlans   *lru.Cache[uint64, *fusedPlan]
+	// Fusion state: the bounded store of multi-loop window plans
+	// (fuse.go), the schedule-id mint backing its keys, and the window
+	// counter tests and benches use to assert fusion actually engaged.
+	fusedPlans   *lru.Cache[uint64, *windowPlan]
 	sidCounter   uint64
 	fusedWindows int
 
 	// Replay scratch, reused across executions so a cached replay
-	// allocates nothing.  Guarded by inRun: a (pathological) nested Run
-	// from inside a loop body falls back to fresh allocations.
-	inRun   bool
-	coreBuf loopCore
-	envBuf  Env
-
-	// Sequence scratch (RunSequence): lowered cores, per-window
-	// schedules, accumulated window writes, and per-loop slot bindings,
-	// all with recycled backing so warm fused replay allocates nothing.
+	// allocates nothing: the Env, Run/Run2's sequence of one, and for
+	// the loops of one RunSequence call their lowered cores, per-window
+	// schedules, accumulated window writes, and per-loop slot bindings.
+	// inRun guards it: a Run from inside a loop body panics.
+	inRun     bool
+	envBuf    Env
+	one       [1]SeqLoop
 	seqCores  []loopCore
 	seqScheds []*Schedule
 	seqWrites []*darray.Array
@@ -607,7 +578,7 @@ func NewEngine(n *machine.Node) *Engine {
 		node:       n,
 		cache:      map[schedKey]*cacheEntry{},
 		shared:     lru.New[shareKey, *Schedule](sharedScheduleCap),
-		fusedPlans: lru.New[uint64, *fusedPlan](fusedPlanCap),
+		fusedPlans: lru.New[uint64, *windowPlan](fusedPlanCap),
 	}
 }
 
@@ -651,11 +622,12 @@ func (e *Engine) SharedEvictions() int { return e.shared.Evictions() }
 // has executed through RunSequence.
 func (e *Engine) FusedWindows() int { return e.fusedWindows }
 
-// FusedPlans returns the number of fused plans currently cached.
+// FusedPlans returns the number of multi-loop window plans currently
+// cached (a single loop's plan lives on its Schedule).
 func (e *Engine) FusedPlans() int { return e.fusedPlans.Len() }
 
-// FusedPlanEvictions returns how many fused plans the bounded store
-// has evicted for capacity.
+// FusedPlanEvictions returns how many multi-loop window plans the
+// bounded store has evicted for capacity.
 func (e *Engine) FusedPlanEvictions() int { return e.fusedPlans.Evictions() }
 
 // Schedule returns the cached schedule of a rank-1 loop, or nil if the
@@ -694,48 +666,17 @@ func (e *Engine) InvalidateAll() {
 
 // Run executes one rank-1 forall: schedule acquisition is timed under
 // the "inspector" phase (zero-cost when cached or compile-time
-// analyzed), execution under "executor".
+// analyzed), execution under "executor".  A single loop is a sequence
+// of one — a fusion window of one (fuse.go).
 func (e *Engine) Run(l *Loop) {
-	e.validate(l)
-	c, env := e.acquire()
-	defer e.release(c)
-	l.lower(c)
-	e.runCore(c, env)
+	e.one[0] = SeqLoop{L: l}
+	e.RunSequence(e.one[:])
 }
 
 // Run2 executes a two-dimensional forall through the same pipeline.
 func (e *Engine) Run2(l *Loop2) {
-	e.validate2(l)
-	c, env := e.acquire()
-	defer e.release(c)
-	l.lower(c)
-	e.runCore(c, env)
-}
-
-// acquire hands out the engine's reusable loopCore/Env scratch, or
-// fresh values if a Run is already active on this engine.
-func (e *Engine) acquire() (*loopCore, *Env) {
-	if e.inRun {
-		return new(loopCore), new(Env)
-	}
-	e.inRun = true
-	return &e.coreBuf, &e.envBuf
-}
-
-// release returns the scratch (a no-op for nested fresh values).
-func (e *Engine) release(c *loopCore) {
-	if c == &e.coreBuf {
-		e.inRun = false
-	}
-}
-
-// runCore is the shared schedule-then-execute pipeline.
-func (e *Engine) runCore(c *loopCore, env *Env) {
-	s := e.schedule(c)
-	phase := phaseOf(c)
-	e.node.StartPhase(phase)
-	e.execute(c, s, env)
-	e.node.StopPhase(phase)
+	e.one[0] = SeqLoop{L2: l}
+	e.RunSequence(e.one[:])
 }
 
 // phaseOf returns the timing phase the loop's execution is attributed
@@ -944,9 +885,9 @@ func depsFresh(c *loopCore, ent *cacheEntry) bool {
 
 // appendDistinct appends each read's array to dst on first appearance.
 // This single helper defines the slot order of a schedule: the build
-// path (assembleArrays), the execute-time binding (bindArrays) and the
-// share key (shareKeyOf) all derive slots from it, so they can never
-// disagree on which array occupies which slot.
+// path (assembleArrays), the execute-time binding (runWindow,
+// runReference) and the share key (shareKeyOf) all derive slots from
+// it, so they can never disagree on which array occupies which slot.
 func appendDistinct(dst []*darray.Array, reads []ReadSpec) []*darray.Array {
 	for _, r := range reads {
 		found := false
@@ -991,9 +932,6 @@ func (e *Engine) execSet(c *loopCore) []int {
 	e.node.Charge(machine.Cost{Calls: 1})
 	return set.Slice()
 }
-
-// tagFor returns the message tag for array slot k of a loop.
-func tagFor(k int) machine.Tag { return machine.TagUser + machine.Tag(k) }
 
 // recBytes is the modeled wire size of one in/out record (Figure 5:
 // two processor ids, two bounds, one pointer).

@@ -1,13 +1,21 @@
 package forall
 
 import (
+	"fmt"
+	"slices"
+
+	"kali/internal/comm"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
 )
 
-// Cross-loop message aggregation (the paper's §3.2 message-combining
-// lifted across consecutive foralls).  Within one loop the executor
+// The production executor.  Every loop executes here, through
+// runWindow: Run and Run2 as a sequence of one, RunSequence as the
+// fusion windows it finds.
+//
+// Cross-loop message aggregation is the paper's §3.2 message-combining
+// lifted across consecutive foralls.  Within one loop the executor
 // already coalesces all arrays' data for one destination into a single
 // message; RunSequence extends the same argument across a *sequence*
 // of loops: consecutive foralls whose declared reads are untouched by
@@ -19,14 +27,14 @@ import (
 // with no inter-loop barrier and no re-posting.
 //
 // The wire format is deliberately conservative: section k's payload is
-// bit-identical to the combined message loop k would send unfused, and
+// bit-identical to the combined message loop k sends on its own, and
 // it travels under its own tag (machine.FusedTag(k)), so the receive
-// side matches sections unambiguously and unpacks with the same
-// unpackCombined the unfused path uses.  Only *when* traffic moves
-// changes — contents, byte counts and per-section receive charges are
-// identical — which is what makes fused simulated clocks provably no
-// worse than unfused ones (see machine.FusedSender) and the unfused
-// executor an exact differential oracle behind Engine.NoFuse.
+// side matches sections unambiguously and unpacks them the same way.
+// Only *when* traffic moves changes — contents, byte counts and
+// per-section receive charges are identical — which is what makes
+// fused simulated clocks provably no worse than per-loop ones (see
+// machine.FusedSender) and the per-loop reference executor
+// (reference.go, Engine.Reference) an exact differential oracle.
 //
 // Legality: loop l joins the window only if none of its declared read
 // arrays was written by an earlier window loop, because its sections
@@ -50,17 +58,24 @@ type SeqLoop struct {
 	Writes []*darray.Array
 }
 
-// fusedPlanCap bounds the per-engine fused-plan store.  Plans are pure
-// functions of their component schedules, so eviction is only a
-// rebuild cost; the counter makes thrashing visible.
+// fusedPlanCap bounds the per-engine store of multi-loop window plans.
+// Plans are pure functions of their component schedules, so eviction
+// is only a rebuild cost; the counter makes thrashing visible.
 const fusedPlanCap = 32
 
-// fusedPlan is the precomputed drain/send layout of one fusion window,
+// windowPlan is the precomputed drain/send layout of one window,
 // flattened loop-major so warm replay walks slices and allocates
-// nothing.  It is keyed (and verified) by the component schedules: a
-// rebuilt or redistributed schedule has a new identity, so a stale
-// plan can never replay.
-type fusedPlan struct {
+// nothing.  The plan of a single loop is built with its Schedule and
+// lives on it; a multi-loop plan is keyed (and verified) by the
+// component schedules in the engine's bounded store: a rebuilt or
+// redistributed schedule has a new identity, so a stale plan can never
+// replay.
+type windowPlan struct {
+	// fused marks a window of two or more loops, whose sections travel
+	// under the fused tags and count in the Fused* stats; a single
+	// loop's combined messages are plain TagData traffic.  scheds is
+	// the store's verification tuple (fused plans only).
+	fused  bool
 	scheds []*Schedule
 
 	// Receive side: one entry per (window loop k, sending peer),
@@ -70,33 +85,18 @@ type fusedPlan struct {
 	// complete before their loop's drain (wall-clock backends), and
 	// remain counts down each loop's outstanding sections per window
 	// execution.
-	reqs       []machine.Request
-	done       []bool
-	firsts     []bool
-	loopOf     []int
-	reqStart   []int
-	pending    []machine.Message
-	remain     []int
-	remainInit []int
+	reqs     []machine.Request
+	done     []bool
+	firsts   []bool
+	loopOf   []int
+	reqStart []int
+	pending  []machine.Message
+	remain   []int
 
 	// Send side: sendFirst parallels the loop-major (loop, sendTo peer)
 	// posting order; a peer's first section pays the message startup,
 	// continuations only extend the wire transfer.
 	sendFirst []bool
-}
-
-// matches verifies a cached plan against the window's schedules
-// pointer-wise, guarding against sid-hash collisions.
-func (p *fusedPlan) matches(scheds []*Schedule) bool {
-	if len(p.scheds) != len(scheds) {
-		return false
-	}
-	for i, s := range scheds {
-		if p.scheds[i] != s {
-			return false
-		}
-	}
-	return true
 }
 
 // fusedKeyOf fingerprints the window's schedule tuple by the engine-
@@ -110,80 +110,102 @@ func fusedKeyOf(scheds []*Schedule) uint64 {
 	return h
 }
 
-// buildFusedPlan lays out the window's sections (cold path).
-func buildFusedPlan(scheds []*Schedule) *fusedPlan {
-	p := &fusedPlan{scheds: append([]*Schedule(nil), scheds...)}
-	seenSend := map[int]bool{}
-	seenRecv := map[int]bool{}
-	p.reqStart = make([]int, len(scheds)+1)
+// buildWindowPlan lays out the window's sections.  A cold path, but
+// one that runs with every schedule build, and a server tenant's whole
+// run is a handful of builds (the tenants table gates allocs/run): the
+// index slices are cut from one backing array and the flag slices from
+// another, and a loop that communicates with nobody has no sections to
+// allocate for.
+func buildWindowPlan(scheds []*Schedule) *windowPlan {
+	n, nReq, nSend := len(scheds), 0, 0
+	for _, s := range scheds {
+		nReq += len(s.recvFrom)
+		nSend += len(s.sendTo)
+	}
+	p := &windowPlan{
+		fused:   n > 1,
+		reqs:    make([]machine.Request, nReq),
+		pending: make([]machine.Message, nReq),
+	}
+	ints := make([]int, 2*n+1+nReq)
+	p.reqStart, p.remain, p.loopOf = ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:]
+	flags := make([]bool, 2*nReq+nSend)
+	p.done, p.firsts, p.sendFirst = flags[:nReq], flags[nReq:2*nReq], flags[2*nReq:]
+	if p.fused {
+		p.scheds = append([]*Schedule(nil), scheds...)
+	}
+	// A peer's first section in the window is the only one that counts
+	// as a message; in a window of one every section is.
+	seenSend, seenRecv := map[int]bool{}, map[int]bool{}
+	ri, si := 0, 0
 	for k, s := range scheds {
-		p.reqStart[k] = len(p.reqs)
-		for _, pc := range s.recvFrom {
-			p.reqs = append(p.reqs, machine.Request{From: pc.q, Tag: machine.FusedTag(k)})
-			p.firsts = append(p.firsts, !seenRecv[pc.q])
-			p.loopOf = append(p.loopOf, k)
-			seenRecv[pc.q] = true
+		tag := machine.TagData
+		if p.fused {
+			tag = machine.FusedTag(k)
 		}
-		p.remainInit = append(p.remainInit, len(s.recvFrom))
+		p.reqStart[k] = ri
+		for _, pc := range s.recvFrom {
+			p.reqs[ri] = machine.Request{From: pc.q, Tag: tag}
+			p.firsts[ri], p.loopOf[ri] = !seenRecv[pc.q], k
+			seenRecv[pc.q] = true
+			ri++
+		}
 		for _, pc := range s.sendTo {
-			p.sendFirst = append(p.sendFirst, !seenSend[pc.q])
+			p.sendFirst[si] = !seenSend[pc.q]
 			seenSend[pc.q] = true
+			si++
 		}
 	}
-	p.reqStart[len(scheds)] = len(p.reqs)
-	p.done = make([]bool, len(p.reqs))
-	p.pending = make([]machine.Message, len(p.reqs))
-	p.remain = make([]int, len(scheds))
+	p.reqStart[n] = ri
 	return p
 }
 
-// fusedPlanFor returns the window's plan from the engine's bounded
-// store, building on miss (or on a hash collision, which the pointer
-// check downgrades to a miss).
-func (e *Engine) fusedPlanFor(scheds []*Schedule) *fusedPlan {
+// planFor returns the window's plan: a single loop's from its schedule
+// — a V-cycle replays more distinct single loops than the bounded store
+// holds, and would thrash it — a multi-loop window's from the store,
+// building on miss (or on a hash collision, which the pointer check
+// downgrades to a miss).
+func (e *Engine) planFor(scheds []*Schedule) *windowPlan {
+	if len(scheds) == 1 {
+		return scheds[0].plan
+	}
 	key := fusedKeyOf(scheds)
-	if p, ok := e.fusedPlans.Get(key); ok && p.matches(scheds) {
+	if p, ok := e.fusedPlans.Get(key); ok && slices.Equal(p.scheds, scheds) {
 		return p
 	}
-	p := buildFusedPlan(scheds)
+	p := buildWindowPlan(scheds)
 	e.fusedPlans.Put(key, p)
 	return p
 }
 
 // RunSequence executes consecutive forall loops, aggregating messages
 // across fusion windows.  It is semantically identical to calling
-// Run/Run2 on each element in order — and degrades to exactly that
-// under NoFuse, NoOverlap or NoCombine (the differential oracles), for
-// single-loop sequences, and for nested calls from inside a loop body.
-// Fusion windows are determined from declared reads and writes only,
-// so every node partitions the sequence identically and schedule
-// builds (which may involve collectives) stay aligned.
+// Run/Run2 on each element in order.  Fusion windows are determined
+// from declared reads and writes only, so every node partitions the
+// sequence identically and schedule builds (which may involve
+// collectives) stay aligned.
 func (e *Engine) RunSequence(seq []SeqLoop) {
+	if len(seq) == 0 {
+		return
+	}
 	for i := range seq {
 		if (seq[i].L == nil) == (seq[i].L2 == nil) {
 			panic("forall: SeqLoop needs exactly one of L and L2")
 		}
 	}
-	if e.NoFuse || e.NoOverlap || e.NoCombine || e.inRun || len(seq) < 2 {
-		for i := range seq {
-			if l := seq[i].L; l != nil {
-				e.Run(l)
-			} else {
-				e.Run2(seq[i].L2)
-			}
-		}
-		return
+	// The replay scratch (and the Env the bodies run against) exists
+	// once per engine, so a loop body may not start another loop on it;
+	// the language rejects nested foralls, and the library says so
+	// rather than corrupt the running loop's state.
+	if e.inRun {
+		panic(fmt.Sprintf("forall %s: Run from inside a running forall body (nested foralls are not supported)", seq[0].name()))
 	}
 	e.inRun = true
-	defer func() { e.inRun = false }()
-
-	cores := e.seqCores
-	if cap(cores) < len(seq) {
-		cores = make([]loopCore, len(seq))
-	} else {
-		cores = cores[:len(seq)]
+	defer func() { e.inRun = false }() // the engine survives a panicking body
+	if cap(e.seqCores) < len(seq) {
+		e.seqCores = make([]loopCore, len(seq))
 	}
-	e.seqCores = cores
+	cores := e.seqCores[:len(seq)]
 	for i := range seq {
 		if l := seq[i].L; l != nil {
 			e.validate(l)
@@ -195,14 +217,17 @@ func (e *Engine) RunSequence(seq []SeqLoop) {
 	}
 	for i := 0; i < len(seq); {
 		j := e.windowEnd(seq, cores, i)
-		if j-i < 2 {
-			e.runCore(&cores[i], &e.envBuf)
-			i++
-			continue
-		}
 		e.runWindow(cores[i:j])
 		i = j
 	}
+}
+
+// name returns the element's loop name.
+func (sl SeqLoop) name() string {
+	if sl.L != nil {
+		return sl.L.Name
+	}
+	return sl.L2.Name
 }
 
 // windowEnd returns the greedy fusion window starting at loop i: loops
@@ -236,25 +261,44 @@ func readsAnyOf(c *loopCore, w []*darray.Array) bool {
 	return false
 }
 
-// runWindow executes one fusion window: acquire every loop's schedule,
-// post all loops' sections loop-major, then run the loops in program
-// order, each draining only its own sections before its boundary pass.
-// Warm replay (all schedules cached, plan cached) allocates nothing.
+// runWindow executes one window of n ≥ 1 loops: acquire every loop's
+// schedule, post all loops' sections loop-major, then run the loops in
+// program order, each draining only its own sections before its
+// boundary pass.  The schedules are structural; each loop's own arrays
+// are bound to its slots here, in the same first-appearance order
+// assembleArrays used, so a shared schedule executes correctly against
+// whichever loop adopted it.  Warm replay (all schedules cached, plan
+// cached) allocates nothing: the Env, write log, peer lists,
+// pending-receive slots, receive buffers and message payloads are all
+// reused.
 func (e *Engine) runWindow(cores []loopCore) {
-	n := len(cores)
+	if e.Reference {
+		for k := range cores {
+			e.runReference(&cores[k])
+		}
+		return
+	}
 	scheds := e.seqScheds[:0]
 	for k := range cores {
 		scheds = append(scheds, e.schedule(&cores[k]))
 	}
 	e.seqScheds = scheds
+	plan := e.planFor(scheds)
+	if plan.fused {
+		e.fusedWindows++
+	}
+	// Clear the drain state of the last execution (and whatever a window
+	// a panicking body aborted left stashed).
+	for i := range plan.done {
+		plan.done[i] = false
+		plan.pending[i] = machine.Message{}
+	}
+	for k := range plan.remain {
+		plan.remain[k] = plan.reqStart[k+1] - plan.reqStart[k]
+	}
 
-	plan := e.fusedPlanFor(scheds)
-	e.fusedWindows++
-
-	// Bind each loop's distinct read arrays to its schedule's slots
-	// (appendDistinct order, as bindArrays does for single loops).
 	slots := e.seqSlots
-	for len(slots) < n {
+	for len(slots) < len(cores) {
 		slots = append(slots, nil)
 	}
 	e.seqSlots = slots
@@ -262,71 +306,68 @@ func (e *Engine) runWindow(cores []loopCore) {
 		slots[k] = appendDistinct(slots[k][:0], cores[k].reads)
 	}
 
-	for i := range plan.done {
-		plan.done[i] = false
-		plan.pending[i] = machine.Message{}
-	}
-	copy(plan.remain, plan.remainInit)
-
 	// Post every loop's sections before the first loop's interior
-	// compute, under its phase: the aggregated send of the window.
+	// compute, under its phase: the aggregated send of the window.  A
+	// single loop is timed under one span — posting included, as Figure
+	// 3 is one executor — and a fused window under a posting span plus
+	// one span per loop; the two are not interchangeable, because phase
+	// times are float sums and (t1-t0)+(t2-t1) need not equal t2-t0.
 	ph0 := phaseOf(&cores[0])
 	e.node.StartPhase(ph0)
-	e.postFusedSends(plan)
-	e.node.StopPhase(ph0)
+	e.postSections(plan, scheds)
+	if plan.fused {
+		e.node.StopPhase(ph0)
+	}
 
 	env := &e.envBuf
 	for k := range cores {
-		c := &cores[k]
-		s := plan.scheds[k]
+		c, s := &cores[k], scheds[k]
 		ph := phaseOf(c)
-		e.node.StartPhase(ph)
-		env.reset(e, c, s, modeExecLocal)
-		bindArrays(env, c)
-		e.runInterior(c, s, env)
-		e.drainFused(plan, cores, k)
+		if plan.fused {
+			e.node.StartPhase(ph)
+		}
+		env.reset(e, c, s, slots[k])
+		e.runInterior(c, s, env) // posted sends are in flight
+		e.drainSections(plan, c, s, k)
 		e.runBoundary(c, s, env)
 		env.commit()
 		e.node.StopPhase(ph)
 	}
 }
 
-// postFusedSends packs and posts every window loop's sections in
-// loop-major order, so the first loop's sections enter the network
-// interface at exactly the clocks the unfused executor would post
-// them, and later loops' sections follow immediately on the same
+// postSections packs and posts every window loop's sections in loop-major
+// order into pooled payloads, so the first loop's sections enter the
+// network interface at exactly the clocks it would post them on its
+// own, and later loops' sections follow immediately on the same
 // timeline instead of waiting out the intervening compute.
-func (e *Engine) postFusedSends(p *fusedPlan) {
+func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 	si := 0
-	for k, s := range p.scheds {
-		slots := e.seqSlots[k]
+	for k, s := range scheds {
 		for _, pc := range s.sendTo {
 			pb := payloadPool.Get(pc.n)
-			off := 0
-			for sl, as := range s.arrays {
-				arr := slots[sl]
-				for _, r := range as.out.RangesTo(pc.q) {
-					arr.CopyLinearRange(r.Low, r.High, pb.Vals[off:off+r.Len()])
-					off += r.Len()
-				}
+			off := packCombined(s, e.seqSlots[k], pc.q, pb.Vals)
+			if p.fused {
+				e.node.ISendFused(pc.q, machine.FusedTag(k), pb, 8*off, p.sendFirst[si])
+			} else {
+				e.node.ISend(pc.q, machine.TagData, pb, 8*off)
 			}
-			e.node.ISendFused(pc.q, machine.FusedTag(k), pb, 8*off, p.sendFirst[si])
 			si++
 		}
 	}
 }
 
-// drainFused completes loop k's sections before its boundary pass.
-// Completion order is the transport's (slice order on the simulator,
-// physical arrival order on wall-clock backends); a section that
-// outruns its loop is stashed and unpacked only when its loop drains,
-// because window loops may share one Schedule — and therefore one set
-// of receive buffers — which an early unpack would overwrite before
-// the earlier loop's boundary pass reads it.
-func (e *Engine) drainFused(p *fusedPlan, cores []loopCore, k int) {
+// drainSections completes loop k's sections before its boundary pass and
+// returns their payloads to the pool.  Completion order is the
+// transport's (slice order on the simulator, physical arrival order on
+// wall-clock backends); a section that outruns its loop is stashed and
+// unpacked only when its loop drains, because window loops may share
+// one Schedule — and therefore one set of receive buffers — which an
+// early unpack would overwrite before the earlier loop's boundary pass
+// reads it.
+func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
 	for i := p.reqStart[k]; i < p.reqStart[k+1]; i++ {
 		if p.pending[i].Payload != nil {
-			e.unpackCombined(&cores[k], p.scheds[k], p.reqs[i].From, p.pending[i])
+			unpackPooled(c, s, p.pending[i])
 			p.pending[i] = machine.Message{}
 		}
 	}
@@ -336,9 +377,17 @@ func (e *Engine) drainFused(p *fusedPlan, cores []loopCore, k int) {
 		j := p.loopOf[i]
 		p.remain[j]--
 		if j == k {
-			e.unpackCombined(&cores[k], p.scheds[k], p.reqs[i].From, msg)
+			unpackPooled(c, s, msg)
 		} else {
 			p.pending[i] = msg
 		}
 	}
+}
+
+// unpackPooled scatters one received section into the schedule's
+// buffers and recycles its payload.
+func unpackPooled(c *loopCore, s *Schedule, msg machine.Message) {
+	pb := msg.Payload.(*comm.Payload)
+	unpackCombined(c, s, msg.From, pb.Vals)
+	payloadPool.Put(pb)
 }

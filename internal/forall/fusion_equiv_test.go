@@ -16,12 +16,14 @@ import (
 
 // Fusion-equivalence property: cross-loop aggregation changes *when*
 // messages move, never what they carry, so over random loop sequences
-// the matrix {fused, unfused} × {sim, wall} × {compile-time,
-// inspector, enumerate} must produce bit-identical array contents,
-// identical per-fuse-setting Stats across backends, identical byte
-// totals fused vs unfused, message counts that only shrink, and warm
-// simulated clocks that only shrink.  Mirrors backend_equiv_test.go's
-// overlap matrix one level up the pipeline.
+// the matrix {prod, ref} × {sim, wall} × {compile-time, inspector,
+// enumerate} must produce bit-identical array contents, identical
+// per-executor Stats across backends, identical byte and flop totals
+// prod vs ref, message counts that only shrink, and warm simulated
+// clocks that only shrink.  Mirrors backend_equiv_test.go's single-loop
+// matrix one level up the pipeline: there every window has one loop,
+// here production fuses and the per-loop reference executor is the
+// oracle.
 
 // fuseLoop is one randomly drawn loop of a sequence over the case's
 // array pool: dst = f(src [, src2]) with affine offsets, or an
@@ -94,7 +96,7 @@ func drawFuseCase(r *rand.Rand, indirect bool) fuseCase {
 type fuseExec struct {
 	force     bool // ForceInspector
 	enumerate bool // Enumerate on the indirect loops
-	fuse      bool
+	reference bool // the per-loop oracle instead of fusing production
 }
 
 // runFuseCase executes the case's sequence on the given machine:
@@ -125,7 +127,7 @@ func runFuseCase(c fuseCase, m *machine.Machine, ex fuseExec) ([]float64, machin
 		}
 		eng := NewEngine(nd)
 		eng.ForceInspector = ex.force
-		eng.NoFuse = !ex.fuse
+		eng.Reference = ex.reference
 
 		var seq []SeqLoop
 		for k, fl := range c.loops {
@@ -220,25 +222,25 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 				warm  float64
 				win   int
 			}
-			get := func(backend string, fuse bool) cell {
+			get := func(backend string, reference bool) cell {
 				var m *machine.Machine
 				if backend == "sim" {
 					m = sim.MustNew(c.p, machine.NCUBE7())
 				} else {
 					m = wallclock.MustNew(c.p, machine.NCUBE7())
 				}
-				ex := fuseExec{force: k.force, enumerate: k.enumerate, fuse: fuse}
+				ex := fuseExec{force: k.force, enumerate: k.enumerate, reference: reference}
 				vals, stats, warm, win := runFuseCase(c, m, ex)
 				return cell{vals, stats, warm, win}
 			}
-			simF, simU := get("sim", true), get("sim", false)
-			wallF, wallU := get("wall", true), get("wall", false)
+			simF, simU := get("sim", false), get("sim", true)
+			wallF, wallU := get("wall", false), get("wall", true)
 
 			// Contents: bit-identical across all four cells.
 			for _, o := range []struct {
 				name string
 				c    cell
-			}{{"sim unfused", simU}, {"wall fused", wallF}, {"wall unfused", wallU}} {
+			}{{"sim ref", simU}, {"wall prod", wallF}, {"wall ref", wallU}} {
 				for i := range simF.vals {
 					if o.c.vals[i] != simF.vals[i] {
 						t.Fatalf("trial %d %s (%+v): %s element %d differs: %v vs %v",
@@ -246,28 +248,29 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 					}
 				}
 			}
-			// Stats: backend-independent for each fuse setting.
+			// Stats: backend-independent for each executor.
 			if simF.stats != wallF.stats {
-				t.Fatalf("trial %d %s (%+v): fused stats differ across backends: sim %+v, wall %+v",
+				t.Fatalf("trial %d %s (%+v): production stats differ across backends: sim %+v, wall %+v",
 					trial, k.name, c, simF.stats, wallF.stats)
 			}
 			if simU.stats != wallU.stats {
-				t.Fatalf("trial %d %s (%+v): unfused stats differ across backends: sim %+v, wall %+v",
+				t.Fatalf("trial %d %s (%+v): reference stats differ across backends: sim %+v, wall %+v",
 					trial, k.name, c, simU.stats, wallU.stats)
 			}
-			// Fusion never changes the bytes moved, only the envelope
-			// count; the unfused oracle must see no fused traffic at all.
-			if simF.stats.BytesSent != simU.stats.BytesSent {
-				t.Fatalf("trial %d %s (%+v): fused bytes %d != unfused bytes %d",
-					trial, k.name, c, simF.stats.BytesSent, simU.stats.BytesSent)
+			// Fusion never changes the bytes moved or the arithmetic done,
+			// only the envelope count; the reference oracle must see no
+			// fused traffic at all.
+			if simF.stats.BytesSent != simU.stats.BytesSent || simF.stats.FlopCount != simU.stats.FlopCount {
+				t.Fatalf("trial %d %s (%+v): production bytes/flops %d/%d != reference %d/%d",
+					trial, k.name, c, simF.stats.BytesSent, simF.stats.FlopCount, simU.stats.BytesSent, simU.stats.FlopCount)
 			}
 			if simF.stats.MsgsSent > simU.stats.MsgsSent {
 				t.Fatalf("trial %d %s (%+v): fusion grew message count: %d > %d",
 					trial, k.name, c, simF.stats.MsgsSent, simU.stats.MsgsSent)
 			}
-			if simU.stats.FusedMsgsSent != 0 {
-				t.Fatalf("trial %d %s: unfused run recorded %d fused messages",
-					trial, k.name, simU.stats.FusedMsgsSent)
+			if simU.stats.FusedMsgsSent != 0 || simU.win != 0 {
+				t.Fatalf("trial %d %s: reference run recorded %d fused messages, %d fusion windows",
+					trial, k.name, simU.stats.FusedMsgsSent, simU.win)
 			}
 			// Warm simulated clocks shrink-only (tiny epsilon: the same
 			// charges accumulate in a different order, so the last few

@@ -22,7 +22,7 @@ import (
 // wall-clock backend their sections from up to four neighbors complete
 // in whatever order the threads physically deliver them, exercising
 // the out-of-order stash/drain path of the wavefront executor.
-func runFusedWavefront(m *machine.Machine, pr, pc, n, sweeps, panicNode, panicSweep int, noFuse bool) []float64 {
+func runFusedWavefront(m *machine.Machine, pr, pc, n, sweeps, panicNode, panicSweep int, reference bool) []float64 {
 	g := topology.MustGrid(pr, pc)
 	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
 	out := make([]float64, 2*n*n)
@@ -40,7 +40,7 @@ func runFusedWavefront(m *machine.Machine, pr, pc, n, sweeps, panicNode, panicSw
 			}
 		}
 		eng := NewEngine(nd)
-		eng.NoFuse = noFuse
+		eng.Reference = reference
 		copyLoop := &Loop2{
 			Name: "wave.copy", LoI: 1, HiI: n, LoJ: 1, HiJ: n,
 			On:    old,
@@ -95,20 +95,20 @@ func runFusedWavefront(m *machine.Machine, pr, pc, n, sweeps, panicNode, panicSw
 }
 
 // TestWallclockFusedWavefrontStress: many fused sweeps on 8 real
-// threads must match the simulator — and the unfused oracle — bit for
-// bit, out-of-order section completion and all.  Run under -race in
-// CI.
+// threads must match the simulator — and the reference oracle — bit
+// for bit, out-of-order section completion and all.  Run under -race
+// in CI.
 func TestWallclockFusedWavefrontStress(t *testing.T) {
 	const pr, pc, n, sweeps = 4, 2, 32, 40
 	want := runFusedWavefront(sim.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, -1, -1, false)
-	unfused := runFusedWavefront(sim.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, -1, -1, true)
+	ref := runFusedWavefront(sim.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, -1, -1, true)
 	got := runFusedWavefront(wallclock.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, -1, -1, false)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("element %d differs after %d fused sweeps: wall %v, sim %v", i, sweeps, got[i], want[i])
 		}
-		if unfused[i] != want[i] {
-			t.Fatalf("element %d differs from the unfused oracle: fused %v, unfused %v", i, want[i], unfused[i])
+		if ref[i] != want[i] {
+			t.Fatalf("element %d differs from the reference oracle: fused %v, reference %v", i, want[i], ref[i])
 		}
 	}
 }

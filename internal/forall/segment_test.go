@@ -28,12 +28,17 @@ type segRun struct {
 	segment  int
 }
 
-// runSegJacobi runs sweeps of the copy/relax pair on a 2×2 grid —
-// through RunSequence, so every loop is a fusion window of its own
-// or part of one — with or without Segment bodies on the loops.
-func runSegJacobi(t *testing.T, mach *machine.Machine, n, sweeps int, withSegment, fused bool) segRun {
+// runSegJacobi runs sweeps of the copy/relax pair, both loops carrying
+// Segment bodies, on a 2×2 grid (1×1 on a one-node machine) — through
+// RunSequence when fused, else each loop on its own — on the production
+// executor, which dispatches interiors to the Segment bodies, or on the
+// reference executor, which never calls them.
+func runSegJacobi(t *testing.T, mach *machine.Machine, n, sweeps int, reference, fused bool) segRun {
 	t.Helper()
 	g := topology.MustGrid(2, 2)
+	if mach.P() == 1 {
+		g = topology.MustGrid(1, 1)
+	}
 	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
 	out := segRun{u: make([]float64, n*n)}
 	var mu sync.Mutex
@@ -67,51 +72,50 @@ func runSegJacobi(t *testing.T, mach *machine.Machine, n, sweeps int, withSegmen
 				e.Write2(u, i, j, x)
 			},
 		}
-		if withSegment {
-			// The same loops a row at a time: charges in the order Body
-			// makes them, on the held clock.
-			cell, cost, ok := nd.ClockCell()
-			if !ok {
-				t.Error("no clock cell")
+		// The same loops a row at a time: charges in the order Body
+		// makes them, on the held clock.
+		cell, cost, ok := nd.ClockCell()
+		if !ok {
+			t.Error("no clock cell")
+		}
+		copyLoop.Segment = func(i, jLo, jHi int, e *Env) bool {
+			src, dst := u.Span2(i, jLo, jHi), e.WriteSpan2(old, i, jLo, jHi)
+			if src == nil || dst == nil {
+				return false
 			}
-			copyLoop.Segment = func(i, jLo, jHi int, e *Env) bool {
-				src, dst := u.Span2(i, jLo, jHi), e.WriteSpan2(old, i, jLo, jHi)
-				if src == nil || dst == nil {
-					return false
-				}
-				clk := *cell
-				for k := range dst {
-					clk += cost.LoopIter
-					clk += cost.MemRef
-					clk += cost.MemRef
-					dst[k] = src[k]
-				}
-				*cell = clk
-				return true
+			clk := *cell
+			for k := range dst {
+				clk += cost.LoopIter
+				clk += cost.MemRef
+				clk += cost.MemRef
+				dst[k] = src[k]
 			}
-			relaxLoop.Segment = func(i, jLo, jHi int, e *Env) bool {
-				up, dn := old.Span2(i-1, jLo, jHi), old.Span2(i+1, jLo, jHi)
-				mid := old.Span2(i, jLo-1, jHi+1)
-				dst := e.WriteSpan2(u, i, jLo, jHi)
-				if up == nil || dn == nil || mid == nil || dst == nil {
-					return false
-				}
-				clk := *cell
-				for k := range dst {
-					clk += cost.LoopIter
-					for m := 0; m < 4; m++ {
-						clk += cost.MemRef
-					}
-					clk += 9 * cost.Flop
-					clk += cost.MemRef
-					dst[k] = 0.25 * (up[k] + dn[k] + mid[k] + mid[k+2])
-				}
-				*cell = clk
-				nd.AddFlopCount(int64(9 * len(dst)))
-				return true
+			*cell = clk
+			return true
+		}
+		relaxLoop.Segment = func(i, jLo, jHi int, e *Env) bool {
+			up, dn := old.Span2(i-1, jLo, jHi), old.Span2(i+1, jLo, jHi)
+			mid := old.Span2(i, jLo-1, jHi+1)
+			dst := e.WriteSpan2(u, i, jLo, jHi)
+			if up == nil || dn == nil || mid == nil || dst == nil {
+				return false
 			}
+			clk := *cell
+			for k := range dst {
+				clk += cost.LoopIter
+				for m := 0; m < 4; m++ {
+					clk += cost.MemRef
+				}
+				clk += 9 * cost.Flop
+				clk += cost.MemRef
+				dst[k] = 0.25 * (up[k] + dn[k] + mid[k] + mid[k+2])
+			}
+			*cell = clk
+			nd.AddFlopCount(int64(9 * len(dst)))
+			return true
 		}
 		eng := NewEngine(nd)
+		eng.Reference = reference
 		seq := []SeqLoop{
 			{L2: copyLoop, Writes: []*darray.Array{old}},
 			{L2: relaxLoop, Writes: []*darray.Array{u}},
@@ -141,39 +145,49 @@ func runSegJacobi(t *testing.T, mach *machine.Machine, n, sweeps int, withSegmen
 	return out
 }
 
-// TestSegmentDispatchMatchesPerElement: a loop run through its Segment
-// body and the same loop run per element through Body leave identical
-// arrays, Stats and — on the simulator — clocks, through both the
-// single-loop executor and RunSequence, on both backends; and with a
-// Segment body every interior iteration goes through it.
+// TestSegmentDispatchMatchesPerElement: loops run through their
+// Segment bodies by the production executor and the same loops run per
+// element through Body by the reference executor leave identical
+// arrays, traffic and flop counts, alone and through RunSequence, on
+// both backends; with a Segment body every production interior
+// iteration goes through it, and the reference never calls one.  On
+// the simulator production clocks can only be earlier — and on one
+// node, where there is nothing to overlap and the Segment dispatch is
+// the only difference left, they are the same bits.
 func TestSegmentDispatchMatchesPerElement(t *testing.T) {
 	const n, sweeps = 20, 3
-	backends := map[string]func() *machine.Machine{
-		"sim":  func() *machine.Machine { return sim.MustNew(4, machine.NCUBE7()) },
-		"wall": func() *machine.Machine { return wallclock.MustNew(4, machine.NCUBE7()) },
+	backends := map[string]func(p int) *machine.Machine{
+		"sim":  func(p int) *machine.Machine { return sim.MustNew(p, machine.NCUBE7()) },
+		"wall": func(p int) *machine.Machine { return wallclock.MustNew(p, machine.NCUBE7()) },
 	}
 	for name, mk := range backends {
-		for _, fused := range []bool{false, true} {
-			ref := runSegJacobi(t, mk(), n, sweeps, false, fused)
-			got := runSegJacobi(t, mk(), n, sweeps, true, fused)
-			tag := fmt.Sprintf("%s fused=%v", name, fused)
-			for i := range ref.u {
-				if got.u[i] != ref.u[i] {
-					t.Fatalf("%s: u[%d] = %v by segments, want %v", tag, i, got.u[i], ref.u[i])
+		for _, p := range []int{4, 1} {
+			for _, fused := range []bool{false, true} {
+				ref := runSegJacobi(t, mk(p), n, sweeps, true, fused)
+				got := runSegJacobi(t, mk(p), n, sweeps, false, fused)
+				tag := fmt.Sprintf("%s p=%d fused=%v", name, p, fused)
+				for i := range ref.u {
+					if got.u[i] != ref.u[i] {
+						t.Fatalf("%s: u[%d] = %v by segments, want %v", tag, i, got.u[i], ref.u[i])
+					}
 				}
-			}
-			if got.stats != ref.stats {
-				t.Errorf("%s: stats %+v by segments, want %+v", tag, got.stats, ref.stats)
-			}
-			if name == "sim" && got.clock != ref.clock {
-				t.Errorf("%s: clock %v by segments, want %v (bitwise)", tag, got.clock, ref.clock)
-			}
-			if ref.segment != 0 || ref.interior == 0 {
-				t.Errorf("%s: per-element run counted %d of %d interior iterations as segment-run", tag, ref.segment, ref.interior)
-			}
-			if got.segment != got.interior || got.interior != ref.interior {
-				t.Errorf("%s: %d of %d interior iterations ran through Segment (per-element run: %d)",
-					tag, got.segment, got.interior, ref.interior)
+				// The copy loop reads nothing remote, so even the fused
+				// window sends exactly the relax loop's messages.
+				gs, rs := got.stats, ref.stats
+				if gs.MsgsSent != rs.MsgsSent || gs.MsgsReceived != rs.MsgsReceived ||
+					gs.BytesSent != rs.BytesSent || gs.FlopCount != rs.FlopCount {
+					t.Errorf("%s: stats %+v by segments, want %+v", tag, gs, rs)
+				}
+				if name == "sim" && (got.clock > ref.clock || p == 1 && got.clock != ref.clock) {
+					t.Errorf("%s: clock %v by segments, reference %v (want no later; bitwise equal on one node)", tag, got.clock, ref.clock)
+				}
+				if ref.segment != 0 || ref.interior == 0 {
+					t.Errorf("%s: reference run counted %d of %d interior iterations as segment-run", tag, ref.segment, ref.interior)
+				}
+				if got.segment != got.interior || got.interior != ref.interior {
+					t.Errorf("%s: %d of %d interior iterations ran through Segment (reference run: %d)",
+						tag, got.segment, got.interior, ref.interior)
+				}
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func (k shareKey) fingerprint() uint64 {
 
 // shareKeyOf fingerprints an analyzable loop.  Each read contributes
 // its slot index (its array's position in the appendDistinct order —
-// the same order assembleArrays builds slots in and bindArrays binds
+// the same order assembleArrays builds slots in and the executors bind
 // them in, so two reads of one array can never share with two reads of
 // different but identically-distributed arrays), its affine subscript,
 // and its array's distribution fingerprint.

@@ -257,24 +257,12 @@ func TestScheduleNoSharingForInspector(t *testing.T) {
 }
 
 // TestReplayAllocationFree: once a loop's schedule is cached and the
-// payload pool is warm, replaying it — packing, sending, receiving,
-// unpacking, running the body, committing writes — performs zero heap
-// allocations across the whole machine.  Run for both execution
-// disciplines: the phase-synchronous oracle here, the default
-// split-phase overlap in TestOverlapReplayAllocationFree (whose drain
-// uses the schedule's preallocated pending-receive slots).
+// payload pool is warm, replaying it through the production executor —
+// packing, ISend posts, interior compute, the WaitAny drain on the
+// schedule's own plan, unpacking, committing writes — performs zero
+// heap allocations across the whole machine.  (The reference executor
+// allocates by design: it pools nothing.)
 func TestReplayAllocationFree(t *testing.T) {
-	measureReplayMallocs(t, true)
-}
-
-// TestOverlapReplayAllocationFree pins the split-phase executor: warm
-// overlap replay — ISend posts, interior compute, WaitAny drain — is
-// still 0 allocs/replay machine-wide.
-func TestOverlapReplayAllocationFree(t *testing.T) {
-	measureReplayMallocs(t, false)
-}
-
-func measureReplayMallocs(t *testing.T, noOverlap bool) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -299,7 +287,6 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 			}
 		}
 		eng := NewEngine(nd)
-		eng.NoOverlap = noOverlap
 		loop := &Loop{
 			Name: "replay", Lo: 1, Hi: n - 1,
 			On: out, OnF: analysis.Identity,

@@ -149,11 +149,12 @@ func FuzzVMDifferential(f *testing.F) {
 	})
 }
 
-// diffFusion runs src with cross-loop aggregation on and off and
-// fails unless the final arrays are bit-identical and the traffic
-// differs only in the ways fusion is allowed to change it: identical
-// byte totals, message count never larger fused, and no fused traffic
-// at all in the unfused run.  The interpreter batches adjacent
+// diffFusion runs src on the production executor (cross-loop
+// aggregation on) and on the per-loop reference executor and fails
+// unless the final arrays are bit-identical and the traffic differs
+// only in the ways fusion is allowed to change it: identical byte
+// totals, message count never larger fused, and no fused traffic at
+// all in the reference run.  The interpreter batches adjacent
 // foralls through the sequence API, so generated programs (1–3
 // adjacent loops) exercise real fusion windows.
 func diffFusion(t *testing.T, src string, p int) {
@@ -166,15 +167,15 @@ func diffFusion(t *testing.T, src string, p int) {
 	if err != nil {
 		t.Fatalf("fused run: %v\n%s", err, src)
 	}
-	unfused, err := prog.Run(core.Config{P: p, Params: machine.NCUBE7(), NoFuse: true})
+	unfused, err := prog.Run(core.Config{P: p, Params: machine.NCUBE7(), Reference: true})
 	if err != nil {
-		t.Fatalf("unfused run: %v\n%s", err, src)
+		t.Fatalf("reference run: %v\n%s", err, src)
 	}
 	for name, want := range unfused.Arrays {
 		got := fused.Arrays[name]
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %v (fused), want %v (unfused)\n%s", name, i+1, got[i], want[i], src)
+				t.Fatalf("%s[%d] = %v (fused), want %v (reference)\n%s", name, i+1, got[i], want[i], src)
 			}
 		}
 	}
@@ -182,20 +183,20 @@ func diffFusion(t *testing.T, src string, p int) {
 		got := fused.IntArrays[name]
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %d (fused), want %d (unfused)\n%s", name, i+1, got[i], want[i], src)
+				t.Fatalf("%s[%d] = %d (fused), want %d (reference)\n%s", name, i+1, got[i], want[i], src)
 			}
 		}
 	}
 	if fused.Report.BytesSent != unfused.Report.BytesSent {
-		t.Fatalf("fusion changed byte total: %d fused, %d unfused\n%s",
+		t.Fatalf("fusion changed byte total: %d fused, %d reference\n%s",
 			fused.Report.BytesSent, unfused.Report.BytesSent, src)
 	}
 	if fused.Report.MsgsSent > unfused.Report.MsgsSent {
-		t.Fatalf("fusion grew message count: %d fused, %d unfused\n%s",
+		t.Fatalf("fusion grew message count: %d fused, %d reference\n%s",
 			fused.Report.MsgsSent, unfused.Report.MsgsSent, src)
 	}
 	if unfused.Report.FusedMsgs != 0 {
-		t.Fatalf("unfused run moved %d fused messages\n%s", unfused.Report.FusedMsgs, src)
+		t.Fatalf("reference run moved %d fused messages\n%s", unfused.Report.FusedMsgs, src)
 	}
 }
 

@@ -230,7 +230,10 @@ func (m *Machine) Reset() {
 // into the loop totals.  The Fused* fields count cross-loop aggregated
 // messages (first sections sent under the TagFused range): one fused
 // message replaces several per-loop messages to the same peer, so
-// MsgsSent drops while FusedMsgsSent counts what remains.
+// MsgsSent drops while FusedMsgsSent counts what remains.  Only fusion
+// windows of two or more loops count: a loop executed on its own sends
+// plain TagData messages, and the reference executor (which never
+// fuses) leaves both fields zero.
 type Stats struct {
 	MsgsSent     int
 	BytesSent    int

@@ -52,14 +52,6 @@ type Options struct {
 	// the paper's §5 comparison (ablation ABL7): no locality tests or
 	// searches during execution, more schedule storage.
 	Enumerate bool
-	// NoOverlap runs the phase-synchronous executor instead of the
-	// default split-phase communication/computation overlap.
-	NoOverlap bool
-	// NoFuse disables cross-loop message aggregation (the sweep's
-	// copy/relax pair runs through the sequence API; its window breaks
-	// on the copy's write either way, so this is a pure oracle toggle
-	// here).
-	NoFuse bool
 	// CheckConvergence adds the while-loop convergence reduction each
 	// sweep (off in the paper's timed runs, which sweep a fixed count).
 	CheckConvergence bool
@@ -115,7 +107,7 @@ func Run(opt Options) Result {
 		nodeDim = dist.MapDim(opt.Owners)
 	}
 
-	rep := core.Run(core.Config{P: opt.P, Params: opt.Params, Backend: opt.Backend, NoOverlap: opt.NoOverlap, NoFuse: opt.NoFuse}, func(ctx *core.Context) {
+	rep := core.Run(core.Config{P: opt.P, Params: opt.Params, Backend: opt.Backend}, func(ctx *core.Context) {
 		me := ctx.ID()
 		n := m.N
 
@@ -174,8 +166,7 @@ func Run(opt Options) Result {
 
 		// The sweep runs through the sequence API; the relaxation core
 		// reads old_a, which the copy writes, so the fusion window breaks
-		// between them and execution matches the per-loop pipeline
-		// exactly (fused or not).
+		// between them: each loop is a window of its own.
 		sweep := []forall.SeqLoop{
 			{L: copyLoop, Writes: []*darray.Array{oldA}},
 			{L: relaxLoop, Writes: []*darray.Array{a}},

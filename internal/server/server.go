@@ -40,9 +40,6 @@ type Config struct {
 	// StoreCap bounds the shared store's in-memory blueprint count
 	// (default forall.DefaultStoreCap).
 	StoreCap int
-	// NoOverlap/NoFuse ablate tenant engines exactly as core.Config.
-	NoOverlap bool
-	NoFuse    bool
 }
 
 // Server is a pool of machines plus a cross-tenant schedule store.
@@ -101,13 +98,11 @@ func (s *Server) release(m *machine.Machine) { s.pool <- m }
 // config returns a per-run core.Config bound to machine m.
 func (s *Server) config(m *machine.Machine) core.Config {
 	return core.Config{
-		P:         s.cfg.P,
-		Params:    s.cfg.Params,
-		Backend:   s.cfg.Backend,
-		NoOverlap: s.cfg.NoOverlap,
-		NoFuse:    s.cfg.NoFuse,
-		Machine:   m,
-		Store:     s.store,
+		P:       s.cfg.P,
+		Params:  s.cfg.Params,
+		Backend: s.cfg.Backend,
+		Machine: m,
+		Store:   s.store,
 	}
 }
 

@@ -20,8 +20,8 @@
 //
 // A minimal program — Context.Forall and Context.Forall2 dispatch to
 // the node's Engine (also reachable as ctx.Eng for cache control,
-// Engine.Schedule inspection, and the NoCache/ForceInspector/
-// NoCombine ablation switches):
+// Engine.Schedule inspection, the NoCache/ForceInspector ablation
+// switches, and the Reference executor oracle):
 //
 //	rep := kali.Run(kali.Config{P: 4, Params: kali.NCUBE7()}, func(ctx *kali.Context) {
 //	    a := ctx.BlockArray("A", 100)
