@@ -5,11 +5,10 @@ package darray
 // allocation-free ping-pong replay.
 
 import (
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
+	"kali/internal/alloctest"
+	"kali/internal/comm"
 	"kali/internal/dist"
 	"kali/internal/machine"
 	"kali/internal/machine/sim"
@@ -116,62 +115,36 @@ func TestRedistributePlanCacheKeying(t *testing.T) {
 // ping-pong cycle — pack, all-to-all, rebind, unpack — performs zero
 // heap allocations machine-wide, exactly like cached forall replay.
 func TestRedistributeReplayAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	const n, p, warmup, reps = 16, 4, 4, 12
 	g := topology.MustGrid(p)
 	rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
 	cols := dist.Must([]int{n, n}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockDim()}, g)
 	mach := sim.MustNew(p, machine.Ideal())
-
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-
-	var mallocs uint64
-	var mu sync.Mutex
+	// The message pool plus every node's partition list; each node's
+	// array keeps one partition out between remappings.
+	pin := alloctest.Pin{Held: p, Pool: func() comm.PoolStats {
+		store := storeOf(mach.Node(0))
+		st := store.pool.Stats()
+		for i := range store.parts {
+			st = st.Add(store.parts[i].Stats())
+		}
+		return st
+	}}
 	mach.Run(func(nd *machine.Node) {
 		f := func(i, j int) float64 { return float64(i*100 + j) }
 		a := New("a", rows, nd)
 		fill2(a, n, f)
-		// Warmup builds both plans and grows the pools to the pattern's
-		// peak demand; a barrier per remapping bounds in-flight payloads
-		// the same way TestReplayAllocationFree (internal/forall) bounds
-		// them per replay — without it a fast node can start the next
-		// phase while a slow receiver still holds the previous payloads.
-		for k := 0; k < warmup; k++ {
+		// A barrier per remapping, not only per cycle: without it a fast
+		// node can start the next phase while a slow receiver still
+		// holds the previous payloads.
+		pin.Run(nd, warmup, reps, func() {
 			Redistribute(a, cols)
 			nd.Barrier()
 			Redistribute(a, rows)
-			nd.Barrier()
-		}
-
-		var before, after runtime.MemStats
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			Redistribute(a, cols)
-			nd.Barrier()
-			Redistribute(a, rows)
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			mu.Lock()
-			mallocs = after.Mallocs - before.Mallocs
-			mu.Unlock()
-		}
-		nd.Barrier()
+		})
 		check2(t, nd, a, n, f)
 	})
-	if mallocs != 0 {
-		t.Errorf("cached redistribution replay allocated: %d mallocs over %d ping-pong cycles on %d nodes (want 0)",
-			mallocs, reps, p)
-	}
+	pin.Check(t, "cached redistribution replay")
 }
 
 // TestRedistributeRejectsShapeChange: remapping must preserve the

@@ -156,7 +156,7 @@ func sortedKeys(m map[int]index.Set) []int {
 // coalesced message per processor pair) — together with the plan of the
 // window holding just this loop, so the replay hot path never walks
 // maps, allocates peer lists or pending-receive slots.
-func finalizePeers(s *Schedule) {
+func (e *Engine) finalizePeers(s *Schedule) {
 	sendAll := map[int]int{}
 	recvAll := map[int]int{}
 	for _, as := range s.arrays {
@@ -169,7 +169,7 @@ func finalizePeers(s *Schedule) {
 	}
 	s.sendTo = peersOf(sendAll)
 	s.recvFrom = peersOf(recvAll)
-	s.plan = buildWindowPlan([]*Schedule{s})
+	s.plan = e.buildWindowPlan([]*Schedule{s})
 }
 
 func peersOf(byQ map[int]int) []peerCount {
@@ -379,13 +379,6 @@ func (e *Engine) exchange(parcels []crystal.Parcel) []crystal.Parcel {
 	}
 	return out
 }
-
-// payloadPool recycles executor message buffers.  It must be shared by
-// every engine (a buffer is acquired by the sender and released by the
-// receiver after unpacking), so it is package-global; being a plain
-// free list rather than a sync.Pool, it never drops buffers, and a
-// warmed communication pattern replays without allocating.
-var payloadPool comm.BufPool
 
 // runInterior runs the local iterations (Figure 3's local loop) of a
 // loop whose Env is in modeExecLocal.  It is the one place the segment

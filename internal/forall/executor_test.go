@@ -3,12 +3,12 @@ package forall
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
+	"kali/internal/comm"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
@@ -140,17 +140,11 @@ func TestWindowOfOnePinned(t *testing.T) {
 // multigrid V-cycle does), still replay without allocating and never
 // touch that store — a single loop's plan lives on its schedule.
 func TestManySingleLoopsStayAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	const nLoops, p, warmup, rounds = fusedPlanCap + 8, 4, 3, 10
 	g := topology.MustGrid(p)
 	mach := sim.MustNew(p, machine.Ideal())
+	pin := alloctest.Pin{Pool: func() comm.PoolStats { return MachinePoolStats(mach) }}
 
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-
-	var mallocs uint64
 	var evictions, plans int
 	mach.Run(func(nd *machine.Node) {
 		// Distinct sizes make distinct shapes: every loop builds its own
@@ -177,32 +171,15 @@ func TestManySingleLoopsStayAllocationFree(t *testing.T) {
 				nd.Barrier()
 			}
 		}
-		for k := 0; k < warmup; k++ {
-			round()
-		}
-		var before, after runtime.MemStats
-		nd.Barrier()
+		pin.Run(nd, warmup, rounds, round)
 		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < rounds; k++ {
-			round()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			mallocs = after.Mallocs - before.Mallocs
 			evictions, plans = eng.FusedPlanEvictions(), eng.FusedPlans()
 			if eng.Builds() != nLoops {
 				t.Errorf("%d builds for %d distinct loops", eng.Builds(), nLoops)
 			}
 		}
-		nd.Barrier()
 	})
-	if mallocs != 0 {
-		t.Errorf("%d single loops replayed round-robin allocated: %d mallocs over %d rounds (want 0)", nLoops, mallocs, rounds)
-	}
+	pin.Check(t, fmt.Sprint(nLoops, " single loops replayed round-robin"))
 	if evictions != 0 || plans != 0 {
 		t.Errorf("single loops went through the multi-loop plan store: %d plans, %d evictions (want 0, 0)", plans, evictions)
 	}

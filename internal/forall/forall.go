@@ -564,6 +564,7 @@ type Engine struct {
 	// schedules, accumulated window writes, and per-loop slot bindings.
 	// inRun guards it: a Run from inside a loop body panics.
 	inRun     bool
+	pool      *comm.BufPool // the machine's payload pool (fuse.go)
 	envBuf    Env
 	one       [1]SeqLoop
 	seqCores  []loopCore
@@ -576,6 +577,7 @@ type Engine struct {
 func NewEngine(n *machine.Node) *Engine {
 	return &Engine{
 		node:       n,
+		pool:       poolOf(n.Machine()),
 		cache:      map[schedKey]*cacheEntry{},
 		shared:     lru.New[shareKey, *Schedule](sharedScheduleCap),
 		fusedPlans: lru.New[uint64, *windowPlan](fusedPlanCap),
@@ -794,7 +796,7 @@ func (e *Engine) schedule(c *loopCore) *Schedule {
 	if adopted {
 		e.storeHits++
 	} else {
-		finalizePeers(s)
+		e.finalizePeers(s)
 		e.builds++
 	}
 	e.sidCounter++

@@ -99,6 +99,25 @@ type windowPlan struct {
 	sendFirst []bool
 }
 
+// poolTotals counts the traffic of every machine's payload pool.
+var poolTotals comm.BufPool
+
+type poolKey struct{}
+
+// poolOf returns m's payload pool, kept in the machine's Scratch: the
+// sending node's engine takes a buffer and the receiving node's
+// returns it, so one machine's engines share a pool and no other
+// machine or tenant contends for it.
+func poolOf(m *machine.Machine) *comm.BufPool {
+	return m.Scratch(poolKey{}, func() any { return &comm.BufPool{Totals: &poolTotals} }).(*comm.BufPool)
+}
+
+// PayloadPoolStats returns the process-wide totals over every
+// machine's payload pool, MachinePoolStats one machine's counters;
+// both are safe mid-execution.
+func PayloadPoolStats() comm.PoolStats                   { return poolTotals.Stats() }
+func MachinePoolStats(m *machine.Machine) comm.PoolStats { return poolOf(m).Stats() }
+
 // fusedKeyOf fingerprints the window's schedule tuple by the engine-
 // assigned schedule ids.
 func fusedKeyOf(scheds []*Schedule) uint64 {
@@ -116,7 +135,7 @@ func fusedKeyOf(scheds []*Schedule) uint64 {
 // index slices are cut from one backing array and the flag slices from
 // another, and a loop that communicates with nobody has no sections to
 // allocate for.
-func buildWindowPlan(scheds []*Schedule) *windowPlan {
+func (e *Engine) buildWindowPlan(scheds []*Schedule) *windowPlan {
 	n, nReq, nSend := len(scheds), 0, 0
 	for _, s := range scheds {
 		nReq += len(s.recvFrom)
@@ -137,6 +156,7 @@ func buildWindowPlan(scheds []*Schedule) *windowPlan {
 	// A peer's first section in the window is the only one that counts
 	// as a message; in a window of one every section is.
 	seenSend, seenRecv := map[int]bool{}, map[int]bool{}
+	sizes := make([]int, 0, 16)
 	ri, si := 0, 0
 	for k, s := range scheds {
 		tag := machine.TagData
@@ -153,10 +173,12 @@ func buildWindowPlan(scheds []*Schedule) *windowPlan {
 		for _, pc := range s.sendTo {
 			p.sendFirst[si] = !seenSend[pc.q]
 			seenSend[pc.q] = true
+			sizes = append(sizes, pc.n)
 			si++
 		}
 	}
 	p.reqStart[n] = ri
+	e.pool.Reserve(e.node.ID(), sizes)
 	return p
 }
 
@@ -173,7 +195,7 @@ func (e *Engine) planFor(scheds []*Schedule) *windowPlan {
 	if p, ok := e.fusedPlans.Get(key); ok && slices.Equal(p.scheds, scheds) {
 		return p
 	}
-	p := buildWindowPlan(scheds)
+	p := e.buildWindowPlan(scheds)
 	e.fusedPlans.Put(key, p)
 	return p
 }
@@ -344,7 +366,7 @@ func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 	si := 0
 	for k, s := range scheds {
 		for _, pc := range s.sendTo {
-			pb := payloadPool.Get(pc.n)
+			pb := e.pool.Get(pc.n)
 			off := packCombined(s, e.seqSlots[k], pc.q, pb.Vals)
 			if p.fused {
 				e.node.ISendFused(pc.q, machine.FusedTag(k), pb, 8*off, p.sendFirst[si])
@@ -367,7 +389,7 @@ func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
 	for i := p.reqStart[k]; i < p.reqStart[k+1]; i++ {
 		if p.pending[i].Payload != nil {
-			unpackPooled(c, s, p.pending[i])
+			e.unpackPooled(c, s, p.pending[i])
 			p.pending[i] = machine.Message{}
 		}
 	}
@@ -377,7 +399,7 @@ func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
 		j := p.loopOf[i]
 		p.remain[j]--
 		if j == k {
-			unpackPooled(c, s, msg)
+			e.unpackPooled(c, s, msg)
 		} else {
 			p.pending[i] = msg
 		}
@@ -386,8 +408,8 @@ func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
 
 // unpackPooled scatters one received section into the schedule's
 // buffers and recycles its payload.
-func unpackPooled(c *loopCore, s *Schedule, msg machine.Message) {
+func (e *Engine) unpackPooled(c *loopCore, s *Schedule, msg machine.Message) {
 	pb := msg.Payload.(*comm.Payload)
 	unpackCombined(c, s, msg.From, pb.Vals)
-	payloadPool.Put(pb)
+	e.pool.Put(pb)
 }

@@ -1,12 +1,12 @@
 package forall
 
 import (
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
+	"kali/internal/comm"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
@@ -132,20 +132,13 @@ func TestWallclockFusedPoisonInFlight(t *testing.T) {
 // bodies, commits — performs zero heap allocations machine-wide, like
 // the single-loop replays pinned in sharing_test.go.
 func TestFusedReplayAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	const n, p, warmup, reps = 64, 4, 5, 20
 	g := topology.MustGrid(p)
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
 	mach := sim.MustNew(p, machine.Ideal())
+	pin := alloctest.Pin{Pool: func() comm.PoolStats { return MachinePoolStats(mach) }}
 
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-
-	var mallocs uint64
 	var windows int
-	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
 		out1 := darray.New("out1", d, nd)
 		out2 := darray.New("out2", d, nd)
@@ -181,33 +174,10 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 				Writes: []*darray.Array{out2},
 			},
 		}
-		// Warmup builds both schedules, the fused plan, and grows the
-		// payload pool to peak in-flight demand (barriers bound it, as in
-		// measureReplayMallocs).
-		for k := 0; k < warmup; k++ {
-			eng.RunSequence(seq)
-			nd.Barrier()
-		}
-
-		var before, after runtime.MemStats
-		nd.Barrier()
+		pin.Run(nd, warmup, reps, func() { eng.RunSequence(seq) })
 		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			eng.RunSequence(seq)
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			mu.Lock()
-			mallocs = after.Mallocs - before.Mallocs
 			windows = eng.FusedWindows()
-			mu.Unlock()
 		}
-		nd.Barrier()
 
 		for i := 1; i < n; i++ {
 			if out1.IsLocal1(i) && out1.Get1(i) != float64(i+1) {
@@ -218,11 +188,8 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 			}
 		}
 	})
-	if windows != warmup+reps {
-		t.Fatalf("expected every sequence execution to fuse: %d windows over %d runs", windows, warmup+reps)
+	if runs := 2 * (warmup + reps); windows != runs { // the pin measures twice
+		t.Fatalf("expected every sequence execution to fuse: %d windows over %d runs", windows, runs)
 	}
-	if mallocs != 0 {
-		t.Errorf("warm fused replay allocated: %d mallocs over %d replays on %d nodes (want 0)",
-			mallocs, reps, p)
-	}
+	pin.Check(t, "warm fused replay")
 }

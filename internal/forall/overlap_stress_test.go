@@ -92,13 +92,27 @@ func TestWallclockOverlapStress(t *testing.T) {
 // TestWallclockOverlapPoisonInFlight: a node panicking while its peers
 // have ISends in flight and are blocked in the completion-order drain
 // must poison the machine — every waiter released, the panic
-// propagated by Machine.Run — rather than deadlock.
+// propagated by Machine.Run — rather than deadlock; and after Reset
+// the same machine, its queues drained of the dead run's messages and
+// its pool short of the buffers that run never returned, computes the
+// simulator's answer.
 func TestWallclockOverlapPoisonInFlight(t *testing.T) {
 	const pr, pc, n, sweeps = 4, 2, 32, 12
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected the induced node panic to propagate")
-		}
+	m := wallclock.MustNew(pr*pc, machine.Ideal())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected the induced node panic to propagate")
+			}
+		}()
+		runOverlapJacobi(m, pr, pc, n, sweeps, 5, 3)
 	}()
-	runOverlapJacobi(wallclock.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, 5, 3)
+	m.Reset()
+	want := runOverlapJacobi(sim.MustNew(pr*pc, machine.Ideal()), pr, pc, n, sweeps, -1, -1)
+	got := runOverlapJacobi(m, pr, pc, n, sweeps, -1, -1)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("element %d differs on the reset machine: wall %v, sim %v", i, got[i], want[i])
+		}
+	}
 }

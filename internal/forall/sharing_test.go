@@ -1,12 +1,11 @@
 package forall
 
 import (
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
+	"kali/internal/comm"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
@@ -263,19 +262,11 @@ func TestScheduleNoSharingForInspector(t *testing.T) {
 // heap allocations across the whole machine.  (The reference executor
 // allocates by design: it pools nothing.)
 func TestReplayAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	const n, p, warmup, reps = 64, 4, 5, 20
 	g := topology.MustGrid(p)
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
 	mach := sim.MustNew(p, machine.Ideal())
-
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-
-	var mallocs uint64
-	var mu sync.Mutex
+	pin := alloctest.Pin{Pool: func() comm.PoolStats { return MachinePoolStats(mach) }}
 	mach.Run(func(nd *machine.Node) {
 		out := darray.New("out", d, nd)
 		u := darray.New("u", d, nd)
@@ -296,35 +287,7 @@ func TestReplayAllocationFree(t *testing.T) {
 			},
 			Body: func(i int, e *Env) { e.Write(out, i, e.Read(u, i+1)+e.Read(v, i+1)) },
 		}
-		// Warmup builds the schedule and grows the payload pool to the
-		// pattern's peak in-flight demand.  The per-replay barriers (in
-		// both loops) bound that demand: they stop a fast node from
-		// racing several replays ahead of a slow receiver, which would
-		// keep unreturned payloads in flight and force pool growth at
-		// an arbitrary later point.
-		for k := 0; k < warmup; k++ {
-			eng.Run(loop)
-			nd.Barrier()
-		}
-
-		var before, after runtime.MemStats
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			eng.Run(loop)
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			mu.Lock()
-			mallocs = after.Mallocs - before.Mallocs
-			mu.Unlock()
-		}
-		nd.Barrier()
+		pin.Run(nd, warmup, reps, func() { eng.Run(loop) })
 
 		for i := 1; i < n; i++ {
 			if out.IsLocal1(i) && out.Get1(i) != float64(i+1)+float64(100*(i+1)) {
@@ -332,10 +295,7 @@ func TestReplayAllocationFree(t *testing.T) {
 			}
 		}
 	})
-	if mallocs != 0 {
-		t.Errorf("cached replay allocated: %d mallocs over %d replays on %d nodes (want 0)",
-			mallocs, reps, p)
-	}
+	pin.Check(t, "cached replay")
 }
 
 // TestRedistributeInvalidatesCachedSchedules: redistributing an array

@@ -122,7 +122,7 @@ func (e *Engine) instantiate(bp *Blueprint) *Schedule {
 		as.buf = make([]float64, sp.InTotal)
 		s.arrays = append(s.arrays, as)
 	}
-	finalizePeers(s)
+	e.finalizePeers(s)
 	return s
 }
 
@@ -293,8 +293,3 @@ func (s *SharedStore) Stats() StoreStats {
 	}
 	return st
 }
-
-// PayloadPoolStats snapshots the package-global executor payload pool
-// shared by every engine in the process; safe mid-execution (the
-// counters are atomic — see comm.BufPool.Stats).
-func PayloadPoolStats() comm.PoolStats { return payloadPool.Stats() }

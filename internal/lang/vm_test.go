@@ -1,12 +1,12 @@
 package lang
 
 import (
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
+	"kali/internal/alloctest"
+	"kali/internal/comm"
 	"kali/internal/core"
+	"kali/internal/forall"
 	"kali/internal/machine"
 )
 
@@ -44,9 +44,6 @@ func findForall(ss []Stmt, n int) *Forall {
 // machine.  This is the property the bytecode VM exists for: the tree
 // walker allocates a scope map and boxed values per element.
 func TestVMReplayAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	src := `
 processors Procs : array[1..P] with P in 1..4;
 const n = 64;
@@ -85,46 +82,20 @@ end.
 	}
 
 	const warmup, reps = 5, 20
-	old := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(old)
-
-	var mallocs uint64
-	var mu sync.Mutex
 	cfg := core.Config{P: el.procP, Params: machine.Ideal()}
+	mach, err := core.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Machine = mach
+	pin := alloctest.Pin{Pool: func() comm.PoolStats { return forall.MachinePoolStats(mach) }}
 	core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(prog.file, ctx, el)
 		in.declareArrays()
 		in.execStmts(prog.file.Main, nil, nil)
-		// Warmup replays grow the payload pool to the pattern's peak
-		// demand; the per-replay barriers keep a fast node from racing
-		// ahead and forcing growth at an arbitrary later point.
-		for k := 0; k < warmup; k++ {
-			in.execStmt(fa, nil, nil)
-			ctx.Node.Barrier()
-		}
-
-		var before, after runtime.MemStats
-		ctx.Node.Barrier()
-		if ctx.Node.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		ctx.Node.Barrier()
-		for k := 0; k < reps; k++ {
-			in.execStmt(fa, nil, nil)
-			ctx.Node.Barrier()
-		}
-		ctx.Node.Barrier()
-		if ctx.Node.ID() == 0 {
-			runtime.ReadMemStats(&after)
-			mu.Lock()
-			mallocs = after.Mallocs - before.Mallocs
-			mu.Unlock()
-		}
-		ctx.Node.Barrier()
+		pin.Run(ctx.Node, warmup, reps, func() { in.execStmt(fa, nil, nil) })
 	})
-	if mallocs != 0 {
-		t.Fatalf("steady-state VM replay allocated %d objects over %d replays, want 0", mallocs, reps)
-	}
+	pin.Check(t, "steady-state VM replay")
 }
 
 // TestVMStrengthReduction: affine subscripts compile to opLinI (or

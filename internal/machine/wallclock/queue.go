@@ -6,104 +6,60 @@ import (
 	"kali/internal/machine"
 )
 
-// queue is an unbounded FIFO for one ordered sender→receiver pair.
-// One goroutine pushes (the sender) and one pops (the receiver), but
-// Poison may broadcast from a third, so a mutex+cond keeps it simple
-// and race-free.  The backing array is reused once the queue drains
-// (head catches up with the tail), so steady-state schedule replay —
-// the same message pattern every round — allocates nothing here after
-// the first round establishes the high-water mark.
+// queue is an unbounded FIFO for one ordered sender→receiver pair: a
+// mutex around a slice, with no waiting of its own — the receiver
+// blocks on its doorbell and polls with tryPop.  The backing array is
+// reused once the queue drains (head catches up with the tail), so
+// steady-state schedule replay — the same message pattern every round
+// — allocates nothing here after the first rounds establish the
+// high-water mark.
 type queue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []machine.Message
-	head     int
-	poisoned bool
+	mu    sync.Mutex
+	items []machine.Message
+	head  int
 }
-
-func (q *queue) init() { q.cond = sync.NewCond(&q.mu) }
 
 func (q *queue) push(msg machine.Message) {
 	q.mu.Lock()
 	q.items = append(q.items, msg)
-	q.cond.Signal()
 	q.mu.Unlock()
 }
 
-// pop blocks until a message with the given tag is available and
-// removes it.  Tags on one pair almost always arrive in request
-// order, but a mismatch (e.g. redistribution traffic queued behind
-// loop traffic) is handled by scanning past non-matching messages
-// without consuming them.
-func (q *queue) pop(tag machine.Tag) machine.Message {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	scanned := q.head
-	for {
-		if q.poisoned {
-			panic("machine: queue poisoned by peer panic")
-		}
-		for ; scanned < len(q.items); scanned++ {
-			if q.items[scanned].Tag == tag {
-				return q.takeLocked(scanned)
-			}
-		}
-		q.cond.Wait()
-	}
-}
-
-// tryPop is pop without the wait: it removes and returns the first
-// queued message with the given tag if one is present right now.  The
-// completion-order drain (WaitAny) polls every outstanding peer with
-// it and sleeps on the receiver's notify cond — not on any one
-// queue's — when nothing is ready.
+// tryPop removes and returns the first queued message with the given
+// tag, if one is present right now.  Tags on one pair almost always
+// arrive in request order, but a mismatch (e.g. redistribution traffic
+// queued behind loop traffic) is handled by scanning past non-matching
+// messages without consuming them.
 func (q *queue) tryPop(tag machine.Tag) (machine.Message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.poisoned {
-		panic("machine: queue poisoned by peer panic")
-	}
 	for i := q.head; i < len(q.items); i++ {
-		if q.items[i].Tag == tag {
-			return q.takeLocked(i), true
+		if q.items[i].Tag != tag {
+			continue
 		}
+		msg := q.items[i]
+		if i == q.head {
+			q.items[q.head] = machine.Message{} // drop payload reference
+			q.head++
+		} else {
+			copy(q.items[i:], q.items[i+1:])
+			q.items[len(q.items)-1] = machine.Message{}
+			q.items = q.items[:len(q.items)-1]
+		}
+		if q.head == len(q.items) {
+			// Drained: rewind so the backing array is reused.
+			q.items = q.items[:0]
+			q.head = 0
+		}
+		return msg, true
 	}
 	return machine.Message{}, false
 }
 
-// takeLocked removes and returns the message at index i (mu held).
-func (q *queue) takeLocked(i int) machine.Message {
-	msg := q.items[i]
-	if i == q.head {
-		q.items[q.head] = machine.Message{} // drop payload reference
-		q.head++
-	} else {
-		copy(q.items[i:], q.items[i+1:])
-		q.items[len(q.items)-1] = machine.Message{}
-		q.items = q.items[:len(q.items)-1]
-	}
-	if q.head == len(q.items) {
-		// Drained: rewind so the backing array is reused.
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return msg
-}
-
-func (q *queue) poison() {
-	q.mu.Lock()
-	q.poisoned = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
 func (q *queue) reset() {
 	q.mu.Lock()
-	for i := range q.items {
-		q.items[i] = machine.Message{}
-	}
+	clear(q.items)
 	q.items = q.items[:0]
 	q.head = 0
-	q.poisoned = false
 	q.mu.Unlock()
 }

@@ -7,14 +7,23 @@
 // The same compiled schedules the paper's inspector/executor builds
 // (§3) run here unmodified; only the node runtime differs, turning
 // the simulator's predicted speedups (§4, Figures 7–10) into measured
-// ones.  Message queues are
-// unbounded (a send never blocks), per ordered sender→receiver pair,
-// and reuse their backing arrays once drained, so steady-state
-// schedule replay allocates nothing in the transport.
+// ones.  Message queues are unbounded (a send never blocks), per
+// ordered sender→receiver pair, and reuse their backing arrays once
+// drained, so steady-state schedule replay allocates nothing in the
+// transport.
+//
+// Everything that blocks — a drain with nothing to take, Recv, the
+// barrier — blocks in one primitive, the waiter (waiter.go), which
+// polls for a bounded time before it parks while every wall node
+// running in the process can own a processor: the awaited peer is then
+// running, and a hand-off costs a cache miss, not a thread wake-up.
 package wallclock
 
 import (
+	"runtime"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"kali/internal/machine"
 )
@@ -25,44 +34,48 @@ type transport struct {
 
 	// queues[to*p+from] carries messages from `from` to `to`.
 	queues []queue
+	nodes  []node
 
-	// notify[me] wakes node me's completion-order drain: every push
-	// toward me bumps its sequence number, so WaitAny can poll all
-	// outstanding peers and sleep on one condition variable instead of
-	// committing to a single queue.
-	notify []notify
-
-	barrier    *barrier
+	// barrier's word is the barrier's generation, arrived how many nodes
+	// wait for it to pass.
+	barrier    waiter
+	arrived    atomic.Int32
 	reduceVals []float64
 
 	epoch time.Time
-	// finished[me] freezes node me's elapsed time when its program
-	// returns, so MaxElapsed is stable after the run.  Written by node
-	// me in Done, read after Machine.Run's WaitGroup (happens-before).
-	finished []float64
-	done     []bool
 }
+
+// node is one node's share of the transport, padded so that the word
+// node i polls never shares a cache line (or the adjacent line a
+// prefetcher pairs with it) with the one node i+1 polls.
+type node struct {
+	// doorbell is bumped by every push toward the node, so its drain
+	// polls all outstanding peers and blocks in one place.
+	doorbell waiter
+	// finished freezes the node's elapsed time when its program
+	// returns, so MaxElapsed is stable after the run.  Written by the
+	// node in Done, read after Machine.Run's WaitGroup (happens-before).
+	finished float64
+	done     bool
+	_        [nodeBytes - unsafe.Sizeof(waiter{}) - 16]byte
+}
+
+const nodeBytes = 256
 
 // New builds a wall-clock machine with p nodes.  The params are kept
 // for reporting only (machine name in tables); no cost is ever
 // charged from them.
 func New(p int, params machine.Params) (*machine.Machine, error) {
+	n := max(p, 0)
 	tr := &transport{
 		p:          p,
-		barrier:    newBarrier(p),
-		reduceVals: make([]float64, maxInt(p, 0)),
-		finished:   make([]float64, maxInt(p, 0)),
-		done:       make([]bool, maxInt(p, 0)),
+		queues:     make([]queue, n*n),
+		nodes:      make([]node, n),
+		reduceVals: make([]float64, n),
 	}
-	if p > 0 {
-		tr.queues = make([]queue, p*p)
-		for i := range tr.queues {
-			tr.queues[i].init()
-		}
-		tr.notify = make([]notify, p)
-		for i := range tr.notify {
-			tr.notify[i].init()
-		}
+	tr.barrier.init()
+	for i := range tr.nodes {
+		tr.nodes[i].doorbell.init()
 	}
 	return machine.NewWith(p, params, tr)
 }
@@ -76,44 +89,44 @@ func MustNew(p int, params machine.Params) *machine.Machine {
 	return m
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (t *transport) Backend() string { return "wall" }
 func (t *transport) Virtual() bool   { return false }
 
+// Begin counts the machine's nodes as running (Done takes each out
+// again): see uncrowded.
 func (t *transport) Begin() {
-	t.epoch = time.Now()
-	for i := range t.done {
-		t.done[i] = false
-		t.finished[i] = 0
+	cpus.Store(int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU())))
+	running.Add(int32(t.p))
+	t.restart()
+}
+
+// restart stamps the epoch and marks every node unfinished.
+func (t *transport) restart() {
+	for i := range t.nodes {
+		t.nodes[i].done, t.nodes[i].finished = false, 0
 	}
+	t.epoch = time.Now()
 }
 
 func (t *transport) Done(me int) {
-	t.finished[me] = time.Since(t.epoch).Seconds()
-	t.done[me] = true
+	t.nodes[me].finished = time.Since(t.epoch).Seconds()
+	t.nodes[me].done = true
+	running.Add(-1)
 }
 
 func (t *transport) Elapsed(me int) float64 {
-	if t.done[me] {
-		return t.finished[me]
+	if t.nodes[me].done {
+		return t.nodes[me].finished
 	}
 	return time.Since(t.epoch).Seconds()
 }
 
 func (t *transport) MaxElapsed() float64 {
-	max := 0.0
-	for me := range t.finished {
-		if e := t.Elapsed(me); e > max {
-			max = e
-		}
+	slowest := 0.0
+	for me := range t.nodes {
+		slowest = max(slowest, t.Elapsed(me))
 	}
-	return max
+	return slowest
 }
 
 // Advance is a no-op: real operations take real time.
@@ -121,7 +134,7 @@ func (t *transport) Advance(me int, seconds float64) {}
 
 func (t *transport) Send(me, to int, msg machine.Message) {
 	t.queues[to*t.p+me].push(msg)
-	t.notify[to].bump()
+	t.nodes[to].doorbell.bump()
 }
 
 // ISend is Send: pushes already complete without rendezvous on this
@@ -133,20 +146,23 @@ func (t *transport) ISend(me, to int, msg machine.Message) {
 	t.Send(me, to, msg)
 }
 
+// Recv is a drain of one request.
 func (t *transport) Recv(me, from int, tag machine.Tag) machine.Message {
-	return t.queues[me*t.p+from].pop(tag)
+	req, done := [1]machine.Request{{From: from, Tag: tag}}, [1]bool{}
+	_, msg := t.WaitAny(me, req[:], done[:])
+	return msg
 }
 
 // WaitAny polls every outstanding request's queue and returns the
-// first message found; if none is ready it sleeps on the node's
-// notify cond until a new push (or Poison) arrives, then rescans.
+// first message found; if none is ready it waits on the node's
+// doorbell until a new push (or Poison) arrives, then rescans.
 // Completion order is physical arrival order, so one slow peer never
 // blocks the drain of messages that are already here.  Steady-state
 // replay allocates nothing here.
 func (t *transport) WaitAny(me int, reqs []machine.Request, done []bool) (int, machine.Message) {
-	n := &t.notify[me]
+	bell := &t.nodes[me].doorbell
 	for {
-		seq := n.snapshot()
+		seq := bell.snapshot()
 		any := false
 		for i := range reqs {
 			if done[i] {
@@ -160,46 +176,53 @@ func (t *transport) WaitAny(me int, reqs []machine.Request, done []bool) (int, m
 		if !any {
 			panic("wallclock: WaitAny with no outstanding request")
 		}
-		n.wait(seq)
+		bell.wait(seq)
 	}
 }
 
-func (t *transport) Barrier(me int) { t.barrier.wait() }
+// Barrier is a reusable counting barrier: the last of p arrivals
+// zeroes the count and bumps, the others wait for the generation they
+// arrived in to pass.  Nobody re-arrives before seeing the bump, so
+// generations cannot mix, and the arrival's add and the bump order
+// writes before the barrier ahead of reads after it (AllReduce).
+func (t *transport) Barrier(me int) {
+	gen := t.barrier.snapshot()
+	if t.arrived.Add(1) == int32(t.p) {
+		t.arrived.Store(0)
+		t.barrier.bump()
+		return
+	}
+	t.barrier.wait(gen)
+}
 
 // AllReduce combines one float64 from every node in node-id order
 // (the same deterministic order as the simulator, so results are
 // bit-identical across backends).
 func (t *transport) AllReduce(me int, x float64, op string) float64 {
 	t.reduceVals[me] = x
-	t.barrier.wait() // all writes published (barrier's mutex orders them)
+	t.Barrier(me) // all writes published (the barrier orders them)
 	acc := machine.ReduceByID(t.reduceVals, op)
 	// Second rendezvous so no node races ahead and overwrites the
 	// scratch values of a subsequent AllReduce.
-	t.barrier.wait()
+	t.Barrier(me)
 	return acc
 }
 
 func (t *transport) Poison() {
 	t.barrier.poison()
-	for i := range t.queues {
-		t.queues[i].poison()
-	}
-	for i := range t.notify {
-		t.notify[i].poison()
+	for i := range t.nodes {
+		t.nodes[i].doorbell.poison()
 	}
 }
 
 func (t *transport) Reset() {
-	t.barrier.reset()
+	t.arrived.Store(0)
+	t.barrier.seq.Store(0)
 	for i := range t.queues {
 		t.queues[i].reset()
 	}
-	for i := range t.notify {
-		t.notify[i].reset()
+	for i := range t.nodes {
+		t.nodes[i].doorbell.seq.Store(0)
 	}
-	for i := range t.done {
-		t.done[i] = false
-		t.finished[i] = 0
-	}
-	t.epoch = time.Now()
+	t.restart()
 }

@@ -48,6 +48,8 @@ type Server struct {
 	cfg   Config
 	store *forall.SharedStore
 	pool  chan *machine.Machine
+	// machines lists every pooled machine, idle or running, for Stats.
+	machines []*machine.Machine
 
 	runs atomic.Int64
 	errs atomic.Int64
@@ -74,6 +76,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.machines = append(s.machines, m)
 		s.pool <- m
 	}
 	return s, nil
@@ -158,18 +161,21 @@ type Stats struct {
 	// Store is the shared schedule store's counters (hits, builds,
 	// disk hits, singleflight waits, entries, evictions).
 	Store forall.StoreStats
-	// Pool is the engine payload buffer pool's counters.
+	// Pool sums the payload buffer pools of the server's machines.
 	Pool comm.PoolStats
 }
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Runs:     s.runs.Load(),
 		Errs:     s.errs.Load(),
 		Machines: s.cfg.Machines,
 		P:        s.cfg.P,
 		Store:    s.store.Stats(),
-		Pool:     forall.PayloadPoolStats(),
 	}
+	for _, m := range s.machines {
+		st.Pool = st.Pool.Add(forall.MachinePoolStats(m))
+	}
+	return st
 }

@@ -288,6 +288,14 @@ func TestPoolStatsMidExecution(t *testing.T) {
 	if st := srv.Stats(); st.Pool.Gets == 0 {
 		t.Fatal("payload pool never used — counter wiring broken")
 	}
+	// The counters are the server's own machines', not the process's.
+	idle, err := New(Config{P: p, Machines: 1, Params: machine.Ideal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := idle.Stats(); st.Pool.Gets != 0 {
+		t.Fatalf("a server that ran nothing reports %d pool gets", st.Pool.Gets)
+	}
 }
 
 // TestServerRecoversAfterTenantPanic: a panicking tenant surfaces as
