@@ -36,7 +36,8 @@ type TB interface {
 // Pin is one allocation pin.
 type Pin struct {
 	// Pool snapshots the pools the region draws from (summed when
-	// there are several).
+	// there are several); nil for a region that communicates nothing,
+	// of which only the malloc count is asserted.
 	Pool func() comm.PoolStats
 	// Held is how many pooled buffers stay out between steps (array
 	// partitions; 0 for message traffic).
@@ -79,9 +80,9 @@ func (p *Pin) Run(nd *machine.Node, warmup, reps int, step func()) {
 	}
 	var gc, procs int
 	var before, after runtime.MemStats
-	steps(warmup, func() { p.before = p.Pool() })
+	steps(warmup, func() { p.before = p.pool() })
 	steps(reps, func() {
-		p.after = p.Pool()
+		p.after = p.pool()
 		gc, procs = debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
 	})
 	steps(warmup, func() { runtime.ReadMemStats(&before) })
@@ -93,11 +94,18 @@ func (p *Pin) Run(nd *machine.Node, warmup, reps int, step func()) {
 	})
 }
 
+func (p *Pin) pool() comm.PoolStats {
+	if p.Pool == nil {
+		return comm.PoolStats{}
+	}
+	return p.Pool()
+}
+
 // Check reports what the region did that a warm replay must not.
 func (p *Pin) Check(t TB, what string) {
 	t.Helper()
 	b, a := p.before, p.after
-	if a.Gets == b.Gets {
+	if p.Pool != nil && a.Gets == b.Gets {
 		t.Errorf("%s: the measured region never took a pooled buffer", what)
 	}
 	if a.News != b.News {

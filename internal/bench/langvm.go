@@ -30,15 +30,20 @@ import (
 // elaboration, schedule building, payload-pool growth, machine setup.
 // ns/elem and the speedup are wall-clock measurements and therefore
 // host-dependent (excluded from the CI gate, see costColumn); the
-// allocs/elem column is gated — the VM and native rows must stay at
-// 0.00, the property the bytecode compiler exists for, while the
-// interpreter rows bound the walker's per-element scope-map and
-// boxed-value garbage.
+// allocs/elem column is gated — every row must stay at 0.00: the VM
+// and native rows because that is the property the bytecode compiler
+// exists for, the interpreter rows because the walker runs a loop's
+// iterations on one slot-indexed frame.
 func LangVM(opt Options) *Table {
-	n, s1, s2, reps := 64, 4, 24, 3
 	if opt.Quick {
-		n, s1, s2, reps = 32, 4, 20, 2
+		return langVM(32, 4, 20, 2)
 	}
+	return langVM(64, 4, 24, 3)
+}
+
+// langVM is the table at mesh size n, differencing runs of s1 and s2
+// sweeps, each timed reps times.
+func langVM(n, s1, s2, reps int) *Table {
 	h := n/2 - 1
 	t := &Table{
 		ID:    "langvm",
@@ -103,27 +108,25 @@ type langVMMeas struct {
 }
 
 // langVMDiff times run at two sweep counts and charges the difference
-// to the extra elements.  Taking the minimum over reps independently
-// for time and allocations filters scheduler and GC noise — both only
-// ever add.
+// to the extra elements.  Scheduler and GC noise only ever add, so each
+// sweep count keeps its own minimum over reps and the two minima are
+// differenced (the minimum of per-pair differences would reward a slow
+// short run).
 func langVMDiff(run func(sweeps int), s1, s2, elemsPerSweep, reps int) langVMMeas {
 	denom := float64((s2 - s1) * elemsPerSweep)
-	best := langVMMeas{nsPerElem: math.Inf(1), allocsPerElem: math.Inf(1)}
+	t1, t2 := math.Inf(1), math.Inf(1)
+	a1, a2 := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for r := 0; r < reps; r++ {
-		t1, a1 := hostMeasure(func() { run(s1) })
-		t2, a2 := hostMeasure(func() { run(s2) })
-		if ns := (t2 - t1) * 1e9 / denom; ns < best.nsPerElem {
-			best.nsPerElem = math.Max(ns, 0)
-		}
-		da := 0.0
-		if a2 > a1 {
-			da = float64(a2 - a1)
-		}
-		if al := da / denom; al < best.allocsPerElem {
-			best.allocsPerElem = al
-		}
+		t, a := hostMeasure(func() { run(s1) })
+		t1, a1 = math.Min(t1, t), min(a1, a)
+		t, a = hostMeasure(func() { run(s2) })
+		t2, a2 = math.Min(t2, t), min(a2, a)
 	}
-	return best
+	m := langVMMeas{nsPerElem: math.Max((t2-t1)*1e9/denom, 0)}
+	if a2 > a1 {
+		m.allocsPerElem = float64(a2-a1) / denom
+	}
+	return m
 }
 
 // hostMeasure runs f once, returning its wall-clock seconds and the

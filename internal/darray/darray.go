@@ -487,6 +487,10 @@ func (ia *IntArray) Get2(i, j int) int { return ia.local[ia.offset2(i, j)] }
 // Set2 is the allocation-free mutator for rank-2 arrays.
 func (ia *IntArray) Set2(i, j, v int) { ia.local[ia.offset2(i, j)] = v }
 
+// GetLinear returns the element with linearized global index g, which
+// must be local.
+func (ia *IntArray) GetLinear(g int) int { return ia.local[ia.offsetLinear(g)] }
+
 // LocalValues exposes the raw local partition.
 func (ia *IntArray) LocalValues() []int { return ia.local }
 

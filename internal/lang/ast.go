@@ -21,12 +21,46 @@ func (t BaseType) String() string {
 	}
 }
 
+// symKind says which run-time table a Symbol's slot indexes.
+type symKind int
+
+const (
+	symConst     symKind = iota // a const declaration, or the P of the processors declaration
+	symScalar                   // a declared global scalar
+	symLoopVar                  // the variable a top-level for declares implicitly
+	symRealArray                // a declared real (or boolean) array
+	symIntArray                 // a declared integer array
+	symLocal                    // a forall's index variable, declared local or implicit for variable
+)
+
+// Symbol is what a name resolves to.  The checker binds every name
+// once, at the point where it already has to look the name up, and
+// hangs the Symbol on the AST node; the interpreter and the bytecode
+// compiler index tables by Slot and never see the name again.
+type Symbol struct {
+	Name string
+	Kind symKind
+	Type BaseType // the scalar's type, or the array's element type
+	// Slot indexes the table Kind selects: the elaborated constants, the
+	// node's global frame (symScalar and symLoopVar share it), its real
+	// or integer array table, or the frame of the enclosing forall.
+	Slot int
+	decl *VarDecl // arrays only
+}
+
+func (s *Symbol) isArray() bool { return s.Kind == symRealArray || s.Kind == symIntArray }
+
 // File is a parsed program.
 type File struct {
 	Procs  *ProcsDecl
 	Consts []*ConstDecl
 	Vars   []*VarDecl
 	Main   []Stmt
+
+	// set by the checker: every declared name in declaration order, and
+	// the sizes of the four global tables their slots index.
+	syms                             []*Symbol
+	nConsts, nGlobals, nReals, nInts int
 }
 
 // ProcsDecl is "processors Procs : array[1..P] with P in lo..hi;" or,
@@ -95,6 +129,8 @@ type Assign struct {
 	Indexes []Expr // nil for scalars
 	X       Expr
 	Line    int
+
+	sym *Symbol // the target, set by the checker
 }
 
 // Forall is the parallel loop with an on clause.  Two-dimensional
@@ -113,14 +149,21 @@ type Forall struct {
 	Line     int
 
 	// set by the checker:
-	reads []*readInfo
-	deps  []string // int arrays the reference pattern depends on
-	// slotNames/intSlotNames number the real and integer arrays read
-	// in the body, in first-reference order; every ArrayRef.slot below
-	// indexes into the matching list.  The bytecode compiler binds VM
-	// array slots from this numbering.
-	slotNames    []string
-	intSlotNames []string
+	on    readInfo    // the on-clause array and its subscripts' coefficients
+	reads []*readInfo // the other distributed reads, one per schedule slot
+	deps  []*Symbol   // int arrays the reference pattern depends on
+	// frame is the size of the body's local frame.  Slots 0..rank-1 hold
+	// the index variables, the next len(Decls) the declared locals in
+	// order, the rest the variables of the body's implicit for loops.
+	frame int
+}
+
+// rank is the number of index variables.
+func (fa *Forall) rank() int {
+	if fa.Var2 != "" {
+		return 2
+	}
+	return 1
 }
 
 // LocalDecl is a per-iteration variable inside a forall.
@@ -136,6 +179,8 @@ type ForLoop struct {
 	Lo, Hi Expr
 	Body   []Stmt
 	Line   int
+
+	sym *Symbol // the loop variable, set by the checker
 }
 
 // While is a while loop.
@@ -160,6 +205,9 @@ type Reduce struct {
 	Args []string // array names
 	Into string
 	Line int
+
+	args []*Symbol // set by the checker
+	into *Symbol
 }
 
 // Redistribute is "redistribute name as [items]": rebind a distributed
@@ -170,6 +218,8 @@ type Redistribute struct {
 	Name  string
 	Items []DistItem
 	Line  int
+
+	sym *Symbol // set by the checker
 }
 
 func (*Assign) stmtNode()       {}
@@ -205,6 +255,8 @@ type BoolLit struct {
 type Ident struct {
 	Name string
 	Line int
+
+	sym *Symbol // set by the checker
 }
 
 // ArrayRef is "name[indexes]".
@@ -213,9 +265,8 @@ type ArrayRef struct {
 	Indexes []Expr
 	Line    int
 
-	// set by the checker for refs inside foralls:
-	access accessMode
-	slot   int // index into the forall's slotNames/intSlotNames
+	sym    *Symbol    // set by the checker
+	access accessMode // likewise, for refs inside foralls
 }
 
 // Unary is "-x" or "not x".
@@ -262,9 +313,8 @@ const (
 // readInfo describes one distinct distributed-array read slot of a
 // forall (feeds forall.Loop.Reads / forall.Loop2.Reads).
 type readInfo struct {
-	array  string
+	array  *Symbol
 	affine bool
-	a, c   int // filled at elaboration for affine reads
 	aExpr  Expr
 	cExpr  Expr
 	// rank-2 affine reads X[aI*i+cI, aJ*j+cJ] inside two-index foralls:

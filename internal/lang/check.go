@@ -2,28 +2,16 @@ package lang
 
 import "fmt"
 
-// symKind classifies a declared name.
-type symKind int
-
-const (
-	symConst symKind = iota
-	symScalar
-	symArray
-	symProcSize // the P of the processors declaration
-)
-
-// symbol is a checker-level binding.
-type symbol struct {
-	kind symKind
-	typ  BaseType
-	decl *VarDecl // for arrays
-}
-
-// checker performs semantic analysis and the subscript classification
-// of paper §3: each distributed-array reference in a forall is proved
-// affine (compile-time analyzable) or marked indirect (inspector).
+// checker performs semantic analysis — name resolution included: every
+// use of a name is bound to its Symbol here, once — and the subscript
+// classification of paper §3: each distributed-array reference in a
+// forall is proved affine (compile-time analyzable) or marked indirect
+// (inspector).
 type checker struct {
-	syms  map[string]*symbol
+	file *File
+	// syms is the global scope: P, consts, declared variables, and the
+	// implicit variable of each enclosing top-level for.
+	syms  map[string]*Symbol
 	procs *ProcsDecl
 	// redist names every array the program redistributes.  Such arrays
 	// lose the compiler-proven "aligned" shortcut: alignment was proved
@@ -33,22 +21,52 @@ type checker struct {
 	redist map[string]bool
 }
 
-// Check validates a parsed File and annotates its foralls.
+// fresh rejects a second declaration of a global name.
+func (c *checker) fresh(line int, name string) error {
+	if _, dup := c.syms[name]; dup {
+		return errf(line, 1, "duplicate declaration of %q", name)
+	}
+	return nil
+}
+
+// declare adds a global name, numbering it in its kind's table.
+func (c *checker) declare(name string, kind symKind, t BaseType, d *VarDecl) *Symbol {
+	n := &c.file.nGlobals
+	switch kind {
+	case symConst:
+		n = &c.file.nConsts
+	case symRealArray:
+		n = &c.file.nReals
+	case symIntArray:
+		n = &c.file.nInts
+	}
+	sym := &Symbol{Name: name, Kind: kind, Type: t, Slot: *n, decl: d}
+	*n++
+	c.syms[name] = sym
+	if kind != symLoopVar {
+		c.file.syms = append(c.file.syms, sym)
+	}
+	return sym
+}
+
+// Check validates a parsed File, binds its names and annotates its
+// foralls.
 func Check(f *File) error {
-	c := &checker{syms: map[string]*symbol{}, redist: map[string]bool{}}
+	c := &checker{file: f, syms: map[string]*Symbol{}, redist: map[string]bool{}}
 	if f.Procs == nil {
 		return errf(1, 1, "program lacks a processors declaration")
 	}
+	f.syms, f.nConsts, f.nGlobals, f.nReals, f.nInts = nil, 0, 0, 0, 0
 	collectRedist(f.Main, c.redist)
 	c.procs = f.Procs
 	if f.Procs.SizeVar != "" {
-		c.syms[f.Procs.SizeVar] = &symbol{kind: symProcSize, typ: TInt}
+		c.declare(f.Procs.SizeVar, symConst, TInt, nil)
 	}
 	for _, d := range f.Consts {
-		if _, dup := c.syms[d.Name]; dup {
-			return errf(d.Line, 1, "duplicate declaration of %q", d.Name)
+		if err := c.fresh(d.Line, d.Name); err != nil {
+			return err
 		}
-		t, err := c.exprType(d.X, nil, "")
+		t, err := c.exprType(d.X, nil)
 		if err != nil {
 			return err
 		}
@@ -58,15 +76,15 @@ func Check(f *File) error {
 		if !c.isConstExpr(d.X) {
 			return errf(d.Line, 1, "const %q is not a constant expression", d.Name)
 		}
-		c.syms[d.Name] = &symbol{kind: symConst, typ: t}
+		c.declare(d.Name, symConst, t, nil)
 	}
 	for _, d := range f.Vars {
 		for _, name := range d.Names {
-			if _, dup := c.syms[name]; dup {
-				return errf(d.Line, 1, "duplicate declaration of %q", name)
+			if err := c.fresh(d.Line, name); err != nil {
+				return err
 			}
 			if len(d.Dims) == 0 {
-				c.syms[name] = &symbol{kind: symScalar, typ: d.Elem}
+				c.declare(name, symScalar, d.Elem, nil)
 				continue
 			}
 			if d.Dist != nil {
@@ -90,10 +108,14 @@ func Check(f *File) error {
 					}
 				}
 			}
-			c.syms[name] = &symbol{kind: symArray, typ: d.Elem, decl: d}
+			kind := symRealArray
+			if d.Elem == TInt {
+				kind = symIntArray
+			}
+			c.declare(name, kind, d.Elem, d)
 		}
 	}
-	if err := c.stmts(f.Main, nil, ""); err != nil {
+	if err := c.stmts(f.Main, nil); err != nil {
 		return err
 	}
 	// Evaluate P-independent constants now (cached on the AST), so
@@ -105,25 +127,52 @@ func Check(f *File) error {
 // distributed reports whether an array declaration has a dist clause.
 func distributed(d *VarDecl) bool { return d.Dist != nil }
 
-// locals is the per-forall local scope (loop variable + var decls).
-type locals map[string]BaseType
+// locals is a forall's scope: its index variables, its declared locals
+// and the variables its body's for loops declare implicitly, each bound
+// to a slot of the forall's frame.  Slots are never reused, so n ends
+// as the frame's size.
+type locals struct {
+	syms map[string]*Symbol
+	n    int
+}
 
-// stmts checks a statement list.  loc is non-nil inside a forall (with
-// loopVar set); inside sequential for/while bodies nested in a forall
-// the same loc flows through.
-func (c *checker) stmts(ss []Stmt, loc locals, loopVar string) error {
+func (l *locals) declare(name string, t BaseType) *Symbol {
+	if l.syms == nil {
+		l.syms = map[string]*Symbol{}
+	}
+	sym := &Symbol{Name: name, Kind: symLocal, Type: t, Slot: l.n}
+	l.n++
+	l.syms[name] = sym
+	return sym
+}
+
+// lookup resolves a name: the forall's scope first (loc is nil outside
+// foralls), then the globals.
+func (c *checker) lookup(name string, loc *locals) *Symbol {
+	if loc != nil {
+		if sym := loc.syms[name]; sym != nil {
+			return sym
+		}
+	}
+	return c.syms[name]
+}
+
+// stmts checks a statement list.  loc is non-nil inside a forall;
+// inside sequential for bodies nested in a forall the same loc flows
+// through.
+func (c *checker) stmts(ss []Stmt, loc *locals) error {
 	for _, s := range ss {
-		if err := c.stmt(s, loc, loopVar); err != nil {
+		if err := c.stmt(s, loc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *checker) stmt(s Stmt, loc locals, loopVar string) error {
+func (c *checker) stmt(s Stmt, loc *locals) error {
 	switch s := s.(type) {
 	case *Assign:
-		return c.assign(s, loc, loopVar)
+		return c.assign(s, loc)
 	case *Forall:
 		if loc != nil {
 			return errf(s.Line, 1, "nested forall loops are not supported")
@@ -131,26 +180,23 @@ func (c *checker) stmt(s Stmt, loc locals, loopVar string) error {
 		return c.forall(s)
 	case *ForLoop:
 		// Pascal style: the loop variable may be a declared integer
-		// scalar; otherwise it is implicitly declared for the loop.
+		// scalar; otherwise it is implicitly declared for the loop, in a
+		// slot of its own.
 		if loc != nil {
-			if t, dup := loc[s.Var]; dup {
-				if t != TInt {
-					return errf(s.Line, 1, "loop variable %q is not an integer", s.Var)
-				}
-			} else {
-				loc[s.Var] = TInt
-				defer delete(loc, s.Var)
+			if s.sym = loc.syms[s.Var]; s.sym == nil {
+				s.sym = loc.declare(s.Var, TInt)
+				defer delete(loc.syms, s.Var)
+			} else if s.sym.Type != TInt {
+				return errf(s.Line, 1, "loop variable %q is not an integer", s.Var)
 			}
-		} else if sym, dup := c.syms[s.Var]; dup {
-			if sym.kind != symScalar || sym.typ != TInt {
-				return errf(s.Line, 1, "loop variable %q is not an integer scalar", s.Var)
-			}
-		} else {
-			c.syms[s.Var] = &symbol{kind: symScalar, typ: TInt}
+		} else if s.sym = c.syms[s.Var]; s.sym == nil {
+			s.sym = c.declare(s.Var, symLoopVar, TInt, nil)
 			defer delete(c.syms, s.Var)
+		} else if (s.sym.Kind != symScalar && s.sym.Kind != symLoopVar) || s.sym.Type != TInt {
+			return errf(s.Line, 1, "loop variable %q is not an integer scalar", s.Var)
 		}
 		for _, b := range []Expr{s.Lo, s.Hi} {
-			t, err := c.exprType(b, loc, loopVar)
+			t, err := c.exprType(b, loc)
 			if err != nil {
 				return err
 			}
@@ -158,31 +204,31 @@ func (c *checker) stmt(s Stmt, loc locals, loopVar string) error {
 				return errf(s.Line, 1, "for bounds must be integers")
 			}
 		}
-		return c.stmts(s.Body, loc, loopVar)
+		return c.stmts(s.Body, loc)
 	case *While:
 		if loc != nil {
 			return errf(s.Line, 1, "while inside forall is not supported")
 		}
-		t, err := c.exprType(s.Cond, loc, loopVar)
+		t, err := c.exprType(s.Cond, loc)
 		if err != nil {
 			return err
 		}
 		if t != TBool {
 			return errf(s.Line, 1, "while condition must be boolean")
 		}
-		return c.stmts(s.Body, loc, loopVar)
+		return c.stmts(s.Body, loc)
 	case *If:
-		t, err := c.exprType(s.Cond, loc, loopVar)
+		t, err := c.exprType(s.Cond, loc)
 		if err != nil {
 			return err
 		}
 		if t != TBool {
 			return errf(s.Line, 1, "if condition must be boolean")
 		}
-		if err := c.stmts(s.Then, loc, loopVar); err != nil {
+		if err := c.stmts(s.Then, loc); err != nil {
 			return err
 		}
-		return c.stmts(s.Else, loc, loopVar)
+		return c.stmts(s.Else, loc)
 	case *Reduce:
 		if loc != nil {
 			return errf(s.Line, 1, "reduce inside forall is not supported")
@@ -204,9 +250,10 @@ func (c *checker) stmt(s Stmt, loc locals, loopVar string) error {
 // declaration's dist clause does.
 func (c *checker) redistribute(s *Redistribute) error {
 	sym := c.syms[s.Name]
-	if sym == nil || sym.kind != symArray || !distributed(sym.decl) || sym.typ != TReal {
+	if sym == nil || sym.Kind != symRealArray || !distributed(sym.decl) || sym.Type != TReal {
 		return errf(s.Line, 1, "redistribute target %q must be a distributed real array", s.Name)
 	}
+	s.sym = sym
 	if len(s.Items) != len(sym.decl.Dims) {
 		return errf(s.Line, 1, "%q: %d dist items for %d dimensions", s.Name, len(s.Items), len(sym.decl.Dims))
 	}
@@ -230,7 +277,9 @@ func (c *checker) distItems(line int, name string, items []DistItem) error {
 				return errf(line, 1, "%q: block_cyclic size must be a constant expression", name)
 			}
 		case KWMap:
-			t, err := c.exprType(item.MapExpr, locals{item.MapVar: TInt}, "")
+			var bound locals
+			bound.declare(item.MapVar, TInt)
+			t, err := c.exprType(item.MapExpr, &bound)
 			if err != nil {
 				return err
 			}
@@ -277,8 +326,8 @@ func collectRedist(ss []Stmt, set map[string]bool) {
 }
 
 func (c *checker) reduce(s *Reduce) error {
-	sym := c.syms[s.Into]
-	if sym == nil || sym.kind != symScalar || sym.typ != TReal {
+	s.into = c.syms[s.Into]
+	if s.into == nil || s.into.Kind != symScalar || s.into.Type != TReal {
 		return errf(s.Line, 1, "reduce target %q must be a real scalar", s.Into)
 	}
 	wantArgs := map[string]int{"maxdiff": 2, "sum": 1, "max": 1, "min": 1}
@@ -289,47 +338,40 @@ func (c *checker) reduce(s *Reduce) error {
 	if len(s.Args) != n {
 		return errf(s.Line, 1, "reduce %s takes %d array(s)", s.Op, n)
 	}
+	s.args = s.args[:0]
 	for _, a := range s.Args {
 		as := c.syms[a]
-		if as == nil || as.kind != symArray || as.typ != TReal || !distributed(as.decl) {
+		if as == nil || as.Kind != symRealArray || as.Type != TReal || !distributed(as.decl) {
 			return errf(s.Line, 1, "reduce argument %q must be a distributed real array", a)
 		}
+		s.args = append(s.args, as)
 	}
 	return nil
 }
 
-func (c *checker) assign(s *Assign, loc locals, loopVar string) error {
-	// Resolve the LHS.
-	if loc != nil {
-		if t, ok := loc[s.Name]; ok {
-			if len(s.Indexes) != 0 {
-				return errf(s.Line, 1, "%q is a scalar", s.Name)
-			}
-			return c.checkAssignable(s, t, loc, loopVar)
-		}
-	}
-	sym := c.syms[s.Name]
+func (c *checker) assign(s *Assign, loc *locals) error {
+	sym := c.lookup(s.Name, loc)
 	if sym == nil {
 		return errf(s.Line, 1, "undeclared name %q", s.Name)
 	}
-	switch sym.kind {
-	case symConst, symProcSize:
+	s.sym = sym
+	switch sym.Kind {
+	case symConst:
 		return errf(s.Line, 1, "cannot assign to constant %q", s.Name)
-	case symScalar:
+	case symLocal, symScalar, symLoopVar:
 		if len(s.Indexes) != 0 {
 			return errf(s.Line, 1, "%q is a scalar", s.Name)
 		}
-		if loc != nil {
+		if loc != nil && sym.Kind != symLocal {
 			return errf(s.Line, 1, "assignment to global scalar %q inside forall", s.Name)
 		}
-		return c.checkAssignable(s, sym.typ, loc, loopVar)
-	case symArray:
+	default: // an array
 		d := sym.decl
 		if len(s.Indexes) != len(d.Dims) {
 			return errf(s.Line, 1, "%q has %d dimensions, %d indexes given", s.Name, len(d.Dims), len(s.Indexes))
 		}
 		for _, ix := range s.Indexes {
-			t, err := c.exprType(ix, loc, loopVar)
+			t, err := c.exprType(ix, loc)
 			if err != nil {
 				return err
 			}
@@ -346,23 +388,42 @@ func (c *checker) assign(s *Assign, loc locals, loopVar string) error {
 				return errf(s.Line, 1, "only real arrays may be written inside forall")
 			}
 		}
-		return c.checkAssignable(s, d.Elem, loc, loopVar)
 	}
-	return nil
-}
-
-func (c *checker) checkAssignable(s *Assign, want BaseType, loc locals, loopVar string) error {
-	t, err := c.exprType(s.X, loc, loopVar)
+	t, err := c.exprType(s.X, loc)
 	if err != nil {
 		return err
 	}
-	if want == t {
+	if t == sym.Type || (sym.Type == TReal && t == TInt) { // implicit widening
 		return nil
 	}
-	if want == TReal && t == TInt { // implicit widening
-		return nil
+	return errf(s.Line, 1, "cannot assign %s to %s", t, sym.Type)
+}
+
+// onArray resolves a forall's on-clause array, which must be
+// distributed and of the forall's rank.
+func (c *checker) onArray(fa *Forall, rank int, want string) (*Symbol, error) {
+	sym := c.syms[fa.OnArray]
+	if sym == nil || !sym.isArray() || !distributed(sym.decl) || len(sym.decl.Dims) != rank {
+		return nil, errf(fa.Line, 1, "on clause needs a distributed %s array, got %q", want, fa.OnArray)
 	}
-	return errf(s.Line, 1, "cannot assign %s to %s", t, want)
+	return sym, nil
+}
+
+// forallLocals declares the body's locals after the index variables.
+func (c *checker) forallLocals(fa *Forall, loc *locals) error {
+	for _, d := range fa.Decls {
+		if _, dup := loc.syms[d.Name]; dup {
+			return errf(d.Line, 1, "duplicate forall local %q", d.Name)
+		}
+		// Locals may shadow global scalars (each iteration has its own
+		// copy, Figure 4 style), but not arrays — an ArrayRef to the
+		// name would silently change meaning.
+		if s, shadow := c.syms[d.Name]; shadow && s.isArray() {
+			return errf(d.Line, 1, "forall local %q shadows an array", d.Name)
+		}
+		loc.declare(d.Name, d.Type)
+	}
+	return nil
 }
 
 // forall checks the loop and performs subscript classification.
@@ -373,25 +434,17 @@ func (c *checker) forall(fa *Forall) error {
 	if fa.OnIndex2 != nil {
 		return errf(fa.Line, 1, "two on-clause subscripts need a two-index forall")
 	}
-	onSym := c.syms[fa.OnArray]
-	if onSym == nil || onSym.kind != symArray || !distributed(onSym.decl) || len(onSym.decl.Dims) != 1 {
-		return errf(fa.Line, 1, "on clause needs a distributed one-dimensional array, got %q", fa.OnArray)
+	onSym, err := c.onArray(fa, 1, "one-dimensional")
+	if err != nil {
+		return err
 	}
-	loc := locals{fa.Var: TInt}
-	for _, d := range fa.Decls {
-		if _, dup := loc[d.Name]; dup {
-			return errf(d.Line, 1, "duplicate forall local %q", d.Name)
-		}
-		// Locals may shadow global scalars (each iteration has its own
-		// copy, Figure 4 style), but not arrays — an ArrayRef to the
-		// name would silently change meaning.
-		if s, shadow := c.syms[d.Name]; shadow && s.kind == symArray {
-			return errf(d.Line, 1, "forall local %q shadows an array", d.Name)
-		}
-		loc[d.Name] = d.Type
+	loc := &locals{}
+	loc.declare(fa.Var, TInt)
+	if err := c.forallLocals(fa, loc); err != nil {
+		return err
 	}
 	for _, b := range []Expr{fa.Lo, fa.Hi} {
-		t, err := c.exprType(b, nil, "")
+		t, err := c.exprType(b, nil)
 		if err != nil {
 			return err
 		}
@@ -400,18 +453,21 @@ func (c *checker) forall(fa *Forall) error {
 		}
 	}
 	// The on-clause subscript must be affine in the loop variable.
-	if _, _, ok := c.affineOf(fa.OnIndex, fa.Var); !ok {
+	aE, cE, ok := c.affineOf(fa.OnIndex, fa.Var)
+	if !ok {
 		return errf(fa.Line, 1, "on clause subscript must be affine in %q", fa.Var)
 	}
-	if t, err := c.exprType(fa.OnIndex, loc, fa.Var); err != nil {
+	fa.on = readInfo{array: onSym, affine: true, aExpr: aE, cExpr: cE}
+	if t, err := c.exprType(fa.OnIndex, loc); err != nil {
 		return err
 	} else if t != TInt {
 		return errf(fa.Line, 1, "on clause subscript must be an integer")
 	}
 
-	if err := c.stmts(fa.Body, loc, fa.Var); err != nil {
+	if err := c.stmts(fa.Body, loc); err != nil {
 		return err
 	}
+	fa.frame = loc.n
 	// Classification pass: annotate every array reference in the body.
 	return c.classify(fa)
 }
@@ -428,9 +484,9 @@ func (c *checker) forall2(fa *Forall) error {
 	if !c.procs.Rank2() {
 		return errf(fa.Line, 1, "two-index forall needs a 2-D processor array")
 	}
-	onSym := c.syms[fa.OnArray]
-	if onSym == nil || onSym.kind != symArray || !distributed(onSym.decl) || len(onSym.decl.Dims) != 2 {
-		return errf(fa.Line, 1, "on clause needs a distributed two-dimensional array, got %q", fa.OnArray)
+	onSym, err := c.onArray(fa, 2, "two-dimensional")
+	if err != nil {
+		return err
 	}
 	if fa.OnIndex2 == nil {
 		return errf(fa.Line, 1, "2-D on clause needs two subscripts")
@@ -443,31 +499,30 @@ func (c *checker) forall2(fa *Forall) error {
 	// variable, the second only the second (cross-variable forms are
 	// not affine in their own variable, because loop variables are not
 	// constants).
-	if aE, _, ok := c.affineOf(fa.OnIndex, fa.Var); !ok || aE == nil {
+	aIE, cIE, ok := c.affineOf(fa.OnIndex, fa.Var)
+	if !ok || aIE == nil {
 		return errf(fa.Line, 1, "on clause subscript must be affine in %q", fa.Var)
 	}
-	if aE, _, ok := c.affineOf(fa.OnIndex2, fa.Var2); !ok || aE == nil {
+	aJE, cJE, ok := c.affineOf(fa.OnIndex2, fa.Var2)
+	if !ok || aJE == nil {
 		return errf(fa.Line, 1, "on clause subscript must be affine in %q", fa.Var2)
 	}
-	loc := locals{fa.Var: TInt, fa.Var2: TInt}
+	fa.on = readInfo{array: onSym, affine2: true, aIExpr: aIE, cIExpr: cIE, aJExpr: aJE, cJExpr: cJE}
+	loc := &locals{}
+	loc.declare(fa.Var, TInt)
+	loc.declare(fa.Var2, TInt)
 	for _, e := range []Expr{fa.OnIndex, fa.OnIndex2} {
-		if t, err := c.exprType(e, loc, fa.Var); err != nil {
+		if t, err := c.exprType(e, loc); err != nil {
 			return err
 		} else if t != TInt {
 			return errf(fa.Line, 1, "on clause subscript must be an integer")
 		}
 	}
-	for _, d := range fa.Decls {
-		if _, dup := loc[d.Name]; dup {
-			return errf(d.Line, 1, "duplicate forall local %q", d.Name)
-		}
-		if s, shadow := c.syms[d.Name]; shadow && s.kind == symArray {
-			return errf(d.Line, 1, "forall local %q shadows an array", d.Name)
-		}
-		loc[d.Name] = d.Type
+	if err := c.forallLocals(fa, loc); err != nil {
+		return err
 	}
 	for _, b := range []Expr{fa.Lo, fa.Hi, fa.Lo2, fa.Hi2} {
-		t, err := c.exprType(b, nil, "")
+		t, err := c.exprType(b, nil)
 		if err != nil {
 			return err
 		}
@@ -475,45 +530,11 @@ func (c *checker) forall2(fa *Forall) error {
 			return errf(fa.Line, 1, "forall bounds must be integers")
 		}
 	}
-	if err := c.stmts(fa.Body, loc, fa.Var); err != nil {
+	if err := c.stmts(fa.Body, loc); err != nil {
 		return err
 	}
+	fa.frame = loc.n
 	return c.classify2(fa)
-}
-
-// slotNumberer assigns the forall's array slots: each distinct real
-// (or integer) array read in the body gets a slot in first-reference
-// order, recorded on the ArrayRef and in the forall's slot name lists.
-// The bytecode compiler binds VM array slots from this numbering.
-type slotNumberer struct {
-	fa    *Forall
-	reals map[string]int
-	ints  map[string]int
-}
-
-func newSlotNumberer(fa *Forall) *slotNumberer {
-	fa.slotNames, fa.intSlotNames = nil, nil
-	return &slotNumberer{fa: fa, reals: map[string]int{}, ints: map[string]int{}}
-}
-
-func (sn *slotNumberer) real(ref *ArrayRef) {
-	k, ok := sn.reals[ref.Name]
-	if !ok {
-		k = len(sn.fa.slotNames)
-		sn.reals[ref.Name] = k
-		sn.fa.slotNames = append(sn.fa.slotNames, ref.Name)
-	}
-	ref.slot = k
-}
-
-func (sn *slotNumberer) integer(ref *ArrayRef) {
-	k, ok := sn.ints[ref.Name]
-	if !ok {
-		k = len(sn.fa.intSlotNames)
-		sn.ints[ref.Name] = k
-		sn.fa.intSlotNames = append(sn.fa.intSlotNames, ref.Name)
-	}
-	ref.slot = k
 }
 
 // classify2 annotates references inside a two-index forall: aligned
@@ -532,42 +553,25 @@ func (c *checker) classify2(fa *Forall) error {
 			onIdentity = i1.Name == fa.Var && i2.Name == fa.Var2
 		}
 	}
-	seenIndirect := map[string]bool{}
-	seenDep := map[string]bool{}
-	sn := newSlotNumberer(fa)
-	var err error
+	seen := map[*Symbol]bool{} // indirect reads and deps already listed
 	walkStmts(fa.Body, func(e Expr) {
-		if err != nil {
-			return
-		}
 		ref, ok := e.(*ArrayRef)
 		if !ok {
 			return
 		}
-		sym := c.syms[ref.Name]
-		if sym == nil || sym.kind != symArray {
-			return
-		}
-		d := sym.decl
+		d := ref.sym.decl
 		if !distributed(d) {
 			ref.access = accReplicated
-			if d.Elem == TInt {
-				sn.integer(ref)
-			} else {
-				sn.real(ref)
-			}
 			return
 		}
 		if d.Elem == TInt {
 			ref.access = accAligned
-			sn.integer(ref)
-			if !seenDep[ref.Name] {
-				seenDep[ref.Name] = true
-				fa.deps = append(fa.deps, ref.Name)
+			if !seen[ref.sym] {
+				seen[ref.sym] = true
+				fa.deps = append(fa.deps, ref.sym)
 			}
 			return
 		}
-		sn.real(ref)
 		if len(d.Dims) == 2 {
 			// The [i,j] shortcut is provably local only when the read
 			// array shares the on array's declaration (hence its dist
@@ -577,7 +581,7 @@ func (c *checker) classify2(fa *Forall) error {
 			i1, ok1 := ref.Indexes[0].(*Ident)
 			i2, ok2 := ref.Indexes[1].(*Ident)
 			if onIdentity && ok1 && ok2 && i1.Name == fa.Var && i2.Name == fa.Var2 &&
-				d == c.syms[fa.OnArray].decl &&
+				d == fa.on.array.decl &&
 				!c.redist[ref.Name] && !c.redist[fa.OnArray] {
 				ref.access = accAligned
 				return
@@ -591,73 +595,57 @@ func (c *checker) classify2(fa *Forall) error {
 			if okI && okJ {
 				ref.access = accAffine
 				fa.reads = append(fa.reads, &readInfo{
-					array: ref.Name, affine2: true,
+					array: ref.sym, affine2: true,
 					aIExpr: aIE, cIExpr: cIE, aJExpr: aJE, cJExpr: cJE,
 				})
 				return
 			}
 		}
 		ref.access = accIndirect
-		if !seenIndirect[ref.Name] {
-			seenIndirect[ref.Name] = true
-			fa.reads = append(fa.reads, &readInfo{array: ref.Name})
+		if !seen[ref.sym] {
+			seen[ref.sym] = true
+			fa.reads = append(fa.reads, &readInfo{array: ref.sym})
 		}
 	})
-	return err
+	return nil
 }
 
 // classify walks the forall body annotating ArrayRef reads and
 // collecting the loop's read slots and dependencies.
 func (c *checker) classify(fa *Forall) error {
-	seenIndirect := map[string]bool{}
-	seenDep := map[string]bool{}
-	sn := newSlotNumberer(fa)
+	seen := map[*Symbol]bool{} // indirect reads and deps already listed
 	var err error
 	walkStmts(fa.Body, func(e Expr) {
-		if err != nil {
-			return
-		}
 		ref, ok := e.(*ArrayRef)
-		if !ok {
+		if !ok || err != nil {
 			return
 		}
-		sym := c.syms[ref.Name]
-		if sym == nil || sym.kind != symArray {
-			return // already diagnosed by type checking
-		}
-		d := sym.decl
+		d := ref.sym.decl
 		if !distributed(d) {
 			ref.access = accReplicated
-			if d.Elem == TInt {
-				sn.integer(ref)
-			} else {
-				sn.real(ref)
-			}
 			return
 		}
 		if d.Elem == TInt {
 			// Subscript arrays travel with the loop (aligned); their
 			// contents drive the reference pattern.
 			ref.access = accAligned
-			sn.integer(ref)
-			if !seenDep[ref.Name] {
-				seenDep[ref.Name] = true
-				fa.deps = append(fa.deps, ref.Name)
+			if !seen[ref.sym] {
+				seen[ref.sym] = true
+				fa.deps = append(fa.deps, ref.sym)
 			}
 			return
 		}
-		sn.real(ref)
 		switch len(d.Dims) {
 		case 1:
 			if aE, cE, ok := c.affineOf(ref.Indexes[0], fa.Var); ok {
 				ref.access = accAffine
-				fa.reads = append(fa.reads, &readInfo{array: ref.Name, affine: true, aExpr: aE, cExpr: cE})
+				fa.reads = append(fa.reads, &readInfo{array: ref.sym, affine: true, aExpr: aE, cExpr: cE})
 				return
 			}
 			ref.access = accIndirect
-			if !seenIndirect[ref.Name] {
-				seenIndirect[ref.Name] = true
-				fa.reads = append(fa.reads, &readInfo{array: ref.Name})
+			if !seen[ref.sym] {
+				seen[ref.sym] = true
+				fa.reads = append(fa.reads, &readInfo{array: ref.sym})
 			}
 		case 2:
 			// Aligned rank-2 read: first subscript is exactly the loop
@@ -672,9 +660,9 @@ func (c *checker) classify(fa *Forall) error {
 				}
 			}
 			ref.access = accIndirect
-			if !seenIndirect[ref.Name] {
-				seenIndirect[ref.Name] = true
-				fa.reads = append(fa.reads, &readInfo{array: ref.Name})
+			if !seen[ref.sym] {
+				seen[ref.sym] = true
+				fa.reads = append(fa.reads, &readInfo{array: ref.sym})
 			}
 		default:
 			err = errf(ref.Line, 1, "arrays of rank > 2 are not supported in foralls")
@@ -786,7 +774,7 @@ func (c *checker) constWith(e Expr, v string) bool {
 			return true
 		}
 		s := c.syms[e.Name]
-		return s != nil && (s.kind == symConst || s.kind == symProcSize)
+		return s != nil && s.Kind == symConst
 	case *Unary:
 		return e.Op == MINUS && c.constWith(e.X, v)
 	case *Binary:
@@ -808,7 +796,7 @@ func (c *checker) isConstExpr(e Expr) bool {
 		return true
 	case *Ident:
 		s := c.syms[e.Name]
-		return s != nil && (s.kind == symConst || s.kind == symProcSize)
+		return s != nil && s.Kind == symConst
 	case *Unary:
 		return e.Op == MINUS && c.isConstExpr(e.X)
 	case *Binary:
@@ -822,8 +810,9 @@ func (c *checker) isConstExpr(e Expr) bool {
 	}
 }
 
-// exprType infers and checks the type of an expression.
-func (c *checker) exprType(e Expr, loc locals, loopVar string) (BaseType, error) {
+// exprType infers and checks the type of an expression, binding the
+// names in it.
+func (c *checker) exprType(e Expr, loc *locals) (BaseType, error) {
 	switch e := e.(type) {
 	case *IntLit:
 		return TInt, nil
@@ -832,30 +821,27 @@ func (c *checker) exprType(e Expr, loc locals, loopVar string) (BaseType, error)
 	case *BoolLit:
 		return TBool, nil
 	case *Ident:
-		if loc != nil {
-			if t, ok := loc[e.Name]; ok {
-				return t, nil
-			}
-		}
-		s := c.syms[e.Name]
+		s := c.lookup(e.Name, loc)
 		if s == nil {
 			return 0, errf(e.Line, 1, "undeclared name %q", e.Name)
 		}
-		if s.kind == symArray {
+		if s.isArray() {
 			return 0, errf(e.Line, 1, "array %q used without subscripts", e.Name)
 		}
-		return s.typ, nil
+		e.sym = s
+		return s.Type, nil
 	case *ArrayRef:
 		s := c.syms[e.Name]
-		if s == nil || s.kind != symArray {
+		if s == nil || !s.isArray() {
 			return 0, errf(e.Line, 1, "%q is not an array", e.Name)
 		}
+		e.sym = s
 		d := s.decl
 		if len(e.Indexes) != len(d.Dims) {
 			return 0, errf(e.Line, 1, "%q has %d dimensions, %d indexes given", e.Name, len(d.Dims), len(e.Indexes))
 		}
 		for _, ix := range e.Indexes {
-			t, err := c.exprType(ix, loc, loopVar)
+			t, err := c.exprType(ix, loc)
 			if err != nil {
 				return 0, err
 			}
@@ -868,7 +854,7 @@ func (c *checker) exprType(e Expr, loc locals, loopVar string) (BaseType, error)
 		}
 		return d.Elem, nil
 	case *Unary:
-		t, err := c.exprType(e.X, loc, loopVar)
+		t, err := c.exprType(e.X, loc)
 		if err != nil {
 			return 0, err
 		}
@@ -886,11 +872,11 @@ func (c *checker) exprType(e Expr, loc locals, loopVar string) (BaseType, error)
 		}
 		return 0, errf(e.Line, 1, "bad unary operator")
 	case *Binary:
-		lt, err := c.exprType(e.L, loc, loopVar)
+		lt, err := c.exprType(e.L, loc)
 		if err != nil {
 			return 0, err
 		}
-		rt, err := c.exprType(e.R, loc, loopVar)
+		rt, err := c.exprType(e.R, loc)
 		if err != nil {
 			return 0, err
 		}
@@ -937,7 +923,7 @@ func (c *checker) exprType(e Expr, loc locals, loopVar string) (BaseType, error)
 			return 0, errf(e.Line, 1, "%s takes %d argument(s)", e.Name, sig.args)
 		}
 		for _, a := range e.Args {
-			t, err := c.exprType(a, loc, loopVar)
+			t, err := c.exprType(a, loc)
 			if err != nil {
 				return 0, err
 			}

@@ -224,13 +224,16 @@ func TestReduceOps(t *testing.T) {
 processors Procs : array[1..P] with P in 1..4;
 const n = 8;
 var a, b : array[1..n] of real dist by [cyclic] on Procs;
-    s, mx, mn : real;
+    c, d : array[1..n] of real dist by [block_cyclic(4)] on Procs;
+    s, mx, mn, cmx, dmn : real;
     i : integer;
 begin
-    for i in 1..n do a[i] := float(i); b[i] := 0.0; end;
+    for i in 1..n do a[i] := float(i); b[i] := 0.0; c[i] := float(i) - 10.0; d[i] := float(i) + 10.0; end;
     reduce sum(a) into s;
     reduce max(a) into mx;
     reduce min(a) into mn;
+    reduce max(c) into cmx;
+    reduce min(d) into dmn;
 end.
 `
 	p, err := Compile(src)
@@ -243,6 +246,11 @@ end.
 	}
 	if res.Scalars["s"] != 36 || res.Scalars["mx"] != 8 || res.Scalars["mn"] != 1 {
 		t.Fatalf("s=%g mx=%g mn=%g", res.Scalars["s"], res.Scalars["mx"], res.Scalars["mn"])
+	}
+	// Two of the four nodes own nothing of c and d; they must not
+	// contribute a 0.
+	if res.Scalars["cmx"] != -2 || res.Scalars["dmn"] != 11 {
+		t.Fatalf("over empty partitions: max=%g min=%g, want -2 and 11", res.Scalars["cmx"], res.Scalars["dmn"])
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // goroutines, each of which wraps it in its own vmState.
 //
 // What the compiler does that the tree walker could not:
-//   - scope resolution at compile time: forall index variables, local
-//     decls and sequential loop variables become fixed registers, and
-//     global scalars become pinned input registers refreshed once per
-//     launch — no map[string]*value lookups per element;
+//   - storage resolution at compile time: the forall's frame slots
+//     (index variables, local decls, sequential loop variables) become
+//     fixed registers, and global scalars become pinned input registers
+//     refreshed once per launch;
 //   - constant folding: subexpressions over literals and consts
 //     collapse into pinned constant registers loaded once per node
 //     (their would-be flops still charged, see below);
@@ -52,14 +52,14 @@ import (
 // cannot clobber a live value.
 
 // compileForalls lowers every forall body in the program.
-func compileForalls(f *File, consts map[string]value) map[*Forall]*compiledBody {
+func compileForalls(f *File, consts []value) map[*Forall]*compiledBody {
 	out := map[*Forall]*compiledBody{}
 	var walk func(ss []Stmt)
 	walk = func(ss []Stmt) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case *Forall:
-				out[s] = compileBody(f, s, consts)
+				out[s] = compileBody(s, consts)
 			case *ForLoop:
 				walk(s.Body)
 			case *While:
@@ -74,25 +74,15 @@ func compileForalls(f *File, consts map[string]value) map[*Forall]*compiledBody 
 	return out
 }
 
-// slotRef is a compile-time scope binding: a name resolved to a typed
-// register.
-type slotRef struct {
-	t   BaseType
-	reg int32
-}
-
 // comp is the per-body compiler state.
 type comp struct {
 	fa     *Forall
-	consts map[string]value
+	consts []value // by Symbol.Slot
 
-	arrays  map[string]*VarDecl // declared arrays
-	scalarT map[string]BaseType // declared global scalars
-
-	// slots is the current lexical scope (index variables, forall
-	// locals, sequential loop variables), mirroring the checker's
-	// insert/delete discipline.
-	slots map[string]slotRef
+	// regs maps the forall's frame slots (index variables, forall
+	// locals, sequential loop variables) to registers; -1 until the
+	// declaration is compiled.
+	regs []int32
 
 	code         []instr
 	nextF, nextI int32
@@ -105,13 +95,7 @@ type comp struct {
 	pool      []int // opLinI coefficient pool
 	poolIndex map[int]int32
 
-	scalars  []scalarInput
-	scalarIx map[string]int32
-
-	reals  []vmArraySlot
-	realIx map[string]int32
-	ints   []string
-	intIx  map[string]int32
+	scalars []scalarInput
 
 	// rowForms records, by instruction index, every load and store
 	// emitted with row-form subscripts; assigned marks the int registers
@@ -130,64 +114,38 @@ type comp struct {
 }
 
 // compileBody lowers one checked forall body.
-func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
+func compileBody(fa *Forall, consts []value) *compiledBody {
 	c := &comp{
 		fa:        fa,
 		consts:    consts,
-		arrays:    map[string]*VarDecl{},
-		scalarT:   map[string]BaseType{},
-		slots:     map[string]slotRef{},
+		regs:      make([]int32, fa.frame),
 		cfIndex:   map[uint64]int32{},
 		ciIndex:   map[int]int32{},
 		poolIndex: map[int]int32{},
-		scalarIx:  map[string]int32{},
-		realIx:    map[string]int32{},
-		intIx:     map[string]int32{},
 		rowForms:  map[int]hoist{},
 		assigned:  map[int32]bool{},
 	}
-	for _, d := range f.Vars {
-		for _, name := range d.Names {
-			if len(d.Dims) == 0 {
-				c.scalarT[name] = d.Elem
-			} else {
-				c.arrays[name] = d
-			}
-		}
-	}
-	// Bind the checker's slot numbering: every array read in the body
-	// already has its slot index on the ArrayRef nodes.
-	ce := &constEval{consts: consts}
-	for _, name := range fa.slotNames {
-		c.realIx[name] = int32(len(c.reals))
-		c.reals = append(c.reals, c.arraySlot(ce, name))
-	}
-	for _, name := range fa.intSlotNames {
-		c.intIx[name] = int32(len(c.ints))
-		c.ints = append(c.ints, name)
+	for k := range c.regs {
+		c.regs[k] = -1
 	}
 
-	cb := &compiledBody{name: fmt.Sprintf("forall@%d", fa.Line), rank: 1}
+	cb := &compiledBody{name: fmt.Sprintf("forall@%d", fa.Line), rank: fa.rank()}
 	cb.iReg = c.tmpI()
-	c.slots[fa.Var] = slotRef{t: TInt, reg: cb.iReg}
-	if fa.Var2 != "" {
-		cb.rank = 2
+	c.regs[0] = cb.iReg
+	if cb.rank == 2 {
 		cb.jReg = c.tmpI()
-		c.slots[fa.Var2] = slotRef{t: TInt, reg: cb.jReg}
+		c.regs[1] = cb.jReg
 	}
 	c.iReg, c.jReg = cb.iReg, cb.jReg
-	// Forall locals reset to zero every iteration (the walker builds a
-	// fresh scope per element); the emitted body re-zeroes them at
-	// entry.
-	for _, d := range fa.Decls {
+	// Forall locals reset to zero every iteration (the walker does the
+	// same to its frame); the emitted body re-zeroes them at entry.
+	for k, d := range fa.Decls {
 		if d.Type == TReal {
-			reg := c.tmpF()
-			c.add(opMovF, reg, c.constF(0), 0, 0)
-			c.slots[d.Name] = slotRef{t: TReal, reg: reg}
+			c.regs[cb.rank+k] = c.tmpF()
+			c.add(opMovF, c.regs[cb.rank+k], c.constF(0), 0, 0)
 		} else {
-			reg := c.tmpI()
-			c.add(opMovI, reg, c.constI(0), 0, 0)
-			c.slots[d.Name] = slotRef{t: d.Type, reg: reg}
+			c.regs[cb.rank+k] = c.tmpI()
+			c.add(opMovI, c.regs[cb.rank+k], c.constI(0), 0, 0)
 		}
 	}
 	c.stmts(fa.Body)
@@ -199,20 +157,7 @@ func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
 	cb.initF, cb.initI = c.initF, c.initI
 	cb.constI = c.pool
 	cb.scalars = c.scalars
-	cb.reals = c.reals
-	cb.ints = c.ints
 	return cb
-}
-
-// arraySlot builds the slot descriptor for a real array, evaluating
-// the declared shape for inline rank-2 linearization.
-func (c *comp) arraySlot(ce *constEval, name string) vmArraySlot {
-	d := c.arrays[name]
-	s := vmArraySlot{name: name, rank: len(d.Dims)}
-	for k, dim := range d.Dims {
-		s.shape[k] = ce.intVal(dim.Hi)
-	}
-	return s
 }
 
 // ---- registers, constants, inputs ------------------------------------
@@ -287,34 +232,23 @@ func (c *comp) poolI(v int) int32 {
 	return ix
 }
 
-// scalarReg returns the pinned input register for a global scalar,
-// registering it for per-launch refresh.
-func (c *comp) scalarReg(name string, t BaseType) int32 {
-	if ix, ok := c.scalarIx[name]; ok {
-		return c.scalars[ix].reg
+// scalarReg returns the pinned input register for a global scalar (or
+// an enclosing top-level for loop's implicit variable), registering it
+// for per-launch refresh.
+func (c *comp) scalarReg(s *Symbol) int32 {
+	for _, in := range c.scalars {
+		if in.slot == s.Slot {
+			return in.reg
+		}
 	}
 	var reg int32
-	if t == TReal {
+	if s.Type == TReal {
 		reg = c.tmpF()
 	} else {
 		reg = c.tmpI()
 	}
-	c.scalarIx[name] = int32(len(c.scalars))
-	c.scalars = append(c.scalars, scalarInput{name: name, t: t, reg: reg})
+	c.scalars = append(c.scalars, scalarInput{slot: s.Slot, t: s.Type, reg: reg})
 	return reg
-}
-
-// realSlot resolves a real-array slot, extending the table for arrays
-// that are only written (the checker numbers reads).
-func (c *comp) realSlot(name string) int32 {
-	if ix, ok := c.realIx[name]; ok {
-		return ix
-	}
-	ce := &constEval{consts: c.consts}
-	ix := int32(len(c.reals))
-	c.realIx[name] = ix
-	c.reals = append(c.reals, c.arraySlot(ce, name))
-	return ix
 }
 
 // ---- statements ------------------------------------------------------
@@ -343,19 +277,20 @@ func (c *comp) stmt(s Stmt) {
 func (c *comp) assign(s *Assign) {
 	// The walker evaluates the value first, then the indexes.
 	r, t := c.expr(s.X)
-	if sl, ok := c.slots[s.Name]; ok {
-		if sl.t != TReal {
-			c.assigned[sl.reg] = true
+	if s.sym.Kind == symLocal {
+		reg, want := c.regs[s.sym.Slot], s.sym.Type
+		if want != TReal {
+			c.assigned[reg] = true
 		}
 		switch {
-		case sl.t == t && t == TReal:
-			c.add(opMovF, sl.reg, r, 0, 0)
-		case sl.t == t:
-			c.add(opMovI, sl.reg, r, 0, 0)
-		case sl.t == TReal && t == TInt:
-			c.add(opIntToF, sl.reg, r, 0, 0)
+		case want == t && t == TReal:
+			c.add(opMovF, reg, r, 0, 0)
+		case want == t:
+			c.add(opMovI, reg, r, 0, 0)
+		case want == TReal && t == TInt:
+			c.add(opIntToF, reg, r, 0, 0)
 		default:
-			panic(fmt.Sprintf("lang: compile: cannot assign %s to %s %q", t, sl.t, s.Name))
+			panic(fmt.Sprintf("lang: compile: cannot assign %s to %s %q", t, want, s.Name))
 		}
 		return
 	}
@@ -363,7 +298,7 @@ func (c *comp) assign(s *Assign) {
 	if t == TInt {
 		r = c.widen(r, t)
 	}
-	slot := c.realSlot(s.Name)
+	slot := int32(s.sym.Slot)
 	switch len(s.Indexes) {
 	case 1:
 		i, fi := c.idx(s.Indexes[0])
@@ -390,26 +325,23 @@ func (c *comp) forLoop(s *ForLoop) {
 	lim := c.tmpI()
 	c.add(opMovI, lim, hi, 0, 0)
 
-	vs, existing := c.slots[s.Var]
-	if !existing {
-		vs = slotRef{t: TInt, reg: c.tmpI()}
-		c.slots[s.Var] = vs
+	// An implicitly declared variable gets its register here; the
+	// checker ended its scope with the loop.
+	if c.regs[s.sym.Slot] < 0 {
+		c.regs[s.sym.Slot] = c.tmpI()
 	}
-	c.assigned[vs.reg] = true
+	v := c.regs[s.sym.Slot]
+	c.assigned[v] = true
 
 	head := len(c.code)
 	c.barrier = head
 	exit := c.add(opJmpGtI, 0, cnt, lim, 0)
-	c.add(opMovI, vs.reg, cnt, 0, 0)
+	c.add(opMovI, v, cnt, 0, 0)
 	c.stmts(s.Body)
 	c.add(opIncI, cnt, 0, 0, 0)
 	c.add(opJmp, int32(head), 0, 0, 0)
 	c.code[exit].a = int32(len(c.code))
 	c.barrier = len(c.code)
-
-	if !existing {
-		delete(c.slots, s.Var) // the implicit variable's scope ends here
-	}
 }
 
 func (c *comp) ifStmt(s *If) {
@@ -483,22 +415,18 @@ func (c *comp) expr(e Expr) (int32, BaseType) {
 }
 
 func (c *comp) ident(e *Ident) (int32, BaseType) {
-	// Resolution order matches the walker: scope, constants, globals.
-	if sl, ok := c.slots[e.Name]; ok {
-		return sl.reg, sl.t
-	}
-	if v, ok := c.consts[e.Name]; ok {
+	switch s := e.sym; s.Kind {
+	case symLocal:
+		return c.regs[s.Slot], s.Type
+	case symConst:
+		v := c.consts[s.Slot]
 		if v.t == TReal {
 			return c.constF(v.f), TReal
 		}
 		return c.constI(v.i), TInt
+	default:
+		return c.scalarReg(s), s.Type
 	}
-	if t, ok := c.scalarT[e.Name]; ok {
-		return c.scalarReg(e.Name, t), t
-	}
-	// An enclosing top-level for-loop's implicitly declared (integer)
-	// variable: bound like any other global scalar input.
-	return c.scalarReg(e.Name, TInt), TInt
 }
 
 func (c *comp) binary(e *Binary) (int32, BaseType) {
@@ -634,12 +562,8 @@ func (c *comp) widen(r int32, t BaseType) int32 {
 // arrayRef compiles an array read, dispatching on the checker's access
 // classification exactly as the walker does.
 func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
-	d := c.arrays[e.Name]
-	if d == nil {
-		panic(fmt.Sprintf("lang: compile: unknown array %q", e.Name))
-	}
-	if d.Elem == TInt {
-		slot := int32(e.slot)
+	slot := int32(e.sym.Slot)
+	if e.sym.Kind == symIntArray {
 		r := c.tmpI()
 		switch len(e.Indexes) {
 		case 1:
@@ -654,7 +578,6 @@ func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 		}
 		return r, TInt
 	}
-	slot := int32(e.slot)
 	r := c.tmpF()
 	local := e.access == accReplicated || e.access == accAligned
 	switch len(e.Indexes) {
@@ -783,25 +706,16 @@ func (c *comp) affine(ix Expr) (reg int32, a, k int, ok bool) {
 	case *IntLit:
 		return -1, 0, e.V, true
 	case *Ident:
-		if sl, ok := c.slots[e.Name]; ok {
-			if sl.t != TInt {
-				return -1, 0, 0, false
-			}
-			return sl.reg, 1, 0, true
+		switch s := e.sym; {
+		case s.Type != TInt:
+			return -1, 0, 0, false
+		case s.Kind == symLocal:
+			return c.regs[s.Slot], 1, 0, true
+		case s.Kind == symConst:
+			return -1, 0, c.consts[s.Slot].i, true
+		default:
+			return c.scalarReg(s), 1, 0, true
 		}
-		if v, ok := c.consts[e.Name]; ok {
-			if v.t != TInt {
-				return -1, 0, 0, false
-			}
-			return -1, 0, v.i, true
-		}
-		if t, ok := c.scalarT[e.Name]; ok {
-			if t != TInt {
-				return -1, 0, 0, false
-			}
-			return c.scalarReg(e.Name, TInt), 1, 0, true
-		}
-		return c.scalarReg(e.Name, TInt), 1, 0, true
 	case *Unary:
 		if e.Op != MINUS {
 			return -1, 0, 0, false
@@ -855,17 +769,13 @@ func (c *comp) affine(ix Expr) (reg int32, a, k int, ok bool) {
 // ---- constant folding ------------------------------------------------
 
 // foldable reports whether e is entirely computable from literals and
-// constants here (names shadowed by scope slots are not constants).
+// constants.
 func (c *comp) foldable(e Expr) bool {
 	switch e := e.(type) {
 	case *IntLit, *RealLit:
 		return true
 	case *Ident:
-		if _, shadowed := c.slots[e.Name]; shadowed {
-			return false
-		}
-		_, ok := c.consts[e.Name]
-		return ok
+		return e.sym.Kind == symConst
 	case *Unary:
 		return e.Op == MINUS && c.foldable(e.X)
 	case *Binary:
@@ -907,7 +817,7 @@ func (c *comp) foldVal(e Expr) value {
 	case *RealLit:
 		return realVal(e.V)
 	case *Ident:
-		return c.consts[e.Name]
+		return c.consts[e.sym.Slot]
 	case *Unary:
 		v := c.foldVal(e.X)
 		if v.t == TInt {
@@ -917,27 +827,11 @@ func (c *comp) foldVal(e Expr) value {
 	case *Binary:
 		return arith(e.Op, c.foldVal(e.L), c.foldVal(e.R))
 	case *Call:
-		args := make([]value, len(e.Args))
-		for k, a := range e.Args {
-			args[k] = c.foldVal(a)
+		x, y := c.foldVal(e.Args[0]).asReal(), 0.0
+		if len(e.Args) == 2 {
+			y = c.foldVal(e.Args[1]).asReal()
 		}
-		// Mirrors the walker's builtin evaluation exactly.
-		switch e.Name {
-		case "abs":
-			return realVal(math.Abs(args[0].asReal()))
-		case "sqrt":
-			return realVal(math.Sqrt(args[0].asReal()))
-		case "min":
-			return realVal(math.Min(args[0].asReal(), args[1].asReal()))
-		case "max":
-			return realVal(math.Max(args[0].asReal(), args[1].asReal()))
-		case "float":
-			return realVal(args[0].asReal())
-		case "trunc":
-			return intVal(int(args[0].asReal()))
-		default:
-			panic(fmt.Sprintf("lang: compile: unknown function %q", e.Name))
-		}
+		return callBuiltin(e.Name, x, y)
 	default:
 		panic(fmt.Sprintf("lang: compile: fold of %T", e))
 	}

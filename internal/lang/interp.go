@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kali/internal/analysis"
 	"kali/internal/core"
@@ -55,10 +56,11 @@ type Result struct {
 // the compiled bytecode for every forall body.  It is immutable and
 // shared read-only by every node goroutine.
 type elaboration struct {
-	consts   map[string]value
-	grid     *topology.Grid
-	procP    int
-	compiled map[*Forall]*compiledBody
+	consts    map[string]value // by name, for the constant evaluator
+	constVals []value          // by Symbol.Slot, for everything after it
+	grid      *topology.Grid
+	procP     int
+	compiled  map[*Forall]*compiledBody
 }
 
 // elaborate evaluates the constants and the processors declaration,
@@ -123,9 +125,14 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 			consts[d.Name] = ce.val(d.X)
 		}
 	}
-	el = &elaboration{consts: consts, grid: grid, procP: procP}
+	el = &elaboration{consts: consts, constVals: make([]value, p.file.nConsts), grid: grid, procP: procP}
+	for _, s := range p.file.syms {
+		if s.Kind == symConst {
+			el.constVals[s.Slot] = consts[s.Name]
+		}
+	}
 	if !p.NoVM {
-		el.compiled = compileForalls(p.file, consts)
+		el.compiled = compileForalls(p.file, el.constVals)
 	}
 	return el, nil
 }
@@ -168,20 +175,18 @@ func (p *Program) newResult(el *elaboration) *Result {
 		Scalars:   map[string]float64{},
 	}
 	ce := &constEval{consts: el.consts}
-	for _, d := range p.file.Vars {
-		if len(d.Dims) == 0 {
+	for _, s := range p.file.syms {
+		if !s.isArray() {
 			continue
 		}
 		size := 1
-		for _, dim := range d.Dims {
+		for _, dim := range s.decl.Dims {
 			size *= ce.intVal(dim.Hi)
 		}
-		for _, name := range d.Names {
-			if d.Elem == TInt {
-				res.IntArrays[name] = make([]int, size)
-			} else {
-				res.Arrays[name] = make([]float64, size)
-			}
+		if s.Kind == symIntArray {
+			res.IntArrays[s.Name] = make([]int, size)
+		} else {
+			res.Arrays[s.Name] = make([]float64, size)
 		}
 	}
 	return res
@@ -207,21 +212,20 @@ func (v value) asReal() float64 {
 	return v.f
 }
 
-// interp is the per-node interpreter state.
+// interp is the per-node interpreter state.  Every table a statement
+// touches is indexed by the Symbol.Slot the checker bound.
 type interp struct {
-	file   *File
-	ctx    *core.Context
-	grid   *topology.Grid // the program's processor array (may be 2-D)
-	consts map[string]value
+	file *File
+	ctx  *core.Context
+	el   *elaboration
 
-	scalars map[string]*value
-	arrays  map[string]*darray.Array
-	ints    map[string]*darray.IntArray
+	globals  []value // declared scalars and top-level implicit for variables
+	realArrs []*darray.Array
+	intArrs  []*darray.IntArray
 
-	// compiled forall bodies (shared, host-compiled) and this node's
-	// VM states for them; nil/empty under NoVM.
-	compiled map[*Forall]*compiledBody
-	vms      map[*Forall]*vmState
+	// this node's VM states for the compiled forall bodies; empty under
+	// NoVM.
+	vms map[*Forall]*vmState
 
 	// lowered forall loops, keyed by AST node.
 	loops  map[*Forall]*forall.Loop
@@ -243,13 +247,11 @@ func newInterp(f *File, ctx *core.Context, el *elaboration) *interp {
 	return &interp{
 		file:     f,
 		ctx:      ctx,
-		grid:     el.grid,
-		consts:   el.consts,
-		compiled: el.compiled,
+		el:       el,
+		globals:  make([]value, f.nGlobals),
+		realArrs: make([]*darray.Array, f.nReals),
+		intArrs:  make([]*darray.IntArray, f.nInts),
 		vms:      map[*Forall]*vmState{},
-		scalars:  map[string]*value{},
-		arrays:   map[string]*darray.Array{},
-		ints:     map[string]*darray.IntArray{},
 		loops:    map[*Forall]*forall.Loop{},
 		loops2:   map[*Forall]*forall.Loop2{},
 		seqs:     map[*Forall][]forall.SeqLoop{},
@@ -311,37 +313,37 @@ func arith(op Kind, l, r value) value {
 
 // declareArrays elaborates the var section on this node.
 func (in *interp) declareArrays() {
-	ce := &constEval{consts: in.consts}
-	for _, d := range in.file.Vars {
-		for _, name := range d.Names {
-			if len(d.Dims) == 0 {
-				v := value{t: d.Elem}
-				in.scalars[name] = &v
-				continue
+	ce := &constEval{consts: in.el.consts}
+	for _, s := range in.file.syms {
+		if s.Kind == symScalar {
+			in.globals[s.Slot] = value{t: s.Type}
+		}
+		if !s.isArray() {
+			continue
+		}
+		d := s.decl
+		shape := make([]int, len(d.Dims))
+		for k, dim := range d.Dims {
+			lo := ce.intVal(dim.Lo)
+			hi := ce.intVal(dim.Hi)
+			if lo != 1 {
+				panic(fmt.Sprintf("array %q: lower bound must be 1", s.Name))
 			}
-			shape := make([]int, len(d.Dims))
-			for k, dim := range d.Dims {
-				lo := ce.intVal(dim.Lo)
-				hi := ce.intVal(dim.Hi)
-				if lo != 1 {
-					panic(fmt.Sprintf("array %q: lower bound must be 1", name))
-				}
-				if hi < 1 {
-					panic(fmt.Sprintf("array %q: empty dimension", name))
-				}
-				shape[k] = hi
+			if hi < 1 {
+				panic(fmt.Sprintf("array %q: empty dimension", s.Name))
 			}
-			var dd *dist.Dist
-			if d.Dist == nil {
-				dd = dist.NewReplicated(shape, in.grid)
-			} else {
-				dd = in.elabDist(name, shape, d.Dist)
-			}
-			if d.Elem == TInt {
-				in.ints[name] = darray.NewInt(name, dd, in.ctx.Node)
-			} else {
-				in.arrays[name] = darray.New(name, dd, in.ctx.Node)
-			}
+			shape[k] = hi
+		}
+		var dd *dist.Dist
+		if d.Dist == nil {
+			dd = dist.NewReplicated(shape, in.el.grid)
+		} else {
+			dd = in.elabDist(s.Name, shape, d.Dist)
+		}
+		if s.Kind == symIntArray {
+			in.intArrs[s.Slot] = darray.NewInt(s.Name, dd, in.ctx.Node)
+		} else {
+			in.realArrs[s.Slot] = darray.New(s.Name, dd, in.ctx.Node)
 		}
 	}
 }
@@ -352,7 +354,7 @@ func (in *interp) declareArrays() {
 // expressions are evaluated per index; dist compresses the table into
 // owner runs.
 func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dist {
-	ce := &constEval{consts: in.consts}
+	ce := &constEval{consts: in.el.consts}
 	specs := make([]dist.DimSpec, len(items))
 	for k, item := range items {
 		switch item.Kind {
@@ -365,7 +367,7 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 		case KWMap:
 			owners := make([]int, shape[k])
 			mce := &constEval{consts: map[string]value{}}
-			for cn, cv := range in.consts {
+			for cn, cv := range in.el.consts {
 				mce.consts[cn] = cv
 			}
 			for i := 1; i <= shape[k]; i++ {
@@ -377,22 +379,19 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 			specs[k] = dist.CollapsedDim()
 		}
 	}
-	dd, err := dist.New(shape, specs, in.grid)
+	dd, err := dist.New(shape, specs, in.el.grid)
 	if err != nil {
 		panic(fmt.Sprintf("array %q: %v", name, err))
 	}
 	return dd
 }
 
-// scope is the forall-body local variable scope.
-type scope map[string]*value
-
-// execStmts interprets a statement list.  env is non-nil inside a
-// forall body.  At the top level (env == nil), maximal runs of
-// adjacent foralls are batched through the engine's sequence API so
-// independent loops aggregate their messages (§3.2 across loops); a
-// lone forall takes the ordinary path.
-func (in *interp) execStmts(ss []Stmt, sc scope, env *forall.Env) {
+// execStmts interprets a statement list.  Inside a forall body env is
+// non-nil and fr is the body's local frame.  At the top level (both
+// nil), maximal runs of adjacent foralls are batched through the
+// engine's sequence API so independent loops aggregate their messages
+// (§3.2 across loops); a lone forall takes the ordinary path.
+func (in *interp) execStmts(ss []Stmt, fr []value, env *forall.Env) {
 	for k := 0; k < len(ss); k++ {
 		if env == nil {
 			if _, ok := ss[k].(*Forall); ok {
@@ -410,7 +409,7 @@ func (in *interp) execStmts(ss []Stmt, sc scope, env *forall.Env) {
 				}
 			}
 		}
-		in.execStmt(ss[k], sc, env)
+		in.execStmt(ss[k], fr, env)
 	}
 }
 
@@ -436,23 +435,28 @@ func (in *interp) execForallSeq(run []Stmt) {
 		in.seqs[first] = seq
 	}
 	for k, s := range run {
-		fa := s.(*Forall)
-		if st := in.vms[fa]; st != nil {
-			st.bindScalars(in)
-		}
-		if fa.Var2 != "" {
-			l := seq[k].L2
-			l.LoI = in.evalExpr(fa.Lo, nil, nil).i
-			l.HiI = in.evalExpr(fa.Hi, nil, nil).i
-			l.LoJ = in.evalExpr(fa.Lo2, nil, nil).i
-			l.HiJ = in.evalExpr(fa.Hi2, nil, nil).i
-		} else {
-			l := seq[k].L
-			l.Lo = in.evalExpr(fa.Lo, nil, nil).i
-			l.Hi = in.evalExpr(fa.Hi, nil, nil).i
-		}
+		in.launch(s.(*Forall), seq[k].L, seq[k].L2)
 	}
 	in.ctx.ForallSeq(seq)
+}
+
+// launch readies a lowered loop for one execution: the bounds are
+// evaluated, and the VM's global-scalar input registers refreshed —
+// globals are immutable within one forall execution (checker-enforced),
+// so one binding per launch suffices.
+func (in *interp) launch(fa *Forall, l *forall.Loop, l2 *forall.Loop2) {
+	if st := in.vms[fa]; st != nil {
+		st.bindScalars(in)
+	}
+	if l2 != nil {
+		l2.LoI = in.evalExpr(fa.Lo, nil, nil).i
+		l2.HiI = in.evalExpr(fa.Hi, nil, nil).i
+		l2.LoJ = in.evalExpr(fa.Lo2, nil, nil).i
+		l2.HiJ = in.evalExpr(fa.Hi2, nil, nil).i
+		return
+	}
+	l.Lo = in.evalExpr(fa.Lo, nil, nil).i
+	l.Hi = in.evalExpr(fa.Hi, nil, nil).i
 }
 
 // writeArrays collects the distinct distributed real arrays a forall
@@ -461,21 +465,15 @@ func (in *interp) execForallSeq(run []Stmt) {
 // body-local assigns do not touch distributed state.
 func (in *interp) writeArrays(fa *Forall) []*darray.Array {
 	var out []*darray.Array
-	seen := map[string]bool{}
 	var walk func(ss []Stmt)
 	walk = func(ss []Stmt) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case *Assign:
-				if len(s.Indexes) > 0 && !seen[s.Name] {
-					if a, ok := in.arrays[s.Name]; ok {
-						seen[s.Name] = true
-						out = append(out, a)
-					}
+				if s.sym.Kind == symRealArray && !slices.Contains(out, in.realArrs[s.sym.Slot]) {
+					out = append(out, in.realArrs[s.sym.Slot])
 				}
 			case *ForLoop:
-				walk(s.Body)
-			case *While:
 				walk(s.Body)
 			case *If:
 				walk(s.Then)
@@ -487,54 +485,34 @@ func (in *interp) writeArrays(fa *Forall) []*darray.Array {
 	return out
 }
 
-func (in *interp) execStmt(s Stmt, sc scope, env *forall.Env) {
+func (in *interp) execStmt(s Stmt, fr []value, env *forall.Env) {
 	switch s := s.(type) {
 	case *Assign:
-		in.execAssign(s, sc, env)
+		in.execAssign(s, fr, env)
 	case *Forall:
 		in.execForall(s)
 	case *ForLoop:
-		lo := in.evalExpr(s.Lo, sc, env).i
-		hi := in.evalExpr(s.Hi, sc, env).i
-		var slot *value
-		if sc != nil {
-			if v, ok := sc[s.Var]; ok {
-				slot = v
-			} else {
-				v := intVal(lo)
-				sc[s.Var] = &v
-				slot = &v
-				defer delete(sc, s.Var)
-			}
-		} else if v, ok := in.scalars[s.Var]; ok {
-			slot = v
-		} else {
-			v := intVal(lo)
-			in.scalars[s.Var] = &v
-			slot = &v
-			defer delete(in.scalars, s.Var)
-		}
+		lo := in.evalExpr(s.Lo, fr, env).i
+		hi := in.evalExpr(s.Hi, fr, env).i
+		v := in.cell(s.sym, fr)
 		for x := lo; x <= hi; x++ {
-			*slot = intVal(x)
-			in.execStmts(s.Body, sc, env)
+			*v = intVal(x)
+			in.execStmts(s.Body, fr, env)
 		}
 	case *While:
-		for in.evalExpr(s.Cond, sc, env).b {
-			in.execStmts(s.Body, sc, env)
+		for in.evalExpr(s.Cond, fr, env).b {
+			in.execStmts(s.Body, fr, env)
 		}
 	case *If:
-		if in.evalExpr(s.Cond, sc, env).b {
-			in.execStmts(s.Then, sc, env)
+		if in.evalExpr(s.Cond, fr, env).b {
+			in.execStmts(s.Then, fr, env)
 		} else {
-			in.execStmts(s.Else, sc, env)
+			in.execStmts(s.Else, fr, env)
 		}
 	case *Reduce:
 		in.execReduce(s)
 	case *Redistribute:
-		a := in.arrays[s.Name]
-		if a == nil {
-			panic(fmt.Sprintf("redistribute target %q is not a real array", s.Name))
-		}
+		a := in.realArrs[s.sym.Slot]
 		nd, ok := in.redists[s]
 		if !ok {
 			nd = in.elabDist(s.Name, a.Shape(), s.Items)
@@ -546,48 +524,108 @@ func (in *interp) execStmt(s Stmt, sc scope, env *forall.Env) {
 	}
 }
 
+// cell is the storage of a scalar-valued symbol: a slot of the forall's
+// frame, of the node's globals, or of the (read-only) constants.
+func (in *interp) cell(s *Symbol, fr []value) *value {
+	switch s.Kind {
+	case symLocal:
+		return &fr[s.Slot]
+	case symConst:
+		return &in.el.constVals[s.Slot]
+	default:
+		return &in.globals[s.Slot]
+	}
+}
+
 // execAssign handles scalar, local, and array writes.
-func (in *interp) execAssign(s *Assign, sc scope, env *forall.Env) {
-	val := in.evalExpr(s.X, sc, env)
-	if sc != nil {
-		if slot, ok := sc[s.Name]; ok {
-			*slot = coerce(val, slot.t)
+func (in *interp) execAssign(s *Assign, fr []value, env *forall.Env) {
+	switch {
+	case !s.sym.isArray():
+		*in.cell(s.sym, fr) = coerce(in.evalExpr(s.X, fr, env), s.sym.Type)
+	case env != nil:
+		// Inside a forall: owner-computes write through the engine.  The
+		// value comes before the subscripts, the order the VM charges in.
+		v := in.evalExpr(s.X, fr, env).asReal()
+		i, j, _ := in.subscripts(s.Indexes, fr, env)
+		if len(s.Indexes) == 1 {
+			env.WriteAt(in.realArrs[s.sym.Slot], v, i)
+		} else {
+			env.WriteAt(in.realArrs[s.sym.Slot], v, i, j)
+		}
+	case s.sym.Kind == symRealArray:
+		a := in.realArrs[s.sym.Slot]
+		i, j, idx, mine := in.owned(a, s.Indexes)
+		if !mine {
 			return
 		}
-	}
-	if slot, ok := in.scalars[s.Name]; ok && len(s.Indexes) == 0 {
-		*slot = coerce(val, slot.t)
-		return
-	}
-	// Array element write.
-	idx := make([]int, len(s.Indexes))
-	for k, ix := range s.Indexes {
-		idx[k] = in.evalExpr(ix, sc, env).i
-	}
-	if a, ok := in.arrays[s.Name]; ok {
-		if env != nil {
-			// Inside a forall: owner-computes write through the engine.
-			env.WriteAt(a, val.asReal(), idx...)
+		switch v := in.evalExpr(s.X, nil, nil).asReal(); {
+		case idx != nil:
+			a.Set(v, idx...)
+		case len(s.Indexes) == 1:
+			a.Set1(i, v)
+		default:
+			a.Set2(i, j, v)
+		}
+	default:
+		ia := in.intArrs[s.sym.Slot]
+		i, j, idx, mine := in.owned(ia, s.Indexes)
+		if !mine {
 			return
 		}
-		// Top level: the owner stores, everyone else skips (all nodes
-		// execute the same statement).
-		if a.IsLocal(idx...) {
-			a.Set(val.asReal(), idx...)
+		switch v := in.evalExpr(s.X, nil, nil).i; {
+		case idx != nil:
+			ia.Set(v, idx...)
+		case len(s.Indexes) == 1:
+			ia.Set1(i, v)
+		default:
+			ia.Set2(i, j, v)
 		}
-		return
+		ia.Bump() // pattern-driving contents changed
 	}
-	if ia, ok := in.ints[s.Name]; ok {
-		if env != nil {
-			panic(fmt.Sprintf("write to integer array %q inside forall", s.Name))
-		}
-		if ia.IsLocal(idx...) {
-			ia.Set(val.i, idx...)
-			ia.Bump() // pattern-driving contents changed
-		}
-		return
+}
+
+// locality is the ownership test real and integer arrays share.
+type locality interface {
+	IsLocal(coord ...int) bool
+	IsLocal1(i int) bool
+	IsLocal2(i, j int) bool
+}
+
+// owned evaluates a top-level store's subscripts and reports whether
+// this node stores the element.  Every node executes the statement;
+// only the owner goes on to evaluate the right-hand side.
+func (in *interp) owned(h locality, ixs []Expr) (i, j int, idx []int, mine bool) {
+	i, j, idx = in.subscripts(ixs, nil, nil)
+	switch {
+	case idx != nil:
+		mine = h.IsLocal(idx...)
+	case len(ixs) == 1:
+		mine = h.IsLocal1(i)
+	default:
+		mine = h.IsLocal2(i, j)
 	}
-	panic(fmt.Sprintf("unknown assignment target %q", s.Name))
+	return i, j, idx, mine
+}
+
+// subscripts evaluates an array access's subscripts: into i and j for
+// the ranks foralls support, with no allocation, and into idx for the
+// higher ranks legal only at the top level.
+func (in *interp) subscripts(ixs []Expr, fr []value, env *forall.Env) (i, j int, idx []int) {
+	switch len(ixs) {
+	case 1:
+		return in.evalExpr(ixs[0], fr, env).i, 0, nil
+	case 2:
+		i = in.evalExpr(ixs[0], fr, env).i
+		return i, in.evalExpr(ixs[1], fr, env).i, nil
+	}
+	if env != nil {
+		panic("rank > 2")
+	}
+	idx = make([]int, len(ixs))
+	for k, ix := range ixs {
+		idx[k] = in.evalExpr(ix, nil, nil).i
+	}
+	return 0, 0, idx
 }
 
 func coerce(v value, t BaseType) value {
@@ -605,25 +643,12 @@ func coerce(v value, t BaseType) value {
 func (in *interp) execForall(fa *Forall) {
 	if fa.Var2 != "" {
 		loop := in.loop2For(fa)
-		if st := in.vms[fa]; st != nil {
-			st.bindScalars(in)
-		}
-		loop.LoI = in.evalExpr(fa.Lo, nil, nil).i
-		loop.HiI = in.evalExpr(fa.Hi, nil, nil).i
-		loop.LoJ = in.evalExpr(fa.Lo2, nil, nil).i
-		loop.HiJ = in.evalExpr(fa.Hi2, nil, nil).i
+		in.launch(fa, nil, loop)
 		in.ctx.Eng.Run2(loop)
 		return
 	}
 	loop := in.loopFor(fa)
-	// Refresh the VM's global-scalar input registers: globals are
-	// immutable within one forall execution (checker-enforced), so one
-	// binding per launch suffices.
-	if st := in.vms[fa]; st != nil {
-		st.bindScalars(in)
-	}
-	loop.Lo = in.evalExpr(fa.Lo, nil, nil).i
-	loop.Hi = in.evalExpr(fa.Hi, nil, nil).i
+	in.launch(fa, loop, nil)
 	in.ctx.Forall(loop)
 }
 
@@ -647,24 +672,50 @@ func (in *interp) loop2For(fa *Forall) *forall.Loop2 {
 	return loop
 }
 
-// buildLoop2 translates a two-index Forall into a forall.Loop2.
-func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
-	ce := &constEval{consts: in.consts}
-	onArr := in.arrays[fa.OnArray]
-	if onArr == nil {
+// onArray is the array a forall's on clause places iterations by.
+func (in *interp) onArray(fa *Forall) *darray.Array {
+	if fa.on.array.Kind != symRealArray {
 		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
 	}
-	// Elaborate the per-dimension affine on-clause subscripts.
-	ck := &checker{syms: in.checkerSyms()}
-	aIE, cIE, okI := ck.affineOf(fa.OnIndex, fa.Var)
-	aJE, cJE, okJ := ck.affineOf(fa.OnIndex2, fa.Var2)
-	if !okI || !okJ {
-		panic("2-D on clause subscripts not affine (checker should have caught this)")
+	return in.realArrs[fa.on.array.Slot]
+}
+
+// affine2Of elaborates a rank-2 subscript pair's coefficients.
+func (ri *readInfo) affine2Of(ce *constEval) analysis.Affine2 {
+	return analysis.Affine2{
+		I: analysis.Affine{A: ce.coeff(ri.aIExpr), C: ce.coeff(ri.cIExpr)},
+		J: analysis.Affine{A: ce.coeff(ri.aJExpr), C: ce.coeff(ri.cJExpr)},
 	}
-	onF2 := analysis.Affine2{
-		I: analysis.Affine{A: ce.coeff(aIE), C: ce.coeff(cIE)},
-		J: analysis.Affine{A: ce.coeff(aJE), C: ce.coeff(cJE)},
+}
+
+// deps are the integer arrays whose contents drive fa's reference
+// pattern.
+func (in *interp) deps(fa *Forall) []forall.Dep {
+	var deps []forall.Dep
+	for _, d := range fa.deps {
+		deps = append(deps, in.intArrs[d.Slot])
 	}
+	return deps
+}
+
+// walker returns the tree-walking body of fa, which runs every
+// iteration on one frame: the caller stores the index variables, the
+// declared locals start from zero, and an implicit for variable is
+// written before anything can read it.
+func (in *interp) walker(fa *Forall) (fr []value, body func(env *forall.Env)) {
+	fr = make([]value, fa.frame)
+	return fr, func(env *forall.Env) {
+		for k, d := range fa.Decls {
+			fr[fa.rank()+k] = value{t: d.Type}
+		}
+		in.execStmts(fa.Body, fr, env)
+	}
+}
+
+// buildLoop2 translates a two-index Forall into a forall.Loop2.
+func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
+	ce := &constEval{consts: in.el.consts}
+	onF2 := fa.on.affine2Of(ce)
 	// A constant coefficient expression can evaluate to zero (only
 	// elaboration knows the const values); diagnose it with the source
 	// line instead of letting the engine panic.
@@ -673,29 +724,21 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 	}
 	var reads []forall.ReadSpec
 	for _, ri := range fa.reads {
-		arr := in.arrays[ri.array]
+		spec := forall.ReadSpec{Array: in.realArrs[ri.array.Slot]}
 		if ri.affine2 {
-			aff := &analysis.Affine2{
-				I: analysis.Affine{A: ce.coeff(ri.aIExpr), C: ce.coeff(ri.cIExpr)},
-				J: analysis.Affine{A: ce.coeff(ri.aJExpr), C: ce.coeff(ri.cJExpr)},
-			}
-			reads = append(reads, forall.ReadSpec{Array: arr, Affine2: aff})
-			continue
+			aff := ri.affine2Of(ce)
+			spec.Affine2 = &aff
 		}
-		reads = append(reads, forall.ReadSpec{Array: arr})
-	}
-	var deps []forall.Dep
-	for _, d := range fa.deps {
-		deps = append(deps, in.ints[d])
+		reads = append(reads, spec)
 	}
 	loop := &forall.Loop2{
 		Name:      fmt.Sprintf("forall2@%d", fa.Line),
-		On:        onArr,
+		On:        in.onArray(fa),
 		OnF2:      onF2,
 		Reads:     reads,
-		DependsOn: deps,
+		DependsOn: in.deps(fa),
 	}
-	if cb := in.compiled[fa]; cb != nil {
+	if cb := in.el.compiled[fa]; cb != nil {
 		st := newVMState(cb, in)
 		in.vms[fa] = st
 		loop.Body = st.body2
@@ -703,16 +746,10 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 			loop.Segment = st.segment2
 		}
 	} else {
+		fr, body := in.walker(fa)
 		loop.Body = func(i, j int, env *forall.Env) {
-			sc := scope{
-				fa.Var:  &value{t: TInt, i: i},
-				fa.Var2: &value{t: TInt, i: j},
-			}
-			for _, d := range fa.Decls {
-				v := value{t: d.Type}
-				sc[d.Name] = &v
-			}
-			in.execStmts(fa.Body, sc, env)
+			fr[0], fr[1] = intVal(i), intVal(j)
+			body(env)
 		}
 	}
 	return loop
@@ -720,44 +757,27 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 
 // buildLoop translates an annotated Forall into a forall.Loop.
 func (in *interp) buildLoop(fa *Forall) *forall.Loop {
-	ce := &constEval{consts: in.consts}
-	onArr := in.arrays[fa.OnArray]
-	if onArr == nil {
-		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
-	}
-	// Elaborate the on-clause affine subscript.
-	aE, cE, ok := (&checker{syms: in.checkerSyms()}).affineOf(fa.OnIndex, fa.Var)
-	if !ok {
-		panic("on clause subscript not affine (checker should have caught this)")
-	}
-	onF := analysis.Affine{A: ce.coeff(aE), C: ce.coeff(cE)}
+	ce := &constEval{consts: in.el.consts}
+	onF := analysis.Affine{A: ce.coeff(fa.on.aExpr), C: ce.coeff(fa.on.cExpr)}
 	if onF.A == 0 {
 		panic(fmt.Sprintf("line %d: on clause subscript coefficient evaluates to zero (not affine in the index variable)", fa.Line))
 	}
-
 	var reads []forall.ReadSpec
 	for _, ri := range fa.reads {
-		arr := in.arrays[ri.array]
+		spec := forall.ReadSpec{Array: in.realArrs[ri.array.Slot]}
 		if ri.affine {
-			aff := &analysis.Affine{A: ce.coeff(ri.aExpr), C: ce.coeff(ri.cExpr)}
-			reads = append(reads, forall.ReadSpec{Array: arr, Affine: aff})
-		} else {
-			reads = append(reads, forall.ReadSpec{Array: arr})
+			spec.Affine = &analysis.Affine{A: ce.coeff(ri.aExpr), C: ce.coeff(ri.cExpr)}
 		}
+		reads = append(reads, spec)
 	}
-	var deps []forall.Dep
-	for _, d := range fa.deps {
-		deps = append(deps, in.ints[d])
-	}
-
 	loop := &forall.Loop{
 		Name:      fmt.Sprintf("forall@%d", fa.Line),
-		On:        onArr,
+		On:        in.onArray(fa),
 		OnF:       onF,
 		Reads:     reads,
-		DependsOn: deps,
+		DependsOn: in.deps(fa),
 	}
-	if cb := in.compiled[fa]; cb != nil {
+	if cb := in.el.compiled[fa]; cb != nil {
 		st := newVMState(cb, in)
 		in.vms[fa] = st
 		loop.Body = st.body1
@@ -765,48 +785,23 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 			loop.Segment = st.segment1
 		}
 	} else {
+		fr, body := in.walker(fa)
 		loop.Body = func(i int, env *forall.Env) {
-			sc := scope{fa.Var: &value{t: TInt, i: i}}
-			for _, d := range fa.Decls {
-				v := value{t: d.Type}
-				sc[d.Name] = &v
-			}
-			in.execStmts(fa.Body, sc, env)
+			fr[0] = intVal(i)
+			body(env)
 		}
 	}
 	return loop
 }
 
-// checkerSyms rebuilds a checker symbol table for affine re-analysis
-// during elaboration.
-func (in *interp) checkerSyms() map[string]*symbol {
-	syms := map[string]*symbol{}
-	if in.file.Procs.SizeVar != "" {
-		syms[in.file.Procs.SizeVar] = &symbol{kind: symProcSize, typ: TInt}
-	}
-	for _, d := range in.file.Consts {
-		syms[d.Name] = &symbol{kind: symConst, typ: TInt}
-	}
-	for _, d := range in.file.Vars {
-		for _, name := range d.Names {
-			if len(d.Dims) == 0 {
-				syms[name] = &symbol{kind: symScalar, typ: d.Elem}
-			} else {
-				syms[name] = &symbol{kind: symArray, typ: d.Elem, decl: d}
-			}
-		}
-	}
-	return syms
-}
-
 // execReduce implements the reduce statement: local fold over owned
 // elements, then a machine AllReduce.
 func (in *interp) execReduce(s *Reduce) {
-	a := in.arrays[s.Args[0]]
+	a := in.realArrs[s.args[0].Slot]
 	local := 0.0
 	switch s.Op {
 	case "maxdiff":
-		b := in.arrays[s.Args[1]]
+		b := in.realArrs[s.args[1].Slot]
 		a.EachLocal(func(g int) {
 			d := math.Abs(a.GetLinear(g) - b.GetLinear(g))
 			if d > local {
@@ -818,29 +813,30 @@ func (in *interp) execReduce(s *Reduce) {
 		a.EachLocal(func(g int) { local += a.GetLinear(g) })
 		local = in.ctx.AllReduce(local, "sum")
 	case "max":
-		first := true
+		// A node that owns nothing contributes the identity, not 0.
+		local = math.Inf(-1)
 		a.EachLocal(func(g int) {
-			if first || a.GetLinear(g) > local {
-				local = a.GetLinear(g)
-				first = false
+			if v := a.GetLinear(g); v > local {
+				local = v
 			}
 		})
 		local = in.ctx.AllReduce(local, "max")
 	case "min":
-		first := true
+		local = math.Inf(1)
 		a.EachLocal(func(g int) {
-			if first || a.GetLinear(g) < local {
-				local = a.GetLinear(g)
-				first = false
+			if v := a.GetLinear(g); v < local {
+				local = v
 			}
 		})
 		local = in.ctx.AllReduce(local, "min")
 	}
-	in.scalars[s.Into].f = local
+	in.globals[s.into.Slot].f = local
 }
 
 // evalExpr evaluates an expression; env is non-nil inside foralls.
-func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
+// Top-level expressions are pure and charge nothing, which is what lets
+// an indexed assignment evaluate its right-hand side on the owner only.
+func (in *interp) evalExpr(e Expr, fr []value, env *forall.Env) value {
 	switch e := e.(type) {
 	case *IntLit:
 		return intVal(e.V)
@@ -849,22 +845,11 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 	case *BoolLit:
 		return boolVal(e.V)
 	case *Ident:
-		if sc != nil {
-			if v, ok := sc[e.Name]; ok {
-				return *v
-			}
-		}
-		if v, ok := in.consts[e.Name]; ok {
-			return v
-		}
-		if v, ok := in.scalars[e.Name]; ok {
-			return *v
-		}
-		panic(fmt.Sprintf("unknown name %q", e.Name))
+		return *in.cell(e.sym, fr)
 	case *ArrayRef:
-		return in.evalArrayRef(e, sc, env)
+		return in.evalArrayRef(e, fr, env)
 	case *Unary:
-		v := in.evalExpr(e.X, sc, env)
+		v := in.evalExpr(e.X, fr, env)
 		if e.Op == KWNot {
 			return boolVal(!v.b)
 		}
@@ -876,79 +861,84 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 		}
 		return realVal(-v.f)
 	case *Binary:
-		l := in.evalExpr(e.L, sc, env)
-		r := in.evalExpr(e.R, sc, env)
+		l := in.evalExpr(e.L, fr, env)
+		r := in.evalExpr(e.R, fr, env)
 		if env != nil {
 			env.Flops(1)
 		}
 		return arith(e.Op, l, r)
 	case *Call:
-		args := make([]value, len(e.Args))
-		for k, a := range e.Args {
-			args[k] = in.evalExpr(a, sc, env)
+		x, y := in.evalExpr(e.Args[0], fr, env).asReal(), 0.0
+		if len(e.Args) == 2 {
+			y = in.evalExpr(e.Args[1], fr, env).asReal()
 		}
 		if env != nil {
 			env.Flops(1)
 		}
-		switch e.Name {
-		case "abs":
-			return realVal(math.Abs(args[0].asReal()))
-		case "sqrt":
-			return realVal(math.Sqrt(args[0].asReal()))
-		case "min":
-			return realVal(math.Min(args[0].asReal(), args[1].asReal()))
-		case "max":
-			return realVal(math.Max(args[0].asReal(), args[1].asReal()))
-		case "float":
-			return realVal(args[0].asReal())
-		case "trunc":
-			return intVal(int(args[0].asReal()))
-		}
-		panic(fmt.Sprintf("unknown function %q", e.Name))
+		return callBuiltin(e.Name, x, y)
 	default:
 		panic(fmt.Sprintf("unknown expression %T", e))
 	}
 }
 
-// evalArrayRef dispatches on the checker's access classification.
-func (in *interp) evalArrayRef(e *ArrayRef, sc scope, env *forall.Env) value {
-	idx := make([]int, len(e.Indexes))
-	for k, ix := range e.Indexes {
-		idx[k] = in.evalExpr(ix, sc, env).i
+// callBuiltin applies an intrinsic function (y is unused by the unary
+// ones); the walker and the compiler's constant folder share it.
+func callBuiltin(name string, x, y float64) value {
+	switch name {
+	case "abs":
+		return realVal(math.Abs(x))
+	case "sqrt":
+		return realVal(math.Sqrt(x))
+	case "min":
+		return realVal(math.Min(x, y))
+	case "max":
+		return realVal(math.Max(x, y))
+	case "float":
+		return realVal(x)
+	case "trunc":
+		return intVal(int(x))
 	}
-	if ia, ok := in.ints[e.Name]; ok {
-		if env != nil {
-			switch len(idx) {
-			case 1:
-				return intVal(env.ReadInt(ia, idx[0]))
-			case 2:
-				return intVal(env.ReadInt2(ia, idx[0], idx[1]))
-			}
+	panic(fmt.Sprintf("unknown function %q", name))
+}
+
+// evalArrayRef reads an array element: straight from local storage at
+// the top level (the checker admits only replicated arrays there), by
+// the checker's access classification inside a forall.
+func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
+	i, j, idx := in.subscripts(e.Indexes, fr, env)
+	rank1 := len(e.Indexes) == 1
+	if e.sym.Kind == symIntArray {
+		ia := in.intArrs[e.sym.Slot]
+		switch {
+		case idx != nil:
+			return intVal(ia.Get(idx...))
+		case env == nil && rank1:
+			return intVal(ia.Get1(i))
+		case env == nil:
+			return intVal(ia.Get2(i, j))
+		case rank1:
+			return intVal(env.ReadInt(ia, i))
+		default:
+			return intVal(env.ReadInt2(ia, i, j))
 		}
-		return intVal(ia.Get(idx...))
 	}
-	a := in.arrays[e.Name]
-	if a == nil {
-		panic(fmt.Sprintf("unknown array %q", e.Name))
-	}
-	if env == nil {
-		// Top level: checker restricts this to replicated arrays.
+	a := in.realArrs[e.sym.Slot]
+	local := e.access == accReplicated || e.access == accAligned
+	switch {
+	case idx != nil:
 		return realVal(a.Get(idx...))
-	}
-	switch e.access {
-	case accReplicated, accAligned:
-		switch len(idx) {
-		case 1:
-			return realVal(env.ReadLocal(a, idx[0]))
-		case 2:
-			return realVal(env.ReadLocal2(a, idx[0], idx[1]))
-		}
-		panic("rank > 2")
-	default: // accAffine, accIndirect
-		if len(idx) == 1 {
-			return realVal(env.Read(a, idx[0]))
-		}
-		return realVal(env.ReadAt(a, idx...))
+	case env == nil && rank1:
+		return realVal(a.Get1(i))
+	case env == nil:
+		return realVal(a.Get2(i, j))
+	case local && rank1:
+		return realVal(env.ReadLocal(a, i))
+	case local:
+		return realVal(env.ReadLocal2(a, i, j))
+	case rank1:
+		return realVal(env.Read(a, i))
+	default:
+		return realVal(env.ReadAt(a, i, j))
 	}
 }
 
@@ -957,43 +947,26 @@ func (in *interp) evalArrayRef(e *ArrayRef, sc scope, env *forall.Env) value {
 // owners; node 0 reports scalars and replicated arrays.
 func (in *interp) gather(res *Result) {
 	me := in.ctx.ID()
-	for name, a := range in.arrays {
-		buf := res.Arrays[name]
-		if a.Replicated() {
+	for _, s := range in.file.syms {
+		switch s.Kind {
+		case symScalar:
 			if me == 0 {
-				for g := 1; g <= a.Size(); g++ {
-					buf[g-1] = a.GetLinear(g)
-				}
+				res.Scalars[s.Name] = in.globals[s.Slot].asReal()
 			}
-			continue
-		}
-		a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
-	}
-	for name, ia := range in.ints {
-		buf := res.IntArrays[name]
-		if ia.Dist().Replicated() {
-			if me == 0 {
+		case symRealArray:
+			a, buf := in.realArrs[s.Slot], res.Arrays[s.Name]
+			if !a.Replicated() {
+				a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
+			} else if me == 0 {
+				copy(buf, a.LocalValues())
+			}
+		case symIntArray:
+			ia, buf := in.intArrs[s.Slot], res.IntArrays[s.Name]
+			if !ia.Replicated() {
+				ia.EachLocal(func(g int) { buf[g-1] = ia.GetLinear(g) })
+			} else if me == 0 {
 				copy(buf, ia.LocalValues())
 			}
-			continue
-		}
-		ia.EachLocal(func(g int) {
-			buf[g-1] = ia.Get(delinearizeShape(ia.Shape(), g)...)
-		})
-	}
-	if me == 0 {
-		for name, v := range in.scalars {
-			res.Scalars[name] = v.asReal()
 		}
 	}
-}
-
-func delinearizeShape(shape []int, g int) []int {
-	g--
-	out := make([]int, len(shape))
-	for d := len(shape) - 1; d >= 0; d-- {
-		out[d] = g%shape[d] + 1
-		g /= shape[d]
-	}
-	return out
 }

@@ -15,11 +15,57 @@ import (
 	"strings"
 )
 
+// topLevelDecls declares what genTopLevel uses besides the arrays a and
+// b, the constants n and k and the scalar i: a replicated table, two
+// integer scalars, two real ones.  (GenVMProgram's forall locals m and
+// q shadow the globals of those names.)
+const topLevelDecls = `    w : array[1..k] of real;
+    m, cnt : integer;
+    s, x : real;
+`
+
+// genTopLevel emits the sequential SPMD section every node runs
+// between the init loop and the foralls.  All of it is interpreted
+// statement by statement, and a right-hand side is evaluated by the
+// element's owner alone, so a one-processor run (which evaluates them
+// all) is the oracle for every other P.  The section has a nested for
+// over a declared and an implicit variable — z, which three sibling
+// loops declare afresh — an if/else, builtin calls, integer div and
+// mod, reads of a replicated array, a while that accumulates a later
+// forall's upper bound in m, a reduce whose result feeds the statement
+// after it, and a forall that reads an enclosing loop's implicit
+// variable.  Everything stored into a before the reduce is a multiple
+// of 0.5, so that even a sum does not depend on the order of additions.
+func genTopLevel(b *strings.Builder, r *rand.Rand) {
+	fmt.Fprintf(b, "  for z in 1..k do w[z] := float(z) * 0.5 + %d.0; end;\n", r.Intn(3))
+	fmt.Fprintf(b, "  for i in 1..n do\n")
+	fmt.Fprintf(b, "    for z in 1..k do\n")
+	fmt.Fprintf(b, "      if (i + z) mod %d = 0 then\n", 2+r.Intn(2))
+	fmt.Fprintf(b, "        a[i] := max(w[z], float(i div z)) + %d.0;\n", r.Intn(3))
+	fmt.Fprintf(b, "      else\n")
+	fmt.Fprintf(b, "        b[i] := abs(w[i mod k + 1] - float(z));\n")
+	fmt.Fprintf(b, "      end;\n")
+	fmt.Fprintf(b, "    end;\n")
+	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  m := 0;\n")
+	fmt.Fprintf(b, "  cnt := 0;\n")
+	fmt.Fprintf(b, "  while cnt < n do\n")
+	fmt.Fprintf(b, "    cnt := cnt + 1;\n")
+	fmt.Fprintf(b, "    if cnt mod %d <> 0 then m := m + 1; end;\n", 2+r.Intn(3))
+	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  reduce %s(a) into s;\n", []string{"sum", "max", "min"}[r.Intn(3)])
+	fmt.Fprintf(b, "  x := s / float(n) + sqrt(float(m));\n")
+	fmt.Fprintf(b, "  for z in 1..2 do\n")
+	fmt.Fprintf(b, "    forall i in 1..m on a[i].loc do a[i] := a[i] + x * float(z); end;\n")
+	fmt.Fprintf(b, "  end;\n")
+}
+
 // GenProgram builds a random but well-formed Kali program: a few
-// arrays under random distributions, initialization loops, and a
-// sequence of foralls mixing affine stencils and data-dependent
-// gathers.  Results must not depend on the processor count — the
-// fundamental guarantee of the global name space.
+// arrays under random distributions, initialization loops, a stretch
+// of sequential top-level code (genTopLevel), and a sequence of foralls
+// mixing affine stencils and data-dependent gathers.  Results must not
+// depend on the processor count — the fundamental guarantee of the
+// global name space.
 func GenProgram(r *rand.Rand) string {
 	n := 8 + r.Intn(24)
 	dists := []string{"block", "cyclic", fmt.Sprintf("block_cyclic(%d)", 1+r.Intn(4))}
@@ -29,6 +75,7 @@ func GenProgram(r *rand.Rand) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "processors Procs : array[1..P] with P in 1..64;\n")
 	fmt.Fprintf(&b, "const n = %d;\n", n)
+	fmt.Fprintf(&b, "      k = %d;\n", 2+r.Intn(4))
 	fmt.Fprintf(&b, "var a : array[1..n] of real dist by [%s] on Procs;\n", distA)
 	fmt.Fprintf(&b, "    b : array[1..n] of real dist by [%s] on Procs;\n", distB)
 	// perm drives subscripts inside "forall ... on b[i].loc", so it
@@ -36,12 +83,14 @@ func GenProgram(r *rand.Rand) string {
 	// subscript arrays).
 	fmt.Fprintf(&b, "    perm : array[1..n] of integer dist by [%s] on Procs;\n", distB)
 	fmt.Fprintf(&b, "    i : integer;\n")
+	b.WriteString(topLevelDecls)
 	fmt.Fprintf(&b, "begin\n")
 	fmt.Fprintf(&b, "  for i in 1..n do\n")
 	fmt.Fprintf(&b, "    a[i] := float(i) * %d.0;\n", 1+r.Intn(5))
 	fmt.Fprintf(&b, "    b[i] := float(i * i);\n")
 	fmt.Fprintf(&b, "    perm[i] := (i * %d) mod n + 1;\n", 1+2*r.Intn(4)) // odd-ish stride
 	fmt.Fprintf(&b, "  end;\n")
+	genTopLevel(&b, r)
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {
@@ -79,7 +128,8 @@ func GenProgram(r *rand.Rand) string {
 // compiler beyond the plain stencils of GenProgram: forall bodies with
 // local variables, if/else with boolean connectives, inner for loops,
 // builtin calls, unary minus, and integer div/mod — every construct
-// the VM lowers.  The loop shapes also straddle every decision the
+// the VM lowers — after the same sequential top-level stretch
+// (genTopLevel).  The loop shapes also straddle every decision the
 // VM's segment kernel makes: block distributions (rows resolve to local
 // spans) against cyclic ones (they cannot: per-element fallback), a
 // collapsed [dist, *] matrix read through an inner loop, unit-stride
@@ -106,6 +156,7 @@ func GenVMProgram(r *rand.Rand) string {
 	// mat[i,q] under "on a[i].loc" is an aligned, communication-free read.
 	fmt.Fprintf(&b, "    mat : array[1..n, 1..k] of real dist by [%s, *] on Procs;\n", distA)
 	fmt.Fprintf(&b, "    i, q : integer;\n")
+	b.WriteString(topLevelDecls)
 	fmt.Fprintf(&b, "begin\n")
 	fmt.Fprintf(&b, "  for i in 1..n do\n")
 	fmt.Fprintf(&b, "    a[i] := float(i) * %d.0 - %d.5;\n", 1+r.Intn(5), r.Intn(3))
@@ -113,6 +164,7 @@ func GenVMProgram(r *rand.Rand) string {
 	fmt.Fprintf(&b, "    perm[i] := (i * %d) mod n + 1;\n", 1+2*r.Intn(4))
 	fmt.Fprintf(&b, "    for q in 1..k do mat[i,q] := float(i) / float(q + %d); end;\n", r.Intn(3))
 	fmt.Fprintf(&b, "  end;\n")
+	genTopLevel(&b, r)
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {

@@ -254,8 +254,10 @@ end.
 	cb := el.compiled[findForall(prog.file.Main, 0)]
 	var stores []string
 	for _, h := range cb.hoists {
-		if h.store {
-			stores = append(stores, cb.reals[h.slot].name)
+		for _, sym := range prog.file.syms {
+			if h.store && sym.Kind == symRealArray && sym.Slot == int(h.slot) {
+				stores = append(stores, sym.Name)
+			}
 		}
 	}
 	if fmt.Sprint(stores) != "[B]" {

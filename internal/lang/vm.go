@@ -151,18 +151,9 @@ type iInit struct {
 // execution — the checker forbids assigning globals inside bodies) to
 // a pinned register; execForall refreshes the values at each launch.
 type scalarInput struct {
-	name string
+	slot int // in the interpreter's global frame
 	t    BaseType
 	reg  int32
-}
-
-// vmArraySlot describes one bound array: its name (resolved against
-// the node's headers when the vmState is created) and, for rank-2
-// arrays, the declared shape used to inline row-major linearization.
-type vmArraySlot struct {
-	name  string
-	rank  int
-	shape [2]int
 }
 
 // compiledBody is the immutable output of compileBody, shared by every
@@ -180,15 +171,14 @@ type compiledBody struct {
 	constI []int // pool for opLinI coefficients
 
 	scalars []scalarInput
-	reals   []vmArraySlot
-	ints    []string
 
 	hoists []hoist
 }
 
 // vmState is one node's execution state for one compiled body: the
-// register files and the resolved array headers.  Created once per
-// forall per node; reused across sweeps with zero allocation.
+// register files and the node's array tables, which array operands
+// index by Symbol.Slot.  Created once per forall per node; reused
+// across sweeps with zero allocation.
 type vmState struct {
 	cb *compiledBody
 	f  []float64
@@ -216,6 +206,8 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 		cb:      cb,
 		f:       make([]float64, cb.nF),
 		n:       make([]int, cb.nI),
+		ra:      in.realArrs,
+		ia:      in.intArrs,
 		node:    in.ctx.Node,
 		views:   make([][]float64, len(cb.hoists)+1),
 		noViews: make([][]float64, len(cb.hoists)+1),
@@ -231,22 +223,6 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 	for _, c := range cb.initI {
 		st.n[c.reg] = c.v
 	}
-	st.ra = make([]*darray.Array, len(cb.reals))
-	for k, s := range cb.reals {
-		a := in.arrays[s.name]
-		if a == nil {
-			panic(fmt.Sprintf("lang: vm slot %d: unknown real array %q", k, s.name))
-		}
-		st.ra[k] = a
-	}
-	st.ia = make([]*darray.IntArray, len(cb.ints))
-	for k, name := range cb.ints {
-		ia := in.ints[name]
-		if ia == nil {
-			panic(fmt.Sprintf("lang: vm slot %d: unknown integer array %q", k, name))
-		}
-		st.ia[k] = ia
-	}
 	return st
 }
 
@@ -255,10 +231,7 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 // values cannot change mid-loop).
 func (st *vmState) bindScalars(in *interp) {
 	for _, s := range st.cb.scalars {
-		v := in.scalars[s.name]
-		if v == nil {
-			panic(fmt.Sprintf("lang: vm scalar input %q is not bound", s.name))
-		}
+		v := &in.globals[s.slot]
 		switch s.t {
 		case TReal:
 			st.f[s.reg] = v.f
@@ -560,9 +533,8 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 // lin1 bounds-checks a rank-1 store coordinate (matching
 // darray.linearize, which the walker reaches through Array.Linear).
 func (st *vmState) lin1(slot int32, i int) int {
-	sh := &st.cb.reals[slot].shape
-	if i < 1 || i > sh[0] {
-		panic(fmt.Sprintf("darray: coordinate %d out of [1..%d] in dim 0", i, sh[0]))
+	if n := st.ra[slot].Size(); i < 1 || i > n {
+		panic(fmt.Sprintf("darray: coordinate %d out of [1..%d] in dim 0", i, n))
 	}
 	return i
 }

@@ -16,7 +16,9 @@ package lru
 
 // Cache maps K to V, keeping at most Cap entries by recency of use.
 type Cache[K comparable, V any] struct {
-	cap       int
+	cap int
+	// entries is nil until the first Put: an engine lives as long as one
+	// request, and most of its caches never hold anything.
 	entries   map[K]*entry[K, V]
 	head      *entry[K, V] // most recently used
 	tail      *entry[K, V] // least recently used
@@ -36,7 +38,7 @@ func New[K comparable, V any](cap int) *Cache[K, V] {
 	if cap < 1 {
 		panic("lru: capacity must be at least 1")
 	}
-	return &Cache[K, V]{cap: cap, entries: make(map[K]*entry[K, V], cap)}
+	return &Cache[K, V]{cap: cap}
 }
 
 // Get returns the value under k, marking it most recently used.
@@ -59,6 +61,9 @@ func (c *Cache[K, V]) Put(k K, v V) {
 		return
 	}
 	e := &entry[K, V]{key: k, val: v}
+	if c.entries == nil {
+		c.entries = map[K]*entry[K, V]{}
+	}
 	c.entries[k] = e
 	c.pushFront(e)
 	if len(c.entries) > c.cap {
@@ -81,7 +86,7 @@ func (c *Cache[K, V]) Evictions() int { return c.evictions }
 
 // Reset drops all entries and zeroes the eviction counter.
 func (c *Cache[K, V]) Reset() {
-	c.entries = make(map[K]*entry[K, V], c.cap)
+	c.entries = nil
 	c.head, c.tail = nil, nil
 	c.evictions = 0
 }
