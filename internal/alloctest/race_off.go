@@ -3,5 +3,5 @@
 package alloctest
 
 // race reports that the race detector is active; its instrumentation
-// allocates, so the malloc half of a pin is skipped under it.
+// allocates, so a Meter reads 0 under it.
 const race = false

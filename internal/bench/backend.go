@@ -2,57 +2,47 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/forall"
 	"kali/internal/machine"
 	"kali/internal/machine/sim"
-	"kali/internal/machine/wallclock"
 	"kali/internal/topology"
 )
 
-// Backend contrasts the two Transport backends on the same compiled
-// schedules: the simulator's cost-model predictions (NCUBE/7) next to
-// wall-clock times measured on real pinned threads.  Three workloads
-// cover the paper's program shapes — a Jacobi shift replayed from a
-// compile-time schedule, an ADI-style [block,*]↔[*,block]
-// redistribution ping-pong, and an unstructured indirect sweep replayed
-// from an inspector-built schedule.
+// Backend replays the paper's three program shapes from cached
+// schedules on the simulator: a Jacobi shift (a compile-time
+// schedule), an ADI-style [block,*]↔[*,block] redistribution ping-pong,
+// and an unstructured indirect sweep (an inspector-built schedule).
 //
-// The structural columns (msgs, bytes, allocs/replay) are
-// backend-invariant and deterministic, so the CI baseline gates them;
-// the wall-clock columns are host-dependent by nature and are excluded
-// from the gate (see costColumn).  allocs/replay comes from the sim
-// run, where the only allocations are the replay path's own; the wall
-// run's count ("wall allocs", not gated) additionally picks up a few
-// timing-dependent thread-bookkeeping allocations from the Go runtime
-// itself.  Speedup is wall time at 1 thread over wall time at P
-// threads — it exceeds 1 only when the host actually has multiple
-// cores to run the pinned threads on.
+// Every column is the simulator's: the NCUBE/7 cost model's time per
+// replay, the traffic per replay, and the process's allocations per
+// replay.  The traffic is what the wall-clock backend moves too
+// (forall's TestBackendEquivalence* and TestExecutorBackendMatrix pin
+// sim ≡ wall); what the same replays cost in host time on real threads
+// is benchmark/'s wall-halo and wall-transpose workloads.
 func Backend(opt Options) *Table {
 	jacobiN, adiN, unstrN := 1<<16, 192, 1<<14
 	procs := []int{1, 2, 4, 8}
-	// Plenty of replays: the Go runtime itself makes a handful of
-	// timing-dependent internal allocations per run (thread wakeups),
-	// and a large divisor keeps them below the 0.1 display granularity
-	// so the gated allocs/replay column stays deterministic.
-	const reps = 200
+	// Warm replays cost the same every time in everything this table
+	// reports, so the quick run needs only a few of them.
+	reps := 200
 	if opt.Quick {
-		jacobiN, adiN, unstrN = 1<<12, 48, 1<<11
+		jacobiN, adiN, unstrN, reps = 1<<12, 48, 1<<11, 25
 		procs = []int{1, 2, 4}
 	}
 	t := &Table{
-		ID:    "backend",
-		Title: "simulated vs measured: sim and wall-clock backends on shared schedules",
-		Header: []string{"workload", "threads", "sim time/rep", "wall ms/rep",
-			"wall speedup", "msgs/rep", "bytes/rep", "allocs/replay", "wall allocs"},
+		ID:     "backend",
+		Title:  "cached-schedule replays of the three program shapes: predicted time, traffic, allocations",
+		Labels: []string{"workload", "procs"},
+		Columns: []Column{simSec("sim time/rep", 4), exact("msgs/rep", "count", 1),
+			exact("bytes/rep", "bytes", 0), exact("allocs/replay", "count", 1)},
 		Notes: []string{
-			fmt.Sprintf("sim time is the NCUBE/7 cost model; wall time is measured on real threads (jacobi N=%d, adi %dx%d, unstructured N=%d, %d replays)",
+			fmt.Sprintf("sim time is the NCUBE/7 cost model (jacobi N=%d, adi %dx%d, unstructured N=%d, %d replays)",
 				jacobiN, adiN, adiN, unstrN, reps),
 		},
 	}
@@ -64,27 +54,9 @@ func Backend(opt Options) *Table {
 		{"adi", func(p int) backendProgram { return adiProgram(adiN, p) }},
 		{"unstructured", func(p int) backendProgram { return unstructuredProgram(unstrN) }},
 	} {
-		var wall1 float64
 		for _, p := range procs {
-			simR := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(p))
-			wallR := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(p))
-			if p == procs[0] {
-				wall1 = wallR.secPerRep
-			}
-			speedup := 0.0
-			if wallR.secPerRep > 0 {
-				speedup = wall1 / wallR.secPerRep
-			}
-			t.Rows = append(t.Rows, []string{
-				w.name, fmt.Sprint(p),
-				fmt.Sprintf("%.4f", simR.secPerRep),
-				fmt.Sprintf("%.3f", wallR.secPerRep*1e3),
-				fmt.Sprintf("%.2f", speedup),
-				fmt.Sprintf("%.1f", wallR.msgsPerRep),
-				fmt.Sprintf("%.0f", wallR.bytesPerRep),
-				fmt.Sprintf("%.1f", simR.allocsPerRep),
-				fmt.Sprintf("%.1f", wallR.allocsPerRep),
-			})
+			r := backendRun(p, reps, w.program(p))
+			t.add([]string{w.name, fmt.Sprint(p)}, r.secPerRep, r.msgsPerRep, r.bytesPerRep, r.allocsPerRep)
 		}
 	}
 	return t
@@ -165,71 +137,40 @@ func unstructuredProgram(n int) backendProgram {
 	}
 }
 
-// backendMeas is one (workload, backend, thread-count) measurement.
+// backendMeas is one (workload, processor-count) measurement.
 type backendMeas struct {
 	secPerRep    float64 // max per-node replay-phase time per rep
 	msgsPerRep   float64 // machine-wide sends per rep
 	bytesPerRep  float64 // machine-wide bytes per rep
-	allocsPerRep float64 // machine-wide mallocs per rep, GC parked
+	allocsPerRep float64 // process-wide mallocs per rep
 }
 
 const phaseBackendReplay = "backend-replay"
 
-// backendRun executes prog on m: warmup rounds build the schedules and
-// grow the payload pool, then exactly reps replays are timed under the
-// phase clock with the GC parked, following the commVecRun measurement
-// discipline (barrier-bracketed MemStats on node 0, per-node stats
-// snapshots aggregated for the window's traffic).
-func backendRun(m *machine.Machine, p, reps int, prog backendProgram) backendMeas {
-	// Pinned threads need real parallelism to overlap: lift GOMAXPROCS
-	// to the thread count for the wall measurement (restored after).
-	// The sim run keeps the ambient setting — its nodes are plain
-	// goroutines and its alloc count feeds the deterministic CI gate.
-	if oldMax := runtime.GOMAXPROCS(0); m.Backend() == "wall" && p > oldMax {
-		runtime.GOMAXPROCS(p)
-		defer runtime.GOMAXPROCS(oldMax)
-	}
-	oldGC := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(oldGC)
-
+// backendRun executes prog on a p-node NCUBE/7 simulator: warmup
+// rounds build the schedules, grow the payload pool to the pattern's
+// peak demand and prime the phase-timer map, then exactly reps replays
+// are timed under the phase clock and counted by alloctest.Mallocs,
+// with per-node stats snapshots aggregated for the same window's
+// traffic.  The barrier after each replay bounds the in-flight payload
+// demand to what warmup grew the pool to.
+func backendRun(p, reps int, prog backendProgram) backendMeas {
+	m := sim.MustNew(p, machine.NCUBE7())
 	var res backendMeas
 	var mu sync.Mutex
 	var beforeAgg machine.Stats
 	m.Run(func(nd *machine.Node) {
 		replay := prog(nd)
-		// Warmup builds the schedules, grows the payload pool to the
-		// pattern's peak concurrent demand (which needs several rounds
-		// on real threads, where interleavings vary), primes the
-		// phase-timer map, and lets the runtime spawn its worker
-		// threads, so the measured window allocates nothing.
-		for k := 0; k < 12; k++ {
+		step := func() {
 			nd.StartPhase(phaseBackendReplay)
 			replay()
 			nd.StopPhase(phaseBackendReplay)
-			nd.Barrier()
 		}
-		warmupSec := nd.PhaseTime(phaseBackendReplay)
-
-		var before, after runtime.MemStats
-		statsBefore := nd.Stats()
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			nd.StartPhase(phaseBackendReplay)
-			replay()
-			nd.StopPhase(phaseBackendReplay)
-			// The per-rep barrier bounds the pattern's in-flight payload
-			// demand to what warmup grew the pool to (commvec discipline).
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-		}
-		nd.Barrier()
+		var warmupSec float64
+		var statsBefore machine.Stats
+		mallocs := alloctest.Mallocs(nd, 12, reps, step, func() {
+			warmupSec, statsBefore = nd.PhaseTime(phaseBackendReplay), nd.Stats()
+		})
 
 		mu.Lock()
 		beforeAgg = beforeAgg.Add(statsBefore)
@@ -237,7 +178,7 @@ func backendRun(m *machine.Machine, p, reps int, prog backendProgram) backendMea
 			res.secPerRep = dt // max over nodes; divided by reps below
 		}
 		if nd.ID() == 0 {
-			res.allocsPerRep = float64(after.Mallocs-before.Mallocs) / float64(reps)
+			res.allocsPerRep = float64(mallocs) / float64(reps)
 		}
 		mu.Unlock()
 	})

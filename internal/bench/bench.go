@@ -1,13 +1,20 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Figures 7–10 are tables; Figures 1–6 are program/code
 // artifacts exercised elsewhere), plus the ablations DESIGN.md calls
-// out.  Each generator returns a Table carrying both the measured
-// values from the simulated machines and the paper's published values,
-// so the output is a direct paper-vs-measured comparison.
+// out.  Each generator returns a Table of typed columns carrying the
+// values the simulated machines determine — the cost model's clocks
+// and exact counts of messages, bytes, builds, hits and allocations —
+// next to the paper's published values, so the output is a direct
+// paper-vs-simulated comparison that repeats exactly and that Compare
+// can gate in CI.  Host time is not measured here: that is the
+// benchmark module's job (benchmark/run.sh).
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -24,44 +31,145 @@ import (
 	"kali/internal/topology"
 )
 
-// Table is one rendered experiment.
+// Column declares one numeric column of a Table: what it measures, how
+// Render prints it, and how the CI gate (Compare) treats it.
+type Column struct {
+	Name string
+	// Unit is "s" (simulated seconds), "%", "bytes" or "count"; empty
+	// for a plain ratio.
+	Unit string `json:",omitempty"`
+	// Prec is how many decimals Render prints.
+	Prec int `json:",omitempty"`
+	// Gated columns fail Compare when a cell is worse than the
+	// baseline's by more than Tol, relative to the baseline; a Tol of 0
+	// is exact.  Worse is larger, or smaller under HigherIsBetter.
+	Gated          bool    `json:",omitempty"`
+	Tol            float64 `json:",omitempty"`
+	HigherIsBetter bool    `json:",omitempty"`
+}
+
+// simTol is the tolerance of simulated seconds and percentages: the
+// simulator is deterministic, so it only has to absorb another
+// platform's floating-point contraction, not run-to-run noise.
+const simTol = 0.005
+
+func simSec(name string, prec int) Column {
+	return Column{Name: name, Unit: "s", Prec: prec, Gated: true, Tol: simTol}
+}
+
+func simPct(name string, prec int) Column {
+	return Column{Name: name, Unit: "%", Prec: prec, Gated: true, Tol: simTol}
+}
+
+// exact is a gated count (messages, bytes, builds, allocations): any
+// growth is a regression.
+func exact(name, unit string, prec int) Column {
+	return Column{Name: name, Unit: unit, Prec: prec, Gated: true}
+}
+
+// benefit is a gated count whose loss is the regression (cache hits).
+func benefit(name, unit string, prec int) Column {
+	return Column{Name: name, Unit: unit, Prec: prec, Gated: true, HigherIsBetter: true}
+}
+
+// info is a column the gate ignores: the paper's published constants
+// and figures derived from gated ones.
+func info(name, unit string, prec int) Column {
+	return Column{Name: name, Unit: unit, Prec: prec}
+}
+
+// Value is one numeric cell; NaN (JSON null, rendered "-") where a row
+// has nothing to report in a column.
+type Value float64
+
+var none = math.NaN()
+
+func (v Value) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(v)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(v))
+}
+
+func (v *Value) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*v = Value(none)
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(v))
+}
+
+// Row is one line of a Table: the labels that identify it (one per
+// Table.Labels) and one Value per Table.Columns.
+type Row struct {
+	Labels []string
+	Values []Value
+}
+
+// Key identifies the row within its table.
+func (r Row) Key() string { return strings.Join(r.Labels, " / ") }
+
+// Table is one experiment's results.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID      string
+	Title   string
+	Labels  []string // headers of the label columns, which come first
+	Columns []Column
+	Rows    []Row
+	Notes   []string
+}
+
+func (t *Table) add(labels []string, values ...float64) {
+	row := Row{Labels: labels, Values: make([]Value, len(values))}
+	for i, v := range values {
+		row.Values[i] = Value(v)
+	}
+	t.Rows = append(t.Rows, row)
 }
 
 // Render formats the table as aligned text.
 func (t *Table) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	header := append([]string(nil), t.Labels...)
+	for _, c := range t.Columns {
+		header = append(header, c.Name)
 	}
+	lines := [][]string{header}
 	for _, row := range t.Rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+		cells := append([]string(nil), row.Labels...)
+		for i, v := range row.Values {
+			cells = append(cells, t.Columns[i].format(float64(v)))
+		}
+		lines = append(lines, cells)
+	}
+	widths := make([]int, len(header))
+	for _, cells := range lines {
+		for i, c := range cells {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	line := func(cells []string) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
+	for _, cells := range lines {
 		for i, c := range cells {
 			fmt.Fprintf(&b, "%*s  ", widths[i], c)
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	for _, row := range t.Rows {
-		line(row)
-	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
+}
+
+func (c Column) format(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	s := strconv.FormatFloat(v, 'f', c.Prec, 64)
+	if c.Unit == "%" {
+		s += "%"
+	}
+	return s
 }
 
 // Options controls experiment sizing.
@@ -94,7 +202,6 @@ var Registry = map[string]Generator{
 	"redist":       Redist,
 	"granularity":  Granularity,
 	"backend":      Backend,
-	"langvm":       LangVM,
 	"overlap":      Overlap,
 	"tenants":      Tenants,
 }
@@ -104,7 +211,7 @@ var Order = []string{
 	"fig7", "fig8", "fig9", "fig10",
 	"worstcase", "unstructured", "caching", "baseline", "ctvsrt", "ctvsrt2d",
 	"distchoice", "enumeration", "enumerate2d", "commvec", "redist", "granularity",
-	"backend", "langvm", "overlap", "tenants",
+	"backend", "overlap", "tenants",
 }
 
 const sweeps = 100
@@ -112,9 +219,6 @@ const sweeps = 100
 // simSweeps is how many sweeps are actually simulated before exact
 // extrapolation to 100 (see relax.RunExtrapolated).
 const simSweeps = 4
-
-func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
-func pct(x float64) string { return fmt.Sprintf("%.1f%%", x) }
 
 // paperFig7 holds the published NCUBE/7 table (Figure 7).
 var paperFig7 = map[int][4]float64{ // P -> total, exec, insp, ovh%
@@ -150,10 +254,11 @@ var paperFig10 = map[int][5]float64{
 func varyProcs(id, title string, params machine.Params, procs []int,
 	side int, paper map[int][4]float64) *Table {
 	t := &Table{
-		ID:    id,
-		Title: title,
-		Header: []string{"procs", "total", "executor", "inspector", "overhead",
-			"paper total", "paper insp", "paper ovh"},
+		ID:     id,
+		Title:  title,
+		Labels: []string{"procs"},
+		Columns: []Column{simSec("total", 2), simSec("executor", 2), simSec("inspector", 2), simPct("overhead", 1),
+			info("paper total", "s", 2), info("paper insp", "s", 2), info("paper ovh", "%", 1)},
 		Notes: []string{
 			fmt.Sprintf("time in seconds for %d sweeps over a %dx%d mesh (simulated %s)",
 				sweeps, side, side, params.Name),
@@ -164,16 +269,13 @@ func varyProcs(id, title string, params machine.Params, procs []int,
 		r := relax.RunExtrapolated(relax.Options{
 			Mesh: m, Sweeps: sweeps, P: p, Params: params,
 		}, simSweeps)
-		row := []string{
-			fmt.Sprint(p),
-			f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-			pct(r.Report.OverheadPct()),
-			"-", "-", "-",
+		pv, ok := paper[p]
+		if !ok {
+			pv = [4]float64{none, none, none, none}
 		}
-		if pv, ok := paper[p]; ok {
-			row[5], row[6], row[7] = f2(pv[0]), f2(pv[2]), pct(pv[3])
-		}
-		t.Rows = append(t.Rows, row)
+		t.add([]string{fmt.Sprint(p)},
+			r.Report.Total, r.Report.Executor, r.Report.Inspector, r.Report.OverheadPct(),
+			pv[0], pv[2], pv[3])
 	}
 	return t
 }
@@ -202,10 +304,12 @@ func Fig8(opt Options) *Table {
 func varySize(id, title string, params machine.Params, p int,
 	sides []int, paper map[int][5]float64) *Table {
 	t := &Table{
-		ID:    id,
-		Title: title,
-		Header: []string{"mesh", "total", "executor", "inspector", "overhead", "speedup",
-			"paper total", "paper ovh", "paper speedup"},
+		ID:     id,
+		Title:  title,
+		Labels: []string{"mesh"},
+		Columns: []Column{simSec("total", 2), simSec("executor", 2), simSec("inspector", 2), simPct("overhead", 1),
+			info("speedup", "", 1),
+			info("paper total", "s", 2), info("paper ovh", "%", 1), info("paper speedup", "", 1)},
 		Notes: []string{
 			fmt.Sprintf("time in seconds for %d sweeps on %d processors (simulated %s); speedup vs 1-processor executor time",
 				sweeps, p, params.Name),
@@ -217,17 +321,14 @@ func varySize(id, title string, params machine.Params, p int,
 			Mesh: m, Sweeps: sweeps, P: p, Params: params,
 		}, simSweeps)
 		t1 := relax.SeqExecutorTime(m, sweeps, params)
-		row := []string{
-			fmt.Sprintf("%dx%d", side, side),
-			f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-			pct(r.Report.OverheadPct()),
-			fmt.Sprintf("%.1f", t1/r.Report.Total),
-			"-", "-", "-",
+		pv, ok := paper[side]
+		if !ok {
+			pv = [5]float64{none, none, none, none, none}
 		}
-		if pv, ok := paper[side]; ok {
-			row[6], row[7], row[8] = f2(pv[0]), pct(pv[3]), fmt.Sprintf("%.1f", pv[4])
-		}
-		t.Rows = append(t.Rows, row)
+		t.add([]string{fmt.Sprintf("%dx%d", side, side)},
+			r.Report.Total, r.Report.Executor, r.Report.Inspector, r.Report.OverheadPct(),
+			t1/r.Report.Total,
+			pv[0], pv[3], pv[4])
 	}
 	return t
 }
@@ -265,15 +366,17 @@ func WorstCase(opt Options) *Table {
 	t := &Table{
 		ID:     "worstcase",
 		Title:  "single-sweep inspector overhead (paper §4 text)",
-		Header: []string{"machine", "procs", "total", "inspector", "overhead", "paper ovh"},
+		Labels: []string{"machine", "procs"},
+		Columns: []Column{simSec("total", 2), simSec("inspector", 2), simPct("overhead", 1),
+			info("paper ovh", "%", 0)},
 		Notes: []string{
 			fmt.Sprintf("1 sweep over a %dx%d mesh; paper: NCUBE 45%%..93%%, iPSC 35%%..41%%", side, side),
 		},
 	}
 	m := mesh.Rect(side, side)
-	paper := map[string]map[int]string{
-		"NCUBE/7": {2: "45%", 128: "93%"},
-		"iPSC/2":  {2: "35%", 32: "41%"},
+	paper := map[string]map[int]float64{
+		"NCUBE/7": {2: 45, 128: 93},
+		"iPSC/2":  {2: 35, 32: 41},
 	}
 	for _, mc := range []struct {
 		params machine.Params
@@ -281,15 +384,12 @@ func WorstCase(opt Options) *Table {
 	}{{machine.NCUBE7(), ncubeP}, {machine.IPSC2(), ipscP}} {
 		for _, p := range mc.procs {
 			r := relax.Run(relax.Options{Mesh: m, Sweeps: 1, P: p, Params: mc.params})
-			pv := "-"
-			if s, ok := paper[mc.params.Name][p]; ok {
-				pv = s
+			pv, ok := paper[mc.params.Name][p]
+			if !ok {
+				pv = none
 			}
-			t.Rows = append(t.Rows, []string{
-				mc.params.Name, fmt.Sprint(p),
-				f2(r.Report.Total), f2(r.Report.Inspector),
-				pct(r.Report.OverheadPct()), pv,
-			})
+			t.add([]string{mc.params.Name, fmt.Sprint(p)},
+				r.Report.Total, r.Report.Inspector, r.Report.OverheadPct(), pv)
 		}
 	}
 	return t
@@ -308,7 +408,9 @@ func Unstructured(opt Options) *Table {
 	t := &Table{
 		ID:     "unstructured",
 		Title:  "rectangular vs unstructured mesh (TXT2)",
-		Header: []string{"mesh", "procs", "avg deg", "total", "executor", "inspector", "overhead"},
+		Labels: []string{"mesh", "procs"},
+		Columns: []Column{info("avg deg", "", 1),
+			simSec("total", 2), simSec("executor", 2), simSec("inspector", 2), simPct("overhead", 1)},
 		Notes: []string{
 			"NCUBE/7; 'unstructured' = 6-neighbor triangular mesh in natural order (the paper's",
 			"'somewhat higher' case); 'shuffled' destroys the numbering locality entirely",
@@ -326,11 +428,8 @@ func Unstructured(opt Options) *Table {
 			r := relax.RunExtrapolated(relax.Options{
 				Mesh: mk.m, Sweeps: sw, P: p, Params: machine.NCUBE7(),
 			}, simSweeps)
-			t.Rows = append(t.Rows, []string{
-				mk.name, fmt.Sprint(p), fmt.Sprintf("%.1f", mk.m.AvgDegree()),
-				f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-				pct(r.Report.OverheadPct()),
-			})
+			t.add([]string{mk.name, fmt.Sprint(p)}, mk.m.AvgDegree(),
+				r.Report.Total, r.Report.Executor, r.Report.Inspector, r.Report.OverheadPct())
 		}
 	}
 	return t
@@ -348,7 +447,9 @@ func Caching(opt Options) *Table {
 	t := &Table{
 		ID:     "caching",
 		Title:  "schedule caching ablation (ABL1, paper §3.2)",
-		Header: []string{"sweeps", "cached insp", "cached ovh", "no-cache insp", "no-cache ovh"},
+		Labels: []string{"sweeps"},
+		Columns: []Column{simSec("cached insp", 2), simPct("cached ovh", 1),
+			simSec("no-cache insp", 2), simPct("no-cache ovh", 1)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d mesh, %d processors", side, side, p),
 		},
@@ -357,11 +458,9 @@ func Caching(opt Options) *Table {
 	for _, sw := range sweepCounts {
 		cached := relax.Run(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7()})
 		nocache := relax.Run(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(), NoCache: true})
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(sw),
-			f2(cached.Report.Inspector), pct(cached.Report.OverheadPct()),
-			f2(nocache.Report.Inspector), pct(nocache.Report.OverheadPct()),
-		})
+		t.add([]string{fmt.Sprint(sw)},
+			cached.Report.Inspector, cached.Report.OverheadPct(),
+			nocache.Report.Inspector, nocache.Report.OverheadPct())
 	}
 	return t
 }
@@ -377,9 +476,10 @@ func Baseline(opt Options) *Table {
 		side, procs, sw = 32, []int{2, 4}, 10
 	}
 	t := &Table{
-		ID:     "baseline",
-		Title:  "Kali vs hand-coded message passing (ABL2)",
-		Header: []string{"procs", "kali total", "hand total", "ratio"},
+		ID:      "baseline",
+		Title:   "Kali vs hand-coded message passing (ABL2)",
+		Labels:  []string{"procs"},
+		Columns: []Column{simSec("kali total", 2), simSec("hand total", 2), info("ratio", "", 2)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d mesh, %d sweeps; hand-coded has no inspector and no searches", side, side, sw),
 		},
@@ -389,10 +489,7 @@ func Baseline(opt Options) *Table {
 		k := relax.RunExtrapolated(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7()}, simSweeps)
 		hb := baseline.Run(baseline.Options{NX: side, NY: side, Sweeps: simSweeps, P: p, Params: machine.NCUBE7()})
 		handTotal := hb.Report.Total / float64(simSweeps) * float64(sw)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(p), f2(k.Report.Total), f2(handTotal),
-			fmt.Sprintf("%.2f", k.Report.Total/handTotal),
-		})
+		t.add([]string{fmt.Sprint(p)}, k.Report.Total, handTotal, k.Report.Total/handTotal)
 	}
 	return t
 }
@@ -405,9 +502,10 @@ func CompileVsRuntime(opt Options) *Table {
 		n, p, reps = 1<<10, 4, 5
 	}
 	t := &Table{
-		ID:     "ctvsrt",
-		Title:  "compile-time vs run-time analysis on the Figure 1 shift (ABL3)",
-		Header: []string{"path", "schedule time", "executor time", "total"},
+		ID:      "ctvsrt",
+		Title:   "compile-time vs run-time analysis on the Figure 1 shift (ABL3)",
+		Labels:  []string{"path"},
+		Columns: []Column{simSec("schedule time", 2), simSec("executor time", 2), simSec("total", 2)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, N=%d block-distributed, %d processors, %d executions", n, p, reps),
 		},
@@ -433,9 +531,7 @@ func CompileVsRuntime(opt Options) *Table {
 		if force {
 			name = "run-time inspector"
 		}
-		t.Rows = append(t.Rows, []string{
-			name, f2(rep.Inspector), f2(rep.Executor), f2(rep.Total),
-		})
+		t.add([]string{name}, rep.Inspector, rep.Executor, rep.Total)
 	}
 	return t
 }
@@ -450,9 +546,10 @@ func CompileVsRuntime2D(opt Options) *Table {
 		n, pr, pc, reps = 32, 2, 2, 3
 	}
 	t := &Table{
-		ID:     "ctvsrt2d",
-		Title:  "compile-time vs run-time analysis, 2-D five-point stencil",
-		Header: []string{"path", "schedule time", "executor time", "total"},
+		ID:      "ctvsrt2d",
+		Title:   "compile-time vs run-time analysis, 2-D five-point stencil",
+		Labels:  []string{"path"},
+		Columns: []Column{simSec("schedule time", 2), simSec("executor time", 2), simSec("total", 2)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d [block,block] on a %dx%d grid, %d executions, no schedule cache", n, n, pr, pc, reps),
 		},
@@ -463,7 +560,7 @@ func CompileVsRuntime2D(opt Options) *Table {
 		if force {
 			name = "run-time inspector"
 		}
-		t.Rows = append(t.Rows, []string{name, f2(sched), f2(exec), f2(sched + exec)})
+		t.add([]string{name}, sched, exec, sched+exec)
 	}
 	return t
 }
@@ -520,7 +617,9 @@ func DistChoice(opt Options) *Table {
 	t := &Table{
 		ID:     "distchoice",
 		Title:  "distribution choice on the same program (ABL5, paper §2.4)",
-		Header: []string{"distribution", "total", "executor", "inspector", "nonlocal iters"},
+		Labels: []string{"distribution"},
+		Columns: []Column{simSec("total", 2), simSec("executor", 2), simSec("inspector", 2),
+			info("nonlocal iters", "count", 0)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d mesh, %d sweeps, %d processors; the program text is identical", side, side, sw, p),
 		},
@@ -539,10 +638,8 @@ func DistChoice(opt Options) *Table {
 		ro := c.opt
 		ro.Mesh, ro.Sweeps, ro.P, ro.Params = m, sw, p, machine.NCUBE7()
 		r := relax.RunExtrapolated(ro, simSweeps)
-		t.Rows = append(t.Rows, []string{
-			c.name, f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-			fmt.Sprint(r.NonlocalIters),
-		})
+		t.add([]string{c.name}, r.Report.Total, r.Report.Executor, r.Report.Inspector,
+			float64(r.NonlocalIters))
 	}
 	return t
 }
@@ -560,7 +657,9 @@ func Enumeration(opt Options) *Table {
 	t := &Table{
 		ID:     "enumeration",
 		Title:  "range-search executor vs Saltz-style full enumeration (ABL7, paper §5)",
-		Header: []string{"executor", "total", "executor time", "inspector", "schedule bytes/proc"},
+		Labels: []string{"executor"},
+		Columns: []Column{simSec("total", 2), simSec("executor time", 2), simSec("inspector", 2),
+			exact("schedule bytes/proc", "bytes", 0)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d mesh, %d sweeps, %d processors", side, side, sw, p),
 		},
@@ -574,10 +673,8 @@ func Enumeration(opt Options) *Table {
 		r := relax.RunExtrapolated(relax.Options{
 			Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(), Enumerate: enum,
 		}, simSweeps)
-		t.Rows = append(t.Rows, []string{
-			name, f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-			fmt.Sprint(r.ScheduleBytes),
-		})
+		t.add([]string{name}, r.Report.Total, r.Report.Executor, r.Report.Inspector,
+			float64(r.ScheduleBytes))
 	}
 	return t
 }
@@ -597,7 +694,9 @@ func Enumeration2D(opt Options) *Table {
 	t := &Table{
 		ID:     "enumerate2d",
 		Title:  "2-D executor variants: precomputed search vs Saltz enumeration (paper §5)",
-		Header: []string{"executor", "build", "schedule time", "executor time", "schedule bytes/proc"},
+		Labels: []string{"executor", "build"},
+		Columns: []Column{simSec("schedule time", 2), simSec("executor time", 2),
+			exact("schedule bytes/proc", "bytes", 0)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d [block,block] on a %dx%d grid, %d executions, schedule cached after the first", n, n, pr, pc, reps),
 		},
@@ -611,9 +710,7 @@ func Enumeration2D(opt Options) *Table {
 		{"saltz (enumerate)", false, true},
 	} {
 		kind, sched, exec, mem := run2DVariant(n, pr, pc, reps, machine.NCUBE7(), v.force, v.enum)
-		t.Rows = append(t.Rows, []string{
-			v.name, kind.String(), f2(sched), f2(exec), fmt.Sprint(mem),
-		})
+		t.add([]string{v.name, kind.String()}, sched, exec, float64(mem))
 	}
 	return t
 }
@@ -666,9 +763,10 @@ func Granularity(opt Options) *Table {
 		side, procs = 16, []int{2, 4, 8, 16}
 	}
 	t := &Table{
-		ID:     "granularity",
-		Title:  "why the real estate agent may choose fewer processors (TXT3, §2.1)",
-		Header: []string{"procs", "total", "executor", "inspector"},
+		ID:      "granularity",
+		Title:   "why the real estate agent may choose fewer processors (TXT3, §2.1)",
+		Labels:  []string{"procs"},
+		Columns: []Column{simSec("total", 2), simSec("executor", 2), simSec("inspector", 2)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, small %dx%d mesh, short run (%d sweeps): note the interior minimum", side, side, sw),
 		},
@@ -681,9 +779,7 @@ func Granularity(opt Options) *Table {
 		r := relax.RunExtrapolated(relax.Options{
 			Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(),
 		}, simSweeps)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(p), f2(r.Report.Total), f2(r.Report.Executor), f2(r.Report.Inspector),
-		})
+		t.add([]string{fmt.Sprint(p)}, r.Report.Total, r.Report.Executor, r.Report.Inspector)
 	}
 	return t
 }

@@ -1,21 +1,22 @@
 package bench
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
 	"kali/internal/machine"
 )
 
-// parse pulls a float out of a rendered cell.
-func parse(t *testing.T, s string) float64 {
+// val returns row ri's value in the named column.
+func val(t *testing.T, tab *Table, ri int, col string) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		t.Fatalf("cell %q: %v", s, err)
+	for i, c := range tab.Columns {
+		if c.Name == col {
+			return float64(tab.Rows[ri].Values[i])
+		}
 	}
-	return v
+	t.Fatalf("table %s has no column %q", tab.ID, col)
+	return 0
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -36,8 +37,9 @@ func TestAllQuickTablesRender(t *testing.T) {
 			t.Fatalf("table %s rendered badly:\n%s", tab.ID, out)
 		}
 		for _, row := range tab.Rows {
-			if len(row) != len(tab.Header) {
-				t.Fatalf("table %s: row width %d != header %d", tab.ID, len(row), len(tab.Header))
+			if len(row.Labels) != len(tab.Labels) || len(row.Values) != len(tab.Columns) {
+				t.Fatalf("table %s: row %q has %d labels and %d values for %d and %d columns",
+					tab.ID, row.Key(), len(row.Labels), len(row.Values), len(tab.Labels), len(tab.Columns))
 			}
 		}
 	}
@@ -48,9 +50,9 @@ func TestAllQuickTablesRender(t *testing.T) {
 func TestFig7QuickShape(t *testing.T) {
 	tab := Fig7(Options{Quick: true})
 	var prevExec, prevOvh float64
-	for i, row := range tab.Rows {
-		exec := parse(t, row[2])
-		ovh := parse(t, row[4])
+	for i := range tab.Rows {
+		exec := val(t, tab, i, "executor")
+		ovh := val(t, tab, i, "overhead")
 		if i > 0 {
 			if exec >= prevExec {
 				t.Fatalf("executor did not shrink: %v", tab.Rows)
@@ -67,8 +69,8 @@ func TestFig7QuickShape(t *testing.T) {
 func TestFig9QuickShape(t *testing.T) {
 	for _, gen := range []Generator{Fig9, Fig10} {
 		tab := gen(Options{Quick: true})
-		o0, o1 := parse(t, tab.Rows[0][4]), parse(t, tab.Rows[1][4])
-		s0, s1 := parse(t, tab.Rows[0][5]), parse(t, tab.Rows[1][5])
+		o0, o1 := val(t, tab, 0, "overhead"), val(t, tab, 1, "overhead")
+		s0, s1 := val(t, tab, 0, "speedup"), val(t, tab, 1, "speedup")
 		if o1 >= o0 {
 			t.Fatalf("%s: overhead did not fall: %v", tab.ID, tab.Rows)
 		}
@@ -82,8 +84,8 @@ func TestFig9QuickShape(t *testing.T) {
 // large fraction of total time.
 func TestWorstCaseQuickDominates(t *testing.T) {
 	tab := WorstCase(Options{Quick: true})
-	for _, row := range tab.Rows {
-		if ovh := parse(t, row[4]); ovh < 10 {
+	for i, row := range tab.Rows {
+		if ovh := val(t, tab, i, "overhead"); ovh < 10 {
 			t.Fatalf("single-sweep overhead suspiciously low: %v", row)
 		}
 	}
@@ -93,10 +95,9 @@ func TestWorstCaseQuickDominates(t *testing.T) {
 // sweeps; no-cache scales with sweeps.
 func TestCachingQuickAmortizes(t *testing.T) {
 	tab := Caching(Options{Quick: true})
-	c0 := parse(t, tab.Rows[0][1])
-	cN := parse(t, tab.Rows[len(tab.Rows)-1][1])
-	n0 := parse(t, tab.Rows[0][3])
-	nN := parse(t, tab.Rows[len(tab.Rows)-1][3])
+	last := len(tab.Rows) - 1
+	c0, cN := val(t, tab, 0, "cached insp"), val(t, tab, last, "cached insp")
+	n0, nN := val(t, tab, 0, "no-cache insp"), val(t, tab, last, "no-cache insp")
 	if cN > c0*1.01 {
 		t.Fatalf("cached inspector grew: %v", tab.Rows)
 	}
@@ -109,8 +110,8 @@ func TestCachingQuickAmortizes(t *testing.T) {
 // faster.
 func TestBaselineQuickNearParity(t *testing.T) {
 	tab := Baseline(Options{Quick: true})
-	for _, row := range tab.Rows {
-		ratio := parse(t, row[3])
+	for i, row := range tab.Rows {
+		ratio := val(t, tab, i, "ratio")
 		if ratio < 1.0 || ratio > 2.0 {
 			t.Fatalf("implausible kali/hand ratio: %v", row)
 		}
@@ -121,8 +122,7 @@ func TestBaselineQuickNearParity(t *testing.T) {
 // below the inspector's.
 func TestCompileVsRuntimeQuick(t *testing.T) {
 	tab := CompileVsRuntime(Options{Quick: true})
-	ct := parse(t, tab.Rows[0][1])
-	rt := parse(t, tab.Rows[1][1])
+	ct, rt := val(t, tab, 0, "schedule time"), val(t, tab, 1, "schedule time")
 	if ct >= rt {
 		t.Fatalf("compile-time schedule cost %g not below run-time %g", ct, rt)
 	}
@@ -135,12 +135,12 @@ func TestEnumerationQuickTradeoff(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %v", tab.Rows)
 	}
-	search, enum := tab.Rows[0], tab.Rows[1]
-	if parse(t, enum[2]) >= parse(t, search[2]) {
-		t.Fatalf("enumerated executor not faster: %v vs %v", enum, search)
+	const search, enum = 0, 1
+	if val(t, tab, enum, "executor time") >= val(t, tab, search, "executor time") {
+		t.Fatalf("enumerated executor not faster: %v", tab.Rows)
 	}
-	if parse(t, enum[4]) <= parse(t, search[4]) {
-		t.Fatalf("enumerated schedule not bigger: %v vs %v", enum, search)
+	if val(t, tab, enum, "schedule bytes/proc") <= val(t, tab, search, "schedule bytes/proc") {
+		t.Fatalf("enumerated schedule not bigger: %v", tab.Rows)
 	}
 }
 
@@ -150,17 +150,19 @@ func TestEnumerationQuickTradeoff(t *testing.T) {
 // traffic per execution.
 func TestCommVecQuick(t *testing.T) {
 	tab := CommVec(Options{Quick: true})
-	coalesced, shared := tab.Rows[0], tab.Rows[1]
-	for _, row := range tab.Rows {
-		if parse(t, row[5]) != 0 {
-			t.Fatalf("cached replay allocated (%s allocs/replay): %v", row[5], row)
+	const coalesced, shared = 0, 1
+	for i, row := range tab.Rows {
+		if a := val(t, tab, i, "allocs/replay"); a != 0 {
+			t.Fatalf("cached replay allocated (%g allocs/replay): %v", a, row)
 		}
 	}
-	if parse(t, shared[1]) != 1 || parse(t, shared[2]) != 1 {
-		t.Fatalf("two same-shaped loops should cost 1 build + 1 shared hit: %v", shared)
+	if val(t, tab, shared, "builds") != 1 || val(t, tab, shared, "shared hits") != 1 {
+		t.Fatalf("two same-shaped loops should cost 1 build + 1 shared hit: %v", tab.Rows[shared])
 	}
-	if shared[3] != coalesced[3] || shared[4] != coalesced[4] {
-		t.Fatalf("the sharing loop moved different traffic per execution: %v vs %v", shared, coalesced)
+	for _, col := range []string{"msgs/exec", "bytes/exec"} {
+		if val(t, tab, shared, col) != val(t, tab, coalesced, col) {
+			t.Fatalf("the sharing loop moved different traffic per execution: %v", tab.Rows)
+		}
 	}
 }
 
@@ -178,43 +180,14 @@ func TestCommVecCombinesPerPair(t *testing.T) {
 	}
 }
 
-// TestLangVMQuick: the compiled-body acceptance criteria at quick size
-// — no path's warm replay allocates (exact), and the bytecode VM keeps
-// its lead over the tree walker (host-timed, so eight pairs per cell
-// instead of the quick table's two).  The floors are set from 500 such
-// tables on the 2-CPU development host, 300 of them beside a running
-// `go test ./...`: the walker's ns/elem over the VM's was 1.43–20.9
-// (median 3.9) on jacobi2d, 1.24–13.9 (3.6) on redblack2d and 0.88–5.8
-// (1.8) on adi, whose per-element time is mostly what both paths share,
-// two redistributions per sweep and an unkernelled inner `for`.  The
-// parent's 3.8–11x came from the walker's per-iteration scope map
-// (4–5 allocs/elem, ~550 ns/elem against ~120 now); the VM's ns/elem
-// did not move.
-func TestLangVMQuick(t *testing.T) {
-	floor := map[string]float64{"jacobi2d": 1, "redblack2d": 1, "adi": 0.67}
-	tab := langVM(32, 4, 20, 8)
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows: %v", tab.Rows)
-	}
-	for i := 0; i+2 < len(tab.Rows); i += 3 {
-		interp, vm, native := tab.Rows[i], tab.Rows[i+1], tab.Rows[i+2]
-		if parse(t, interp[2]) < floor[vm[0]]*parse(t, vm[2]) {
-			t.Fatalf("VM not %.2fx faster than walker: %v vs %v", floor[vm[0]], vm, interp)
-		}
-		if parse(t, interp[3]) != 0 || parse(t, vm[3]) != 0 || parse(t, native[3]) != 0 {
-			t.Fatalf("warm replay allocated: %v / %v / %v", interp, vm, native)
-		}
-	}
-}
-
 // TestDistChoiceQuickBlockWins: block is the fastest distribution for
 // the stencil (ABL5).
 func TestDistChoiceQuickBlockWins(t *testing.T) {
 	tab := DistChoice(Options{Quick: true})
-	block := parse(t, tab.Rows[0][1])
-	for _, row := range tab.Rows[1:] {
-		if parse(t, row[1]) < block {
-			t.Fatalf("distribution %s beat block: %v", row[0], tab.Rows)
+	block := val(t, tab, 0, "total")
+	for i, row := range tab.Rows[1:] {
+		if val(t, tab, i+1, "total") < block {
+			t.Fatalf("distribution %s beat block: %v", row.Key(), tab.Rows)
 		}
 	}
 }
@@ -225,15 +198,15 @@ func TestDistChoiceQuickBlockWins(t *testing.T) {
 func TestUnstructuredQuickCostsHigher(t *testing.T) {
 	tab := Unstructured(Options{Quick: true})
 	for i := 0; i+2 < len(tab.Rows); i += 3 {
-		rect, unst, shuf := tab.Rows[i], tab.Rows[i+1], tab.Rows[i+2]
-		if parse(t, unst[3]) <= parse(t, rect[3]) {
-			t.Fatalf("unstructured total not higher: %v vs %v", unst, rect)
+		rect, unst, shuf := i, i+1, i+2
+		if val(t, tab, unst, "total") <= val(t, tab, rect, "total") {
+			t.Fatalf("unstructured total not higher: %v", tab.Rows)
 		}
-		if parse(t, unst[5]) <= parse(t, rect[5]) {
-			t.Fatalf("unstructured inspector not higher: %v vs %v", unst, rect)
+		if val(t, tab, unst, "inspector") <= val(t, tab, rect, "inspector") {
+			t.Fatalf("unstructured inspector not higher: %v", tab.Rows)
 		}
-		if parse(t, shuf[3]) <= parse(t, unst[3]) {
-			t.Fatalf("shuffled total not higher than natural: %v vs %v", shuf, unst)
+		if val(t, tab, shuf, "total") <= val(t, tab, unst, "total") {
+			t.Fatalf("shuffled total not higher than natural: %v", tab.Rows)
 		}
 	}
 }

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
 	"kali/internal/darray"
 	"kali/internal/dist"
@@ -31,9 +30,9 @@ import (
 //     content-addressed store, so two loops cost one build.
 //
 // Message and byte counts come from the machine's per-node Stats;
-// allocs/replay is the machine-wide malloc count during the cached
-// replays divided by the number of replays, measured with the GC
-// parked — 0.00 means the replay path allocates nothing at all.
+// allocs/replay is the process's malloc count during the cached
+// replays (alloctest.Mallocs) divided by the number of replays — 0.00
+// means the replay path allocates nothing at all.
 func CommVec(opt Options) *Table {
 	n, p, reps := 1<<14, 8, 40
 	if opt.Quick {
@@ -42,7 +41,10 @@ func CommVec(opt Options) *Table {
 	t := &Table{
 		ID:     "commvec",
 		Title:  "vectorized communication: coalescing, sharing, allocation-free replay",
-		Header: []string{"variant", "builds", "shared hits", "msgs/exec", "bytes/exec", "allocs/replay", "executor time"},
+		Labels: []string{"variant"},
+		Columns: []Column{exact("builds", "count", 0), benefit("shared hits", "count", 0),
+			exact("msgs/exec", "count", 1), exact("bytes/exec", "bytes", 0),
+			exact("allocs/replay", "count", 2), simSec("executor time", 2)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, N=%d block-distributed, %d processors, two read arrays, %d cached replays", n, p, reps),
 		},
@@ -55,12 +57,8 @@ func CommVec(opt Options) *Table {
 		{"coalesced+shared", true},
 	} {
 		r := commVecRun(n, p, reps, machine.NCUBE7(), v.second)
-		t.Rows = append(t.Rows, []string{
-			v.name,
-			fmt.Sprint(r.builds), fmt.Sprint(r.sharedHits),
-			fmt.Sprintf("%.1f", r.msgsPerExec), fmt.Sprintf("%.0f", r.bytesPerExec),
-			fmt.Sprintf("%.2f", r.allocsPerReplay), f2(r.execTime),
-		})
+		t.add([]string{v.name}, float64(r.builds), float64(r.sharedHits),
+			r.msgsPerExec, r.bytesPerExec, r.allocsPerReplay, r.execTime)
 	}
 	return t
 }
@@ -80,11 +78,6 @@ func commVecRun(n, p, reps int, params machine.Params, second bool) commVecResul
 	g := topology.MustGrid(p)
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
 	mach := sim.MustNew(p, params)
-
-	// Park the GC so the malloc count is exact and the payload pool is
-	// never drained mid-measurement.
-	oldGC := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(oldGC)
 
 	var res commVecResult
 	var mu sync.Mutex
@@ -124,37 +117,20 @@ func commVecRun(n, p, reps int, params machine.Params, second bool) commVecResul
 			lb = mkLoop("vecB", outB, uB, vB)
 		}
 
-		// Warmup: build (or share) the schedules and grow the payload
-		// pool to the pattern's peak in-flight demand.  The per-round
-		// barrier bounds that demand — see TestReplayAllocationFree.
-		for k := 0; k < 3; k++ {
+		// Warmup builds (or shares) the schedules and grows the payload
+		// pool to the pattern's peak in-flight demand, which the barrier
+		// after each round bounds — see TestReplayAllocationFree.
+		step := func() {
 			eng.Run(la)
 			if lb != nil {
 				eng.Run(lb)
 			}
-			nd.Barrier()
 		}
-
-		var before, after runtime.MemStats
-		statsBefore := nd.Stats()
-		execBefore := nd.PhaseTime(forall.PhaseExecutor)
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			eng.Run(la)
-			if lb != nil {
-				eng.Run(lb)
-			}
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-		}
-		nd.Barrier()
+		var statsBefore machine.Stats
+		var execBefore float64
+		mallocs := alloctest.Mallocs(nd, 3, reps, step, func() {
+			statsBefore, execBefore = nd.Stats(), nd.PhaseTime(forall.PhaseExecutor)
+		})
 
 		mu.Lock()
 		beforeAgg = beforeAgg.Add(statsBefore)
@@ -164,7 +140,7 @@ func commVecRun(n, p, reps int, params machine.Params, second bool) commVecResul
 		if nd.ID() == 0 {
 			res.builds = eng.Builds()
 			res.sharedHits = eng.SharedHits()
-			res.allocsPerReplay = float64(after.Mallocs-before.Mallocs) / float64(reps)
+			res.allocsPerReplay = float64(mallocs) / float64(reps)
 		}
 		mu.Unlock()
 	})

@@ -2,28 +2,32 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 )
 
-// This file implements the CI regression gate for schedule costs: a
-// committed kalibench -json run (bench/baseline.json) is compared
-// against a fresh run of the same experiments, and any cost-like cell
-// — simulated times, overhead percentages, schedule memory — that
-// grew beyond the tolerance fails the build.  The simulator is
-// deterministic, so the tolerance only has to absorb intentional
-// small cost-model drift, not run-to-run noise; regenerate the
-// baseline (kalibench -quick -json > bench/baseline.json) when a
-// change moves costs on purpose.
+// This file implements the CI regression gate: a committed
+// kalibench -json run (bench/baseline.json) is compared against a fresh
+// run of the same experiments, and any cell of a column declared Gated
+// — simulated times, overhead percentages, traffic, schedule memory,
+// builds, hits, allocations — that is worse than the baseline's by
+// more than the column's own tolerance fails the build.  The simulator
+// is deterministic, so the tolerances absorb no run-to-run noise;
+// regenerate the baseline (kalibench -quick -json >
+// bench/baseline.json) when a change moves a gated cell on purpose, in
+// either direction: a cell that improved is only guarded again once
+// the baseline holds the better value.
 
-// Regression is one baseline comparison failure: either a cost cell
-// that grew past tolerance, or a structural mismatch between the
-// baseline and the fresh run.
+// Regression is one baseline comparison failure: either a gated cell
+// that is worse than the baseline's by more than its column's
+// tolerance, or a structural mismatch between the baseline and the
+// fresh run.
 type Regression struct {
 	Table, Row, Column string
 	Base, Cur          float64
-	// Structural describes a shape mismatch (missing table, row-count
-	// change); Base/Cur are meaningless when it is non-empty.
+	// Structural describes a shape mismatch (a table, row or gated
+	// column on one side only, different problem sizes); Base/Cur are
+	// meaningless when it is non-empty.
 	Structural string
 }
 
@@ -31,53 +35,34 @@ func (r Regression) String() string {
 	if r.Structural != "" {
 		return fmt.Sprintf("%s: %s", r.Table, r.Structural)
 	}
-	if r.Base == 0 {
+	if r.Base == 0 || math.IsNaN(r.Base) || math.IsNaN(r.Cur) {
 		return fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g", r.Table, r.Row, r.Column, r.Base, r.Cur)
 	}
-	return fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g (+%.1f%%)",
+	return fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g (%+.1f%%)",
 		r.Table, r.Row, r.Column, r.Base, r.Cur, 100*(r.Cur/r.Base-1))
 }
 
-// costColumn reports whether a header names a cost the gate should
-// bound: times, overheads, and schedule storage, but never the
-// paper's published reference columns (constants), never identity
-// columns like "procs" or "mesh", and never measured wall-clock
-// columns — those vary with the host and the scheduler, so gating
-// them would make CI nondeterministic.  The backend table's
-// structural columns (msgs, bytes, allocs/replay) stay gated.
-func costColumn(header string) bool {
-	h := strings.ToLower(header)
-	for _, skip := range []string{"paper", "wall", "measured", "speedup"} {
-		if strings.Contains(h, skip) {
-			return false
-		}
+// worse reports whether cur is worse than base by more than the
+// column's tolerance, or one of the two has no value where the other
+// does.
+func (c Column) worse(base, cur float64) bool {
+	if math.IsNaN(base) || math.IsNaN(cur) {
+		return math.IsNaN(base) != math.IsNaN(cur)
 	}
-	for _, key := range []string{"total", "executor", "inspector", "insp", "schedule", "time", "overhead", "ovh", "bytes", "mem", "msgs", "alloc", "builds"} {
-		if strings.Contains(h, key) {
-			return true
-		}
+	slack := c.Tol * math.Abs(base)
+	if c.HigherIsBetter {
+		return cur < base-slack
 	}
-	return false
+	return cur > base+slack
 }
 
-// cellValue parses a rendered table cell ("12.64", "4.7%", "4480");
-// ok is false for markers like "-" and non-numeric cells.
-func cellValue(cell string) (float64, bool) {
-	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-	return v, err == nil
-}
-
-// diffEps absorbs two-decimal rendering granularity: a cell printed as
-// 0.00 must not fail against a baseline 0.00 however small tol is.
-const diffEps = 0.01
-
-// Compare checks a fresh run against the baseline.  For every table
-// of the baseline, the matching current table must exist with the same
-// shape, and each cost-column cell may not exceed
-// base*(1+tol) + diffEps.  Improvements (smaller values) always pass;
-// tables present only in the current run are ignored (the baseline
-// needs regenerating, but nothing regressed).
-func Compare(baseline, current []*Table, tol float64) []Regression {
+// Compare checks a fresh run against the baseline.  The two must hold
+// the same tables, sized alike, with the same rows (matched by their
+// labels) and the same gated columns (matched by name; the fresh run's
+// declaration decides what is gated and how); anything on one side
+// only is a structural regression, since it is either lost coverage or
+// a baseline that needs regenerating.  Improvements always pass.
+func Compare(baseline, current []*Table) []Regression {
 	curByID := map[string]*Table{}
 	for _, t := range current {
 		curByID[t.ID] = t
@@ -89,16 +74,7 @@ func Compare(baseline, current []*Table, tol float64) []Regression {
 			regs = append(regs, Regression{Table: base.ID, Structural: "table missing from current run"})
 			continue
 		}
-		if len(cur.Rows) != len(base.Rows) {
-			regs = append(regs, Regression{Table: base.ID,
-				Structural: fmt.Sprintf("row count changed: %d -> %d", len(base.Rows), len(cur.Rows))})
-			continue
-		}
-		if len(cur.Header) != len(base.Header) {
-			regs = append(regs, Regression{Table: base.ID,
-				Structural: fmt.Sprintf("column count changed: %d -> %d", len(base.Header), len(cur.Header))})
-			continue
-		}
+		delete(curByID, base.ID)
 		// The notes embed the problem sizes (mesh, processors, quick vs
 		// full), so comparing them catches a full-size run diffed
 		// against a -quick baseline before the numbers mislead anyone.
@@ -108,28 +84,72 @@ func Compare(baseline, current []*Table, tol float64) []Regression {
 					strings.Join(cur.Notes, "; "), strings.Join(base.Notes, "; "))})
 			continue
 		}
-		for ri, baseRow := range base.Rows {
-			curRow := cur.Rows[ri]
-			label := fmt.Sprintf("row %d", ri)
-			if len(baseRow) > 0 {
-				label = baseRow[0]
+		regs = append(regs, compareTable(base, cur)...)
+	}
+	for _, t := range current {
+		if curByID[t.ID] != nil {
+			regs = append(regs, Regression{Table: t.ID, Structural: "table not in the baseline (regenerate it)"})
+		}
+	}
+	return regs
+}
+
+// compareTable compares two same-sized runs of one experiment.
+func compareTable(base, cur *Table) (regs []Regression) {
+	structural := func(format string, args ...any) {
+		regs = append(regs, Regression{Table: cur.ID, Structural: fmt.Sprintf(format, args...)})
+	}
+	baseCol := map[string]int{}
+	for i, c := range base.Columns {
+		baseCol[c.Name] = i
+	}
+	curGated := map[string]bool{}
+	for _, c := range cur.Columns {
+		if !c.Gated {
+			continue
+		}
+		curGated[c.Name] = true
+		if _, ok := baseCol[c.Name]; !ok {
+			structural("gated column %q not in the baseline (regenerate it)", c.Name)
+		}
+	}
+	for _, c := range base.Columns {
+		if c.Gated && !curGated[c.Name] {
+			structural("gated column %q missing from current run", c.Name)
+		}
+	}
+	baseRow := map[string]Row{}
+	for _, r := range base.Rows {
+		if len(r.Values) != len(base.Columns) {
+			structural("baseline row %q has %d values for %d columns", r.Key(), len(r.Values), len(base.Columns))
+			continue
+		}
+		baseRow[r.Key()] = r
+	}
+	for _, r := range cur.Rows {
+		b, ok := baseRow[r.Key()]
+		delete(baseRow, r.Key())
+		switch {
+		case len(r.Values) != len(cur.Columns):
+			structural("row %q has %d values for %d columns", r.Key(), len(r.Values), len(cur.Columns))
+			continue
+		case !ok:
+			structural("row %q not in the baseline (regenerate it)", r.Key())
+			continue
+		}
+		for ci, c := range cur.Columns {
+			bi, ok := baseCol[c.Name]
+			if !c.Gated || !ok {
+				continue
 			}
-			for ci, baseCell := range baseRow {
-				if ci >= len(curRow) || !costColumn(base.Header[ci]) {
-					continue
-				}
-				bv, bok := cellValue(baseCell)
-				cv, cok := cellValue(curRow[ci])
-				if !bok || !cok {
-					continue
-				}
-				if cv > bv*(1+tol)+diffEps {
-					regs = append(regs, Regression{
-						Table: base.ID, Row: label, Column: base.Header[ci],
-						Base: bv, Cur: cv,
-					})
-				}
+			if bv, cv := float64(b.Values[bi]), float64(r.Values[ci]); c.worse(bv, cv) {
+				regs = append(regs, Regression{Table: cur.ID, Row: r.Key(), Column: c.Name, Base: bv, Cur: cv})
 			}
+		}
+	}
+	for _, r := range base.Rows {
+		if _, left := baseRow[r.Key()]; left {
+			structural("row %q missing from current run", r.Key())
 		}
 	}
 	return regs

@@ -9,8 +9,6 @@ import (
 	"kali/internal/dist"
 	"kali/internal/forall"
 	"kali/internal/machine"
-	"kali/internal/machine/sim"
-	"kali/internal/machine/wallclock"
 	"kali/internal/mg"
 	"kali/internal/topology"
 )
@@ -28,35 +26,36 @@ import (
 // multigrid V-cycle (whose prolongation interpolates through the
 // sequence API on every level).
 //
-// The sim columns are deterministic cost-model predictions and stay
-// under the CI gate; the pct column expresses the win gate-compatibly
+// Every column is a deterministic cost-model prediction or count and is
+// under the CI gate; the pct column expresses the win as a gated cost
 // (production as a percentage of reference, < 100 when overlap and
 // fusion pay; growth past baseline means they stopped paying and fails
-// -diff).  Wall columns are measured and excluded as in the backend
-// table.  Overlap never changes traffic, but fusion merges messages:
+// -diff).  Overlap never changes traffic, but fusion merges messages:
 // msgs/rep is reported for both executors, and the production column is
 // gated so a lost merge (more envelopes) fails CI.  Byte totals are
 // identical in every cell of a row.  allocs/replay comes from the
-// production sim run: warm replay must stay allocation-free.
+// production run: warm replay must stay allocation-free.
 func Overlap(opt Options) *Table {
 	jacobiN, adiN, mgDepth := 96, 128, 9
-	p, mgP := 8, 5
-	const reps = 200
+	pr, pc, mgP := 4, 2, 5
+	reps := 200
 	if opt.Quick {
-		jacobiN, adiN, mgDepth = 48, 48, 6
-		p, mgP = 4, 3
+		jacobiN, adiN, mgDepth, reps = 48, 48, 6, 25
+		pr, pc, mgP = 2, 2, 3
 	}
+	p := pr * pc
 	t := &Table{
-		ID:    "overlap",
-		Title: "production executor (split-phase, cross-loop fusion) vs the Figure 3 reference",
-		Header: []string{"workload", "threads",
-			"sim time/rep (ref)", "sim time/rep (prod)", "sim time pct (prod/ref)",
-			"wall ms/rep (ref)", "wall ms/rep (prod)",
-			"msgs/rep (ref)", "msgs/rep (prod)", "allocs/replay"},
+		ID:     "overlap",
+		Title:  "production executor (split-phase, cross-loop fusion) vs the Figure 3 reference",
+		Labels: []string{"workload", "procs"},
+		Columns: []Column{simSec("sim time/rep (ref)", 6), simSec("sim time/rep (prod)", 6),
+			simPct("sim time pct (prod/ref)", 2),
+			exact("msgs/rep (ref)", "count", 1), exact("msgs/rep (prod)", "count", 1),
+			exact("allocs/replay", "count", 1)},
 		Notes: []string{
-			fmt.Sprintf("NCUBE/7 sim vs measured wall; jacobi2d %dx%d, adi %dx%d coupled sweep pairs with transpose ping-pong, multigrid depth %d; %d replays",
+			fmt.Sprintf("NCUBE/7 sim; jacobi2d %dx%d, adi %dx%d coupled sweep pairs with transpose ping-pong, multigrid depth %d; %d replays",
 				jacobiN, jacobiN, adiN, adiN, mgDepth, reps),
-			fmt.Sprintf("mg runs on %d threads: an odd block size misaligns the fine and coarse block boundaries, so both interpolation loops of the prolongation pair exchange boundary values and fusion has messages to merge (when the fine block is exactly twice the coarse one, the even-point loop is fully local)", mgP),
+			fmt.Sprintf("mg runs on %d processors: an odd block size misaligns the fine and coarse block boundaries, so both interpolation loops of the prolongation pair exchange boundary values and fusion has messages to merge (when the fine block is exactly twice the coarse one, the even-point loop is fully local)", mgP),
 		},
 	}
 	for _, w := range []struct {
@@ -64,30 +63,20 @@ func Overlap(opt Options) *Table {
 		p       int
 		program func(reference bool) backendProgram
 	}{
-		{"jacobi2d", p, func(ref bool) backendProgram { return jacobi2DProgram(jacobiN, p, ref) }},
+		{"jacobi2d", p, func(ref bool) backendProgram { return jacobi2DProgram(jacobiN, pr, pc, ref) }},
 		{"adi", p, func(ref bool) backendProgram { return adiOverlapProgram(adiN, p, ref) }},
 		{"mg", mgP, func(ref bool) backendProgram { return mgProgram(mgDepth, mgP, ref) }},
 	} {
 		p := w.p
-		simRef := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(true))
-		simProd := backendRun(sim.MustNew(p, machine.NCUBE7()), p, reps, w.program(false))
-		wallRef := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(true))
-		wallProd := backendRun(wallclock.MustNew(p, machine.NCUBE7()), p, reps, w.program(false))
+		ref := backendRun(p, reps, w.program(true))
+		prod := backendRun(p, reps, w.program(false))
 		pct := 100.0
-		if simRef.secPerRep > 0 {
-			pct = 100 * simProd.secPerRep / simRef.secPerRep
+		if ref.secPerRep > 0 {
+			pct = 100 * prod.secPerRep / ref.secPerRep
 		}
-		t.Rows = append(t.Rows, []string{
-			w.name, fmt.Sprint(p),
-			fmt.Sprintf("%.6f", simRef.secPerRep),
-			fmt.Sprintf("%.6f", simProd.secPerRep),
-			fmt.Sprintf("%.2f", pct),
-			fmt.Sprintf("%.3f", wallRef.secPerRep*1e3),
-			fmt.Sprintf("%.3f", wallProd.secPerRep*1e3),
-			fmt.Sprintf("%.1f", simRef.msgsPerRep),
-			fmt.Sprintf("%.1f", simProd.msgsPerRep),
-			fmt.Sprintf("%.1f", simProd.allocsPerRep),
-		})
+		t.add([]string{w.name, fmt.Sprint(p)},
+			ref.secPerRep, prod.secPerRep, pct,
+			ref.msgsPerRep, prod.msgsPerRep, prod.allocsPerRep)
 	}
 	return t
 }
@@ -95,8 +84,7 @@ func Overlap(opt Options) *Table {
 // jacobi2DProgram replays the shared five-point stencil Loop2 on an
 // n×n [block,block] array: compile-time schedules, one coalesced
 // boundary message to each of up to four neighbors per rep.
-func jacobi2DProgram(n, p int, reference bool) backendProgram {
-	pr, pc := grid2(p)
+func jacobi2DProgram(n, pr, pc int, reference bool) backendProgram {
 	return func(nd *machine.Node) func() {
 		g := topology.MustGrid(pr, pc)
 		d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
@@ -108,24 +96,6 @@ func jacobi2DProgram(n, p int, reference bool) backendProgram {
 		loop := Relax2DLoop(a, old, n)
 		return func() { eng.Run2(loop) }
 	}
-}
-
-// grid2 factors p into the most-square pr×pc processor grid.
-func grid2(p int) (int, int) {
-	pr := 1
-	for f := 2; p > 1; {
-		if p%f == 0 {
-			pr *= f
-			p /= f
-			f = 2
-			if pr >= p {
-				break
-			}
-			continue
-		}
-		f++
-	}
-	return pr, p
 }
 
 // adiOverlapProgram is one ADI cycle with cross-row coupling and a

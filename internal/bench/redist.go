@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 
+	"kali/internal/alloctest"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
@@ -20,8 +19,8 @@ import (
 // contrast the cold first cycle, which builds both all-to-all plans,
 // against warm cycles replaying them from the content-addressed store:
 // the replay builds nothing and — with payloads and partitions drawn
-// from the shared buffer pool — allocates nothing (allocs/cycle 0.00,
-// pinned by TestRedistributeReplayAllocationFree).
+// from the machine's buffer pools — allocates nothing (allocs/cycle
+// 0.00, pinned by TestRedistributeReplayAllocationFree).
 //
 // Message and byte counts come from the machine's TagRedist-attributed
 // Stats columns; "other msgs" shows that no redistribution traffic
@@ -34,28 +33,26 @@ func Redist(opt Options) *Table {
 	t := &Table{
 		ID:     "redist",
 		Title:  "dynamic redistribution: row-block <-> column-block ping-pong (ADI transpose)",
-		Header: []string{"phase", "plan builds", "plan hits", "redist msgs/cycle", "redist bytes/cycle", "other msgs", "allocs/cycle", "redist time/cycle"},
+		Labels: []string{"phase"},
+		Columns: []Column{exact("plan builds", "count", 0), benefit("plan hits", "count", 0),
+			exact("redist msgs/cycle", "count", 1), exact("redist bytes/cycle", "bytes", 0),
+			exact("other msgs", "count", 0), exact("allocs/cycle", "count", 2),
+			simSec("redist time/cycle", 4)},
 		Notes: []string{
 			fmt.Sprintf("NCUBE/7, %dx%d real array, %d processors, %d warm ping-pong cycles", n, n, p, reps),
 		},
 	}
-	cold, warm := redistRun(n, p, reps, machine.NCUBE7())
-	t.Rows = append(t.Rows, cold, warm)
+	redistRun(t, n, p, reps, machine.NCUBE7())
 	return t
 }
 
-// redistRun executes one cold ping-pong cycle and reps warm ones,
-// returning a rendered row for each regime.
-func redistRun(n, p, reps int, params machine.Params) (cold, warm []string) {
+// redistRun executes one cold ping-pong cycle and reps warm ones and
+// adds a row for each regime to t.
+func redistRun(t *Table, n, p, reps int, params machine.Params) {
 	g := topology.MustGrid(p)
 	rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
 	cols := dist.Must([]int{n, n}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockDim()}, g)
 	mach := sim.MustNew(p, params)
-
-	// Park the GC so the malloc count is exact and the buffer pool is
-	// never drained mid-measurement.
-	oldGC := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(oldGC)
 
 	builds0, hits0 := darray.RedistBuilds(), darray.RedistHits()
 	var mu sync.Mutex
@@ -87,38 +84,26 @@ func redistRun(n, p, reps int, params machine.Params) (cold, warm []string) {
 		}
 		nd.Barrier()
 
-		// A few unmeasured warm cycles grow the buffer pools and pending
-		// queues to the pattern's peak demand before the malloc window.
-		for k := 0; k < 3; k++ {
+		// A few unmeasured warm cycles grow the buffer pools to the
+		// pattern's peak demand before the measured ones.
+		cycle := func() {
 			darray.Redistribute(a, cols)
 			nd.Barrier()
 			darray.Redistribute(a, rows)
-			nd.Barrier()
 		}
-		warmupStats := nd.Stats()
-		timeAfterWarmup := nd.PhaseTime(darray.PhaseRedistribute)
-		if nd.ID() == 0 {
-			mu.Lock()
-			warmupBuilds = darray.RedistBuilds() - builds0
-			warmupHits = darray.RedistHits() - hits0
-			mu.Unlock()
-		}
-		var before, after runtime.MemStats
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		nd.Barrier()
-		for k := 0; k < reps; k++ {
-			darray.Redistribute(a, cols)
-			nd.Barrier()
-			darray.Redistribute(a, rows)
-			nd.Barrier()
-		}
-		nd.Barrier()
-		if nd.ID() == 0 {
-			runtime.ReadMemStats(&after)
-		}
-		nd.Barrier()
+		var warmupStats machine.Stats
+		var timeAfterWarmup float64
+		mallocs := alloctest.Mallocs(nd, 3, reps, cycle, func() {
+			warmupStats, timeAfterWarmup = nd.Stats(), nd.PhaseTime(darray.PhaseRedistribute)
+			if nd.ID() == 0 {
+				mu.Lock()
+				warmupBuilds = darray.RedistBuilds() - builds0
+				warmupHits = darray.RedistHits() - hits0
+				mu.Unlock()
+			}
+			// The plan counters are process-wide: Mallocs lets no node
+			// start the measured cycles before node 0 has read them.
+		})
 
 		mu.Lock()
 		coldStats = coldStats.Add(statsAfterCold)
@@ -130,7 +115,7 @@ func redistRun(n, p, reps int, params machine.Params) (cold, warm []string) {
 			warmTime = dt
 		}
 		if nd.ID() == 0 {
-			warmMallocs = after.Mallocs - before.Mallocs
+			warmMallocs = mallocs
 		}
 		mu.Unlock()
 	})
@@ -138,19 +123,13 @@ func redistRun(n, p, reps int, params machine.Params) (cold, warm []string) {
 	warmBuilds = darray.RedistBuilds() - builds0 - warmupBuilds
 	warmHits = darray.RedistHits() - hits0 - warmupHits
 
-	row := func(phase string, builds, hits int, st machine.Stats, cycles int, allocs float64, tm float64) []string {
+	row := func(phase string, builds, hits int, st machine.Stats, cycles int, allocs, tm float64) {
 		c := float64(cycles)
-		return []string{
-			phase, fmt.Sprint(builds), fmt.Sprint(hits),
-			fmt.Sprintf("%.1f", float64(st.RedistMsgsSent)/c),
-			fmt.Sprintf("%.0f", float64(st.RedistBytesSent)/c),
-			fmt.Sprint(st.MsgsSent - st.RedistMsgsSent),
-			fmt.Sprintf("%.2f", allocs),
-			fmt.Sprintf("%.4f", tm/c),
-		}
+		t.add([]string{phase}, float64(builds), float64(hits),
+			float64(st.RedistMsgsSent)/c, float64(st.RedistBytesSent)/c,
+			float64(st.MsgsSent-st.RedistMsgsSent), allocs, tm/c)
 	}
-	cold = row("cold (build)", coldBuilds, coldHits, coldStats, 1, -1, coldTime)
-	cold[6] = "-" // cold-cycle allocations include one-time plan construction
-	warm = row("warm (replay)", warmBuilds, warmHits, warmStats, reps, float64(warmMallocs)/float64(reps), warmTime)
-	return cold, warm
+	// The cold cycle's allocations include one-time plan construction.
+	row("cold (build)", coldBuilds, coldHits, coldStats, 1, none, coldTime)
+	row("warm (replay)", warmBuilds, warmHits, warmStats, reps, float64(warmMallocs)/float64(reps), warmTime)
 }

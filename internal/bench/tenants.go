@@ -3,12 +3,9 @@ package bench
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
-	"time"
 
+	"kali/internal/alloctest"
 	"kali/internal/analysis"
 	"kali/internal/core"
 	"kali/internal/forall"
@@ -25,11 +22,10 @@ import (
 //
 // The builds / store hits / disk hits columns are exact: singleflight
 // makes the build count a function of (shapes × nodes), not of tenant
-// interleaving, so the CI baseline gates "builds" at the usual
-// tolerance.  The latency percentiles are measured wall-clock and
-// host-dependent ("wall" excludes them from the gate); allocs/run is
-// the sim backend's deterministic steady-state allocation count per
-// warm tenant run.
+// interleaving, so the CI baseline gates them without tolerance, each
+// in its own direction.  allocs/run is the steady-state allocation
+// count of one warm tenant run.  What a request costs in host time
+// under concurrent clients is benchmark/'s tenants-http workload.
 func Tenants(opt Options) *Table {
 	p, tenants, n, sweeps, allocReps := 8, 16, 4096, 4, 50
 	pool := 4
@@ -37,10 +33,12 @@ func Tenants(opt Options) *Table {
 		p, tenants, n, sweeps, allocReps = 4, 8, 512, 3, 20
 	}
 	t := &Table{
-		ID:    "tenants",
-		Title: "concurrent multi-tenant schedule server: sharing, persistence, latency",
-		Header: []string{"scenario", "tenants", "builds", "store hits", "disk hits",
-			"hit rate", "p50 wall ms", "p95 wall ms", "allocs/run"},
+		ID:     "tenants",
+		Title:  "concurrent multi-tenant schedule server: sharing, persistence",
+		Labels: []string{"scenario", "tenants"},
+		Columns: []Column{exact("builds", "count", 0), benefit("store hits", "count", 0),
+			benefit("disk hits", "count", 0), benefit("hit rate", "%", 1),
+			exact("allocs/run", "count", 0)},
 		Notes: []string{
 			fmt.Sprintf("%d tenants on a %d-machine pool, P=%d, jacobi+copyback over n=%d (%d sweeps); hit rate = (store+disk hits)/lookups",
 				tenants, pool, p, n, sweeps),
@@ -63,17 +61,14 @@ func Tenants(opt Options) *Table {
 	}
 
 	runScenario := func(name string, srv *server.Server, ns []int) {
-		lat := make([]time.Duration, tenants)
 		var wg sync.WaitGroup
 		for k := 0; k < tenants; k++ {
 			wg.Add(1)
 			go func(k int) {
 				defer wg.Done()
-				start := time.Now()
 				if _, err := srv.RunFunc(tenantsWorkload(ns[k], sweeps)); err != nil {
 					panic(err)
 				}
-				lat[k] = time.Since(start)
 			}(k)
 		}
 		wg.Wait()
@@ -83,18 +78,9 @@ func Tenants(opt Options) *Table {
 		if lookups > 0 {
 			hitRate = 100 * float64(st.Hits+st.DiskHits) / float64(lookups)
 		}
-		allocs := tenantAllocsPerRun(srv, ns[0], sweeps, allocReps)
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		p50 := lat[len(lat)/2]
-		p95 := lat[len(lat)*95/100]
-		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprint(tenants),
-			fmt.Sprint(st.Builds), fmt.Sprint(st.Hits), fmt.Sprint(st.DiskHits),
-			pct(hitRate),
-			fmt.Sprintf("%.2f", float64(p50.Microseconds())/1e3),
-			fmt.Sprintf("%.2f", float64(p95.Microseconds())/1e3),
-			fmt.Sprintf("%.0f", allocs),
-		})
+		t.add([]string{name, fmt.Sprint(tenants)},
+			float64(st.Builds), float64(st.Hits), float64(st.DiskHits), hitRate,
+			tenantAllocsPerRun(srv, pool, ns[0], sweeps, allocReps))
 	}
 
 	runScenario("cold distinct", newServer(""), distinct)
@@ -151,22 +137,24 @@ func tenantsWorkload(n, sweeps int) func(*core.Context) {
 }
 
 // tenantAllocsPerRun measures steady-state allocations of one warm
-// tenant run: sequential replays with the collector off, averaged over
-// reps so the Go runtime's occasional timing-dependent bookkeeping
-// allocations stay below rendering granularity.
-func tenantAllocsPerRun(srv *server.Server, n, sweeps, reps int) float64 {
+// tenant run: sequential replays under an alloctest.Meter.  The server
+// hands its machines out in turn and each keeps its own engine state,
+// so the warmup goes twice round the pool.
+func tenantAllocsPerRun(srv *server.Server, pool, n, sweeps, reps int) float64 {
 	prog := tenantsWorkload(n, sweeps)
-	if _, err := srv.RunFunc(prog); err != nil { // warm the caches
-		panic(err)
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < reps; r++ {
+	run := func() {
 		if _, err := srv.RunFunc(prog); err != nil {
 			panic(err)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(reps)
+	var m alloctest.Meter
+	m.Enter()
+	for r := 0; r < 2*pool; r++ {
+		run()
+	}
+	m.Mark()
+	for r := 0; r < reps; r++ {
+		run()
+	}
+	return float64(m.Leave()) / float64(reps)
 }

@@ -38,12 +38,17 @@ func findForall(ss []Stmt, n int) *Forall {
 }
 
 // TestVMReplayAllocationFree: once a forall's schedule is cached and
-// its vmState built, replaying the compiled body — including a
-// nonlocal affine read, a local stencil read, a builtin call and a
-// conditional — performs zero heap allocations across the whole
-// machine.  This is the property the bytecode VM exists for: the tree
-// walker allocates a scope map and boxed values per element.
+// its vmState built, replaying the body — including a nonlocal affine
+// read, a local stencil read, a builtin call and a conditional —
+// performs zero heap allocations across the whole machine, compiled
+// (the property the bytecode VM was built for) and walked (NoVM: the
+// walker runs a loop's iterations on one slot-indexed frame).
 func TestVMReplayAllocationFree(t *testing.T) {
+	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, false) })
+	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, true) })
+}
+
+func replayAllocationFree(t *testing.T, noVM bool) {
 	src := `
 processors Procs : array[1..P] with P in 1..4;
 const n = 64;
@@ -69,12 +74,13 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog.NoVM = noVM
 	el, err := prog.elaborate(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el.compiled) == 0 {
-		t.Fatal("no compiled bodies — VM not engaged")
+	if (len(el.compiled) == 0) != noVM {
+		t.Fatalf("%d compiled bodies with NoVM=%v", len(el.compiled), noVM)
 	}
 	fa := findForall(prog.file.Main, 0)
 	if fa == nil {
@@ -95,7 +101,7 @@ end.
 		in.execStmts(prog.file.Main, nil, nil)
 		pin.Run(ctx.Node, warmup, reps, func() { in.execStmt(fa, nil, nil) })
 	})
-	pin.Check(t, "steady-state VM replay")
+	pin.Check(t, "steady-state forall replay")
 }
 
 // TestVMStrengthReduction: affine subscripts compile to opLinI (or

@@ -8,9 +8,10 @@ import (
 )
 
 // Benchmarks for the steady-state forall replay path: one elaborated
-// program, schedules cached, body re-executed per iteration.  These
-// time exactly what the langvm kalibench table reports per element —
-// run with -bench to profile where the body path spends its time.
+// program, schedules cached, body re-executed per iteration.  The
+// ledger's stencil-vm workload (benchmark/, lang.vm_ns_per_elem) is
+// the measurement of record; run these with -bench to profile where
+// the body path spends its time.
 
 func benchProgram() string {
 	return jacobi2dBenchSrc
