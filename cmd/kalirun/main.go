@@ -28,7 +28,8 @@
 // timing report is printed, plus the final contents of any arrays
 // named with -print.  -stats adds the message/traffic breakdown,
 // separating redistribute-statement traffic (and its phase time) from
-// the forall phases.
+// the forall phases, and how many interior iterations ran by row
+// segments and column-wise.
 //
 // -serve addr starts the multi-tenant schedule server instead of
 // running one program:
@@ -76,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "sim", "node runtime: sim (virtual clock) or wall (real threads)")
 	procs := fs.Int("p", 8, "available processors")
 	printArrays := fs.String("print", "", "comma-separated array/scalar names to print")
-	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution)")
+	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution) and the body paths interior iterations took")
 	noVM := fs.Bool("novm", false, "oracle: run forall bodies on the tree-walking interpreter instead of the bytecode VM")
 	ref := fs.Bool("ref", false, "oracle: run foralls on the reference executor (per loop, blocking, Figure 3 literally) instead of the production one")
 	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
@@ -173,6 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  forall/other:  %d msgs, %d bytes\n", r.MsgsSent-r.RedistMsgs, r.BytesSent-r.RedistBytes)
 		fmt.Fprintf(stdout, "  redistribute:  %d msgs, %d bytes\n", r.RedistMsgs, r.RedistBytes)
 		fmt.Fprintf(stdout, "  cross-loop fused:  %d msgs, %d bytes\n", r.FusedMsgs, r.FusedBytes)
+		fmt.Fprintf(stdout, "interior iterations: %d, %d by segments, %d column-wise\n", r.InteriorIters, r.SegmentIters, res.ColumnIters)
 	}
 
 	for _, name := range strings.Split(*printArrays, ",") {

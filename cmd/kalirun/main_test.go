@@ -66,3 +66,24 @@ func TestRunRefMatchesProduction(t *testing.T) {
 		t.Errorf("production printed\n%s\n-ref printed\n%s", prod, ref)
 	}
 }
+
+// TestRunStatsBodyPaths: -stats says which body path the interior
+// iterations took — all of jacobi2d's column-wise on the VM, none by
+// segments on the walker or the reference executor.
+func TestRunStatsBodyPaths(t *testing.T) {
+	const prog = "../../internal/lang/testdata/jacobi2d.kali"
+	for extra, want := range map[string]string{
+		"":      "interior iterations: 2400, 2400 by segments, 2400 column-wise\n",
+		"-novm": "interior iterations: 2400, 0 by segments, 0 column-wise\n",
+		"-ref":  "interior iterations: 2400, 0 by segments, 0 column-wise\n",
+	} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-machine", "ncube", "-p", "4", "-stats", prog}
+		if extra != "" {
+			args = append([]string{extra}, args...)
+		}
+		if got := run(args, &stdout, &stderr); got != 0 || !strings.Contains(stdout.String(), want) {
+			t.Errorf("%v: exit %d, stdout\n%swant a line %q", args, got, stdout.String(), want)
+		}
+	}
+}

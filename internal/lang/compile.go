@@ -27,8 +27,15 @@ import (
 //   - row-form classification: a load or store whose last subscript is
 //     the innermost index variable plus a constant, and whose row
 //     subscript depends on nothing the body changes, is marked
-//     hoistable — the VM's segment kernel (vm.go) resolves it once per
-//     interior segment to a slice of the node's local row.
+//     hoistable — the VM's segment entry points (vm.go) resolve it once
+//     per interior segment to a slice of the node's local row;
+//   - the column-wise form: for a straight-line body with nothing but
+//     hoisted accesses, columnKernel (end of this file) derives from the
+//     same code the instructions whose results reach a store —
+//     backward liveness, which drops the subscript arithmetic the views
+//     make dead — and the element's charge sequence, so the VM can run
+//     a fully resolved segment an instruction at a time on vectors and
+//     step the clock once.
 //
 // What it scrupulously preserves: evaluation order, the walker's float
 // compares (ints widen first), non-short-circuit and/or, Go wrapping
@@ -157,6 +164,7 @@ func compileBody(fa *Forall, consts []value) *compiledBody {
 	cb.initF, cb.initI = c.initF, c.initI
 	cb.constI = c.pool
 	cb.scalars = c.scalars
+	cb.col = columnKernel(cb)
 	return cb
 }
 
@@ -856,4 +864,231 @@ func flopCount(e Expr) int {
 		}
 	})
 	return n
+}
+
+// ---- column-wise form -------------------------------------------------
+
+// colKernel is the column-wise form of a straight-line body (vm.go,
+// vmState.column): the same code, reduced to the instructions whose
+// results reach a store and re-addressed from registers to per-register
+// vectors, plus the charges one element makes, in order.
+type colKernel struct {
+	// code holds the live instructions in program order.  Register
+	// operands (instr.regs) name vectors of the float or the int file;
+	// loads and stores keep h.  Float vectors nF..nF+nLoad-1 are the
+	// load destinations: they have no storage of their own and alias
+	// the row views.
+	code   []instr
+	nF, nI int32 // vectors with storage, per file
+	nLoad  int32
+
+	// inF and inI are the registers the body reads but never writes
+	// (constants, global scalars, the outer index variable), each
+	// broadcast into its vector; iota is the int vector that holds the
+	// segment variable lo..hi, or -1 when nothing live reads it.
+	inF, inI []colInput
+	iota     int32
+
+	// charges is the element's charge sequence after its LoopIter: 0 for
+	// a MemRef, k > 0 for k unit Flops.  flops is the sum of the latter.
+	charges []int32
+	flops   int64
+}
+
+// colInput binds a register of the scalar files to its broadcast vector.
+type colInput struct{ reg, vec int32 }
+
+// regFile says which register file an instruction operand names.
+type regFile uint8
+
+const (
+	fileNone regFile = iota
+	fileF
+	fileI
+)
+
+// regRef is one register operand of an instruction, by address so that
+// it can be renumbered.
+type regRef struct {
+	file regFile
+	r    *int32
+}
+
+// realAccess reports whether op loads or stores a real array: the
+// opcodes that carry a hoist.
+func (op opcode) realAccess() bool {
+	return op >= opLdLoc1 && op <= opLd2 || op == opSt1 || op == opSt2
+}
+
+// regs returns the registers an instruction of column-wise code writes
+// (dst) and reads (src): a hoisted real-array access, which never reads
+// its subscript registers, or register arithmetic.  ok is false for
+// everything else, which is never live there: comparisons and boolean
+// operators (without a jump a truth value has no way to a store),
+// opLinI (only subscripts strength-reduce to it, and a hoisted access
+// does not read its subscripts), and whatever is not pure.
+func (ins *instr) regs() (dst regRef, src [2]regRef, ok bool) {
+	var a, b, c regFile
+	switch ins.op {
+	case opSt1, opSt2:
+		return regRef{}, [2]regRef{{fileF, &ins.a}}, true
+	case opLdLoc1, opLdLoc2, opLd1, opLd2:
+		return regRef{fileF, &ins.a}, src, true
+	case opMovF, opNegF, opAbsF, opSqrtF:
+		a, b = fileF, fileF
+	case opAddF, opSubF, opMulF, opDivF, opMinF, opMaxF:
+		a, b, c = fileF, fileF, fileF
+	case opIntToF:
+		a, b = fileF, fileI
+	case opTruncI:
+		a, b = fileI, fileF
+	case opMovI, opNegI:
+		a, b = fileI, fileI
+	case opAddI, opSubI, opMulI:
+		a, b, c = fileI, fileI, fileI
+	default:
+		return dst, src, false
+	}
+	return regRef{a, &ins.a}, [2]regRef{{b, &ins.b}, {c, &ins.c}}, true
+}
+
+// columnKernel derives the body's column-wise form from its finished
+// code, or returns nil for a body that must run an element at a time.
+// Running instruction by instruction across a segment instead of
+// element by element is unobservable only for a body that
+//
+//   - is straight-line: no jump, so every element executes the same
+//     instructions and makes the same charges;
+//   - reaches real arrays through hoisted accesses only and loads no
+//     integer array, so a fully resolved segment makes no Env call;
+//   - cannot trap: integer div and mod by zero must fail at the element
+//     the walker names, with the clock it had there;
+//   - stores each array through one subscript form.  A[i] := x;
+//     A[i+1] := y leaves A[k+1] = x[k+1] element by element but y[k]
+//     column by column; with one form per array, stores of different
+//     elements never meet.  (A stored array is loaded nowhere, or its
+//     stores would not be hoisted: finishHoists.)
+//
+// What is live is decided backwards from the stores.  The subscript
+// arithmetic of hoisted accesses drops out, as does a load whose value
+// goes nowhere; its MemRef stays in the charge sequence, which is read
+// off the full code.
+func columnKernel(cb *compiledBody) *colKernel {
+	if len(cb.hoists) == 0 {
+		return nil
+	}
+	col := &colKernel{iota: -1}
+	writes := [...][]int{fileF: make([]int, cb.nF), fileI: make([]int, cb.nI)}
+	storeForm := map[int32]hoist{}
+	for pc := range cb.code {
+		ins := &cb.code[pc]
+		switch op := ins.op; {
+		case op == opRet:
+			continue
+		case op == opFlops:
+			col.charges = append(col.charges, ins.a)
+			col.flops += int64(ins.a)
+			continue
+		case op.realAccess():
+			if ins.h == 0 {
+				return nil
+			}
+			col.charges = append(col.charges, 0)
+			if h := cb.hoists[ins.h-1]; h.store {
+				if first, ok := storeForm[h.slot]; ok && first != h {
+					return nil
+				}
+				storeForm[h.slot] = h
+			}
+		case !op.pure() || op == opDivI || op == opModI:
+			return nil // a jump, an integer-array load, trapping arithmetic
+		}
+		if dst, _, ok := ins.regs(); ok && dst.file != fileNone {
+			writes[dst.file][*dst.r]++
+		}
+	}
+
+	// Backward liveness; the live instructions collect in reverse.
+	live := [...][]bool{fileF: make([]bool, cb.nF), fileI: make([]bool, cb.nI)}
+	for pc := len(cb.code) - 1; pc >= 0; pc-- {
+		ins := cb.code[pc]
+		dst, src, ok := ins.regs()
+		if !ok {
+			continue // a charge, the return, or a value no store can use
+		}
+		if dst.file != fileNone {
+			if !live[dst.file][*dst.r] {
+				continue
+			}
+			if !ins.op.pure() && writes[fileF][ins.a] != 1 {
+				return nil // a load's vector aliases the array: nothing else may write it
+			}
+			live[dst.file][*dst.r] = false
+		}
+		for _, s := range src {
+			if s.file != fileNone {
+				live[s.file][*s.r] = true
+			}
+		}
+		col.code = append(col.code, ins)
+	}
+	for l, r := 0, len(col.code)-1; l < r; l, r = l+1, r-1 {
+		col.code[l], col.code[r] = col.code[r], col.code[l]
+	}
+
+	// Number the vectors.  What is live on entry is the body's input —
+	// registers nothing in the body writes, and the segment variable;
+	// every other vector is a live instruction's destination, the loads'
+	// after those with storage.
+	vec := [...][]int32{fileF: make([]int32, cb.nF), fileI: make([]int32, cb.nI)}
+	var count [fileI + 1]int32
+	number := func(f regFile, r int32) int32 {
+		count[f]++
+		vec[f][r] = count[f] // biased by one: zero means unnumbered
+		return count[f] - 1
+	}
+	segReg := cb.iReg
+	if cb.rank == 2 {
+		segReg = cb.jReg
+	}
+	for f := fileF; f <= fileI; f++ {
+		for r, l := range live[f] {
+			switch {
+			case !l:
+			case writes[f][r] != 0:
+				return nil // read before the body writes it
+			case f == fileF:
+				col.inF = append(col.inF, colInput{reg: int32(r), vec: number(f, int32(r))})
+			case int32(r) == segReg:
+				col.iota = number(f, segReg)
+			default:
+				col.inI = append(col.inI, colInput{reg: int32(r), vec: number(f, int32(r))})
+			}
+		}
+	}
+	for k := range col.code {
+		if dst, _, _ := col.code[k].regs(); col.code[k].op.pure() && vec[dst.file][*dst.r] == 0 {
+			number(dst.file, *dst.r)
+		}
+	}
+	col.nF, col.nI = count[fileF], count[fileI]
+	for k := range col.code {
+		ins := &col.code[k]
+		dst, src, _ := ins.regs()
+		for _, s := range src {
+			if s.file != fileNone {
+				*s.r = vec[s.file][*s.r] - 1
+			}
+		}
+		switch {
+		case dst.file == fileNone:
+		case ins.op.pure():
+			*dst.r = vec[dst.file][*dst.r] - 1
+		default:
+			col.nLoad++
+			vec[fileF][ins.a] = col.nF + col.nLoad
+			ins.a = col.nF + col.nLoad - 1
+		}
+	}
+	return col
 }

@@ -52,9 +52,9 @@ func TestQuickProgramsProcessorIndependent(t *testing.T) {
 // through the tree walker — and fails unless the final arrays are
 // bit-identical and the simulated cost report (time, messages, bytes)
 // matches exactly.  The VM must be observationally invisible.  It
-// returns the VM run's report, whose interior/segment iteration
-// counters say how much of the run the segment kernel took.
-func diffVMWalker(t *testing.T, src string, p int) core.Report {
+// returns the VM run's result, whose interior, segment and column-wise
+// iteration counters say how much of the run each body path took.
+func diffVMWalker(t *testing.T, src string, p int) *Result {
 	t.Helper()
 	prog, err := Compile(src)
 	if err != nil {
@@ -71,22 +71,7 @@ func diffVMWalker(t *testing.T, src string, p int) core.Report {
 	if err != nil {
 		t.Fatalf("walker run: %v\n%s", err, src)
 	}
-	for name, want := range walk.Arrays {
-		got := vm.Arrays[name]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %v (vm), want %v (walker)\n%s", name, i+1, got[i], want[i], src)
-			}
-		}
-	}
-	for name, want := range walk.IntArrays {
-		got := vm.IntArrays[name]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %d (vm), want %d (walker)\n%s", name, i+1, got[i], want[i], src)
-			}
-		}
-	}
+	sameArrays(t, "vm against walker:\n"+src, vm, walk)
 	if vm.Report.Total != walk.Report.Total ||
 		vm.Report.Inspector != walk.Report.Inspector ||
 		vm.Report.Executor != walk.Report.Executor {
@@ -99,40 +84,42 @@ func diffVMWalker(t *testing.T, src string, p int) core.Report {
 			vm.Report.MsgsSent, vm.Report.BytesSent,
 			walk.Report.MsgsSent, walk.Report.BytesSent, src)
 	}
-	if walk.Report.SegmentIters != 0 || walk.Report.InteriorIters != vm.Report.InteriorIters {
-		t.Fatalf("walker ran %d of %d interior iterations by segments; vm saw %d interior iterations\n%s",
-			walk.Report.SegmentIters, walk.Report.InteriorIters, vm.Report.InteriorIters, src)
+	if walk.Report.SegmentIters != 0 || walk.ColumnIters != 0 || walk.Report.InteriorIters != vm.Report.InteriorIters {
+		t.Fatalf("walker ran %d (%d column-wise) of %d interior iterations by segments; vm saw %d interior iterations\n%s",
+			walk.Report.SegmentIters, walk.ColumnIters, walk.Report.InteriorIters, vm.Report.InteriorIters, src)
 	}
-	return vm.Report
+	return vm
 }
 
 // TestQuickVMDifferential: every generated program — rank 1 on any
 // processor count, rank 2 on the 2×2 grid — produces bit-identical
 // arrays and an identical cost report on the VM and the tree walker.
-// The generators mix shapes the VM's segment kernel can take with
-// shapes it must decline, so the test also checks that the kernel
-// actually ran a real share of the interiors: a differential test
-// whose optimized side silently fell back would prove nothing.
+// The generators mix shapes the VM's segment entry points can take —
+// column-wise, or element by element — with shapes they must decline,
+// so the test also checks that each really ran a real share of the
+// interiors: a differential test whose optimized side silently fell
+// back would prove nothing.
 func TestQuickVMDifferential(t *testing.T) {
-	interior, segment := 0, 0
+	interior, segment, column := 0, 0, 0
+	count := func(res *Result) {
+		interior, segment, column = interior+res.Report.InteriorIters, segment+res.Report.SegmentIters, column+int(res.ColumnIters)
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := langtest.GenVMProgram(r)
 		for _, p := range []int{1, 3, 4} {
-			rep := diffVMWalker(t, src, p)
-			interior, segment = interior+rep.InteriorIters, segment+rep.SegmentIters
+			count(diffVMWalker(t, src, p))
 		}
-		rep := diffVMWalker(t, langtest.GenVMProgram2D(r), 4)
-		interior, segment = interior+rep.InteriorIters, segment+rep.SegmentIters
+		count(diffVMWalker(t, langtest.GenVMProgram2D(r), 4))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if interior == 0 || 5*segment < interior {
-		t.Fatalf("segment kernel ran %d of %d generated interior iterations, want at least a fifth", segment, interior)
+	if interior == 0 || 5*segment < interior || column == 0 || column == segment {
+		t.Fatalf("of %d generated interior iterations %d ran by segments, %d of those column-wise; want at least a fifth by segments, and some of each kind", interior, segment, column)
 	}
-	t.Logf("segment kernel ran %d of %d interior iterations", segment, interior)
+	t.Logf("of %d interior iterations %d ran by segments, %d of those column-wise", interior, segment, column)
 }
 
 // FuzzVMDifferential is the native-fuzzing entry point for the same

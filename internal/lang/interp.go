@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"kali/internal/analysis"
 	"kali/internal/core"
@@ -40,6 +41,11 @@ func Compile(src string) (*Program, error) {
 // Result is the outcome of running a program.
 type Result struct {
 	Report core.Report
+	// ColumnIters counts the interior iterations the VM ran a column at
+	// a time (vm.go), summed over nodes: the subset of
+	// Report.SegmentIters, itself a subset of Report.InteriorIters, that
+	// took the fastest of the three body paths.
+	ColumnIters int64
 	// P is the processor count the "real estate agent" chose.
 	P int
 	// Arrays holds the final contents of every distributed and
@@ -944,9 +950,13 @@ func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
 
 // gather collects final array and scalar state into the pre-allocated
 // host Result.  Distributed arrays are filled disjointly by their
-// owners; node 0 reports scalars and replicated arrays.
+// owners; node 0 reports scalars and replicated arrays; every node adds
+// its column-wise iteration count.
 func (in *interp) gather(res *Result) {
 	me := in.ctx.ID()
+	for _, st := range in.vms {
+		atomic.AddInt64(&res.ColumnIters, int64(st.colIters))
+	}
 	for _, s := range in.file.syms {
 		switch s.Kind {
 		case symScalar:

@@ -135,7 +135,8 @@ func GenProgram(r *rand.Rand) string {
 // collapsed [dist, *] matrix read through an inner loop, unit-stride
 // subscripts against strided and indirect ones, stores to arrays the
 // body never loads (direct) against stores to arrays it also reads
-// (logged: copy-in/copy-out), and stores under a condition.  Programs
+// (logged: copy-in/copy-out), stores under a condition, and a
+// straight-line body the VM runs column-wise.  Programs
 // use a 1-D processor array and run on any P; GenVMProgram2D is the
 // rank-2 counterpart.
 func GenVMProgram(r *rand.Rand) string {
@@ -168,7 +169,7 @@ func GenVMProgram(r *rand.Rand) string {
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {
-		switch r.Intn(9) {
+		switch r.Intn(10) {
 		case 0: // affine stencil with a const-folded coefficient
 			c := r.Intn(3) - 1
 			lo, hi := 1, n
@@ -226,9 +227,16 @@ func GenVMProgram(r *rand.Rand) string {
 			fmt.Fprintf(&b, "      b[i+1] := a[i] + 1.0;\n")
 			fmt.Fprintf(&b, "    end;\n")
 			fmt.Fprintf(&b, "  end;\n")
-		default: // strided update with integer arithmetic in subscripts
+		case 8: // strided update with integer arithmetic in subscripts
 			fmt.Fprintf(&b, "  forall i in 1..n div 2 on a[2*i].loc do\n")
 			fmt.Fprintf(&b, "    a[2*i] := a[2*i] * 0.5 + b[2*i-1];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		default: // straight-line, every access in the row form: column-wise
+			fmt.Fprintf(&b, "  forall i in 2..n-1 on a[i].loc do\n")
+			fmt.Fprintf(&b, "    var t : real; m : integer;\n")
+			fmt.Fprintf(&b, "    m := (i - k) * %d;\n", 1+r.Intn(3))
+			fmt.Fprintf(&b, "    t := t + sqrt(abs(b[i-1])) - b[i+1] / float(k + i);\n")
+			fmt.Fprintf(&b, "    a[i] := min(t, float(-m)) * x + max(b[i], float(trunc(t)));\n")
 			fmt.Fprintf(&b, "  end;\n")
 		}
 	}
@@ -243,8 +251,9 @@ func GenVMProgram(r *rand.Rand) string {
 // whole-array copy, the five-point stencil under a shifted on clause,
 // an in-place smooth (stores to an array the body reads), a body with
 // locals, an inner loop, a condition and a replicated coefficient
-// vector, row-strided and column-strided placements, and, on square
-// arrays, a transposed (indirect) read.
+// vector, row-strided and column-strided placements, on square arrays
+// a transposed (indirect) read, and a straight-line body that uses both
+// index variables as values.
 func GenVMProgram2D(r *rand.Rand) string {
 	ny := 6 + r.Intn(12)
 	nx := ny
@@ -286,7 +295,7 @@ func GenVMProgram2D(r *rand.Rand) string {
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {
-		kind := r.Intn(7)
+		kind := r.Intn(8)
 		if kind == 6 && nx != ny {
 			kind = 0
 		}
@@ -324,9 +333,15 @@ func GenVMProgram2D(r *rand.Rand) string {
 			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx div 2 on w[i,2*j].loc do\n")
 			fmt.Fprintf(&b, "    w[i,2*j] := u[i,2*j] * 0.5 + c1[j];\n")
 			fmt.Fprintf(&b, "  end;\n")
-		default: // transposed read: data-dependent in both variables, inspector
+		case 6: // transposed read: data-dependent in both variables, inspector
 			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx on w[i,j].loc do\n")
 			fmt.Fprintf(&b, "    w[i,j] := v[j,i] + x[i,j];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		default: // straight-line with both index variables as values and a local
+			fmt.Fprintf(&b, "  forall i in 1..ny, j in 1..nx on w[i,j].loc do\n")
+			fmt.Fprintf(&b, "    var t : real;\n")
+			fmt.Fprintf(&b, "    t := v[i,j] * float(i) + float(j + k) * alpha;\n")
+			fmt.Fprintf(&b, "    w[i,j] := max(t, u[i,j]) + abs(c1[j]);\n")
 			fmt.Fprintf(&b, "  end;\n")
 		}
 	}

@@ -31,23 +31,51 @@ import (
 // sequence.  Simulated times and FlopCount match the walker
 // bit-for-bit while the host does less work.
 //
-// Segment kernel: the paper's Figure 3 executor separates local from
+// Three tiers.  The paper's Figure 3 executor separates local from
 // nonlocal iterations so that the local ones need no locality test, no
-// buffer search and no per-reference bookkeeping (§3.1).  The VM takes
-// that literally for a schedule's interior.  forall hands it whole row
-// segments (Loop.Segment); per segment, resolve turns every hoistable
-// load and store (compile.go: subscripts of the row form (f(i), j+c))
-// into a slice of the node's local row — the locality and
-// owner-computes checks made once for the whole span — and run then
-// executes the iterations of the segment against those slices, with
-// the virtual clock in a local variable, replaying the same float
-// additions in the same order the per-element path makes (LoopIter,
-// then MemRef and unit Flop charges where the walker makes them).
-// Whatever does not resolve — other subscript forms, integer arrays, a
-// span that leaves the local window, stores that must be logged —
-// takes the same Env call as before, with the clock written back
-// around it; a segment in which nothing resolves is declined and runs
-// per element.  Both entry points share the one interpreter loop.
+// buffer search and no per-reference bookkeeping (§3.1); the VM takes
+// that literally for a schedule's interior.  Which tier runs is decided
+// by what the code observes — the body's shape at compile time, the
+// views that resolved for this segment at run time — never by a flag:
+//
+//   - Env path (body1/body2 → run, one element): boundary iterations,
+//     the inspector's recording pass, declined segments.  Every access
+//     and every charge goes through the Env.
+//   - Per-element segment mode (segment1/segment2 → run over a span).
+//     forall hands over whole row segments (Loop.Segment); per segment,
+//     resolve turns every hoistable load and store (compile.go:
+//     subscripts of the row form (f(i), j+c)) into a slice of the
+//     node's local row — the locality and owner-computes checks made
+//     once for the whole span — and run then executes the iterations of
+//     the segment against those slices, with the virtual clock in a
+//     local variable, replaying the same float additions in the same
+//     order the per-element path makes (LoopIter, then MemRef and unit
+//     Flop charges where the walker makes them).  Whatever does not
+//     resolve — other subscript forms, integer arrays, a span that
+//     leaves the local window, stores that must be logged — takes the
+//     same Env call as before, with the clock written back around it; a
+//     segment in which nothing resolves is declined and runs per
+//     element.  These two tiers share the one interpreter loop.
+//   - Column-wise (segment1/segment2 → column): a straight-line body
+//     (compile.go, columnKernel: no jump, every real-array access
+//     hoisted, no integer-array load, no integer div or mod, one
+//     subscript form per stored array) whose every view resolved, over
+//     a segment of at least two elements.  Each live instruction runs
+//     once across the segment on per-register vectors instead of the
+//     whole body once per element, and the clock moves once, through
+//     machine.ClockStep: within one binade of the clock each charge
+//     adds a fixed whole number of ulps, so m elements are one integer
+//     multiply-add on the clock's bit pattern, guarded (no charge an
+//     exact tie at that ulp, none negative or non-finite, the mantissa
+//     not carrying, the clock positive and normal) and falling back to
+//     the literal additions — bit-identical either way.
+//
+// The store-order rule of the column-wise tier: element by element,
+// A[i] := x; A[i+1] := y leaves A[k+1] = x[k+1], store by store it
+// would leave y[k]; a body that stores one array through two subscript
+// forms therefore keeps the per-element segment mode.  With one form,
+// stores of different elements never meet, and a stored array is loaded
+// nowhere (or its stores would not be hoisted).
 
 // opcode enumerates VM instructions.  Operand conventions: a is the
 // destination register (or sole operand), b and c are sources, d is an
@@ -173,6 +201,10 @@ type compiledBody struct {
 	scalars []scalarInput
 
 	hoists []hoist
+
+	// col is the body's column-wise form (compile.go, columnKernel);
+	// nil for a body that runs an element at a time.
+	col *colKernel
 }
 
 // vmState is one node's execution state for one compiled body: the
@@ -199,7 +231,26 @@ type vmState struct {
 	cell    *float64
 	units   machine.UnitCosts
 	idle    float64
+
+	// Column-wise state (cb.col != nil).  fv and nv are the vector
+	// files: one vector per register the live code touches, width
+	// elements each, cut from one slab per file; the slabs are sized by
+	// the longest segment seen, up to colStrip, and only ever grow.  The
+	// float vectors past col.nF belong to loads and are pointed at the
+	// row views strip by strip.  step advances the clock by whole
+	// elements; colIters counts the iterations run this way.
+	fv       [][]float64
+	nv       [][]int
+	width    int
+	step     *machine.ClockStep
+	colIters int
 }
+
+// colStrip is the most elements the column-wise kernel runs through one
+// instruction before moving to the next: a dozen vectors of this length
+// stay inside a 32 KiB L1 data cache, and a longer strip buys nothing
+// once the dispatch is amortised over a few hundred elements.
+const colStrip = 256
 
 func newVMState(cb *compiledBody, in *interp) *vmState {
 	st := &vmState{
@@ -216,6 +267,20 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 		// A virtual clock without an address leaves cell nil: no
 		// segment kernel, every segment runs per element.
 		st.cell, st.units, _ = st.node.ClockCell()
+	}
+	if col := cb.col; col != nil && st.cell != nil {
+		charges := []float64{st.units.LoopIter}
+		for _, k := range col.charges {
+			if k == 0 {
+				charges = append(charges, st.units.MemRef)
+			}
+			for ; k > 0; k-- {
+				charges = append(charges, st.units.Flop)
+			}
+		}
+		st.step = machine.NewClockStep(charges)
+		st.fv = make([][]float64, col.nF+col.nLoad)
+		st.nv = make([][]int, col.nI)
 	}
 	for _, c := range cb.initF {
 		st.f[c.reg] = c.v
@@ -251,19 +316,27 @@ func (st *vmState) body1(i int, env *forall.Env) { st.run(0, i, i, env, false) }
 func (st *vmState) body2(i, j int, env *forall.Env) { st.run(i, j, j, env, false) }
 
 // segment1 / segment2 are the forall.Loop Segment entry points: a
-// whole interior segment against resolved row views, or false to have
-// the engine run it per element.
+// whole interior segment against resolved row views — column-wise when
+// the body has that form and every view resolved, else element by
+// element in run's segment mode — or false to have the engine run it
+// per element.
 func (st *vmState) segment1(lo, hi int, env *forall.Env) bool {
-	if !st.resolve(0, lo, hi, env) {
-		return false
-	}
-	st.run(0, lo, hi, env, true)
-	return true
+	return st.segment2(0, lo, hi, env)
 }
 
 func (st *vmState) segment2(i, jLo, jHi int, env *forall.Env) bool {
-	if !st.resolve(i, jLo, jHi, env) {
+	switch st.resolve(i, jLo, jHi, env) {
+	case 0:
 		return false
+	case len(st.cb.hoists):
+		// A segment of one element is no column: dispatching the live
+		// instructions once each on vectors of one costs more than running
+		// them on registers (BenchmarkVMSegmentLength: about 140 against
+		// 120 ns at length 1, 68 against 88 ns at length 2).
+		if st.step != nil && jHi > jLo {
+			st.column(i, jLo, jHi)
+			return true
+		}
 	}
 	st.run(i, jLo, jHi, env, true)
 	return true
@@ -279,11 +352,11 @@ func (st *vmState) hasSegment() bool { return st.cell != nil }
 // window, stores additionally need the engine's leave to bypass the
 // write log (Env.WriteSpan*).  If one store to an array does not
 // resolve, none to that array may: direct and logged stores to one
-// array must not mix within a loop execution.  It reports whether
-// anything resolved.
-func (st *vmState) resolve(i, lo, hi int, env *forall.Env) bool {
+// array must not mix within a loop execution.  It returns the number
+// of views resolved.
+func (st *vmState) resolve(i, lo, hi int, env *forall.Env) int {
 	hoists := st.cb.hoists
-	resolved, refused := false, false
+	resolved, refused := 0, false
 	for k := range hoists {
 		h := &hoists[k]
 		a := st.ra[h.slot]
@@ -300,7 +373,9 @@ func (st *vmState) resolve(i, lo, hi int, env *forall.Env) bool {
 			v = a.Span1(cLo, cHi)
 		}
 		st.views[k+1] = v
-		resolved = resolved || v != nil
+		if v != nil {
+			resolved++
+		}
 		refused = refused || (h.store && v == nil)
 	}
 	for k := range hoists {
@@ -309,13 +384,174 @@ func (st *vmState) resolve(i, lo, hi int, env *forall.Env) bool {
 		}
 		if hoists[k].store && st.views[k+1] == nil {
 			for k2 := range hoists {
-				if hoists[k2].store && hoists[k2].slot == hoists[k].slot {
+				if hoists[k2].store && hoists[k2].slot == hoists[k].slot && st.views[k2+1] != nil {
 					st.views[k2+1] = nil
+					resolved--
 				}
 			}
 		}
 	}
 	return resolved
+}
+
+// column runs the segment lo..hi (outer index i) a column at a time:
+// each live instruction of the body once across the segment, on
+// vectors, instead of the whole body once per element.  The caller has
+// resolved every view, so nothing here can fail or reach the Env.
+// Loads alias the row view, a store is one copy, and the rest are
+// loops the compiler keeps free of bounds checks; segments longer than
+// colStrip go strip by strip, so the vectors stay in cache.  The clock
+// then moves once, by st.step — to the same bits as run's per-element
+// additions.
+func (st *vmState) column(i, lo, hi int) {
+	cb, col := st.cb, st.cb.col
+	m := hi - lo + 1
+	if w := min(m, colStrip); w > st.width {
+		st.growVectors(w)
+	}
+	fv, nv := st.fv, st.nv
+	// A broadcast vector is uniformly its input's value or stale: the
+	// first element tells.  Constants fill once per slab, global scalars
+	// when a launch rebinds them, the outer index variable per segment.
+	if cb.rank == 2 {
+		st.n[cb.iReg] = i
+	}
+	for _, in := range col.inF {
+		if v, x := fv[in.vec], st.f[in.reg]; math.Float64bits(v[0]) != math.Float64bits(x) {
+			for k := range v {
+				v[k] = x
+			}
+		}
+	}
+	for _, in := range col.inI {
+		if v, x := nv[in.vec], st.n[in.reg]; v[0] != x {
+			for k := range v {
+				v[k] = x
+			}
+		}
+	}
+	for off := 0; off < m; off += colStrip {
+		n := min(colStrip, m-off)
+		if col.iota >= 0 {
+			x := nv[col.iota][:n]
+			for k := range x {
+				x[k] = lo + off + k
+			}
+		}
+		for pc := range col.code {
+			ins := &col.code[pc]
+			switch ins.op {
+			case opLdLoc1, opLdLoc2, opLd1, opLd2:
+				fv[ins.a] = st.views[ins.h][off : off+n]
+			case opSt1, opSt2:
+				copy(st.views[ins.h][off:off+n], fv[ins.a])
+			case opMovF:
+				copy(fv[ins.a][:n], fv[ins.b])
+			case opMovI:
+				copy(nv[ins.a][:n], nv[ins.b])
+
+			case opNegF, opAbsF, opSqrtF:
+				a, b := fv[ins.a][:n], fv[ins.b][:n]
+				switch ins.op {
+				case opNegF:
+					for k := range a {
+						a[k] = -b[k]
+					}
+				case opAbsF:
+					for k := range a {
+						a[k] = math.Abs(b[k])
+					}
+				default:
+					for k := range a {
+						a[k] = math.Sqrt(b[k])
+					}
+				}
+			case opAddF, opSubF, opMulF, opDivF, opMinF, opMaxF:
+				a, b, c := fv[ins.a][:n], fv[ins.b][:n], fv[ins.c][:n]
+				switch ins.op {
+				case opAddF:
+					for k := range a {
+						a[k] = b[k] + c[k]
+					}
+				case opSubF:
+					for k := range a {
+						a[k] = b[k] - c[k]
+					}
+				case opMulF:
+					for k := range a {
+						a[k] = b[k] * c[k]
+					}
+				case opDivF:
+					for k := range a {
+						a[k] = b[k] / c[k]
+					}
+				case opMinF:
+					for k := range a {
+						a[k] = math.Min(b[k], c[k])
+					}
+				default:
+					for k := range a {
+						a[k] = math.Max(b[k], c[k])
+					}
+				}
+			case opIntToF:
+				a, b := fv[ins.a][:n], nv[ins.b][:n]
+				for k := range a {
+					a[k] = float64(b[k])
+				}
+			case opTruncI:
+				a, b := nv[ins.a][:n], fv[ins.b][:n]
+				for k := range a {
+					a[k] = int(b[k])
+				}
+
+			case opNegI:
+				a, b := nv[ins.a][:n], nv[ins.b][:n]
+				for k := range a {
+					a[k] = -b[k]
+				}
+			case opAddI, opSubI, opMulI:
+				a, b, c := nv[ins.a][:n], nv[ins.b][:n], nv[ins.c][:n]
+				switch ins.op {
+				case opAddI:
+					for k := range a {
+						a[k] = b[k] + c[k]
+					}
+				case opSubI:
+					for k := range a {
+						a[k] = b[k] - c[k]
+					}
+				default:
+					for k := range a {
+						a[k] = b[k] * c[k]
+					}
+				}
+
+			default:
+				panic(fmt.Sprintf("lang: vm: opcode %d in column-wise code", ins.op))
+			}
+		}
+	}
+	*st.cell = st.step.Advance(*st.cell, m)
+	if col.flops != 0 {
+		st.node.AddFlopCount(col.flops * int64(m))
+	}
+	st.colIters += m
+}
+
+// growVectors re-cuts the vector files at w elements a vector, from one
+// fresh slab per file: the broadcast vectors come back zero and refill
+// on their next use.
+func (st *vmState) growVectors(w int) {
+	col := st.cb.col
+	st.width = w
+	fslab, nslab := make([]float64, int(col.nF)*w), make([]int, int(col.nI)*w)
+	for v := 0; v < int(col.nF); v++ {
+		st.fv[v] = fslab[v*w : (v+1)*w]
+	}
+	for v := range st.nv {
+		st.nv[v] = nslab[v*w : (v+1)*w]
+	}
 }
 
 // run executes the compiled body for iterations lo..hi of the

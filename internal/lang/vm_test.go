@@ -42,31 +42,39 @@ func findForall(ss []Stmt, n int) *Forall {
 // read, a local stencil read, a builtin call and a conditional —
 // performs zero heap allocations across the whole machine, compiled
 // (the property the bytecode VM was built for) and walked (NoVM: the
-// walker runs a loop's iterations on one slot-indexed frame).
+// walker runs a loop's iterations on one slot-indexed frame).  So does
+// a straight-line body, whose interiors run column-wise: its vector
+// files are cut at the first segment, which the warm-up runs.
 func TestVMReplayAllocationFree(t *testing.T) {
-	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, false) })
-	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, true) })
-}
-
-func replayAllocationFree(t *testing.T, noVM bool) {
-	src := `
-processors Procs : array[1..P] with P in 1..4;
-const n = 64;
-var u, v : array[1..n] of real dist by [block] on Procs;
-    i : integer;
-begin
-  for i in 1..n do
-    u[i] := float(i) * 0.5;
-    v[i] := float(n - i);
-  end;
-  forall i in 2..n-1 on u[i].loc do
+	const branching = `
     var t : real;
     t := v[i-1] + v[i+1];
     if t > u[i] then
       u[i] := min(t, u[i] + 1.0);
     else
       u[i] := max(t, u[i] - 1.0);
-    end;
+    end;`
+	const straight = `
+    var t : real;
+    t := v[i-1] + v[i+1];
+    w[i] := min(t, float(i)) * 0.5;`
+	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, branching, false, false) })
+	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, branching, true, false) })
+	t.Run("column", func(t *testing.T) { replayAllocationFree(t, straight, false, true) })
+}
+
+func replayAllocationFree(t *testing.T, body string, noVM, column bool) {
+	src := `
+processors Procs : array[1..P] with P in 1..4;
+const n = 64;
+var u, v, w : array[1..n] of real dist by [block] on Procs;
+    i : integer;
+begin
+  for i in 1..n do
+    u[i] := float(i) * 0.5;
+    v[i] := float(n - i);
+  end;
+  forall i in 2..n-1 on u[i].loc do` + body + `
   end;
 end.
 `
@@ -100,6 +108,9 @@ end.
 		in.declareArrays()
 		in.execStmts(prog.file.Main, nil, nil)
 		pin.Run(ctx.Node, warmup, reps, func() { in.execStmt(fa, nil, nil) })
+		if ran := in.vms[fa] != nil && in.vms[fa].colIters > 0; ran != column {
+			t.Errorf("node %d: column-wise kernel ran: %v, want %v", ctx.ID(), ran, column)
+		}
 	})
 	pin.Check(t, "steady-state forall replay")
 }

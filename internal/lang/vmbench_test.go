@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"testing"
 
 	"kali/internal/core"
@@ -12,10 +13,6 @@ import (
 // ledger's stencil-vm workload (benchmark/, lang.vm_ns_per_elem) is
 // the measurement of record; run these with -bench to profile where
 // the body path spends its time.
-
-func benchProgram() string {
-	return jacobi2dBenchSrc
-}
 
 const jacobi2dBenchSrc = `
 processors Procs : array[1..2, 1..2];
@@ -34,10 +31,32 @@ begin
 end.
 `
 
-// benchReplay builds the jacobi relaxation forall once and replays it
-// b.N times on a 4-node sim machine, reporting ns per element.
-func benchReplay(b *testing.B, noVM bool) {
-	prog, err := Compile(benchProgram())
+// segmentBenchSrc is a straight-line body over rows that are local
+// whole (a 4×1 processor grid), restricted to the first %d columns:
+// every interior segment has exactly that length.
+const segmentBenchSrc = `
+processors Procs : array[1..4, 1..1];
+const n = 2048;
+      m = 64;
+      w = %d;
+var a, b : array[1..n, 1..m] of real dist by [block, block] on Procs;
+    r, c : integer;
+begin
+    for r in 1..n do
+        for c in 1..m do
+            a[r,c] := float((r*13 + c*7) mod 11);
+        end;
+    end;
+    forall r in 1..n, c in 1..w on b[r,c].loc do
+        b[r,c] := 0.25*a[r,c] + 0.25*a[r,c+1] + 0.5*a[r,c+2];
+    end;
+end.
+`
+
+// benchReplay builds src's forall once and replays it b.N times on a
+// 4-node sim machine, reporting ns per element.
+func benchReplay(b *testing.B, src string, elems int, noVM bool) {
+	prog, err := Compile(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,9 +69,7 @@ func benchReplay(b *testing.B, noVM bool) {
 	if fa == nil {
 		b.Fatal("no forall")
 	}
-	n := 32
-	elems := (n - 2) * (n - 2)
-	cfg := core.Config{P: el.procP, Params: machine.Ideal()}
+	cfg := core.Config{P: el.procP, Params: machine.NCUBE7()}
 	core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(prog.file, ctx, el)
 		in.declareArrays()
@@ -70,5 +87,17 @@ func benchReplay(b *testing.B, noVM bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
 }
 
-func BenchmarkJacobiBodyVM(b *testing.B)     { benchReplay(b, false) }
-func BenchmarkJacobiBodyWalker(b *testing.B) { benchReplay(b, true) }
+func BenchmarkJacobiBodyVM(b *testing.B)     { benchReplay(b, jacobi2dBenchSrc, 30*30, false) }
+func BenchmarkJacobiBodyWalker(b *testing.B) { benchReplay(b, jacobi2dBenchSrc, 30*30, true) }
+
+// BenchmarkVMSegmentLength: what one interior segment costs by its
+// length.  The column-wise kernel pays its dispatch once per segment
+// and instruction, the per-element mode once per element and
+// instruction; length 1 is where the two could cross.
+func BenchmarkVMSegmentLength(b *testing.B) {
+	for _, w := range []int{1, 2, 8, 62} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			benchReplay(b, fmt.Sprintf(segmentBenchSrc, w), 2048*w, false)
+		})
+	}
+}
