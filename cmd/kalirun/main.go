@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"kali/internal/core"
 	"kali/internal/lang"
@@ -136,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "kalirun: serving on %s (pool %d × P=%d %s/%s)\n",
 			*serve, *poolSize, *procs, params.Name, *backend)
-		if err := http.ListenAndServe(*serve, srv.Handler()); err != nil {
+		if err := httpServer(*serve, srv.Handler()).ListenAndServe(); err != nil {
 			fmt.Fprintln(stderr, "kalirun:", err)
 			return 1
 		}
@@ -196,4 +197,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// Connection limits for -serve.  A client gets readHeaderTimeout to send
+// its request line and headers and readTimeout for the whole request,
+// and an idle keep-alive connection is closed after idleTimeout, so
+// stalled or abandoned clients cannot hold connections open.  There is
+// no write timeout: the response is written after the program has run,
+// and a long run is not a stalled client.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer returns the -serve HTTP server for handler h on addr.
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRunFlagHandling: every flag is validated before the serve/run
@@ -85,5 +89,39 @@ func TestRunStatsBodyPaths(t *testing.T) {
 		if got := run(args, &stdout, &stderr); got != 0 || !strings.Contains(stdout.String(), want) {
 			t.Errorf("%v: exit %d, stdout\n%swant a line %q", args, got, stdout.String(), want)
 		}
+	}
+}
+
+// TestServeClosesStalledHeaders: the -serve HTTP server bounds how long
+// a client may take over its headers (and the whole request, and an
+// idle keep-alive) but not how long a response may take, and a client
+// that stops in the middle of its headers has its connection closed
+// once the header timeout runs out.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	hs := httpServer("", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %v, read %v, idle %v, write %v; want the first three set and no write timeout",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond // the same limit, shortened for the test
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /run HTTP/1.1\r\nHost: kali\r\nContent-Le"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client's connection still open after %v: %v", time.Since(start), err)
 	}
 }

@@ -56,7 +56,7 @@ type Config struct {
 	// Store, when non-nil, is a cross-tenant shared schedule store the
 	// run's engines consult before building (and publish into after):
 	// concurrently running programs adopt each other's compile-time
-	// schedules, and persisted blueprints make warm starts skip
+	// schedules, and persisted schedule plans make warm starts skip
 	// building entirely.
 	Store *forall.SharedStore
 }

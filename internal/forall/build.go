@@ -2,6 +2,8 @@ package forall
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"kali/internal/analysis"
@@ -17,7 +19,7 @@ import (
 // inspector pass, no global exchange.  Both ends of every transfer
 // compute the same sets independently, so the send and receive
 // schedules agree by construction.
-func (e *Engine) buildCompileTime(c *loopCore) *Schedule {
+func (e *Engine) buildCompileTime(c *loopCore) *plan {
 	if c.rank == 1 {
 		return e.buildCompileTime1(c)
 	}
@@ -25,7 +27,7 @@ func (e *Engine) buildCompileTime(c *loopCore) *Schedule {
 }
 
 // buildCompileTime1 is the rank-1 closed-form path.
-func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
+func (e *Engine) buildCompileTime1(c *loopCore) *plan {
 	me := e.node.ID()
 	onPat := c.on.Dist().Pattern(0)
 
@@ -37,13 +39,13 @@ func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
 	// Symbolic evaluation: a handful of closed-form evaluations.
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
-	s := &Schedule{kind: BuildCompileTime}
+	p := &plan{kind: BuildCompileTime}
 	for _, iv := range sets.ExecLocal.Intervals() {
-		s.execLocal = append(s.execLocal, segment{lo: iv.Lo, hi: iv.Hi})
+		p.execLocal = append(p.execLocal, segment{lo: iv.Lo, hi: iv.Hi})
 	}
-	sets.ExecNonlocal.Each(func(i int) { s.execNonlocal = append(s.execNonlocal, iteration{i: i}) })
-	e.assembleArrays(c, s, sets.In, sets.Out)
-	return s
+	sets.ExecNonlocal.Each(func(i int) { p.execNonlocal = append(p.execNonlocal, iteration{i: i}) })
+	p.slots = e.assembleSlots(c, sets.In, sets.Out)
+	return p
 }
 
 // buildCompileTime2 is the rank-2 closed-form path: the exec and
@@ -52,7 +54,7 @@ func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
 // emitted a row segment at a time without enumerating it; only the
 // boundary iterations are listed one by one (both in loop order,
 // matching the inspector).
-func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
+func (e *Engine) buildCompileTime2(c *loopCore) *plan {
 	me := e.node.ID()
 	d := c.on.Dist()
 	onI, onJ := d.Pattern(0), d.Pattern(1)
@@ -70,7 +72,7 @@ func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
 		c.bounds[0], c.bounds[1], c.bounds[2], c.bounds[3], reads, me)
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
-	s := &Schedule{kind: BuildCompileTime}
+	p := &plan{kind: BuildCompileTime}
 	// Walk the exec rectangle's rows; iterations outside the execLocal
 	// rectangle are nonlocal (some read leaves this node).
 	localCols := sets.ExecCols.Intersect(sets.LocalCols).Intervals()
@@ -79,24 +81,25 @@ func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
 		cols := sets.ExecCols
 		if sets.LocalRows.Contains(i) {
 			for _, iv := range localCols {
-				s.execLocal = append(s.execLocal, segment{i: i, lo: iv.Lo, hi: iv.Hi})
+				p.execLocal = append(p.execLocal, segment{i: i, lo: iv.Lo, hi: iv.Hi})
 			}
 			cols = edgeCols
 		}
 		cols.Each(func(j int) {
-			s.execNonlocal = append(s.execNonlocal, iteration{i: i, j: j})
+			p.execNonlocal = append(p.execNonlocal, iteration{i: i, j: j})
 		})
 	})
-	e.assembleArrays(c, s, sets.In, sets.Out)
-	return s
+	p.slots = e.assembleSlots(c, sets.In, sets.Out)
+	return p
 }
 
-// assembleArrays unions the per-read in/out element sets of each
+// assembleSlots unions the per-read in/out element sets of each
 // distinct array and lowers them onto comm records, one structural
 // slot per distinct array (the executor re-binds arrays to slots in
 // the same first-appearance order).
-func (e *Engine) assembleArrays(c *loopCore, s *Schedule, in, out []map[int]index.Set) {
+func (e *Engine) assembleSlots(c *loopCore, in, out []map[int]index.Set) []slot {
 	me := e.node.ID()
+	var slots []slot
 	for _, arr := range distinctArrays(c) {
 		inByQ := map[int]index.Set{}
 		outByQ := map[int]index.Set{}
@@ -111,17 +114,16 @@ func (e *Engine) assembleArrays(c *loopCore, s *Schedule, in, out []map[int]inde
 				outByQ[q] = outByQ[q].Union(set)
 			}
 		}
-		as := &arraySched{in: inSetFromSets(me, inByQ), out: outSetFromSets(me, outByQ)}
-		as.buf = make([]float64, as.in.Total)
-		s.arrays = append(s.arrays, as)
+		slots = append(slots, slot{in: inSetFromSets(me, inByQ), out: outSetFromSets(me, outByQ)})
 	}
+	return slots
 }
 
 // inSetFromSets builds a receive schedule from per-sender index sets.
 func inSetFromSets(me int, byQ map[int]index.Set) *comm.InSet {
 	var ranges []comm.Range
 	off := 0
-	for _, q := range sortedKeys(byQ) {
+	for _, q := range slices.Sorted(maps.Keys(byQ)) {
 		for _, iv := range byQ[q].Intervals() {
 			r := comm.Range{FromProc: q, ToProc: me, Low: iv.Lo, High: iv.Hi, Buf: off}
 			off += r.Len()
@@ -142,34 +144,26 @@ func outSetFromSets(me int, byQ map[int]index.Set) *comm.OutSet {
 	return comm.BuildOut(me, recs)
 }
 
-func sortedKeys(m map[int]index.Set) []int {
-	out := make([]int, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// finalizePeers precomputes every communication partner and message
-// size once at build time — combined across slots (sendTo/recvFrom: one
-// coalesced message per processor pair) — together with the plan of the
-// window holding just this loop, so the replay hot path never walks
-// maps, allocates peer lists or pending-receive slots.
-func (e *Engine) finalizePeers(s *Schedule) {
+// finish completes a plan whose iteration lists and slots are set:
+// the interior's iteration count, and every communication partner and
+// message size combined across slots (sendTo/recvFrom: one coalesced
+// message per processor pair), so the replay hot path never walks maps
+// or allocates peer lists.  It runs once per plan, when the plan is
+// built or loaded from disk.
+func (p *plan) finish() {
+	p.nLocal = segIters(p.execLocal)
 	sendAll := map[int]int{}
 	recvAll := map[int]int{}
-	for _, as := range s.arrays {
-		for _, q := range as.out.Receivers() {
-			sendAll[q] += as.out.CountTo(q)
+	for _, sl := range p.slots {
+		for _, q := range sl.out.Receivers() {
+			sendAll[q] += sl.out.CountTo(q)
 		}
-		for _, q := range as.in.Senders() {
-			recvAll[q] += as.in.CountFrom(q)
+		for _, q := range sl.in.Senders() {
+			recvAll[q] += sl.in.CountFrom(q)
 		}
 	}
-	s.sendTo = peersOf(sendAll)
-	s.recvFrom = peersOf(recvAll)
-	s.plan = e.buildWindowPlan([]*Schedule{s})
+	p.sendTo = peersOf(sendAll)
+	p.recvFrom = peersOf(recvAll)
 }
 
 func peersOf(byQ map[int]int) []peerCount {
@@ -224,12 +218,12 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 // every iteration and collects the in sets; a Crystal-router exchange
 // then delivers each record to its home processor, whose received
 // records form its out set.
-func (e *Engine) buildInspector(c *loopCore) *Schedule {
+func (e *Engine) buildInspector(c *loopCore) *plan {
 	me := e.node.ID()
 	exec := e.inspectIters(c)
 	arrays := distinctArrays(c)
 
-	s := &Schedule{kind: BuildInspector}
+	p := &plan{kind: BuildInspector}
 	builders := make([]*comm.Builder, len(arrays))
 	for i := range builders {
 		builders[i] = comm.NewBuilder(me)
@@ -251,18 +245,18 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 		}
 		c.run(it, env)
 		if env.iterNonlocal {
-			s.execNonlocal = append(s.execNonlocal, it)
+			p.execNonlocal = append(p.execNonlocal, it)
 			if c.enumerate {
 				// Saltz-style: keep the full per-reference list for this
 				// iteration; list construction costs one insert per
 				// reference ("relatively high" preprocessing, §5).
 				refs := make([]enumRef, len(env.enumRecord))
 				copy(refs, env.enumRecord)
-				s.enum = append(s.enum, refs)
+				p.enum = append(p.enum, refs)
 				e.node.Charge(machine.Cost{ListInserts: len(refs)})
 			}
 		} else {
-			s.execLocal = appendIter(s.execLocal, c.rank, it)
+			p.execLocal = appendIter(p.execLocal, c.rank, it)
 		}
 	}
 
@@ -270,9 +264,7 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 	var parcels []crystal.Parcel
 	for k, b := range builders {
 		in := b.Finalize()
-		as := &arraySched{in: in}
-		as.buf = make([]float64, in.Total)
-		s.arrays = append(s.arrays, as)
+		p.slots = append(p.slots, slot{in: in})
 		for _, q := range in.Senders() {
 			rf := in.RangesFrom(q)
 			recs := make([]comm.Range, len(rf))
@@ -297,19 +289,18 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 		// Records arrive as the *receiver's* in-records: FromProc is us.
 		bySlot[rr.slot] = append(bySlot[rr.slot], rr.recs...)
 	}
-	for k, as := range s.arrays {
-		as.out = comm.BuildOut(me, bySlot[k])
+	for k := range p.slots {
+		p.slots[k].out = comm.BuildOut(me, bySlot[k])
 	}
 
 	// Enumerated schedules resolve buffer slots now that the in sets
 	// are final.
 	if c.enumerate {
-		for _, refs := range s.enum {
+		for _, refs := range p.enum {
 			for r := range refs {
 				ref := &refs[r]
 				if ref.Buf != -1 {
-					as := s.arrays[ref.Slot]
-					buf, ok := as.in.Find(ref.Buf, ref.G) // Buf held the owner during recording
+					buf, ok := p.slots[ref.Slot].in.Find(ref.Buf, ref.G) // Buf held the owner during recording
 					if !ok {
 						panic(fmt.Sprintf("forall %s: enumerated element %d missing from schedule", c.name, ref.G))
 					}
@@ -318,7 +309,7 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 			}
 		}
 	}
-	return s
+	return p
 }
 
 // exchange routes parcels to their destinations: via the Crystal
@@ -435,9 +426,9 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 // pack/unpack copies.
 func packCombined(s *Schedule, arrays []*darray.Array, q int, vals []float64) int {
 	off := 0
-	for k, as := range s.arrays {
+	for k, sl := range s.slots {
 		arr := arrays[k]
-		for _, r := range as.out.RangesTo(q) {
+		for _, r := range sl.out.RangesTo(q) {
 			arr.CopyLinearRange(r.Low, r.High, vals[off:off+r.Len()])
 			off += r.Len()
 		}
@@ -450,12 +441,12 @@ func packCombined(s *Schedule, arrays []*darray.Array, q int, vals []float64) in
 // disjoint buffer regions, so completion order cannot change results.
 func unpackCombined(c *loopCore, s *Schedule, q int, vals []float64) {
 	off := 0
-	for _, as := range s.arrays {
-		n := as.in.CountFrom(q)
+	for k, sl := range s.slots {
+		n := sl.in.CountFrom(q)
 		if n == 0 {
 			continue
 		}
-		as.in.Unpack(q, vals[off:off+n], as.buf)
+		sl.in.Unpack(q, vals[off:off+n], s.bufs[k])
 		off += n
 	}
 	if off != len(vals) {

@@ -153,7 +153,7 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			if ref.Buf == -1 {
 				return a.GetLinear(g)
 			}
-			return e.sched.arrays[ref.Slot].buf[ref.Buf]
+			return e.sched.bufs[ref.Slot][ref.Buf]
 		}
 		e.node.ChargeLocTest()
 		if v, ok := a.LocalLinear(g); ok {
@@ -165,15 +165,16 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			e.node.ChargeMemRefs(1)
 			return a.GetLinear(g)
 		}
-		as := e.sched.arrays[e.slotOf(a)]
-		e.node.ChargeSearch(as.in.NumRanges())
-		slot, ok := as.in.Find(owner, g)
+		k := e.slotOf(a)
+		in := e.sched.slots[k].in
+		e.node.ChargeSearch(in.NumRanges())
+		slot, ok := in.Find(owner, g)
 		if !ok {
 			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
 				e.core.name, a.Name(), g))
 		}
 		e.node.ChargeMemRefs(1)
-		return as.buf[slot]
+		return e.sched.bufs[k][slot]
 	}
 }
 
@@ -205,15 +206,16 @@ func (e *Env) Read2(a *darray.Array, i, j int) float64 {
 		}
 		// IsLocal2 validated the coordinates, so Linear2 is safe.
 		g := a.Linear2(i, j)
-		as := e.sched.arrays[e.slotOf(a)]
-		e.node.ChargeSearch(as.in.NumRanges())
-		slot, ok := as.in.Find(a.OwnerLinear(g), g)
+		k := e.slotOf(a)
+		in := e.sched.slots[k].in
+		e.node.ChargeSearch(in.NumRanges())
+		slot, ok := in.Find(a.OwnerLinear(g), g)
 		if !ok {
 			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
 				e.core.name, a.Name(), g))
 		}
 		e.node.ChargeMemRefs(1)
-		return as.buf[slot]
+		return e.sched.bufs[k][slot]
 
 	default: // modeInspect — cold path, charges handled by Read
 		return e.Read(a, a.Linear(i, j))

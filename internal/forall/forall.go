@@ -338,16 +338,14 @@ func (k BuildKind) String() string {
 // these once at build time keeps the replay path allocation-free.
 type peerCount struct{ q, n int }
 
-// arraySched is the communication schedule of one read-array slot.  It
-// is purely structural — which loop array occupies the slot is bound
-// at execution time from the loop's reads, which is what lets whole
-// schedules be shared between identically-shaped loops over different
-// arrays.  buf is the slot's receive buffer, allocated once at build
-// time and reused by every replay.
-type arraySched struct {
+// slot is the communication schedule of one read-array slot: the
+// elements this node receives and sends.  It is purely structural —
+// which loop array occupies the slot is bound at execution time from
+// the loop's reads, which is what lets whole schedules be shared
+// between identically-shaped loops over different arrays.
+type slot struct {
 	in  *comm.InSet
 	out *comm.OutSet
-	buf []float64
 }
 
 // enumRef is one resolved reference of a Saltz-style enumerated
@@ -359,13 +357,13 @@ type enumRef struct {
 	Buf  int
 }
 
-// Schedule is the result of inspecting/analyzing one loop shape on one
-// node, for loops of any rank.  It is purely structural: iteration
-// lists, per-slot communication sets and buffers, but no binding to
-// the arrays of any particular loop.  One Schedule may therefore be
-// held by several cache entries at once (content-addressed sharing)
-// and replayed against different arrays.
-type Schedule struct {
+// plan is what inspecting or analyzing one loop shape on one node
+// produces, for loops of any rank: iteration lists, per-slot
+// communication sets and the combined peer lists.  It is built once —
+// by the analysis, the inspector, or the disk cache — and never
+// changes afterwards, so any number of engines, on any number of
+// concurrently running machines, read one plan through the pointer.
+type plan struct {
 	rank int
 	// execLocal is the interior (the paper's local_list) as row
 	// segments in loop order, nLocal its iteration count; execNonlocal
@@ -374,7 +372,7 @@ type Schedule struct {
 	execLocal    []segment
 	nLocal       int
 	execNonlocal []iteration
-	arrays       []*arraySched
+	slots        []slot
 	kind         BuildKind
 	// sendTo/recvFrom are the combined-message peers: the ascending
 	// union of all slots' receivers/senders with total element counts,
@@ -382,19 +380,29 @@ type Schedule struct {
 	// allocating.
 	sendTo   []peerCount
 	recvFrom []peerCount
-	// plan is the drain/send layout of the window holding just this
-	// schedule's loop, built once with the peer lists so replaying a
-	// single loop never touches the engine's bounded plan store (which
-	// serves windows of two or more loops).
-	plan *windowPlan
 	// enum[k] lists every resolved reference of nonlocal iteration
 	// execNonlocal[k], in body order — row-major for rank-2 loops
 	// (Loop.Enumerate / Loop2.Enumerate only).
 	enum [][]enumRef
+}
+
+// Schedule is one engine's hold on a plan: the plan itself, shared by
+// pointer, plus the state replaying it mutates.  It carries no binding
+// to the arrays of any particular loop, so one Schedule may be held by
+// several cache entries at once (content-addressed sharing) and
+// replayed against different arrays.
+type Schedule struct {
+	*plan
+	// bufs[k] is slot k's receive buffer, reused by every replay.
+	bufs [][]float64
+	// window is the drain/send layout of the window holding just this
+	// schedule's loop, so replaying a single loop never touches the
+	// engine's bounded plan store (which serves windows of two or more
+	// loops).
+	window *windowPlan
 	// sid is the engine-assigned schedule identity, minted once per
-	// built schedule; fusion plans key on the window's sid tuple, so a
-	// rebuilt (or freshly adopted) schedule can never alias a stale
-	// plan.
+	// Schedule; fusion plans key on the window's sid tuple, so a rebuilt
+	// (or freshly adopted) schedule can never alias a stale plan.
 	sid uint64
 }
 
@@ -416,8 +424,8 @@ func (s *Schedule) Kind() BuildKind { return s.kind }
 // per execution.
 func (s *Schedule) RecvCount() int {
 	n := 0
-	for _, as := range s.arrays {
-		n += as.in.Total
+	for _, sl := range s.slots {
+		n += sl.in.Total
 	}
 	return n
 }
@@ -430,14 +438,10 @@ func (s *Schedule) RecvCount() int {
 // this is the paper's §5 iteration-list storage model, which the
 // benches' storage columns reproduce, not the host's footprint.
 func (s *Schedule) MemBytes() int {
-	words := s.rank
-	if words < 1 {
-		words = 1
-	}
-	n := 8 * words * (s.nLocal + len(s.execNonlocal))
-	for _, as := range s.arrays {
-		n += recBytes * (len(as.in.Ranges) + len(as.out.Ranges))
-		n += 8 * len(as.buf)
+	n := 8 * s.rank * (s.nLocal + len(s.execNonlocal))
+	for _, sl := range s.slots {
+		n += recBytes * (len(sl.in.Ranges) + len(sl.out.Ranges))
+		n += 8 * sl.in.Total
 	}
 	for _, refs := range s.enum {
 		n += 12 * len(refs)
@@ -535,11 +539,12 @@ type Engine struct {
 	Reference bool
 	// Store, when non-nil, is the cross-tenant content-addressed store
 	// (store.go): before building a shareable schedule the engine
-	// consults it (adopting blueprints other programs built, possibly
-	// revived from disk), and after building it publishes the blueprint
-	// there.  Build requests for the same shape are coalesced
-	// machine-wide (singleflight), which is deadlock-free because only
-	// communication-free compile-time builds participate.
+	// consults it, and after building it publishes the plan there.  A
+	// plan other programs built (or one revived from disk) is adopted by
+	// pointer, the engine allocating only its own receive buffers and
+	// window plan around it.  Build requests for the same shape are
+	// coalesced machine-wide (singleflight), which is deadlock-free
+	// because only communication-free compile-time builds participate.
 	Store *SharedStore
 
 	lastKind   BuildKind
@@ -599,7 +604,7 @@ func (e *Engine) Builds() int { return e.builds }
 // schedule from the content-addressed store instead of building one.
 func (e *Engine) SharedHits() int { return e.sharedHits }
 
-// StoreHits returns how many times a loop adopted a blueprint from the
+// StoreHits returns how many times a loop adopted a plan from the
 // cross-tenant SharedStore (built by another program, or revived from
 // the persistence directory) instead of building a schedule itself.
 func (e *Engine) StoreHits() int { return e.storeHits }
@@ -770,65 +775,70 @@ func (e *Engine) schedule(c *loopCore) *Schedule {
 			return s
 		}
 	}
-	var s *Schedule
+	var p *plan
 	adopted := false
 	if shareable && e.Store != nil {
-		// Cross-tenant store: adopt a blueprint some program already
-		// built (or a warm start revived from disk), else build exactly
-		// once machine-wide — concurrent tenants asking for the same
-		// shape block on the first build instead of duplicating it.
-		bp, hit := e.Store.getOrBuild(e.node.ID(), sk, func() *Blueprint {
-			s = e.build(c)
-			return blueprintOf(s)
-		})
-		if hit {
-			e.node.StartPhase(PhaseInspector)
-			s = e.instantiate(bp)
-			// Instantiation is a copy pass, not set algebra: one call's
+		// Cross-tenant store: adopt the plan some program already built
+		// (or a warm start revived from disk), else build exactly once
+		// machine-wide — concurrent tenants asking for the same shape
+		// block on the first build instead of duplicating it.
+		p, adopted = e.Store.getOrBuild(e.node.ID(), sk, func() *plan { return e.build(c) })
+		if adopted {
+			// Adoption allocates buffers, not set algebra: one call's
 			// worth, like a redistribution plan hit.
+			e.node.StartPhase(PhaseInspector)
 			e.node.Charge(machine.Cost{Calls: 1})
 			e.node.StopPhase(PhaseInspector)
-			adopted = true
 		}
 	} else {
-		s = e.build(c)
+		p = e.build(c)
 	}
+	s := e.instantiate(p)
 	if adopted {
 		e.storeHits++
+		e.lastKind = BuildShared
 	} else {
-		e.finalizePeers(s)
 		e.builds++
+		e.lastKind = p.kind
 	}
-	e.sidCounter++
-	s.sid = e.sidCounter
 	if shareable {
 		e.shared.Put(sk, s)
 	}
 	if !e.NoCache {
 		e.store(key, c, s)
 	}
-	if adopted {
-		e.lastKind = BuildShared
-	} else {
-		e.lastKind = s.kind
-	}
 	return s
 }
 
-// build constructs a schedule for c — compile-time when the loop is
+// build constructs a plan for c — compile-time when the loop is
 // analyzable (and not forced), else by the run-time inspector — timed
 // under the inspector phase.
-func (e *Engine) build(c *loopCore) *Schedule {
+func (e *Engine) build(c *loopCore) *plan {
 	e.node.StartPhase(PhaseInspector)
-	var s *Schedule
+	var p *plan
 	if c.analyzable() && !e.ForceInspector {
-		s = e.buildCompileTime(c)
+		p = e.buildCompileTime(c)
 	} else {
-		s = e.buildInspector(c)
+		p = e.buildInspector(c)
 	}
 	e.node.StopPhase(PhaseInspector)
-	s.rank = c.rank
-	s.nLocal = segIters(s.execLocal)
+	p.rank = c.rank
+	p.finish()
+	return p
+}
+
+// instantiate gives this engine its own hold on p: fresh receive
+// buffers, the single-loop window plan and a new sid.  Everything else
+// is p's, shared by pointer.
+func (e *Engine) instantiate(p *plan) *Schedule {
+	s := &Schedule{plan: p, bufs: make([][]float64, len(p.slots))}
+	back := make([]float64, s.RecvCount())
+	for k, sl := range p.slots {
+		s.bufs[k], back = back[:sl.in.Total:sl.in.Total], back[sl.in.Total:]
+	}
+	s.window = e.buildWindowPlan([]*Schedule{s})
+	e.sidCounter++
+	s.sid = e.sidCounter
 	return s
 }
 
@@ -887,7 +897,7 @@ func depsFresh(c *loopCore, ent *cacheEntry) bool {
 
 // appendDistinct appends each read's array to dst on first appearance.
 // This single helper defines the slot order of a schedule: the build
-// path (assembleArrays), the execute-time binding (runWindow,
+// path (assembleSlots), the execute-time binding (runWindow,
 // runReference) and the share key (shareKeyOf) all derive slots from
 // it, so they can never disagree on which array occupies which slot.
 func appendDistinct(dst []*darray.Array, reads []ReadSpec) []*darray.Array {

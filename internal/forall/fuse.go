@@ -189,7 +189,7 @@ func (e *Engine) buildWindowPlan(scheds []*Schedule) *windowPlan {
 // downgrades to a miss).
 func (e *Engine) planFor(scheds []*Schedule) *windowPlan {
 	if len(scheds) == 1 {
-		return scheds[0].plan
+		return scheds[0].window
 	}
 	key := fusedKeyOf(scheds)
 	if p, ok := e.fusedPlans.Get(key); ok && slices.Equal(p.scheds, scheds) {
@@ -288,7 +288,7 @@ func readsAnyOf(c *loopCore, w []*darray.Array) bool {
 // program order, each draining only its own sections before its
 // boundary pass.  The schedules are structural; each loop's own arrays
 // are bound to its slots here, in the same first-appearance order
-// assembleArrays used, so a shared schedule executes correctly against
+// assembleSlots used, so a shared schedule executes correctly against
 // whichever loop adopted it.  Warm replay (all schedules cached, plan
 // cached) allocates nothing: the Env, write log, peer lists,
 // pending-receive slots, receive buffers and message payloads are all

@@ -26,7 +26,7 @@ func schedEqual(a, b *Schedule) bool {
 	}
 	al, bl := expand(a.execLocal, a.rank), expand(b.execLocal, b.rank)
 	if a.rank != b.rank || len(al) != len(bl) ||
-		len(a.execNonlocal) != len(b.execNonlocal) || len(a.arrays) != len(b.arrays) {
+		len(a.execNonlocal) != len(b.execNonlocal) || len(a.slots) != len(b.slots) {
 		return false
 	}
 	for i := range al {
@@ -39,9 +39,9 @@ func schedEqual(a, b *Schedule) bool {
 			return false
 		}
 	}
-	for k := range a.arrays {
-		ai, bi := a.arrays[k].in, b.arrays[k].in
-		ao, bo := a.arrays[k].out, b.arrays[k].out
+	for k := range a.slots {
+		ai, bi := a.slots[k].in, b.slots[k].in
+		ao, bo := a.slots[k].out, b.slots[k].out
 		if len(ai.Ranges) != len(bi.Ranges) || len(ao.Ranges) != len(bo.Ranges) {
 			return false
 		}

@@ -54,7 +54,7 @@ func snapshot(s *Schedule) schedSnap {
 		ExecLocal:    expand(s.execLocal, s.rank),
 		ExecNonlocal: append([]iteration(nil), s.execNonlocal...),
 	}
-	for _, as := range s.arrays {
+	for _, as := range s.slots {
 		snap.In = append(snap.In, append([]comm.Range(nil), as.in.Ranges...))
 		snap.InTotal = append(snap.InTotal, as.in.Total)
 		outs := append([]comm.Range(nil), as.out.Ranges...)

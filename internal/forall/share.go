@@ -15,6 +15,13 @@ import (
 // different names, replay one shared *Schedule instead of rebuilding
 // it, paying the set algebra once per shape per node.
 //
+// The key serves two scopes with one value type.  Within an engine,
+// the bounded LRU maps it to a *Schedule: the immutable plan and this
+// engine's receive buffers, which the engine's loops of one shape
+// share (they run one at a time).  Across engines, the SharedStore
+// (store.go) maps it to the bare *plan, and every adopting engine adds
+// buffers of its own.
+//
 // Inspector-built schedules are excluded: their in sets record what
 // the body actually referenced (indirect subscripts, OnProc
 // placement, Saltz enumeration), which the structural key cannot see.
@@ -58,7 +65,7 @@ func (k shareKey) fingerprint() uint64 {
 
 // shareKeyOf fingerprints an analyzable loop.  Each read contributes
 // its slot index (its array's position in the appendDistinct order —
-// the same order assembleArrays builds slots in and the executors bind
+// the same order assembleSlots builds slots in and the executors bind
 // them in, so two reads of one array can never share with two reads of
 // different but identically-distributed arrays), its affine subscript,
 // and its array's distribution fingerprint.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kali/internal/comm"
 	"kali/internal/lru"
 )
 
@@ -12,7 +11,7 @@ import (
 // pushed past one program.  Engine-local sharing (share.go) lets loops
 // of one program adopt each other's compile-time schedules; the
 // SharedStore here lets concurrently running *programs* do the same:
-// many tenants on one machine pool publish blueprints into one
+// many tenants on one machine pool publish plans into one
 // content-addressed, sharded, singleflight store, keyed by
 // (node, shareKey).  Only compile-time schedules participate, for the
 // same reason as engine-local sharing — they are pure functions of
@@ -20,111 +19,12 @@ import (
 // singleflight safe: a compile-time build performs no communication,
 // so a tenant blocked waiting for another tenant's build can never be
 // part of a communication cycle.
-
-// Blueprint is the immutable, serializable structural form of a
-// compile-time Schedule: the interior as (row, lo, hi) segments (row 0
-// for rank-1 loops), the boundary as an iteration list, plus per-slot
-// in/out range records.  A Schedule itself cannot be shared across
-// concurrently running engines — it carries mutable replay state
-// (receive buffers, pending-request slots) — so the store holds
-// blueprints and each adopting engine instantiates fresh mutable state
-// around one (Engine.instantiate).  The same representation is what
-// schedule persistence writes to disk.
-type Blueprint struct {
-	Rank         int
-	ExecLocal    [][3]int
-	ExecNonlocal [][2]int
-	Arrays       []SlotPlan
-}
-
-// SlotPlan is one structural array slot of a Blueprint: the receive
-// and send range records and their element totals.
-type SlotPlan struct {
-	In       []comm.Range
-	InTotal  int
-	Out      []comm.Range
-	OutTotal int
-
-	// in is In as a searchable in set.  An in set never changes once
-	// made, so every schedule instantiated from the blueprint uses this
-	// one: its index is built once, by whoever made or loaded the
-	// blueprint, before a second engine can see it.
-	in *comm.InSet
-}
-
-// blueprintOf extracts the immutable structure of a built compile-time
-// schedule.  The in set is shared as it is; the out records are
-// copied.
-func blueprintOf(s *Schedule) *Blueprint {
-	bp := &Blueprint{Rank: s.rank}
-	if len(s.execLocal) > 0 {
-		bp.ExecLocal = make([][3]int, len(s.execLocal))
-		for k, sg := range s.execLocal {
-			bp.ExecLocal[k] = [3]int{sg.i, sg.lo, sg.hi}
-		}
-	}
-	bp.ExecNonlocal = pairsOf(s.execNonlocal)
-	for _, as := range s.arrays {
-		bp.Arrays = append(bp.Arrays, SlotPlan{
-			In:       as.in.Ranges,
-			InTotal:  as.in.Total,
-			in:       as.in,
-			Out:      append([]comm.Range(nil), as.out.Ranges...),
-			OutTotal: as.out.Total,
-		})
-	}
-	return bp
-}
-
-func pairsOf(its []iteration) [][2]int {
-	if len(its) == 0 {
-		return nil
-	}
-	out := make([][2]int, len(its))
-	for k, it := range its {
-		out[k] = [2]int{it.i, it.j}
-	}
-	return out
-}
-
-func itersOf(pairs [][2]int) []iteration {
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([]iteration, len(pairs))
-	for k, p := range pairs {
-		out[k] = iteration{i: p[0], j: p[1]}
-	}
-	return out
-}
-
-// instantiate builds a fresh Schedule around a shared blueprint: new
-// receive buffers, new pending-request slots, a new sid — everything
-// mutable is private to this engine; the in set is the blueprint's own
-// and the out records are copied.  The result is indistinguishable
-// from a locally built compile-time schedule.
-func (e *Engine) instantiate(bp *Blueprint) *Schedule {
-	s := &Schedule{
-		rank:         bp.Rank,
-		kind:         BuildCompileTime,
-		execLocal:    make([]segment, len(bp.ExecLocal)),
-		execNonlocal: itersOf(bp.ExecNonlocal),
-	}
-	for k, t := range bp.ExecLocal {
-		s.execLocal[k] = segment{i: t[0], lo: t[1], hi: t[2]}
-	}
-	s.nLocal = segIters(s.execLocal)
-	for _, sp := range bp.Arrays {
-		as := &arraySched{
-			in:  sp.in,
-			out: &comm.OutSet{Ranges: append([]comm.Range(nil), sp.Out...), Total: sp.OutTotal},
-		}
-		as.buf = make([]float64, sp.InTotal)
-		s.arrays = append(s.arrays, as)
-	}
-	e.finalizePeers(s)
-	return s
-}
+//
+// The store holds the same plan type every engine replays.  A plan is
+// immutable once built (its in sets' search indexes included), so an
+// adopting engine takes it by pointer and allocates only what replay
+// mutates — its receive buffers and its window plan
+// (Engine.instantiate).  persist.go alone knows the on-disk form.
 
 // storeShards fixes the lock striping of a SharedStore.  Shard choice
 // is keyFP mod storeShards, so tenants building different shapes (or
@@ -132,7 +32,7 @@ func (e *Engine) instantiate(bp *Blueprint) *Schedule {
 // usually in shard too) rarely contend on one mutex.
 const storeShards = 16
 
-// storeKey identifies one blueprint: schedules are per-node (each node
+// storeKey identifies one plan: schedules are per-node (each node
 // holds its own slice of the iteration space), so the node id is part
 // of the key alongside the structural shareKey.
 type storeKey struct {
@@ -141,21 +41,21 @@ type storeKey struct {
 }
 
 // inflight is one in-progress build other tenants can wait on: done is
-// closed when the builder finishes, with bp left nil if the build
+// closed when the builder finishes, with p left nil if the build
 // failed (waiters then retry, racing to become the builder).
 type inflight struct {
 	done chan struct{}
-	bp   *Blueprint
+	p    *plan
 }
 
 type storeShard struct {
 	mu       sync.Mutex
-	lru      *lru.Cache[storeKey, *Blueprint]
+	lru      *lru.Cache[storeKey, *plan]
 	building map[storeKey]*inflight
 }
 
 // SharedStore is the cross-tenant content-addressed schedule store: a
-// sharded, LRU-bounded map from (node, structural key) to Blueprint,
+// sharded, LRU-bounded map from (node, structural key) to plan,
 // with singleflight build coalescing and optional disk persistence.
 // All methods are safe for concurrent use by any number of tenants.
 type SharedStore struct {
@@ -168,13 +68,13 @@ type SharedStore struct {
 	waits    atomic.Int64
 }
 
-// DefaultStoreCap is the blueprint capacity used when NewSharedStore
+// DefaultStoreCap is the plan capacity used when NewSharedStore
 // is given a nonpositive one.
 const DefaultStoreCap = 4096
 
-// NewSharedStore creates a store bounded to roughly capacity
-// blueprints (split evenly across shards; <= 0 means DefaultStoreCap).
-// A nonempty dir enables schedule persistence: built blueprints are
+// NewSharedStore creates a store bounded to roughly capacity plans
+// (split evenly across shards; <= 0 means DefaultStoreCap).  A nonempty
+// dir enables schedule persistence: built plans are
 // written there, and misses consult the directory before building, so
 // a warm start in a fresh process skips building entirely.
 func NewSharedStore(capacity int, dir string) *SharedStore {
@@ -184,40 +84,37 @@ func NewSharedStore(capacity int, dir string) *SharedStore {
 	per := (capacity + storeShards - 1) / storeShards
 	s := &SharedStore{dir: dir}
 	for i := range s.shards {
-		s.shards[i].lru = lru.New[storeKey, *Blueprint](per)
+		s.shards[i].lru = lru.New[storeKey, *plan](per)
 		s.shards[i].building = map[storeKey]*inflight{}
 	}
 	return s
 }
 
-// Dir returns the persistence directory ("" when persistence is off).
-func (s *SharedStore) Dir() string { return s.dir }
-
-// getOrBuild returns the blueprint for (node, key), building it with
+// getOrBuild returns the plan for (node, key), building it with
 // build exactly once machine-wide however many tenants ask
 // concurrently: the first caller becomes the builder, later callers
 // block on its inflight entry and adopt the result.  hit reports
 // whether the caller avoided building (memory hit, disk hit, or
 // coalesced wait).  If the builder panics, its waiters retry and race
 // to build; the panic propagates to the builder's own node.
-func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *Blueprint) (bp *Blueprint, hit bool) {
+func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *plan) (p *plan, hit bool) {
 	fp := key.fingerprint()
 	sh := &s.shards[fp%storeShards]
 	k := storeKey{node: node, key: key}
 	for {
 		sh.mu.Lock()
-		if bp, ok := sh.lru.Get(k); ok {
+		if p, ok := sh.lru.Get(k); ok {
 			sh.mu.Unlock()
 			s.hits.Add(1)
-			return bp, true
+			return p, true
 		}
 		if fl, ok := sh.building[k]; ok {
 			sh.mu.Unlock()
 			<-fl.done
-			if fl.bp != nil {
+			if fl.p != nil {
 				s.hits.Add(1)
 				s.waits.Add(1)
-				return fl.bp, true
+				return fl.p, true
 			}
 			continue // builder failed; race to take over
 		}
@@ -232,40 +129,39 @@ func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *Blueprint
 			defer func() {
 				sh.mu.Lock()
 				delete(sh.building, k)
-				if bp != nil {
-					sh.lru.Put(k, bp)
+				if p != nil {
+					sh.lru.Put(k, p)
 				}
 				sh.mu.Unlock()
-				fl.bp = bp
+				fl.p = p
 				close(fl.done)
 			}()
 			if s.dir != "" {
-				bp = s.loadDisk(node, fp)
-				fromDisk = bp != nil
+				p = s.loadDisk(node, fp)
+				fromDisk = p != nil
 			}
-			if bp == nil {
-				bp = build()
-				if bp != nil && s.dir != "" {
-					s.saveDisk(node, fp, bp)
+			if p == nil {
+				p = build()
+				if p != nil && s.dir != "" {
+					s.saveDisk(node, fp, p)
 				}
 			}
 		}()
 		if fromDisk {
 			s.diskHits.Add(1)
-			return bp, true
+			return p, true
 		}
 		s.builds.Add(1)
-		return bp, false
+		return p, false
 	}
 }
 
 // StoreStats is a point-in-time snapshot of a SharedStore.
 type StoreStats struct {
-	// Hits counts adoptions of an already-present blueprint (including
+	// Hits counts adoptions of an already-present plan (including
 	// Waits, the subset that blocked on another tenant's in-progress
 	// build instead of duplicating it); Builds counts actual builds;
-	// DiskHits counts blueprints revived from the persistence
-	// directory.
+	// DiskHits counts plans revived from the persistence directory.
 	Hits     int64
 	Builds   int64
 	DiskHits int64

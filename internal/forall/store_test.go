@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"kali/internal/analysis"
+	"kali/internal/comm"
 	"kali/internal/darray"
 	"kali/internal/dist"
 	"kali/internal/machine"
@@ -68,17 +70,17 @@ func TestStoreSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bp, _ := s.getOrBuild(0, key, func() *Blueprint {
+			p, _ := s.getOrBuild(0, key, func() *plan {
 				mu.Lock()
 				calls++
 				mu.Unlock()
 				time.Sleep(20 * time.Millisecond) // hold the flight open
-				return &Blueprint{Rank: 1}
+				return &plan{rank: 1}
 			})
-			if bp == nil {
-				t.Error("nil blueprint")
+			if p == nil {
+				t.Error("nil plan")
 			}
-			buildCount.Store(bp, true)
+			buildCount.Store(p, true)
 		}()
 	}
 	wg.Wait()
@@ -92,7 +94,7 @@ func TestStoreSingleflight(t *testing.T) {
 	distinct := 0
 	buildCount.Range(func(any, any) bool { distinct++; return true })
 	if distinct != 1 {
-		t.Fatalf("tenants saw %d distinct blueprints, want 1 shared", distinct)
+		t.Fatalf("tenants saw %d distinct plans, want 1 shared", distinct)
 	}
 }
 
@@ -103,14 +105,14 @@ func TestStoreBuilderPanicReleasesWaiters(t *testing.T) {
 	key := testKey(1)
 	func() {
 		defer func() { recover() }()
-		s.getOrBuild(0, key, func() *Blueprint { panic("tenant died mid-build") })
+		s.getOrBuild(0, key, func() *plan { panic("tenant died mid-build") })
 	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		bp, hit := s.getOrBuild(0, key, func() *Blueprint { return &Blueprint{Rank: 1} })
-		if bp == nil || hit {
-			t.Errorf("retry after panic: bp=%v hit=%v, want fresh build", bp, hit)
+		p, hit := s.getOrBuild(0, key, func() *plan { return &plan{rank: 1} })
+		if p == nil || hit {
+			t.Errorf("retry after panic: p=%v hit=%v, want fresh build", p, hit)
 		}
 	}()
 	select {
@@ -124,7 +126,7 @@ func TestStoreBuilderPanicReleasesWaiters(t *testing.T) {
 func TestStoreDistinctKeys(t *testing.T) {
 	s := NewSharedStore(64, "")
 	for i := 0; i < 5; i++ {
-		s.getOrBuild(0, testKey(i), func() *Blueprint { return &Blueprint{Rank: 1} })
+		s.getOrBuild(0, testKey(i), func() *plan { return &plan{rank: 1} })
 	}
 	if st := s.Stats(); st.Builds != 5 || st.Hits != 0 || st.Entries != 5 {
 		t.Fatalf("stats = %+v, want 5 builds, 0 hits, 5 entries", st)
@@ -152,6 +154,71 @@ func TestStoreCrossTenantAdopt(t *testing.T) {
 	}
 }
 
+// TestStoreAdoptersSharePlanNotBuffers: programs running at the same
+// time on one store hold each node's plan by the same pointer and each
+// their own receive buffers, and their replays, overlapping in time,
+// all compute the sequential answer (under -race, the plan is read
+// concurrently and never written).
+func TestStoreAdoptersSharePlanNotBuffers(t *testing.T) {
+	const n, p, tenants, sweeps = 24, 4, 3, 5
+	store := NewSharedStore(64, "")
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	scheds := make([][p]*Schedule, tenants)
+	var wg sync.WaitGroup
+	for k := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sim.MustNew(p, machine.Ideal()).Run(func(nd *machine.Node) {
+				a := darray.New("A", d, nd)
+				a.EachLocal(func(gl int) { a.Set1(gl, float64(gl)) })
+				eng := NewEngine(nd)
+				eng.Store = store
+				shift := &Loop{
+					Name: "shift", Lo: 1, Hi: n - 1,
+					On: a, OnF: analysis.Identity,
+					Reads: []ReadSpec{{Array: a, Affine: &analysis.Affine{A: 1, C: 1}}},
+					Body:  func(i int, e *Env) { e.Write(a, i, e.Read(a, i+1)) },
+				}
+				for range sweeps {
+					eng.Run(shift)
+				}
+				a.EachLocal(func(gl int) {
+					if got, want := a.Get1(gl), float64(min(gl+sweeps, n)); got != want {
+						t.Errorf("tenant %d: A[%d] = %g, want %g", k, gl, got, want)
+					}
+				})
+				scheds[k][nd.ID()] = eng.Schedule("shift")
+			})
+		}()
+	}
+	wg.Wait()
+	if st := store.Stats(); st.Builds != p {
+		t.Fatalf("store stats = %+v, want one build per node (%d)", st, p)
+	}
+	compared := 0
+	for node := range p {
+		first := scheds[0][node]
+		for k := 1; k < tenants; k++ {
+			s := scheds[k][node]
+			if s.plan != first.plan {
+				t.Errorf("node %d: tenants 0 and %d hold different plans", node, k)
+			}
+			for j, buf := range s.bufs {
+				if len(buf) > 0 {
+					compared++
+					if &buf[0] == &first.bufs[j][0] {
+						t.Errorf("node %d: tenants 0 and %d share slot %d's receive buffer", node, k, j)
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no node receives anything; the test compared no buffers")
+	}
+}
+
 // TestStorePersistRoundTrip: a fresh store on the same directory
 // revives every schedule from disk — the warm start builds nothing —
 // and replays bit-identically.
@@ -161,7 +228,7 @@ func TestStorePersistRoundTrip(t *testing.T) {
 	want, _, _ := runShiftWithStore(t, n, p, NewSharedStore(64, dir))
 	files, err := filepath.Glob(filepath.Join(dir, "sched-*.ksched"))
 	if err != nil || len(files) != p {
-		t.Fatalf("persisted %d blueprint files (err %v), want %d", len(files), err, p)
+		t.Fatalf("persisted %d plan files (err %v), want %d", len(files), err, p)
 	}
 
 	warm := NewSharedStore(64, dir)
@@ -208,27 +275,27 @@ func TestStorePersistCorruptFallback(t *testing.T) {
 
 // TestStorePersistStaleVersionFallback: a structurally valid envelope
 // with the wrong format version is rejected and silently rebuilt — both
-// a version from the future and a genuine version-1 file, whose
-// blueprint still lists the interior one iteration per entry.  The
+// a version from the future and a genuine version-1 file, whose plan
+// still lists the interior one iteration per entry.  The
 // rebuild overwrites the stale files, so the next start is warm again.
 func TestStorePersistStaleVersionFallback(t *testing.T) {
 	const n, p = 24, 4
-	// blueprintV1 is Blueprint as schedCacheVersion 1 serialized it.
-	type blueprintV1 struct {
+	// diskPlanV1 is diskPlan as schedCacheVersion 1 serialized it.
+	type diskPlanV1 struct {
 		Rank         int
 		ExecLocal    [][2]int
 		ExecNonlocal [][2]int
-		Arrays       []SlotPlan
+		Arrays       []diskSlot
 	}
 	rewrite := map[string]func(env *diskSched){
 		"future version": func(env *diskSched) { env.Version = schedCacheVersion + 1 },
 		"version 1 file": func(env *diskSched) {
-			var bp Blueprint
-			if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&bp); err != nil {
+			var dp diskPlan
+			if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&dp); err != nil {
 				t.Fatal(err)
 			}
-			old := blueprintV1{Rank: bp.Rank, ExecNonlocal: bp.ExecNonlocal, Arrays: bp.Arrays}
-			for _, sg := range bp.ExecLocal {
+			old := diskPlanV1{Rank: dp.Rank, ExecNonlocal: dp.ExecNonlocal, Arrays: dp.Arrays}
+			for _, sg := range dp.ExecLocal {
 				for x := sg[1]; x <= sg[2]; x++ {
 					old.ExecLocal = append(old.ExecLocal, [2]int{x, 0})
 				}
@@ -289,9 +356,9 @@ func TestStorePersistStaleVersionFallback(t *testing.T) {
 // TestStoreEvictionBounded: the in-memory store never exceeds its
 // capacity however many shapes pass through.
 func TestStoreEvictionBounded(t *testing.T) {
-	s := NewSharedStore(storeShards, "") // one blueprint per shard
+	s := NewSharedStore(storeShards, "") // one plan per shard
 	for i := 0; i < 10*storeShards; i++ {
-		s.getOrBuild(0, testKey(i), func() *Blueprint { return &Blueprint{Rank: 1} })
+		s.getOrBuild(0, testKey(i), func() *plan { return &plan{rank: 1} })
 	}
 	st := s.Stats()
 	if st.Entries > storeShards {
@@ -303,10 +370,10 @@ func TestStoreEvictionBounded(t *testing.T) {
 }
 
 // TestAdoptedInSetsFindLikeLinearScan: the in sets of a schedule made
-// by the compile-time analysis, adopted from another tenant's
-// blueprint, and revived from disk all answer Find as a scan over
-// their records does.  The adopting engines share the blueprint's in
-// set, whose index its maker or loader built before publishing it.
+// by the compile-time analysis, adopted from another tenant's plan,
+// and revived from disk all answer Find as a scan over their records
+// does.  The adopting engines share the plan's in set, whose index its
+// maker or loader built before publishing it.
 func TestAdoptedInSetsFindLikeLinearScan(t *testing.T) {
 	const n, p = 61, 4
 	g := topology.MustGrid(p)
@@ -338,7 +405,7 @@ func TestAdoptedInSetsFindLikeLinearScan(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				hits += eng.StoreHits()
-				for _, as := range eng.Schedule("shift").arrays {
+				for _, as := range eng.Schedule("shift").slots {
 					records += as.in.NumRanges()
 					for _, r := range as.in.Ranges {
 						for _, home := range []int{r.FromProc, r.FromProc + 1, -1} {
@@ -364,4 +431,64 @@ func TestAdoptedInSetsFindLikeLinearScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoadDisk: whatever bytes a cache file holds — as the whole file,
+// or as the payload of an envelope whose version, key, node and
+// checksum are right — the store never panics on it.  A file that
+// fails any check is a miss the caller rebuilds; one that passes
+// yields a plan that saves and loads back unchanged.
+func FuzzLoadDisk(f *testing.F) {
+	const node = 1
+	key := testKey(0)
+	fp := key.fingerprint()
+	seed := &plan{
+		rank:         1,
+		execLocal:    []segment{{lo: 7, hi: 10}},
+		execNonlocal: []iteration{{i: 11}},
+		slots: []slot{{
+			in:  comm.NewInSet([]comm.Range{{FromProc: 2, ToProc: node, Low: 12, High: 12}}, 1),
+			out: &comm.OutSet{Ranges: []comm.Range{{FromProc: node, ToProc: 0, Low: 7, High: 7}}, Total: 1},
+		}},
+	}
+	seedStore := NewSharedStore(1, f.TempDir())
+	seedStore.saveDisk(node, fp, seed)
+	raw, err := os.ReadFile(seedStore.cachePath(node, fp))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var env diskSched
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(env.Payload)
+	f.Add([]byte("not a schedule"))
+
+	dir := f.TempDir() // a worker runs its inputs one at a time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wrapped bytes.Buffer
+		ds := diskSched{Version: schedCacheVersion, KeyFP: fp, Node: node, Sum: payloadSum(data), Payload: data}
+		if err := gob.NewEncoder(&wrapped).Encode(&ds); err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range [][]byte{data, wrapped.Bytes()} {
+			s := NewSharedStore(1, dir)
+			if err := os.WriteFile(s.cachePath(node, fp), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			built := false
+			p, hit := s.getOrBuild(node, key, func() *plan { built = true; return &plan{rank: 1} })
+			if hit == built || (s.Stats().DiskHits == 1) != hit {
+				t.Fatalf("hit=%v built=%v stats=%+v: a file is either revived or rebuilt", hit, built, s.Stats())
+			}
+			if !hit {
+				continue
+			}
+			s.saveDisk(node, fp, p)
+			if back := s.loadDisk(node, fp); back == nil || !reflect.DeepEqual(planView(back), planView(p)) {
+				t.Fatalf("revived plan %+v does not survive a save and load: %+v", p, back)
+			}
+		}
+	})
 }

@@ -330,8 +330,7 @@ func (c *checker) reduce(s *Reduce) error {
 	if s.into == nil || s.into.Kind != symScalar || s.into.Type != TReal {
 		return errf(s.Line, 1, "reduce target %q must be a real scalar", s.Into)
 	}
-	wantArgs := map[string]int{"maxdiff": 2, "sum": 1, "max": 1, "min": 1}
-	n, ok := wantArgs[s.Op]
+	n, ok := reductions[s.Op]
 	if !ok {
 		return errf(s.Line, 1, "unknown reduction %q (maxdiff, sum, max, min)", s.Op)
 	}
@@ -949,6 +948,10 @@ var builtins = map[string]struct {
 	"float": {1, TReal},
 	"trunc": {1, TInt},
 }
+
+// reductions lists the reduce operations with the number of arrays
+// each takes.
+var reductions = map[string]int{"maxdiff": 2, "sum": 1, "max": 1, "min": 1}
 
 // walkStmts calls f on every expression in a statement tree.
 func walkStmts(ss []Stmt, f func(Expr)) {

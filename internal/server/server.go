@@ -7,8 +7,8 @@
 // programs.  Tenants draw simulated machines from a bounded pool, and
 // every run's forall engines consult one forall.SharedStore, so a
 // schedule built by any tenant is adopted (not rebuilt) by every later
-// tenant with the same loop structure, and persisted blueprints let a
-// restarted server warm-start with zero builds.
+// tenant with the same loop structure, and persisted schedule plans
+// let a restarted server warm-start with zero builds.
 package server
 
 import (
@@ -33,11 +33,11 @@ type Config struct {
 	Params machine.Params
 	// Backend selects the node runtime ("sim" default, "wall").
 	Backend string
-	// CacheDir, when non-empty, persists compiled schedule blueprints
-	// to disk so a future server on the same directory warm-starts
-	// without building.
+	// CacheDir, when non-empty, persists compiled schedule plans to
+	// disk so a future server on the same directory warm-starts without
+	// building.
 	CacheDir string
-	// StoreCap bounds the shared store's in-memory blueprint count
+	// StoreCap bounds the shared store's in-memory plan count
 	// (default forall.DefaultStoreCap).
 	StoreCap int
 }

@@ -189,7 +189,7 @@ func TestConcurrentChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	// Perturbers: redistribute block→cyclic→block mid-run, invalidate
 	// their schedule cache between sweeps, and cycle through distinct
-	// bounds so blueprints keep entering (and evicting from) the store.
+	// bounds so plans keep entering (and evicting from) the store.
 	for k := 0; k < K; k++ {
 		wg.Add(1)
 		go func(k int) {
