@@ -31,6 +31,7 @@ const (
 	symRealArray                // a declared real (or boolean) array
 	symIntArray                 // a declared integer array
 	symLocal                    // a forall's index variable, declared local or implicit for variable
+	symMapVar                   // the index variable of a map dist clause, bound in its owner expression only
 )
 
 // Symbol is what a name resolves to.  The checker binds every name
@@ -43,9 +44,17 @@ type Symbol struct {
 	Type BaseType // the scalar's type, or the array's element type
 	// Slot indexes the table Kind selects: the elaborated constants, the
 	// node's global frame (symScalar and symLoopVar share it), its real
-	// or integer array table, or the frame of the enclosing forall.
+	// or integer array table, or the frame of the enclosing forall.  A
+	// map clause's index variable has none: the constant evaluator holds
+	// its one value.
 	Slot int
 	decl *VarDecl // arrays only
+	// redist marks an array the program redistributes.  Such an array
+	// loses the compiler-proven "aligned" shortcut: alignment was proved
+	// against the declared distribution, which a redistribute statement
+	// invalidates at run time, so its reads take the schedule paths that
+	// consult the live distribution instead.
+	redist bool
 }
 
 func (s *Symbol) isArray() bool { return s.Kind == symRealArray || s.Kind == symIntArray }
@@ -57,10 +66,12 @@ type File struct {
 	Vars   []*VarDecl
 	Main   []Stmt
 
-	// set by the checker: every declared name in declaration order, and
-	// the sizes of the four global tables their slots index.
+	// set by the checker: every declared name in declaration order, the
+	// sizes of the four global tables their slots index, and every
+	// forall in source order.
 	syms                             []*Symbol
 	nConsts, nGlobals, nReals, nInts int
+	foralls                          []*Forall
 }
 
 // ProcsDecl is "processors Procs : array[1..P] with P in lo..hi;" or,
@@ -75,6 +86,8 @@ type ProcsDecl struct {
 	MinP    Expr   // with-clause bounds (nil when absent)
 	MaxP    Expr
 	Line    int
+
+	sym *Symbol // SizeVar's, set by the checker
 }
 
 // Rank2 reports whether the processor array is two-dimensional.
@@ -92,6 +105,8 @@ type ConstDecl struct {
 	// are evaluated once the processor count is chosen.
 	Folded bool
 	Val    value
+
+	sym *Symbol // set by the checker
 }
 
 // DistItem is one entry of a dist clause.
@@ -199,14 +214,16 @@ type If struct {
 }
 
 // Reduce is "reduce op(args) into name" — the language's global
-// reduction (convergence tests).  Ops: maxdiff(a, b), sum(a), max(a).
+// reduction (convergence tests).  Ops: maxdiff(a, b), sum(a), max(a),
+// min(a).
 type Reduce struct {
 	Op   string
 	Args []string // array names
 	Into string
 	Line int
 
-	args []*Symbol // set by the checker
+	red  *builtin  // set by the checker
+	args []*Symbol // likewise
 	into *Symbol
 }
 
@@ -288,6 +305,8 @@ type Call struct {
 	Name string
 	Args []Expr
 	Line int
+
+	fn *builtin // set by the checker
 }
 
 func (*IntLit) exprNode()   {}

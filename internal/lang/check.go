@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // checker performs semantic analysis — name resolution included: every
 // use of a name is bound to its Symbol here, once — and the subscript
@@ -13,12 +16,6 @@ type checker struct {
 	// implicit variable of each enclosing top-level for.
 	syms  map[string]*Symbol
 	procs *ProcsDecl
-	// redist names every array the program redistributes.  Such arrays
-	// lose the compiler-proven "aligned" shortcut: alignment was proved
-	// against the declared distribution, which a redistribute statement
-	// invalidates at run time, so their reads take the schedule paths
-	// that consult the live distribution instead.
-	redist map[string]bool
 }
 
 // fresh rejects a second declaration of a global name.
@@ -52,15 +49,14 @@ func (c *checker) declare(name string, kind symKind, t BaseType, d *VarDecl) *Sy
 // Check validates a parsed File, binds its names and annotates its
 // foralls.
 func Check(f *File) error {
-	c := &checker{file: f, syms: map[string]*Symbol{}, redist: map[string]bool{}}
+	c := &checker{file: f, syms: map[string]*Symbol{}}
 	if f.Procs == nil {
 		return errf(1, 1, "program lacks a processors declaration")
 	}
-	f.syms, f.nConsts, f.nGlobals, f.nReals, f.nInts = nil, 0, 0, 0, 0
-	collectRedist(f.Main, c.redist)
+	f.syms, f.nConsts, f.nGlobals, f.nReals, f.nInts, f.foralls = nil, 0, 0, 0, 0, nil
 	c.procs = f.Procs
 	if f.Procs.SizeVar != "" {
-		c.declare(f.Procs.SizeVar, symConst, TInt, nil)
+		f.Procs.sym = c.declare(f.Procs.SizeVar, symConst, TInt, nil)
 	}
 	for _, d := range f.Consts {
 		if err := c.fresh(d.Line, d.Name); err != nil {
@@ -73,10 +69,17 @@ func Check(f *File) error {
 		if t == TBool {
 			return errf(d.Line, 1, "boolean constants are not supported")
 		}
-		if !c.isConstExpr(d.X) {
+		if !isConstExpr(d.X) {
 			return errf(d.Line, 1, "const %q is not a constant expression", d.Name)
 		}
-		c.declare(d.Name, symConst, t, nil)
+		d.sym = c.declare(d.Name, symConst, t, nil)
+	}
+	for _, b := range []Expr{f.Procs.Size, f.Procs.Size2, f.Procs.MinP, f.Procs.MaxP} {
+		if b != nil {
+			if err := c.constInt(f.Procs.Line, f.Procs.Name, "processor bounds", b); err != nil {
+				return err
+			}
+		}
 	}
 	for _, d := range f.Vars {
 		for _, name := range d.Names {
@@ -103,8 +106,8 @@ func Check(f *File) error {
 			}
 			for _, dim := range d.Dims {
 				for _, b := range []Expr{dim.Lo, dim.Hi} {
-					if !c.isConstExpr(b) {
-						return errf(d.Line, 1, "%q: array bounds must be constant expressions", name)
+					if err := c.constInt(d.Line, name, "array bounds", b); err != nil {
+						return err
 					}
 				}
 			}
@@ -118,10 +121,32 @@ func Check(f *File) error {
 	if err := c.stmts(f.Main, nil); err != nil {
 		return err
 	}
+	// Foralls are classified once every statement is checked, when the
+	// redist flag of every array is final.
+	for _, fa := range f.foralls {
+		if fa.Var2 != "" {
+			c.classify2(fa)
+		} else if err := c.classify(fa); err != nil {
+			return err
+		}
+	}
 	// Evaluate P-independent constants now (cached on the AST), so
 	// overflow and division-by-zero surface as positioned compile-time
 	// diagnostics rather than run-time panics.
 	return foldConsts(f)
+}
+
+// constInt binds and types e, which must be an integer constant
+// expression; name and what name the construct in the diagnostic.
+func (c *checker) constInt(line int, name, what string, e Expr) error {
+	t, err := c.exprType(e, nil)
+	if err != nil {
+		return err
+	}
+	if t != TInt || !isConstExpr(e) {
+		return errf(line, 1, "%q: %s must be integer constant expressions", name, what)
+	}
+	return nil
 }
 
 // distributed reports whether an array declaration has a dist clause.
@@ -253,7 +278,7 @@ func (c *checker) redistribute(s *Redistribute) error {
 	if sym == nil || sym.Kind != symRealArray || !distributed(sym.decl) || sym.Type != TReal {
 		return errf(s.Line, 1, "redistribute target %q must be a distributed real array", s.Name)
 	}
-	s.sym = sym
+	s.sym, sym.redist = sym, true
 	if len(s.Items) != len(sym.decl.Dims) {
 		return errf(s.Line, 1, "%q: %d dist items for %d dimensions", s.Name, len(s.Items), len(sym.decl.Dims))
 	}
@@ -264,8 +289,8 @@ func (c *checker) redistribute(s *Redistribute) error {
 // declarations and redistribute statements.  Map owner expressions are
 // evaluated per index at elaboration time, so they may use only
 // constants, P, and the bound index variable; block_cyclic sizes must
-// be constant; and the number of distributed (non-*) dimensions must
-// match the processor array's rank (§2.2).
+// be integer constants; and the number of distributed (non-*)
+// dimensions must match the processor array's rank (§2.2).
 func (c *checker) distItems(line int, name string, items []DistItem) error {
 	nd := 0
 	for _, item := range items {
@@ -273,20 +298,21 @@ func (c *checker) distItems(line int, name string, items []DistItem) error {
 		case STAR:
 			continue
 		case KWBlockCyclic:
-			if !c.isConstExpr(item.Block) {
-				return errf(line, 1, "%q: block_cyclic size must be a constant expression", name)
+			if err := c.constInt(line, name, "block_cyclic sizes", item.Block); err != nil {
+				return err
 			}
 		case KWMap:
-			var bound locals
-			bound.declare(item.MapVar, TInt)
-			t, err := c.exprType(item.MapExpr, &bound)
+			bound := &locals{syms: map[string]*Symbol{
+				item.MapVar: {Name: item.MapVar, Kind: symMapVar, Type: TInt},
+			}}
+			t, err := c.exprType(item.MapExpr, bound)
 			if err != nil {
 				return err
 			}
 			if t != TInt {
 				return errf(line, 1, "%q: map owner expression must be an integer", name)
 			}
-			if !c.constWith(item.MapExpr, item.MapVar) {
+			if !isConstExpr(item.MapExpr) {
 				return errf(line, 1, "%q: map owner expression must be computable from constants, P, and %q",
 					name, item.MapVar)
 			}
@@ -304,38 +330,16 @@ func (c *checker) distItems(line int, name string, items []DistItem) error {
 	return nil
 }
 
-// collectRedist records the names of redistributed arrays, recursing
-// through every statement list (foralls included — a redistribute in
-// one is an error, but the classification pass runs regardless).
-func collectRedist(ss []Stmt, set map[string]bool) {
-	for _, s := range ss {
-		switch s := s.(type) {
-		case *Redistribute:
-			set[s.Name] = true
-		case *Forall:
-			collectRedist(s.Body, set)
-		case *ForLoop:
-			collectRedist(s.Body, set)
-		case *While:
-			collectRedist(s.Body, set)
-		case *If:
-			collectRedist(s.Then, set)
-			collectRedist(s.Else, set)
-		}
-	}
-}
-
 func (c *checker) reduce(s *Reduce) error {
 	s.into = c.syms[s.Into]
 	if s.into == nil || s.into.Kind != symScalar || s.into.Type != TReal {
 		return errf(s.Line, 1, "reduce target %q must be a real scalar", s.Into)
 	}
-	n, ok := reductions[s.Op]
-	if !ok {
+	if s.red = predeclared(s.Op, true); s.red == nil {
 		return errf(s.Line, 1, "unknown reduction %q (maxdiff, sum, max, min)", s.Op)
 	}
-	if len(s.Args) != n {
-		return errf(s.Line, 1, "reduce %s takes %d array(s)", s.Op, n)
+	if len(s.Args) != s.red.args {
+		return errf(s.Line, 1, "reduce %s takes %d array(s)", s.Op, s.red.args)
 	}
 	s.args = s.args[:0]
 	for _, a := range s.Args {
@@ -398,11 +402,11 @@ func (c *checker) assign(s *Assign, loc *locals) error {
 	return errf(s.Line, 1, "cannot assign %s to %s", t, sym.Type)
 }
 
-// onArray resolves a forall's on-clause array, which must be
-// distributed and of the forall's rank.
+// onArray resolves a forall's on-clause array, which must be a
+// distributed real array of the forall's rank.
 func (c *checker) onArray(fa *Forall, rank int, want string) (*Symbol, error) {
 	sym := c.syms[fa.OnArray]
-	if sym == nil || !sym.isArray() || !distributed(sym.decl) || len(sym.decl.Dims) != rank {
+	if sym == nil || sym.Kind != symRealArray || !distributed(sym.decl) || len(sym.decl.Dims) != rank {
 		return nil, errf(fa.Line, 1, "on clause needs a distributed %s array, got %q", want, fa.OnArray)
 	}
 	return sym, nil
@@ -439,6 +443,11 @@ func (c *checker) forall(fa *Forall) error {
 	}
 	loc := &locals{}
 	loc.declare(fa.Var, TInt)
+	if t, err := c.exprType(fa.OnIndex, loc); err != nil {
+		return err
+	} else if t != TInt {
+		return errf(fa.Line, 1, "on clause subscript must be an integer")
+	}
 	if err := c.forallLocals(fa, loc); err != nil {
 		return err
 	}
@@ -457,18 +466,13 @@ func (c *checker) forall(fa *Forall) error {
 		return errf(fa.Line, 1, "on clause subscript must be affine in %q", fa.Var)
 	}
 	fa.on = readInfo{array: onSym, affine: true, aExpr: aE, cExpr: cE}
-	if t, err := c.exprType(fa.OnIndex, loc); err != nil {
-		return err
-	} else if t != TInt {
-		return errf(fa.Line, 1, "on clause subscript must be an integer")
-	}
 
 	if err := c.stmts(fa.Body, loc); err != nil {
 		return err
 	}
 	fa.frame = loc.n
-	// Classification pass: annotate every array reference in the body.
-	return c.classify(fa)
+	c.file.foralls = append(c.file.foralls, fa)
+	return nil
 }
 
 // forall2 checks a two-index forall over a 2-D processor array:
@@ -493,6 +497,16 @@ func (c *checker) forall2(fa *Forall) error {
 	if fa.Var == fa.Var2 {
 		return errf(fa.Line, 1, "forall index variables must differ")
 	}
+	loc := &locals{}
+	loc.declare(fa.Var, TInt)
+	loc.declare(fa.Var2, TInt)
+	for _, e := range []Expr{fa.OnIndex, fa.OnIndex2} {
+		if t, err := c.exprType(e, loc); err != nil {
+			return err
+		} else if t != TInt {
+			return errf(fa.Line, 1, "on clause subscript must be an integer")
+		}
+	}
 	// Per-dimension affine on-clause subscripts with nonzero
 	// coefficients: the first may mention only the first index
 	// variable, the second only the second (cross-variable forms are
@@ -507,16 +521,6 @@ func (c *checker) forall2(fa *Forall) error {
 		return errf(fa.Line, 1, "on clause subscript must be affine in %q", fa.Var2)
 	}
 	fa.on = readInfo{array: onSym, affine2: true, aIExpr: aIE, cIExpr: cIE, aJExpr: aJE, cJExpr: cJE}
-	loc := &locals{}
-	loc.declare(fa.Var, TInt)
-	loc.declare(fa.Var2, TInt)
-	for _, e := range []Expr{fa.OnIndex, fa.OnIndex2} {
-		if t, err := c.exprType(e, loc); err != nil {
-			return err
-		} else if t != TInt {
-			return errf(fa.Line, 1, "on clause subscript must be an integer")
-		}
-	}
 	if err := c.forallLocals(fa, loc); err != nil {
 		return err
 	}
@@ -533,7 +537,8 @@ func (c *checker) forall2(fa *Forall) error {
 		return err
 	}
 	fa.frame = loc.n
-	return c.classify2(fa)
+	c.file.foralls = append(c.file.foralls, fa)
+	return nil
 }
 
 // classify2 annotates references inside a two-index forall: aligned
@@ -541,7 +546,7 @@ func (c *checker) forall2(fa *Forall) error {
 // subscripts are per-dimension affine — X[aI*i+cI, aJ*j+cJ] — get
 // compile-time schedules from the rank-2 closed forms; everything else
 // uses the inspector.
-func (c *checker) classify2(fa *Forall) error {
+func (c *checker) classify2(fa *Forall) {
 	// The [i,j]-aligned local shortcut is sound only when placement is
 	// the identity "on A[i,j].loc"; under a shifted/strided on clause
 	// even an identically-subscripted read of the on array itself can
@@ -580,8 +585,7 @@ func (c *checker) classify2(fa *Forall) error {
 			i1, ok1 := ref.Indexes[0].(*Ident)
 			i2, ok2 := ref.Indexes[1].(*Ident)
 			if onIdentity && ok1 && ok2 && i1.Name == fa.Var && i2.Name == fa.Var2 &&
-				d == fa.on.array.decl &&
-				!c.redist[ref.Name] && !c.redist[fa.OnArray] {
+				d == fa.on.array.decl && !ref.sym.redist && !fa.on.array.redist {
 				ref.access = accAligned
 				return
 			}
@@ -606,7 +610,6 @@ func (c *checker) classify2(fa *Forall) error {
 			fa.reads = append(fa.reads, &readInfo{array: ref.sym})
 		}
 	})
-	return nil
 }
 
 // classify walks the forall body annotating ArrayRef reads and
@@ -652,7 +655,7 @@ func (c *checker) classify(fa *Forall) error {
 			// program redistributes (or placement arrays that move) lose
 			// the shortcut: alignment held for the declared layouts only.
 			if id, ok := ref.Indexes[0].(*Ident); ok && id.Name == fa.Var &&
-				!c.redist[ref.Name] && !c.redist[fa.OnArray] {
+				!ref.sym.redist && !fa.on.array.redist {
 				if onID, ok2 := fa.OnIndex.(*Ident); ok2 && onID.Name == fa.Var {
 					ref.access = accAligned
 					return
@@ -680,7 +683,7 @@ func (c *checker) affineOf(e Expr, loopVar string) (aE, cE Expr, ok bool) {
 		if e.Name == loopVar {
 			return &IntLit{V: 1, Line: e.Line}, nil, true
 		}
-		if c.isConstExpr(e) {
+		if isConstExpr(e) {
 			return nil, e, true
 		}
 		return nil, nil, false
@@ -707,14 +710,14 @@ func (c *checker) affineOf(e Expr, loopVar string) (aE, cE Expr, ok bool) {
 			return addExprs(a1, a2), addExprs(c1, c2), true
 		case STAR:
 			// const * linear or linear * const
-			if c.isConstExpr(e.L) {
+			if isConstExpr(e.L) {
 				a2, c2, ok := c.affineOf(e.R, loopVar)
 				if !ok {
 					return nil, nil, false
 				}
 				return mulExprs(e.L, a2), mulExprs(e.L, c2), true
 			}
-			if c.isConstExpr(e.R) {
+			if isConstExpr(e.R) {
 				a1, c1, ok := c.affineOf(e.L, loopVar)
 				if !ok {
 					return nil, nil, false
@@ -723,13 +726,13 @@ func (c *checker) affineOf(e Expr, loopVar string) (aE, cE Expr, ok bool) {
 			}
 			return nil, nil, false
 		default:
-			if c.isConstExpr(e) {
+			if isConstExpr(e) {
 				return nil, e, true
 			}
 			return nil, nil, false
 		}
 	default:
-		if c.isConstExpr(e) {
+		if isConstExpr(e) {
 			return nil, e, true
 		}
 		return nil, nil, false
@@ -760,48 +763,21 @@ func mulExprs(k, e Expr) Expr {
 	return &Binary{Op: STAR, L: k, R: e}
 }
 
-// constWith is isConstExpr extended with one bound integer variable
-// (the index of a map dist clause), restricted to the integer forms
-// the elaboration evaluator computes: literals, consts, P, the bound
-// variable, unary minus, and +, -, *, div, mod.
-func (c *checker) constWith(e Expr, v string) bool {
-	switch e := e.(type) {
-	case *IntLit:
-		return true
-	case *Ident:
-		if e.Name == v {
-			return true
-		}
-		s := c.syms[e.Name]
-		return s != nil && s.Kind == symConst
-	case *Unary:
-		return e.Op == MINUS && c.constWith(e.X, v)
-	case *Binary:
-		switch e.Op {
-		case PLUS, MINUS, STAR, KWDiv, KWMod:
-			return c.constWith(e.L, v) && c.constWith(e.R, v)
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-// isConstExpr reports whether e is evaluable at elaboration time:
-// literals, consts, P, and arithmetic over them.
-func (c *checker) isConstExpr(e Expr) bool {
+// isConstExpr reports whether the bound expression e is evaluable at
+// elaboration time: literals, consts, P, a map clause's index
+// variable, and arithmetic over them.
+func isConstExpr(e Expr) bool {
 	switch e := e.(type) {
 	case *IntLit, *RealLit:
 		return true
 	case *Ident:
-		s := c.syms[e.Name]
-		return s != nil && s.Kind == symConst
+		return e.sym.Kind == symConst || e.sym.Kind == symMapVar
 	case *Unary:
-		return e.Op == MINUS && c.isConstExpr(e.X)
+		return e.Op == MINUS && isConstExpr(e.X)
 	case *Binary:
 		switch e.Op {
 		case PLUS, MINUS, STAR, SLASH, KWDiv, KWMod:
-			return c.isConstExpr(e.L) && c.isConstExpr(e.R)
+			return isConstExpr(e.L) && isConstExpr(e.R)
 		}
 		return false
 	default:
@@ -914,12 +890,11 @@ func (c *checker) exprType(e Expr, loc *locals) (BaseType, error) {
 		}
 		return 0, errf(e.Line, 1, "bad binary operator")
 	case *Call:
-		sig, ok := builtins[e.Name]
-		if !ok {
+		if e.fn = predeclared(e.Name, false); e.fn == nil {
 			return 0, errf(e.Line, 1, "unknown function %q", e.Name)
 		}
-		if len(e.Args) != sig.args {
-			return 0, errf(e.Line, 1, "%s takes %d argument(s)", e.Name, sig.args)
+		if len(e.Args) != e.fn.args {
+			return 0, errf(e.Line, 1, "%s takes %d argument(s)", e.Name, e.fn.args)
 		}
 		for _, a := range e.Args {
 			t, err := c.exprType(a, loc)
@@ -930,28 +905,77 @@ func (c *checker) exprType(e Expr, loc *locals) (BaseType, error) {
 				return 0, errf(e.Line, 1, "%s does not take booleans", e.Name)
 			}
 		}
-		return sig.ret, nil
+		return e.fn.ret, nil
 	default:
 		return 0, fmt.Errorf("lang: unknown expression %T", e)
 	}
 }
 
-// builtins lists the available intrinsic functions.
-var builtins = map[string]struct {
-	args int
-	ret  BaseType
-}{
-	"abs":   {1, TReal},
-	"sqrt":  {1, TReal},
-	"min":   {2, TReal},
-	"max":   {2, TReal},
-	"float": {1, TReal},
-	"trunc": {1, TInt},
+// builtin is a predeclared name: an intrinsic function, which only a
+// call names, or a reduction, which only a reduce statement names — so
+// max and min name one of each, and a user scalar may be called max.
+// The checker binds each Call and Reduce to its entry; the walker, the
+// constant folder, the compiler and execReduce read the entry and never
+// the name.
+type builtin struct {
+	name   string
+	reduce bool
+	args   int      // arguments, or arrays folded
+	ret    BaseType // a function's result (a reduction's target is real)
+	// A function's implementation (y is unused by the unary ones), and
+	// the VM instruction it compiles to: opIntToF for float, whose
+	// whole effect is the widening.
+	eval func(x, y float64) value
+	op   opcode
+	// A reduction folds each owned element (|a - b| for maxdiff) into
+	// identity, the contribution of a node that owns nothing, with
+	// combine, then combines the nodes' results with the machine's
+	// AllReduce operator of the same meaning.
+	identity  float64
+	combine   func(acc, v float64) float64
+	allReduce string
 }
 
-// reductions lists the reduce operations with the number of arrays
-// each takes.
-var reductions = map[string]int{"maxdiff": 2, "sum": 1, "max": 1, "min": 1}
+// universe is the predeclared scope.
+var universe = [...]builtin{
+	{name: "abs", args: 1, ret: TReal, op: opAbsF, eval: func(x, _ float64) value { return realVal(math.Abs(x)) }},
+	{name: "sqrt", args: 1, ret: TReal, op: opSqrtF, eval: func(x, _ float64) value { return realVal(math.Sqrt(x)) }},
+	{name: "min", args: 2, ret: TReal, op: opMinF, eval: func(x, y float64) value { return realVal(math.Min(x, y)) }},
+	{name: "max", args: 2, ret: TReal, op: opMaxF, eval: func(x, y float64) value { return realVal(math.Max(x, y)) }},
+	{name: "float", args: 1, ret: TReal, op: opIntToF, eval: func(x, _ float64) value { return realVal(x) }},
+	{name: "trunc", args: 1, ret: TInt, op: opTruncI, eval: func(x, _ float64) value { return intVal(int(x)) }},
+	{name: "maxdiff", reduce: true, args: 2, identity: 0, combine: greater, allReduce: "max"},
+	{name: "sum", reduce: true, args: 1, identity: 0, combine: plus, allReduce: "sum"},
+	{name: "max", reduce: true, args: 1, identity: math.Inf(-1), combine: greater, allReduce: "max"},
+	{name: "min", reduce: true, args: 1, identity: math.Inf(1), combine: lesser, allReduce: "min"},
+}
+
+func plus(acc, v float64) float64 { return acc + v }
+
+func greater(acc, v float64) float64 {
+	if v > acc {
+		return v
+	}
+	return acc
+}
+
+func lesser(acc, v float64) float64 {
+	if v < acc {
+		return v
+	}
+	return acc
+}
+
+// predeclared resolves a function name (reduce false) or a reduction
+// name (reduce true) in the universe; nil if there is none.
+func predeclared(name string, reduce bool) *builtin {
+	for k := range universe {
+		if b := &universe[k]; b.name == name && b.reduce == reduce {
+			return b
+		}
+	}
+	return nil
+}
 
 // walkStmts calls f on every expression in a statement tree.
 func walkStmts(ss []Stmt, f func(Expr)) {

@@ -35,74 +35,89 @@ func TestLexerErrors(t *testing.T) {
 	compileErr(t, "processors !", "unexpected character")
 }
 
+// parserErrorCases and checkerErrorCases are the diagnostic tables:
+// each source fails to compile with a message containing want.  They
+// also seed FuzzParseCheck's corpus.
+var parserErrorCases = []struct{ src, want string }{
+	{"begin end", "lacks a processors"},
+	{"var x : real;", "expected declaration or begin"},
+	{header + "begin x := ; end.", "expected expression"},
+	{header + "begin x := 1.0 end.", "expected ;"},
+	{header + "begin forall i in 1..n do x := 1.0; end; end.", "expected on"},
+	{header + "begin forall i in 1..n on a[i] do x := 1.0; end; end.", "expected ."},
+	{header + "begin if x then x := 1.0; end; end.", "must be boolean"},
+	{"processors A : array[2..4];", "must start at 1"},
+	{"processors A : array[1..Q];", "needs a with clause"},
+	{"processors A : array[1..Q] with R in 1..4;", "must match"},
+	{header + "const ;", "declares nothing"},
+	{header + "var ;", "declares nothing"},
+	{header + "begin while true do x := 1.0;", "unexpected end of file"},
+}
+
 func TestParserErrors(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{"begin end", "lacks a processors"},
-		{"var x : real;", "expected declaration or begin"},
-		{header + "begin x := ; end.", "expected expression"},
-		{header + "begin x := 1.0 end.", "expected ;"},
-		{header + "begin forall i in 1..n do x := 1.0; end; end.", "expected on"},
-		{header + "begin forall i in 1..n on a[i] do x := 1.0; end; end.", "expected ."},
-		{header + "begin if x then x := 1.0; end; end.", "must be boolean"},
-		{"processors A : array[2..4];", "must start at 1"},
-		{"processors A : array[1..Q];", "needs a with clause"},
-		{"processors A : array[1..Q] with R in 1..4;", "must match"},
-		{header + "const ;", "declares nothing"},
-		{header + "var ;", "declares nothing"},
-		{header + "begin while true do x := 1.0;", "unexpected end of file"},
-	}
-	for _, c := range cases {
+	for _, c := range parserErrorCases {
 		compileErr(t, c.src, c.want)
 	}
 }
 
+var checkerErrorCases = []struct{ src, want string }{
+	// type errors
+	{header + "begin x := true; end.", "cannot assign"},
+	{header + "begin i := 1.5; end.", "cannot assign"},
+	{header + "begin x := y; end.", "undeclared name"},
+	{header + "begin x := a; end.", "without subscripts"},
+	{header + "begin x := x[1]; end.", "is not an array"},
+	{header + "begin a[1.5] := 1.0; end.", "index must be an integer"},
+	{header + "begin a[1,2] := 1.0; end.", "1 dimensions"},
+	{header + "begin x := abs(1,2); end.", "takes 1 argument"},
+	{header + "begin x := nosuch(1); end.", "unknown function"},
+	{header + "begin x := 1 + true; end.", "arithmetic on booleans"},
+	{header + "begin x := not 1; end.", "not needs a boolean"},
+	{header + "begin i := 1 mod 1.5; end.", "mod needs integers"},
+	// distributed-array discipline
+	{header + "begin x := a[1]; end.", "outside a forall"},
+	{header + "begin forall i in 1..n on w[i].loc do a[i] := 1.0; end; end.",
+		"needs a distributed one-dimensional array"},
+	{header + "begin forall i in 1..n on a[i*i].loc do a[i] := 1.0; end; end.",
+		"must be affine"},
+	{header + "begin forall i in 1..n on a[i].loc do w[i] := 1.0; end; end.",
+		"replicated array"},
+	{header + "begin forall i in 1..n on a[i].loc do k[i] := 1; end; end.",
+		"only real arrays"},
+	{header + "begin forall i in 1..n on a[i].loc do x := 1.0; end; end.",
+		"global scalar"},
+	{header + "begin forall i in 1..n on a[i].loc do forall i in 1..n on a[i].loc do a[i] := 1.0; end; end; end.",
+		"nested forall"},
+	// reduce discipline
+	{header + "begin reduce maxdiff(a) into x; end.", "takes 2"},
+	{header + "begin reduce maxdiff(a, b) into i; end.", "must be a real scalar"},
+	{header + "begin reduce maxdiff(a, w) into x; end.", "must be a distributed real array"},
+	{header + "begin reduce frobnicate(a) into x; end.", "unknown reduction"},
+	// declarations
+	{"processors P1 : array[1..4];\nconst n = 16;\nvar a : array[1..n] of real dist by [block, *] on P1;\nbegin end.",
+		"dist items"},
+	{"processors P1 : array[1..4];\nvar a : array[1..8] of real dist by [block] on Nope;\nbegin end.",
+		"unknown processor array"},
+	{"processors P1 : array[1..4];\nvar a : array[1..8] of boolean dist by [block];\nbegin end.",
+		"boolean arrays"},
+	{"processors P1 : array[1..4];\nvar a : real;\nvar a : integer;\nbegin end.",
+		"duplicate declaration"},
+	{"processors P1 : array[1..4];\nvar m : integer;\nvar a : array[1..m] of real;\nbegin end.",
+		"constant expressions"},
+	// constant contexts are bound and typed by the checker, not
+	// first evaluated at run time
+	{"processors Procs : array[1..P] with P in 1..nosuch;\nbegin end.",
+		`1:1: undeclared name "nosuch"`},
+	{"processors Procs : array[1..P] with P in 1..8;\nconst n = 4;\nvar a : array[1..2.5] of real dist by [block] on Procs;\nbegin end.",
+		`3:1: "a": array bounds must be integer constant expressions`},
+	{"processors Procs : array[1..P] with P in 1..P;\nbegin end.",
+		`1:1: processor bounds may not depend on "P"`},
+	{header + "begin forall i in 1..n on k[i].loc do a[i] := 1.0; end; end.",
+		`needs a distributed one-dimensional array, got "k"`},
+}
+
 func TestCheckerErrors(t *testing.T) {
-	cases := []struct{ src, want string }{
-		// type errors
-		{header + "begin x := true; end.", "cannot assign"},
-		{header + "begin i := 1.5; end.", "cannot assign"},
-		{header + "begin x := y; end.", "undeclared name"},
-		{header + "begin x := a; end.", "without subscripts"},
-		{header + "begin x := x[1]; end.", "is not an array"},
-		{header + "begin a[1.5] := 1.0; end.", "index must be an integer"},
-		{header + "begin a[1,2] := 1.0; end.", "1 dimensions"},
-		{header + "begin x := abs(1,2); end.", "takes 1 argument"},
-		{header + "begin x := nosuch(1); end.", "unknown function"},
-		{header + "begin x := 1 + true; end.", "arithmetic on booleans"},
-		{header + "begin x := not 1; end.", "not needs a boolean"},
-		{header + "begin i := 1 mod 1.5; end.", "mod needs integers"},
-		// distributed-array discipline
-		{header + "begin x := a[1]; end.", "outside a forall"},
-		{header + "begin forall i in 1..n on w[i].loc do a[i] := 1.0; end; end.",
-			"needs a distributed one-dimensional array"},
-		{header + "begin forall i in 1..n on a[i*i].loc do a[i] := 1.0; end; end.",
-			"must be affine"},
-		{header + "begin forall i in 1..n on a[i].loc do w[i] := 1.0; end; end.",
-			"replicated array"},
-		{header + "begin forall i in 1..n on a[i].loc do k[i] := 1; end; end.",
-			"only real arrays"},
-		{header + "begin forall i in 1..n on a[i].loc do x := 1.0; end; end.",
-			"global scalar"},
-		{header + "begin forall i in 1..n on a[i].loc do forall i in 1..n on a[i].loc do a[i] := 1.0; end; end; end.",
-			"nested forall"},
-		// reduce discipline
-		{header + "begin reduce maxdiff(a) into x; end.", "takes 2"},
-		{header + "begin reduce maxdiff(a, b) into i; end.", "must be a real scalar"},
-		{header + "begin reduce maxdiff(a, w) into x; end.", "must be a distributed real array"},
-		{header + "begin reduce frobnicate(a) into x; end.", "unknown reduction"},
-		// declarations
-		{"processors P1 : array[1..4];\nconst n = 16;\nvar a : array[1..n] of real dist by [block, *] on P1;\nbegin end.",
-			"dist items"},
-		{"processors P1 : array[1..4];\nvar a : array[1..8] of real dist by [block] on Nope;\nbegin end.",
-			"unknown processor array"},
-		{"processors P1 : array[1..4];\nvar a : array[1..8] of boolean dist by [block];\nbegin end.",
-			"boolean arrays"},
-		{"processors P1 : array[1..4];\nvar a : real;\nvar a : integer;\nbegin end.",
-			"duplicate declaration"},
-		{"processors P1 : array[1..4];\nvar m : integer;\nvar a : array[1..m] of real;\nbegin end.",
-			"constant expressions"},
-	}
-	for _, c := range cases {
+	for _, c := range checkerErrorCases {
 		compileErr(t, c.src, c.want)
 	}
 }

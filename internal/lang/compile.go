@@ -60,24 +60,10 @@ import (
 
 // compileForalls lowers every forall body in the program.
 func compileForalls(f *File, consts []value) map[*Forall]*compiledBody {
-	out := map[*Forall]*compiledBody{}
-	var walk func(ss []Stmt)
-	walk = func(ss []Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *Forall:
-				out[s] = compileBody(s, consts)
-			case *ForLoop:
-				walk(s.Body)
-			case *While:
-				walk(s.Body)
-			case *If:
-				walk(s.Then)
-				walk(s.Else)
-			}
-		}
+	out := make(map[*Forall]*compiledBody, len(f.foralls))
+	for _, fa := range f.foralls {
+		out[fa] = compileBody(fa, consts)
 	}
-	walk(f.Main)
 	return out
 }
 
@@ -522,38 +508,27 @@ func (c *comp) binary(e *Binary) (int32, BaseType) {
 }
 
 func (c *comp) call(e *Call) (int32, BaseType) {
-	regs := make([]int32, len(e.Args))
-	types := make([]BaseType, len(e.Args))
+	var regs [2]int32
+	var types [2]BaseType
 	for k, a := range e.Args {
 		regs[k], types[k] = c.expr(a)
 	}
 	c.charge(1) // every builtin charges one flop in the walker
-	switch e.Name {
-	case "abs":
-		d := c.tmpF()
-		c.add(opAbsF, d, c.widen(regs[0], types[0]), 0, 0)
-		return d, TReal
-	case "sqrt":
-		d := c.tmpF()
-		c.add(opSqrtF, d, c.widen(regs[0], types[0]), 0, 0)
-		return d, TReal
-	case "min":
-		d := c.tmpF()
-		c.add(opMinF, d, c.widen(regs[0], types[0]), c.widen(regs[1], types[1]), 0)
-		return d, TReal
-	case "max":
-		d := c.tmpF()
-		c.add(opMaxF, d, c.widen(regs[0], types[0]), c.widen(regs[1], types[1]), 0)
-		return d, TReal
-	case "float":
-		return c.widen(regs[0], types[0]), TReal
-	case "trunc":
-		d := c.tmpI()
-		c.add(opTruncI, d, c.widen(regs[0], types[0]), 0, 0)
-		return d, TInt
-	default:
-		panic(fmt.Sprintf("lang: compile: unknown function %q", e.Name))
+	if e.fn.op == opIntToF {
+		return c.widen(regs[0], types[0]), TReal // float: the widening is the call
 	}
+	var d int32
+	if e.fn.ret == TReal {
+		d = c.tmpF()
+	} else {
+		d = c.tmpI()
+	}
+	x, y := c.widen(regs[0], types[0]), int32(0)
+	if len(e.Args) == 2 {
+		y = c.widen(regs[1], types[1])
+	}
+	c.add(e.fn.op, d, x, y, 0)
+	return d, e.fn.ret
 }
 
 // widen converts an int register to a fresh float register (no-op for
@@ -839,7 +814,7 @@ func (c *comp) foldVal(e Expr) value {
 		if len(e.Args) == 2 {
 			y = c.foldVal(e.Args[1]).asReal()
 		}
-		return callBuiltin(e.Name, x, y)
+		return e.fn.eval(x, y)
 	default:
 		panic(fmt.Sprintf("lang: compile: fold of %T", e))
 	}

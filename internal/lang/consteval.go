@@ -19,15 +19,17 @@ import "math"
 // wrong constant poisons every distribution and schedule built from
 // it.
 
-// constEval evaluates constant expressions over an environment of
-// already-elaborated constant values.  Errors panic as *Error; use try
-// for a non-panicking entry point.
+// constEval evaluates constant expressions over the constants
+// elaborated so far, by Symbol.Slot, and the value of a map clause's
+// index variable.  Errors panic as *Error; use try for a non-panicking
+// entry point.
 type constEval struct {
-	consts map[string]value
+	consts []value
+	index  int
 }
 
 // val evaluates e, panicking with a positioned *Error on non-constant
-// subexpressions, unknown names, overflow, or division by zero.
+// subexpressions, overflow, or division by zero.
 func (ce *constEval) val(e Expr) value {
 	switch e := e.(type) {
 	case *IntLit:
@@ -35,11 +37,10 @@ func (ce *constEval) val(e Expr) value {
 	case *RealLit:
 		return realVal(e.V)
 	case *Ident:
-		v, ok := ce.consts[e.Name]
-		if !ok {
-			panic(errf(e.Line, 1, "unknown constant %q", e.Name))
+		if e.sym.Kind == symMapVar {
+			return intVal(ce.index)
 		}
-		return v
+		return ce.consts[e.sym.Slot]
 	case *Unary:
 		if e.Op != MINUS {
 			panic(errf(e.Line, 1, "operator %s is not allowed in constant expressions", e.Op))
@@ -178,32 +179,39 @@ func lineOf(e Expr) int {
 // positions at compile time, and so elaboration and the bytecode
 // compiler reuse one result instead of re-walking the expressions.
 // P-dependent constants stay unfolded; Program.elaborate evaluates
-// them once the real estate agent has chosen P.
+// them once the real estate agent has chosen P.  The processor bounds
+// are what chooses P, so they may not depend on it.
 func foldConsts(f *File) error {
-	consts := map[string]value{}
-	pDep := map[string]bool{}
-	if sv := f.Procs.SizeVar; sv != "" {
-		pDep[sv] = true
+	ce := &constEval{consts: make([]value, f.nConsts)}
+	pDep := make([]bool, f.nConsts) // by Symbol.Slot
+	if f.Procs.sym != nil {
+		pDep[f.Procs.sym.Slot] = true
 	}
-	for _, d := range f.Consts {
-		depends := false
-		walkExpr(d.X, func(x Expr) {
-			if id, ok := x.(*Ident); ok && pDep[id.Name] {
+	dependsOnP := func(e Expr) (depends bool) {
+		walkExpr(e, func(x Expr) {
+			if id, ok := x.(*Ident); ok && pDep[id.sym.Slot] {
 				depends = true
 			}
 		})
-		if depends {
-			pDep[d.Name] = true
+		return depends
+	}
+	for _, d := range f.Consts {
+		if dependsOnP(d.X) {
+			pDep[d.sym.Slot] = true
 			d.Folded = false
 			continue
 		}
-		ce := &constEval{consts: consts}
 		v, err := ce.try(d.X)
 		if err != nil {
 			return err
 		}
 		d.Folded, d.Val = true, v
-		consts[d.Name] = v
+		ce.consts[d.sym.Slot] = v
+	}
+	for _, b := range []Expr{f.Procs.Size, f.Procs.Size2, f.Procs.MinP, f.Procs.MaxP} {
+		if b != nil && dependsOnP(b) {
+			return errf(f.Procs.Line, 1, "processor bounds may not depend on %q", f.Procs.SizeVar)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package lang
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -218,6 +220,36 @@ func FuzzFusionDifferential(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		src := langtest.GenVMProgram(r)
 		diffFusion(t, src, 4)
+	})
+}
+
+// FuzzParseCheck: for arbitrary bytes Compile never panics, and every
+// error it returns is a *Error positioned at line 1 or later.  The
+// corpus starts from every testdata program and every source of the
+// diagnostic tables.
+func FuzzParseCheck(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.kali"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	for _, c := range append(parserErrorCases, checkerErrorCases...) {
+		f.Add([]byte(c.src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		_, err := Compile(string(src))
+		if err == nil {
+			return
+		}
+		if le, ok := err.(*Error); !ok || le.Line < 1 {
+			t.Fatalf("Compile(%q) = %#v, want a *Error at line 1 or later", src, err)
+		}
 	})
 }
 

@@ -62,8 +62,7 @@ type Result struct {
 // the compiled bytecode for every forall body.  It is immutable and
 // shared read-only by every node goroutine.
 type elaboration struct {
-	consts    map[string]value // by name, for the constant evaluator
-	constVals []value          // by Symbol.Slot, for everything after it
+	constVals []value // by Symbol.Slot
 	grid      *topology.Grid
 	procP     int
 	compiled  map[*Forall]*compiledBody
@@ -87,11 +86,10 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 		}
 	}()
 
-	consts := map[string]value{}
-	ce := &constEval{consts: consts}
+	ce := &constEval{consts: make([]value, p.file.nConsts)}
 	for _, d := range p.file.Consts {
 		if d.Folded {
-			consts[d.Name] = d.Val
+			ce.consts[d.sym.Slot] = d.Val
 		}
 	}
 	var grid *topology.Grid
@@ -123,20 +121,15 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 		}
 		grid = topology.MustGrid(procP)
 	}
-	if p.file.Procs.SizeVar != "" {
-		consts[p.file.Procs.SizeVar] = intVal(procP)
+	if s := p.file.Procs.sym; s != nil {
+		ce.consts[s.Slot] = intVal(procP)
 	}
 	for _, d := range p.file.Consts {
-		if !d.Folded && d.Name != p.file.Procs.SizeVar {
-			consts[d.Name] = ce.val(d.X)
+		if !d.Folded {
+			ce.consts[d.sym.Slot] = ce.val(d.X)
 		}
 	}
-	el = &elaboration{consts: consts, constVals: make([]value, p.file.nConsts), grid: grid, procP: procP}
-	for _, s := range p.file.syms {
-		if s.Kind == symConst {
-			el.constVals[s.Slot] = consts[s.Name]
-		}
-	}
+	el = &elaboration{constVals: ce.consts, grid: grid, procP: procP}
 	if !p.NoVM {
 		el.compiled = compileForalls(p.file, el.constVals)
 	}
@@ -157,30 +150,23 @@ func (p *Program) Run(cfg core.Config) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	res = p.newResult(el)
-	cfg.P = el.procP
-
-	rep := core.Run(cfg, func(ctx *core.Context) {
-		in := newInterp(p.file, ctx, el)
-		in.declareArrays()
-		in.execStmts(p.file.Main, nil, nil)
-		in.gather(res)
-	})
-	res.Report = rep
-	return res, nil
+	return p.execute(cfg, el, nil), nil
 }
 
-// newResult pre-allocates the gather buffers host-side (shapes are
-// elaborable without the machine), so nodes fill disjoint slots with
-// no synchronization.
-func (p *Program) newResult(el *elaboration) *Result {
+// execute runs an elaborated program and returns its final state.  The
+// nodes leave it in per-slot buffers allocated host-side (shapes are
+// elaborable without the machine), disjointly and with no lookup;
+// Result's maps are filled host-side from the symbol list.  done, unless
+// nil, runs on every node last.
+func (p *Program) execute(cfg core.Config, el *elaboration, done func(*interp)) *Result {
 	res := &Result{
 		P:         el.procP,
 		Arrays:    map[string][]float64{},
 		IntArrays: map[string][]int{},
 		Scalars:   map[string]float64{},
 	}
-	ce := &constEval{consts: el.consts}
+	reals, ints := make([][]float64, p.file.nReals), make([][]int, p.file.nInts)
+	ce := &constEval{consts: el.constVals}
 	for _, s := range p.file.syms {
 		if !s.isArray() {
 			continue
@@ -190,9 +176,30 @@ func (p *Program) newResult(el *elaboration) *Result {
 			size *= ce.intVal(dim.Hi)
 		}
 		if s.Kind == symIntArray {
-			res.IntArrays[s.Name] = make([]int, size)
+			ints[s.Slot] = make([]int, size)
+			res.IntArrays[s.Name] = ints[s.Slot]
 		} else {
-			res.Arrays[s.Name] = make([]float64, size)
+			reals[s.Slot] = make([]float64, size)
+			res.Arrays[s.Name] = reals[s.Slot]
+		}
+	}
+	var globals []value // node 0's
+	cfg.P = el.procP
+	res.Report = core.Run(cfg, func(ctx *core.Context) {
+		in := newInterp(p.file, ctx, el)
+		in.declareArrays()
+		in.execStmts(p.file.Main, nil, nil)
+		in.gather(reals, ints, &res.ColumnIters)
+		if ctx.ID() == 0 {
+			globals = in.globals
+		}
+		if done != nil {
+			done(in)
+		}
+	})
+	for _, s := range p.file.syms {
+		if s.Kind == symScalar {
+			res.Scalars[s.Name] = globals[s.Slot].asReal()
 		}
 	}
 	return res
@@ -319,7 +326,7 @@ func arith(op Kind, l, r value) value {
 
 // declareArrays elaborates the var section on this node.
 func (in *interp) declareArrays() {
-	ce := &constEval{consts: in.el.consts}
+	ce := &constEval{consts: in.el.constVals}
 	for _, s := range in.file.syms {
 		if s.Kind == symScalar {
 			in.globals[s.Slot] = value{t: s.Type}
@@ -360,7 +367,7 @@ func (in *interp) declareArrays() {
 // expressions are evaluated per index; dist compresses the table into
 // owner runs.
 func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dist {
-	ce := &constEval{consts: in.el.consts}
+	ce := &constEval{consts: in.el.constVals}
 	specs := make([]dist.DimSpec, len(items))
 	for k, item := range items {
 		switch item.Kind {
@@ -372,13 +379,9 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 			specs[k] = dist.BlockCyclicDim(ce.intVal(item.Block))
 		case KWMap:
 			owners := make([]int, shape[k])
-			mce := &constEval{consts: map[string]value{}}
-			for cn, cv := range in.el.consts {
-				mce.consts[cn] = cv
-			}
 			for i := 1; i <= shape[k]; i++ {
-				mce.consts[item.MapVar] = intVal(i)
-				owners[i-1] = mce.intVal(item.MapExpr)
+				ce.index = i
+				owners[i-1] = ce.intVal(item.MapExpr)
 			}
 			specs[k] = dist.MapDim(owners)
 		case STAR:
@@ -678,14 +681,6 @@ func (in *interp) loop2For(fa *Forall) *forall.Loop2 {
 	return loop
 }
 
-// onArray is the array a forall's on clause places iterations by.
-func (in *interp) onArray(fa *Forall) *darray.Array {
-	if fa.on.array.Kind != symRealArray {
-		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
-	}
-	return in.realArrs[fa.on.array.Slot]
-}
-
 // affine2Of elaborates a rank-2 subscript pair's coefficients.
 func (ri *readInfo) affine2Of(ce *constEval) analysis.Affine2 {
 	return analysis.Affine2{
@@ -720,7 +715,7 @@ func (in *interp) walker(fa *Forall) (fr []value, body func(env *forall.Env)) {
 
 // buildLoop2 translates a two-index Forall into a forall.Loop2.
 func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
-	ce := &constEval{consts: in.el.consts}
+	ce := &constEval{consts: in.el.constVals}
 	onF2 := fa.on.affine2Of(ce)
 	// A constant coefficient expression can evaluate to zero (only
 	// elaboration knows the const values); diagnose it with the source
@@ -739,7 +734,7 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 	}
 	loop := &forall.Loop2{
 		Name:      fmt.Sprintf("forall2@%d", fa.Line),
-		On:        in.onArray(fa),
+		On:        in.realArrs[fa.on.array.Slot],
 		OnF2:      onF2,
 		Reads:     reads,
 		DependsOn: in.deps(fa),
@@ -763,7 +758,7 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 
 // buildLoop translates an annotated Forall into a forall.Loop.
 func (in *interp) buildLoop(fa *Forall) *forall.Loop {
-	ce := &constEval{consts: in.el.consts}
+	ce := &constEval{consts: in.el.constVals}
 	onF := analysis.Affine{A: ce.coeff(fa.on.aExpr), C: ce.coeff(fa.on.cExpr)}
 	if onF.A == 0 {
 		panic(fmt.Sprintf("line %d: on clause subscript coefficient evaluates to zero (not affine in the index variable)", fa.Line))
@@ -778,7 +773,7 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 	}
 	loop := &forall.Loop{
 		Name:      fmt.Sprintf("forall@%d", fa.Line),
-		On:        in.onArray(fa),
+		On:        in.realArrs[fa.on.array.Slot],
 		OnF:       onF,
 		Reads:     reads,
 		DependsOn: in.deps(fa),
@@ -803,40 +798,20 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 // execReduce implements the reduce statement: local fold over owned
 // elements, then a machine AllReduce.
 func (in *interp) execReduce(s *Reduce) {
-	a := in.realArrs[s.args[0].Slot]
-	local := 0.0
-	switch s.Op {
-	case "maxdiff":
-		b := in.realArrs[s.args[1].Slot]
-		a.EachLocal(func(g int) {
-			d := math.Abs(a.GetLinear(g) - b.GetLinear(g))
-			if d > local {
-				local = d
-			}
-		})
-		local = in.ctx.AllReduce(local, "max")
-	case "sum":
-		a.EachLocal(func(g int) { local += a.GetLinear(g) })
-		local = in.ctx.AllReduce(local, "sum")
-	case "max":
-		// A node that owns nothing contributes the identity, not 0.
-		local = math.Inf(-1)
-		a.EachLocal(func(g int) {
-			if v := a.GetLinear(g); v > local {
-				local = v
-			}
-		})
-		local = in.ctx.AllReduce(local, "max")
-	case "min":
-		local = math.Inf(1)
-		a.EachLocal(func(g int) {
-			if v := a.GetLinear(g); v < local {
-				local = v
-			}
-		})
-		local = in.ctx.AllReduce(local, "min")
+	r, a := s.red, in.realArrs[s.args[0].Slot]
+	var b *darray.Array // maxdiff's second array
+	if len(s.args) == 2 {
+		b = in.realArrs[s.args[1].Slot]
 	}
-	in.globals[s.into.Slot].f = local
+	local := r.identity
+	a.EachLocal(func(g int) {
+		v := a.GetLinear(g)
+		if b != nil {
+			v = math.Abs(v - b.GetLinear(g))
+		}
+		local = r.combine(local, v)
+	})
+	in.globals[s.into.Slot].f = in.ctx.AllReduce(local, r.allReduce)
 }
 
 // evalExpr evaluates an expression; env is non-nil inside foralls.
@@ -881,30 +856,10 @@ func (in *interp) evalExpr(e Expr, fr []value, env *forall.Env) value {
 		if env != nil {
 			env.Flops(1)
 		}
-		return callBuiltin(e.Name, x, y)
+		return e.fn.eval(x, y)
 	default:
 		panic(fmt.Sprintf("unknown expression %T", e))
 	}
-}
-
-// callBuiltin applies an intrinsic function (y is unused by the unary
-// ones); the walker and the compiler's constant folder share it.
-func callBuiltin(name string, x, y float64) value {
-	switch name {
-	case "abs":
-		return realVal(math.Abs(x))
-	case "sqrt":
-		return realVal(math.Sqrt(x))
-	case "min":
-		return realVal(math.Min(x, y))
-	case "max":
-		return realVal(math.Max(x, y))
-	case "float":
-		return realVal(x)
-	case "trunc":
-		return intVal(int(x))
-	}
-	panic(fmt.Sprintf("unknown function %q", name))
 }
 
 // evalArrayRef reads an array element: straight from local storage at
@@ -948,35 +903,27 @@ func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
 	}
 }
 
-// gather collects final array and scalar state into the pre-allocated
-// host Result.  Distributed arrays are filled disjointly by their
-// owners; node 0 reports scalars and replicated arrays; every node adds
-// its column-wise iteration count.
-func (in *interp) gather(res *Result) {
+// gather collects the final array contents into the pre-allocated
+// buffers, by slot: distributed arrays are filled disjointly by their
+// owners, replicated ones by node 0.  Every node adds its column-wise
+// iteration count.
+func (in *interp) gather(reals [][]float64, ints [][]int, columnIters *int64) {
 	me := in.ctx.ID()
 	for _, st := range in.vms {
-		atomic.AddInt64(&res.ColumnIters, int64(st.colIters))
+		atomic.AddInt64(columnIters, int64(st.colIters))
 	}
-	for _, s := range in.file.syms {
-		switch s.Kind {
-		case symScalar:
-			if me == 0 {
-				res.Scalars[s.Name] = in.globals[s.Slot].asReal()
-			}
-		case symRealArray:
-			a, buf := in.realArrs[s.Slot], res.Arrays[s.Name]
-			if !a.Replicated() {
-				a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
-			} else if me == 0 {
-				copy(buf, a.LocalValues())
-			}
-		case symIntArray:
-			ia, buf := in.intArrs[s.Slot], res.IntArrays[s.Name]
-			if !ia.Replicated() {
-				ia.EachLocal(func(g int) { buf[g-1] = ia.GetLinear(g) })
-			} else if me == 0 {
-				copy(buf, ia.LocalValues())
-			}
+	for k, a := range in.realArrs {
+		if buf := reals[k]; !a.Replicated() {
+			a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
+		} else if me == 0 {
+			copy(buf, a.LocalValues())
+		}
+	}
+	for k, ia := range in.intArrs {
+		if buf := ints[k]; !ia.Replicated() {
+			ia.EachLocal(func(g int) { buf[g-1] = ia.GetLinear(g) })
+		} else if me == 0 {
+			copy(buf, ia.LocalValues())
 		}
 	}
 }

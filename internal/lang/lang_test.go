@@ -2,6 +2,9 @@ package lang
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -50,72 +53,29 @@ func TestFigure1Shift(t *testing.T) {
 	}
 }
 
-// fig4Program is the paper's Figure 4 relaxation, completed with mesh
-// setup for an nx×ny rectangular grid (the paper's measured workload)
-// and a convergence check.
-func fig4Program(nx, ny, sweeps int) string {
-	return fmt.Sprintf(`
-processors Procs : array[1..P] with P in 1..128;
-const nx = %d;
-      ny = %d;
-      n = nx * ny;
-      sweeps = %d;
-var a, old_a : array[1..n] of real dist by [ block ] on Procs;
-    count : array[1..n] of integer dist by [ block ] on Procs;
-    adj : array[1..n, 1..4] of integer dist by [ block, * ] on Procs;
-    coef : array[1..n, 1..4] of real dist by [ block, * ] on Procs;
-    r, c, i, s : integer;
-    delta : real;
-begin
-    -- code to set up arrays 'adj' and 'coef'
-    for r in 1..ny do
-        for c in 1..nx do
-            i := (r-1)*nx + c;
-            if (r = 1) or (r = ny) or (c = 1) or (c = nx) then
-                count[i] := 0;
-                a[i] := 1.0 + float(i mod 7);
-            else
-                count[i] := 4;
-                adj[i,1] := i - nx;
-                adj[i,2] := i - 1;
-                adj[i,3] := i + 1;
-                adj[i,4] := i + nx;
-                coef[i,1] := 0.25;
-                coef[i,2] := 0.25;
-                coef[i,3] := 0.25;
-                coef[i,4] := 0.25;
-                a[i] := 0.0;
-            end;
-        end;
-    end;
-
-    for s in 1..sweeps do
-        -- copy mesh values
-        forall i in 1..n on old_a[i].loc do
-            old_a[i] := a[i];
-        end;
-        -- perform relaxation (computational core)
-        forall i in 1..n on a[i].loc do
-            var x : real;
-            var j : integer;
-            x := 0.0;
-            for j in 1..count[i] do
-                x := x + coef[i,j] * old_a[ adj[i,j] ];
-            end;
-            if count[i] > 0 then
-                a[i] := x;
-            end;
-        end;
-        -- code to check convergence
-        reduce maxdiff(a, old_a) into delta;
-    end;
-end.
-`, nx, ny, sweeps)
+// fig4Program is testdata/relax.kali, the paper's Figure 4 relaxation
+// on an nx×ny rectangular mesh, with its size and sweep count
+// substituted for the file's constants.
+func fig4Program(t *testing.T, nx, ny, sweeps int) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "relax.kali"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(src)
+	for name, v := range map[string]int{"nx": nx, "ny": ny, "sweeps": sweeps} {
+		decl := regexp.MustCompile(`\b` + name + ` = \d+;`)
+		if len(decl.FindAllString(s, -1)) != 1 {
+			t.Fatalf("relax.kali: want one %q constant", name)
+		}
+		s = decl.ReplaceAllString(s, fmt.Sprintf("%s = %d;", name, v))
+	}
+	return s
 }
 
 func TestFigure4Relaxation(t *testing.T) {
 	const nx, ny, sweeps = 12, 10, 8
-	prog, err := Compile(fig4Program(nx, ny, sweeps))
+	prog, err := Compile(fig4Program(t, nx, ny, sweeps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +102,11 @@ func TestFigure4Relaxation(t *testing.T) {
 // forall uses the inspector once; inspector time does not grow with
 // sweeps.
 func TestFigure4InspectorAmortized(t *testing.T) {
-	p8, err := Compile(fig4Program(12, 8, 8))
+	p8, err := Compile(fig4Program(t, 12, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Compile(fig4Program(12, 8, 2))
+	p2, err := Compile(fig4Program(t, 12, 8, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

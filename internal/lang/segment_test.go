@@ -59,12 +59,8 @@ func runKernel(t *testing.T, src, backend string, params machine.Params, p, mode
 		t.Fatal(err)
 	}
 	cfg.Machine = m
-	run := kernelRun{res: prog.newResult(el)}
-	run.res.Report = core.Run(cfg, func(ctx *core.Context) {
-		in := newInterp(prog.file, ctx, el)
-		in.declareArrays()
-		in.execStmts(prog.file.Main, nil, nil)
-		in.gather(run.res)
+	var run kernelRun
+	run.res = prog.execute(cfg, el, func(in *interp) {
 		for _, st := range in.vms {
 			if st.step != nil {
 				atomic.AddInt64(&run.stepped, int64(st.step.Stepped))

@@ -118,6 +118,62 @@ func TestImplicitLoopVariableScope(t *testing.T) {
 	}
 }
 
+// TestBuiltinNamesStayFree: a call resolves among the predeclared
+// functions and a reduce among the reductions only, so a user scalar
+// may be called max, be assigned from the function max and be reduced
+// into by the reduction max — at the top level and in a forall body, on
+// the VM and the walker alike.
+func TestBuiltinNamesStayFree(t *testing.T) {
+	src := `
+processors Procs : array[1..P] with P in 1..8;
+const n = 8;
+var a : array[1..n] of real dist by [block] on Procs;
+    max : real;
+    i : integer;
+begin
+  max := max(1.0, 2.0);
+  for i in 1..n do a[i] := float(i) * max / 2.0; end;
+  forall i in 1..n on a[i].loc do
+    a[i] := max(a[i], max - 1.0);
+  end;
+  reduce max(a) into max;
+end.
+`
+	for _, p := range []int{1, 4} {
+		if res := diffVMWalker(t, src, p); res.Scalars["max"] != 8 {
+			t.Fatalf("P=%d: max = %g, want 8", p, res.Scalars["max"])
+		}
+	}
+}
+
+// TestLocalShadowsConstInSubscript: a forall local named like a global
+// constant is the local in a subscript too, so the read is classified
+// by what the name is bound to — here data-dependent, not the affine
+// b[i + 5] the constant would make it (whose schedule lacks b[i + 1]).
+func TestLocalShadowsConstInSubscript(t *testing.T) {
+	src := `
+processors Procs : array[1..P] with P in 1..8;
+const n = 8;
+      k = 5;
+var a, b : array[1..n] of real dist by [block] on Procs;
+    i : integer;
+begin
+  for i in 1..n do b[i] := float(i); end;
+  forall i in 1..n-1 on a[i].loc do
+    var k : integer;
+    k := 1;
+    a[i] := b[i + k];
+  end;
+end.
+`
+	res := diffVMWalker(t, src, 4)
+	for i, v := range res.Arrays["a"][:7] {
+		if v != float64(i+2) {
+			t.Fatalf("a[%d] = %g, want %d", i+1, v, i+2)
+		}
+	}
+}
+
 // TestForallLocalShadowsGlobal: a forall local named like a global
 // scalar is the local inside the body, for the walker and the VM
 // alike, and the global keeps its value.
