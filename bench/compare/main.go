@@ -2,7 +2,9 @@
 // bench/compare.sh makes of benchmark/run.sh into one compact JSON
 // document (bench/BENCH_<pr>.json): per workload and end-to-end metric
 // of BENCHMARK.json the two sides' medians and quartiles, the pairs
-// won and lost, a verdict, and every run's value.  It times the host,
+// won and lost, a verdict, and every run's value; per workload every
+// run's attempted ops, and a note on an op_tail_us row whose two sides
+// measured different statistics (tailNote).  It times the host,
 // not the paper's machines: the paper's own numbers (§4, Figures 7–10)
 // are cmd/kalibench's.
 //
@@ -70,6 +72,7 @@ type row struct {
 	Wins    int     `json:"change_wins"`
 	Losses  int     `json:"change_losses"`
 	Verdict string  `json:"verdict"`
+	Note    string  `json:"note,omitempty"`
 }
 
 // quantile interpolates linearly between the order statistics of the
@@ -167,6 +170,53 @@ func pairUp(runs []run, metric string) (seeds []int64, parent, change []float64)
 		change = append(change, bySeed[seed]["change"])
 	}
 	return seeds, parent, change
+}
+
+// tailChunk is benchmark/stats.go's: a pass of fewer samples reports
+// its median as op_tail_us, a longer one the median of the p99s of its
+// chunks of tailChunk samples.  The benchmark is a module of its own
+// that this command does not import; TestTailChunkIsTheBenchmarks reads
+// the constant from its source.
+const tailChunk = 1100
+
+// attempted returns each side's attempted ops per run, for seeds in
+// order.
+func attempted(runs []run, seeds []int64) map[string][]int {
+	out := map[string][]int{}
+	for _, side := range []string{"parent", "change"} {
+		for _, seed := range seeds {
+			for _, r := range runs {
+				if r.Seed == seed && r.Side == side {
+					out[side] = append(out[side], r.Result.Attempted)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// tailNote flags an op_tail_us row whose two sides measured different
+// statistics: on a workload whose every op is one sample, a side whose
+// runs mostly attempted fewer than tailChunk ops reports its median as
+// its tail.  A change that only raises throughput past the step turns
+// its tail from a median into a p99.
+func tailNote(att map[string][]int) string {
+	short := func(ns []int) bool {
+		below := 0
+		for _, n := range ns {
+			if n < tailChunk {
+				below++
+			}
+		}
+		return 2*below > len(ns)
+	}
+	switch p, c := short(att["parent"]), short(att["change"]); {
+	case p && !c:
+		return "parent tail is a median, change tail a p99"
+	case !p && c:
+		return "parent tail is a p99, change tail a median"
+	}
+	return ""
 }
 
 // failures is one side's failed operations over its attempted ones,
@@ -269,7 +319,9 @@ func report(in io.Reader, out io.Writer, specPath, parentRef, changeRef string) 
 		runs := byWorkload[name]
 		fmt.Fprintf(&doc, "  %q: {\n", name)
 		seeds, _, _ := pairUp(runs, spec.EndToEnd[0].Name)
+		att := attempted(runs, seeds)
 		line("   ", "seeds", seeds, false)
+		line("   ", "attempted", att, false)
 		line("   ", "failed_over_attempted", map[string]string{"parent": failures(runs, "parent"), "change": failures(runs, "change")}, false)
 		for mi, m := range spec.EndToEnd {
 			_, parent, change := pairUp(runs, m.Name)
@@ -278,6 +330,9 @@ func report(in io.Reader, out io.Writer, specPath, parentRef, changeRef string) 
 			}
 			r := compare(parent, change, m.Better == "lower", m.Bound)
 			r.Unit = m.Unit
+			if m.Name == "op_tail_us" {
+				r.Note = tailNote(att)
+			}
 			line("   ", m.Name, r, mi == len(spec.EndToEnd)-1)
 		}
 		if wi == len(present)-1 {

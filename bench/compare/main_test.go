@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,7 +103,64 @@ func TestReport(t *testing.T) {
 	if string(wl["seeds"]) != "[1,2,3,4]" || !strings.Contains(string(wl["failed_over_attempted"]), `"parent":"3/50"`) {
 		t.Errorf("seeds %s, failures %s", wl["seeds"], wl["failed_over_attempted"])
 	}
+	if string(wl["attempted"]) != `{"change":[10,10,10,10],"parent":[10,10,10,10]}` {
+		t.Errorf("attempted %s", wl["attempted"])
+	}
 	if n := strings.Count(out.String(), "\n"); n > 20 {
 		t.Errorf("%d lines for one workload:\n%s", n, out.String())
+	}
+}
+
+// TestTailNote: an op_tail_us row is flagged when most of one side's
+// runs fall below the benchmark's tailChunk samples and most of the
+// other's do not — the tail of the first is its median — and only then.
+func TestTailNote(t *testing.T) {
+	for _, c := range []struct {
+		parent, change []int
+		want           string
+	}{
+		{[]int{990, 1130, 1020}, []int{1460, 1660, 1500}, "parent tail is a median, change tail a p99"},
+		{[]int{1460, 1660, 1500}, []int{990, 1130, 1020}, "parent tail is a p99, change tail a median"},
+		{[]int{990, 1000, 1020}, []int{1050, 1090, 1099}, ""},
+		{[]int{14_000_000, 15_000_000}, []int{15_000_000, 14_000_000}, ""},
+	} {
+		if got := tailNote(map[string][]int{"parent": c.parent, "change": c.change}); got != c.want {
+			t.Errorf("parent %v, change %v: note %q, want %q", c.parent, c.change, got, c.want)
+		}
+	}
+}
+
+// TestTailChunkIsTheBenchmarks: tailChunk is the constant of that name
+// in benchmark/stats.go, read from its source, so that the two cannot
+// drift apart.
+func TestTailChunkIsTheBenchmarks(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "../../benchmark/stats.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for k, name := range vs.Names {
+			if name.Name != "tailChunk" || k >= len(vs.Values) {
+				continue
+			}
+			found = true
+			lit, ok := vs.Values[k].(*ast.BasicLit)
+			if !ok {
+				t.Errorf("benchmark/stats.go: tailChunk is no literal")
+				continue
+			}
+			if v, err := strconv.Atoi(strings.ReplaceAll(lit.Value, "_", "")); err != nil || v != tailChunk {
+				t.Errorf("benchmark/stats.go: tailChunk = %s, bench/compare has %d", lit.Value, tailChunk)
+			}
+		}
+		return false
+	})
+	if !found {
+		t.Error("benchmark/stats.go declares no tailChunk")
 	}
 }

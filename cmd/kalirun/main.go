@@ -19,17 +19,17 @@
 // their boundary passes.  -ref runs every loop through the reference
 // executor instead — the paper's Figure 3 literally: per loop, blocking
 // sends, fixed-order receives — same results and bytes, never fewer
-// messages, never less simulated time.  Like -novm (tree-walked instead
-// of compiled loop bodies) it is a differential oracle, not a mode to
-// run in.
+// messages, never less simulated time.  Like -novm (the program
+// tree-walked instead of compiled) it is a differential oracle, not a
+// mode to run in.
 //
 // The program's processors declaration (the "real estate agent") may
 // choose fewer processors than -p provides.  After execution the
 // timing report is printed, plus the final contents of any arrays
 // named with -print.  -stats adds the message/traffic breakdown,
 // separating redistribute-statement traffic (and its phase time) from
-// the forall phases, and how many interior iterations ran by row
-// segments and column-wise.
+// the forall phases, and how many interior and how many boundary
+// iterations ran by row segments and column-wise.
 //
 // -serve addr starts the multi-tenant schedule server instead of
 // running one program:
@@ -78,8 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "sim", "node runtime: sim (virtual clock) or wall (real threads)")
 	procs := fs.Int("p", 8, "available processors")
 	printArrays := fs.String("print", "", "comma-separated array/scalar names to print")
-	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution) and the body paths interior iterations took")
-	noVM := fs.Bool("novm", false, "oracle: run forall bodies on the tree-walking interpreter instead of the bytecode VM")
+	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution) and the body paths interior and boundary iterations took")
+	noVM := fs.Bool("novm", false, "oracle: run the program on the tree-walking interpreter instead of the bytecode VM")
 	ref := fs.Bool("ref", false, "oracle: run foralls on the reference executor (per loop, blocking, Figure 3 literally) instead of the production one")
 	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
 	poolSize := fs.Int("pool", 4, "with -serve: number of pooled machines (max concurrent tenants)")
@@ -176,6 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  redistribute:  %d msgs, %d bytes\n", r.RedistMsgs, r.RedistBytes)
 		fmt.Fprintf(stdout, "  cross-loop fused:  %d msgs, %d bytes\n", r.FusedMsgs, r.FusedBytes)
 		fmt.Fprintf(stdout, "interior iterations: %d, %d by segments, %d column-wise\n", r.InteriorIters, r.SegmentIters, res.ColumnIters)
+		fmt.Fprintf(stdout, "boundary iterations: %d, %d by segments, %d column-wise\n", r.BoundaryIters, r.BoundarySegmentIters, res.BoundaryColumnIters)
 	}
 
 	for _, name := range strings.Split(*printArrays, ",") {

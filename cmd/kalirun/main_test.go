@@ -71,15 +71,17 @@ func TestRunRefMatchesProduction(t *testing.T) {
 	}
 }
 
-// TestRunStatsBodyPaths: -stats says which body path the interior
-// iterations took — all of jacobi2d's column-wise on the VM, none by
-// segments on the walker or the reference executor.
+// TestRunStatsBodyPaths: -stats says which body path the interior and
+// the boundary iterations took — all of jacobi2d's interior column-wise
+// on the VM, and all of its boundary by segments, the halo rows but for
+// their corner element column-wise; none by segments on the walker or
+// the reference executor.
 func TestRunStatsBodyPaths(t *testing.T) {
 	const prog = "../../internal/lang/testdata/jacobi2d.kali"
 	for extra, want := range map[string]string{
-		"":      "interior iterations: 2400, 2400 by segments, 2400 column-wise\n",
-		"-novm": "interior iterations: 2400, 0 by segments, 0 column-wise\n",
-		"-ref":  "interior iterations: 2400, 0 by segments, 0 column-wise\n",
+		"":      "interior iterations: 2400, 2400 by segments, 2400 column-wise\nboundary iterations: 312, 312 by segments, 144 column-wise\n",
+		"-novm": "interior iterations: 2400, 0 by segments, 0 column-wise\nboundary iterations: 312, 0 by segments, 0 column-wise\n",
+		"-ref":  "interior iterations: 2400, 0 by segments, 0 column-wise\nboundary iterations: 312, 0 by segments, 0 column-wise\n",
 	} {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-machine", "ncube", "-p", "4", "-stats", prog}

@@ -92,13 +92,7 @@ func buildIndex(ranges []Range) *inIndex {
 // whose records are spread evenly over each sender's span, O(log r)
 // otherwise.
 func (s *InSet) Find(home, g int) (buf int, ok bool) {
-	ix := s.index.Load()
-	if ix == nil {
-		// An InSet literal: concurrent first calls may each build the
-		// same directory; whichever is stored last is as good.
-		ix = buildIndex(s.Ranges)
-		s.index.Store(ix)
-	}
+	ix := s.dir()
 	var sd *senderDir
 	for h, mask := hashCell(home, len(ix.slots)), len(ix.slots)-1; ; h = (h + 1) & mask {
 		k := ix.slots[h]
@@ -132,4 +126,34 @@ func (s *InSet) Find(home, g int) (buf int, ok bool) {
 		return 0, false
 	}
 	return r.Buf + (g - r.Low), true
+}
+
+// FindRun is Find for the run of elements lo..hi, whoever sends them:
+// the buffer offset of lo when the set holds every element of the run,
+// from one sender, in consecutive buffer slots, so that element lo+k is
+// at offset buf+k; ok is false otherwise.  Records hold their sender's
+// elements only, and a sender's buffer slots follow its records in
+// order, so the run is whole exactly when its ends are found from one
+// sender as far apart in the buffer as in the index space.  The caller
+// charges the search per element, as for Find.
+func (s *InSet) FindRun(lo, hi int) (buf int, ok bool) {
+	for _, sd := range s.dir().senders {
+		if buf, ok = s.Find(sd.home, lo); ok {
+			end, found := s.Find(sd.home, hi)
+			return buf, found && end == buf+hi-lo
+		}
+	}
+	return 0, false
+}
+
+// dir returns Find's directory.  An InSet literal builds it on first
+// use: concurrent first calls may each build the same directory;
+// whichever is stored last is as good.
+func (s *InSet) dir() *inIndex {
+	ix := s.index.Load()
+	if ix == nil {
+		ix = buildIndex(s.Ranges)
+		s.index.Store(ix)
+	}
+	return ix
 }

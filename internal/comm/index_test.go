@@ -87,7 +87,10 @@ func genElems(r *rand.Rand, shape int) [][2]int {
 
 // checkFind compares Find with the reference for every element of the
 // set, every index in a gap between two records, the indices around
-// each sender's span, and homes that send nothing.
+// each sender's span, and homes that send nothing; and FindRun for
+// every run that starts or ends a record, and the runs one element
+// longer than a record at either end, which the set holds only where
+// the next record of the sender continues the indices and the slots.
 func checkFind(t testing.TB, in *InSet) {
 	t.Helper()
 	check := func(home, g int) {
@@ -97,10 +100,32 @@ func checkFind(t testing.TB, in *InSet) {
 			t.Fatalf("Find(%d, %d) = %d, %v; linear scan says %d, %v (records %v)", home, g, gb, gok, wb, wok, in.Ranges)
 		}
 	}
+	checkRun := func(lo, hi int) {
+		t.Helper()
+		// The reference: lo's record, and every element up to hi in
+		// records of the same sender, buffer slots following on.
+		wb, wok := 0, false
+		for _, r := range in.Ranges {
+			if r.Low <= lo && lo <= r.High {
+				wb, wok = r.Buf+lo-r.Low, true
+				for g := lo + 1; g <= hi && wok; g++ {
+					b, ok := findLinear(in.Ranges, r.FromProc, g)
+					wok = ok && b == wb+g-lo
+				}
+			}
+		}
+		if gb, gok := in.FindRun(lo, hi); gb != wb || gok != wok {
+			t.Fatalf("FindRun(%d, %d) = %d, %v; linear scan says %d, %v (records %v)", lo, hi, gb, gok, wb, wok, in.Ranges)
+		}
+	}
 	for k, r := range in.Ranges {
 		for g := r.Low; g <= r.High; g++ {
 			check(r.FromProc, g)
+			checkRun(g, r.High)
+			checkRun(r.Low, g)
 		}
+		checkRun(r.Low-1, r.High)
+		checkRun(r.Low, r.High+1)
 		lo, hi := r.Low-3, r.High+3 // the sender's span edges, unless a neighbour record says otherwise
 		if k > 0 && in.Ranges[k-1].FromProc == r.FromProc {
 			lo = max(in.Ranges[k-1].High+1, r.Low-50)

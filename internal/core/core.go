@@ -204,6 +204,11 @@ type Report struct {
 	// element through Body.
 	InteriorIters int
 	SegmentIters  int
+	// BoundaryIters and BoundarySegmentIters are the same two counts of
+	// the nonlocal (boundary) iterations, which a Segment body is offered
+	// as runs of consecutive columns.
+	BoundaryIters        int
+	BoundarySegmentIters int
 }
 
 // OverheadPct returns the paper's "inspector overhead" column:
@@ -285,6 +290,8 @@ func runOn(m *machine.Machine, reference bool, store *forall.SharedStore, prog f
 			rep.StoreHits += e.StoreHits()
 			rep.InteriorIters += e.InteriorIters()
 			rep.SegmentIters += e.SegmentIters()
+			rep.BoundaryIters += e.BoundaryIters()
+			rep.BoundarySegmentIters += e.BoundarySegmentIters()
 		}
 	}
 	rep.PlanEvictions = darray.PlanEvictions(m)

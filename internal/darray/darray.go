@@ -25,6 +25,7 @@ import (
 
 	"kali/internal/comm"
 	"kali/internal/dist"
+	"kali/internal/index"
 	"kali/internal/machine"
 )
 
@@ -264,6 +265,10 @@ func (h *header) Rank() int { return len(h.shape) }
 
 // Shape returns the global extents.
 func (h *header) Shape() []int { return append([]int(nil), h.shape...) }
+
+// Extent returns the global extent of dimension dim, without the copy
+// Shape makes.
+func (h *header) Extent(dim int) int { return h.shape[dim] }
 
 // Size returns the total number of elements ∏shape.
 func (h *header) Size() int { return h.total }
@@ -586,25 +591,74 @@ func (h *header) offsetLinear(g int) int {
 // global index, in increasing order.  For replicated arrays it visits
 // the whole index space.
 func (h *header) EachLocal(f func(g int)) {
-	rank := len(h.shape)
-	coord := make([]int, rank)
-	for i := range coord {
-		coord[i] = 1
-	}
-	for {
-		if h.repl || h.isLocal(coord) {
-			f(linearize(h.shape, coord))
+	h.EachLocalRun(func(g, _, n int) {
+		for k := g; k < g+n; k++ {
+			f(k)
 		}
-		k := rank - 1
-		for k >= 0 {
-			coord[k]++
-			if coord[k] <= h.shape[k] {
+	})
+}
+
+// EachLocalRun calls f for every run of n locally stored elements that
+// are consecutive both in the linearized global index space, from g,
+// and in local storage, from offset off — in increasing order of g, so
+// off counts up from zero.  It visits only what the node stores: the
+// product of each dimension's local intervals, where a collapsed
+// dimension (and every dimension of a replicated array) is its whole
+// range.  Local storage is row-major over the same product, each
+// pattern packing its indices densely in increasing order, which is why
+// a run of the innermost dimension is contiguous in both; under a
+// locality window (block, collapsed) a run is a whole local row.
+func (h *header) EachLocalRun(f func(g, off, n int)) {
+	rank := len(h.shape)
+	if h.fast {
+		// One window per dimension, so the runs are the window's rows,
+		// found without allocating.
+		if rank == 1 {
+			f(h.flo[0], 0, h.fn[0])
+			return
+		}
+		for r := 0; r < h.fn[0]; r++ {
+			f((h.flo[0]+r-1)*h.shape[1]+h.flo[1], r*h.fn[1], h.fn[1])
+		}
+		return
+	}
+	ivs := make([][]index.Interval, rank)
+	for dim, p := range h.pats {
+		if p == nil {
+			ivs[dim] = []index.Interval{{Lo: 1, Hi: h.shape[dim]}}
+		} else if ivs[dim] = p.Local(h.myCoord[dim]).Intervals(); len(ivs[dim]) == 0 {
+			return
+		}
+	}
+	// An odometer over the outer dimensions: coordinate c[dim], in local
+	// interval at[dim].
+	at, c := make([]int, rank), make([]int, rank)
+	for dim := range c {
+		c[dim] = ivs[dim][0].Lo
+	}
+	off, last := 0, rank-1
+	for {
+		base := 0
+		for dim := 0; dim < last; dim++ {
+			base = base*h.shape[dim] + c[dim] - 1
+		}
+		for _, iv := range ivs[last] {
+			f(base*h.shape[last]+iv.Lo, off, iv.Len())
+			off += iv.Len()
+		}
+		dim := last - 1
+		for ; dim >= 0; dim-- {
+			if c[dim] < ivs[dim][at[dim]].Hi {
+				c[dim]++
 				break
 			}
-			coord[k] = 1
-			k--
+			if at[dim]++; at[dim] < len(ivs[dim]) {
+				c[dim] = ivs[dim][at[dim]].Lo
+				break
+			}
+			at[dim], c[dim] = 0, ivs[dim][0].Lo
 		}
-		if k < 0 {
+		if dim < 0 {
 			return
 		}
 	}

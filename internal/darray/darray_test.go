@@ -2,6 +2,7 @@ package darray
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,6 +243,113 @@ func TestEachLocalOrderAndCoverage(t *testing.T) {
 	})
 	if c1, c2 := <-counts, <-counts; c1+c2 != 12 {
 		t.Fatalf("EachLocal covered %d elements, want 12", c1+c2)
+	}
+}
+
+// scanLocal is how EachLocal used to find a node's elements: a scan of
+// the whole global index space with an ownership test per element.
+func scanLocal(h *header, f func(g int)) {
+	rank := len(h.shape)
+	coord := make([]int, rank)
+	for i := range coord {
+		coord[i] = 1
+	}
+	for {
+		if h.repl || h.isLocal(coord) {
+			f(linearize(h.shape, coord))
+		}
+		k := rank - 1
+		for k >= 0 {
+			coord[k]++
+			if coord[k] <= h.shape[k] {
+				break
+			}
+			coord[k] = 1
+			k--
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
+// TestEachLocalMatchesScan: EachLocal, which walks the product of each
+// dimension's local intervals, visits exactly the elements the full
+// scan of the global index space finds, in the same order, for every
+// kind of dimension (block, cyclic, block_cyclic, map, collapsed) and
+// replicated arrays, ranks 1 to 3, real and integer arrays, on 1, 3, 4
+// and 8 processors.  EachLocalRun's runs tile the same sequence, each
+// contiguous in local storage at the offset it reports.
+func TestEachLocalMatchesScan(t *testing.T) {
+	const n1, n2, n3 = 13, 6, 5
+	mapDim := func(n, p int) dist.DimSpec {
+		owners := make([]int, n)
+		for i := range owners {
+			owners[i] = (i*i + i/3) % p
+		}
+		return dist.MapDim(owners)
+	}
+	for _, p := range []int{1, 3, 4, 8} {
+		g1 := topology.MustGrid(p)
+		pr, pc := 1, p // the 2-D grid: 1×1, 1×3, 2×2, 2×4
+		if p%2 == 0 {
+			pr, pc = 2, p/2
+		}
+		g2 := topology.MustGrid(pr, pc)
+		cases := []struct {
+			name  string
+			shape []int
+			specs []dist.DimSpec // nil: replicated
+			grid  *topology.Grid
+		}{
+			{"block", []int{n1}, []dist.DimSpec{dist.BlockDim()}, g1},
+			{"cyclic", []int{n1}, []dist.DimSpec{dist.CyclicDim()}, g1},
+			{"block_cyclic", []int{n1}, []dist.DimSpec{dist.BlockCyclicDim(3)}, g1},
+			{"map", []int{n1}, []dist.DimSpec{mapDim(n1, p)}, g1},
+			{"replicated", []int{n1}, nil, g1},
+			{"[block, *]", []int{n1, n2}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g1},
+			{"[*, cyclic]", []int{n2, n1}, []dist.DimSpec{dist.CollapsedDim(), dist.CyclicDim()}, g1},
+			{"[map, *]", []int{n1, n2}, []dist.DimSpec{mapDim(n1, p), dist.CollapsedDim()}, g1},
+			{"[block, block]", []int{n1, n2}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g2},
+			{"[cyclic, block_cyclic]", []int{n1, n1}, []dist.DimSpec{dist.CyclicDim(), dist.BlockCyclicDim(2)}, g2},
+			{"[map, block]", []int{n1, n2}, []dist.DimSpec{mapDim(n1, pr), dist.BlockDim()}, g2},
+			{"replicated rank 2", []int{n2, n3}, nil, g2},
+			{"[*, block_cyclic, *]", []int{n3, n1, n2}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockCyclicDim(2), dist.CollapsedDim()}, g1},
+			{"[block, *, cyclic]", []int{n3, n2, n1}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim(), dist.CyclicDim()}, g2},
+			{"replicated rank 3", []int{n3, 2, n2}, nil, g1},
+		}
+		for _, c := range cases {
+			d := dist.NewReplicated(c.shape, c.grid)
+			if c.specs != nil {
+				d = dist.Must(c.shape, c.specs, c.grid)
+			}
+			onEachNode(p, func(nd *machine.Node) {
+				for _, h := range []*header{&New("a", d, nd).header, &NewInt("k", d, nd).header} {
+					var want, got []int
+					scanLocal(h, func(g int) { want = append(want, g) })
+					h.EachLocal(func(g int) { got = append(got, g) })
+					if !slices.Equal(got, want) {
+						t.Errorf("P=%d %s node %d: EachLocal visits %v, the scan %v", p, c.name, nd.ID(), got, want)
+					}
+					next := 0
+					h.EachLocalRun(func(g, off, n int) {
+						if n < 1 || off != next {
+							t.Errorf("P=%d %s node %d: run of %d at offset %d, want one or more at %d", p, c.name, nd.ID(), n, off, next)
+						}
+						for k := 0; k < n; k++ {
+							if off+k >= len(want) || want[off+k] != g+k || h.offsetLinear(g+k) != off+k {
+								t.Errorf("P=%d %s node %d: run (%d, %d, %d) is not contiguous at element %d", p, c.name, nd.ID(), g, off, n, k)
+								return
+							}
+						}
+						next = off + n
+					})
+					if next != h.localCount() {
+						t.Errorf("P=%d %s node %d: runs cover %d of %d local elements", p, c.name, nd.ID(), next, h.localCount())
+					}
+				}
+			})
+		}
 	}
 }
 

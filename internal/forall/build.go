@@ -372,10 +372,9 @@ func (e *Engine) exchange(parcels []crystal.Parcel) []crystal.Parcel {
 }
 
 // runInterior runs the local iterations (Figure 3's local loop) of a
-// loop whose Env is in modeExecLocal.  It is the one place the segment
-// dispatch lives: each interior segment is offered whole to the loop's
-// Segment body, and runs through Body per element when there is none or
-// it declines.
+// loop whose Env is in modeExecLocal: each interior segment is offered
+// whole to the loop's Segment body, and runs through Body per element
+// when there is none or it declines.
 func (e *Engine) runInterior(c *loopCore, s *Schedule, env *Env) {
 	e.interiorIters += s.nLocal
 	for _, sg := range s.execLocal {
@@ -404,17 +403,48 @@ func (e *Engine) runPerElement(c *loopCore, sg segment, env *Env) {
 }
 
 // runBoundary runs the nonlocal iterations (Figure 3's nonlocal loop)
-// after the loop's receives have drained: always per element through
-// Body, every read testing locality and searching the buffers.
+// after the loop's receives have drained.  The list is cut on the fly
+// into maximal runs of consecutive iterations — consecutive columns of
+// one row at rank 2 — and each run is offered whole to the loop's
+// Segment body, with the Env in the nonlocal mode, where every read
+// tests locality and may search the buffers; a run it declines, and
+// every run of a loop with no Segment body or an enumerated schedule,
+// goes through Body an iteration at a time.
 func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 	env.mode = modeExecNonlocal
-	for k, it := range s.execNonlocal {
+	its := s.execNonlocal
+	e.boundaryIters += len(its)
+	if c.enumerate || !c.hasSegment() {
+		e.runNonlocal(c, s, 0, len(its), env)
+		return
+	}
+	for k := 0; k < len(its); {
+		row, lo := its[k].rowCol(c.rank)
+		end := k + 1
+		for ; end < len(its); end++ {
+			if r, x := its[end].rowCol(c.rank); r != row || x != lo+end-k {
+				break
+			}
+		}
+		if c.runSegment(segment{i: row, lo: lo, hi: lo + end - k - 1}, env) {
+			e.boundarySegIters += end - k
+		} else {
+			e.runNonlocal(c, s, k, end, env)
+		}
+		k = end
+	}
+}
+
+// runNonlocal runs nonlocal iterations from..to-1 through Body, one at
+// a time.
+func (e *Engine) runNonlocal(c *loopCore, s *Schedule, from, to int, env *Env) {
+	for k := from; k < to; k++ {
 		e.node.ChargeLoopIter()
 		if c.enumerate {
 			env.enumList = s.enum[k]
 			env.enumPos = 0
 		}
-		c.run(it, env)
+		c.run(s.execNonlocal[k], env)
 	}
 }
 

@@ -222,6 +222,72 @@ func (e *Env) Read2(a *darray.Array, i, j int) float64 {
 	}
 }
 
+// ReadSpan1 is the load side of a Loop.Segment body for the reads it
+// would make through Read: the values of a[lo..hi] (linearized global
+// indices), element x at index x-lo, or nil when the run must be read
+// element by element.  checks says what Read charges for each element
+// ahead of its memory reference, for a caller that holds the clock
+// (machine.Node.ClockCell): nothing (0), a locality test (1), or a
+// locality test and then a range search, which costs search (2).
+//
+// In the executor's local loop the view is the local storage (darray's
+// Span1), with no checks.  In the nonlocal loop every read tests
+// locality first, and a view is one of two things: the local storage,
+// when the whole run is in the node's locality window; or a run of the
+// receive buffer, when the array's in set holds the whole run from one
+// peer in consecutive buffer slots (comm.InSet.FindRun), and then the
+// search follows the test.  A run that is partly local, comes from two
+// peers or leaves the array is nil, as is every run under Enumerate or
+// the recording pass.  The view aliases local storage or the receive
+// buffer, neither of which changes before the commit.
+func (e *Env) ReadSpan1(a *darray.Array, lo, hi int) (v []float64, checks int, search float64) {
+	if v = a.Span1(lo, hi); e.mode == modeExecLocal {
+		return v, 0, 0
+	}
+	return e.boundarySpan(a, v, lo, hi, 1 <= lo && lo <= hi && hi <= a.Size())
+}
+
+// ReadSpan2 is ReadSpan1 for the reads a Loop2.Segment body would make
+// through Read2: row i, columns jLo..jHi, element j at index j-jLo.
+func (e *Env) ReadSpan2(a *darray.Array, i, jLo, jHi int) (v []float64, checks int, search float64) {
+	if v = a.Span2(i, jLo, jHi); e.mode == modeExecLocal {
+		return v, 0, 0
+	}
+	inside := a.Rank() == 2 && 1 <= i && i <= a.Extent(0) && 1 <= jLo && jLo <= jHi && jHi <= a.Extent(1)
+	g := 0
+	if inside {
+		g = a.Linear2(i, jLo)
+	}
+	return e.boundarySpan(a, v, g, g+jHi-jLo, inside)
+}
+
+// boundarySpan is ReadSpan1 and ReadSpan2 in the nonlocal loop, past
+// their coordinates: local is the run's local storage, if the node's
+// window holds all of it, and g0..g1 are its linear indices, inside the
+// array if inside.
+func (e *Env) boundarySpan(a *darray.Array, local []float64, g0, g1 int, inside bool) (v []float64, checks int, search float64) {
+	switch {
+	case e.mode != modeExecNonlocal || e.core.enumerate || !inside:
+		return nil, 0, 0
+	case local != nil:
+		return local, 1, 0
+	}
+	for k, arr := range e.arrays {
+		if arr != a {
+			continue
+		}
+		in := e.sched.slots[k].in
+		if off, ok := in.FindRun(g0, g1); ok {
+			return e.sched.bufs[k][off : off+g1-g0+1], 2, e.node.SearchCost(in.NumRanges())
+		}
+	}
+	return nil, 0, 0
+}
+
+// Nonlocal reports whether the body is running in the executor's
+// nonlocal loop, where a Segment body is offered the boundary's runs.
+func (e *Env) Nonlocal() bool { return e.mode == modeExecNonlocal }
+
 // ReadLocal fetches element i of a 1-D array through an access the
 // compiler proved local (subscript aligned with the on clause, or
 // replicated array).  It panics if the element is in fact nonlocal —
@@ -352,12 +418,17 @@ func (e *Env) WriteSpan2(a *darray.Array, i, jLo, jHi int) []float64 {
 	return e.spanOrRefuse(a, a.Span2(i, jLo, jHi))
 }
 
-// directStore reports whether interior stores to a may bypass the
-// write log: only in the executor's local loop, never for a replicated
+// directStore reports whether a segment's stores to a may bypass the
+// write log: only in the executor's two loops, never for a replicated
 // array (Write's panic must stand), never for a declared read, never
-// after a refused span.
+// after a refused span.  The nonlocal loop runs after the local one and
+// before the commit, so a direct store there is no more observable than
+// one in the interior: the body reads nothing it stores directly, no
+// loop sends from an array that is not among its declared reads, and
+// the refusal, kept across both loops, stops a direct store from
+// overtaking a logged one.
 func (e *Env) directStore(a *darray.Array) bool {
-	if e.mode != modeExecLocal || a.Replicated() {
+	if e.mode == modeInspect || a.Replicated() {
 		return false
 	}
 	for _, r := range e.core.reads {

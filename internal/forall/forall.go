@@ -26,8 +26,11 @@
 //     local iterations — the interior — are held and dispatched as
 //     row segments: a loop whose body can run a whole segment against
 //     raw local rows (Loop.Segment) gets one call per segment, with
-//     the locality and owner-computes checks hoisted to the span; the
-//     nonlocal iterations always take the general per-reference path.
+//     the locality and owner-computes checks hoisted to the span.  The
+//     nonlocal iterations are offered to the same body as runs of
+//     consecutive columns, cut from the boundary list on the fly; there
+//     the body resolves each read to a local row or a run of the receive
+//     buffer and charges every reference's locality test and search.
 //
 // The executor is vectorized: schedules store per-peer range records,
 // message payloads are packed with one bulk copy per contiguous range
@@ -102,11 +105,11 @@ type Loop struct {
 	// Body is the loop body, executed once per iteration.
 	Body func(i int, e *Env)
 	// Segment, when non-nil, may run a whole run lo..hi of consecutive
-	// interior iterations in one call.  The paper's Figure 3 splits a
-	// forall into local and nonlocal iterations precisely so that the
-	// local ones need no locality test and no buffer search; a body
-	// that addresses the node's local rows directly (darray's Span1/
-	// Span2 for reads, Env.WriteSpan1/WriteSpan2 for stores) hoists
+	// iterations in one call.  The paper's Figure 3 splits a forall into
+	// local and nonlocal iterations precisely so that the local ones need
+	// no locality test and no buffer search; a body that addresses the
+	// node's local rows directly (darray's Span1/Span2 or Env.ReadSpan1/
+	// ReadSpan2 for reads, Env.WriteSpan1/WriteSpan2 for stores) hoists
 	// what Body pays per reference to once per span.  The call must be
 	// observably identical to the engine's own per-element loop,
 	//
@@ -114,8 +117,14 @@ type Loop struct {
 	//
 	// — same values, same cost-model charges in the same order — or
 	// return false before any side effect to decline the span, which
-	// the engine then runs through Body.  Boundary iterations and the
-	// inspector's recording pass always use Body.
+	// the engine then runs through Body.  Runs of the interior come with
+	// the Env in the local mode, runs of the boundary (after the
+	// receives) in the nonlocal mode (Env.Nonlocal), where Read tests
+	// every reference's locality and searches the receive buffer for the
+	// remote ones; ReadSpan1 gives a run's read in either mode as a view
+	// and the charges each element makes ahead of its memory reference.
+	// Loops with Enumerate, and the inspector's recording pass, always
+	// use Body.
 	Segment func(lo, hi int, e *Env) bool
 	// Phase overrides the timing phase the execution is attributed to
 	// (default PhaseExecutor).  The paper's measurements time only the
@@ -159,7 +168,8 @@ type Loop2 struct {
 	Reads     []ReadSpec
 	DependsOn []Dep
 	Body      func(i, j int, e *Env)
-	// Segment is Loop.Segment for row i, columns jLo..jHi.
+	// Segment is Loop.Segment for row i, columns jLo..jHi, of the
+	// interior or the boundary.
 	Segment func(i, jLo, jHi int, e *Env) bool
 	Phase   string
 	// Enumerate selects the Saltz-style executor for rank-2 loops, the
@@ -181,14 +191,20 @@ type iteration struct{ i, j int }
 // resolves its local rows, once per segment.
 type segment struct{ i, lo, hi int }
 
+// rowCol returns the coordinates segments are made of: the iteration's
+// row (zero at rank 1) and its index along the row.
+func (it iteration) rowCol(rank int) (row, x int) {
+	if rank == 2 {
+		return it.i, it.j
+	}
+	return 0, it.i
+}
+
 // appendIter extends segs by one iteration, which must follow the
 // previous ones in loop order: it joins the last segment when it
 // continues that run, else starts a new one.
 func appendIter(segs []segment, rank int, it iteration) []segment {
-	row, x := 0, it.i
-	if rank == 2 {
-		row, x = it.i, it.j
-	}
+	row, x := it.rowCol(rank)
 	if n := len(segs); n > 0 && segs[n-1].i == row && segs[n-1].hi+1 == x {
 		segs[n-1].hi = x
 		return segs
@@ -235,9 +251,17 @@ func (c *loopCore) run(it iteration, e *Env) {
 	}
 }
 
-// runSegment offers one interior segment to the loop's Segment body;
-// false means there is none or it declined, and the caller runs the
-// segment per element.
+// hasSegment reports whether the loop has a Segment body.
+func (c *loopCore) hasSegment() bool {
+	if c.rank == 1 {
+		return c.l1.Segment != nil
+	}
+	return c.l2.Segment != nil
+}
+
+// runSegment offers one segment, of the interior or the boundary, to
+// the loop's Segment body; false means there is none or it declined,
+// and the caller runs the segment per element.
 func (c *loopCore) runSegment(sg segment, e *Env) bool {
 	if c.rank == 1 {
 		return c.l1.Segment != nil && c.l1.Segment(sg.lo, sg.hi, e)
@@ -367,8 +391,8 @@ type plan struct {
 	rank int
 	// execLocal is the interior (the paper's local_list) as row
 	// segments in loop order, nLocal its iteration count; execNonlocal
-	// (the nonlocal_list) stays one entry per iteration, because each
-	// boundary iteration takes the general per-reference path anyway.
+	// (the nonlocal_list) stays one entry per iteration, as the paper
+	// stores it, and the executor cuts its runs when it replays it.
 	execLocal    []segment
 	nLocal       int
 	execNonlocal []iteration
@@ -552,9 +576,13 @@ type Engine struct {
 	sharedHits int
 	storeHits  int
 	// interiorIters counts interior iterations executed, segmentIters
-	// the subset a loop's Segment body ran (the rest went through Body).
-	interiorIters int
-	segmentIters  int
+	// the subset a loop's Segment body ran (the rest went through Body);
+	// boundaryIters and boundarySegIters count the same of the
+	// boundary.
+	interiorIters    int
+	segmentIters     int
+	boundaryIters    int
+	boundarySegIters int
 
 	// Fusion state: the bounded store of multi-loop window plans
 	// (fuse.go), the schedule-id mint backing its keys, and the window
@@ -616,6 +644,14 @@ func (e *Engine) InteriorIters() int { return e.interiorIters }
 
 // SegmentIters: see InteriorIters.
 func (e *Engine) SegmentIters() int { return e.segmentIters }
+
+// BoundaryIters returns how many nonlocal (boundary) iterations the
+// engine has executed; BoundarySegmentIters how many of them a loop's
+// Segment body ran a run at a time.
+func (e *Engine) BoundaryIters() int { return e.boundaryIters }
+
+// BoundarySegmentIters: see BoundaryIters.
+func (e *Engine) BoundarySegmentIters() int { return e.boundarySegIters }
 
 // SharedSchedules returns the number of distinct schedules in the
 // content-addressed store.

@@ -16,10 +16,11 @@ import (
 // followed by the copy-out commit.  It is the oracle every equivalence
 // matrix and fuzzer holds the production executor (fuse.go) against,
 // so it shares with production only what is not under test — schedule
-// acquisition, the per-range pack/unpack copies, the boundary pass and
-// the commit — and none of what is: no nonblocking sends or
-// completion-order drain, no cross-loop windows or plans, no row
-// kernels, no recycled Env, write log or message buffers.  A bug in any
+// acquisition, the per-range pack/unpack copies, the per-element
+// nonlocal loop and the commit — and none of what is: no nonblocking
+// sends or completion-order drain, no cross-loop windows or plans, no
+// row kernels in either loop, no recycled Env, write log or message
+// buffers.  A bug in any
 // of those shows up as production ≠ reference.
 //
 // The traffic is the paper's: one combined message per communicating
@@ -55,7 +56,9 @@ func (e *Engine) runReference(c *loopCore) {
 		unpackCombined(c, s, pc.q, msg.Payload.(*comm.Payload).Vals)
 	}
 
-	e.runBoundary(c, s, env)
+	env.mode = modeExecNonlocal
+	e.boundaryIters += len(s.execNonlocal)
+	e.runNonlocal(c, s, 0, len(s.execNonlocal), env)
 	env.commit()
 	e.node.StopPhase(ph)
 }

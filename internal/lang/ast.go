@@ -28,7 +28,7 @@ const (
 	symConst     symKind = iota // a const declaration, or the P of the processors declaration
 	symScalar                   // a declared global scalar
 	symLoopVar                  // the variable a top-level for declares implicitly
-	symRealArray                // a declared real (or boolean) array
+	symRealArray                // a declared real array
 	symIntArray                 // a declared integer array
 	symLocal                    // a forall's index variable, declared local or implicit for variable
 	symMapVar                   // the index variable of a map dist clause, bound in its owner expression only

@@ -90,15 +90,15 @@ func Check(f *File) error {
 				c.declare(name, symScalar, d.Elem, nil)
 				continue
 			}
+			if d.Elem == TBool {
+				return errf(d.Line, 1, "%q: boolean arrays are not supported", name)
+			}
 			if d.Dist != nil {
 				if len(d.Dist) != len(d.Dims) {
 					return errf(d.Line, 1, "%q: %d dist items for %d dimensions", name, len(d.Dist), len(d.Dims))
 				}
 				if d.OnTo != "" && d.OnTo != c.procs.Name {
 					return errf(d.Line, 1, "%q: unknown processor array %q", name, d.OnTo)
-				}
-				if d.Elem == TBool {
-					return errf(d.Line, 1, "%q: distributed boolean arrays are not supported", name)
 				}
 				if err := c.distItems(d.Line, name, d.Dist); err != nil {
 					return err

@@ -100,6 +100,8 @@ var checkerErrorCases = []struct{ src, want string }{
 		"unknown processor array"},
 	{"processors P1 : array[1..4];\nvar a : array[1..8] of boolean dist by [block];\nbegin end.",
 		"boolean arrays"},
+	{"processors P1 : array[1..4];\nvar f : array[1..8] of boolean;\nbegin end.",
+		"boolean arrays"},
 	{"processors P1 : array[1..4];\nvar a : real;\nvar a : integer;\nbegin end.",
 		"duplicate declaration"},
 	{"processors P1 : array[1..4];\nvar m : integer;\nvar a : array[1..m] of real;\nbegin end.",

@@ -5,18 +5,30 @@ import (
 	"math"
 )
 
-// This file lowers checked forall bodies to the register bytecode of
-// vm.go.  Lowering happens host-side, once per Program.Run, after the
-// real estate agent has chosen P and every constant is elaborated
-// (constants may depend on P, so compilation cannot happen earlier);
-// the resulting compiledBody is immutable and shared by all node
-// goroutines, each of which wraps it in its own vmState.
+// This file lowers a checked program to the register bytecode of vm.go:
+// every forall body, and the top level.  Lowering happens host-side,
+// once per Program.Run, after the real estate agent has chosen P and
+// every constant is elaborated (constants may depend on P, so
+// compilation cannot happen earlier); the resulting compiledBody values
+// are immutable and shared by all node goroutines, each of which wraps
+// them in vmStates of its own.
+//
+// One compiler, two address spaces.  In a forall body a local (index
+// variable, declared local, implicit for variable) is a slot of the
+// forall's frame and a global scalar a pinned input register, refreshed
+// at every launch; at the top level (comp.fa nil) a global scalar's
+// register is its home.  The top level is uncharged, so no opFlops is
+// emitted there, and its statements are the SPMD code every node runs:
+// an indexed store is owner-first (comp.put), and what runs below the
+// language — a run of foralls, a reduce, a redistribute — is one
+// opEscape into the statement code interp.go shares with the walker,
+// with the globals written back around it (vmState.escape).
 //
 // What the compiler does that the tree walker could not:
 //   - storage resolution at compile time: the forall's frame slots
-//     (index variables, local decls, sequential loop variables) become
-//     fixed registers, and global scalars become pinned input registers
-//     refreshed once per launch;
+//     (index variables, local decls, sequential loop variables) and the
+//     top level's global scalars become fixed registers, and a body's
+//     global scalars pinned input registers refreshed once per launch;
 //   - constant folding: subexpressions over literals and consts
 //     collapse into pinned constant registers loaded once per node
 //     (their would-be flops still charged, see below);
@@ -28,18 +40,20 @@ import (
 //     the innermost index variable plus a constant, and whose row
 //     subscript depends on nothing the body changes, is marked
 //     hoistable — the VM's segment entry points (vm.go) resolve it once
-//     per interior segment to a slice of the node's local row;
+//     per interior segment or boundary run to a slice of the node's
+//     local row or, for a boundary read, of the receive buffer;
 //   - the column-wise form: for a straight-line body with nothing but
 //     hoisted accesses, columnKernel (end of this file) derives from the
 //     same code the instructions whose results reach a store —
 //     backward liveness, which drops the subscript arithmetic the views
-//     make dead — and the element's charge sequence, so the VM can run
-//     a fully resolved segment an instruction at a time on vectors and
-//     step the clock once.
+//     make dead — and the element's charge sequence, its accesses by
+//     hoist, so the VM can run a fully resolved run an instruction at a
+//     time on vectors and step the clock once.
 //
 // What it scrupulously preserves: evaluation order, the walker's float
-// compares (ints widen first), non-short-circuit and/or, Go wrapping
-// integer arithmetic, and the walker's exact flop-charge sequence.
+// compares (ints widen first; an int constant widens at compile time),
+// non-short-circuit and/or, Go wrapping integer arithmetic and its
+// division traps, and the walker's exact flop-charge sequence.
 // The walker charges Env.Flops(1) per operator, interleaved with the
 // memory-reference charges its reads make; because the simulated clock
 // is a float accumulator, both the unit size and the order of those
@@ -69,7 +83,7 @@ func compileForalls(f *File, consts []value) map[*Forall]*compiledBody {
 
 // comp is the per-body compiler state.
 type comp struct {
-	fa     *Forall
+	fa     *Forall // nil at the top level
 	consts []value // by Symbol.Slot
 
 	// regs maps the forall's frame slots (index variables, forall
@@ -89,6 +103,7 @@ type comp struct {
 	poolIndex map[int]int32
 
 	scalars []scalarInput
+	escapes []escape
 
 	// rowForms records, by instruction index, every load and store
 	// emitted with row-form subscripts; assigned marks the int registers
@@ -106,12 +121,12 @@ type comp struct {
 	barrier int
 }
 
-// compileBody lowers one checked forall body.
-func compileBody(fa *Forall, consts []value) *compiledBody {
+func newComp(fa *Forall, consts []value, frame int) *comp {
 	c := &comp{
 		fa:        fa,
 		consts:    consts,
-		regs:      make([]int32, fa.frame),
+		regs:      make([]int32, frame),
+		code:      make([]instr, 0, 64),
 		cfIndex:   map[uint64]int32{},
 		ciIndex:   map[int]int32{},
 		poolIndex: map[int]int32{},
@@ -121,7 +136,35 @@ func compileBody(fa *Forall, consts []value) *compiledBody {
 	for k := range c.regs {
 		c.regs[k] = -1
 	}
+	return c
+}
 
+// compileMain lowers the program's top level.  It runs as the one
+// iteration of a body without index variables; iReg is the register
+// run stores that iteration's number in.
+func compileMain(f *File, consts []value) *compiledBody {
+	c := newComp(nil, consts, 0)
+	cb := &compiledBody{name: "main"}
+	cb.iReg = c.tmpI()
+	c.stmts(f.Main)
+	c.add(opRet, 0, 0, 0, 0)
+	c.finish(cb)
+	return cb
+}
+
+// finish hands the finished code and its tables to cb.
+func (c *comp) finish(cb *compiledBody) {
+	cb.code = c.code
+	cb.nF, cb.nI = c.nextF, c.nextI
+	cb.initF, cb.initI = c.initF, c.initI
+	cb.constI = c.pool
+	cb.scalars = c.scalars
+	cb.escapes = c.escapes
+}
+
+// compileBody lowers one checked forall body.
+func compileBody(fa *Forall, consts []value) *compiledBody {
+	c := newComp(fa, consts, fa.frame)
 	cb := &compiledBody{name: fmt.Sprintf("forall@%d", fa.Line), rank: fa.rank()}
 	cb.iReg = c.tmpI()
 	c.regs[0] = cb.iReg
@@ -144,12 +187,7 @@ func compileBody(fa *Forall, consts []value) *compiledBody {
 	c.stmts(fa.Body)
 	c.add(opRet, 0, 0, 0, 0)
 	c.finishHoists(cb)
-
-	cb.code = c.code
-	cb.nF, cb.nI = c.nextF, c.nextI
-	cb.initF, cb.initI = c.initF, c.initI
-	cb.constI = c.pool
-	cb.scalars = c.scalars
+	c.finish(cb)
 	cb.col = columnKernel(cb)
 	return cb
 }
@@ -171,9 +209,10 @@ func (c *comp) add(op opcode, a, b, cc, d int32) int {
 // instructions that neither charge nor branch; charges that end up
 // adjacent replay as adjacent unit charges either way, so coalescing is
 // pure instruction-count savings — for a stencil body, one opFlops per
-// array access instead of one per operator.
+// array access instead of one per operator.  The top level is
+// uncharged.
 func (c *comp) charge(k int) {
-	if k == 0 {
+	if k == 0 || c.fa == nil {
 		return
 	}
 	for pc := len(c.code) - 1; pc >= c.barrier; pc-- {
@@ -214,6 +253,23 @@ func (c *comp) constI(v int) int32 {
 	return r
 }
 
+// intConst reports the value r holds if it is a pinned int constant.
+func (c *comp) intConst(r int32) (int, bool) {
+	for _, k := range c.initI {
+		if k.reg == r {
+			return k.v, true
+		}
+	}
+	return 0, false
+}
+
+// exactConst reports whether r is a pinned int constant that widens
+// exactly, and so do its neighbours.
+func (c *comp) exactConst(r int32) bool {
+	v, ok := c.intConst(r)
+	return ok && v >= -1<<52 && v <= 1<<52
+}
+
 // poolI interns a coefficient in the opLinI constant pool (pool slots
 // carry full ints; instruction operands are int32).
 func (c *comp) poolI(v int) int32 {
@@ -226,9 +282,11 @@ func (c *comp) poolI(v int) int32 {
 	return ix
 }
 
-// scalarReg returns the pinned input register for a global scalar (or
-// an enclosing top-level for loop's implicit variable), registering it
-// for per-launch refresh.
+// scalarReg returns the register of a global scalar (or of a top-level
+// for loop's implicit variable), registering it in scalars: in a forall
+// body a pinned input, refreshed per launch; at the top level the
+// scalar's home, written back to the node's global frame around every
+// escape.
 func (c *comp) scalarReg(s *Symbol) int32 {
 	for _, in := range c.scalars {
 		if in.slot == s.Slot {
@@ -245,11 +303,36 @@ func (c *comp) scalarReg(s *Symbol) int32 {
 	return reg
 }
 
+// varReg returns the register a scalar variable lives in: a slot of the
+// forall's frame (an implicit for variable's is allocated at its loop),
+// or a global's (scalarReg).
+func (c *comp) varReg(s *Symbol) int32 {
+	if s.Kind != symLocal {
+		return c.scalarReg(s)
+	}
+	if c.regs[s.Slot] < 0 {
+		c.regs[s.Slot] = c.tmpI()
+	}
+	return c.regs[s.Slot]
+}
+
 // ---- statements ------------------------------------------------------
 
+// stmts compiles a statement list.  A forall, with the foralls adjacent
+// to it (the run the walker batches), a reduce and a redistribute —
+// top-level statements all three — are escapes.
 func (c *comp) stmts(ss []Stmt) {
-	for _, s := range ss {
-		c.stmt(s)
+	for k := 0; k < len(ss); k++ {
+		switch ss[k].(type) {
+		case *Forall:
+			j := forallRun(ss, k)
+			c.escape(ss[k:j])
+			k = j - 1
+		case *Reduce, *Redistribute:
+			c.escape(ss[k : k+1])
+		default:
+			c.stmt(ss[k])
+		}
 	}
 }
 
@@ -259,20 +342,46 @@ func (c *comp) stmt(s Stmt) {
 		c.assign(s)
 	case *ForLoop:
 		c.forLoop(s)
+	case *While:
+		c.whileStmt(s)
 	case *If:
 		c.ifStmt(s)
 	default:
-		// The checker rejects forall/while/reduce/redistribute inside
-		// forall bodies.
-		panic(fmt.Sprintf("lang: compile: unexpected statement %T in forall body", s))
+		panic(fmt.Sprintf("lang: compile: unexpected statement %T", s))
 	}
 }
 
+// escape compiles statement-level code: one opEscape for ss, a reduce,
+// a redistribute or a run of adjacent foralls.  A forall's bounds are
+// compiled here, before it, in the walker's order, so the statement
+// code evaluates no expression.
+func (c *comp) escape(ss []Stmt) {
+	e := escape{stmts: ss}
+	for _, s := range ss {
+		if fa, ok := s.(*Forall); ok {
+			var b [4]int32
+			for k, x := range [...]Expr{fa.Lo, fa.Hi, fa.Lo2, fa.Hi2} {
+				if x != nil {
+					b[k], _ = c.expr(x)
+				}
+			}
+			e.bounds = append(e.bounds, b)
+		}
+	}
+	c.escapes = append(c.escapes, e)
+	c.add(opEscape, int32(len(c.escapes)-1), 0, 0, 0)
+}
+
 func (c *comp) assign(s *Assign) {
-	// The walker evaluates the value first, then the indexes.
+	if s.sym.isArray() && c.fa == nil {
+		c.put(s)
+		return
+	}
+	// In a forall body the walker evaluates the value first, then the
+	// indexes.
 	r, t := c.expr(s.X)
-	if s.sym.Kind == symLocal {
-		reg, want := c.regs[s.sym.Slot], s.sym.Type
+	if !s.sym.isArray() {
+		reg, want := c.varReg(s.sym), s.sym.Type
 		if want != TReal {
 			c.assigned[reg] = true
 		}
@@ -296,14 +405,65 @@ func (c *comp) assign(s *Assign) {
 	switch len(s.Indexes) {
 	case 1:
 		i, fi := c.idx(s.Indexes[0])
-		c.access(c.add(opSt1, r, slot, i, 0), true, fi)
+		c.access(c.add(opSt1, r, slot, i, 0), fi)
 	case 2:
 		i, fi := c.idx(s.Indexes[0])
 		j, fj := c.idx(s.Indexes[1])
-		c.access(c.add(opSt2, r, slot, i, j), true, fi, fj)
+		c.access(c.add(opSt2, r, slot, i, j), fi, fj)
 	default:
 		panic("lang: compile: store rank > 2")
 	}
+}
+
+// put compiles a top-level indexed store owner-first, as the walker's
+// execAssign runs it: the subscripts; the ownership test, the very call
+// the walker makes, so that an out-of-range subscript panics alike; on
+// a non-owner a jump past the right-hand side; the store.  An integer
+// store bumps the array's version, which schedules driven by its
+// contents check, on every node.
+func (c *comp) put(s *Assign) {
+	slot := int32(s.sym.Slot)
+	i, j, rank := c.subs(s.Indexes)
+	own, put := opOwn1, opPut1
+	if s.sym.Kind == symIntArray {
+		own, put = opOwnInt1, opPutInt1
+		c.add(opBump, 0, slot, 0, 0)
+	}
+	skip := c.add(own+rank, 0, slot, i, j)
+	r, t := c.expr(s.X)
+	if s.sym.Kind == symRealArray {
+		r = c.widen(r, t)
+	}
+	c.add(put+rank, r, slot, i, j)
+	c.code[skip].a = int32(len(c.code))
+	c.barrier = len(c.code)
+}
+
+// subs compiles the subscripts of a top-level access into the c and d
+// operands of a rank-1, rank-2 or rank-N instruction, and returns the
+// opcode offset from the rank-1 form: for ranks 1 and 2 the subscript
+// registers, for a higher rank the first of a run of fresh registers
+// holding the subscripts in order — the VM passes that run of its int
+// file as the coordinate slice — and the rank.
+func (c *comp) subs(ixs []Expr) (i, j int32, rank opcode) {
+	i, _ = c.idx(ixs[0])
+	switch len(ixs) {
+	case 1:
+		return i, 0, 0
+	case 2:
+		j, _ = c.idx(ixs[1])
+		return i, j, 1
+	}
+	regs := []int32{i}
+	for _, ix := range ixs[1:] {
+		r, _ := c.idx(ix)
+		regs = append(regs, r)
+	}
+	first := c.nextI
+	for _, r := range regs {
+		c.add(opMovI, c.tmpI(), r, 0, 0)
+	}
+	return first, int32(len(regs)), 2
 }
 
 func (c *comp) forLoop(s *ForLoop) {
@@ -319,20 +479,26 @@ func (c *comp) forLoop(s *ForLoop) {
 	lim := c.tmpI()
 	c.add(opMovI, lim, hi, 0, 0)
 
-	// An implicitly declared variable gets its register here; the
-	// checker ended its scope with the loop.
-	if c.regs[s.sym.Slot] < 0 {
-		c.regs[s.sym.Slot] = c.tmpI()
-	}
-	v := c.regs[s.sym.Slot]
+	v := c.varReg(s.sym)
 	c.assigned[v] = true
 
-	head := len(c.code)
-	c.barrier = head
+	// Tested at the bottom: one instruction per trip steps and tests.
 	exit := c.add(opJmpGtI, 0, cnt, lim, 0)
+	body := len(c.code)
+	c.barrier = body
 	c.add(opMovI, v, cnt, 0, 0)
 	c.stmts(s.Body)
-	c.add(opIncI, cnt, 0, 0, 0)
+	c.add(opLoopI, int32(body), cnt, lim, 0)
+	c.code[exit].a = int32(len(c.code))
+	c.barrier = len(c.code)
+}
+
+func (c *comp) whileStmt(s *While) {
+	head := len(c.code)
+	c.barrier = head
+	cond, _ := c.expr(s.Cond)
+	exit := c.add(opJmpIfNot, 0, cond, 0, 0)
+	c.stmts(s.Body)
 	c.add(opJmp, int32(head), 0, 0, 0)
 	c.code[exit].a = int32(len(c.code))
 	c.barrier = len(c.code)
@@ -477,21 +643,14 @@ func (c *comp) binary(e *Binary) (int32, BaseType) {
 		fallthrough
 	case LT, LE, GT, GE:
 		// The walker compares through asReal() — ints widen to float.
-		lf, rf := c.widen(lr, lt), c.widen(rr, rt)
-		d := c.tmpI()
-		switch e.Op {
-		case LT:
-			c.add(opLtF, d, lf, rf, 0)
-		case LE:
-			c.add(opLeF, d, lf, rf, 0)
-		case GT:
-			c.add(opGtF, d, lf, rf, 0)
-		case GE:
-			c.add(opGeF, d, lf, rf, 0)
-		case EQ:
-			c.add(opEqF, d, lf, rf, 0)
-		default:
-			c.add(opNeF, d, lf, rf, 0)
+		// Against an int constant of magnitude at most 2^52 an int compare
+		// answers alike for every value: the constant and its neighbours
+		// are exact floats, and widening is monotone.
+		d, op := c.tmpI(), opLtF+opcode(e.Op-LT) // the operators and opcodes share an order
+		if lt == TInt && rt == TInt && (c.exactConst(lr) || c.exactConst(rr)) {
+			c.add(op-opLtF+opLtI, d, lr, rr, 0)
+		} else {
+			c.add(op, d, c.widen(lr, lt), c.widen(rr, rt), 0)
 		}
 		return d, TBool
 	case KWAnd:
@@ -531,11 +690,15 @@ func (c *comp) call(e *Call) (int32, BaseType) {
 	return d, e.fn.ret
 }
 
-// widen converts an int register to a fresh float register (no-op for
-// reals).
+// widen converts an int register to a float register (no-op for
+// reals): a constant's at compile time, any other by an opIntToF into a
+// fresh one.
 func (c *comp) widen(r int32, t BaseType) int32 {
 	if t == TReal {
 		return r
+	}
+	if v, ok := c.intConst(r); ok {
+		return c.constF(float64(v))
 	}
 	d := c.tmpF()
 	c.add(opIntToF, d, r, 0, 0)
@@ -543,9 +706,21 @@ func (c *comp) widen(r int32, t BaseType) int32 {
 }
 
 // arrayRef compiles an array read, dispatching on the checker's access
-// classification exactly as the walker does.
+// classification exactly as the walker does.  At the top level, where
+// the checker admits replicated arrays only, it is a plain local read.
 func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 	slot := int32(e.sym.Slot)
+	if c.fa == nil {
+		i, j, rank := c.subs(e.Indexes)
+		if e.sym.Kind == symIntArray {
+			r := c.tmpI()
+			c.add(opGetInt1+rank, r, slot, i, j)
+			return r, TInt
+		}
+		r := c.tmpF()
+		c.add(opGet1+rank, r, slot, i, j)
+		return r, TReal
+	}
 	if e.sym.Kind == symIntArray {
 		r := c.tmpI()
 		switch len(e.Indexes) {
@@ -570,7 +745,7 @@ func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 		if local {
 			op = opLdLoc1
 		}
-		c.access(c.add(op, r, slot, i, 0), false, fi)
+		c.access(c.add(op, r, slot, i, 0), fi)
 	case 2:
 		i, fi := c.idx(e.Indexes[0])
 		j, fj := c.idx(e.Indexes[1])
@@ -578,7 +753,7 @@ func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
 		if local {
 			op = opLdLoc2
 		}
-		c.access(c.add(op, r, slot, i, j), false, fi, fj)
+		c.access(c.add(op, r, slot, i, j), fi, fj)
 	default:
 		panic("lang: compile: read rank > 2")
 	}
@@ -622,7 +797,7 @@ func (c *comp) idx(ix Expr) (int32, subForm) {
 // constant, so consecutive iterations touch consecutive elements, and
 // the row subscript before it, if any, is a constant or affine in the
 // outer index variable, so it is fixed across a segment.
-func (c *comp) access(pc int, store bool, subs ...subForm) {
+func (c *comp) access(pc int, subs ...subForm) {
 	segReg, outerReg := c.iReg, int32(-1)
 	if c.fa.Var2 != "" {
 		segReg, outerReg = c.jReg, c.iReg
@@ -631,7 +806,11 @@ func (c *comp) access(pc int, store bool, subs ...subForm) {
 	if !col.ok || col.reg != segReg || col.a != 1 {
 		return
 	}
-	h := hoist{slot: c.code[pc].b, store: store, rank: len(subs), colK: col.k}
+	op := c.code[pc].op
+	h := hoist{
+		slot: c.code[pc].b, rank: len(subs), colK: col.k,
+		store: op == opSt1 || op == opSt2, tested: op == opLd1 || op == opLd2,
+	}
 	if len(subs) == 2 {
 		row := subs[0]
 		switch {
@@ -763,8 +942,12 @@ func (c *comp) foldable(e Expr) bool {
 		return e.Op == MINUS && c.foldable(e.X)
 	case *Binary:
 		switch e.Op {
-		case PLUS, MINUS, STAR, SLASH, KWDiv, KWMod:
+		case PLUS, MINUS, STAR, SLASH:
 			return c.foldable(e.L) && c.foldable(e.R)
+		case KWDiv, KWMod:
+			// A division by zero is left to trap when it runs, as the
+			// walker's does.
+			return c.foldable(e.L) && c.foldable(e.R) && c.foldVal(e.R).i != 0
 		}
 		return false
 	case *Call:
@@ -864,8 +1047,10 @@ type colKernel struct {
 	inF, inI []colInput
 	iota     int32
 
-	// charges is the element's charge sequence after its LoopIter: 0 for
-	// a MemRef, k > 0 for k unit Flops.  flops is the sum of the latter.
+	// charges is the element's charge sequence after its LoopIter: -h
+	// for the access of hoist h (its read's charges, if any, then a
+	// MemRef: vmState.charges), k > 0 for k unit Flops.  flops is the sum
+	// of the latter.
 	charges []int32
 	flops   int64
 }
@@ -968,7 +1153,7 @@ func columnKernel(cb *compiledBody) *colKernel {
 			if ins.h == 0 {
 				return nil
 			}
-			col.charges = append(col.charges, 0)
+			col.charges = append(col.charges, -ins.h)
 			if h := cb.hoists[ins.h-1]; h.store {
 				if first, ok := storeForm[h.slot]; ok && first != h {
 					return nil

@@ -90,6 +90,10 @@ func diffVMWalker(t *testing.T, src string, p int) *Result {
 		t.Fatalf("walker ran %d (%d column-wise) of %d interior iterations by segments; vm saw %d interior iterations\n%s",
 			walk.Report.SegmentIters, walk.ColumnIters, walk.Report.InteriorIters, vm.Report.InteriorIters, src)
 	}
+	if w := walk.Report; w.BoundarySegmentIters != 0 || walk.BoundaryColumnIters != 0 || w.BoundaryIters != vm.Report.BoundaryIters {
+		t.Fatalf("walker ran %d (%d column-wise) of %d boundary iterations by segments; vm saw %d boundary iterations\n%s",
+			w.BoundarySegmentIters, walk.BoundaryColumnIters, w.BoundaryIters, vm.Report.BoundaryIters, src)
+	}
 	return vm
 }
 
@@ -99,12 +103,15 @@ func diffVMWalker(t *testing.T, src string, p int) *Result {
 // The generators mix shapes the VM's segment entry points can take —
 // column-wise, or element by element — with shapes they must decline,
 // so the test also checks that each really ran a real share of the
-// interiors: a differential test whose optimized side silently fell
-// back would prove nothing.
+// interiors and of the boundaries: a differential test whose optimized
+// side silently fell back would prove nothing.
 func TestQuickVMDifferential(t *testing.T) {
 	interior, segment, column := 0, 0, 0
+	boundary, bSegment, bColumn := 0, 0, 0
 	count := func(res *Result) {
 		interior, segment, column = interior+res.Report.InteriorIters, segment+res.Report.SegmentIters, column+int(res.ColumnIters)
+		boundary, bSegment = boundary+res.Report.BoundaryIters, bSegment+res.Report.BoundarySegmentIters
+		bColumn += int(res.BoundaryColumnIters)
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -121,7 +128,11 @@ func TestQuickVMDifferential(t *testing.T) {
 	if interior == 0 || 5*segment < interior || column == 0 || column == segment {
 		t.Fatalf("of %d generated interior iterations %d ran by segments, %d of those column-wise; want at least a fifth by segments, and some of each kind", interior, segment, column)
 	}
+	if boundary == 0 || 5*bSegment < boundary || bColumn == 0 || bColumn == bSegment {
+		t.Fatalf("of %d generated boundary iterations %d ran by segments, %d of those column-wise; want at least a fifth by segments, and some of each kind", boundary, bSegment, bColumn)
+	}
 	t.Logf("of %d interior iterations %d ran by segments, %d of those column-wise", interior, segment, column)
+	t.Logf("of %d boundary iterations %d ran by segments, %d of those column-wise", boundary, bSegment, bColumn)
 }
 
 // FuzzVMDifferential is the native-fuzzing entry point for the same

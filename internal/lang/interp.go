@@ -19,10 +19,10 @@ type Program struct {
 	file *File
 	src  string
 
-	// NoVM disables the bytecode VM for forall bodies and runs them
-	// through the retained tree-walking interpreter instead (kalirun
-	// -novm).  The two paths are observably identical — the walker is
-	// kept as the differential-test oracle and as an escape hatch.
+	// NoVM runs the program — top level and forall bodies — on the
+	// tree-walking interpreter instead of the bytecode VM (kalirun
+	// -novm).  The two paths are observably identical; the walker is
+	// kept as the differential-test oracle.
 	NoVM bool
 }
 
@@ -44,8 +44,10 @@ type Result struct {
 	// ColumnIters counts the interior iterations the VM ran a column at
 	// a time (vm.go), summed over nodes: the subset of
 	// Report.SegmentIters, itself a subset of Report.InteriorIters, that
-	// took the fastest of the three body paths.
-	ColumnIters int64
+	// took the fastest of the three body paths.  BoundaryColumnIters is
+	// the same subset of Report.BoundarySegmentIters.
+	ColumnIters         int64
+	BoundaryColumnIters int64
 	// P is the processor count the "real estate agent" chose.
 	P int
 	// Arrays holds the final contents of every distributed and
@@ -59,17 +61,18 @@ type Result struct {
 
 // elaboration is the host-side product of Program.elaborate: fully
 // evaluated constants, the chosen processor grid, and (unless NoVM)
-// the compiled bytecode for every forall body.  It is immutable and
-// shared read-only by every node goroutine.
+// the compiled bytecode for the top level and every forall body.  It is
+// immutable and shared read-only by every node goroutine.
 type elaboration struct {
 	constVals []value // by Symbol.Slot
 	grid      *topology.Grid
 	procP     int
+	main      *compiledBody
 	compiled  map[*Forall]*compiledBody
 }
 
 // elaborate evaluates the constants and the processors declaration,
-// then lowers forall bodies to bytecode.  Constants may reference P
+// then lowers the program to bytecode.  Constants may reference P
 // (e.g. perProc = n div P) and the processor bounds may reference
 // constants, so evaluation is two-phase: the P-independent constants
 // were already folded at Check time (ConstDecl.Folded), then the real
@@ -131,14 +134,15 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 	}
 	el = &elaboration{constVals: ce.consts, grid: grid, procP: procP}
 	if !p.NoVM {
+		el.main = compileMain(p.file, el.constVals)
 		el.compiled = compileForalls(p.file, el.constVals)
 	}
 	return el, nil
 }
 
 // Run elaborates the program (choosing P within the declared bounds,
-// building distributions, compiling forall bodies) and executes it
-// SPMD on the simulated machine.
+// building distributions, compiling it) and executes it SPMD on the
+// simulated machine.
 func (p *Program) Run(cfg core.Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -188,8 +192,8 @@ func (p *Program) execute(cfg core.Config, el *elaboration, done func(*interp)) 
 	res.Report = core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(p.file, ctx, el)
 		in.declareArrays()
-		in.execStmts(p.file.Main, nil, nil)
-		in.gather(reals, ints, &res.ColumnIters)
+		in.exec()
+		in.gather(reals, ints, res)
 		if ctx.ID() == 0 {
 			globals = in.globals
 		}
@@ -232,13 +236,21 @@ type interp struct {
 	ctx  *core.Context
 	el   *elaboration
 
-	globals  []value // declared scalars and top-level implicit for variables
+	// globals holds the declared scalars and top-level implicit for
+	// variables: the walker's, and under the VM the frame the compiled top
+	// level writes its registers back to around escapes.
+	globals  []value
 	realArrs []*darray.Array
 	intArrs  []*darray.IntArray
 
-	// this node's VM states for the compiled forall bodies; empty under
-	// NoVM.
+	// this node's VM states for the compiled top level and forall
+	// bodies; nil and empty under NoVM.
+	top *vmState
 	vms map[*Forall]*vmState
+
+	// bounds holds the bounds of the foralls being launched
+	// (execForalls), refilled per launch without allocating.
+	bounds [][4]int
 
 	// lowered forall loops, keyed by AST node.
 	loops  map[*Forall]*forall.Loop
@@ -257,7 +269,7 @@ type interp struct {
 }
 
 func newInterp(f *File, ctx *core.Context, el *elaboration) *interp {
-	return &interp{
+	in := &interp{
 		file:     f,
 		ctx:      ctx,
 		el:       el,
@@ -270,6 +282,10 @@ func newInterp(f *File, ctx *core.Context, el *elaboration) *interp {
 		seqs:     map[*Forall][]forall.SeqLoop{},
 		redists:  map[*Redistribute]*dist.Dist{},
 	}
+	if el.main != nil {
+		in.top = newVMState(el.main, in)
+	}
+	return in
 }
 
 // arith applies a binary arithmetic operator.
@@ -395,38 +411,71 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 	return dd
 }
 
+// exec runs the program's statements on this node: the compiled top
+// level, or under NoVM the walker.
+func (in *interp) exec() {
+	if in.top == nil {
+		in.execStmts(in.file.Main, nil, nil)
+		return
+	}
+	in.top.run(0, 0, 0, nil, false)
+	in.top.flush()
+}
+
 // execStmts interprets a statement list.  Inside a forall body env is
 // non-nil and fr is the body's local frame.  At the top level (both
-// nil), maximal runs of adjacent foralls are batched through the
-// engine's sequence API so independent loops aggregate their messages
-// (§3.2 across loops); a lone forall takes the ordinary path.
+// nil) a run of two or more adjacent foralls is launched as one
+// (execForalls).
 func (in *interp) execStmts(ss []Stmt, fr []value, env *forall.Env) {
 	for k := 0; k < len(ss); k++ {
-		if env == nil {
-			if _, ok := ss[k].(*Forall); ok {
-				j := k + 1
-				for j < len(ss) {
-					if _, ok := ss[j].(*Forall); !ok {
-						break
-					}
-					j++
-				}
-				if j-k >= 2 {
-					in.execForallSeq(ss[k:j])
-					k = j - 1
-					continue
-				}
+		if j := forallRun(ss, k); j > k+1 {
+			in.bounds = in.bounds[:0]
+			for _, s := range ss[k:j] {
+				in.bounds = append(in.bounds, in.walkBounds(s.(*Forall)))
 			}
+			in.execForalls(ss[k:j], in.bounds)
+			k = j - 1
+			continue
 		}
 		in.execStmt(ss[k], fr, env)
 	}
 }
 
-// execForallSeq runs a maximal run of adjacent foralls through
-// Context.ForallSeq.  The lowered sequence (loops plus their declared
-// write sets) is cached by the run's first AST node; bounds and VM
-// scalar registers are refreshed per launch like execForall does.
-func (in *interp) execForallSeq(run []Stmt) {
+// forallRun returns the end of the maximal run of adjacent foralls
+// that starts at ss[k] (k itself if ss[k] is none).  The walker and the
+// compiler batch the same runs.
+func forallRun(ss []Stmt, k int) int {
+	for k < len(ss) {
+		if _, ok := ss[k].(*Forall); !ok {
+			break
+		}
+		k++
+	}
+	return k
+}
+
+// walkBounds evaluates a forall's bounds (Lo, Hi, Lo2, Hi2) on the
+// walker.
+func (in *interp) walkBounds(fa *Forall) (b [4]int) {
+	for k, x := range [...]Expr{fa.Lo, fa.Hi, fa.Lo2, fa.Hi2} {
+		if x != nil {
+			b[k] = in.evalExpr(x, nil, nil).i
+		}
+	}
+	return b
+}
+
+// execForalls runs a maximal run of adjacent top-level foralls,
+// launched with bounds[k] (Lo, Hi, Lo2, Hi2): a lone loop on its own,
+// two or more through Context.ForallSeq, so that independent loops
+// aggregate their messages (§3.2 across loops).  The lowered sequence
+// (loops plus their declared write sets) is cached by the run's first
+// AST node.
+func (in *interp) execForalls(run []Stmt, bounds [][4]int) {
+	if len(run) == 1 {
+		in.execForall(run[0].(*Forall), bounds[0])
+		return
+	}
 	first := run[0].(*Forall)
 	seq, ok := in.seqs[first]
 	if !ok {
@@ -444,28 +493,24 @@ func (in *interp) execForallSeq(run []Stmt) {
 		in.seqs[first] = seq
 	}
 	for k, s := range run {
-		in.launch(s.(*Forall), seq[k].L, seq[k].L2)
+		in.launch(s.(*Forall), seq[k].L, seq[k].L2, bounds[k])
 	}
 	in.ctx.ForallSeq(seq)
 }
 
-// launch readies a lowered loop for one execution: the bounds are
-// evaluated, and the VM's global-scalar input registers refreshed —
-// globals are immutable within one forall execution (checker-enforced),
-// so one binding per launch suffices.
-func (in *interp) launch(fa *Forall, l *forall.Loop, l2 *forall.Loop2) {
+// launch readies a lowered loop for one execution: the bounds are set,
+// and the VM's global-scalar input registers refreshed — globals are
+// immutable within one forall execution (checker-enforced), so one
+// binding per launch suffices.
+func (in *interp) launch(fa *Forall, l *forall.Loop, l2 *forall.Loop2, b [4]int) {
 	if st := in.vms[fa]; st != nil {
-		st.bindScalars(in)
+		st.bindScalars()
 	}
 	if l2 != nil {
-		l2.LoI = in.evalExpr(fa.Lo, nil, nil).i
-		l2.HiI = in.evalExpr(fa.Hi, nil, nil).i
-		l2.LoJ = in.evalExpr(fa.Lo2, nil, nil).i
-		l2.HiJ = in.evalExpr(fa.Hi2, nil, nil).i
+		l2.LoI, l2.HiI, l2.LoJ, l2.HiJ = b[0], b[1], b[2], b[3]
 		return
 	}
-	l.Lo = in.evalExpr(fa.Lo, nil, nil).i
-	l.Hi = in.evalExpr(fa.Hi, nil, nil).i
+	l.Lo, l.Hi = b[0], b[1]
 }
 
 // writeArrays collects the distinct distributed real arrays a forall
@@ -499,7 +544,7 @@ func (in *interp) execStmt(s Stmt, fr []value, env *forall.Env) {
 	case *Assign:
 		in.execAssign(s, fr, env)
 	case *Forall:
-		in.execForall(s)
+		in.execForall(s, in.walkBounds(s))
 	case *ForLoop:
 		lo := in.evalExpr(s.Lo, fr, env).i
 		hi := in.evalExpr(s.Hi, fr, env).i
@@ -578,6 +623,10 @@ func (in *interp) execAssign(s *Assign, fr []value, env *forall.Env) {
 	default:
 		ia := in.intArrs[s.sym.Slot]
 		i, j, idx, mine := in.owned(ia, s.Indexes)
+		// Pattern-driving contents changed.  Every node bumps, owner or
+		// not: whether the schedules they drive are rebuilt must be decided
+		// alike on every node, since an inspector's rebuild is collective.
+		ia.Bump()
 		if !mine {
 			return
 		}
@@ -589,7 +638,6 @@ func (in *interp) execAssign(s *Assign, fr []value, env *forall.Env) {
 		default:
 			ia.Set2(i, j, v)
 		}
-		ia.Bump() // pattern-driving contents changed
 	}
 }
 
@@ -648,16 +696,17 @@ func coerce(v value, t BaseType) value {
 }
 
 // execForall lowers the loop onto the forall engine (cached per AST
-// node so the engine's schedule cache applies across executions).
-func (in *interp) execForall(fa *Forall) {
+// node so the engine's schedule cache applies across executions) and
+// runs it with bounds b.
+func (in *interp) execForall(fa *Forall, b [4]int) {
 	if fa.Var2 != "" {
 		loop := in.loop2For(fa)
-		in.launch(fa, nil, loop)
+		in.launch(fa, nil, loop, b)
 		in.ctx.Eng.Run2(loop)
 		return
 	}
 	loop := in.loopFor(fa)
-	in.launch(fa, loop, nil)
+	in.launch(fa, loop, nil, b)
 	in.ctx.Forall(loop)
 }
 
@@ -905,25 +954,28 @@ func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
 
 // gather collects the final array contents into the pre-allocated
 // buffers, by slot: distributed arrays are filled disjointly by their
-// owners, replicated ones by node 0.  Every node adds its column-wise
-// iteration count.
-func (in *interp) gather(reals [][]float64, ints [][]int, columnIters *int64) {
+// owners, replicated ones by node 0, a run of local storage at a time.
+// Every node adds its column-wise iteration counts to res.
+func (in *interp) gather(reals [][]float64, ints [][]int, res *Result) {
 	me := in.ctx.ID()
 	for _, st := range in.vms {
-		atomic.AddInt64(columnIters, int64(st.colIters))
+		atomic.AddInt64(&res.ColumnIters, int64(st.colIters))
+		atomic.AddInt64(&res.BoundaryColumnIters, int64(st.bndColIters))
 	}
 	for k, a := range in.realArrs {
-		if buf := reals[k]; !a.Replicated() {
-			a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
-		} else if me == 0 {
-			copy(buf, a.LocalValues())
+		if me == 0 || !a.Replicated() {
+			gatherRuns(reals[k], a.LocalValues(), a.EachLocalRun)
 		}
 	}
 	for k, ia := range in.intArrs {
-		if buf := ints[k]; !ia.Replicated() {
-			ia.EachLocal(func(g int) { buf[g-1] = ia.GetLinear(g) })
-		} else if me == 0 {
-			copy(buf, ia.LocalValues())
+		if me == 0 || !ia.Replicated() {
+			gatherRuns(ints[k], ia.LocalValues(), ia.EachLocalRun)
 		}
 	}
+}
+
+// gatherRuns copies a node's local storage into buf, which is indexed
+// by linear global index, run by run.
+func gatherRuns[T float64 | int](buf, local []T, eachRun func(func(g, off, n int))) {
+	eachRun(func(g, off, n int) { copy(buf[g-1:g-1+n], local[off:off+n]) })
 }

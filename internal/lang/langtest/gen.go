@@ -16,26 +16,39 @@ import (
 )
 
 // topLevelDecls declares what genTopLevel uses besides the arrays a and
-// b, the constants n and k and the scalar i: a replicated table, two
-// integer scalars, two real ones.  (GenVMProgram's forall locals m and
-// q shadow the globals of those names.)
-const topLevelDecls = `    w : array[1..k] of real;
+// b, the constants n and k and the scalar i: a replicated table and a
+// replicated rank-3 array; a rank-2 real and a rank-2 integer array and
+// a rank-3 one whose rows travel with a (they take a's distribution,
+// dist); two integer scalars, two real ones.  (GenVMProgram's forall
+// locals m and q shadow the globals of those names.)
+func topLevelDecls(dist string) string {
+	return fmt.Sprintf(`    w : array[1..k] of real;
+    t3 : array[1..2, 1..k, 1..2] of real;
+    rm : array[1..n, 1..k] of real dist by [%[1]s, *] on Procs;
+    im : array[1..n, 1..k] of integer dist by [%[1]s, *] on Procs;
+    d3 : array[1..2, 1..n, 1..k] of real dist by [*, %[1]s, *] on Procs;
     m, cnt : integer;
     s, x : real;
-`
+`, dist)
+}
 
 // genTopLevel emits the sequential SPMD section every node runs
-// between the init loop and the foralls.  All of it is interpreted
-// statement by statement, and a right-hand side is evaluated by the
-// element's owner alone, so a one-processor run (which evaluates them
-// all) is the oracle for every other P.  The section has a nested for
-// over a declared and an implicit variable — z, which three sibling
-// loops declare afresh — an if/else, builtin calls, integer div and
-// mod, reads of a replicated array, a while that accumulates a later
-// forall's upper bound in m, a reduce whose result feeds the statement
-// after it, and a forall that reads an enclosing loop's implicit
-// variable.  Everything stored into a before the reduce is a multiple
-// of 0.5, so that even a sum does not depend on the order of additions.
+// between the init loop and the foralls.  The VM compiles it and the
+// walker interprets it statement by statement, and a right-hand side is
+// evaluated by the element's owner alone, so a one-processor run (which
+// evaluates them all) is the oracle for every other P.  The section has
+// a nested for over a declared and an implicit variable — z, which
+// sibling loops declare afresh — an if/else, builtin calls, integer div
+// and mod, reads of a replicated array, rank-2 stores to a real and an
+// integer array, twice, each time followed by a forall that reads
+// through the integer array (whose schedule must see the new contents),
+// a replicated rank-3 array written and read and a distributed one
+// written, a while that accumulates a later forall's upper bound in m,
+// a while whose body runs a forall, a zero-trip for over m, which must
+// leave m alone, a reduce whose result the very next statement reads,
+// and a forall that reads an enclosing loop's implicit variable.
+// Everything stored into a before the reduce is a multiple of 0.5, so
+// that even a sum does not depend on the order of additions.
 func genTopLevel(b *strings.Builder, r *rand.Rand) {
 	fmt.Fprintf(b, "  for z in 1..k do w[z] := float(z) * 0.5 + %d.0; end;\n", r.Intn(3))
 	fmt.Fprintf(b, "  for i in 1..n do\n")
@@ -47,12 +60,34 @@ func genTopLevel(b *strings.Builder, r *rand.Rand) {
 	fmt.Fprintf(b, "      end;\n")
 	fmt.Fprintf(b, "    end;\n")
 	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  for y in 1..2 do\n")
+	fmt.Fprintf(b, "    for i in 1..n do\n")
+	fmt.Fprintf(b, "      for z in 1..k do\n")
+	fmt.Fprintf(b, "        rm[i, z] := float(i * z) * 0.5 - w[z];\n")
+	fmt.Fprintf(b, "        im[i, z] := (i * %d + z * y) mod n + 1;\n", 1+2*r.Intn(4))
+	fmt.Fprintf(b, "      end;\n")
+	fmt.Fprintf(b, "    end;\n")
+	fmt.Fprintf(b, "    forall i in 1..n on a[i].loc do a[i] := a[i] + b[ im[i, 2] ] + rm[i, y]; end;\n")
+	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  for i in 1..n do\n")
+	fmt.Fprintf(b, "    for z in 1..k do\n")
+	fmt.Fprintf(b, "      for y in 1..2 do\n")
+	fmt.Fprintf(b, "        t3[y, z, 1] := w[z] * float(y) + t3[y, z, 1];\n")
+	fmt.Fprintf(b, "        d3[y, i, z] := t3[y, z, 1] - float(i);\n")
+	fmt.Fprintf(b, "      end;\n")
+	fmt.Fprintf(b, "    end;\n")
+	fmt.Fprintf(b, "  end;\n")
 	fmt.Fprintf(b, "  m := 0;\n")
 	fmt.Fprintf(b, "  cnt := 0;\n")
 	fmt.Fprintf(b, "  while cnt < n do\n")
 	fmt.Fprintf(b, "    cnt := cnt + 1;\n")
 	fmt.Fprintf(b, "    if cnt mod %d <> 0 then m := m + 1; end;\n", 2+r.Intn(3))
 	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  while cnt > n - 2 do\n")
+	fmt.Fprintf(b, "    cnt := cnt - 1;\n")
+	fmt.Fprintf(b, "    forall i in 1..n on b[i].loc do b[i] := b[i] + float(cnt); end;\n")
+	fmt.Fprintf(b, "  end;\n")
+	fmt.Fprintf(b, "  for m in %d..0 do cnt := 0; end;\n", 1+r.Intn(3))
 	fmt.Fprintf(b, "  reduce %s(a) into s;\n", []string{"sum", "max", "min"}[r.Intn(3)])
 	fmt.Fprintf(b, "  x := s / float(n) + sqrt(float(m));\n")
 	fmt.Fprintf(b, "  for z in 1..2 do\n")
@@ -83,7 +118,7 @@ func GenProgram(r *rand.Rand) string {
 	// subscript arrays).
 	fmt.Fprintf(&b, "    perm : array[1..n] of integer dist by [%s] on Procs;\n", distB)
 	fmt.Fprintf(&b, "    i : integer;\n")
-	b.WriteString(topLevelDecls)
+	b.WriteString(topLevelDecls(distA))
 	fmt.Fprintf(&b, "begin\n")
 	fmt.Fprintf(&b, "  for i in 1..n do\n")
 	fmt.Fprintf(&b, "    a[i] := float(i) * %d.0;\n", 1+r.Intn(5))
@@ -135,8 +170,10 @@ func GenProgram(r *rand.Rand) string {
 // collapsed [dist, *] matrix read through an inner loop, unit-stride
 // subscripts against strided and indirect ones, stores to arrays the
 // body never loads (direct) against stores to arrays it also reads
-// (logged: copy-in/copy-out), stores under a condition, and a
-// straight-line body the VM runs column-wise.  Programs
+// (logged: copy-in/copy-out), stores under a condition, a
+// straight-line body the VM runs column-wise, and a shifted stencil
+// whose boundary runs the VM takes against local rows and runs of the
+// receive buffer.  Programs
 // use a 1-D processor array and run on any P; GenVMProgram2D is the
 // rank-2 counterpart.
 func GenVMProgram(r *rand.Rand) string {
@@ -157,7 +194,7 @@ func GenVMProgram(r *rand.Rand) string {
 	// mat[i,q] under "on a[i].loc" is an aligned, communication-free read.
 	fmt.Fprintf(&b, "    mat : array[1..n, 1..k] of real dist by [%s, *] on Procs;\n", distA)
 	fmt.Fprintf(&b, "    i, q : integer;\n")
-	b.WriteString(topLevelDecls)
+	b.WriteString(topLevelDecls(distA))
 	fmt.Fprintf(&b, "begin\n")
 	fmt.Fprintf(&b, "  for i in 1..n do\n")
 	fmt.Fprintf(&b, "    a[i] := float(i) * %d.0 - %d.5;\n", 1+r.Intn(5), r.Intn(3))
@@ -169,7 +206,7 @@ func GenVMProgram(r *rand.Rand) string {
 
 	stmts := 1 + r.Intn(3)
 	for s := 0; s < stmts; s++ {
-		switch r.Intn(10) {
+		switch r.Intn(11) {
 		case 0: // affine stencil with a const-folded coefficient
 			c := r.Intn(3) - 1
 			lo, hi := 1, n
@@ -230,6 +267,11 @@ func GenVMProgram(r *rand.Rand) string {
 		case 8: // strided update with integer arithmetic in subscripts
 			fmt.Fprintf(&b, "  forall i in 1..n div 2 on a[2*i].loc do\n")
 			fmt.Fprintf(&b, "    a[2*i] := a[2*i] * 0.5 + b[2*i-1];\n")
+			fmt.Fprintf(&b, "  end;\n")
+		case 9: // shifted stencil: boundary runs of the reads of b
+			c := 1 + r.Intn(2)
+			fmt.Fprintf(&b, "  forall i in 1..n-%d on a[i+%d].loc do\n", c+2, c)
+			fmt.Fprintf(&b, "    a[i+%d] := 0.5*b[i] + 0.25*b[i+%d] - b[i+%d] * 0.125;\n", c, c+1, c+2)
 			fmt.Fprintf(&b, "  end;\n")
 		default: // straight-line, every access in the row form: column-wise
 			fmt.Fprintf(&b, "  forall i in 2..n-1 on a[i].loc do\n")

@@ -92,7 +92,7 @@ func sameArrays(t *testing.T, tag string, got, want *Result) {
 
 // threeOracles runs src compiled, walked and on the reference executor
 // and holds the compiled production run — the only one whose interiors
-// go through the segment entry points — against both.  Against the
+// and boundaries go through the segment entry points — against both.  Against the
 // walker, which shares its executor: arrays, every machine.Stats
 // counter (FlopCount among them) and, on the simulator, every clock of
 // the report, bit for bit, on any processor count.  Against the
@@ -132,9 +132,16 @@ func threeOracles(t *testing.T, tag, src, backend string, params machine.Params,
 			t.Errorf("%s: an oracle ran %d by segments and %d column-wise of %d interior iterations (compiled run saw %d)",
 				tag, r.SegmentIters, o.res.ColumnIters, r.InteriorIters, vr.InteriorIters)
 		}
+		if r := o.res.Report; r.BoundarySegmentIters != 0 || o.res.BoundaryColumnIters != 0 || r.BoundaryIters != vr.BoundaryIters {
+			t.Errorf("%s: an oracle ran %d by segments and %d column-wise of %d boundary iterations (compiled run saw %d)",
+				tag, r.BoundarySegmentIters, o.res.BoundaryColumnIters, r.BoundaryIters, vr.BoundaryIters)
+		}
 	}
 	if c := int(vm.res.ColumnIters); c > vr.SegmentIters || vr.SegmentIters > vr.InteriorIters {
 		t.Errorf("%s: %d column-wise > %d by segments > %d interior", tag, c, vr.SegmentIters, vr.InteriorIters)
+	}
+	if c := int(vm.res.BoundaryColumnIters); c > vr.BoundarySegmentIters || vr.BoundarySegmentIters > vr.BoundaryIters {
+		t.Errorf("%s: %d column-wise > %d by segments > %d boundary", tag, c, vr.BoundarySegmentIters, vr.BoundaryIters)
 	}
 	return vm
 }
@@ -215,6 +222,96 @@ func TestSegmentKernelMatchesPerElement(t *testing.T) {
 	}
 	if oneProc == 0 {
 		t.Error("no program ran on one processor: the bitwise clock comparison with the reference never happened")
+	}
+}
+
+// boundarySrc1 is a shifted-on-clause rank-1 stencil over arrays
+// distributed by "%s", followed by a loop whose boundary runs keep the
+// per-element segment mode (a branch), and by an aligned loop that has
+// no boundary.
+const boundarySrc1 = `processors Procs : array[1..P] with P in 1..8;
+const n = 40;
+var a, b : array[1..n] of real dist by [%s] on Procs;
+    i, s : integer;
+begin
+  for i in 1..n do b[i] := float((i * 7) mod 11); end;
+  for s in 1..2 do
+    forall i in 1..n-4 on a[i+2].loc do
+      a[i+2] := 0.25*b[i] + 0.5*b[i+2] - b[i+3] + 0.125*b[i+4];
+    end;
+    forall i in 2..n-1 on b[i].loc do
+      var t : real;
+      t := a[i-1] - a[i+1];
+      if t > 0.0 then b[i] := t; else b[i] := 0.5 * a[i+1] - t; end;
+    end;
+    forall i in 1..n on a[i].loc do a[i] := a[i] + b[i]; end;
+  end;
+end.
+`
+
+// boundarySrc2 is the rank-2 counterpart on a %d×%d grid, with arrays
+// distributed by "%s": the benchmark's shifted five-point stencil, and
+// a shifted loop with a branch.
+const boundarySrc2 = `processors Procs : array[1..%d, 1..%d];
+const n = 14;
+      m = 17;
+var u, old : array[1..n, 1..m] of real dist by [%s] on Procs;
+    r, c, s : integer;
+begin
+  for r in 1..n do for c in 1..m do old[r,c] := float((r*5 + c*3) mod 11); end; end;
+  for s in 1..2 do
+    forall r in 1..n-2, c in 1..m-2 on u[r+1,c+1].loc do
+      u[r+1,c+1] := 0.25*old[r,c+1] + 0.25*old[r+1,c] + 0.25*old[r+1,c+2] + 0.25*old[r+2,c+1];
+    end;
+    forall r in 1..n-2, c in 1..m-2 on old[r+1,c+1].loc do
+      var t : real;
+      t := u[r+1,c] - u[r+1,c+2];
+      if t > 0.0 then old[r+1,c+1] := t + u[r,c+1]; else old[r+1,c+1] := u[r+2,c+1] - t; end;
+    end;
+  end;
+end.
+`
+
+// TestBoundarySegmentsMatchReference: the boundary's runs, taken by the
+// VM's segment entry — column-wise, by points, in the per-element
+// segment mode, or peeled — agree with the walker and the reference
+// executor (threeOracles: values, statistics, clock bits) on shifted
+// rank-1 and rank-2 stencils on 1, 2, 4 and 8 processors.  Under
+// block_cyclic and cyclic, runs come from two peers or mix
+// local and remote elements, and those reads stay on Env.Read.  Under
+// block every boundary iteration runs as a segment, and the rank-2
+// stencil's halo rows column-wise.
+func TestBoundarySegmentsMatchReference(t *testing.T) {
+	machines := []struct {
+		backend string
+		params  machine.Params
+	}{{"sim", machine.NCUBE7()}, {"sim", machine.IPSC2()}, {"wall", machine.NCUBE7()}}
+	check := func(tag string, vm kernelRun, block bool, p int) {
+		rep := vm.res.Report
+		if block && p > 1 && (rep.BoundaryIters == 0 || rep.BoundarySegmentIters != rep.BoundaryIters) {
+			t.Errorf("%s: %d of %d boundary iterations by segments, want all of some", tag, rep.BoundarySegmentIters, rep.BoundaryIters)
+		}
+	}
+	for _, dist := range []string{"block", "cyclic", "block_cyclic(3)"} {
+		for _, p := range []int{1, 2, 4, 8} {
+			for _, m := range machines {
+				tag := fmt.Sprintf("rank 1 %s on %s/%s p=%d", dist, m.backend, m.params.Name, p)
+				check(tag, threeOracles(t, tag, fmt.Sprintf(boundarySrc1, dist), m.backend, m.params, p), dist == "block", p)
+			}
+		}
+	}
+	for _, dist := range []string{"block, block", "block, block_cyclic(2)", "cyclic, block"} {
+		for _, g := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {2, 4}} {
+			for _, m := range machines {
+				p := g[0] * g[1]
+				tag := fmt.Sprintf("rank 2 [%s] on %s/%s %d×%d", dist, m.backend, m.params.Name, g[0], g[1])
+				vm := threeOracles(t, tag, fmt.Sprintf(boundarySrc2, g[0], g[1], dist), m.backend, m.params, p)
+				check(tag, vm, dist == "block, block", p)
+				if dist == "block, block" && g == [2]int{2, 2} && vm.res.BoundaryColumnIters == 0 {
+					t.Errorf("%s: no boundary iteration ran column-wise", tag)
+				}
+			}
+		}
 	}
 }
 

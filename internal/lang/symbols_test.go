@@ -3,7 +3,9 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"kali/internal/alloctest"
 	"kali/internal/core"
@@ -13,7 +15,8 @@ import (
 // topLevelSrc is a program that is all sequential SPMD code: a nested
 // init with builtin calls and div/mod, an if/else, a while on a scalar
 // counter, an implicit loop variable (q, twice) and reads of a
-// replicated array.
+// replicated array — and a run of two foralls, statement-level code
+// the compiled top level escapes to.
 func topLevelSrc(n int) string {
 	return fmt.Sprintf(`
 processors Procs : array[1..P] with P in 1..8;
@@ -43,33 +46,93 @@ begin
     acc := acc + min(w[k], 2.0);
     a[k] := acc / float(trunc(w[k]) + 1);
   end;
+  forall q in 1..n on a[q].loc do a[q] := a[q] - acc; end;
+  forall q in 1..k on a[q].loc do a[q] := a[q] * 0.5; end;
   for q in 1..n do a[q] := w[n + 1 - q] * 0.5; end;
 end.
 `, n)
 }
 
-// TestTopLevelStatementsAllocationFree: interpreting top-level
-// statements allocates nothing, whatever the trip counts — every name
-// is a slot, subscripts of rank <= 2 live in registers, builtin
-// arguments are not boxed.  (Before names were bound at check time each
-// indexed assignment cost two allocations.)
+// TestTopLevelStatementsAllocationFree: running top-level statements
+// allocates nothing, whatever the trip counts, compiled (their registers
+// are the globals' home) and walked (every name is a slot, subscripts of
+// rank <= 2 live in registers, builtin arguments are not boxed).
+// (Before names were bound at check time each indexed assignment cost
+// two allocations.)
 func TestTopLevelStatementsAllocationFree(t *testing.T) {
+	t.Run("vm", func(t *testing.T) { topLevelAllocationFree(t, false) })
+	t.Run("walker", func(t *testing.T) { topLevelAllocationFree(t, true) })
+}
+
+func topLevelAllocationFree(t *testing.T, noVM bool) {
 	for _, n := range []int{8, 32} {
 		prog, err := Compile(topLevelSrc(n))
 		if err != nil {
 			t.Fatal(err)
 		}
+		prog.NoVM = noVM
 		el, err := prog.elaborate(2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if (el.main == nil) != noVM {
+			t.Fatalf("top level compiled: %v with NoVM=%v", el.main != nil, noVM)
 		}
 		var pin alloctest.Pin
 		core.Run(core.Config{P: el.procP, Params: machine.Ideal()}, func(ctx *core.Context) {
 			in := newInterp(prog.file, ctx, el)
 			in.declareArrays()
-			pin.Run(ctx.Node, 2, 5, func() { in.execStmts(prog.file.Main, nil, nil) })
+			pin.Run(ctx.Node, 2, 5, in.exec)
 		})
 		pin.Check(t, fmt.Sprintf("top-level statements, n=%d", n))
+	}
+}
+
+// TestIntStoreBumpsEveryNode: a top-level store to one element of an
+// integer array that drives a forall's references changes the array's
+// version on every node, owner or not, so that every node rebuilds the
+// forall's schedule at its next execution — an inspector rebuild is
+// collective, and a node replaying its cached schedule while its peers
+// rebuild would leave them waiting on it forever.  Compiled and walked,
+// the run finishes with the one-processor answer.
+func TestIntStoreBumpsEveryNode(t *testing.T) {
+	const src = `processors Procs : array[1..P] with P in 1..8;
+const n = 16;
+var a, b : array[1..n] of real dist by [block] on Procs;
+    idx : array[1..n] of integer dist by [block] on Procs;
+    i, s : integer;
+begin
+  for i in 1..n do idx[i] := n + 1 - i; b[i] := float(i); end;
+  for s in 1..3 do
+    forall i in 1..n on a[i].loc do a[i] := b[idx[i]]; end;
+    idx[3] := 4 + s;
+  end;
+end.
+`
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noVM := range []bool{false, true} {
+		prog.NoVM = noVM
+		done := make(chan []float64, 1)
+		go func() {
+			res, err := prog.Run(core.Config{P: 4, Params: machine.NCUBE7()})
+			if err != nil {
+				t.Error(err)
+				done <- nil
+				return
+			}
+			done <- res.Arrays["a"]
+		}()
+		select {
+		case a := <-done:
+			if want := "[16 15 6 13 12 11 10 9 8 7 6 5 4 3 2 1]"; fmt.Sprint(a) != want {
+				t.Errorf("NoVM=%v: a = %v, want %s", noVM, a, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("NoVM=%v: the run did not finish: the nodes disagree about rebuilding a schedule", noVM)
+		}
 	}
 }
 
@@ -94,6 +157,53 @@ end.
 	for _, p := range []int{1, 2, 4} {
 		if _, err := prog.Run(core.Config{P: p, Params: machine.Ideal()}); err == nil {
 			t.Fatalf("P=%d: integer division by zero on the owner did not fail the run", p)
+		}
+	}
+}
+
+// TestTopLevelTrapsMatchWalker: a division by zero and an out-of-range
+// subscript at the top level — in a scalar assignment, a right-hand
+// side, a forall bound, a store of every rank and type, a replicated
+// read — fail the run with the walker's error text on the VM, on one
+// processor and on four.
+func TestTopLevelTrapsMatchWalker(t *testing.T) {
+	const head = `processors Procs : array[1..P] with P in 1..8;
+const n = 8;
+var a : array[1..n] of real dist by [block] on Procs;
+    u : array[1..n, 1..3] of real dist by [cyclic, *] on Procs;
+    v : array[1..2, 1..n, 1..3] of real dist by [*, block, *] on Procs;
+    k : array[1..n] of integer dist by [block] on Procs;
+    w : array[1..n, 1..n] of real;
+    x : real;
+    z, m : integer;
+begin
+  z := 0;
+  m := n + 1;
+`
+	for _, c := range []struct{ stmt, want string }{
+		{"x := float(n mod z);", "integer divide by zero"},
+		{"a[n] := float(7 div z);", "integer divide by zero"},
+		{"forall i in 1..n div z on a[i].loc do a[i] := 1.0; end;", "integer divide by zero"},
+		{"a[m] := 1.0;", "out of [1..8]"},
+		{"u[2, m - 5] := 1.0;", "out of [1..3]"},
+		{"v[1, m, 1] := 1.0;", "out of [1..8]"},
+		{"k[z] := 1;", "out of [1..8]"},
+		{"x := w[1, m];", "(1,9) out of [8 8]"},
+	} {
+		prog, err := Compile(head + "  " + c.stmt + "\nend.\n")
+		if err != nil {
+			t.Fatalf("%s: %v", c.stmt, err)
+		}
+		for _, p := range []int{1, 4} {
+			cfg := core.Config{P: p, Params: machine.Ideal()}
+			prog.NoVM = false
+			_, vmErr := prog.Run(cfg)
+			prog.NoVM = true
+			_, walkErr := prog.Run(cfg)
+			if vmErr == nil || walkErr == nil || vmErr.Error() != walkErr.Error() ||
+				!strings.HasPrefix(vmErr.Error(), "lang: runtime error: ") || !strings.Contains(vmErr.Error(), c.want) {
+				t.Errorf("P=%d %s: vm error %q, walker error %q; want both the same, naming %q", p, c.stmt, vmErr, walkErr, c.want)
+			}
 		}
 	}
 }

@@ -3,24 +3,28 @@ package lang
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kali/internal/darray"
 	"kali/internal/forall"
 	"kali/internal/machine"
 )
 
-// This file is the execution half of the forall-body bytecode pipeline
-// (compile.go is the lowering half).  A compiled body is a flat
-// instruction array over two typed register files — float64 registers
-// for real values and int registers for integers and booleans (0/1) —
-// with the node's array headers bound to numbered slots and all scope
-// resolution done at compile time.  Executing one iteration walks the
-// instruction array with no allocation, no map lookups, and no
-// interface boxing; all distributed-memory semantics stay behind the
-// same forall.Env calls the tree-walking interpreter uses, so the two
+// This file is the execution half of the bytecode pipeline (compile.go
+// is the lowering half), for forall bodies and for the top level alike.
+// A compiled body is a flat instruction array over two typed register
+// files — float64 registers for real values and int registers for
+// integers and booleans (0/1) — with the node's array headers bound to
+// numbered slots and all scope resolution done at compile time.
+// Executing one iteration walks the instruction array with no
+// allocation, no map lookups, and no interface boxing; all
+// distributed-memory semantics stay behind the same forall.Env calls —
+// at the top level the same darray accessors, the statement code the
+// same interp methods — the tree-walking interpreter uses, so the two
 // paths are observably identical (same values, same machine.Stats,
 // same schedules) — the VM only removes host-side interpretive
-// overhead.
+// overhead.  The top level is the one iteration of a body without index
+// variables (compileMain), run once per node.
 //
 // Cost-model parity: the tree walker charges Env.Flops(1) per binary
 // operator, unary minus, and builtin call as it evaluates, interleaved
@@ -31,44 +35,63 @@ import (
 // sequence.  Simulated times and FlopCount match the walker
 // bit-for-bit while the host does less work.
 //
-// Three tiers.  The paper's Figure 3 executor separates local from
-// nonlocal iterations so that the local ones need no locality test, no
-// buffer search and no per-reference bookkeeping (§3.1); the VM takes
-// that literally for a schedule's interior.  Which tier runs is decided
-// by what the code observes — the body's shape at compile time, the
-// views that resolved for this segment at run time — never by a flag:
+// Three tiers, in both of Figure 3's loops.  The paper's executor
+// separates local from nonlocal iterations so that the local ones need
+// no locality test, no buffer search and no per-reference bookkeeping
+// (§3.1); the VM takes that literally for a schedule's interior, and
+// for the boundary it takes the nonlocal iterations' per-reference work
+// down to what must stay per element, the charges.  Which tier runs is
+// decided by what the code observes — the body's shape at compile time,
+// the views that resolved for this run, and its length, at run time —
+// never by a flag:
 //
-//   - Env path (body1/body2 → run, one element): boundary iterations,
-//     the inspector's recording pass, declined segments.  Every access
-//     and every charge goes through the Env.
+//   - Env path (body1/body2 → run, one element): the inspector's
+//     recording pass, declined runs, and the boundaries of loops whose
+//     schedule enumerates references.  Every access and every charge
+//     goes through the Env.
 //   - Per-element segment mode (segment1/segment2 → run over a span).
-//     forall hands over whole row segments (Loop.Segment); per segment,
-//     resolve turns every hoistable load and store (compile.go:
-//     subscripts of the row form (f(i), j+c)) into a slice of the
-//     node's local row — the locality and owner-computes checks made
-//     once for the whole span — and run then executes the iterations of
-//     the segment against those slices, with the virtual clock in a
-//     local variable, replaying the same float additions in the same
-//     order the per-element path makes (LoopIter, then MemRef and unit
-//     Flop charges where the walker makes them).  Whatever does not
-//     resolve — other subscript forms, integer arrays, a span that
-//     leaves the local window, stores that must be logged — takes the
-//     same Env call as before, with the clock written back around it; a
-//     segment in which nothing resolves is declined and runs per
-//     element.  These two tiers share the one interpreter loop.
+//     forall hands over whole runs of consecutive iterations
+//     (Loop.Segment): the interior's row segments, and the boundary cut
+//     into runs of consecutive columns of one row.  Per run, resolve
+//     turns every hoistable load and store (compile.go: subscripts of
+//     the row form (f(i), j+c)) into a view — the locality and
+//     owner-computes checks made once for the whole span.  In the
+//     interior a view is a slice of the node's local row.  In the
+//     boundary a read the Env path makes through Read2 resolves
+//     (Env.ReadSpan2) to the local row or, when the in set holds the
+//     whole run from one peer, to a run of the receive buffer, with
+//     the charges Read2 makes for each element ahead of its memory
+//     reference: a locality test, then for the buffer the range search.
+//     run then executes the iterations against the views, with the
+//     virtual clock in a local variable, replaying the same float
+//     additions in the same order the per-element path makes (LoopIter,
+//     then the reads' charges and MemRefs and the unit Flop charges
+//     where the walker makes them).  Whatever does not resolve — other
+//     subscript forms, integer arrays, a span that leaves the local
+//     window or is partly local, runs from two peers, stores that must
+//     be logged — takes the same Env call as before, with the clock
+//     written back around it; a run in which nothing resolves is
+//     declined and runs per element.  These two tiers share the one
+//     interpreter loop.
 //   - Column-wise (segment1/segment2 → column): a straight-line body
 //     (compile.go, columnKernel: no jump, every real-array access
 //     hoisted, no integer-array load, no integer div or mod, one
 //     subscript form per stored array) whose every view resolved, over
-//     a segment of at least two elements.  Each live instruction runs
-//     once across the segment on per-register vectors instead of the
-//     whole body once per element, and the clock moves once, through
-//     machine.ClockStep: within one binade of the clock each charge
-//     adds a fixed whole number of ulps, so m elements are one integer
+//     a run of at least two elements.  Each live instruction runs once
+//     across the run on per-register vectors instead of the whole body
+//     once per element, and the clock moves once, through
+//     machine.ClockStep: within one binade of the clock each charge adds
+//     a fixed whole number of ulps, so m elements are one integer
 //     multiply-add on the clock's bit pattern, guarded (no charge an
 //     exact tie at that ulp, none negative or non-finite, the mantissa
 //     not carrying, the clock positive and normal) and falling back to
-//     the literal additions — bit-identical either way.
+//     the literal additions — bit-identical either way.  Every element
+//     of a boundary run makes the same charges too, fixed by how each
+//     read resolved; the stepper of each such classification is made
+//     once and kept.  A fully resolved run of one element runs the same
+//     live code on scalars (point), and a boundary run that resolves but
+//     for its first or last element — the corner of a halo row — runs
+//     as a column and that element (peel).
 //
 // The store-order rule of the column-wise tier: element by element,
 // A[i] := x; A[i+1] := y leaves A[k+1] = x[k+1], store by store it
@@ -88,7 +111,8 @@ const (
 	opFlops                  // a × env.Flops(1): positioned cost-model charges
 	opJmp                    // pc = a
 	opJmpIfNot               // if n[b] == 0 → pc = a
-	opJmpGtI                 // if n[b] > n[c] → pc = a (for-loop exit)
+	opJmpGtI                 // if n[b] > n[c] → pc = a (for-loop entry)
+	opLoopI                  // n[b]++; if n[b] <= n[c] → pc = a (for-loop back edge)
 
 	opMovF   // f[a] = f[b]
 	opMovI   // n[a] = n[b]
@@ -106,7 +130,6 @@ const (
 	opMulI
 	opDivI
 	opModI
-	opIncI // n[a]++
 	opLinI // n[a] = n[b]*constI[c] + constI[d] (strength-reduced affine subscript)
 
 	opLtF // n[a] = b2i(f[b] < f[c]) — ints widen first, matching the walker's float compares
@@ -115,6 +138,12 @@ const (
 	opGeF
 	opEqF
 	opNeF
+	opLtI // n[a] = b2i(n[b] < n[c]) — the walker's float compare where one side is a small constant
+	opLeI
+	opGtI
+	opGeI
+	opEqI
+	opNeI
 	opEqB  // n[a] = b2i(n[b] == n[c])
 	opNeB  // n[a] = b2i(n[b] != n[c])
 	opAndB // n[a] = n[b] & n[c] (operands are 0/1; both sides always evaluated, like the walker)
@@ -134,6 +163,30 @@ const (
 	opLdInt2 // n[a] = env.ReadInt2(ints[b], n[c], n[d])
 	opSt1    // env.Write(reals[b], n[c], f[a]) — owner-computes, bounds-checked
 	opSt2    // env.Write2(reals[b], n[c], n[d], f[a])
+
+	// The top level's own instructions.  An array access comes in a
+	// rank-1, a rank-2 and a rank-N form (compile.go, comp.subs); rank
+	// N > 2 passes the d registers from n[c] on as the coordinates.
+	opEscape  // statement-level code: cb.escapes[a] (vmState.escape)
+	opGet1    // f[a] = reals[b].Get1(n[c]) — replicated arrays only
+	opGet2    // f[a] = reals[b].Get2(n[c], n[d])
+	opGetN    // f[a] = reals[b].Get(n[c:c+d]...)
+	opGetInt1 // n[a] = ints[b].Get1(n[c])
+	opGetInt2
+	opGetIntN
+	opOwn1 // if !reals[b].IsLocal1(n[c]) → pc = a: an indexed store's owner test
+	opOwn2
+	opOwnN
+	opOwnInt1 // if !ints[b].IsLocal1(n[c]) → pc = a
+	opOwnInt2
+	opOwnIntN
+	opPut1 // reals[b].Set1(n[c], f[a])
+	opPut2
+	opPutN
+	opPutInt1 // ints[b].Set1(n[c], n[a])
+	opPutInt2
+	opPutIntN
+	opBump // ints[b].Bump(): the contents of an integer array changed
 )
 
 // pure reports whether op only moves values between registers: it
@@ -152,15 +205,25 @@ type instr struct {
 }
 
 // hoist describes one load or store the segment kernel may run against
-// a raw local row: over a segment lo..hi of the innermost index
-// variable (outer index i; zero in rank-1 bodies) it touches, in
-// order, elements lo+colK..hi+colK of the array in slot — of its row
-// rowA*i+rowK when the array has rank 2.
+// a raw row: over a segment lo..hi of the innermost index variable
+// (outer index i; zero in rank-1 bodies) it touches, in order, elements
+// lo+colK..hi+colK of the array in slot — of its row rowA*i+rowK when
+// the array has rank 2.  A tested load is one the Env path makes
+// through Read or Read2 (an affine or indirect read, opLd1/opLd2): in
+// the boundary it tests locality and may search the receive buffer.
 type hoist struct {
 	slot             int32
-	store            bool
+	store, tested    bool
 	rank             int
 	rowA, rowK, colK int
+}
+
+// readCharges are the charges a tested load makes per element ahead of
+// its memory reference (forall.Env.ReadSpan1): none, a locality test,
+// or a locality test and a range search that costs search.
+type readCharges struct {
+	checks int
+	search float64
 }
 
 // fInit / iInit preset a pinned register at vmState creation (constant
@@ -175,13 +238,23 @@ type iInit struct {
 	v   int
 }
 
-// scalarInput binds a global scalar (immutable within one forall
-// execution — the checker forbids assigning globals inside bodies) to
-// a pinned register; execForall refreshes the values at each launch.
+// scalarInput binds a global scalar to a register.  In a forall body
+// the scalar is immutable within one execution — the checker forbids
+// assigning globals inside bodies — and launch refreshes the register;
+// at the top level the register is the scalar's home, and escape writes
+// it back to the global frame and reads it again.
 type scalarInput struct {
 	slot int // in the interpreter's global frame
 	t    BaseType
 	reg  int32
+}
+
+// escape is an opEscape's statement-level code: a reduce, a
+// redistribute, or a run of adjacent foralls with each one's bound
+// registers (Lo, Hi, Lo2, Hi2; the last two unused at rank 1).
+type escape struct {
+	stmts  []Stmt
+	bounds [][4]int32
 }
 
 // compiledBody is the immutable output of compileBody, shared by every
@@ -199,6 +272,7 @@ type compiledBody struct {
 	constI []int // pool for opLinI coefficients
 
 	scalars []scalarInput
+	escapes []escape // the top level's
 
 	hoists []hoist
 
@@ -209,24 +283,27 @@ type compiledBody struct {
 
 // vmState is one node's execution state for one compiled body: the
 // register files and the node's array tables, which array operands
-// index by Symbol.Slot.  Created once per forall per node; reused
-// across sweeps with zero allocation.
+// index by Symbol.Slot.  Created once per forall (and once for the top
+// level) per node; reused across sweeps with zero allocation.
 type vmState struct {
 	cb *compiledBody
 	f  []float64
 	n  []int
 	ra []*darray.Array
 	ia []*darray.IntArray
+	in *interp
 
 	// Segment-kernel state.  views[h] is the row slice instruction
 	// hoist h resolved to for the current segment (nil: take the Env
-	// path); entry 0 stays nil for instructions without a hoist.
-	// noViews is the same table, all nil, for per-element execution.
-	// cell and units are the node's clock cell and unit prices
-	// (machine.Node.ClockCell); idle stands in for the cell when the
-	// engine, not the VM, owns the clock.
+	// path), pre[h] what its read charges per element ahead of the
+	// memory reference; entry 0 stays nil for instructions without a
+	// hoist.  noViews is the views table, all nil, for per-element
+	// execution.  cell and units are the node's clock cell and unit
+	// prices (machine.Node.ClockCell); idle stands in for the cell when
+	// the engine, not the VM, owns the clock.
 	node    *machine.Node
 	views   [][]float64
+	pre     []readCharges
 	noViews [][]float64
 	cell    *float64
 	units   machine.UnitCosts
@@ -237,13 +314,29 @@ type vmState struct {
 	// elements each, cut from one slab per file; the slabs are sized by
 	// the longest segment seen, up to colStrip, and only ever grow.  The
 	// float vectors past col.nF belong to loads and are pointed at the
-	// row views strip by strip.  step advances the clock by whole
-	// elements; colIters counts the iterations run this way.
-	fv       [][]float64
-	nv       [][]int
-	width    int
-	step     *machine.ClockStep
-	colIters int
+	// row views strip by strip; fs and ns hold one scalar per vector for
+	// a run of one (point).  step advances the clock by whole
+	// elements of the interior, where no read charges ahead of its
+	// memory reference; steps holds one stepper for each classification
+	// of the reads a boundary run has shown, made when first seen.
+	// colIters and bndColIters count the iterations of the interior and
+	// of the boundary run this way.
+	fv          [][]float64
+	nv          [][]int
+	fs          []float64
+	ns          []int
+	width       int
+	step        *machine.ClockStep
+	steps       []classStep
+	colIters    int
+	bndColIters int
+}
+
+// classStep is the clock stepper of one classification of a body's
+// reads: the read charges of every hoist, as resolve left them.
+type classStep struct {
+	pre  []readCharges
+	step *machine.ClockStep
 }
 
 // colStrip is the most elements the column-wise kernel runs through one
@@ -254,14 +347,18 @@ const colStrip = 256
 
 func newVMState(cb *compiledBody, in *interp) *vmState {
 	st := &vmState{
-		cb:      cb,
-		f:       make([]float64, cb.nF),
-		n:       make([]int, cb.nI),
-		ra:      in.realArrs,
-		ia:      in.intArrs,
-		node:    in.ctx.Node,
-		views:   make([][]float64, len(cb.hoists)+1),
-		noViews: make([][]float64, len(cb.hoists)+1),
+		cb:   cb,
+		f:    make([]float64, cb.nF),
+		n:    make([]int, cb.nI),
+		ra:   in.realArrs,
+		ia:   in.intArrs,
+		in:   in,
+		node: in.ctx.Node,
+	}
+	if cb.rank > 0 {
+		st.views = make([][]float64, len(cb.hoists)+1)
+		st.pre = make([]readCharges, len(cb.hoists)+1)
+		st.noViews = make([][]float64, len(cb.hoists)+1)
 	}
 	if len(cb.hoists) > 0 {
 		// A virtual clock without an address leaves cell nil: no
@@ -269,18 +366,11 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 		st.cell, st.units, _ = st.node.ClockCell()
 	}
 	if col := cb.col; col != nil && st.cell != nil {
-		charges := []float64{st.units.LoopIter}
-		for _, k := range col.charges {
-			if k == 0 {
-				charges = append(charges, st.units.MemRef)
-			}
-			for ; k > 0; k-- {
-				charges = append(charges, st.units.Flop)
-			}
-		}
-		st.step = machine.NewClockStep(charges)
+		st.step = machine.NewClockStep(st.charges())
 		st.fv = make([][]float64, col.nF+col.nLoad)
 		st.nv = make([][]int, col.nI)
+		st.fs = make([]float64, col.nF+col.nLoad)
+		st.ns = make([]int, col.nI)
 	}
 	for _, c := range cb.initF {
 		st.f[c.reg] = c.v
@@ -291,12 +381,12 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 	return st
 }
 
-// bindScalars refreshes the global-scalar input registers from the
-// interpreter's current values.  Called once per forall launch (the
-// values cannot change mid-loop).
-func (st *vmState) bindScalars(in *interp) {
+// bindScalars refreshes the global-scalar registers from the node's
+// global frame: a body's once per launch (the values cannot change
+// mid-loop), the top level's after every escape.
+func (st *vmState) bindScalars() {
 	for _, s := range st.cb.scalars {
-		v := &in.globals[s.slot]
+		v := &st.in.globals[s.slot]
 		switch s.t {
 		case TReal:
 			st.f[s.reg] = v.f
@@ -308,6 +398,42 @@ func (st *vmState) bindScalars(in *interp) {
 	}
 }
 
+// flush writes the top level's global-scalar registers back to the
+// node's global frame: before every escape, whose launches and reduce
+// read the frame, and at the end, for Result.Scalars.
+func (st *vmState) flush() {
+	for _, s := range st.cb.scalars {
+		v := &st.in.globals[s.slot]
+		switch s.t {
+		case TReal:
+			*v = realVal(st.f[s.reg])
+		case TInt:
+			*v = intVal(st.n[s.reg])
+		default:
+			*v = boolVal(st.n[s.reg] != 0)
+		}
+	}
+}
+
+// escape runs an opEscape's statement-level code — a run of foralls,
+// launched with the bounds their registers hold, a reduce or a
+// redistribute — between a flush and a bindScalars, so that it sees
+// the globals and the next instruction sees what a reduce wrote.
+func (st *vmState) escape(e *escape) {
+	in := st.in
+	st.flush()
+	if _, ok := e.stmts[0].(*Forall); ok {
+		in.bounds = in.bounds[:0]
+		for _, r := range e.bounds {
+			in.bounds = append(in.bounds, [4]int{st.n[r[0]], st.n[r[1]], st.n[r[2]], st.n[r[3]]})
+		}
+		in.execForalls(e.stmts, in.bounds)
+	} else {
+		in.execStmt(e.stmts[0], nil, nil)
+	}
+	st.bindScalars()
+}
+
 // body1 / body2 are the forall.Loop body entry points (method values,
 // bound once when the loop is built): one iteration, every access
 // through Env, charges made by the engine and the Env.
@@ -315,30 +441,71 @@ func (st *vmState) body1(i int, env *forall.Env) { st.run(0, i, i, env, false) }
 
 func (st *vmState) body2(i, j int, env *forall.Env) { st.run(i, j, j, env, false) }
 
-// segment1 / segment2 are the forall.Loop Segment entry points: a
-// whole interior segment against resolved row views — column-wise when
-// the body has that form and every view resolved, else element by
-// element in run's segment mode — or false to have the engine run it
-// per element.
+// segment1 / segment2 are the forall.Loop Segment entry points, for a
+// run of the interior or of the boundary: the whole run against
+// resolved views — column-wise when the body has that form and every
+// view resolved, else element by element in run's segment mode — or
+// false, when nothing resolved, to have the engine run it per element.
 func (st *vmState) segment1(lo, hi int, env *forall.Env) bool {
 	return st.segment2(0, lo, hi, env)
 }
 
 func (st *vmState) segment2(i, jLo, jHi int, env *forall.Env) bool {
-	switch st.resolve(i, jLo, jHi, env) {
-	case 0:
+	n, tested := st.resolve(i, jLo, jHi, env)
+	if n == 0 {
 		return false
-	case len(st.cb.hoists):
-		// A segment of one element is no column: dispatching the live
-		// instructions once each on vectors of one costs more than running
-		// them on registers (BenchmarkVMSegmentLength: about 140 against
-		// 120 ns at length 1, 68 against 88 ns at length 2).
-		if st.step != nil && jHi > jLo {
-			st.column(i, jLo, jHi)
+	}
+	if n < len(st.cb.hoists) && jHi-jLo >= 2 && st.step != nil && env.Nonlocal() {
+		if st.peel(i, jLo, jHi, env) {
 			return true
 		}
+		n, tested = st.resolve(i, jLo, jHi, env)
 	}
-	st.run(i, jLo, jHi, env, true)
+	st.exec(i, jLo, jHi, env, n, tested)
+	return true
+}
+
+// exec runs lo..hi against the views resolve has just made, n of them,
+// with reads that test locality if tested: in run's segment mode unless
+// every view resolved and the body has a column-wise form, else as a
+// column, or for one element as a point.  A run of one element is no
+// column: dispatching the live instructions once each on vectors of one
+// costs more than running them on registers (BenchmarkVMSegmentLength:
+// about 140 against 120 ns at length 1, 68 against 88 ns at length 2),
+// and running them on scalars costs less again (a halo column,
+// BenchmarkBoundaryRun/column: about 180 against 225 ns an element).
+func (st *vmState) exec(i, lo, hi int, env *forall.Env, n int, tested bool) {
+	switch {
+	case n < len(st.cb.hoists) || st.step == nil:
+		st.run(i, lo, hi, env, true)
+	case hi > lo:
+		st.column(i, lo, hi, st.stepFor(tested), env.Nonlocal())
+	default:
+		st.point(i, lo, st.stepFor(tested))
+	}
+}
+
+// peel runs a boundary run whose views did not all resolve as a column
+// of all but its last element and then that element, or its first
+// element and then a column of the rest, if that column resolves: the
+// first or last element of a halo row is often the one read across the
+// corner of the node's block, into another node's part of the array.
+// It runs nothing and reports false when neither column resolves.
+func (st *vmState) peel(i, lo, hi int, env *forall.Env) bool {
+	all := len(st.cb.hoists)
+	if n, tested := st.resolve(i, lo, hi-1, env); n == all {
+		st.exec(i, lo, hi-1, env, n, tested)
+		n, tested = st.resolve(i, hi, hi, env)
+		st.exec(i, hi, hi, env, n, tested)
+		return true
+	}
+	if n, _ := st.resolve(i, lo+1, hi, env); n != all {
+		return false
+	}
+	n, tested := st.resolve(i, lo, lo, env)
+	st.exec(i, lo, lo, env, n, tested)
+	n, tested = st.resolve(i, lo+1, hi, env)
+	st.exec(i, lo+1, hi, env, n, tested)
 	return true
 }
 
@@ -347,28 +514,37 @@ func (st *vmState) segment2(i, jLo, jHi int, env *forall.Env) bool {
 // Loops get the segment entry points only then.
 func (st *vmState) hasSegment() bool { return st.cell != nil }
 
-// resolve fills views for the segment lo..hi (outer index i): loads
-// resolve to the array's row span when all of it is in the local
-// window, stores additionally need the engine's leave to bypass the
-// write log (Env.WriteSpan*).  If one store to an array does not
-// resolve, none to that array may: direct and logged stores to one
-// array must not mix within a loop execution.  It returns the number
-// of views resolved.
-func (st *vmState) resolve(i, lo, hi int, env *forall.Env) int {
+// resolve fills views and pre for the run lo..hi (outer index i): a
+// tested load resolves through Env.ReadSpan*, to the array's row span in
+// the interior and in the boundary to the row span or a run of the
+// receive buffer, with the charges its reads make there; any other load
+// resolves to the row span when all of it is in the local window;
+// stores additionally need the engine's leave to bypass the write log
+// (Env.WriteSpan*).  If one store to an array does not resolve, none to
+// that array may: direct and logged stores to one array must not mix
+// within a loop execution.  It returns the number of views resolved,
+// and whether a resolved read charges ahead of its memory reference.
+func (st *vmState) resolve(i, lo, hi int, env *forall.Env) (resolved int, tested bool) {
 	hoists := st.cb.hoists
-	resolved, refused := 0, false
+	refused := false
 	for k := range hoists {
 		h := &hoists[k]
 		a := st.ra[h.slot]
-		cLo, cHi := lo+h.colK, hi+h.colK
+		row, cLo, cHi := h.rowA*i+h.rowK, lo+h.colK, hi+h.colK
+		p := &st.pre[k+1]
+		*p = readCharges{}
 		var v []float64
 		switch {
 		case h.store && h.rank == 2:
-			v = env.WriteSpan2(a, h.rowA*i+h.rowK, cLo, cHi)
+			v = env.WriteSpan2(a, row, cLo, cHi)
 		case h.store:
 			v = env.WriteSpan1(a, cLo, cHi)
+		case h.tested && h.rank == 2:
+			v, p.checks, p.search = env.ReadSpan2(a, row, cLo, cHi)
+		case h.tested:
+			v, p.checks, p.search = env.ReadSpan1(a, cLo, cHi)
 		case h.rank == 2:
-			v = a.Span2(h.rowA*i+h.rowK, cLo, cHi)
+			v = a.Span2(row, cLo, cHi)
 		default:
 			v = a.Span1(cLo, cHi)
 		}
@@ -377,6 +553,7 @@ func (st *vmState) resolve(i, lo, hi int, env *forall.Env) int {
 			resolved++
 		}
 		refused = refused || (h.store && v == nil)
+		tested = tested || p.checks > 0
 	}
 	for k := range hoists {
 		if !refused {
@@ -391,7 +568,50 @@ func (st *vmState) resolve(i, lo, hi int, env *forall.Env) int {
 			}
 		}
 	}
-	return resolved
+	return resolved, tested
+}
+
+// charges is the charge sequence of one element of the column-wise body
+// under the read charges resolve left in pre: its LoopIter, then in
+// instruction order each access's read charges and memory reference and
+// each opFlops's unit flops.
+func (st *vmState) charges() []float64 {
+	u := st.units
+	out := []float64{u.LoopIter}
+	for _, k := range st.cb.col.charges {
+		if k < 0 {
+			p := &st.pre[-k]
+			if p.checks > 0 {
+				out = append(out, u.LocTest)
+			}
+			if p.checks > 1 {
+				out = append(out, p.search)
+			}
+			out = append(out, u.MemRef)
+		}
+		for ; k > 0; k-- {
+			out = append(out, u.Flop)
+		}
+	}
+	return out
+}
+
+// stepFor returns the clock stepper of the column-wise body under the
+// read charges in pre: the interior's when no read charges ahead of its
+// memory reference, else the one of that classification, made the
+// first time it is seen.
+func (st *vmState) stepFor(tested bool) *machine.ClockStep {
+	if !tested {
+		return st.step
+	}
+	for k := range st.steps {
+		if slices.Equal(st.steps[k].pre, st.pre) {
+			return st.steps[k].step
+		}
+	}
+	c := classStep{pre: slices.Clone(st.pre), step: machine.NewClockStep(st.charges())}
+	st.steps = append(st.steps, c)
+	return c.step
 }
 
 // column runs the segment lo..hi (outer index i) a column at a time:
@@ -401,9 +621,9 @@ func (st *vmState) resolve(i, lo, hi int, env *forall.Env) int {
 // Loads alias the row view, a store is one copy, and the rest are
 // loops the compiler keeps free of bounds checks; segments longer than
 // colStrip go strip by strip, so the vectors stay in cache.  The clock
-// then moves once, by st.step — to the same bits as run's per-element
-// additions.
-func (st *vmState) column(i, lo, hi int) {
+// then moves once, by step — to the same bits as run's per-element
+// additions.  The run is the boundary's if nonlocal.
+func (st *vmState) column(i, lo, hi int, step *machine.ClockStep, nonlocal bool) {
 	cb, col := st.cb, st.cb.col
 	m := hi - lo + 1
 	if w := min(m, colStrip); w > st.width {
@@ -532,11 +752,85 @@ func (st *vmState) column(i, lo, hi int) {
 			}
 		}
 	}
-	*st.cell = st.step.Advance(*st.cell, m)
-	if col.flops != 0 {
+	st.advance(m, step)
+	if nonlocal {
+		st.bndColIters += m
+	} else {
+		st.colIters += m
+	}
+}
+
+// advance accounts for m elements of the column-wise code: the clock
+// stepped by step, and the flops.
+func (st *vmState) advance(m int, step *machine.ClockStep) {
+	*st.cell = step.Advance(*st.cell, m)
+	if col := st.cb.col; col.flops != 0 {
 		st.node.AddFlopCount(col.flops * int64(m))
 	}
-	st.colIters += m
+}
+
+// point runs the one element j (outer index i) of a run whose every
+// view resolved through the column-wise code with a scalar in place of
+// each vector: the live instructions once each, the charges by one
+// step.  It is not counted as column-wise.
+func (st *vmState) point(i, j int, step *machine.ClockStep) {
+	cb, col := st.cb, st.cb.col
+	f, n := st.fs, st.ns
+	st.n[cb.iReg] = i
+	for _, in := range col.inF {
+		f[in.vec] = st.f[in.reg]
+	}
+	for _, in := range col.inI {
+		n[in.vec] = st.n[in.reg]
+	}
+	if col.iota >= 0 {
+		n[col.iota] = j
+	}
+	for pc := range col.code {
+		switch ins := &col.code[pc]; ins.op {
+		case opLdLoc1, opLdLoc2, opLd1, opLd2:
+			f[ins.a] = st.views[ins.h][0]
+		case opSt1, opSt2:
+			st.views[ins.h][0] = f[ins.a]
+		case opMovF:
+			f[ins.a] = f[ins.b]
+		case opMovI:
+			n[ins.a] = n[ins.b]
+		case opNegF:
+			f[ins.a] = -f[ins.b]
+		case opAbsF:
+			f[ins.a] = math.Abs(f[ins.b])
+		case opSqrtF:
+			f[ins.a] = math.Sqrt(f[ins.b])
+		case opAddF:
+			f[ins.a] = f[ins.b] + f[ins.c]
+		case opSubF:
+			f[ins.a] = f[ins.b] - f[ins.c]
+		case opMulF:
+			f[ins.a] = f[ins.b] * f[ins.c]
+		case opDivF:
+			f[ins.a] = f[ins.b] / f[ins.c]
+		case opMinF:
+			f[ins.a] = math.Min(f[ins.b], f[ins.c])
+		case opMaxF:
+			f[ins.a] = math.Max(f[ins.b], f[ins.c])
+		case opIntToF:
+			f[ins.a] = float64(n[ins.b])
+		case opTruncI:
+			n[ins.a] = int(f[ins.b])
+		case opNegI:
+			n[ins.a] = -n[ins.b]
+		case opAddI:
+			n[ins.a] = n[ins.b] + n[ins.c]
+		case opSubI:
+			n[ins.a] = n[ins.b] - n[ins.c]
+		case opMulI:
+			n[ins.a] = n[ins.b] * n[ins.c]
+		default:
+			panic(fmt.Sprintf("lang: vm: opcode %d in column-wise code", ins.op))
+		}
+	}
+	st.advance(1, step)
 }
 
 // growVectors re-cuts the vector files at w elements a vector, from one
@@ -576,7 +870,7 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 	}
 	// Per element the cell is a dummy and the prices zero, so the
 	// clock arithmetic below is dead but needs no branches.
-	views, cell := st.noViews, &st.idle
+	views, pre, cell := st.noViews, st.pre, &st.idle
 	var u machine.UnitCosts
 	if seg {
 		views, cell, u = st.views, st.cell, st.units
@@ -619,6 +913,10 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 				if n[ins.b] > n[ins.c] {
 					pc = int(ins.a)
 				}
+			case opLoopI:
+				if n[ins.b]++; n[ins.b] <= n[ins.c] {
+					pc = int(ins.a)
+				}
 
 			case opMovF:
 				f[ins.a] = f[ins.b]
@@ -651,8 +949,6 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 				n[ins.a] = n[ins.b] / n[ins.c]
 			case opModI:
 				n[ins.a] = n[ins.b] % n[ins.c]
-			case opIncI:
-				n[ins.a]++
 			case opLinI:
 				n[ins.a] = n[ins.b]*constI[ins.c] + constI[ins.d]
 
@@ -668,6 +964,18 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 				n[ins.a] = b2i(f[ins.b] == f[ins.c])
 			case opNeF:
 				n[ins.a] = b2i(f[ins.b] != f[ins.c])
+			case opLtI:
+				n[ins.a] = b2i(n[ins.b] < n[ins.c])
+			case opLeI:
+				n[ins.a] = b2i(n[ins.b] <= n[ins.c])
+			case opGtI:
+				n[ins.a] = b2i(n[ins.b] > n[ins.c])
+			case opGeI:
+				n[ins.a] = b2i(n[ins.b] >= n[ins.c])
+			case opEqI:
+				n[ins.a] = b2i(n[ins.b] == n[ins.c])
+			case opNeI:
+				n[ins.a] = b2i(n[ins.b] != n[ins.c])
 			case opEqB:
 				n[ins.a] = b2i(n[ins.b] == n[ins.c])
 			case opNeB:
@@ -688,45 +996,33 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 			case opMaxF:
 				f[ins.a] = math.Max(f[ins.b], f[ins.c])
 
-			// Real-array accesses: through the row view when this
-			// segment resolved one (a memory-reference charge and an
-			// indexed load or store — what the Env call amounts to in
-			// the executor's local loop), else through Env.
-			case opLdLoc1:
+			// Real-array loads: through the view when this run resolved
+			// one — the read's charges and an indexed load, what the Env
+			// call amounts to — else through Env.
+			case opLdLoc1, opLdLoc2, opLd1, opLd2:
 				if v := views[ins.h]; v != nil {
+					if p := &pre[ins.h]; p.checks > 0 {
+						t += u.LocTest
+						if p.checks > 1 {
+							t += p.search
+						}
+					}
 					t += u.MemRef
 					f[ins.a] = v[k]
 					continue
 				}
 				*cell = t
-				f[ins.a] = env.ReadLocal(st.ra[ins.b], n[ins.c])
-				t = *cell
-			case opLdLoc2:
-				if v := views[ins.h]; v != nil {
-					t += u.MemRef
-					f[ins.a] = v[k]
-					continue
+				a, i, j := st.ra[ins.b], n[ins.c], n[ins.d]
+				switch ins.op {
+				case opLdLoc1:
+					f[ins.a] = env.ReadLocal(a, i)
+				case opLdLoc2:
+					f[ins.a] = env.ReadLocal2(a, i, j)
+				case opLd1:
+					f[ins.a] = env.Read(a, i)
+				default:
+					f[ins.a] = env.Read2(a, i, j)
 				}
-				*cell = t
-				f[ins.a] = env.ReadLocal2(st.ra[ins.b], n[ins.c], n[ins.d])
-				t = *cell
-			case opLd1:
-				if v := views[ins.h]; v != nil {
-					t += u.MemRef
-					f[ins.a] = v[k]
-					continue
-				}
-				*cell = t
-				f[ins.a] = env.Read(st.ra[ins.b], n[ins.c])
-				t = *cell
-			case opLd2:
-				if v := views[ins.h]; v != nil {
-					t += u.MemRef
-					f[ins.a] = v[k]
-					continue
-				}
-				*cell = t
-				f[ins.a] = env.Read2(st.ra[ins.b], n[ins.c], n[ins.d])
 				t = *cell
 			case opLdInt1:
 				*cell = t
@@ -736,24 +1032,73 @@ func (st *vmState) run(i, lo, hi int, env *forall.Env, seg bool) {
 				*cell = t
 				n[ins.a] = env.ReadInt2(st.ia[ins.b], n[ins.c], n[ins.d])
 				t = *cell
-			case opSt1:
+			case opSt1, opSt2:
 				if v := views[ins.h]; v != nil {
 					t += u.MemRef
 					v[k] = f[ins.a]
 					continue
 				}
 				*cell = t
-				env.Write(st.ra[ins.b], st.lin1(ins.b, n[ins.c]), f[ins.a])
-				t = *cell
-			case opSt2:
-				if v := views[ins.h]; v != nil {
-					t += u.MemRef
-					v[k] = f[ins.a]
-					continue
+				if ins.op == opSt1 {
+					env.Write(st.ra[ins.b], st.lin1(ins.b, n[ins.c]), f[ins.a])
+				} else {
+					env.Write2(st.ra[ins.b], n[ins.c], n[ins.d], f[ins.a])
 				}
-				*cell = t
-				env.Write2(st.ra[ins.b], n[ins.c], n[ins.d], f[ins.a])
 				t = *cell
+
+			// The top level: uncharged, no Env.
+			case opEscape:
+				st.escape(&cb.escapes[ins.a])
+			case opGet1:
+				f[ins.a] = st.ra[ins.b].Get1(n[ins.c])
+			case opGet2:
+				f[ins.a] = st.ra[ins.b].Get2(n[ins.c], n[ins.d])
+			case opGetN:
+				f[ins.a] = st.ra[ins.b].Get(n[ins.c : ins.c+ins.d]...)
+			case opGetInt1:
+				n[ins.a] = st.ia[ins.b].Get1(n[ins.c])
+			case opGetInt2:
+				n[ins.a] = st.ia[ins.b].Get2(n[ins.c], n[ins.d])
+			case opGetIntN:
+				n[ins.a] = st.ia[ins.b].Get(n[ins.c : ins.c+ins.d]...)
+			case opOwn1:
+				if !st.ra[ins.b].IsLocal1(n[ins.c]) {
+					pc = int(ins.a)
+				}
+			case opOwn2:
+				if !st.ra[ins.b].IsLocal2(n[ins.c], n[ins.d]) {
+					pc = int(ins.a)
+				}
+			case opOwnN:
+				if !st.ra[ins.b].IsLocal(n[ins.c : ins.c+ins.d]...) {
+					pc = int(ins.a)
+				}
+			case opOwnInt1:
+				if !st.ia[ins.b].IsLocal1(n[ins.c]) {
+					pc = int(ins.a)
+				}
+			case opOwnInt2:
+				if !st.ia[ins.b].IsLocal2(n[ins.c], n[ins.d]) {
+					pc = int(ins.a)
+				}
+			case opOwnIntN:
+				if !st.ia[ins.b].IsLocal(n[ins.c : ins.c+ins.d]...) {
+					pc = int(ins.a)
+				}
+			case opPut1:
+				st.ra[ins.b].Set1(n[ins.c], f[ins.a])
+			case opPut2:
+				st.ra[ins.b].Set2(n[ins.c], n[ins.d], f[ins.a])
+			case opPutN:
+				st.ra[ins.b].Set(f[ins.a], n[ins.c:ins.c+ins.d]...)
+			case opPutInt1:
+				st.ia[ins.b].Set1(n[ins.c], n[ins.a])
+			case opPutInt2:
+				st.ia[ins.b].Set2(n[ins.c], n[ins.d], n[ins.a])
+			case opPutIntN:
+				st.ia[ins.b].Set(n[ins.a], n[ins.c:ins.c+ins.d]...)
+			case opBump:
+				st.ia[ins.b].Bump()
 
 			default:
 				panic(fmt.Sprintf("lang: vm: bad opcode %d", ins.op))

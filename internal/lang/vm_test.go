@@ -44,7 +44,11 @@ func findForall(ss []Stmt, n int) *Forall {
 // (the property the bytecode VM was built for) and walked (NoVM: the
 // walker runs a loop's iterations on one slot-indexed frame).  So does
 // a straight-line body, whose interiors run column-wise: its vector
-// files are cut at the first segment, which the warm-up runs.
+// files are cut at the first segment, which the warm-up runs.  And so
+// does the shifted 2-D stencil, whose boundary runs as segments: halo
+// rows column-wise, halo columns by points, against local rows and runs
+// of the receive buffer, each classification's clock stepper made by
+// the warm-up.
 func TestVMReplayAllocationFree(t *testing.T) {
 	const branching = `
     var t : real;
@@ -58,13 +62,15 @@ func TestVMReplayAllocationFree(t *testing.T) {
     var t : real;
     t := v[i-1] + v[i+1];
     w[i] := min(t, float(i)) * 0.5;`
-	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, branching, false, false) })
-	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, branching, true, false) })
-	t.Run("column", func(t *testing.T) { replayAllocationFree(t, straight, false, true) })
+	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), false, false) })
+	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), true, false) })
+	t.Run("column", func(t *testing.T) { replayAllocationFree(t, replaySrc(straight), false, true) })
+	t.Run("boundary", func(t *testing.T) { replayAllocationFree(t, stencilProgram(24, 20, 1), false, true) })
 }
 
-func replayAllocationFree(t *testing.T, body string, noVM, column bool) {
-	src := `
+// replaySrc is a rank-1 program whose one forall has body.
+func replaySrc(body string) string {
+	return `
 processors Procs : array[1..P] with P in 1..4;
 const n = 64;
 var u, v, w : array[1..n] of real dist by [block] on Procs;
@@ -78,6 +84,12 @@ begin
   end;
 end.
 `
+}
+
+// replayAllocationFree pins the replay of src's last forall.  With
+// column set its interior must have run column-wise, and whatever
+// boundary the node has by segments.
+func replayAllocationFree(t *testing.T, src string, noVM, column bool) {
 	prog, err := Compile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +102,11 @@ end.
 	if (len(el.compiled) == 0) != noVM {
 		t.Fatalf("%d compiled bodies with NoVM=%v", len(el.compiled), noVM)
 	}
-	fa := findForall(prog.file.Main, 0)
-	if fa == nil {
+	all := foralls(prog.file.Main)
+	if len(all) == 0 {
 		t.Fatal("no forall in program")
 	}
+	fa := all[len(all)-1]
 
 	const warmup, reps = 5, 20
 	cfg := core.Config{P: el.procP, Params: machine.Ideal()}
@@ -106,10 +119,13 @@ end.
 	core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(prog.file, ctx, el)
 		in.declareArrays()
-		in.execStmts(prog.file.Main, nil, nil)
+		in.exec()
 		pin.Run(ctx.Node, warmup, reps, func() { in.execStmt(fa, nil, nil) })
 		if ran := in.vms[fa] != nil && in.vms[fa].colIters > 0; ran != column {
 			t.Errorf("node %d: column-wise kernel ran: %v, want %v", ctx.ID(), ran, column)
+		}
+		if eng := ctx.Eng; column && eng.BoundarySegmentIters() != eng.BoundaryIters() {
+			t.Errorf("node %d: %d of %d boundary iterations by segments, want all", ctx.ID(), eng.BoundarySegmentIters(), eng.BoundaryIters())
 		}
 	})
 	pin.Check(t, "steady-state forall replay")

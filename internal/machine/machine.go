@@ -434,16 +434,19 @@ func (n *Node) ChargeLoopIter() {
 	}
 }
 
-// UnitCosts are the prices of the three charges a forall body makes
-// per element, as ClockCell hands them out.
-type UnitCosts struct{ Flop, MemRef, LoopIter float64 }
+// UnitCosts are the prices of the single-term charges a forall body
+// makes per element, as ClockCell hands them out: the locality test is
+// a boundary read's.
+type UnitCosts struct{ Flop, MemRef, LoopIter, LocTest float64 }
 
 // ClockCell is the register-held form of the single-term charges, for
 // a loop that charges several times per element: the caller loads the
 // cell into a local variable once, adds unit prices to the local —
-// adding u.Flop, u.MemRef or u.LoopIter is bit-identical to
-// ChargeFlopsUnit(1), ChargeMemRefs(1) or ChargeLoopIter(), because
-// each of those is that one float addition on the same accumulator —
+// adding u.Flop, u.MemRef, u.LoopIter or u.LocTest is bit-identical to
+// ChargeFlopsUnit(1), ChargeMemRefs(1), ChargeLoopIter() or
+// ChargeLocTest(), because each of those is that one float addition on
+// the same accumulator, and so is adding SearchCost(r) to
+// ChargeSearch(r) —
 // and stores the local back before anything else can observe the
 // clock: every other Node method, and so every forall.Env and
 // transport call.  Flops charged this way are reported through
@@ -459,7 +462,7 @@ func (n *Node) ClockCell() (cell *float64, u UnitCosts, ok bool) {
 		return nil, UnitCosts{}, false
 	}
 	p := &n.m.params
-	return n.clock, UnitCosts{Flop: p.Flop, MemRef: p.MemRef, LoopIter: p.LoopIter}, true
+	return n.clock, UnitCosts{Flop: p.Flop, MemRef: p.MemRef, LoopIter: p.LoopIter, LocTest: p.LocTest}, true
 }
 
 // AddFlopCount records k flops whose time was charged through a
@@ -481,12 +484,20 @@ type Cost struct {
 // a procedure call plus ⌈log2(r+1)⌉ probes (the paper's O(log r)
 // access, Figure 5 discussion).
 func (n *Node) ChargeSearch(r int) {
+	if n.virtual {
+		n.advance(n.SearchCost(r))
+	}
+}
+
+// SearchCost is the price ChargeSearch(r) adds to the clock, for a
+// caller holding it in a ClockCell; zero on real backends.
+func (n *Node) SearchCost(r int) float64 {
 	if !n.virtual {
-		return
+		return 0
 	}
 	p := &n.m.params
 	probes := max(1, bits.Len(uint(r))) // smallest k >= 1 with 2^k > r
-	n.advance(p.SearchBase + float64(probes)*p.SearchProbe)
+	return p.SearchBase + float64(probes)*p.SearchProbe
 }
 
 // Send transmits payload to node `to`.  nbytes is the wire size used
