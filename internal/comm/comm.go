@@ -29,8 +29,10 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -249,12 +251,10 @@ func (s *InSet) Senders() []int {
 
 // RangesFrom returns the records sourced from processor q.
 func (s *InSet) RangesFrom(q int) []Range {
-	lo := sort.Search(len(s.Ranges), func(i int) bool { return s.Ranges[i].FromProc >= q })
-	hi := lo
-	for hi < len(s.Ranges) && s.Ranges[hi].FromProc == q {
-		hi++
+	if sd := s.dir().sender(q); sd != nil {
+		return s.Ranges[sd.first:sd.end]
 	}
-	return s.Ranges[lo:hi]
+	return nil
 }
 
 // BytesFrom returns the wire size of the data expected from q,
@@ -271,32 +271,31 @@ func (s *InSet) BytesFrom(q int) int {
 // in-records that name it as FromProc, as delivered by the global
 // exchange ("out(p,q) = in(q,p)": the transposition the paper performs
 // with the Crystal router).  Records are sorted by (ToProc, Low) with
-// adjacent ranges merged.
+// adjacent ranges merged.  BuildOut takes ownership of received: it
+// sorts and merges the records in place, and the OutSet keeps the
+// slice.
 func BuildOut(me int, received []Range) *OutSet {
-	rs := append([]Range(nil), received...)
-	for _, r := range rs {
+	for _, r := range received {
 		if r.FromProc != me {
 			panic(fmt.Sprintf("comm: out record %v not sourced at %d", r, me))
 		}
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].ToProc != rs[j].ToProc {
-			return rs[i].ToProc < rs[j].ToProc
+	slices.SortFunc(received, func(a, b Range) int {
+		if a.ToProc != b.ToProc {
+			return cmp.Compare(a.ToProc, b.ToProc)
 		}
-		return rs[i].Low < rs[j].Low
+		return cmp.Compare(a.Low, b.Low)
 	})
-	out := &OutSet{}
-	for _, r := range rs {
+	out := &OutSet{Ranges: received[:0]}
+	for _, r := range received {
+		out.Total += r.Len()
 		if n := len(out.Ranges); n > 0 {
-			last := &out.Ranges[n-1]
-			if last.ToProc == r.ToProc && last.High+1 == r.Low {
+			if last := &out.Ranges[n-1]; last.ToProc == r.ToProc && last.High+1 == r.Low {
 				last.High = r.High
-				out.Total += r.Len()
 				continue
 			}
 		}
 		out.Ranges = append(out.Ranges, r)
-		out.Total += r.Len()
 	}
 	return out
 }
@@ -334,11 +333,10 @@ func (s *OutSet) CountTo(q int) int {
 
 // CountFrom returns the number of elements expected from processor q.
 func (s *InSet) CountFrom(q int) int {
-	n := 0
-	for _, r := range s.RangesFrom(q) {
-		n += r.Len()
+	if sd := s.dir().sender(q); sd != nil {
+		return sd.n
 	}
-	return n
+	return 0
 }
 
 // PackInto fills dst with the values of all records destined to q, one

@@ -20,15 +20,18 @@ type inIndex struct {
 	cells   []int32     // all senders' bucket directories, each ending in a sentinel
 }
 
-// senderDir locates one sender's records: they cover [lo..hi] in
-// buckets of 1<<shift indices, and cells[base+b] is the first record
-// whose High is at or beyond the start of bucket b (the sentinel after
-// the last bucket names the sender's last record).
+// senderDir locates one sender's records, Ranges[first:end], holding n
+// elements: they cover [lo..hi] in buckets of 1<<shift indices, and
+// cells[base+b] is the first record whose High is at or beyond the
+// start of bucket b (the sentinel after the last bucket names the
+// sender's last record).
 type senderDir struct {
-	home   int
-	lo, hi int
-	shift  uint
-	base   int32
+	home       int
+	lo, hi     int
+	shift      uint
+	base       int32
+	first, end int32
+	n          int
 }
 
 // buildIndex derives the directory from records sorted by
@@ -50,10 +53,15 @@ func buildIndex(ranges []Range) *inIndex {
 			end++
 		}
 		sd := senderDir{
-			home: ranges[first].FromProc,
-			lo:   ranges[first].Low,
-			hi:   ranges[end-1].High,
-			base: int32(len(ix.cells)),
+			home:  ranges[first].FromProc,
+			lo:    ranges[first].Low,
+			hi:    ranges[end-1].High,
+			base:  int32(len(ix.cells)),
+			first: int32(first),
+			end:   int32(end),
+		}
+		for _, r := range ranges[first:end] {
+			sd.n += r.Len()
 		}
 		for (sd.hi-sd.lo)>>sd.shift >= 2*(end-first) {
 			sd.shift++
@@ -93,17 +101,8 @@ func buildIndex(ranges []Range) *inIndex {
 // otherwise.
 func (s *InSet) Find(home, g int) (buf int, ok bool) {
 	ix := s.dir()
-	var sd *senderDir
-	for h, mask := hashCell(home, len(ix.slots)), len(ix.slots)-1; ; h = (h + 1) & mask {
-		k := ix.slots[h]
-		if k == 0 {
-			return 0, false
-		}
-		if sd = &ix.senders[k-1]; sd.home == home {
-			break
-		}
-	}
-	if g < sd.lo || g > sd.hi {
+	sd := ix.sender(home)
+	if sd == nil || g < sd.lo || g > sd.hi {
 		return 0, false
 	}
 	// The record holding g, if any, is the first with High >= g; it
@@ -126,6 +125,19 @@ func (s *InSet) Find(home, g int) (buf int, ok bool) {
 		return 0, false
 	}
 	return r.Buf + (g - r.Low), true
+}
+
+// sender returns home's directory entry, nil when home sends nothing.
+func (ix *inIndex) sender(home int) *senderDir {
+	for h, mask := hashCell(home, len(ix.slots)), len(ix.slots)-1; ; h = (h + 1) & mask {
+		k := ix.slots[h]
+		if k == 0 {
+			return nil
+		}
+		if sd := &ix.senders[k-1]; sd.home == home {
+			return sd
+		}
+	}
 }
 
 // FindRun is Find for the run of elements lo..hi, whoever sends them:

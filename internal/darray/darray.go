@@ -398,7 +398,8 @@ func (a *Array) CopyLinearRange(lo, hi int, dst []float64) {
 	}
 	switch len(a.shape) {
 	case 1:
-		copy(dst, a.local[a.offset1(lo):a.offset1(lo)+hi-lo+1])
+		off := a.offset1(lo)
+		copy(dst, a.local[off:off+hi-lo+1])
 	case 2:
 		nx := a.shape[1]
 		for g := lo; g <= hi; {
@@ -436,27 +437,43 @@ func rowSegEnd(g, hi, nx int) int {
 // back to the checked per-element accessors (and their panics).  The
 // slice aliases the partition until the next Redistribute.
 func (a *Array) Span1(lo, hi int) []float64 {
-	if !a.fast || len(a.shape) != 1 || hi < lo {
-		return nil
+	if off, ok := a.span1(lo, hi); ok {
+		return a.local[off : off+hi-lo+1]
 	}
-	l := lo - a.flo[0]
-	if l < 0 || hi-a.flo[0] >= a.fn[0] {
-		return nil
-	}
-	return a.local[l : l+hi-lo+1]
+	return nil
 }
 
 // Span2 is Span1 for row i, columns jLo..jHi, of a rank-2 array.
 func (a *Array) Span2(i, jLo, jHi int) []float64 {
-	if !a.fast || len(a.shape) != 2 || jHi < jLo {
-		return nil
+	if off, ok := a.span2(i, jLo, jHi); ok {
+		return a.local[off : off+jHi-jLo+1]
 	}
-	li, lj := i-a.flo[0], jLo-a.flo[1]
-	if uint(li) >= uint(a.fn[0]) || lj < 0 || jHi-a.flo[1] >= a.fn[1] {
-		return nil
+	return nil
+}
+
+// span1 is the local offset of element lo when Span1(lo, hi) resolves.
+func (h *header) span1(lo, hi int) (off int, ok bool) {
+	if !h.fast || len(h.shape) != 1 || hi < lo {
+		return 0, false
 	}
-	off := li*a.lshape[1] + lj
-	return a.local[off : off+jHi-jLo+1]
+	l := lo - h.flo[0]
+	if l < 0 || hi-h.flo[0] >= h.fn[0] {
+		return 0, false
+	}
+	return l, true
+}
+
+// span2 is the local offset of element (i, jLo) when Span2(i, jLo, jHi)
+// resolves.
+func (h *header) span2(i, jLo, jHi int) (off int, ok bool) {
+	if !h.fast || len(h.shape) != 2 || jHi < jLo {
+		return 0, false
+	}
+	li, lj := i-h.flo[0], jLo-h.flo[1]
+	if uint(li) >= uint(h.fn[0]) || lj < 0 || jHi-h.flo[1] >= h.fn[1] {
+		return 0, false
+	}
+	return li*h.lshape[1] + lj, true
 }
 
 // LocalValues exposes the raw local partition (replicated arrays: the
@@ -495,6 +512,22 @@ func (ia *IntArray) Set2(i, j, v int) { ia.local[ia.offset2(i, j)] = v }
 // GetLinear returns the element with linearized global index g, which
 // must be local.
 func (ia *IntArray) GetLinear(g int) int { return ia.local[ia.offsetLinear(g)] }
+
+// Span1 is Array.Span1 for an integer array.
+func (ia *IntArray) Span1(lo, hi int) []int {
+	if off, ok := ia.span1(lo, hi); ok {
+		return ia.local[off : off+hi-lo+1]
+	}
+	return nil
+}
+
+// Span2 is Array.Span2 for an integer array.
+func (ia *IntArray) Span2(i, jLo, jHi int) []int {
+	if off, ok := ia.span2(i, jLo, jHi); ok {
+		return ia.local[off : off+jHi-jLo+1]
+	}
+	return nil
+}
 
 // LocalValues exposes the raw local partition.
 func (ia *IntArray) LocalValues() []int { return ia.local }

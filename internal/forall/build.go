@@ -186,12 +186,26 @@ type routedRecs struct {
 // recording pass, charging the placement cost (closed-form for on
 // clauses, a per-iteration scan for OnProc).
 func (e *Engine) inspectIters(c *loopCore) []iteration {
+	me := e.node.ID()
 	if c.rank == 1 {
-		is := e.execSet(c)
-		out := make([]iteration, len(is))
-		for k, i := range is {
-			out[k] = iteration{i: i}
+		lo, hi := c.bounds[0], c.bounds[1]
+		var out []iteration
+		if c.onProc != nil {
+			// Run-time placement scan: evaluate the on expression for
+			// every iteration in range.
+			for i := lo; i <= hi; i++ {
+				e.node.ChargeLoopIter()
+				if c.onProc(i) == me {
+					out = append(out, iteration{i: i})
+				}
+			}
+			return out
 		}
+		set := analysis.Exec(c.on.Dist().Pattern(0), c.onF, lo, hi, me)
+		// Symbolic evaluation cost: one call's worth.
+		e.node.Charge(machine.Cost{Calls: 1})
+		out = make([]iteration, 0, set.Len())
+		set.Each(func(i int) { out = append(out, iteration{i: i}) })
 		return out
 	}
 	// Rank 2: the exec rectangle is the cross product of the
@@ -199,7 +213,6 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 	// the loop bounds (block/cyclic distributions are separable by
 	// construction; the affine on-clause preimage of an interval is
 	// still an interval).
-	me := e.node.ID()
 	d := c.on.Dist()
 	rows, cols := analysis.Exec2(d.Pattern(0), d.Pattern(1), c.onF2,
 		c.bounds[0], c.bounds[1], c.bounds[2], c.bounds[3], me)
@@ -260,15 +273,15 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 		}
 	}
 
-	// Finalize in sets and ship each record to its home processor.
+	// Finalize in sets and ship each record to its home processor.  A
+	// parcel's records alias the in set's, which no one writes again: the
+	// receiver copies them out.
 	var parcels []crystal.Parcel
 	for k, b := range builders {
 		in := b.Finalize()
 		p.slots = append(p.slots, slot{in: in})
 		for _, q := range in.Senders() {
-			rf := in.RangesFrom(q)
-			recs := make([]comm.Range, len(rf))
-			copy(recs, rf)
+			recs := in.RangesFrom(q)
 			parcels = append(parcels, crystal.Parcel{
 				Dest:  q,
 				Data:  routedRecs{slot: k, recs: recs},
@@ -280,13 +293,21 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 	received := e.exchange(parcels)
 
 	// Assemble out sets from the records that arrived for each slot.
-	bySlot := make([][]comm.Range, len(arrays))
+	counts := make([]int, len(arrays))
 	for _, pc := range received {
 		rr := pc.Data.(routedRecs)
 		if rr.slot < 0 || rr.slot >= len(arrays) {
 			panic(fmt.Sprintf("forall %s: routed records for unknown slot %d", c.name, rr.slot))
 		}
+		counts[rr.slot] += len(rr.recs)
+	}
+	bySlot := make([][]comm.Range, len(arrays))
+	for k, n := range counts {
+		bySlot[k] = make([]comm.Range, 0, n)
+	}
+	for _, pc := range received {
 		// Records arrive as the *receiver's* in-records: FromProc is us.
+		rr := pc.Data.(routedRecs)
 		bySlot[rr.slot] = append(bySlot[rr.slot], rr.recs...)
 	}
 	for k := range p.slots {

@@ -115,13 +115,19 @@ func (e *Env) slotOf(a *darray.Array) int {
 func (e *Env) Read(a *darray.Array, g int) float64 {
 	switch e.mode {
 	case modeInspect:
-		e.node.Charge(machine.Cost{RefChecks: 1})
-		owner := a.OwnerLinear(g)
-		if owner == -1 || owner == e.node.ID() {
+		e.node.ChargeRefCheck()
+		v, local := a.LocalLinear(g)
+		owner := -1
+		if !local {
+			if owner = a.OwnerLinear(g); owner == -1 || owner == e.node.ID() {
+				v, local = a.GetLinear(g), true
+			}
+		}
+		if local {
 			if e.core.enumerate {
 				e.enumRecord = append(e.enumRecord, enumRef{Slot: e.slotOf(a), G: g, Buf: -1})
 			}
-			return a.GetLinear(g)
+			return v
 		}
 		e.iterNonlocal = true
 		if e.core.enumerate {
@@ -170,8 +176,7 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 		e.node.ChargeSearch(in.NumRanges())
 		slot, ok := in.Find(owner, g)
 		if !ok {
-			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
-				e.core.name, a.Name(), g))
+			panic(e.unscheduled(a, g))
 		}
 		e.node.ChargeMemRefs(1)
 		return e.sched.bufs[k][slot]
@@ -211,8 +216,7 @@ func (e *Env) Read2(a *darray.Array, i, j int) float64 {
 		e.node.ChargeSearch(in.NumRanges())
 		slot, ok := in.Find(a.OwnerLinear(g), g)
 		if !ok {
-			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
-				e.core.name, a.Name(), g))
+			panic(e.unscheduled(a, g))
 		}
 		e.node.ChargeMemRefs(1)
 		return e.sched.bufs[k][slot]
@@ -287,6 +291,75 @@ func (e *Env) boundarySpan(a *darray.Array, local []float64, g0, g1 int, inside 
 // Nonlocal reports whether the body is running in the executor's
 // nonlocal loop, where a Segment body is offered the boundary's runs.
 func (e *Env) Nonlocal() bool { return e.mode == modeExecNonlocal }
+
+// Gather is the load side of a Loop.Segment body for a rank-1 read
+// whose subscripts are data — the paper's old_a[adj[i,j]] — where no
+// run of the read is a span.  Env.Gather resolves the array's slot,
+// receive buffer and search price once; At then reads one element as
+// Read would, and charges nothing, for a caller that holds the clock
+// (machine.Node.ClockCell).  What Read charges ahead of the memory
+// reference is the caller's to add: nothing in the executor's local
+// loop; in the nonlocal loop a locality test (Tested), and after it
+// Search when At reports the element remote.
+type Gather struct {
+	// Tested says every read tests locality first (the nonlocal loop).
+	Tested bool
+	// Search is the price of the in-set search a remote read adds after
+	// its test (machine.Node.SearchCost).
+	Search float64
+
+	e   *Env
+	a   *darray.Array
+	in  *comm.InSet
+	buf []float64
+}
+
+// Gather returns the handle on a for the executor's current loop, or ok
+// false where a Segment body must leave the reads to Read: under the
+// recording pass, and in the nonlocal loop for an array not declared in
+// Loop.Reads.  (The nonlocal loop offers no runs under Enumerate.)
+func (e *Env) Gather(a *darray.Array) (g Gather, ok bool) {
+	switch e.mode {
+	case modeExecLocal:
+		return Gather{e: e, a: a}, true
+	case modeInspect:
+		return Gather{}, false
+	}
+	for k, arr := range e.arrays {
+		if arr == a {
+			in := e.sched.slots[k].in
+			return Gather{Tested: true, Search: e.node.SearchCost(in.NumRanges()), e: e, a: a, in: in, buf: e.sched.bufs[k]}, true
+		}
+	}
+	return Gather{}, false
+}
+
+// At returns element x (linearized global index) and whether it came
+// from the receive buffer, panicking where Read would.
+func (g *Gather) At(x int) (v float64, remote bool) {
+	if v, ok := g.a.LocalLinear(x); ok {
+		return v, false
+	}
+	if !g.Tested {
+		return g.a.GetLinear(x), false
+	}
+	owner := g.a.OwnerLinear(x)
+	if owner == -1 || owner == g.e.node.ID() {
+		return g.a.GetLinear(x), false
+	}
+	off, ok := g.in.Find(owner, x)
+	if !ok {
+		panic(g.e.unscheduled(g.a, x))
+	}
+	return g.buf[off], true
+}
+
+// unscheduled is the panic text for a remote element g of a that the
+// loop's in set does not hold.
+func (e *Env) unscheduled(a *darray.Array, g int) string {
+	return fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
+		e.core.name, a.Name(), g)
+}
 
 // ReadLocal fetches element i of a 1-D array through an access the
 // compiler proved local (subscript aligned with the on clause, or

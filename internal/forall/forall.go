@@ -122,9 +122,10 @@ type Loop struct {
 	// receives) in the nonlocal mode (Env.Nonlocal), where Read tests
 	// every reference's locality and searches the receive buffer for the
 	// remote ones; ReadSpan1 gives a run's read in either mode as a view
-	// and the charges each element makes ahead of its memory reference.
-	// Loops with Enumerate, and the inspector's recording pass, always
-	// use Body.
+	// and the charges each element makes ahead of its memory reference,
+	// and Env.Gather does the same per element for a read whose
+	// subscripts are data.  Loops with Enumerate, and the inspector's
+	// recording pass, always use Body.
 	Segment func(lo, hi int, e *Env) bool
 	// Phase overrides the timing phase the execution is attributed to
 	// (default PhaseExecutor).  The paper's measurements time only the
@@ -956,29 +957,6 @@ func appendDistinct(dst []*darray.Array, reads []ReadSpec) []*darray.Array {
 // reads, in first-appearance (slot) order.
 func distinctArrays(c *loopCore) []*darray.Array {
 	return appendDistinct(nil, c.reads)
-}
-
-// execSet computes exec(p) for a rank-1 loop as a sorted slice.
-func (e *Engine) execSet(c *loopCore) []int {
-	me := e.node.ID()
-	lo, hi := c.bounds[0], c.bounds[1]
-	if c.onProc != nil {
-		// Run-time placement scan: evaluate the on expression for every
-		// iteration in range.
-		var out []int
-		for i := lo; i <= hi; i++ {
-			e.node.ChargeLoopIter()
-			if c.onProc(i) == me {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	pat := c.on.Dist().Pattern(0)
-	set := analysis.Exec(pat, c.onF, lo, hi, me)
-	// Symbolic evaluation cost: one call's worth.
-	e.node.Charge(machine.Cost{Calls: 1})
-	return set.Slice()
 }
 
 // recBytes is the modeled wire size of one in/out record (Figure 5:

@@ -1,0 +1,232 @@
+package forall
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"kali/internal/alloctest"
+	"kali/internal/analysis"
+	"kali/internal/comm"
+	"kali/internal/darray"
+	"kali/internal/dist"
+	"kali/internal/machine"
+	"kali/internal/machine/sim"
+	"kali/internal/machine/wallclock"
+	"kali/internal/topology"
+)
+
+// Tests of Env.Gather, the load side of a Segment body whose reads have
+// data for subscripts: a hand-written kernel over the handle, with the
+// clock in the node's ClockCell, must be the per-element Body in every
+// observable — values, Stats, clocks to the bit — in both executor
+// loops.
+
+// gatherLoop is the indirect loop out[i] := src[idx[i]] + src[idx[i]+1]
+// over 1..n; with segments it carries a Segment body over Env.Gather.
+func gatherLoop(nd *machine.Node, n int, out, src *darray.Array, idx *darray.IntArray, segments bool) *Loop {
+	l := &Loop{
+		Name: "gather", Lo: 1, Hi: n, On: out, OnF: analysis.Identity,
+		Reads:     []ReadSpec{{Array: src}},
+		DependsOn: []Dep{idx},
+		Body: func(i int, e *Env) {
+			g := e.ReadInt(idx, i)
+			x := e.Read(src, g) + e.Read(src, g%n+1)
+			e.Flops(2)
+			e.Write(out, i, x)
+		},
+	}
+	cell, u, ok := nd.ClockCell()
+	if !segments || !ok {
+		return l
+	}
+	l.Segment = func(lo, hi int, e *Env) bool {
+		from, dst := idx.Span1(lo, hi), e.WriteSpan1(out, lo, hi)
+		if from == nil || dst == nil {
+			return false
+		}
+		h, ok := e.Gather(src)
+		if !ok {
+			return false
+		}
+		read := func(t float64, g int) (float64, float64) {
+			v, remote := h.At(g)
+			if h.Tested {
+				t += u.LocTest
+				if remote {
+					t += h.Search
+				}
+			}
+			return v, t + u.MemRef
+		}
+		t := *cell
+		for k, g := range from {
+			t += u.LoopIter
+			t += u.MemRef
+			a, t1 := read(t, g)
+			b, t2 := read(t1, g%n+1)
+			t = t2 + 2*u.Flop
+			t += u.MemRef
+			dst[k] = a + b
+		}
+		*cell = t
+		nd.AddFlopCount(int64(2 * len(dst)))
+		return true
+	}
+	return l
+}
+
+// gatherRun is what sweeps of the gather loop leave behind.
+type gatherRun struct {
+	out                           []float64
+	stats                         machine.Stats
+	clock                         uint64
+	interior, seg, boundary, bseg int
+}
+
+func runGather(t *testing.T, mach *machine.Machine, spec dist.DimSpec, n, sweeps int, segments bool) gatherRun {
+	t.Helper()
+	d := dist.Must([]int{n}, []dist.DimSpec{spec}, topology.MustGrid(mach.P()))
+	r := gatherRun{out: make([]float64, n)}
+	var mu sync.Mutex
+	mach.Run(func(nd *machine.Node) {
+		src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+		idx := darray.NewInt("idx", d, nd)
+		src.EachLocal(func(g int) { src.Set1(g, 1+float64(g)*0.37) })
+		// Mostly a neighbour (local but at block edges), every fifth a
+		// reference across the array.
+		idx.EachLocal(func(g int) {
+			if g%5 == 0 {
+				idx.Set1(g, (g*7)%n+1)
+			} else {
+				idx.Set1(g, g%n+1)
+			}
+		})
+		eng := NewEngine(nd)
+		l := gatherLoop(nd, n, out, src, idx, segments)
+		for s := 0; s < sweeps; s++ {
+			eng.Run(l)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		out.EachLocal(func(g int) { r.out[g-1] = out.Get1(g) })
+		r.interior += eng.InteriorIters()
+		r.seg += eng.SegmentIters()
+		r.boundary += eng.BoundaryIters()
+		r.bseg += eng.BoundarySegmentIters()
+	})
+	r.stats = mach.TotalStats()
+	r.clock = math.Float64bits(mach.MaxClock())
+	return r
+}
+
+// TestGatherSegmentsMatchBody: the kernel over Env.Gather and the same
+// loop without a Segment body agree on values, Stats and (on the
+// simulator) every clock bit, on both backends, at P 1, 3, 4 and 8 and
+// under every rank-1 distribution kind.  Under block each interior and
+// boundary iteration runs by segments; the others have no locality
+// window, so the kernel declines every run and Body runs them all.
+func TestGatherSegmentsMatchBody(t *testing.T) {
+	const n, sweeps = 61, 3
+	specs := map[string]dist.DimSpec{
+		"block": dist.BlockDim(), "cyclic": dist.CyclicDim(), "block_cyclic": dist.BlockCyclicDim(3),
+	}
+	for _, p := range []int{1, 3, 4, 8} {
+		owners := make([]int, n)
+		for i := range owners {
+			owners[i] = (i * i) % p
+		}
+		specs["map"] = dist.MapDim(owners)
+		for name, spec := range specs {
+			for _, backend := range []string{"sim", "wall"} {
+				mk := func() *machine.Machine {
+					if backend == "wall" {
+						return wallclock.MustNew(p, machine.IPSC2())
+					}
+					return sim.MustNew(p, machine.NCUBE7())
+				}
+				tag := fmt.Sprintf("%s %s p=%d", backend, name, p)
+				want := runGather(t, mk(), spec, n, sweeps, false)
+				got := runGather(t, mk(), spec, n, sweeps, true)
+				for i := range want.out {
+					if got.out[i] != want.out[i] {
+						t.Fatalf("%s: out[%d] = %v by segments, want %v", tag, i+1, got.out[i], want.out[i])
+					}
+				}
+				if backend == "sim" && (got.stats != want.stats || got.clock != want.clock) {
+					t.Errorf("%s: stats %+v clock %#x by segments, want %+v %#x", tag, got.stats, got.clock, want.stats, want.clock)
+				}
+				if got.stats.FlopCount != want.stats.FlopCount {
+					t.Errorf("%s: %d flops by segments, want %d", tag, got.stats.FlopCount, want.stats.FlopCount)
+				}
+				if got.interior != want.interior || got.boundary != want.boundary || want.seg+want.bseg != 0 {
+					t.Errorf("%s: iterations %+v by segments, %+v without", tag, got, want)
+				}
+				windowed := name == "block" || p == 1
+				if windowed && (got.seg != got.interior || got.bseg != got.boundary) ||
+					!windowed && got.seg+got.bseg != 0 {
+					t.Errorf("%s: %d of %d interior and %d of %d boundary iterations by segments",
+						tag, got.seg, got.interior, got.bseg, got.boundary)
+				}
+				if p > 1 && name == "block" && got.boundary == 0 {
+					t.Errorf("%s: no boundary iterations to test", tag)
+				}
+			}
+		}
+	}
+}
+
+// TestGatherKeepsReadPanics: a body whose references changed since
+// inspection without the driving array in DependsOn fails with Read's
+// message whether the boundary runs by segments or per element.
+func TestGatherKeepsReadPanics(t *testing.T) {
+	const n, p = 16, 4
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	run := func(segments bool) string {
+		return panicText(func() {
+			sim.MustNew(p, machine.NCUBE7()).Run(func(nd *machine.Node) {
+				src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+				idx := darray.NewInt("idx", d, nd)
+				idx.EachLocal(func(g int) { idx.Set1(g, n+1-g) })
+				l := gatherLoop(nd, n, out, src, idx, segments)
+				l.DependsOn = nil
+				eng := NewEngine(nd)
+				eng.Run(l)
+				// A reference the schedule never saw: node 0 read only
+				// node 3's src[13..16]; now it reads node 1's src[6].
+				if idx.IsLocal1(3) {
+					idx.Set1(3, 6)
+				}
+				eng.Run(l)
+			})
+		})
+	}
+	want := "machine: node 0 panicked: forall gather: element src[6] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)"
+	for _, segments := range []bool{false, true} {
+		if got := run(segments); got != want {
+			t.Errorf("segments=%v: panic %q, want %q", segments, got, want)
+		}
+	}
+}
+
+// TestGatherSegmentReplayAllocationFree: replaying the inspected loop
+// with its interior and boundary run by the kernel allocates nothing.
+func TestGatherSegmentReplayAllocationFree(t *testing.T) {
+	const n, p, warmup, reps = 64, 4, 5, 20
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	mach := sim.MustNew(p, machine.Ideal())
+	pin := alloctest.Pin{Pool: func() comm.PoolStats { return MachinePoolStats(mach) }}
+	mach.Run(func(nd *machine.Node) {
+		src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+		idx := darray.NewInt("idx", d, nd)
+		idx.EachLocal(func(g int) { idx.Set1(g, (g*7)%n+1) })
+		eng := NewEngine(nd)
+		l := gatherLoop(nd, n, out, src, idx, true)
+		pin.Run(nd, warmup, reps, func() { eng.Run(l) })
+		if eng.BoundarySegmentIters() == 0 || eng.BoundarySegmentIters() != eng.BoundaryIters() {
+			t.Errorf("node %d: %d of %d boundary iterations by segments", nd.ID(), eng.BoundarySegmentIters(), eng.BoundaryIters())
+		}
+	})
+	pin.Check(t, "gather segment replay")
+}

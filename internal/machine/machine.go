@@ -434,6 +434,14 @@ func (n *Node) ChargeLoopIter() {
 	}
 }
 
+// ChargeRefCheck charges one inspector reference check, exactly like
+// Charge(Cost{RefChecks: 1}).
+func (n *Node) ChargeRefCheck() {
+	if n.virtual {
+		n.advance(n.m.params.RefCheck)
+	}
+}
+
 // UnitCosts are the prices of the single-term charges a forall body
 // makes per element, as ClockCell hands them out: the locality test is
 // a boundary read's.

@@ -84,7 +84,12 @@ type Result struct {
 const phaseCopy = "copy"
 
 // Run executes the experiment on a fresh simulated machine.
-func Run(opt Options) Result {
+func Run(opt Options) Result { return run(opt, true) }
+
+// run is Run, with the relaxation core's Segment body (sweepSegment)
+// attached when segments is set; without it every iteration runs
+// through Body, which is what the tests hold the segment body against.
+func run(opt Options, segments bool) Result {
 	if opt.Mesh == nil || opt.Sweeps < 1 || opt.P < 1 {
 		panic(fmt.Sprintf("relax: bad options %+v", opt))
 	}
@@ -125,9 +130,15 @@ func Run(opt Options) Result {
 			a.Set1(i, init[i-1])
 			oldA.Set1(i, init[i-1])
 			count.Set1(i, m.Count[i-1])
+			row := (i - 1) * m.MaxDeg
+			if ar, cr := adj.Span2(i, 1, m.MaxDeg), coef.Span2(i, 1, m.MaxDeg); ar != nil && cr != nil {
+				copy(ar, m.Adj[row:row+m.MaxDeg])
+				copy(cr, m.Coef[row:row+m.MaxDeg])
+				return
+			}
 			for k := 0; k < m.MaxDeg; k++ {
-				adj.Set2(i, k+1, m.Adj[(i-1)*m.MaxDeg+k])
-				coef.Set2(i, k+1, m.Coef[(i-1)*m.MaxDeg+k])
+				adj.Set2(i, k+1, m.Adj[row+k])
+				coef.Set2(i, k+1, m.Coef[row+k])
 			}
 		})
 
@@ -162,6 +173,10 @@ func Run(opt Options) Result {
 					e.Write(a, i, x)
 				}
 			},
+		}
+		if segments {
+			copyLoop.Segment = copySegment(ctx.Node, oldA, a)
+			relaxLoop.Segment = sweepSegment(ctx.Node, a, oldA, count, adj, coef)
 		}
 
 		// The sweep runs through the sequence API; the relaxation core
@@ -213,6 +228,112 @@ func Run(opt Options) Result {
 		}
 	}
 	return res
+}
+
+// copySegment returns the copy loop's Segment body: dst[lo..hi] :=
+// src[lo..hi] as Body copies it, element by element charges included,
+// with the clock in the node's ClockCell; nil when the clock has no
+// cell.
+func copySegment(nd *machine.Node, dst, src *darray.Array) func(lo, hi int, e *forall.Env) bool {
+	cell, u, ok := nd.ClockCell()
+	if !ok {
+		return nil
+	}
+	return func(lo, hi int, e *forall.Env) bool {
+		from, checks, search := e.ReadSpan1(src, lo, hi)
+		if from == nil {
+			return false
+		}
+		to := e.WriteSpan1(dst, lo, hi)
+		if to == nil {
+			return false
+		}
+		t := *cell
+		for k := range to {
+			t += u.LoopIter
+			if checks > 0 {
+				t += u.LocTest
+				if checks > 1 {
+					t += search
+				}
+			}
+			t += u.MemRef // src[i]
+			t += u.MemRef // dst[i]
+			to[k] = from[k]
+		}
+		*cell = t
+		return true
+	}
+}
+
+// sweepSegment returns the relaxation core's Segment body: iterations
+// lo..hi run as Body runs them one at a time, with the same values and
+// the same charges in the same order, but against the local rows of
+// count, adj and coef, with a direct store into a, and with the clock
+// held in the node's ClockCell.  The indirect read old_a[adj[i,j]] goes
+// through an Env.Gather handle, so a boundary run tests every reference
+// and searches the receive buffer for the remote ones, as Read does.  A
+// run it cannot take whole it declines before any side effect: a
+// distribution without a locality window, a count out of [0, maxdeg],
+// or an Env that leaves the reads to Read.  Nil when the clock has no
+// cell.
+func sweepSegment(nd *machine.Node, a, oldA *darray.Array, count, adj *darray.IntArray, coef *darray.Array) func(lo, hi int, e *forall.Env) bool {
+	cell, u, ok := nd.ClockCell()
+	if !ok {
+		return nil
+	}
+	deg := coef.Extent(1)
+	return func(lo, hi int, e *forall.Env) bool {
+		cnt := count.Span1(lo, hi)
+		if cnt == nil || coef.Span2(lo, 1, deg) == nil || coef.Span2(hi, 1, deg) == nil ||
+			adj.Span2(lo, 1, deg) == nil || adj.Span2(hi, 1, deg) == nil {
+			return false
+		}
+		flops := 0
+		for _, n := range cnt {
+			if n < 0 || n > deg {
+				return false
+			}
+			flops += 2*n + 1
+		}
+		src, ok := e.Gather(oldA)
+		if !ok {
+			return false
+		}
+		dst := e.WriteSpan1(a, lo, hi)
+		if dst == nil {
+			return false
+		}
+		t := *cell
+		for k, n := range cnt {
+			t += u.LoopIter
+			t += u.MemRef // count[i]
+			cf, ad := coef.Span2(lo+k, 1, deg), adj.Span2(lo+k, 1, deg)
+			x := 0.0
+			for j := 0; j < n; j++ {
+				t += u.MemRef // coef[i,j]
+				t += u.MemRef // adj[i,j]
+				v, remote := src.At(ad[j])
+				if src.Tested {
+					t += u.LocTest
+					if remote {
+						t += src.Search
+					}
+				}
+				t += u.MemRef // old_a[adj[i,j]]
+				x += cf[j] * v
+				t += 2 * u.Flop
+			}
+			t += u.Flop
+			if n > 0 {
+				t += u.MemRef
+				dst[k] = x
+			}
+		}
+		*cell = t
+		nd.AddFlopCount(int64(flops))
+		return true
+	}
 }
 
 // RunExtrapolated runs only a few sweeps and extrapolates the
