@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kalirun [-machine ncube|ipsc|ideal] [-backend sim|wall] [-p N] [-ref] [-novm] [-print name,...] [-stats] prog.kali
+//	kalirun [-machine ncube|ipsc|ideal] [-backend sim|wall] [-p N] [-ref] [-print name,...] [-stats] prog.kali
 //
 // -backend sim (default) runs on the virtual-clock simulator: times
 // are deterministic cost-model predictions for the chosen -machine.
@@ -19,9 +19,8 @@
 // their boundary passes.  -ref runs every loop through the reference
 // executor instead — the paper's Figure 3 literally: per loop, blocking
 // sends, fixed-order receives — same results and bytes, never fewer
-// messages, never less simulated time.  Like -novm (the program
-// tree-walked instead of compiled) it is a differential oracle, not a
-// mode to run in.
+// messages, never less simulated time.  It is a differential oracle,
+// not a mode to run in.
 //
 // The program's processors declaration (the "real estate agent") may
 // choose fewer processors than -p provides.  After execution the
@@ -65,7 +64,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // setting one in the other mode is a usage error rather than a flag
 // silently ignored.
 var modeOnly = map[string]bool{ // flag -> needs -serve
-	"ref": false, "novm": false, "print": false, "stats": false,
+	"ref": false, "print": false, "stats": false,
 	"pool": true, "cachedir": true,
 }
 
@@ -79,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	procs := fs.Int("p", 8, "available processors")
 	printArrays := fs.String("print", "", "comma-separated array/scalar names to print")
 	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution) and the body paths interior and boundary iterations took")
-	noVM := fs.Bool("novm", false, "oracle: run the program on the tree-walking interpreter instead of the bytecode VM")
 	ref := fs.Bool("ref", false, "oracle: run foralls on the reference executor (per loop, blocking, Figure 3 literally) instead of the production one")
 	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
 	poolSize := fs.Int("pool", 4, "with -serve: number of pooled machines (max concurrent tenants)")
@@ -154,7 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "kalirun: %s: %v\n", fs.Arg(0), err)
 		return 1
 	}
-	prog.NoVM = *noVM
 	res, err := prog.Run(core.Config{P: *procs, Params: params, Backend: *backend, Reference: *ref})
 	if err != nil {
 		fmt.Fprintln(stderr, "kalirun:", err)

@@ -25,10 +25,11 @@ func TestRunFlagHandling(t *testing.T) {
 		stderr string // substring; "" = stderr must be empty
 	}{
 		{"run", []string{"-machine", "ideal", "-p", "4", prog}, 0, ""},
-		{"run -ref -novm -stats -print", []string{"-machine", "ideal", "-p", "4", "-ref", "-novm", "-stats", "-print", "A", prog}, 0, ""},
+		{"run -ref -stats -print", []string{"-machine", "ideal", "-p", "4", "-ref", "-stats", "-print", "A", prog}, 0, ""},
 		{"no program", nil, 2, "need exactly one program"},
 		{"two programs", []string{prog, prog}, 2, "need exactly one program"},
 		{"unknown flag", []string{"-overlap=off", prog}, 2, "flag provided but not defined"},
+		{"removed walker flag", []string{"-novm", prog}, 2, "flag provided but not defined: -novm"},
 		{"bad machine", []string{"-machine", "cray", prog}, 2, `unknown machine "cray"`},
 		{"bad backend", []string{"-backend", "mpi", prog}, 2, `unknown backend "mpi"`},
 		{"-pool without -serve", []string{"-pool", "2", prog}, 2, "-pool applies only with -serve"},
@@ -39,7 +40,6 @@ func TestRunFlagHandling(t *testing.T) {
 		{"serve bad machine", []string{"-serve", badAddr, "-machine", "cray"}, 2, `unknown machine "cray"`},
 		{"serve bad backend", []string{"-serve", badAddr, "-backend", "mpi"}, 2, `unknown backend "mpi"`},
 		{"serve -ref", []string{"-serve", badAddr, "-ref"}, 2, "-ref does not apply with -serve"},
-		{"serve -novm", []string{"-serve", badAddr, "-novm"}, 2, "-novm does not apply with -serve"},
 		{"serve -print", []string{"-serve", badAddr, "-print", "A"}, 2, "-print does not apply with -serve"},
 		{"serve -stats", []string{"-serve", badAddr, "-stats"}, 2, "-stats does not apply with -serve"},
 		{"serve with program", []string{"-serve", badAddr, prog}, 2, "-serve takes no program"},
@@ -74,14 +74,13 @@ func TestRunRefMatchesProduction(t *testing.T) {
 // TestRunStatsBodyPaths: -stats says which body path the interior and
 // the boundary iterations took — all of jacobi2d's interior column-wise
 // on the VM, and all of its boundary by segments, the halo rows but for
-// their corner element column-wise; none by segments on the walker or
-// the reference executor.
+// their corner element column-wise; none by segments on the reference
+// executor.
 func TestRunStatsBodyPaths(t *testing.T) {
 	const prog = "../../internal/lang/testdata/jacobi2d.kali"
 	for extra, want := range map[string]string{
-		"":      "interior iterations: 2400, 2400 by segments, 2400 column-wise\nboundary iterations: 312, 312 by segments, 144 column-wise\n",
-		"-novm": "interior iterations: 2400, 0 by segments, 0 column-wise\nboundary iterations: 312, 0 by segments, 0 column-wise\n",
-		"-ref":  "interior iterations: 2400, 0 by segments, 0 column-wise\nboundary iterations: 312, 0 by segments, 0 column-wise\n",
+		"":     "interior iterations: 2400, 2400 by segments, 2400 column-wise\nboundary iterations: 312, 312 by segments, 144 column-wise\n",
+		"-ref": "interior iterations: 2400, 0 by segments, 0 column-wise\nboundary iterations: 312, 0 by segments, 0 column-wise\n",
 	} {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-machine", "ncube", "-p", "4", "-stats", prog}

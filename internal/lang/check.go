@@ -914,9 +914,9 @@ func (c *checker) exprType(e Expr, loc *locals) (BaseType, error) {
 // builtin is a predeclared name: an intrinsic function, which only a
 // call names, or a reduction, which only a reduce statement names — so
 // max and min name one of each, and a user scalar may be called max.
-// The checker binds each Call and Reduce to its entry; the walker, the
-// constant folder, the compiler and execReduce read the entry and never
-// the name.
+// The checker binds each Call and Reduce to its entry; the constant
+// folder, the compiler, execReduce and the walker oracle
+// (walker_test.go) read the entry and never the name.
 type builtin struct {
 	name   string
 	reduce bool

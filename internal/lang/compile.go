@@ -21,10 +21,12 @@ import (
 // emitted there, and its statements are the SPMD code every node runs:
 // an indexed store is owner-first (comp.put), and what runs below the
 // language — a run of foralls, a reduce, a redistribute — is one
-// opEscape into the statement code interp.go shares with the walker,
-// with the globals written back around it (vmState.escape).
+// opEscape into interp.go's statement code, with the globals written
+// back around it (vmState.escape).
 //
-// What the compiler does that the tree walker could not:
+// The tree walker in walker_test.go interprets the same checked AST
+// and is the oracle the differential tests hold the compiled program
+// to.  What the compiler does that the walker does not:
 //   - storage resolution at compile time: the forall's frame slots
 //     (index variables, local decls, sequential loop variables) and the
 //     top level's global scalars become fixed registers, and a body's
@@ -319,7 +321,7 @@ func (c *comp) varReg(s *Symbol) int32 {
 // ---- statements ------------------------------------------------------
 
 // stmts compiles a statement list.  A forall, with the foralls adjacent
-// to it (the run the walker batches), a reduce and a redistribute —
+// to it (the run execForalls launches as one), a reduce and a redistribute —
 // top-level statements all three — are escapes.
 func (c *comp) stmts(ss []Stmt) {
 	for k := 0; k < len(ss); k++ {
@@ -353,8 +355,8 @@ func (c *comp) stmt(s Stmt) {
 
 // escape compiles statement-level code: one opEscape for ss, a reduce,
 // a redistribute or a run of adjacent foralls.  A forall's bounds are
-// compiled here, before it, in the walker's order, so the statement
-// code evaluates no expression.
+// compiled here, before it, in the walker oracle's order, so the
+// statement code evaluates no expression.
 func (c *comp) escape(ss []Stmt) {
 	e := escape{stmts: ss}
 	for _, s := range ss {
@@ -415,9 +417,10 @@ func (c *comp) assign(s *Assign) {
 	}
 }
 
-// put compiles a top-level indexed store owner-first, as the walker's
-// execAssign runs it: the subscripts; the ownership test, the very call
-// the walker makes, so that an out-of-range subscript panics alike; on
+// put compiles a top-level indexed store owner-first, as the walker
+// oracle's execAssign (walker_test.go) runs it: the subscripts; the
+// ownership test, the very call the walker makes, so that an
+// out-of-range subscript panics alike; on
 // a non-owner a jump past the right-hand side; the store.  An integer
 // store bumps the array's version, which schedules driven by its
 // contents check, on every node.
@@ -862,7 +865,7 @@ func (c *comp) finishHoists(cb *compiledBody) {
 
 // affine tries to express ix as a*reg + k over a single integer
 // variable register (reg = -1 for pure constants).  Coefficient
-// arithmetic wraps like the walker's run-time arithmetic.
+// arithmetic wraps like the run-time arithmetic.
 func (c *comp) affine(ix Expr) (reg int32, a, k int, ok bool) {
 	switch e := ix.(type) {
 	case *IntLit:
@@ -963,8 +966,8 @@ func (c *comp) foldable(e Expr) bool {
 	}
 }
 
-// fold evaluates a foldable subtree with the walker's own run-time
-// arithmetic (wrapping ints, IEEE reals — not the checked constant
+// fold evaluates a foldable subtree with the run-time arithmetic, arith
+// (wrapping ints, IEEE reals — not the checked constant
 // evaluator, whose overflow diagnostics would change program behavior)
 // and charges the flops the walker would have spent computing it.
 func (c *comp) fold(e Expr) (int32, BaseType) {

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -101,6 +102,36 @@ func TestPDependentConstFaultIsRunError(t *testing.T) {
 		t.Fatal("Run succeeded, want division-by-zero elaboration error")
 	} else if !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("unexpected error %q", err)
+	}
+}
+
+// TestBadArrayBoundsAreElaborationErrors: an array bound that is not
+// 1..hi with hi >= 1 — folded at Check time or depending on P — is a
+// *Error at the declaration's line from elaboration, on the host,
+// before any node starts, and Run returns it as it is.
+func TestBadArrayBoundsAreElaborationErrors(t *testing.T) {
+	for _, c := range []struct{ consts, dims, want string }{
+		{"const n = 8;", "0..n", `array "a": lower bound is 0, must be 1`},
+		{"const n = P - 8;", "1..n", `array "a": upper bound is -6, must be at least 1`},
+	} {
+		src := "processors Procs : array[1..P] with P in 1..8;\n" +
+			c.consts + "\n" +
+			"var a : array[" + c.dims + "] of real dist by [block] on Procs;\n" +
+			"begin\nend.\n"
+		prog, err := Compile(src)
+		if err != nil {
+			t.Fatalf("%s: Check error %v, want the bound to pass Check", c.dims, err)
+		}
+		_, elabErr := prog.elaborate(2)
+		res, runErr := prog.Run(core.Config{P: 2, Params: machine.Ideal()})
+		var le *Error
+		if !errors.As(elabErr, &le) || le.Line != 3 || !strings.Contains(le.Msg, c.want) {
+			t.Errorf("%s: elaboration error %v, want a *Error at line 3 saying %q", c.dims, elabErr, c.want)
+			continue
+		}
+		if res != nil || !errors.As(runErr, &le) || runErr.Error() != elabErr.Error() {
+			t.Errorf("%s: Run returned %v, %v; want no result and the elaboration *Error", c.dims, res, runErr)
+		}
 	}
 }
 

@@ -67,9 +67,7 @@ func diffVMWalker(t *testing.T, src string, p int) *Result {
 	if err != nil {
 		t.Fatalf("vm run: %v\n%s", err, src)
 	}
-	prog.NoVM = true
-	walk, err := prog.Run(cfg)
-	prog.NoVM = false
+	walk, err := prog.walked(cfg)
 	if err != nil {
 		t.Fatalf("walker run: %v\n%s", err, src)
 	}

@@ -18,12 +18,6 @@ import (
 type Program struct {
 	file *File
 	src  string
-
-	// NoVM runs the program — top level and forall bodies — on the
-	// tree-walking interpreter instead of the bytecode VM (kalirun
-	// -novm).  The two paths are observably identical; the walker is
-	// kept as the differential-test oracle.
-	NoVM bool
 }
 
 // Compile parses and checks Kali source.
@@ -60,9 +54,9 @@ type Result struct {
 }
 
 // elaboration is the host-side product of Program.elaborate: fully
-// evaluated constants, the chosen processor grid, and (unless NoVM)
-// the compiled bytecode for the top level and every forall body.  It is
-// immutable and shared read-only by every node goroutine.
+// evaluated constants, the chosen processor grid, and the compiled
+// bytecode for the top level and every forall body.  It is immutable
+// and shared read-only by every node goroutine.
 type elaboration struct {
 	constVals []value // by Symbol.Slot
 	grid      *topology.Grid
@@ -78,6 +72,8 @@ type elaboration struct {
 // were already folded at Check time (ConstDecl.Folded), then the real
 // estate agent chooses P, then the P-dependent constants evaluate —
 // which is also why body compilation cannot happen before run time.
+// Every declared array bound is validated here, on the host, so a bad
+// one is a positioned *Error before any node starts.
 func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -132,18 +128,36 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 			ce.consts[d.sym.Slot] = ce.val(d.X)
 		}
 	}
-	el = &elaboration{constVals: ce.consts, grid: grid, procP: procP}
-	if !p.NoVM {
-		el.main = compileMain(p.file, el.constVals)
-		el.compiled = compileForalls(p.file, el.constVals)
+	for _, s := range p.file.syms {
+		if !s.isArray() {
+			continue
+		}
+		for _, dim := range s.decl.Dims {
+			if lo := ce.intVal(dim.Lo); lo != 1 {
+				return nil, errf(s.decl.Line, 1, "array %q: lower bound is %d, must be 1", s.Name, lo)
+			}
+			if hi := ce.intVal(dim.Hi); hi < 1 {
+				return nil, errf(s.decl.Line, 1, "array %q: upper bound is %d, must be at least 1", s.Name, hi)
+			}
+		}
 	}
-	return el, nil
+	return &elaboration{
+		constVals: ce.consts,
+		grid:      grid,
+		procP:     procP,
+		main:      compileMain(p.file, ce.consts),
+		compiled:  compileForalls(p.file, ce.consts),
+	}, nil
 }
 
 // Run elaborates the program (choosing P within the declared bounds,
 // building distributions, compiling it) and executes it SPMD on the
 // simulated machine.
-func (p *Program) Run(cfg core.Config) (res *Result, err error) {
+func (p *Program) Run(cfg core.Config) (*Result, error) { return p.run(cfg, (*interp).exec) }
+
+// run is Run with the per-node statement runner passed in: the tests
+// pass the walker oracle's (walker_test.go).
+func (p *Program) run(cfg core.Config, exec func(*interp)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("lang: runtime error: %v", r)
@@ -154,15 +168,16 @@ func (p *Program) Run(cfg core.Config) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.execute(cfg, el, nil), nil
+	return p.execute(cfg, el, exec, nil), nil
 }
 
-// execute runs an elaborated program and returns its final state.  The
-// nodes leave it in per-slot buffers allocated host-side (shapes are
-// elaborable without the machine), disjointly and with no lookup;
-// Result's maps are filled host-side from the symbol list.  done, unless
-// nil, runs on every node last.
-func (p *Program) execute(cfg core.Config, el *elaboration, done func(*interp)) *Result {
+// execute runs an elaborated program with exec as every node's
+// statement runner and returns its final state.  The nodes leave it in
+// per-slot buffers allocated host-side (shapes are elaborable without
+// the machine), disjointly and with no lookup; Result's maps are filled
+// host-side from the symbol list.  done, unless nil, runs on every node
+// last.
+func (p *Program) execute(cfg core.Config, el *elaboration, exec func(*interp), done func(*interp)) *Result {
 	res := &Result{
 		P:         el.procP,
 		Arrays:    map[string][]float64{},
@@ -192,7 +207,7 @@ func (p *Program) execute(cfg core.Config, el *elaboration, done func(*interp)) 
 	res.Report = core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(p.file, ctx, el)
 		in.declareArrays()
-		in.exec()
+		exec(in)
 		in.gather(reals, ints, res)
 		if ctx.ID() == 0 {
 			globals = in.globals
@@ -237,14 +252,14 @@ type interp struct {
 	el   *elaboration
 
 	// globals holds the declared scalars and top-level implicit for
-	// variables: the walker's, and under the VM the frame the compiled top
-	// level writes its registers back to around escapes.
+	// variables: the frame the compiled top level writes its registers
+	// back to around escapes.
 	globals  []value
 	realArrs []*darray.Array
 	intArrs  []*darray.IntArray
 
 	// this node's VM states for the compiled top level and forall
-	// bodies; nil and empty under NoVM.
+	// bodies.
 	top *vmState
 	vms map[*Forall]*vmState
 
@@ -282,9 +297,7 @@ func newInterp(f *File, ctx *core.Context, el *elaboration) *interp {
 		seqs:     map[*Forall][]forall.SeqLoop{},
 		redists:  map[*Redistribute]*dist.Dist{},
 	}
-	if el.main != nil {
-		in.top = newVMState(el.main, in)
-	}
+	in.top = newVMState(el.main, in)
 	return in
 }
 
@@ -353,15 +366,7 @@ func (in *interp) declareArrays() {
 		d := s.decl
 		shape := make([]int, len(d.Dims))
 		for k, dim := range d.Dims {
-			lo := ce.intVal(dim.Lo)
-			hi := ce.intVal(dim.Hi)
-			if lo != 1 {
-				panic(fmt.Sprintf("array %q: lower bound must be 1", s.Name))
-			}
-			if hi < 1 {
-				panic(fmt.Sprintf("array %q: empty dimension", s.Name))
-			}
-			shape[k] = hi
+			shape[k] = ce.intVal(dim.Hi) // 1..hi, validated by elaborate
 		}
 		var dd *dist.Dist
 		if d.Dist == nil {
@@ -412,38 +417,15 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 }
 
 // exec runs the program's statements on this node: the compiled top
-// level, or under NoVM the walker.
+// level.
 func (in *interp) exec() {
-	if in.top == nil {
-		in.execStmts(in.file.Main, nil, nil)
-		return
-	}
 	in.top.run(0, 0, 0, nil, false)
 	in.top.flush()
 }
 
-// execStmts interprets a statement list.  Inside a forall body env is
-// non-nil and fr is the body's local frame.  At the top level (both
-// nil) a run of two or more adjacent foralls is launched as one
-// (execForalls).
-func (in *interp) execStmts(ss []Stmt, fr []value, env *forall.Env) {
-	for k := 0; k < len(ss); k++ {
-		if j := forallRun(ss, k); j > k+1 {
-			in.bounds = in.bounds[:0]
-			for _, s := range ss[k:j] {
-				in.bounds = append(in.bounds, in.walkBounds(s.(*Forall)))
-			}
-			in.execForalls(ss[k:j], in.bounds)
-			k = j - 1
-			continue
-		}
-		in.execStmt(ss[k], fr, env)
-	}
-}
-
 // forallRun returns the end of the maximal run of adjacent foralls
-// that starts at ss[k] (k itself if ss[k] is none).  The walker and the
-// compiler batch the same runs.
+// that starts at ss[k] (k itself if ss[k] is none).  The compiler and
+// the walker oracle (walker_test.go) batch the same runs.
 func forallRun(ss []Stmt, k int) int {
 	for k < len(ss) {
 		if _, ok := ss[k].(*Forall); !ok {
@@ -452,17 +434,6 @@ func forallRun(ss []Stmt, k int) int {
 		k++
 	}
 	return k
-}
-
-// walkBounds evaluates a forall's bounds (Lo, Hi, Lo2, Hi2) on the
-// walker.
-func (in *interp) walkBounds(fa *Forall) (b [4]int) {
-	for k, x := range [...]Expr{fa.Lo, fa.Hi, fa.Lo2, fa.Hi2} {
-		if x != nil {
-			b[k] = in.evalExpr(x, nil, nil).i
-		}
-	}
-	return b
 }
 
 // execForalls runs a maximal run of adjacent top-level foralls,
@@ -539,162 +510,6 @@ func (in *interp) writeArrays(fa *Forall) []*darray.Array {
 	return out
 }
 
-func (in *interp) execStmt(s Stmt, fr []value, env *forall.Env) {
-	switch s := s.(type) {
-	case *Assign:
-		in.execAssign(s, fr, env)
-	case *Forall:
-		in.execForall(s, in.walkBounds(s))
-	case *ForLoop:
-		lo := in.evalExpr(s.Lo, fr, env).i
-		hi := in.evalExpr(s.Hi, fr, env).i
-		v := in.cell(s.sym, fr)
-		for x := lo; x <= hi; x++ {
-			*v = intVal(x)
-			in.execStmts(s.Body, fr, env)
-		}
-	case *While:
-		for in.evalExpr(s.Cond, fr, env).b {
-			in.execStmts(s.Body, fr, env)
-		}
-	case *If:
-		if in.evalExpr(s.Cond, fr, env).b {
-			in.execStmts(s.Then, fr, env)
-		} else {
-			in.execStmts(s.Else, fr, env)
-		}
-	case *Reduce:
-		in.execReduce(s)
-	case *Redistribute:
-		a := in.realArrs[s.sym.Slot]
-		nd, ok := in.redists[s]
-		if !ok {
-			nd = in.elabDist(s.Name, a.Shape(), s.Items)
-			in.redists[s] = nd
-		}
-		darray.Redistribute(a, nd)
-	default:
-		panic(fmt.Sprintf("unknown statement %T", s))
-	}
-}
-
-// cell is the storage of a scalar-valued symbol: a slot of the forall's
-// frame, of the node's globals, or of the (read-only) constants.
-func (in *interp) cell(s *Symbol, fr []value) *value {
-	switch s.Kind {
-	case symLocal:
-		return &fr[s.Slot]
-	case symConst:
-		return &in.el.constVals[s.Slot]
-	default:
-		return &in.globals[s.Slot]
-	}
-}
-
-// execAssign handles scalar, local, and array writes.
-func (in *interp) execAssign(s *Assign, fr []value, env *forall.Env) {
-	switch {
-	case !s.sym.isArray():
-		*in.cell(s.sym, fr) = coerce(in.evalExpr(s.X, fr, env), s.sym.Type)
-	case env != nil:
-		// Inside a forall: owner-computes write through the engine.  The
-		// value comes before the subscripts, the order the VM charges in.
-		v := in.evalExpr(s.X, fr, env).asReal()
-		i, j, _ := in.subscripts(s.Indexes, fr, env)
-		if len(s.Indexes) == 1 {
-			env.WriteAt(in.realArrs[s.sym.Slot], v, i)
-		} else {
-			env.WriteAt(in.realArrs[s.sym.Slot], v, i, j)
-		}
-	case s.sym.Kind == symRealArray:
-		a := in.realArrs[s.sym.Slot]
-		i, j, idx, mine := in.owned(a, s.Indexes)
-		if !mine {
-			return
-		}
-		switch v := in.evalExpr(s.X, nil, nil).asReal(); {
-		case idx != nil:
-			a.Set(v, idx...)
-		case len(s.Indexes) == 1:
-			a.Set1(i, v)
-		default:
-			a.Set2(i, j, v)
-		}
-	default:
-		ia := in.intArrs[s.sym.Slot]
-		i, j, idx, mine := in.owned(ia, s.Indexes)
-		// Pattern-driving contents changed.  Every node bumps, owner or
-		// not: whether the schedules they drive are rebuilt must be decided
-		// alike on every node, since an inspector's rebuild is collective.
-		ia.Bump()
-		if !mine {
-			return
-		}
-		switch v := in.evalExpr(s.X, nil, nil).i; {
-		case idx != nil:
-			ia.Set(v, idx...)
-		case len(s.Indexes) == 1:
-			ia.Set1(i, v)
-		default:
-			ia.Set2(i, j, v)
-		}
-	}
-}
-
-// locality is the ownership test real and integer arrays share.
-type locality interface {
-	IsLocal(coord ...int) bool
-	IsLocal1(i int) bool
-	IsLocal2(i, j int) bool
-}
-
-// owned evaluates a top-level store's subscripts and reports whether
-// this node stores the element.  Every node executes the statement;
-// only the owner goes on to evaluate the right-hand side.
-func (in *interp) owned(h locality, ixs []Expr) (i, j int, idx []int, mine bool) {
-	i, j, idx = in.subscripts(ixs, nil, nil)
-	switch {
-	case idx != nil:
-		mine = h.IsLocal(idx...)
-	case len(ixs) == 1:
-		mine = h.IsLocal1(i)
-	default:
-		mine = h.IsLocal2(i, j)
-	}
-	return i, j, idx, mine
-}
-
-// subscripts evaluates an array access's subscripts: into i and j for
-// the ranks foralls support, with no allocation, and into idx for the
-// higher ranks legal only at the top level.
-func (in *interp) subscripts(ixs []Expr, fr []value, env *forall.Env) (i, j int, idx []int) {
-	switch len(ixs) {
-	case 1:
-		return in.evalExpr(ixs[0], fr, env).i, 0, nil
-	case 2:
-		i = in.evalExpr(ixs[0], fr, env).i
-		return i, in.evalExpr(ixs[1], fr, env).i, nil
-	}
-	if env != nil {
-		panic("rank > 2")
-	}
-	idx = make([]int, len(ixs))
-	for k, ix := range ixs {
-		idx[k] = in.evalExpr(ix, nil, nil).i
-	}
-	return 0, 0, idx
-}
-
-func coerce(v value, t BaseType) value {
-	if v.t == t {
-		return v
-	}
-	if t == TReal && v.t == TInt {
-		return realVal(float64(v.i))
-	}
-	panic(fmt.Sprintf("cannot coerce %s to %s", v.t, t))
-}
-
 // execForall lowers the loop onto the forall engine (cached per AST
 // node so the engine's schedule cache applies across executions) and
 // runs it with bounds b.
@@ -748,20 +563,6 @@ func (in *interp) deps(fa *Forall) []forall.Dep {
 	return deps
 }
 
-// walker returns the tree-walking body of fa, which runs every
-// iteration on one frame: the caller stores the index variables, the
-// declared locals start from zero, and an implicit for variable is
-// written before anything can read it.
-func (in *interp) walker(fa *Forall) (fr []value, body func(env *forall.Env)) {
-	fr = make([]value, fa.frame)
-	return fr, func(env *forall.Env) {
-		for k, d := range fa.Decls {
-			fr[fa.rank()+k] = value{t: d.Type}
-		}
-		in.execStmts(fa.Body, fr, env)
-	}
-}
-
 // buildLoop2 translates a two-index Forall into a forall.Loop2.
 func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 	ce := &constEval{consts: in.el.constVals}
@@ -788,19 +589,11 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 		Reads:     reads,
 		DependsOn: in.deps(fa),
 	}
-	if cb := in.el.compiled[fa]; cb != nil {
-		st := newVMState(cb, in)
-		in.vms[fa] = st
-		loop.Body = st.body2
-		if st.hasSegment() {
-			loop.Segment = st.segment2
-		}
-	} else {
-		fr, body := in.walker(fa)
-		loop.Body = func(i, j int, env *forall.Env) {
-			fr[0], fr[1] = intVal(i), intVal(j)
-			body(env)
-		}
+	st := newVMState(in.el.compiled[fa], in)
+	in.vms[fa] = st
+	loop.Body = st.body2
+	if st.hasSegment() {
+		loop.Segment = st.segment2
 	}
 	return loop
 }
@@ -827,21 +620,25 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 		Reads:     reads,
 		DependsOn: in.deps(fa),
 	}
-	if cb := in.el.compiled[fa]; cb != nil {
-		st := newVMState(cb, in)
-		in.vms[fa] = st
-		loop.Body = st.body1
-		if st.hasSegment() {
-			loop.Segment = st.segment1
-		}
-	} else {
-		fr, body := in.walker(fa)
-		loop.Body = func(i int, env *forall.Env) {
-			fr[0] = intVal(i)
-			body(env)
-		}
+	st := newVMState(in.el.compiled[fa], in)
+	in.vms[fa] = st
+	loop.Body = st.body1
+	if st.hasSegment() {
+		loop.Segment = st.segment1
 	}
 	return loop
+}
+
+// redistribute implements the redistribute statement, its target Dist
+// elaborated at the statement's first execution.
+func (in *interp) redistribute(s *Redistribute) {
+	a := in.realArrs[s.sym.Slot]
+	nd, ok := in.redists[s]
+	if !ok {
+		nd = in.elabDist(s.Name, a.Shape(), s.Items)
+		in.redists[s] = nd
+	}
+	darray.Redistribute(a, nd)
 }
 
 // execReduce implements the reduce statement: local fold over owned
@@ -861,95 +658,6 @@ func (in *interp) execReduce(s *Reduce) {
 		local = r.combine(local, v)
 	})
 	in.globals[s.into.Slot].f = in.ctx.AllReduce(local, r.allReduce)
-}
-
-// evalExpr evaluates an expression; env is non-nil inside foralls.
-// Top-level expressions are pure and charge nothing, which is what lets
-// an indexed assignment evaluate its right-hand side on the owner only.
-func (in *interp) evalExpr(e Expr, fr []value, env *forall.Env) value {
-	switch e := e.(type) {
-	case *IntLit:
-		return intVal(e.V)
-	case *RealLit:
-		return realVal(e.V)
-	case *BoolLit:
-		return boolVal(e.V)
-	case *Ident:
-		return *in.cell(e.sym, fr)
-	case *ArrayRef:
-		return in.evalArrayRef(e, fr, env)
-	case *Unary:
-		v := in.evalExpr(e.X, fr, env)
-		if e.Op == KWNot {
-			return boolVal(!v.b)
-		}
-		if env != nil {
-			env.Flops(1)
-		}
-		if v.t == TInt {
-			return intVal(-v.i)
-		}
-		return realVal(-v.f)
-	case *Binary:
-		l := in.evalExpr(e.L, fr, env)
-		r := in.evalExpr(e.R, fr, env)
-		if env != nil {
-			env.Flops(1)
-		}
-		return arith(e.Op, l, r)
-	case *Call:
-		x, y := in.evalExpr(e.Args[0], fr, env).asReal(), 0.0
-		if len(e.Args) == 2 {
-			y = in.evalExpr(e.Args[1], fr, env).asReal()
-		}
-		if env != nil {
-			env.Flops(1)
-		}
-		return e.fn.eval(x, y)
-	default:
-		panic(fmt.Sprintf("unknown expression %T", e))
-	}
-}
-
-// evalArrayRef reads an array element: straight from local storage at
-// the top level (the checker admits only replicated arrays there), by
-// the checker's access classification inside a forall.
-func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
-	i, j, idx := in.subscripts(e.Indexes, fr, env)
-	rank1 := len(e.Indexes) == 1
-	if e.sym.Kind == symIntArray {
-		ia := in.intArrs[e.sym.Slot]
-		switch {
-		case idx != nil:
-			return intVal(ia.Get(idx...))
-		case env == nil && rank1:
-			return intVal(ia.Get1(i))
-		case env == nil:
-			return intVal(ia.Get2(i, j))
-		case rank1:
-			return intVal(env.ReadInt(ia, i))
-		default:
-			return intVal(env.ReadInt2(ia, i, j))
-		}
-	}
-	a := in.realArrs[e.sym.Slot]
-	local := e.access == accReplicated || e.access == accAligned
-	switch {
-	case idx != nil:
-		return realVal(a.Get(idx...))
-	case env == nil && rank1:
-		return realVal(a.Get1(i))
-	case env == nil:
-		return realVal(a.Get2(i, j))
-	case local && rank1:
-		return realVal(env.ReadLocal(a, i))
-	case local:
-		return realVal(env.ReadLocal2(a, i, j))
-	case rank1:
-		return realVal(env.Read(a, i))
-	default:
-		return realVal(env.ReadAt(a, i, j))
-	}
 }
 
 // gather collects the final array contents into the pre-allocated

@@ -34,7 +34,7 @@ func topLevelDecls(dist string) string {
 
 // genTopLevel emits the sequential SPMD section every node runs
 // between the init loop and the foralls.  The VM compiles it and the
-// walker interprets it statement by statement, and a right-hand side is
+// walker oracle interprets it statement by statement, and a right-hand side is
 // evaluated by the element's owner alone, so a one-processor run (which
 // evaluates them all) is the oracle for every other P.  The section has
 // a nested for over a declared and an implicit variable — z, which

@@ -48,7 +48,6 @@ func runKernel(t *testing.T, src, backend string, params machine.Params, p, mode
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
-	prog.NoVM = mode == runWalker
 	el, err := prog.elaborate(p)
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +58,12 @@ func runKernel(t *testing.T, src, backend string, params machine.Params, p, mode
 		t.Fatal(err)
 	}
 	cfg.Machine = m
+	exec := (*interp).exec
+	if mode == runWalker {
+		exec = (*interp).walk
+	}
 	var run kernelRun
-	run.res = prog.execute(cfg, el, func(in *interp) {
+	run.res = prog.execute(cfg, el, exec, func(in *interp) {
 		for _, st := range in.vms {
 			if st.step != nil {
 				atomic.AddInt64(&run.stepped, int64(st.step.Stepped))
@@ -535,8 +538,7 @@ end.
 		}
 		cfg := core.Config{P: 1, Params: machine.NCUBE7()}
 		_, vmErr := prog.Run(cfg)
-		prog.NoVM = true
-		_, walkErr := prog.Run(cfg)
+		_, walkErr := prog.walked(cfg)
 		if vmErr == nil || walkErr == nil || vmErr.Error() != walkErr.Error() || !strings.Contains(vmErr.Error(), "divide by zero") {
 			t.Errorf("%s: vm error %q, walker error %q; want both the same division by zero", op, vmErr, walkErr)
 		}
@@ -691,8 +693,7 @@ end.
 	}
 	cfg := core.Config{P: 2, Params: machine.Ideal()}
 	_, vmErr := prog.Run(cfg)
-	prog.NoVM = true
-	_, walkErr := prog.Run(cfg)
+	_, walkErr := prog.walked(cfg)
 	const want = "non-owner write to B[5] on node 0"
 	if vmErr == nil || walkErr == nil || vmErr.Error() != walkErr.Error() || !strings.Contains(vmErr.Error(), want) {
 		t.Fatalf("vm error %q, walker error %q; want both identical and naming %q", vmErr, walkErr, want)

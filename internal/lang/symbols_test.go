@@ -60,29 +60,25 @@ end.
 // (Before names were bound at check time each indexed assignment cost
 // two allocations.)
 func TestTopLevelStatementsAllocationFree(t *testing.T) {
-	t.Run("vm", func(t *testing.T) { topLevelAllocationFree(t, false) })
-	t.Run("walker", func(t *testing.T) { topLevelAllocationFree(t, true) })
+	t.Run("vm", func(t *testing.T) { topLevelAllocationFree(t, (*interp).exec) })
+	t.Run("walker", func(t *testing.T) { topLevelAllocationFree(t, (*interp).walk) })
 }
 
-func topLevelAllocationFree(t *testing.T, noVM bool) {
+func topLevelAllocationFree(t *testing.T, exec func(*interp)) {
 	for _, n := range []int{8, 32} {
 		prog, err := Compile(topLevelSrc(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog.NoVM = noVM
 		el, err := prog.elaborate(2)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if (el.main == nil) != noVM {
-			t.Fatalf("top level compiled: %v with NoVM=%v", el.main != nil, noVM)
 		}
 		var pin alloctest.Pin
 		core.Run(core.Config{P: el.procP, Params: machine.Ideal()}, func(ctx *core.Context) {
 			in := newInterp(prog.file, ctx, el)
 			in.declareArrays()
-			pin.Run(ctx.Node, 2, 5, in.exec)
+			pin.Run(ctx.Node, 2, 5, func() { exec(in) })
 		})
 		pin.Check(t, fmt.Sprintf("top-level statements, n=%d", n))
 	}
@@ -113,11 +109,10 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noVM := range []bool{false, true} {
-		prog.NoVM = noVM
+	for mode, run := range map[string]func(*Program, core.Config) (*Result, error){"vm": (*Program).Run, "walker": (*Program).walked} {
 		done := make(chan []float64, 1)
 		go func() {
-			res, err := prog.Run(core.Config{P: 4, Params: machine.NCUBE7()})
+			res, err := run(prog, core.Config{P: 4, Params: machine.NCUBE7()})
 			if err != nil {
 				t.Error(err)
 				done <- nil
@@ -128,10 +123,10 @@ end.
 		select {
 		case a := <-done:
 			if want := "[16 15 6 13 12 11 10 9 8 7 6 5 4 3 2 1]"; fmt.Sprint(a) != want {
-				t.Errorf("NoVM=%v: a = %v, want %s", noVM, a, want)
+				t.Errorf("%s: a = %v, want %s", mode, a, want)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("NoVM=%v: the run did not finish: the nodes disagree about rebuilding a schedule", noVM)
+			t.Fatalf("%s: the run did not finish: the nodes disagree about rebuilding a schedule", mode)
 		}
 	}
 }
@@ -196,10 +191,8 @@ begin
 		}
 		for _, p := range []int{1, 4} {
 			cfg := core.Config{P: p, Params: machine.Ideal()}
-			prog.NoVM = false
 			_, vmErr := prog.Run(cfg)
-			prog.NoVM = true
-			_, walkErr := prog.Run(cfg)
+			_, walkErr := prog.walked(cfg)
 			if vmErr == nil || walkErr == nil || vmErr.Error() != walkErr.Error() ||
 				!strings.HasPrefix(vmErr.Error(), "lang: runtime error: ") || !strings.Contains(vmErr.Error(), c.want) {
 				t.Errorf("P=%d %s: vm error %q, walker error %q; want both the same, naming %q", p, c.stmt, vmErr, walkErr, c.want)

@@ -26,9 +26,11 @@ import (
 // overhead.  The top level is the one iteration of a body without index
 // variables (compileMain), run once per node.
 //
-// Cost-model parity: the tree walker charges Env.Flops(1) per binary
-// operator, unary minus, and builtin call as it evaluates, interleaved
-// with its reads' memory-reference charges.  The compiler emits
+// Cost-model parity, which the differential tests hold against the
+// tree-walking oracle in walker_test.go: the walker charges
+// Env.Flops(1) per binary operator, unary minus, and builtin call as it
+// evaluates, interleaved with its reads' memory-reference charges.
+// The compiler emits
 // opFlops at those same AST positions — including for nodes it
 // constant-folds or strength-reduces away — and the VM replays each
 // opFlops k as k unit charges, reproducing the walker's exact charge
@@ -422,14 +424,17 @@ func (st *vmState) flush() {
 func (st *vmState) escape(e *escape) {
 	in := st.in
 	st.flush()
-	if _, ok := e.stmts[0].(*Forall); ok {
+	switch s := e.stmts[0].(type) {
+	case *Forall:
 		in.bounds = in.bounds[:0]
 		for _, r := range e.bounds {
 			in.bounds = append(in.bounds, [4]int{st.n[r[0]], st.n[r[1]], st.n[r[2]], st.n[r[3]]})
 		}
 		in.execForalls(e.stmts, in.bounds)
-	} else {
-		in.execStmt(e.stmts[0], nil, nil)
+	case *Reduce:
+		in.execReduce(s)
+	default:
+		in.redistribute(s.(*Redistribute))
 	}
 	st.bindScalars()
 }

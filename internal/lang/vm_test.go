@@ -41,8 +41,8 @@ func findForall(ss []Stmt, n int) *Forall {
 // its vmState built, replaying the body — including a nonlocal affine
 // read, a local stencil read, a builtin call and a conditional —
 // performs zero heap allocations across the whole machine, compiled
-// (the property the bytecode VM was built for) and walked (NoVM: the
-// walker runs a loop's iterations on one slot-indexed frame).  So does
+// (the property the bytecode VM was built for) and walked (the walker
+// oracle runs a loop's iterations on one slot-indexed frame).  So does
 // a straight-line body, whose interiors run column-wise: its vector
 // files are cut at the first segment, which the warm-up runs.  And so
 // does the shifted 2-D stencil, whose boundary runs as segments: halo
@@ -62,10 +62,10 @@ func TestVMReplayAllocationFree(t *testing.T) {
     var t : real;
     t := v[i-1] + v[i+1];
     w[i] := min(t, float(i)) * 0.5;`
-	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), false, false) })
-	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), true, false) })
-	t.Run("column", func(t *testing.T) { replayAllocationFree(t, replaySrc(straight), false, true) })
-	t.Run("boundary", func(t *testing.T) { replayAllocationFree(t, stencilProgram(24, 20, 1), false, true) })
+	t.Run("vm", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), (*interp).exec, false) })
+	t.Run("walker", func(t *testing.T) { replayAllocationFree(t, replaySrc(branching), (*interp).walk, false) })
+	t.Run("column", func(t *testing.T) { replayAllocationFree(t, replaySrc(straight), (*interp).exec, true) })
+	t.Run("boundary", func(t *testing.T) { replayAllocationFree(t, stencilProgram(24, 20, 1), (*interp).exec, true) })
 }
 
 // replaySrc is a rank-1 program whose one forall has body.
@@ -86,21 +86,17 @@ end.
 `
 }
 
-// replayAllocationFree pins the replay of src's last forall.  With
-// column set its interior must have run column-wise, and whatever
+// replayAllocationFree pins the replay of src's last forall, which
+// exec, the node's statement runner, launched first.  With column set its interior must have run column-wise, and whatever
 // boundary the node has by segments.
-func replayAllocationFree(t *testing.T, src string, noVM, column bool) {
+func replayAllocationFree(t *testing.T, src string, exec func(*interp), column bool) {
 	prog, err := Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.NoVM = noVM
 	el, err := prog.elaborate(4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if (len(el.compiled) == 0) != noVM {
-		t.Fatalf("%d compiled bodies with NoVM=%v", len(el.compiled), noVM)
 	}
 	all := foralls(prog.file.Main)
 	if len(all) == 0 {
@@ -119,7 +115,7 @@ func replayAllocationFree(t *testing.T, src string, noVM, column bool) {
 	core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(prog.file, ctx, el)
 		in.declareArrays()
-		in.exec()
+		exec(in)
 		pin.Run(ctx.Node, warmup, reps, func() { in.execStmt(fa, nil, nil) })
 		if ran := in.vms[fa] != nil && in.vms[fa].colIters > 0; ran != column {
 			t.Errorf("node %d: column-wise kernel ran: %v, want %v", ctx.ID(), ran, column)

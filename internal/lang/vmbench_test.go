@@ -55,18 +55,17 @@ end.
 
 // benchReplay builds src's forall once and replays it b.N times on a
 // 4-node sim machine, reporting ns per element.
-func benchReplay(b *testing.B, src string, elems int, noVM bool) {
-	benchLoop(b, src, elems, noVM, false)
+func benchReplay(b *testing.B, src string, elems int, exec func(*interp)) {
+	benchLoop(b, src, elems, exec, false)
 }
 
 // benchLoop is benchReplay, with the loop's Segment entry dropped if
 // perElement, so that every iteration runs through Body.
-func benchLoop(b *testing.B, src string, elems int, noVM, perElement bool) {
+func benchLoop(b *testing.B, src string, elems int, exec func(*interp), perElement bool) {
 	prog, err := Compile(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog.NoVM = noVM
 	el, err := prog.elaborate(4)
 	if err != nil {
 		b.Fatal(err)
@@ -79,7 +78,7 @@ func benchLoop(b *testing.B, src string, elems int, noVM, perElement bool) {
 	core.Run(cfg, func(ctx *core.Context) {
 		in := newInterp(prog.file, ctx, el)
 		in.declareArrays()
-		in.exec()
+		exec(in)
 		if l := in.loops2[fa]; perElement && l != nil {
 			l.Segment = nil
 		}
@@ -96,21 +95,20 @@ func benchLoop(b *testing.B, src string, elems int, noVM, perElement bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
 }
 
-func BenchmarkJacobiBodyVM(b *testing.B)     { benchReplay(b, jacobi2dBenchSrc, 30*30, false) }
-func BenchmarkJacobiBodyWalker(b *testing.B) { benchReplay(b, jacobi2dBenchSrc, 30*30, true) }
+func BenchmarkJacobiBodyVM(b *testing.B)     { benchReplay(b, jacobi2dBenchSrc, 30*30, (*interp).exec) }
+func BenchmarkJacobiBodyWalker(b *testing.B) { benchReplay(b, jacobi2dBenchSrc, 30*30, (*interp).walk) }
 
 // benchTopLevel runs the stencil-vm workload's initialisation nest —
 // its program with no sweeps: a 128² for r / for c / if … or … nest
 // that stores the boundary owner-first — b.N times on a 4-node sim
 // machine, and reports the wall time per inner iteration, which each of
 // the four nodes runs at once.
-func benchTopLevel(b *testing.B, noVM bool) {
+func benchTopLevel(b *testing.B, exec func(*interp)) {
 	const n = 128
 	prog, err := Compile(stencilProgram(n, n, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog.NoVM = noVM
 	el, err := prog.elaborate(4)
 	if err != nil {
 		b.Fatal(err)
@@ -123,15 +121,15 @@ func benchTopLevel(b *testing.B, noVM bool) {
 			b.ResetTimer()
 		}
 		for k := 0; k < b.N; k++ {
-			in.exec()
+			exec(in)
 		}
 		ctx.Node.Barrier()
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/iter")
 }
 
-func BenchmarkTopLevelVM(b *testing.B)     { benchTopLevel(b, false) }
-func BenchmarkTopLevelWalker(b *testing.B) { benchTopLevel(b, true) }
+func BenchmarkTopLevelVM(b *testing.B)     { benchTopLevel(b, (*interp).exec) }
+func BenchmarkTopLevelWalker(b *testing.B) { benchTopLevel(b, (*interp).walk) }
 
 // BenchmarkVMSegmentLength: what one interior segment costs by its
 // length.  The column-wise kernel pays its dispatch once per segment
@@ -140,7 +138,7 @@ func BenchmarkTopLevelWalker(b *testing.B) { benchTopLevel(b, true) }
 func BenchmarkVMSegmentLength(b *testing.B) {
 	for _, w := range []int{1, 2, 8, 62} {
 		b.Run(fmt.Sprint(w), func(b *testing.B) {
-			benchReplay(b, fmt.Sprintf(segmentBenchSrc, w), 2048*w, false)
+			benchReplay(b, fmt.Sprintf(segmentBenchSrc, w), 2048*w, (*interp).exec)
 		})
 	}
 }
@@ -182,7 +180,7 @@ func BenchmarkBoundaryRun(b *testing.B) {
 	} {
 		for _, path := range []string{"env", "segment"} {
 			b.Run(shape.name+"/"+path, func(b *testing.B) {
-				benchLoop(b, shape.src, 2*(1024-2), false, path == "env")
+				benchLoop(b, shape.src, 2*(1024-2), (*interp).exec, path == "env")
 			})
 		}
 	}

@@ -89,6 +89,31 @@ func TestHTTPCompileError(t *testing.T) {
 	}
 }
 
+// TestHTTPBadArrayBounds: a program whose array bound elaborates out of
+// range passes Check but is still the client's fault: 422, with the
+// declaration's line in the error.
+func TestHTTPBadArrayBounds(t *testing.T) {
+	_, ts := newTestServer(t)
+	const src = `processors Procs : array[1..P] with P in 1..64;
+const n = P - 8;
+var a : array[1..n] of real dist by [block] on Procs;
+begin
+end.
+`
+	resp, err := http.Post(ts.URL+"/run", "text/plain", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.HasPrefix(er.Error, "3:") || !strings.Contains(er.Error, `array "a"`) {
+		t.Fatalf("status %d, error %q; want 422 and an error at line 3 naming array \"a\"", resp.StatusCode, er.Error)
+	}
+}
+
 func TestHTTPMethodAndStats(t *testing.T) {
 	srv, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/run")
