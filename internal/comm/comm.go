@@ -89,13 +89,22 @@ type OutSet struct {
 // Builder accumulates nonlocal references during the inspector pass and
 // produces the normalized InSet.  Inserting the same element twice is
 // harmless (it is recorded once), matching the paper's set semantics.
+// Every distinct element gets an insertion id, 0, 1, 2, … in the order
+// of its first Add, and FinalizeOffsets maps each id to the element's
+// offset in the receive buffer, so an inspector that keeps the ids of
+// its references holds them resolved once the set is final.
 type Builder struct {
 	me    int
-	elems []elem  // distinct elements in insertion order
+	elems []elem  // distinct elements in insertion order, elems[id] the one with insertion id id
 	table []int32 // open-addressed set over elems keyed by g: index+1, 0 = empty
 }
 
-type elem struct{ home, g int }
+// elem is one recorded element: g, stored on home, with its insertion
+// id, which it keeps through Finalize's sort.
+type elem struct {
+	g        int
+	home, id int32
+}
 
 // NewBuilder creates a Builder for receiving processor me.
 func NewBuilder(me int) *Builder {
@@ -119,35 +128,53 @@ func putCell(table []int32, k int, id int32) {
 }
 
 // Add records that global element g, stored on processor home, is
-// needed locally.  It returns true when the element was not already
-// recorded (so callers can charge list-insert cost only for new
-// entries, as the paper's implementation does).
-func (b *Builder) Add(g, home int) bool {
+// needed locally.  It returns the element's insertion id, and added
+// true when the element was not already recorded (so callers can
+// charge list-insert cost only for new entries, as the paper's
+// implementation does).
+func (b *Builder) Add(g, home int) (id int, added bool) {
 	if home == b.me {
 		panic("comm: Add of a local element")
 	}
+	if int(int32(home)) != home {
+		panic(fmt.Sprintf("comm: home %d of element %d is not a processor number", home, g))
+	}
 	if 2*len(b.elems) >= len(b.table) {
-		b.grow()
+		b.rehash(max(16, 2*len(b.table)))
 	}
 	mask := len(b.table) - 1
 	h := hashCell(g, len(b.table))
 	for ; b.table[h] != 0; h = (h + 1) & mask {
 		if old := b.elems[b.table[h]-1]; old.g == g {
-			if old.home != home {
+			if int(old.home) != home {
 				panic(fmt.Sprintf("comm: element %d recorded with two homes %d and %d", g, old.home, home))
 			}
-			return false
+			return int(old.id), false
 		}
 	}
-	b.elems = append(b.elems, elem{home, g})
-	b.table[h] = int32(len(b.elems))
-	return true
+	id = len(b.elems)
+	b.elems = append(b.elems, elem{g: g, home: int32(home), id: int32(id)})
+	b.table[h] = int32(id + 1)
+	return id, true
 }
 
-// grow doubles the table (keeping it at most half full) and re-enters
-// every recorded element.
-func (b *Builder) grow() {
-	b.table = make([]int32, max(16, 2*len(b.table)))
+// Grow makes room for n more distinct elements, so that recording them
+// does not rehash the set.
+func (b *Builder) Grow(n int) {
+	size := 16
+	for size < 2*(len(b.elems)+n) {
+		size *= 2
+	}
+	if size > len(b.table) {
+		b.elems = slices.Grow(b.elems, n)
+		b.rehash(size)
+	}
+}
+
+// rehash re-enters every recorded element in a table of size cells, a
+// power of two.
+func (b *Builder) rehash(size int) {
+	b.table = make([]int32, size)
 	for i, e := range b.elems {
 		putCell(b.table, e.g, int32(i+1))
 	}
@@ -156,10 +183,18 @@ func (b *Builder) grow() {
 // Count returns the number of distinct elements recorded so far.
 func (b *Builder) Count() int { return len(b.elems) }
 
-// Finalize sorts the recorded elements by (home, index), merges
-// adjacent indices from the same home into single records, and assigns
-// buffer offsets.  This is the paper's in-set construction.
+// Finalize is FinalizeOffsets without the offsets.
 func (b *Builder) Finalize() *InSet {
+	in, _ := b.FinalizeOffsets()
+	return in
+}
+
+// FinalizeOffsets sorts the recorded elements by (home, index), merges
+// adjacent indices from the same home into single records, and assigns
+// buffer offsets: the paper's in-set construction.  It also returns
+// where each element landed, offsets[id] for the element Add gave
+// insertion id id.  The Builder's set stays as it was.
+func (b *Builder) FinalizeOffsets() (in *InSet, offsets []int32) {
 	es := sortedElems(b.elems)
 	// An element starts a record unless it extends its predecessor's.
 	starts := func(k int) bool {
@@ -172,14 +207,16 @@ func (b *Builder) Finalize() *InSet {
 		}
 	}
 	ranges := make([]Range, 0, nrec)
+	offsets = make([]int32, len(es))
 	for k, e := range es {
+		offsets[e.id] = int32(k)
 		if starts(k) {
-			ranges = append(ranges, Range{FromProc: e.home, ToProc: b.me, Low: e.g, High: e.g, Buf: k})
+			ranges = append(ranges, Range{FromProc: int(e.home), ToProc: b.me, Low: e.g, High: e.g, Buf: k})
 		} else {
 			ranges[len(ranges)-1].High = e.g // combine adjacent ranges
 		}
 	}
-	return NewInSet(ranges, len(es))
+	return NewInSet(ranges, len(es)), offsets
 }
 
 // sortedElems returns es ordered by (home, g), leaving es as it is: a
@@ -358,15 +395,28 @@ func (s *OutSet) PackInto(q int, dst []float64, copyRange func(lo, hi int, dst [
 // Unpack scatters a payload received from q into the communication
 // buffer according to the in set's records for q — one bulk copy per
 // record, since each record's elements land contiguously at its Buf
-// offset.  It returns the number of values consumed and panics if the
-// payload size mismatches the schedule.
+// offset, and one copy in all when the records' offsets follow on from
+// each other, as Finalize and NewInSet's callers lay them out.  It
+// returns the number of values consumed and panics if the payload size
+// mismatches the schedule.
 func (s *InSet) Unpack(q int, payload []float64, buf []float64) int {
+	sd := s.dir().sender(q)
 	n := 0
-	for _, r := range s.RangesFrom(q) {
-		n += copy(buf[r.Buf:r.Buf+r.Len()], payload[n:n+r.Len()])
+	if sd != nil {
+		n = sd.n
 	}
 	if n != len(payload) {
 		panic(fmt.Sprintf("comm: payload from %d has %d values, schedule expects %d", q, len(payload), n))
+	}
+	switch {
+	case n == 0:
+	case sd.packed:
+		copy(buf[sd.buf:sd.buf+n], payload)
+	default:
+		off := 0
+		for _, r := range s.Ranges[sd.first:sd.end] {
+			off += copy(buf[r.Buf:r.Buf+r.Len()], payload[off:off+r.Len()])
+		}
 	}
 	return n
 }

@@ -9,11 +9,13 @@ import (
 
 func TestBuilderBasics(t *testing.T) {
 	b := NewBuilder(0)
-	if !b.Add(5, 1) || !b.Add(7, 1) || !b.Add(6, 1) || !b.Add(20, 2) {
-		t.Fatal("first Add of each element must return true")
+	for want, g := range []int{5, 7, 6, 20} {
+		if id, added := b.Add(g, 1+g/20); !added || id != want {
+			t.Fatalf("first Add of %d = %d, %v; want id %d, added", g, id, added, want)
+		}
 	}
-	if b.Add(5, 1) {
-		t.Fatal("duplicate Add must return false")
+	if id, added := b.Add(5, 1); added || id != 0 {
+		t.Fatalf("duplicate Add of 5 = %d, %v; want its id 0, not added", id, added)
 	}
 	if b.Count() != 4 {
 		t.Fatalf("Count = %d", b.Count())
@@ -210,6 +212,38 @@ func TestUnpackSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	in.Unpack(1, []float64{1, 2}, make([]float64, 1))
+}
+
+// TestUnpackScatteredOffsets: an in set whose sender's records do not
+// occupy consecutive buffer slots, as a literal may lay them out, still
+// lands every value where Find says it is.
+func TestUnpackScatteredOffsets(t *testing.T) {
+	in := &InSet{Ranges: []Range{
+		{FromProc: 1, Low: 5, High: 7, Buf: 4},
+		{FromProc: 1, Low: 9, High: 9, Buf: 0},
+		{FromProc: 2, Low: 20, High: 21, Buf: 1},
+		{FromProc: 3, Low: 30, High: 30, Buf: 3},
+		{FromProc: 3, Low: 32, High: 32, Buf: 7},
+	}, Total: 8}
+	buf := make([]float64, in.Total)
+	for q := 1; q <= 3; q++ {
+		var payload []float64
+		for _, r := range in.RangesFrom(q) {
+			for g := r.Low; g <= r.High; g++ {
+				payload = append(payload, float64(g))
+			}
+		}
+		if n := in.Unpack(q, payload, buf); n != len(payload) {
+			t.Fatalf("Unpack from %d consumed %d of %d values", q, n, len(payload))
+		}
+	}
+	for _, r := range in.Ranges {
+		for g := r.Low; g <= r.High; g++ {
+			if off, ok := in.Find(r.FromProc, g); !ok || buf[off] != float64(g) {
+				t.Errorf("element %d from %d: offset %d (%v) holds %g", g, r.FromProc, off, ok, buf[off])
+			}
+		}
+	}
 }
 
 // TestQuickFindMatchesModel: Find agrees with a map-based model for

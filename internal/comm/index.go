@@ -24,14 +24,17 @@ type inIndex struct {
 // elements: they cover [lo..hi] in buckets of 1<<shift indices, and
 // cells[base+b] is the first record whose High is at or beyond the
 // start of bucket b (the sentinel after the last bucket names the
-// sender's last record).
+// sender's last record).  packed says the records' buffer slots are
+// the n from buf on, in record order, so the sender's payload lands
+// in one copy.
 type senderDir struct {
 	home       int
 	lo, hi     int
 	shift      uint
 	base       int32
 	first, end int32
-	n          int
+	n, buf     int
+	packed     bool
 }
 
 // buildIndex derives the directory from records sorted by
@@ -53,14 +56,17 @@ func buildIndex(ranges []Range) *inIndex {
 			end++
 		}
 		sd := senderDir{
-			home:  ranges[first].FromProc,
-			lo:    ranges[first].Low,
-			hi:    ranges[end-1].High,
-			base:  int32(len(ix.cells)),
-			first: int32(first),
-			end:   int32(end),
+			home:   ranges[first].FromProc,
+			lo:     ranges[first].Low,
+			hi:     ranges[end-1].High,
+			base:   int32(len(ix.cells)),
+			first:  int32(first),
+			end:    int32(end),
+			buf:    ranges[first].Buf,
+			packed: true,
 		}
 		for _, r := range ranges[first:end] {
+			sd.packed = sd.packed && r.Buf == sd.buf+sd.n
 			sd.n += r.Len()
 		}
 		for (sd.hi-sd.lo)>>sd.shift >= 2*(end-first) {

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"sort"
@@ -257,7 +258,9 @@ func (b *refBuilder) Finalize() (ranges []Range, total int) {
 // TestBuilderAddFinalizeMatchesReference: on random Add streams with
 // duplicates the Builder gives the reference's answer to every Add —
 // the inspector charges a list insert exactly where Add says "new", so
-// the sequence decides simulated clocks — and the reference's records.
+// the sequence decides simulated clocks — and the reference's records,
+// and FinalizeOffsets maps every insertion id to the offset Find gives
+// its element.
 func TestBuilderAddFinalizeMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -266,26 +269,77 @@ func TestBuilderAddFinalizeMatchesReference(t *testing.T) {
 		if seed%5 == 0 {
 			me = -77
 		}
-		b, ref := NewBuilder(me), &refBuilder{me: me, elems: map[int]int{}}
+		var stream [][2]int
 		for n := 2 * len(elems); n > 0; n-- {
-			e := elems[r.Intn(len(elems))]
-			if got, want := b.Add(e[0], e[1]), ref.Add(e[0], e[1]); got != want {
-				t.Fatalf("seed %d: Add(%d, %d) = %v, reference %v", seed, e[0], e[1], got, want)
-			}
-			if b.Count() != len(ref.elems) {
-				t.Fatalf("seed %d: Count = %d, reference %d", seed, b.Count(), len(ref.elems))
-			}
+			stream = append(stream, elems[r.Intn(len(elems))])
 		}
-		in := b.Finalize()
-		ranges, total := ref.Finalize()
-		if in.Total != total || !slices.Equal(in.Ranges, ranges) {
-			t.Fatalf("seed %d: Finalize gave %d elements in %v, reference %d in %v", seed, in.Total, in.Ranges, total, ranges)
-		}
-		// Finalize leaves the Builder's set as it was.
-		for _, e := range elems {
-			if got, want := b.Add(e[0], e[1]), ref.Add(e[0], e[1]); got != want {
-				t.Fatalf("seed %d: after Finalize, Add(%d, %d) = %v, reference %v", seed, e[0], e[1], got, want)
+		checkBuilder(t, me, stream, elems)
+	}
+}
+
+// FuzzBuilderFinalize: checkBuilder on arbitrary (g, home) streams.
+// The bytes are read as 5-byte entries: a 4-byte index and a home in
+// -8..7; an entry whose home is the receiver, or whose index was seen
+// with another home, is skipped, as no distribution would make it.
+func FuzzBuilderFinalize(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 1, 2, 0, 0, 0, 1, 1, 0, 0, 0, 1})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 3, 0, 0, 0, 0x80, 0xfd, 7, 0, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		homes := map[int]int{}
+		var stream [][2]int
+		for ; len(raw) >= 5; raw = raw[5:] {
+			g := int(int32(binary.LittleEndian.Uint32(raw)))
+			home := int(raw[4]&15) - 8
+			if h, ok := homes[g]; home == 0 || ok && h != home {
+				continue
 			}
+			homes[g] = home
+			stream = append(stream, [2]int{g, home})
 		}
+		checkBuilder(t, 0, stream, stream)
+	})
+}
+
+// checkBuilder feeds stream's (g, home) pairs to a Builder for
+// receiver me and to the reference and compares every Add's answer
+// and id, the records, and every insertion id's offset against Find;
+// then it feeds after, to show that Finalize left the set as it was.
+func checkBuilder(t *testing.T, me int, stream, after [][2]int) {
+	t.Helper()
+	b, ref := NewBuilder(me), &refBuilder{me: me, elems: map[int]int{}}
+	ids := map[int]int{} // g -> insertion id
+	add := func(e [2]int) {
+		t.Helper()
+		id, got := b.Add(e[0], e[1])
+		if want := ref.Add(e[0], e[1]); got != want {
+			t.Fatalf("Add(%d, %d) added = %v, reference %v", e[0], e[1], got, want)
+		}
+		if first, seen := ids[e[0]]; seen && id != first || !seen && id != len(ids) {
+			t.Fatalf("Add(%d, %d) gave id %d; earlier ids %v", e[0], e[1], id, ids)
+		}
+		ids[e[0]] = id
+		if b.Count() != len(ref.elems) {
+			t.Fatalf("Count = %d, reference %d", b.Count(), len(ref.elems))
+		}
+	}
+	for _, e := range stream {
+		add(e)
+	}
+	in, offsets := b.FinalizeOffsets()
+	ranges, total := ref.Finalize()
+	if in.Total != total || !slices.Equal(in.Ranges, ranges) {
+		t.Fatalf("Finalize gave %d elements in %v, reference %d in %v", in.Total, in.Ranges, total, ranges)
+	}
+	if len(offsets) != len(ids) {
+		t.Fatalf("FinalizeOffsets gave %d offsets for %d ids", len(offsets), len(ids))
+	}
+	for g, id := range ids {
+		if off, ok := in.Find(ref.elems[g], g); !ok || int(offsets[id]) != off {
+			t.Fatalf("element %d (id %d): offset %d, Find says %d, %v", g, id, offsets[id], off, ok)
+		}
+	}
+	for _, e := range after {
+		add(e)
 	}
 }

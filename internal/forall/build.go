@@ -230,19 +230,23 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 // loops of either rank: a recording pass over the loop body classifies
 // every iteration and collects the in sets; a Crystal-router exchange
 // then delivers each record to its home processor, whose received
-// records form its out set.
+// records form its out set.  The pass also keeps, per slot, the
+// insertion id of every remote read, which the finished in set turns
+// into the buffer offsets the executor replays (refStream), or, under
+// Enumerate, into the resolved reference lists.
 func (e *Engine) buildInspector(c *loopCore) *plan {
 	me := e.node.ID()
 	exec := e.inspectIters(c)
 	arrays := distinctArrays(c)
 
+	// Every set and stream starts with room for one entry per
+	// iteration this node runs, and grows past it as it must.
 	p := &plan{kind: BuildInspector}
 	builders := make([]*comm.Builder, len(arrays))
-	for i := range builders {
-		builders[i] = comm.NewBuilder(me)
+	for k := range builders {
+		builders[k] = comm.NewBuilder(me)
+		builders[k].Grow(len(exec))
 	}
-
-	// Recording pass: run the body with an inspecting Env.
 	env := &Env{
 		mode:     modeInspect,
 		node:     e.node,
@@ -250,6 +254,19 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 		arrays:   arrays,
 		builders: builders,
 	}
+	var starts [][]int32 // refStream.starts of every slot
+	if !c.enumerate {
+		env.recs = make([][]remoteRef, len(arrays))
+		starts = make([][]int32, len(arrays))
+		for k := range arrays {
+			env.recs[k] = make([]remoteRef, 0, len(exec))
+			starts[k] = append(make([]int32, 0, len(exec)+1), 0)
+		}
+	}
+
+	// Recording pass: run the body with an inspecting Env.  A read is
+	// recorded only where it makes its iteration nonlocal, so a local
+	// iteration leaves the streams as it found them.
 	for _, it := range exec {
 		e.node.ChargeLoopIter()
 		env.iterNonlocal = false
@@ -257,29 +274,48 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 			env.enumRecord = env.enumRecord[:0]
 		}
 		c.run(it, env)
-		if env.iterNonlocal {
-			p.execNonlocal = append(p.execNonlocal, it)
-			if c.enumerate {
-				// Saltz-style: keep the full per-reference list for this
-				// iteration; list construction costs one insert per
-				// reference ("relatively high" preprocessing, §5).
-				refs := make([]enumRef, len(env.enumRecord))
-				copy(refs, env.enumRecord)
-				p.enum = append(p.enum, refs)
-				e.node.Charge(machine.Cost{ListInserts: len(refs)})
-			}
-		} else {
+		if !env.iterNonlocal {
 			p.execLocal = appendIter(p.execLocal, c.rank, it)
+			continue
+		}
+		p.execNonlocal = append(p.execNonlocal, it)
+		for k, rec := range env.recs {
+			starts[k] = append(starts[k], int32(len(rec)))
+		}
+		if c.enumerate {
+			// Saltz-style: keep the full per-reference list for this
+			// iteration; list construction costs one insert per
+			// reference ("relatively high" preprocessing, §5).
+			refs := make([]enumRef, len(env.enumRecord))
+			copy(refs, env.enumRecord)
+			p.enum = append(p.enum, refs)
+			e.node.Charge(machine.Cost{ListInserts: len(refs)})
 		}
 	}
 
-	// Finalize in sets and ship each record to its home processor.  A
-	// parcel's records alias the in set's, which no one writes again: the
+	// Finalize in sets, resolve the recorded insertion ids to buffer
+	// offsets, and ship each record to its home processor.  A parcel's
+	// records alias the in set's, which no one writes again: the
 	// receiver copies them out.
 	var parcels []crystal.Parcel
 	for k, b := range builders {
-		in := b.Finalize()
-		p.slots = append(p.slots, slot{in: in})
+		in, offs := b.FinalizeOffsets()
+		sl := slot{in: in}
+		if c.enumerate {
+			for _, refs := range p.enum {
+				for r := range refs {
+					if ref := &refs[r]; ref.Slot == k && ref.Buf != -1 {
+						ref.Buf = int(offs[ref.Buf]) // Buf held the insertion id
+					}
+				}
+			}
+		} else {
+			sl.ref = refStream{refs: env.recs[k], starts: starts[k]}
+			for i, r := range sl.ref.refs {
+				sl.ref.refs[i].off = offs[r.off] // off held the insertion id
+			}
+		}
+		p.slots = append(p.slots, sl)
 		for _, q := range in.Senders() {
 			recs := in.RangesFrom(q)
 			parcels = append(parcels, crystal.Parcel{
@@ -312,23 +348,6 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 	}
 	for k := range p.slots {
 		p.slots[k].out = comm.BuildOut(me, bySlot[k])
-	}
-
-	// Enumerated schedules resolve buffer slots now that the in sets
-	// are final.
-	if c.enumerate {
-		for _, refs := range p.enum {
-			for r := range refs {
-				ref := &refs[r]
-				if ref.Buf != -1 {
-					buf, ok := p.slots[ref.Slot].in.Find(ref.Buf, ref.G) // Buf held the owner during recording
-					if !ok {
-						panic(fmt.Sprintf("forall %s: enumerated element %d missing from schedule", c.name, ref.G))
-					}
-					ref.Buf = buf
-				}
-			}
-		}
 	}
 	return p
 }
@@ -428,9 +447,10 @@ func (e *Engine) runPerElement(c *loopCore, sg segment, env *Env) {
 // into maximal runs of consecutive iterations — consecutive columns of
 // one row at rank 2 — and each run is offered whole to the loop's
 // Segment body, with the Env in the nonlocal mode, where every read
-// tests locality and may search the buffers; a run it declines, and
-// every run of a loop with no Segment body or an enumerated schedule,
-// goes through Body an iteration at a time.
+// tests locality and finds a remote element in the receive buffer, and
+// with the Env's stream cursors at the run's first read; a run it
+// declines, and every run of a loop with no Segment body or an
+// enumerated schedule, goes through Body an iteration at a time.
 func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 	env.mode = modeExecNonlocal
 	its := s.execNonlocal
@@ -447,6 +467,7 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 				break
 			}
 		}
+		env.seek(s, k)
 		if c.runSegment(segment{i: row, lo: lo, hi: lo + end - k - 1}, env) {
 			e.boundarySegIters += end - k
 		} else {
@@ -457,7 +478,7 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 }
 
 // runNonlocal runs nonlocal iterations from..to-1 through Body, one at
-// a time.
+// a time, each with the Env's stream cursors at its first read.
 func (e *Engine) runNonlocal(c *loopCore, s *Schedule, from, to int, env *Env) {
 	for k := from; k < to; k++ {
 		e.node.ChargeLoopIter()
@@ -465,6 +486,7 @@ func (e *Engine) runNonlocal(c *loopCore, s *Schedule, from, to int, env *Env) {
 			env.enumList = s.enum[k]
 			env.enumPos = 0
 		}
+		env.seek(s, k)
 		c.run(s.execNonlocal[k], env)
 	}
 }

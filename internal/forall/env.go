@@ -18,10 +18,10 @@ const (
 	// known local, accesses go straight to local storage.
 	modeExecLocal
 	// modeExecNonlocal: executor nonlocal loop — every read tests
-	// locality and may search the communication buffer (the paper's
-	// "locality test ... is necessary because even within the same
-	// iteration the reference may be sometimes local and sometimes
-	// nonlocal").
+	// locality and finds a remote element in the communication buffer
+	// (the paper's "locality test ... is necessary because even within
+	// the same iteration the reference may be sometimes local and
+	// sometimes nonlocal").
 	modeExecNonlocal
 )
 
@@ -38,6 +38,14 @@ type Env struct {
 
 	arrays   []*darray.Array // distinct read arrays, schedule slot order
 	builders []*comm.Builder // inspect mode only
+	// recs[k] is slot k's refStream in the making (inspect mode, not
+	// under Enumerate).
+	recs [][]remoteRef
+	// pos[k] is slot k's cursor into the plan's refStream in the
+	// nonlocal loop, which seek places at each run and iteration.  An
+	// Env over a plan without streams, and the reference executor's,
+	// has none, and searches every read.
+	pos []int32
 
 	iterNonlocal bool
 	writes       []write
@@ -84,6 +92,45 @@ func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, arrays []*darray.Arra
 	e.enumRecord = e.enumRecord[:0]
 	e.enumList = nil
 	e.enumPos = 0
+	// Only a plan with reference streams gets cursors, so on any other
+	// seek and replayed do nothing.
+	e.pos = e.pos[:0]
+	if len(s.slots) > 0 && s.slots[0].ref.starts != nil {
+		for range s.slots {
+			e.pos = append(e.pos, 0)
+		}
+	}
+}
+
+// seek places every slot's stream cursor at the first remote read of
+// nonlocal iteration it of s.
+func (e *Env) seek(s *Schedule, it int) {
+	for k := range e.pos {
+		e.pos[k] = s.slots[k].ref.starts[it]
+	}
+}
+
+// replayed reads element g of a, which is not in the node's locality
+// window, from the receive buffer at the offset its slot's refStream
+// holds at the cursor, when the entry there is g, and passes the entry;
+// it charges what Read charges a remote element, the search and the
+// memory reference.  ok false leaves the read, uncharged, to the
+// search.
+func (e *Env) replayed(a *darray.Array, g int) (v float64, ok bool) {
+	for k, p := range e.pos {
+		if e.arrays[k] != a {
+			continue
+		}
+		refs := e.sched.slots[k].ref.refs
+		if int(p) >= len(refs) || refs[p].g != g {
+			return 0, false
+		}
+		e.pos[k] = p + 1
+		e.node.ChargeSearch(e.sched.slots[k].in.NumRanges())
+		e.node.ChargeMemRefs(1)
+		return e.sched.bufs[k][refs[p].off], true
+	}
+	return 0, false
 }
 
 // commit stores the buffered writes — the copy-out half of forall's
@@ -130,11 +177,15 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			return v
 		}
 		e.iterNonlocal = true
+		k := e.slotOf(a)
+		id, added := e.builders[k].Add(g, owner)
 		if e.core.enumerate {
-			e.enumRecord = append(e.enumRecord, enumRef{Slot: e.slotOf(a), G: g, Buf: owner})
+			e.enumRecord = append(e.enumRecord, enumRef{Slot: k, G: g, Buf: id})
+		} else {
+			e.recs[k] = append(e.recs[k], remoteRef{g: g, off: int32(id)})
 		}
-		if e.builders[e.slotOf(a)].Add(g, owner) {
-			e.node.Charge(machine.Cost{ListInserts: 1})
+		if added {
+			e.node.ChargeListInsert()
 		}
 		return 0 // value unused by a well-formed inspector pass
 
@@ -164,6 +215,9 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 		e.node.ChargeLocTest()
 		if v, ok := a.LocalLinear(g); ok {
 			e.node.ChargeMemRefs(1)
+			return v
+		}
+		if v, ok := e.replayed(a, g); ok {
 			return v
 		}
 		owner := a.OwnerLinear(g)
@@ -211,6 +265,9 @@ func (e *Env) Read2(a *darray.Array, i, j int) float64 {
 		}
 		// IsLocal2 validated the coordinates, so Linear2 is safe.
 		g := a.Linear2(i, j)
+		if v, ok := e.replayed(a, g); ok {
+			return v
+		}
 		k := e.slotOf(a)
 		in := e.sched.slots[k].in
 		e.node.ChargeSearch(in.NumRanges())
@@ -295,12 +352,12 @@ func (e *Env) Nonlocal() bool { return e.mode == modeExecNonlocal }
 // Gather is the load side of a Loop.Segment body for a rank-1 read
 // whose subscripts are data — the paper's old_a[adj[i,j]] — where no
 // run of the read is a span.  Env.Gather resolves the array's slot,
-// receive buffer and search price once; At then reads one element as
-// Read would, and charges nothing, for a caller that holds the clock
-// (machine.Node.ClockCell).  What Read charges ahead of the memory
-// reference is the caller's to add: nothing in the executor's local
-// loop; in the nonlocal loop a locality test (Tested), and after it
-// Search when At reports the element remote.
+// receive buffer, reference stream and search price once; At then
+// reads one element as Read would, and charges nothing, for a caller
+// that holds the clock (machine.Node.ClockCell).  What Read charges
+// ahead of the memory reference is the caller's to add: nothing in the
+// executor's local loop; in the nonlocal loop a locality test
+// (Tested), and after it Search when At reports the element remote.
 type Gather struct {
 	// Tested says every read tests locality first (the nonlocal loop).
 	Tested bool
@@ -312,6 +369,11 @@ type Gather struct {
 	a   *darray.Array
 	in  *comm.InSet
 	buf []float64
+	// refs is the slot's refStream and pos the handle's cursor in it,
+	// from the Env's at Env.Gather; an Env without cursors leaves refs
+	// nil, and every remote read searches.
+	refs []remoteRef
+	pos  int
 }
 
 // Gather returns the handle on a for the executor's current loop, or ok
@@ -327,21 +389,31 @@ func (e *Env) Gather(a *darray.Array) (g Gather, ok bool) {
 	}
 	for k, arr := range e.arrays {
 		if arr == a {
-			in := e.sched.slots[k].in
-			return Gather{Tested: true, Search: e.node.SearchCost(in.NumRanges()), e: e, a: a, in: in, buf: e.sched.bufs[k]}, true
+			sl := &e.sched.slots[k]
+			g = Gather{Tested: true, Search: e.node.SearchCost(sl.in.NumRanges()), e: e, a: a, in: sl.in, buf: e.sched.bufs[k]}
+			if k < len(e.pos) {
+				g.refs, g.pos = sl.ref.refs, int(e.pos[k])
+			}
+			return g, true
 		}
 	}
 	return Gather{}, false
 }
 
 // At returns element x (linearized global index) and whether it came
-// from the receive buffer, panicking where Read would.
+// from the receive buffer, panicking where Read would.  A remote
+// element is read at the offset the reference stream's next entry
+// gives, when that entry is x, and is searched for otherwise.
 func (g *Gather) At(x int) (v float64, remote bool) {
 	if v, ok := g.a.LocalLinear(x); ok {
 		return v, false
 	}
 	if !g.Tested {
 		return g.a.GetLinear(x), false
+	}
+	if p := g.pos; p < len(g.refs) && g.refs[p].g == x {
+		g.pos = p + 1
+		return g.buf[g.refs[p].off], true
 	}
 	owner := g.a.OwnerLinear(x)
 	if owner == -1 || owner == g.e.node.ID() {

@@ -120,7 +120,7 @@ type Loop struct {
 	// the engine then runs through Body.  Runs of the interior come with
 	// the Env in the local mode, runs of the boundary (after the
 	// receives) in the nonlocal mode (Env.Nonlocal), where Read tests
-	// every reference's locality and searches the receive buffer for the
+	// every reference's locality and charges the in-set search for the
 	// remote ones; ReadSpan1 gives a run's read in either mode as a view
 	// and the charges each element makes ahead of its memory reference,
 	// and Env.Gather does the same per element for a read whose
@@ -371,6 +371,29 @@ type peerCount struct{ q, n int }
 type slot struct {
 	in  *comm.InSet
 	out *comm.OutSet
+	ref refStream
+}
+
+// refStream is an inspector plan's record of one slot's remote reads,
+// resolved to where the executor finds them: every read the recording
+// pass sent to the in set, in body order, with its buffer offset, and
+// where each nonlocal iteration's reads begin.  The executor replays it
+// by position and confirms each entry's element, so a body that reads
+// in another order still reads right, through the search.  It is host
+// memory outside the cost model, like the in set's directory: the
+// executor still charges the paper's O(log r) search for every remote
+// read, and MemBytes does not count it.  Compile-time plans, plans from
+// disk and enumerated plans have none.
+type refStream struct {
+	refs   []remoteRef
+	starts []int32 // starts[k]: nonlocal iteration k's first entry in refs; then len(refs)
+}
+
+// remoteRef is one remote read: element g, at offset off of the receive
+// buffer (while the recording pass runs, off is g's insertion id).
+type remoteRef struct {
+	g   int
+	off int32
 }
 
 // enumRef is one resolved reference of a Saltz-style enumerated

@@ -230,3 +230,87 @@ func TestGatherSegmentReplayAllocationFree(t *testing.T) {
 	})
 	pin.Check(t, "gather segment replay")
 }
+
+// TestReplayOutOfOrder: after inspection the subscripts are shuffled
+// among the boundary iterations, with the driving array left out of
+// DependsOn, so that the replayed schedule meets every remote
+// reference it recorded, but in another order.  Read and Gather must
+// confirm each entry of the inspector's stream against the element
+// asked for, and search where it does not match: both read the right
+// values.
+func TestReplayOutOfOrder(t *testing.T) {
+	const n, p = 64, 4
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	val := func(g int) float64 { return 1 + float64(g)*0.37 }
+	for _, segments := range []bool{false, true} {
+		sim.MustNew(p, machine.NCUBE7()).Run(func(nd *machine.Node) {
+			src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+			idx := darray.NewInt("idx", d, nd)
+			src.EachLocal(func(g int) { src.Set1(g, val(g)) })
+			idx.EachLocal(func(g int) { idx.Set1(g, (g*7)%n+1) })
+			l := gatherLoop(nd, n, out, src, idx, segments)
+			l.DependsOn = nil
+			eng := NewEngine(nd)
+			eng.Run(l)
+			// Reverse the subscripts of the boundary iterations: each
+			// still reads a remote element, the set of them is the one
+			// inspected, and their order is not.
+			its := eng.Schedule("gather").execNonlocal
+			for a, b := 0, len(its)-1; a < b; a, b = a+1, b-1 {
+				ga, gb := idx.Get1(its[a].i), idx.Get1(its[b].i)
+				idx.Set1(its[a].i, gb)
+				idx.Set1(its[b].i, ga)
+			}
+			if len(its) < 2 || idx.Get1(its[0].i) == idx.Get1(its[len(its)-1].i) {
+				t.Errorf("node %d: %d boundary iterations, nothing reordered", nd.ID(), len(its))
+			}
+			eng.Run(l)
+			out.EachLocal(func(i int) {
+				g := idx.Get1(i)
+				if got, want := out.Get1(i), val(g)+val(g%n+1); got != want {
+					t.Errorf("segments=%v node %d: out[%d] = %v, want src[%d]+src[%d] = %v", segments, nd.ID(), i, got, g, g%n+1, want)
+				}
+			})
+			if segments && eng.BoundarySegmentIters() == 0 {
+				t.Errorf("node %d: no boundary run went through Gather", nd.ID())
+			}
+		})
+	}
+}
+
+// TestCursorsOnlyOverStreams: an Env gets stream cursors only over a
+// plan that has reference streams, so over an enumerated plan (and
+// every other plan without streams) seek and the replay have nothing
+// to do; and a Gather handle from an Env without cursors, the
+// reference executor's, holds no stream and searches every remote read.
+func TestCursorsOnlyOverStreams(t *testing.T) {
+	const n, p = 64, 4
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	sim.MustNew(p, machine.NCUBE7()).Run(func(nd *machine.Node) {
+		src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+		idx := darray.NewInt("idx", d, nd)
+		idx.EachLocal(func(g int) { idx.Set1(g, (g*7)%n+1) })
+		for _, enumerate := range []bool{false, true} {
+			l := gatherLoop(nd, n, out, src, idx, false)
+			l.Enumerate = enumerate
+			eng := NewEngine(nd)
+			eng.Run(l)
+			s := eng.Schedule("gather")
+			var env Env
+			env.reset(eng, nil, s, []*darray.Array{src})
+			if want := map[bool]int{false: len(s.slots), true: 0}[enumerate]; len(env.pos) != want {
+				t.Errorf("node %d, enumerate=%v: %d cursors, want %d", nd.ID(), enumerate, len(env.pos), want)
+			}
+			if enumerate {
+				continue
+			}
+			if len(s.execNonlocal) == 0 || s.slots[0].ref.refs == nil {
+				t.Errorf("node %d: inspector plan without a stream", nd.ID())
+			}
+			bare := Env{mode: modeExecNonlocal, node: nd, sched: s, arrays: []*darray.Array{src}}
+			if h, ok := bare.Gather(src); !ok || h.refs != nil {
+				t.Errorf("node %d: Gather from an Env without cursors: ok %v, stream of %d entries", nd.ID(), ok, len(h.refs))
+			}
+		}
+	})
+}

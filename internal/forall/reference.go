@@ -19,8 +19,9 @@ import (
 // acquisition, the per-range pack/unpack copies, the per-element
 // nonlocal loop and the commit — and none of what is: no nonblocking
 // sends or completion-order drain, no cross-loop windows or plans, no
-// row kernels in either loop, no recycled Env, write log or message
-// buffers.  A bug in any
+// row kernels in either loop, no replay of the inspector's reference
+// streams (its Env has no cursors, so every remote read searches the in
+// set), no recycled Env, write log or message buffers.  A bug in any
 // of those shows up as production ≠ reference.
 //
 // The traffic is the paper's: one combined message per communicating

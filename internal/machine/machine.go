@@ -442,6 +442,14 @@ func (n *Node) ChargeRefCheck() {
 	}
 }
 
+// ChargeListInsert charges one insert into an inspector list, exactly
+// like Charge(Cost{ListInserts: 1}).
+func (n *Node) ChargeListInsert() {
+	if n.virtual {
+		n.advance(n.m.params.ListInsert)
+	}
+}
+
 // UnitCosts are the prices of the single-term charges a forall body
 // makes per element, as ClockCell hands them out: the locality test is
 // a boundary read's.

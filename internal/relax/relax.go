@@ -272,7 +272,8 @@ func copySegment(nd *machine.Node, dst, src *darray.Array) func(lo, hi int, e *f
 // count, adj and coef, with a direct store into a, and with the clock
 // held in the node's ClockCell.  The indirect read old_a[adj[i,j]] goes
 // through an Env.Gather handle, so a boundary run tests every reference
-// and searches the receive buffer for the remote ones, as Read does.  A
+// and reads the remote ones from the receive buffer, at the offsets the
+// inspector resolved, and charges their search, as Read does.  A
 // run it cannot take whole it declines before any side effect: a
 // distribution without a locality window, a count out of [0, maxdeg],
 // or an Env that leaves the reads to Read.  Nil when the clock has no
