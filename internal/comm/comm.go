@@ -97,6 +97,10 @@ type Builder struct {
 	me    int
 	elems []elem  // distinct elements in insertion order, elems[id] the one with insertion id id
 	table []int32 // open-addressed set over elems keyed by g: index+1, 0 = empty
+	// sorted and offsets are FinalizeOffsets' working memory: the radix
+	// sort's two buffers and the offsets it returns.
+	sorted  [2][]elem
+	offsets []int32
 }
 
 // elem is one recorded element: g, stored on home, with its insertion
@@ -158,19 +162,6 @@ func (b *Builder) Add(g, home int) (id int, added bool) {
 	return id, true
 }
 
-// Grow makes room for n more distinct elements, so that recording them
-// does not rehash the set.
-func (b *Builder) Grow(n int) {
-	size := 16
-	for size < 2*(len(b.elems)+n) {
-		size *= 2
-	}
-	if size > len(b.table) {
-		b.elems = slices.Grow(b.elems, n)
-		b.rehash(size)
-	}
-}
-
 // rehash re-enters every recorded element in a table of size cells, a
 // power of two.
 func (b *Builder) rehash(size int) {
@@ -178,6 +169,17 @@ func (b *Builder) rehash(size int) {
 	for i, e := range b.elems {
 		putCell(b.table, e.g, int32(i+1))
 	}
+}
+
+// Reset empties b for receiving processor me and keeps its memory, so
+// that a Builder recycled across builds grows its set, its element list
+// and its sort buffers once, not once a build.  The table keeps its
+// size.  Reset is the release of what FinalizeOffsets lent: the
+// offsets it returned are b's, and Reset ends their life.
+func (b *Builder) Reset(me int) {
+	b.me = me
+	b.elems = b.elems[:0]
+	clear(b.table)
 }
 
 // Count returns the number of distinct elements recorded so far.
@@ -193,9 +195,10 @@ func (b *Builder) Finalize() *InSet {
 // adjacent indices from the same home into single records, and assigns
 // buffer offsets: the paper's in-set construction.  It also returns
 // where each element landed, offsets[id] for the element Add gave
-// insertion id id.  The Builder's set stays as it was.
+// insertion id id, in memory the Builder keeps (see Reset); the in set
+// is the caller's.  The Builder's set stays as it was.
 func (b *Builder) FinalizeOffsets() (in *InSet, offsets []int32) {
-	es := sortedElems(b.elems)
+	es := sortedElems(b.elems, &b.sorted)
 	// An element starts a record unless it extends its predecessor's.
 	starts := func(k int) bool {
 		return k == 0 || es[k-1].home != es[k].home || es[k-1].g+1 != es[k].g
@@ -207,7 +210,8 @@ func (b *Builder) FinalizeOffsets() (in *InSet, offsets []int32) {
 		}
 	}
 	ranges := make([]Range, 0, nrec)
-	offsets = make([]int32, len(es))
+	offsets = slices.Grow(b.offsets[:0], len(es))[:len(es)]
+	b.offsets = offsets
 	for k, e := range es {
 		offsets[e.id] = int32(k)
 		if starts(k) {
@@ -220,12 +224,13 @@ func (b *Builder) FinalizeOffsets() (in *InSet, offsets []int32) {
 }
 
 // sortedElems returns es ordered by (home, g), leaving es as it is: a
-// byte-wise radix sort, least significant byte first.  A byte on which
+// byte-wise radix sort, least significant byte first, whose passes
+// write to bufs in turn, growing them as they must.  A byte on which
 // all elements agree takes no pass, and for real processor counts and
 // array sizes that is every byte but two or three, so the sort is a few
 // linear sweeps where a comparison sort spends most of an inspector
 // build.
-func sortedElems(es []elem) []elem {
+func sortedElems(es []elem, bufs *[2][]elem) []elem {
 	var varies [2]uint64 // bits in which some g, some home differs from the first
 	for _, e := range es {
 		varies[0] |= uint64(e.g ^ es[0].g)
@@ -239,7 +244,6 @@ func sortedElems(es []elem) []elem {
 		return uint64(e.home) ^ 1<<63
 	}
 	src := es
-	var bufs [2][]elem // passes write to these in turn, never to es
 	npass := 0
 	for field, v := range varies {
 		for shift := uint(0); shift < 64; shift += 8 {
@@ -255,11 +259,11 @@ func sortedElems(es []elem) []elem {
 				next[k] = sum
 				sum += c
 			}
-			dst := bufs[npass&1]
-			if dst == nil {
-				dst = make([]elem, len(es))
-				bufs[npass&1] = dst
+			buf := &bufs[npass&1]
+			if cap(*buf) < len(es) {
+				*buf = make([]elem, len(es))
 			}
+			dst := (*buf)[:len(es)]
 			for _, e := range src {
 				k := key(e, field) >> shift & 0xff
 				dst[next[k]] = e

@@ -305,9 +305,39 @@ func FuzzBuilderFinalize(f *testing.F) {
 // receiver me and to the reference and compares every Add's answer
 // and id, the records, and every insertion id's offset against Find;
 // then it feeds after, to show that Finalize left the set as it was.
+// It does so twice: with a fresh Builder, and with one recycled from a
+// larger build for another receiver, which must give the same ids,
+// records and offsets.
 func checkBuilder(t *testing.T, me int, stream, after [][2]int) {
 	t.Helper()
-	b, ref := NewBuilder(me), &refBuilder{me: me, elems: map[int]int{}}
+	var fresh []int32
+	for i, b := range []*Builder{NewBuilder(me), recycledBuilder(me, len(stream))} {
+		offsets := checkBuild(t, b, me, stream, after)
+		if i == 0 {
+			fresh = slices.Clone(offsets)
+		} else if !slices.Equal(offsets, fresh) {
+			t.Fatalf("recycled Builder gave offsets %v, a fresh one %v", offsets, fresh)
+		}
+	}
+}
+
+// recycledBuilder returns a Builder for receiver me that has recorded
+// and finalized a build of more than n elements for another receiver,
+// and been Reset.
+func recycledBuilder(me, n int) *Builder {
+	b := NewBuilder(me + 1)
+	for k := 0; k < 2*n+40; k++ {
+		b.Add(3*k-n, me+2+k%5)
+	}
+	b.FinalizeOffsets()
+	b.Reset(me)
+	return b
+}
+
+// checkBuild is checkBuilder for one Builder b; it returns the offsets.
+func checkBuild(t *testing.T, b *Builder, me int, stream, after [][2]int) []int32 {
+	t.Helper()
+	ref := &refBuilder{me: me, elems: map[int]int{}}
 	ids := map[int]int{} // g -> insertion id
 	add := func(e [2]int) {
 		t.Helper()
@@ -342,4 +372,5 @@ func checkBuilder(t *testing.T, me int, stream, after [][2]int) {
 	for _, e := range after {
 		add(e)
 	}
+	return offsets
 }

@@ -209,6 +209,10 @@ type Report struct {
 	// as runs of consecutive columns.
 	BoundaryIters        int
 	BoundarySegmentIters int
+	// InspectSegmentIters counts the iterations of inspector recording
+	// passes that a loop's Inspect body recorded a run at a time
+	// (forall.Loop.Inspect) rather than Body per element.
+	InspectSegmentIters int
 }
 
 // OverheadPct returns the paper's "inspector overhead" column:
@@ -292,6 +296,7 @@ func runOn(m *machine.Machine, reference bool, store *forall.SharedStore, prog f
 			rep.SegmentIters += e.SegmentIters()
 			rep.BoundaryIters += e.BoundaryIters()
 			rep.BoundarySegmentIters += e.BoundarySegmentIters()
+			rep.InspectSegmentIters += e.InspectSegmentIters()
 		}
 	}
 	rep.PlanEvictions = darray.PlanEvictions(m)

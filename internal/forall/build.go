@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 
 	"kali/internal/analysis"
 	"kali/internal/comm"
@@ -182,14 +183,13 @@ type routedRecs struct {
 	recs []comm.Range
 }
 
-// inspectIters enumerates this node's iterations in loop order for the
-// recording pass, charging the placement cost (closed-form for on
-// clauses, a per-iteration scan for OnProc).
-func (e *Engine) inspectIters(c *loopCore) []iteration {
+// inspectIters appends this node's iterations in loop order to out,
+// for the recording pass, charging the placement cost (closed-form for
+// on clauses, a per-iteration scan for OnProc).
+func (e *Engine) inspectIters(c *loopCore, out []iteration) []iteration {
 	me := e.node.ID()
 	if c.rank == 1 {
 		lo, hi := c.bounds[0], c.bounds[1]
-		var out []iteration
 		if c.onProc != nil {
 			// Run-time placement scan: evaluate the on expression for
 			// every iteration in range.
@@ -204,7 +204,6 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 		set := analysis.Exec(c.on.Dist().Pattern(0), c.onF, lo, hi, me)
 		// Symbolic evaluation cost: one call's worth.
 		e.node.Charge(machine.Cost{Calls: 1})
-		out = make([]iteration, 0, set.Len())
 		set.Each(func(i int) { out = append(out, iteration{i: i}) })
 		return out
 	}
@@ -217,13 +216,62 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 	rows, cols := analysis.Exec2(d.Pattern(0), d.Pattern(1), c.onF2,
 		c.bounds[0], c.bounds[1], c.bounds[2], c.bounds[3], me)
 	e.node.Charge(machine.Cost{Calls: 1})
-	out := make([]iteration, 0, rows.Len()*cols.Len())
 	rows.Each(func(i int) {
 		cols.Each(func(j int) {
 			out = append(out, iteration{i: i, j: j})
 		})
 	})
 	return out
+}
+
+// recording is one inspector build's working memory: per slot the in
+// set's builder and the reference stream in the making, the iteration
+// lists, and the iteration the recording pass has open.  The plan keeps
+// exact-size copies of what it needs, so all of it is dead once the
+// plan exists, and builds take it from recordings and give it back
+// warm: a build grows only what no earlier one grew.
+type recording struct {
+	p        *plan
+	slots    []slotRecording
+	exec     []iteration // the node's iterations, in loop order
+	nonlocal []iteration // the plan's execNonlocal
+	run      []iteration // what a Loop.Inspect body has yet to begin of its run
+	iter     iteration   // the open iteration, if open
+	open     bool
+}
+
+// slotRecording is what a recording keeps for one slot: the in set's
+// builder, and the refStream, whose offsets hold insertion ids.
+type slotRecording struct {
+	b      comm.Builder
+	refs   []remoteRef
+	starts []int32
+}
+
+// recordings is the process-wide pool of recordings.  It holds about
+// as many as there are builds in flight, and sync.Pool drops what lies
+// unused through two collections.
+var recordings = sync.Pool{New: func() any { return new(recording) }}
+
+// reset readies r for building p on node me with n slots.
+func (r *recording) reset(p *plan, me, n int) {
+	r.p, r.open = p, false
+	r.slots = slices.Grow(r.slots[:0], n)[:n] // keeps the slots past len
+	for k := range r.slots {
+		sr := &r.slots[k]
+		sr.b.Reset(me)
+		sr.refs, sr.starts = sr.refs[:0], append(sr.starts[:0], 0)
+	}
+	r.exec, r.nonlocal = r.exec[:0], r.nonlocal[:0]
+}
+
+// exact returns a copy of s in memory of its own and of its length
+// (nil when s is empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // buildInspector performs the paper's run-time analysis (Figure 6) for
@@ -235,71 +283,50 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 // into the buffer offsets the executor replays (refStream), or, under
 // Enumerate, into the resolved reference lists.
 func (e *Engine) buildInspector(c *loopCore) *plan {
-	me := e.node.ID()
-	exec := e.inspectIters(c)
-	arrays := distinctArrays(c)
+	rec := recordings.Get().(*recording)
+	p := e.inspect(c, rec)
+	recordings.Put(rec)
+	return p
+}
 
-	// Every set and stream starts with room for one entry per
-	// iteration this node runs, and grows past it as it must.
+// inspect is buildInspector in the working memory rec.
+func (e *Engine) inspect(c *loopCore, rec *recording) *plan {
+	me := e.node.ID()
+	arrays := distinctArrays(c)
 	p := &plan{kind: BuildInspector}
-	builders := make([]*comm.Builder, len(arrays))
-	for k := range builders {
-		builders[k] = comm.NewBuilder(me)
-		builders[k].Grow(len(exec))
-	}
-	env := &Env{
-		mode:     modeInspect,
-		node:     e.node,
-		core:     c,
-		arrays:   arrays,
-		builders: builders,
-	}
-	var starts [][]int32 // refStream.starts of every slot
-	if !c.enumerate {
-		env.recs = make([][]remoteRef, len(arrays))
-		starts = make([][]int32, len(arrays))
-		for k := range arrays {
-			env.recs[k] = make([]remoteRef, 0, len(exec))
-			starts[k] = append(make([]int32, 0, len(exec)+1), 0)
-		}
-	}
+	rec.reset(p, me, len(arrays))
+	rec.exec = e.inspectIters(c, rec.exec)
+	env := &Env{mode: modeInspect, node: e.node, core: c, arrays: arrays, rec: rec}
 
 	// Recording pass: run the body with an inspecting Env.  A read is
 	// recorded only where it makes its iteration nonlocal, so a local
-	// iteration leaves the streams as it found them.
-	for _, it := range exec {
-		e.node.ChargeLoopIter()
-		env.iterNonlocal = false
-		if c.enumerate {
-			env.enumRecord = env.enumRecord[:0]
+	// iteration leaves the streams as it found them.  A loop with an
+	// Inspect body is offered its runs of consecutive iterations.
+	byRuns := c.rank == 1 && c.l1.Inspect != nil && !c.enumerate
+	for k := 0; k < len(rec.exec); {
+		end := k + 1
+		if byRuns {
+			end = runEnd(rec.exec, k, c.rank)
 		}
-		c.run(it, env)
-		if !env.iterNonlocal {
-			p.execLocal = appendIter(p.execLocal, c.rank, it)
-			continue
+		if run := rec.exec[k:end]; !byRuns || !e.recordRun(c, run, env) {
+			for _, it := range run {
+				env.beginIter(it)
+				c.run(it, env)
+			}
 		}
-		p.execNonlocal = append(p.execNonlocal, it)
-		for k, rec := range env.recs {
-			starts[k] = append(starts[k], int32(len(rec)))
-		}
-		if c.enumerate {
-			// Saltz-style: keep the full per-reference list for this
-			// iteration; list construction costs one insert per
-			// reference ("relatively high" preprocessing, §5).
-			refs := make([]enumRef, len(env.enumRecord))
-			copy(refs, env.enumRecord)
-			p.enum = append(p.enum, refs)
-			e.node.Charge(machine.Cost{ListInserts: len(refs)})
-		}
+		k = end
 	}
+	env.endIter()
+	p.execNonlocal = exact(rec.nonlocal)
 
 	// Finalize in sets, resolve the recorded insertion ids to buffer
 	// offsets, and ship each record to its home processor.  A parcel's
 	// records alias the in set's, which no one writes again: the
 	// receiver copies them out.
 	var parcels []crystal.Parcel
-	for k, b := range builders {
-		in, offs := b.FinalizeOffsets()
+	for k := range rec.slots {
+		sr := &rec.slots[k]
+		in, offs := sr.b.FinalizeOffsets()
 		sl := slot{in: in}
 		if c.enumerate {
 			for _, refs := range p.enum {
@@ -310,10 +337,11 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 				}
 			}
 		} else {
-			sl.ref = refStream{refs: env.recs[k], starts: starts[k]}
-			for i, r := range sl.ref.refs {
-				sl.ref.refs[i].off = offs[r.off] // off held the insertion id
+			refs := make([]remoteRef, len(sr.refs))
+			for i, r := range sr.refs {
+				refs[i] = remoteRef{g: r.g, off: offs[r.off]} // off held the insertion id
 			}
+			sl.ref = refStream{refs: refs, starts: exact(sr.starts)}
 		}
 		p.slots = append(p.slots, sl)
 		for _, q := range in.Senders() {
@@ -325,6 +353,7 @@ func (e *Engine) buildInspector(c *loopCore) *plan {
 			})
 		}
 	}
+	rec.p = nil // the pool must not keep the plan alive
 
 	received := e.exchange(parcels)
 
@@ -460,13 +489,8 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 		return
 	}
 	for k := 0; k < len(its); {
+		end := runEnd(its, k, c.rank)
 		row, lo := its[k].rowCol(c.rank)
-		end := k + 1
-		for ; end < len(its); end++ {
-			if r, x := its[end].rowCol(c.rank); r != row || x != lo+end-k {
-				break
-			}
-		}
 		env.seek(s, k)
 		if c.runSegment(segment{i: row, lo: lo, hi: lo + end - k - 1}, env) {
 			e.boundarySegIters += end - k
@@ -475,6 +499,35 @@ func (e *Engine) runBoundary(c *loopCore, s *Schedule, env *Env) {
 		}
 		k = end
 	}
+}
+
+// runEnd returns the end of the maximal run of consecutive iterations
+// that starts at its[k]: consecutive columns of one row at rank 2.
+func runEnd(its []iteration, k, rank int) int {
+	row, lo := its[k].rowCol(rank)
+	end := k + 1
+	for ; end < len(its); end++ {
+		if r, x := its[end].rowCol(rank); r != row || x != lo+end-k {
+			break
+		}
+	}
+	return end
+}
+
+// recordRun offers run, consecutive iterations of the recording pass,
+// to the loop's Inspect body; false means it declined, before it began
+// any of them.
+func (e *Engine) recordRun(c *loopCore, run []iteration, env *Env) bool {
+	env.rec.run = run
+	ok := c.l1.Inspect(run[0].i, run[len(run)-1].i, env)
+	if left := len(env.rec.run); ok && left != 0 || !ok && left != len(run) {
+		panic(fmt.Sprintf("forall %s: Inspect body began %d of iterations %d..%d and returned %v",
+			c.name, len(run)-left, run[0].i, run[len(run)-1].i, ok))
+	}
+	if ok {
+		e.inspectSegIters += len(run)
+	}
+	return ok
 }
 
 // runNonlocal runs nonlocal iterations from..to-1 through Body, one at

@@ -36,11 +36,8 @@ type Env struct {
 	core  *loopCore
 	sched *Schedule
 
-	arrays   []*darray.Array // distinct read arrays, schedule slot order
-	builders []*comm.Builder // inspect mode only
-	// recs[k] is slot k's refStream in the making (inspect mode, not
-	// under Enumerate).
-	recs [][]remoteRef
+	arrays []*darray.Array // distinct read arrays, schedule slot order
+	rec    *recording      // inspect mode only
 	// pos[k] is slot k's cursor into the plan's refStream in the
 	// nonlocal loop, which seek places at each run and iteration.  An
 	// Env over a plan without streams, and the reference executor's,
@@ -85,7 +82,7 @@ func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, arrays []*darray.Arra
 	e.core = c
 	e.sched = s
 	e.arrays = arrays
-	e.builders = nil
+	e.rec = nil
 	e.iterNonlocal = false
 	e.writes = e.writes[:0]
 	e.spanRefused = e.spanRefused[:0]
@@ -133,6 +130,60 @@ func (e *Env) replayed(a *darray.Array, g int) (v float64, ok bool) {
 	return 0, false
 }
 
+// BeginIter starts the next iteration of the run a Loop.Inspect body
+// is recording, as the engine starts each iteration it records through
+// Body: it files the previous one and charges the loop iteration.
+func (e *Env) BeginIter() {
+	r := e.rec
+	if len(r.run) == 0 {
+		panic(fmt.Sprintf("forall %s: Inspect body began more iterations than its run holds", e.core.name))
+	}
+	e.beginIter(r.run[0])
+	r.run = r.run[1:]
+}
+
+// beginIter files the recording pass's open iteration and opens it.
+func (e *Env) beginIter(it iteration) {
+	e.endIter()
+	e.node.ChargeLoopIter()
+	e.iterNonlocal = false
+	if e.core.enumerate {
+		e.enumRecord = e.enumRecord[:0]
+	}
+	e.rec.iter, e.rec.open = it, true
+}
+
+// endIter files the recording pass's open iteration, if there is one:
+// to the plan's interior if it read nothing remote, else to its
+// nonlocal list, with where its reads begin in each stream or, under
+// Enumerate, its full reference list.
+func (e *Env) endIter() {
+	r := e.rec
+	if !r.open {
+		return
+	}
+	r.open = false
+	if !e.iterNonlocal {
+		r.p.execLocal = appendIter(r.p.execLocal, e.core.rank, r.iter)
+		return
+	}
+	r.nonlocal = append(r.nonlocal, r.iter)
+	if e.core.enumerate {
+		// Saltz-style: keep the full per-reference list for this
+		// iteration; list construction costs one insert per
+		// reference ("relatively high" preprocessing, §5).
+		refs := make([]enumRef, len(e.enumRecord))
+		copy(refs, e.enumRecord)
+		r.p.enum = append(r.p.enum, refs)
+		e.node.Charge(machine.Cost{ListInserts: len(refs)})
+		return
+	}
+	for k := range r.slots {
+		sr := &r.slots[k]
+		sr.starts = append(sr.starts, int32(len(sr.refs)))
+	}
+}
+
 // commit stores the buffered writes — the copy-out half of forall's
 // copy-in/copy-out semantics.  Write2 records coordinates so rank-2
 // commits skip the linear-index decomposition.
@@ -178,11 +229,12 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 		}
 		e.iterNonlocal = true
 		k := e.slotOf(a)
-		id, added := e.builders[k].Add(g, owner)
+		sr := &e.rec.slots[k]
+		id, added := sr.b.Add(g, owner)
 		if e.core.enumerate {
 			e.enumRecord = append(e.enumRecord, enumRef{Slot: k, G: g, Buf: id})
 		} else {
-			e.recs[k] = append(e.recs[k], remoteRef{g: g, off: int32(id)})
+			sr.refs = append(sr.refs, remoteRef{g: g, off: int32(id)})
 		}
 		if added {
 			e.node.ChargeListInsert()

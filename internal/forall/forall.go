@@ -42,6 +42,7 @@ package forall
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"kali/internal/analysis"
 	"kali/internal/comm"
@@ -127,6 +128,22 @@ type Loop struct {
 	// subscripts are data.  Loops with Enumerate, and the inspector's
 	// recording pass, always use Body.
 	Segment func(lo, hi int, e *Env) bool
+	// Inspect, when non-nil, may record a whole run lo..hi of
+	// consecutive iterations in one call of the inspector's recording
+	// pass (loops without Enumerate).  It must make the engine's own
+	// per-element recording,
+	//
+	//	for i := lo; i <= hi; i++ { start iteration i; Body(i, e) }
+	//
+	// with Env.BeginIter ahead of each iteration's references and every
+	// Env.Read Body makes there, in Body's order — the engine charges the
+	// iteration, each reference check and each list insert, as for
+	// Body — or return false before any of these to decline the run,
+	// which the engine then records through Body.  What else Body does
+	// under the recording pass is free and without effect (its
+	// arithmetic, its local reads, its writes), and an Inspect body may
+	// leave it out where it cannot fail.
+	Inspect func(lo, hi int, e *Env) bool
 	// Phase overrides the timing phase the execution is attributed to
 	// (default PhaseExecutor).  The paper's measurements time only the
 	// computational-core forall; auxiliary loops (the old_a := a copy)
@@ -497,6 +514,19 @@ func (s *Schedule) MemBytes() int {
 	return n
 }
 
+// Digest is a fingerprint of the plan s holds: its iteration lists,
+// its communication records, its reference streams and its enumerated
+// references.  Two ways of building one loop's plan, such as with and
+// without an Inspect body, must give the same digest.
+func (s *Schedule) Digest() uint64 {
+	h := fnv.New64a()
+	fmt.Fprint(h, s.rank, s.execLocal, s.execNonlocal, s.enum)
+	for _, sl := range s.slots {
+		fmt.Fprint(h, sl.in.Ranges, sl.out.Ranges, sl.ref)
+	}
+	return h.Sum64()
+}
+
 // schedKey identifies one cached schedule.  Keying by (rank, name)
 // keeps loops of different ranks in disjoint keyspaces: a rank-1 loop
 // literally named "2d:foo" can never collide with a Loop2 named "foo",
@@ -602,11 +632,13 @@ type Engine struct {
 	// interiorIters counts interior iterations executed, segmentIters
 	// the subset a loop's Segment body ran (the rest went through Body);
 	// boundaryIters and boundarySegIters count the same of the
-	// boundary.
+	// boundary; inspectSegIters counts the iterations a loop's Inspect
+	// body recorded.
 	interiorIters    int
 	segmentIters     int
 	boundaryIters    int
 	boundarySegIters int
+	inspectSegIters  int
 
 	// Fusion state: the bounded store of multi-loop window plans
 	// (fuse.go), the schedule-id mint backing its keys, and the window
@@ -676,6 +708,11 @@ func (e *Engine) BoundaryIters() int { return e.boundaryIters }
 
 // BoundarySegmentIters: see BoundaryIters.
 func (e *Engine) BoundarySegmentIters() int { return e.boundarySegIters }
+
+// InspectSegmentIters returns how many iterations of the inspector's
+// recording passes a loop's Inspect body recorded a run at a time
+// instead of Body per element.
+func (e *Engine) InspectSegmentIters() int { return e.inspectSegIters }
 
 // SharedSchedules returns the number of distinct schedules in the
 // content-addressed store.

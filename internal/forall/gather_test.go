@@ -3,8 +3,10 @@ package forall
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"kali/internal/alloctest"
 	"kali/internal/analysis"
@@ -24,7 +26,8 @@ import (
 // loops.
 
 // gatherLoop is the indirect loop out[i] := src[idx[i]] + src[idx[i]+1]
-// over 1..n; with segments it carries a Segment body over Env.Gather.
+// over 1..n; with segments it carries an Inspect body and a Segment
+// body over Env.Gather.
 func gatherLoop(nd *machine.Node, n int, out, src *darray.Array, idx *darray.IntArray, segments bool) *Loop {
 	l := &Loop{
 		Name: "gather", Lo: 1, Hi: n, On: out, OnF: analysis.Identity,
@@ -37,8 +40,23 @@ func gatherLoop(nd *machine.Node, n int, out, src *darray.Array, idx *darray.Int
 			e.Write(out, i, x)
 		},
 	}
+	if !segments {
+		return l
+	}
+	l.Inspect = func(lo, hi int, e *Env) bool {
+		from := idx.Span1(lo, hi)
+		if from == nil {
+			return false
+		}
+		for _, g := range from {
+			e.BeginIter()
+			e.Read(src, g)
+			e.Read(src, g%n+1)
+		}
+		return true
+	}
 	cell, u, ok := nd.ClockCell()
-	if !segments || !ok {
+	if !ok {
 		return l
 	}
 	l.Segment = func(lo, hi int, e *Env) bool {
@@ -79,16 +97,17 @@ func gatherLoop(nd *machine.Node, n int, out, src *darray.Array, idx *darray.Int
 
 // gatherRun is what sweeps of the gather loop leave behind.
 type gatherRun struct {
-	out                           []float64
-	stats                         machine.Stats
-	clock                         uint64
-	interior, seg, boundary, bseg int
+	out                                    []float64
+	plans                                  []uint64 // each node's Schedule.Digest
+	stats                                  machine.Stats
+	clock                                  uint64
+	interior, seg, boundary, bseg, inspect int
 }
 
 func runGather(t *testing.T, mach *machine.Machine, spec dist.DimSpec, n, sweeps int, segments bool) gatherRun {
 	t.Helper()
 	d := dist.Must([]int{n}, []dist.DimSpec{spec}, topology.MustGrid(mach.P()))
-	r := gatherRun{out: make([]float64, n)}
+	r := gatherRun{out: make([]float64, n), plans: make([]uint64, mach.P())}
 	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
 		src, out := darray.New("src", d, nd), darray.New("out", d, nd)
@@ -115,18 +134,21 @@ func runGather(t *testing.T, mach *machine.Machine, spec dist.DimSpec, n, sweeps
 		r.seg += eng.SegmentIters()
 		r.boundary += eng.BoundaryIters()
 		r.bseg += eng.BoundarySegmentIters()
+		r.inspect += eng.InspectSegmentIters()
+		r.plans[nd.ID()] = eng.Schedule("gather").Digest()
 	})
 	r.stats = mach.TotalStats()
 	r.clock = math.Float64bits(mach.MaxClock())
 	return r
 }
 
-// TestGatherSegmentsMatchBody: the kernel over Env.Gather and the same
-// loop without a Segment body agree on values, Stats and (on the
-// simulator) every clock bit, on both backends, at P 1, 3, 4 and 8 and
-// under every rank-1 distribution kind.  Under block each interior and
+// TestGatherSegmentsMatchBody: the kernels (Inspect, and Segment over
+// Env.Gather) and the same loop without them agree on values, Stats,
+// every node's plan and (on the simulator) every clock bit, on both
+// backends, at P 1, 3, 4 and 8 and under every rank-1 distribution
+// kind.  Under block each iteration is recorded and each interior and
 // boundary iteration runs by segments; the others have no locality
-// window, so the kernel declines every run and Body runs them all.
+// window, so the kernels decline every run and Body runs them all.
 func TestGatherSegmentsMatchBody(t *testing.T) {
 	const n, sweeps = 61, 3
 	specs := map[string]dist.DimSpec{
@@ -157,17 +179,20 @@ func TestGatherSegmentsMatchBody(t *testing.T) {
 				if backend == "sim" && (got.stats != want.stats || got.clock != want.clock) {
 					t.Errorf("%s: stats %+v clock %#x by segments, want %+v %#x", tag, got.stats, got.clock, want.stats, want.clock)
 				}
+				if !slices.Equal(got.plans, want.plans) {
+					t.Errorf("%s: plan digests %x by segments, want %x", tag, got.plans, want.plans)
+				}
 				if got.stats.FlopCount != want.stats.FlopCount {
 					t.Errorf("%s: %d flops by segments, want %d", tag, got.stats.FlopCount, want.stats.FlopCount)
 				}
-				if got.interior != want.interior || got.boundary != want.boundary || want.seg+want.bseg != 0 {
+				if got.interior != want.interior || got.boundary != want.boundary || want.seg+want.bseg+want.inspect != 0 {
 					t.Errorf("%s: iterations %+v by segments, %+v without", tag, got, want)
 				}
 				windowed := name == "block" || p == 1
-				if windowed && (got.seg != got.interior || got.bseg != got.boundary) ||
-					!windowed && got.seg+got.bseg != 0 {
-					t.Errorf("%s: %d of %d interior and %d of %d boundary iterations by segments",
-						tag, got.seg, got.interior, got.bseg, got.boundary)
+				if windowed && (got.seg != got.interior || got.bseg != got.boundary || got.inspect != n) ||
+					!windowed && got.seg+got.bseg+got.inspect != 0 {
+					t.Errorf("%s: %d of %d interior and %d of %d boundary iterations by segments, %d of %d recorded",
+						tag, got.seg, got.interior, got.bseg, got.boundary, got.inspect, n)
 				}
 				if p > 1 && name == "block" && got.boundary == 0 {
 					t.Errorf("%s: no boundary iterations to test", tag)
@@ -313,4 +338,74 @@ func TestCursorsOnlyOverStreams(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPlansOwnTheirMemory: one recording serves a large inspector
+// build and then smaller ones, as the pool serves a node's builds, and
+// no finished plan's iteration lists, reference streams, stream starts
+// or in and out records share memory with it: the streams and starts
+// are exact-size copies, and no later build changes an earlier plan.
+func TestPlansOwnTheirMemory(t *testing.T) {
+	const p = 4
+	sim.MustNew(p, machine.NCUBE7()).Run(func(nd *machine.Node) {
+		rec, eng := new(recording), NewEngine(nd)
+		var plans []*plan
+		var digests []uint64
+		for _, n := range []int{400, 64, 131} {
+			d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+			src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+			idx := darray.NewInt("idx", d, nd)
+			idx.EachLocal(func(g int) { idx.Set1(g, (g*7)%n+1) })
+			var c loopCore
+			gatherLoop(nd, n, out, src, idx, true).lower(&c)
+			pl := eng.inspect(&c, rec)
+			pl.rank = 1
+			plans, digests = append(plans, pl), append(digests, (&Schedule{plan: pl}).Digest())
+		}
+		var borrowed [][2]uintptr
+		borrowed = appendSpan(borrowed, rec.exec)
+		borrowed = appendSpan(borrowed, rec.nonlocal)
+		for _, sr := range rec.slots[:cap(rec.slots)] {
+			borrowed = appendSpan(borrowed, sr.refs)
+			borrowed = appendSpan(borrowed, sr.starts)
+		}
+		for i, pl := range plans {
+			if got := (&Schedule{plan: pl}).Digest(); got != digests[i] {
+				t.Errorf("node %d: plan %d changed under later builds", nd.ID(), i)
+			}
+			var own [][2]uintptr
+			own = appendSpan(own, pl.execLocal)
+			own = appendSpan(own, pl.execNonlocal)
+			for _, sl := range pl.slots {
+				if cap(sl.ref.refs) != len(sl.ref.refs) || cap(sl.ref.starts) != len(sl.ref.starts) {
+					t.Errorf("node %d, plan %d: stream %d/%d and starts %d/%d (length/capacity)", nd.ID(), i,
+						len(sl.ref.refs), cap(sl.ref.refs), len(sl.ref.starts), cap(sl.ref.starts))
+				}
+				own = appendSpan(own, sl.ref.refs)
+				own = appendSpan(own, sl.ref.starts)
+				own = appendSpan(own, sl.in.Ranges)
+				own = appendSpan(own, sl.out.Ranges)
+			}
+			for _, a := range own {
+				for _, b := range borrowed {
+					if a[0] < b[1] && b[0] < a[1] {
+						t.Errorf("node %d, plan %d: memory %#x..%#x is the recording's", nd.ID(), i, a[0], a[1])
+					}
+				}
+			}
+		}
+		if len(plans[0].execNonlocal) == 0 {
+			t.Errorf("node %d: no nonlocal iterations to test", nd.ID())
+		}
+	})
+}
+
+// appendSpan appends the address range of s's backing array, to its
+// capacity, if it has one.
+func appendSpan[T any](spans [][2]uintptr, s []T) [][2]uintptr {
+	if cap(s) == 0 {
+		return spans
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return append(spans, [2]uintptr{lo, lo + uintptr(cap(s))*unsafe.Sizeof(*new(T))})
 }
