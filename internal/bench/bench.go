@@ -216,10 +216,6 @@ var Order = []string{
 
 const sweeps = 100
 
-// simSweeps is how many sweeps are actually simulated before exact
-// extrapolation to 100 (see relax.RunExtrapolated).
-const simSweeps = 4
-
 // paperFig7 holds the published NCUBE/7 table (Figure 7).
 var paperFig7 = map[int][4]float64{ // P -> total, exec, insp, ovh%
 	2: {246.07, 244.04, 2.03, 0.8}, 4: {127.46, 126.12, 1.34, 1.1},
@@ -266,9 +262,7 @@ func varyProcs(id, title string, params machine.Params, procs []int,
 	}
 	m := mesh.Rect(side, side)
 	for _, p := range procs {
-		r := relax.RunExtrapolated(relax.Options{
-			Mesh: m, Sweeps: sweeps, P: p, Params: params,
-		}, simSweeps)
+		r := relax.Run(relax.Options{Mesh: m, Sweeps: sweeps, P: p, Params: params})
 		pv, ok := paper[p]
 		if !ok {
 			pv = [4]float64{none, none, none, none}
@@ -317,10 +311,9 @@ func varySize(id, title string, params machine.Params, p int,
 	}
 	for _, side := range sides {
 		m := mesh.Rect(side, side)
-		r := relax.RunExtrapolated(relax.Options{
-			Mesh: m, Sweeps: sweeps, P: p, Params: params,
-		}, simSweeps)
-		t1 := relax.SeqExecutorTime(m, sweeps, params)
+		r := relax.Run(relax.Options{Mesh: m, Sweeps: sweeps, P: p, Params: params})
+		// The paper's speedup baseline: "the executor time on one processor".
+		t1 := relax.Run(relax.Options{Mesh: m, Sweeps: sweeps, P: 1, Params: params}).Report.Executor
 		pv, ok := paper[side]
 		if !ok {
 			pv = [5]float64{none, none, none, none, none}
@@ -425,9 +418,7 @@ func Unstructured(opt Options) *Table {
 			{"unstructured", mesh.Unstructured(side, side, false, 0)},
 			{"shuffled", mesh.Unstructured(side, side, true, 1990)},
 		} {
-			r := relax.RunExtrapolated(relax.Options{
-				Mesh: mk.m, Sweeps: sw, P: p, Params: machine.NCUBE7(),
-			}, simSweeps)
+			r := relax.Run(relax.Options{Mesh: mk.m, Sweeps: sw, P: p, Params: machine.NCUBE7()})
 			t.add([]string{mk.name, fmt.Sprint(p)}, mk.m.AvgDegree(),
 				r.Report.Total, r.Report.Executor, r.Report.Inspector, r.Report.OverheadPct())
 		}
@@ -486,10 +477,9 @@ func Baseline(opt Options) *Table {
 	}
 	m := mesh.Rect(side, side)
 	for _, p := range procs {
-		k := relax.RunExtrapolated(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7()}, simSweeps)
-		hb := baseline.Run(baseline.Options{NX: side, NY: side, Sweeps: simSweeps, P: p, Params: machine.NCUBE7()})
-		handTotal := hb.Report.Total / float64(simSweeps) * float64(sw)
-		t.add([]string{fmt.Sprint(p)}, k.Report.Total, handTotal, k.Report.Total/handTotal)
+		k := relax.Run(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7()})
+		h := baseline.Run(baseline.Options{NX: side, NY: side, Sweeps: sw, P: p, Params: machine.NCUBE7()})
+		t.add([]string{fmt.Sprint(p)}, k.Report.Total, h.Report.Total, k.Report.Total/h.Report.Total)
 	}
 	return t
 }
@@ -637,7 +627,7 @@ func DistChoice(opt Options) *Table {
 	} {
 		ro := c.opt
 		ro.Mesh, ro.Sweeps, ro.P, ro.Params = m, sw, p, machine.NCUBE7()
-		r := relax.RunExtrapolated(ro, simSweeps)
+		r := relax.Run(ro)
 		t.add([]string{c.name}, r.Report.Total, r.Report.Executor, r.Report.Inspector,
 			float64(r.NonlocalIters))
 	}
@@ -670,9 +660,7 @@ func Enumeration(opt Options) *Table {
 		if enum {
 			name = "saltz (enumerate)"
 		}
-		r := relax.RunExtrapolated(relax.Options{
-			Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(), Enumerate: enum,
-		}, simSweeps)
+		r := relax.Run(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(), Enumerate: enum})
 		t.add([]string{name}, r.Report.Total, r.Report.Executor, r.Report.Inspector,
 			float64(r.ScheduleBytes))
 	}
@@ -776,9 +764,7 @@ func Granularity(opt Options) *Table {
 		if p > m.N {
 			continue
 		}
-		r := relax.RunExtrapolated(relax.Options{
-			Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7(),
-		}, simSweeps)
+		r := relax.Run(relax.Options{Mesh: m, Sweeps: sw, P: p, Params: machine.NCUBE7()})
 		t.add([]string{fmt.Sprint(p)}, r.Report.Total, r.Report.Executor, r.Report.Inspector)
 	}
 	return t

@@ -1,10 +1,17 @@
 package bench
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"kali/internal/baseline"
+	"kali/internal/dist"
 	"kali/internal/machine"
+	"kali/internal/mesh"
+	"kali/internal/relax"
 )
 
 // val returns row ri's value in the named column.
@@ -207,6 +214,126 @@ func TestUnstructuredQuickCostsHigher(t *testing.T) {
 		}
 		if val(t, tab, shuf, "total") <= val(t, tab, unst, "total") {
 			t.Fatalf("shuffled total not higher than natural: %v", tab.Rows)
+		}
+	}
+}
+
+// TestQuickRowsSimulateEverySweep holds every relaxation-backed quick
+// row to a direct relax.Run (or baseline.Run) of that row's
+// configuration at the table's own sweep count, bit for bit: a table
+// may not simulate a few sweeps and scale the rest, since per-sweep
+// time is not stationary (relax.TestSweepTimeNotStationary).
+func TestQuickRowsSimulateEverySweep(t *testing.T) {
+	ncube, ipsc := machine.NCUBE7(), machine.IPSC2()
+	rect16, rect32 := mesh.Rect(16, 16), mesh.Rect(32, 32)
+	type cell struct {
+		table, row, col string
+		want            float64
+	}
+	var want []cell
+	phases := func(table, row, executorCol string, r relax.Result) {
+		want = append(want, cell{table, row, "total", r.Report.Total},
+			cell{table, row, executorCol, r.Report.Executor}, cell{table, row, "inspector", r.Report.Inspector})
+	}
+	for _, f := range []struct {
+		id     string
+		params machine.Params
+	}{{"fig7", ncube}, {"fig8", ipsc}} {
+		for _, p := range []int{2, 4, 8} {
+			r := relax.Run(relax.Options{Mesh: rect32, Sweeps: 100, P: p, Params: f.params})
+			phases(f.id, fmt.Sprint(p), "executor", r)
+		}
+	}
+	for _, f := range []struct {
+		id     string
+		params machine.Params
+	}{{"fig9", ncube}, {"fig10", ipsc}} {
+		for side, m := range map[int]*mesh.Mesh{16: rect16, 32: rect32} {
+			row := fmt.Sprintf("%dx%d", side, side)
+			r := relax.Run(relax.Options{Mesh: m, Sweeps: 100, P: 8, Params: f.params})
+			seq := relax.Run(relax.Options{Mesh: m, Sweeps: 100, P: 1, Params: f.params})
+			phases(f.id, row, "executor", r)
+			want = append(want, cell{f.id, row, "speedup", seq.Report.Executor / r.Report.Total})
+		}
+	}
+	for _, mc := range []struct {
+		params machine.Params
+		procs  []int
+	}{{ncube, []int{2, 8}}, {ipsc, []int{2, 8}}} {
+		for _, p := range mc.procs {
+			r := relax.Run(relax.Options{Mesh: rect32, Sweeps: 1, P: p, Params: mc.params})
+			row := fmt.Sprintf("%s / %d", mc.params.Name, p)
+			want = append(want, cell{"worstcase", row, "total", r.Report.Total},
+				cell{"worstcase", row, "inspector", r.Report.Inspector})
+		}
+	}
+	for _, mk := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"rect", rect32},
+		{"unstructured", mesh.Unstructured(32, 32, false, 0)},
+		{"shuffled", mesh.Unstructured(32, 32, true, 1990)},
+	} {
+		r := relax.Run(relax.Options{Mesh: mk.m, Sweeps: 10, P: 4, Params: ncube})
+		phases("unstructured", mk.name+" / 4", "executor", r)
+	}
+	for _, sw := range []int{1, 5} {
+		cached := relax.Run(relax.Options{Mesh: rect32, Sweeps: sw, P: 4, Params: ncube})
+		nocache := relax.Run(relax.Options{Mesh: rect32, Sweeps: sw, P: 4, Params: ncube, NoCache: true})
+		want = append(want, cell{"caching", fmt.Sprint(sw), "cached insp", cached.Report.Inspector},
+			cell{"caching", fmt.Sprint(sw), "no-cache insp", nocache.Report.Inspector})
+	}
+	for _, p := range []int{2, 4} {
+		k := relax.Run(relax.Options{Mesh: rect32, Sweeps: 10, P: p, Params: ncube})
+		h := baseline.Run(baseline.Options{NX: 32, NY: 32, Sweeps: 10, P: p, Params: ncube})
+		want = append(want, cell{"baseline", fmt.Sprint(p), "kali total", k.Report.Total},
+			cell{"baseline", fmt.Sprint(p), "hand total", h.Report.Total})
+	}
+	for _, d := range []struct {
+		name string
+		dim  dist.DimSpec
+	}{
+		{"block", dist.BlockDim()}, {"cyclic", dist.CyclicDim()},
+		{"block_cyclic(64)", dist.BlockCyclicDim(64)}, {"block_cyclic(8)", dist.BlockCyclicDim(8)},
+	} {
+		r := relax.Run(relax.Options{Mesh: rect32, Sweeps: 10, P: 4, Params: ncube, Dist: d.dim})
+		phases("distchoice", d.name, "executor", r)
+	}
+	for _, e := range []struct {
+		name string
+		enum bool
+	}{{"kali (search)", false}, {"saltz (enumerate)", true}} {
+		r := relax.Run(relax.Options{Mesh: rect32, Sweeps: 10, P: 4, Params: ncube, Enumerate: e.enum})
+		phases("enumeration", e.name, "executor time", r)
+	}
+	for _, p := range []int{2, 4, 8, 16} {
+		r := relax.Run(relax.Options{Mesh: rect16, Sweeps: 10, P: p, Params: ncube})
+		phases("granularity", fmt.Sprint(p), "executor", r)
+	}
+
+	tables := map[string]*Table{}
+	rowsSeen := map[string]map[string]bool{}
+	for _, c := range want {
+		tab := tables[c.table]
+		if tab == nil {
+			tab = Registry[c.table](Options{Quick: true})
+			tables[c.table] = tab
+			rowsSeen[c.table] = map[string]bool{}
+		}
+		ri := slices.IndexFunc(tab.Rows, func(r Row) bool { return r.Key() == c.row })
+		if ri < 0 {
+			t.Errorf("%s: no row %q", c.table, c.row)
+			continue
+		}
+		rowsSeen[c.table][c.row] = true
+		if got := val(t, tab, ri, c.col); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("%s [%s] %s = %v, a direct run gives %v", c.table, c.row, c.col, got, c.want)
+		}
+	}
+	for id, tab := range tables {
+		if len(rowsSeen[id]) != len(tab.Rows) {
+			t.Errorf("%s: %d of %d rows checked", id, len(rowsSeen[id]), len(tab.Rows))
 		}
 	}
 }

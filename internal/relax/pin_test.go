@@ -54,3 +54,41 @@ func TestPaperNumbersPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSweepTimeNotStationary pins the executor time of the first 1…17
+// sweeps of Figure 7's P=128 run (128² mesh, NCUBE/7), one run per
+// sweep count.  The cost of one sweep is the difference of neighbours
+// (in the comments, ms): after the first it cycles with a period of
+// about 8, and sweep 16 breaks the cycle.  No sweep stands for the
+// others, which is why no code may simulate a few sweeps and multiply
+// one of them by the sweeps left: every published cell simulates
+// every sweep.
+func TestSweepTimeNotStationary(t *testing.T) {
+	m := mesh.Rect(128, 128)
+	pinned := []uint64{ // math.Float64bits of Report.Executor after s sweeps
+		0x3fbabb98c7e29570, //  1: 104.425
+		0x3fcab1704ff44748, //  2: 104.115
+		0x3fd3ffac1d29ead4, //  3: 103.940
+		0x3fdaa459103ca154, //  4: 103.801
+		0x3fe0a5efe931935e, //  5: 103.975
+		0x3fe3f9fa97e1356e, //  6: 104.009
+		0x3fe74d7492790456, //  7: 103.940
+		0x3fea9ef0f16f21aa, //  8: 103.697
+		0x3fedf2fdb8fdaeca, //  9: 104.010
+		0x3ff0a3f141203887, // 10: 104.113
+		0x3ff24dae3e6c1ffb, // 11: 103.940
+		0x3ff3f6d97b30c343, // 12: 103.801
+		0x3ff5a0bb2bba5a45, // 13: 103.975
+		0x3ff74ac0831226c9, // 14: 104.009
+		0x3ff8f47d805e0e3d, // 15: 103.940
+		0x3ffa9ccea28f8848, // 16: 103.593
+		0x3ffc4764adff1ef3, // 17: 104.147
+	}
+	for i, want := range pinned {
+		got := Run(Options{Mesh: m, Sweeps: i + 1, P: 128, Params: machine.NCUBE7()}).Report.Executor
+		if math.Float64bits(got) != want {
+			t.Errorf("%d sweeps: Report.Executor = %v (%#x), pinned %v (%#x)",
+				i+1, got, math.Float64bits(got), math.Float64frombits(want), want)
+		}
+	}
+}

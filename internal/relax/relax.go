@@ -373,48 +373,3 @@ func sweepInspect(oldA *darray.Array, count, adj *darray.IntArray) func(lo, hi i
 		return true
 	}
 }
-
-// RunExtrapolated runs only a few sweeps and extrapolates the
-// executor/copy phase times to the full sweep count: it multiplies the
-// last simulated sweep's executor time by the sweeps left.  That is an
-// approximation, not a simulation.  Where every sweep after the
-// inspector costs the same it agrees with simulating them all to about
-// 1e-9 relative, but never bit for bit; on the 128² mesh at P >= 64 the
-// per-sweep executor time cycles with period 8, and at P = 128 on
-// NCUBE/7 the extrapolated total is 0.11 % under the simulated one.  It
-// exists to keep host wall-clock reasonable on the 512²/1024² meshes.
-// The inspector time needs no scaling (it runs once).
-func RunExtrapolated(opt Options, simulate int) Result {
-	if simulate >= opt.Sweeps {
-		return Run(opt)
-	}
-	if simulate < 3 {
-		panic("relax: need at least 3 simulated sweeps to extrapolate")
-	}
-	full := opt.Sweeps
-	opt.Sweeps = simulate
-	opt.CheckConvergence = false
-	r1 := Run(opt)
-	opt.Sweeps = simulate - 1
-	r0 := Run(opt)
-	perSweep := r1.Report.Executor - r0.Report.Executor
-	r1.Report.Executor += float64(full-simulate) * perSweep
-	r1.Report.Total = r1.Report.Inspector + r1.Report.Executor
-	r1.SweepsRun = full
-	return r1
-}
-
-// SeqExecutorTime returns the one-processor executor time for the
-// given mesh and sweep count — the paper's speedup baseline ("speedup
-// is given relative to the executor time on one processor").  It
-// simulates one and two sweeps and multiplies the second sweep's time
-// by the sweeps after the first: an approximation, as RunExtrapolated's
-// is.
-func SeqExecutorTime(m *mesh.Mesh, sweeps int, params machine.Params) float64 {
-	opt := Options{Mesh: m, Sweeps: 2, P: 1, Params: params}
-	r2 := Run(opt)
-	opt.Sweeps = 1
-	r1 := Run(opt)
-	perSweep := r2.Report.Executor - r1.Report.Executor
-	return r1.Report.Executor + float64(sweeps-1)*perSweep
-}

@@ -98,42 +98,6 @@ func TestConvergence(t *testing.T) {
 	}
 }
 
-// TestExtrapolationExact: RunExtrapolated must reproduce the full
-// run's report exactly (determinism + per-sweep constancy).
-func TestExtrapolationExact(t *testing.T) {
-	m := mesh.Rect(16, 16)
-	opt := Options{Mesh: m, Sweeps: 16, P: 4, Params: machine.NCUBE7()}
-	full := Run(opt)
-	extra := RunExtrapolated(opt, 5)
-	if math.Abs(full.Report.Executor-extra.Report.Executor) > 1e-9*full.Report.Executor {
-		t.Fatalf("executor: full %.9g vs extrapolated %.9g",
-			full.Report.Executor, extra.Report.Executor)
-	}
-	if math.Abs(full.Report.Inspector-extra.Report.Inspector) > 1e-12 {
-		t.Fatalf("inspector: full %g vs extrapolated %g",
-			full.Report.Inspector, extra.Report.Inspector)
-	}
-	if extra.SweepsRun != 16 {
-		t.Fatalf("SweepsRun = %d", extra.SweepsRun)
-	}
-}
-
-// TestSeqExecutorTimeScales: the speedup baseline is linear in sweeps
-// and points.
-func TestSeqExecutorTimeScales(t *testing.T) {
-	m := mesh.Rect(16, 16)
-	t100 := SeqExecutorTime(m, 100, machine.NCUBE7())
-	t50 := SeqExecutorTime(m, 50, machine.NCUBE7())
-	if math.Abs(t100-2*t50)/t100 > 1e-9 {
-		t.Fatalf("not linear in sweeps: %g vs 2*%g", t100, t50)
-	}
-	big := mesh.Rect(32, 16)
-	tbig := SeqExecutorTime(big, 100, machine.NCUBE7())
-	if tbig <= t100 {
-		t.Fatalf("bigger mesh not slower: %g vs %g", tbig, t100)
-	}
-}
-
 // TestNonlocalItersBoundaryRows: with block-distributed rows each
 // interior processor's nonlocal iterations are its boundary rows.
 func TestNonlocalItersBoundaryRows(t *testing.T) {
