@@ -416,9 +416,9 @@ func (a *Array) CopyLinearRange(lo, hi int, dst []float64) {
 }
 
 // rowSegEnd returns the last linear index of g's global row segment,
-// clipped to hi — the shared segmentation every rank-2 bulk copy
-// (CopyLinearRange, copyLinear, scatterLinear) splits intervals by,
-// since contiguity in local storage holds only within one global row.
+// clipped to hi — the segmentation CopyLinearRange and redistribution
+// plans (storageRuns) split intervals by, since contiguity in local
+// storage holds only within one global row.
 func rowSegEnd(g, hi, nx int) int {
 	end := g + (nx - (g-1)%nx) - 1
 	if end > hi {

@@ -37,26 +37,29 @@ import (
 // to, alongside the forall engine's "inspector" and "executor".
 const PhaseRedistribute = "redistribute"
 
+// redistRun is one bulk copy of a redistribution plan: n elements
+// from offset src of one buffer to offset dst of another.
+type redistRun struct{ src, dst, n int }
+
 // redistPeer is one communication partner of a redistribution plan:
-// processor q and the linear-index intervals exchanged with it, with
-// their total element count precomputed so replay sizes messages
-// without walking the intervals twice.
+// processor q, the n elements exchanged with it, and the storage runs
+// that pack them into (or unpack them from) the message payload.
 type redistPeer struct {
-	q   int
-	n   int
-	ivs []index.Interval
+	q    int
+	n    int
+	runs []redistRun
 }
 
 // RedistSchedule is one node's structural plan for moving an array
 // between two distributions.  It binds to no particular array — only
 // to the (old, new) distribution pair — so one plan is shared by every
 // same-shaped remapping on the node and replayed from the
-// content-addressed store.
+// content-addressed store, each copy resolved to storage offsets.
 type RedistSchedule struct {
-	keep     []index.Interval // indices local under both distributions
+	keep     []redistRun // old partition → new partition
 	keepN    int
-	sendTo   []redistPeer // ascending q
-	recvFrom []redistPeer // ascending q
+	sendTo   []redistPeer // ascending q; old partition → payload
+	recvFrom []redistPeer // ascending q; payload → new partition
 	newCount int          // local element count under the new dist
 	hdr      header       // target-layout header template (name/node blank)
 }
@@ -87,10 +90,10 @@ const redistPlanCapPerNode = 16
 // their pool is machine-wide, and every plan reserves its messages in
 // it when built.  A partition is taken and returned by the node that
 // owns the array, so each node has its own list: the partition it gets
-// back is the one it last wrote, still in its own cache (on 2 threads
-// a 128² transpose takes 19 µs so, and 27 µs when partitions change
-// hands through one list), and no other node's timing decides whether
-// it finds one.  Warmed remappings replay allocation-free.
+// back is the one it last wrote, still in its own cache (a warm 128²
+// transpose ping-pong on 2 vCPUs takes 19 µs so, 26 µs through one
+// shared list: BenchmarkRedistributeTranspose), and no other node's
+// timing decides whether it finds one.  Replay is allocation-free.
 type redistStore struct {
 	mu    sync.Mutex
 	plans *lru.Cache[redistKey, *RedistSchedule] // created on first use (needs P)
@@ -164,25 +167,65 @@ func buildRedistSchedule(name string, od, nd *dist.Dist, n *machine.Node) *Redis
 	me := n.ID()
 	oldMine := ownedLinear(od, me)
 	newMine := ownedLinear(nd, me)
-	s := &RedistSchedule{newCount: nd.LocalCount(me)}
+	oh := newHeader(name, od, n)
+	nx := oh.shape[len(oh.shape)-1]
+	s := &RedistSchedule{newCount: nd.LocalCount(me), hdr: newHeader(name, nd, n)}
 	keep := oldMine.Intersect(newMine)
-	s.keep = keep.Intervals()
+	s.keep = storageRuns(keep, nx, &oh, &s.hdr)
 	s.keepN = keep.Len()
 	for q := 0; q < n.P(); q++ {
 		if q == me {
 			continue
 		}
 		if out := oldMine.Intersect(ownedLinear(nd, q)); !out.Empty() {
-			s.sendTo = append(s.sendTo, redistPeer{q: q, n: out.Len(), ivs: out.Intervals()})
+			s.sendTo = append(s.sendTo, redistPeer{q: q, n: out.Len(), runs: storageRuns(out, nx, &oh, nil)})
 		}
 		if in := newMine.Intersect(ownedLinear(od, q)); !in.Empty() {
-			s.recvFrom = append(s.recvFrom, redistPeer{q: q, n: in.Len(), ivs: in.Intervals()})
+			s.recvFrom = append(s.recvFrom, redistPeer{q: q, n: in.Len(), runs: storageRuns(in, nx, nil, &s.hdr)})
 		}
 	}
-	s.hdr = newHeader(name, nd, n)
-	s.hdr.name = ""
-	s.hdr.node = nil
+	s.hdr.name, s.hdr.node = "", nil
 	return s
+}
+
+// storageRuns resolves copying the linear index set set from layout sh
+// to layout dh, rows nx long (a rank-1 array is one row), into storage
+// runs; a nil header stands for a payload, holding set densely in
+// order.  Within a global row, consecutive owned indices are
+// contiguous in every layout (LocalIndex packs densely in increasing
+// global order), so each row piece is one run, merged into its
+// predecessor when it continues it on both sides.  Offsets come from
+// the checked offsetLinear: a nonlocal element panics at build time.
+func storageRuns(set index.Set, nx int, sh, dh *header) []redistRun {
+	var runs []redistRun
+	pos := 0
+	for _, iv := range set.Intervals() {
+		for g := iv.Lo; g <= iv.Hi; {
+			end := rowSegEnd(g, iv.Hi, nx)
+			r := redistRun{src: pos, dst: pos, n: end - g + 1}
+			if sh != nil {
+				r.src = sh.offsetLinear(g)
+			}
+			if dh != nil {
+				r.dst = dh.offsetLinear(g)
+			}
+			if k := len(runs) - 1; k >= 0 && runs[k].src+runs[k].n == r.src && runs[k].dst+runs[k].n == r.dst {
+				runs[k].n += r.n
+			} else {
+				runs = append(runs, r)
+			}
+			pos += r.n
+			g = end + 1
+		}
+	}
+	return runs
+}
+
+// copyRuns replays runs from src into dst.
+func copyRuns(dst, src []float64, runs []redistRun) {
+	for _, r := range runs {
+		copy(dst[r.dst:r.dst+r.n], src[r.src:r.src+r.n])
+	}
 }
 
 // redistSchedule returns the node's plan for od → nd, building it on
@@ -215,43 +258,6 @@ func redistSchedule(store *redistStore, name string, od, nd *dist.Dist, n *machi
 	store.mu.Unlock()
 	redistBuilds.Add(1)
 	return s
-}
-
-// copyLinear moves the elements of linear interval [lo..hi] from src
-// (laid out per sh) into dst (laid out per dh).  Both headers share
-// the global shape and both must own the whole interval; within one
-// global row a run of consecutive owned indices is contiguous in both
-// layouts (LocalIndex packs densely in increasing global order), so
-// the move is one bulk copy per row segment.
-func copyLinear(sh *header, src []float64, dh *header, dst []float64, lo, hi int) {
-	if len(sh.shape) == 1 {
-		copy(dst[dh.offset1(lo):dh.offset1(lo)+hi-lo+1], src[sh.offset1(lo):sh.offset1(lo)+hi-lo+1])
-		return
-	}
-	nx := sh.shape[1]
-	for g := lo; g <= hi; {
-		end := rowSegEnd(g, hi, nx)
-		so, do := sh.offsetLinear(g), dh.offsetLinear(g)
-		copy(dst[do:do+end-g+1], src[so:so+end-g+1])
-		g = end + 1
-	}
-}
-
-// scatterLinear writes vals (hi-lo+1 elements) into the elements of
-// linear interval [lo..hi] of dst, laid out per dh — the receive-side
-// mirror of Array.CopyLinearRange, one bulk copy per row segment.
-func scatterLinear(dh *header, dst []float64, lo, hi int, vals []float64) {
-	if len(dh.shape) == 1 {
-		copy(dst[dh.offset1(lo):dh.offset1(lo)+hi-lo+1], vals)
-		return
-	}
-	nx := dh.shape[1]
-	for g := lo; g <= hi; {
-		end := rowSegEnd(g, hi, nx)
-		do := dh.offsetLinear(g)
-		copy(dst[do:do+end-g+1], vals[g-lo:g-lo+end-g+1])
-		g = end + 1
-	}
 }
 
 // Redistribute rebinds a to the new distribution nd in place: every
@@ -303,16 +309,12 @@ func Redistribute(a *Array, nd *dist.Dist) {
 	s := redistSchedule(store, a.name, od, nd, n)
 
 	// Sends first (non-blocking on the simulated machine): pack each
-	// peer's intervals from the old layout into a pooled payload.
+	// peer's runs from the old partition into a pooled payload.
 	for pi := range s.sendTo {
 		p := &s.sendTo[pi]
 		pb := store.pool.Get(p.n)
-		off := 0
-		for _, iv := range p.ivs {
-			a.CopyLinearRange(iv.Lo, iv.Hi, pb.Vals[off:off+iv.Len()])
-			off += iv.Len()
-		}
-		n.Send(p.q, machine.TagRedist, pb, 8*off)
+		copyRuns(pb.Vals, a.local, p.runs)
+		n.Send(p.q, machine.TagRedist, pb, 8*p.n)
 	}
 
 	// New partition from the pool; move the elements that stay local
@@ -322,9 +324,7 @@ func Redistribute(a *Array, nd *dist.Dist) {
 	nh.d = nd
 	parts := &store.parts[n.ID()]
 	npb := parts.Get(s.newCount)
-	for _, iv := range s.keep {
-		copyLinear(&a.header, a.local, &nh, npb.Vals, iv.Lo, iv.Hi)
-	}
+	copyRuns(npb.Vals, a.local, s.keep)
 	n.Charge(machine.Cost{MemRefs: 2 * s.keepN})
 
 	oldPB := a.localPB
@@ -336,21 +336,21 @@ func Redistribute(a *Array, nd *dist.Dist) {
 	}
 
 	// Receives: the mirror formula says exactly who sends what; unpack
-	// each interval with one bulk copy per row segment and recycle the
-	// payload.  Per-byte message costs at both ends cover the copies.
+	// each payload's runs into the new partition and recycle it.
+	// Per-byte message costs at both ends cover the copies.
 	for pi := range s.recvFrom {
 		p := &s.recvFrom[pi]
 		msg := n.Recv(p.q, machine.TagRedist)
 		pb, ok := msg.Payload.(*comm.Payload)
-		if !ok || len(pb.Vals) != p.n {
+		if !ok {
+			panic(fmt.Sprintf("darray: redistribute %q: payload from %d is %T, want *comm.Payload",
+				a.name, p.q, msg.Payload))
+		}
+		if len(pb.Vals) != p.n {
 			panic(fmt.Sprintf("darray: redistribute %q: payload from %d has %d values, plan expects %d",
 				a.name, p.q, len(pb.Vals), p.n))
 		}
-		off := 0
-		for _, iv := range p.ivs {
-			scatterLinear(&a.header, a.local, iv.Lo, iv.Hi, pb.Vals[off:off+iv.Len()])
-			off += iv.Len()
-		}
+		copyRuns(a.local, pb.Vals, p.runs)
 		store.pool.Put(pb)
 	}
 }

@@ -5,6 +5,9 @@ package darray
 // allocation-free ping-pong replay.
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"kali/internal/alloctest"
@@ -12,6 +15,7 @@ import (
 	"kali/internal/dist"
 	"kali/internal/machine"
 	"kali/internal/machine/sim"
+	"kali/internal/machine/wallclock"
 	"kali/internal/topology"
 )
 
@@ -163,5 +167,200 @@ func TestRedistributeRejectsShapeChange(t *testing.T) {
 	mach.Run(func(nd *machine.Node) {
 		a := New("a", d1, nd)
 		Redistribute(a, d2)
+	})
+}
+
+// TestRedistributeWrongPayloadDiagnostic: a TagRedist message that is
+// not a *comm.Payload is reported by its type, naming the array.
+func TestRedistributeWrongPayloadDiagnostic(t *testing.T) {
+	const n, p = 8, 2
+	g := topology.MustGrid(p)
+	d0 := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
+	d1 := dist.Must([]int{n}, []dist.DimSpec{dist.CyclicDim()}, g)
+	mach := sim.MustNew(p, machine.Ideal())
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"redistribute", `"a"`, "[]float64"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %s", msg, want)
+			}
+		}
+	}()
+	mach.Run(func(nd *machine.Node) {
+		if nd.ID() == 1 {
+			nd.Send(0, machine.TagRedist, []float64{1, 2}, 16)
+			return
+		}
+		Redistribute(New("a", d0, nd), d1)
+	})
+}
+
+// drawPlanDist draws a distribution of shape over p processors, each
+// distributed dimension block, cyclic or block_cyclic(1…4): on a 1-D
+// grid one dimension is distributed and any other is collapsed; a
+// rank-2 shape over four processors may instead take the 2×2 grid.
+func drawPlanDist(r *rand.Rand, shape []int, p int) *dist.Dist {
+	spec := func() dist.DimSpec {
+		switch r.Intn(3) {
+		case 0:
+			return dist.BlockDim()
+		case 1:
+			return dist.CyclicDim()
+		default:
+			return dist.BlockCyclicDim(1 + r.Intn(4))
+		}
+	}
+	if len(shape) == 2 && p == 4 && r.Intn(3) == 0 {
+		return dist.Must(shape, []dist.DimSpec{spec(), spec()}, topology.MustGrid(2, 2))
+	}
+	specs := make([]dist.DimSpec, len(shape))
+	for dim := range specs {
+		specs[dim] = dist.CollapsedDim()
+	}
+	specs[r.Intn(len(shape))] = spec()
+	return dist.Must(shape, specs, topology.MustGrid(p))
+}
+
+// checkRuns checks one run list of a plan: every run copies at least
+// one element and lies inside its source (srcLen elements) and its
+// destination (dstLen); a payload side (packedSrc, packedDst) is read
+// or written densely from offset 0; no run could merge into its
+// predecessor; and the runs copy want elements in all.
+func checkRuns(t *testing.T, what string, runs []redistRun, srcLen, dstLen, want int, packedSrc, packedDst bool) {
+	t.Helper()
+	total := 0
+	for i, r := range runs {
+		if r.n < 1 || r.src < 0 || r.src+r.n > srcLen || r.dst < 0 || r.dst+r.n > dstLen {
+			t.Errorf("%s: run %d %+v outside source %d or destination %d", what, i, r, srcLen, dstLen)
+		}
+		if (packedSrc && r.src != total) || (packedDst && r.dst != total) {
+			t.Errorf("%s: run %d %+v does not continue the payload at %d", what, i, r, total)
+		}
+		if i > 0 {
+			if q := runs[i-1]; q.src+q.n == r.src && q.dst+q.n == r.dst {
+				t.Errorf("%s: runs %d %+v and %d %+v could merge", what, i-1, q, i, r)
+			}
+		}
+		total += r.n
+	}
+	if total != want {
+		t.Errorf("%s: runs copy %d elements, want %d", what, total, want)
+	}
+}
+
+// checkPlan checks every run list of node me's plan for od → nd, and
+// that the old partition's elements are all kept or sent and the new
+// partition's all kept or received.
+func checkPlan(t *testing.T, s *RedistSchedule, od, nd *dist.Dist, me int) {
+	t.Helper()
+	oldN, newN := od.LocalCount(me), nd.LocalCount(me)
+	if s.newCount != newN {
+		t.Errorf("node %d: plan's new count %d, dist says %d", me, s.newCount, newN)
+	}
+	checkRuns(t, fmt.Sprintf("node %d keep", me), s.keep, oldN, newN, s.keepN, false, false)
+	sent, received := s.keepN, s.keepN
+	for _, p := range s.sendTo {
+		checkRuns(t, fmt.Sprintf("node %d send to %d", me, p.q), p.runs, oldN, p.n, p.n, false, true)
+		sent += p.n
+	}
+	for _, p := range s.recvFrom {
+		checkRuns(t, fmt.Sprintf("node %d receive from %d", me, p.q), p.runs, p.n, newN, p.n, true, false)
+		received += p.n
+	}
+	if sent != oldN || received != newN {
+		t.Errorf("node %d: kept+sent %d of %d old, kept+received %d of %d new", me, sent, oldN, received, newN)
+	}
+}
+
+// TestRedistributePlanProperty: over random rank-1 and rank-2 shapes
+// and distribution pairs, every element lands on its new owner with
+// its value, and every node's plan resolves to runs that hold the
+// invariants checkPlan states.
+func TestRedistributePlanProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	for c := 0; c < 300; c++ {
+		shape := make([]int, 1+r.Intn(2))
+		total := 1
+		for dim := range shape {
+			shape[dim] = 1 + r.Intn(40)
+			total *= shape[dim]
+		}
+		p := 1 + r.Intn(4)
+		od, nd := drawPlanDist(r, shape, p), drawPlanDist(r, shape, p)
+		sim.MustNew(p, machine.Ideal()).Run(func(node *machine.Node) {
+			a := New("a", od, node)
+			a.EachLocal(func(g int) { a.SetLinear(g, float64(g)) })
+			Redistribute(a, nd)
+			for g := 1; g <= total; g++ {
+				if nd.Owner(delinearize(shape, g)...) == node.ID() && a.GetLinear(g) != float64(g) {
+					t.Errorf("case %d %v → %v: node %d holds %g at %d", c, od, nd, node.ID(), a.GetLinear(g), g)
+				}
+			}
+			if a.LocalCount() != nd.LocalCount(node.ID()) {
+				t.Errorf("case %d %v → %v: node %d stores %d elements, want %d",
+					c, od, nd, node.ID(), a.LocalCount(), nd.LocalCount(node.ID()))
+			}
+			if od.Fingerprint() != nd.Fingerprint() {
+				checkPlan(t, redistSchedule(storeOf(node), "a", od, nd, node), od, nd, node.ID())
+			}
+		})
+		if t.Failed() {
+			t.Fatalf("case %d: shape %v, P=%d, %v → %v", c, shape, p, od, nd)
+		}
+	}
+}
+
+// TestRedistributeTransposeRuns pins the 128² [block,*] ↔ [*,block]
+// transpose at P=2: a row piece per row where the two layouts' rows
+// differ in length, merged into one run where they agree.
+func TestRedistributeTransposeRuns(t *testing.T) {
+	const n, p = 128, 2
+	g := topology.MustGrid(p)
+	rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
+	cols := dist.Must([]int{n, n}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockDim()}, g)
+	sim.MustNew(p, machine.Ideal()).Run(func(nd *machine.Node) {
+		for _, c := range []struct {
+			od, nd           *dist.Dist
+			send, keep, recv int
+		}{{rows, cols, 64, 64, 1}, {cols, rows, 1, 64, 64}} {
+			s := redistSchedule(storeOf(nd), "a", c.od, c.nd, nd)
+			if len(s.sendTo) != 1 || len(s.recvFrom) != 1 {
+				t.Errorf("node %d: %d send and %d receive peers, want 1 and 1", nd.ID(), len(s.sendTo), len(s.recvFrom))
+				return
+			}
+			got := [3]int{len(s.sendTo[0].runs), len(s.keep), len(s.recvFrom[0].runs)}
+			if got != [3]int{c.send, c.keep, c.recv} {
+				t.Errorf("node %d: send/keep/recv runs %v, want %v", nd.ID(), got, [3]int{c.send, c.keep, c.recv})
+			}
+		}
+	})
+}
+
+// BenchmarkRedistributeTranspose: one [block,*] → [*,block] → [block,*]
+// ping-pong of a 128² array per op on two wall-clock threads, plans
+// cached and pools warm.
+func BenchmarkRedistributeTranspose(b *testing.B) {
+	const n, p = 128, 2
+	g := topology.MustGrid(p)
+	rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
+	cols := dist.Must([]int{n, n}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockDim()}, g)
+	mach := wallclock.MustNew(p, machine.Ideal())
+	b.ReportAllocs()
+	mach.Run(func(nd *machine.Node) {
+		a := New("a", rows, nd)
+		a.EachLocal(func(g int) { a.SetLinear(g, float64(g)) })
+		Redistribute(a, cols)
+		Redistribute(a, rows)
+		// Plans built and pools warm on both nodes: node 0 resets the
+		// timer (the benchmark goroutine waits in Run meanwhile).
+		nd.Barrier()
+		if nd.ID() == 0 {
+			b.ResetTimer()
+		}
+		nd.Barrier()
+		for i := 0; i < b.N; i++ {
+			Redistribute(a, cols)
+			Redistribute(a, rows)
+		}
 	})
 }

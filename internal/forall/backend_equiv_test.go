@@ -325,37 +325,49 @@ func TestExecutorEquivalenceRedistribution(t *testing.T) {
 
 // TestBackendEquivalenceRedistribution: the redistribution pipeline
 // (plans, pooled payloads, header swaps) must also be
-// backend-invariant.
+// backend-invariant, for rank 1 and for rank-2 transposes and tilings.
+// Each case cycles an array through its distributions three times.
 func TestBackendEquivalenceRedistribution(t *testing.T) {
 	const n, p = 48, 4
-	run := func(m *machine.Machine) ([]float64, machine.Stats) {
-		g := topology.MustGrid(p)
-		d0 := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
-		d1 := dist.Must([]int{n}, []dist.DimSpec{dist.CyclicDim()}, g)
-		result := make([]float64, n+1)
-		var mu sync.Mutex
-		m.Run(func(nd *machine.Node) {
-			a := darray.New("A", d0, nd)
-			a.EachLocal(func(gl int) { a.Set1(gl, float64(gl)*2.25) })
-			for round := 0; round < 3; round++ {
-				darray.Redistribute(a, d1)
-				darray.Redistribute(a, d0)
-			}
-			mu.Lock()
-			a.EachLocal(func(gl int) { result[gl] = a.Get1(gl) })
-			mu.Unlock()
-		})
-		return result, m.TotalStats()
-	}
-	simVals, simStats := run(sim.MustNew(p, machine.Ideal()))
-	wallVals, wallStats := run(wallclock.MustNew(p, machine.Ideal()))
-	for i := range simVals {
-		if simVals[i] != wallVals[i] {
-			t.Fatalf("element %d differs: sim %v, wall %v", i, simVals[i], wallVals[i])
+	g := topology.MustGrid(p)
+	block := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
+	cyclic := dist.Must([]int{n}, []dist.DimSpec{dist.CyclicDim()}, g)
+	rows := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.CollapsedDim()}, g)
+	cols := dist.Must([]int{n, n}, []dist.DimSpec{dist.CollapsedDim(), dist.BlockDim()}, g)
+	tiles := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, topology.MustGrid(2, 2))
+	for _, cycle := range [][]*dist.Dist{{block, cyclic}, {rows, cols}, {rows, tiles, cols}} {
+		total := 1
+		for _, e := range cycle[0].Shape() {
+			total *= e
 		}
-	}
-	if simStats != wallStats {
-		t.Fatalf("stats differ: sim %+v, wall %+v", simStats, wallStats)
+		run := func(m *machine.Machine) ([]float64, machine.Stats) {
+			result := make([]float64, total+1)
+			var mu sync.Mutex
+			m.Run(func(nd *machine.Node) {
+				a := darray.New("A", cycle[0], nd)
+				a.EachLocal(func(gl int) { a.SetLinear(gl, float64(gl)*2.25) })
+				for round := 0; round < 3; round++ {
+					for _, d := range cycle[1:] {
+						darray.Redistribute(a, d)
+					}
+					darray.Redistribute(a, cycle[0])
+				}
+				mu.Lock()
+				a.EachLocal(func(gl int) { result[gl] = a.GetLinear(gl) })
+				mu.Unlock()
+			})
+			return result, m.TotalStats()
+		}
+		simVals, simStats := run(sim.MustNew(p, machine.Ideal()))
+		wallVals, wallStats := run(wallclock.MustNew(p, machine.Ideal()))
+		for i := 1; i <= total; i++ {
+			if simVals[i] != float64(i)*2.25 || wallVals[i] != simVals[i] {
+				t.Fatalf("%v: element %d: sim %v, wall %v", cycle, i, simVals[i], wallVals[i])
+			}
+		}
+		if simStats != wallStats {
+			t.Fatalf("%v: stats differ: sim %+v, wall %+v", cycle, simStats, wallStats)
+		}
 	}
 }
 
