@@ -385,6 +385,36 @@ func (a *Array) LocalLinear(g int) (v float64, ok bool) {
 	return 0, false
 }
 
+// WindowLinear returns the local-storage offset (an index into
+// LocalValues) of element g, a linearized global index, of a rank-1 or
+// rank-2 array when g lies in the node's locality window, with no
+// owner computation.  ok false decides nothing: the array may be
+// replicated, its distribution may have no window, or g may be nonlocal
+// or out of range, and the caller goes on to the checked accessors.
+func (h *header) WindowLinear(g int) (off int, ok bool) {
+	switch {
+	case h.repl:
+	case len(h.shape) == 1:
+		return h.span1(g, g)
+	case uint(g-1) < uint(h.total):
+		return h.Window2((g-1)/h.shape[1]+1, (g-1)%h.shape[1]+1)
+	}
+	return 0, false
+}
+
+// Window2 is WindowLinear for element (i, j) of a rank-2 array.
+func (h *header) Window2(i, j int) (off int, ok bool) {
+	if h.repl {
+		return 0, false
+	}
+	return h.span2(i, j, j)
+}
+
+// OffsetLinear is the local-storage offset of element g, which must be
+// local: the checked form of WindowLinear, which panics as GetLinear
+// does.
+func (h *header) OffsetLinear(g int) int { return h.offsetLinear(g) }
+
 // CopyLinearRange copies the elements with linearized global indices
 // [lo..hi] — all of which must be stored on this node — into dst,
 // which must have hi-lo+1 elements.  It is the executor's bulk message

@@ -64,12 +64,13 @@ type Env struct {
 	enumPos    int
 }
 
+// write is one entry of the write log: v, bound for offset off of a's
+// local storage (darray's LocalValues), which Write and Write2 resolve
+// through the node's locality window, or the checked offset past it.
 type write struct {
-	a *darray.Array
-	g int // linearized global index; 0 when (i, j) is set
-	i int // rank-2 coordinates from Write2 (1-based; 0 = unset)
-	j int
-	v float64
+	a   *darray.Array
+	off int
+	v   float64
 }
 
 // reset prepares the engine's pooled Env for one execution of loop c's
@@ -185,15 +186,11 @@ func (e *Env) endIter() {
 }
 
 // commit stores the buffered writes — the copy-out half of forall's
-// copy-in/copy-out semantics.  Write2 records coordinates so rank-2
-// commits skip the linear-index decomposition.
+// copy-in/copy-out semantics — one store per entry, at the storage
+// offset Write resolved.
 func (e *Env) commit() {
 	for _, w := range e.writes {
-		if w.i != 0 {
-			w.a.Set2(w.i, w.j, w.v)
-		} else {
-			w.a.SetLinear(w.g, w.v)
-		}
+		w.a.LocalValues()[w.off] = w.v
 	}
 	e.writes = e.writes[:0]
 }
@@ -243,6 +240,9 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 
 	case modeExecLocal:
 		e.node.ChargeMemRefs(1)
+		if v, ok := a.LocalLinear(g); ok {
+			return v
+		}
 		return a.GetLinear(g)
 
 	default: // modeExecNonlocal
@@ -526,20 +526,28 @@ func (e *Env) ReadInt2(a *darray.IntArray, i, j int) int {
 // (owner-computes); Write panics otherwise.  Writes are buffered and
 // committed when the loop completes — forall's copy-in/copy-out
 // semantics: every read in the loop sees pre-loop values.
+//
+// An element in the node's locality window is its own proof of
+// ownership; any other goes through the checks, and their panics.
 func (e *Env) Write(a *darray.Array, g int, v float64) {
 	if e.mode == modeInspect {
 		// The inspector suppresses side effects; it also verifies the
 		// owner-computes property early.
-		if a.Replicated() {
-			panic(fmt.Sprintf("forall %s: write to replicated array %q", e.core.name, a.Name()))
-		}
-		if a.OwnerLinear(g) != e.node.ID() {
-			panic(fmt.Sprintf("forall %s: non-owner write to %s[%d] on node %d",
-				e.core.name, a.Name(), g, e.node.ID()))
-		}
+		e.ownerWrite(a, g)
 		return
 	}
 	e.node.ChargeMemRefs(1)
+	off, ok := a.WindowLinear(g)
+	if !ok {
+		e.ownerWrite(a, g)
+		off = a.OffsetLinear(g)
+	}
+	e.writes = append(e.writes, write{a: a, off: off, v: v})
+}
+
+// ownerWrite panics unless this node owns element g of a, which is not
+// replicated.
+func (e *Env) ownerWrite(a *darray.Array, g int) {
 	if a.Replicated() {
 		panic(fmt.Sprintf("forall %s: write to replicated array %q", e.core.name, a.Name()))
 	}
@@ -547,7 +555,6 @@ func (e *Env) Write(a *darray.Array, g int, v float64) {
 		panic(fmt.Sprintf("forall %s: non-owner write to %s[%d] on node %d",
 			e.core.name, a.Name(), g, e.node.ID()))
 	}
-	e.writes = append(e.writes, write{a: a, g: g, v: v})
 }
 
 // WriteAt is Write addressed by coordinates.
@@ -557,20 +564,24 @@ func (e *Env) WriteAt(a *darray.Array, v float64, coord ...int) {
 
 // Write2 is Write for rank-2 arrays, addressed by coordinates, with
 // the same charges and owner-computes checks but no linear-index
-// arithmetic on the hot path (the buffered write carries the
-// coordinates through to commit).
+// arithmetic on the hot path.
 func (e *Env) Write2(a *darray.Array, i, j int, v float64) {
 	if e.mode == modeInspect {
-		if a.Replicated() {
-			panic(fmt.Sprintf("forall %s: write to replicated array %q", e.core.name, a.Name()))
-		}
-		if !a.IsLocal2(i, j) {
-			panic(fmt.Sprintf("forall %s: non-owner write to %s[%d,%d] on node %d",
-				e.core.name, a.Name(), i, j, e.node.ID()))
-		}
+		e.ownerWrite2(a, i, j)
 		return
 	}
 	e.node.ChargeMemRefs(1)
+	off, ok := a.Window2(i, j)
+	if !ok {
+		e.ownerWrite2(a, i, j)
+		// ownerWrite2 validated the coordinates, so Linear2 is safe.
+		off = a.OffsetLinear(a.Linear2(i, j))
+	}
+	e.writes = append(e.writes, write{a: a, off: off, v: v})
+}
+
+// ownerWrite2 is ownerWrite for element (i, j).
+func (e *Env) ownerWrite2(a *darray.Array, i, j int) {
 	if a.Replicated() {
 		panic(fmt.Sprintf("forall %s: write to replicated array %q", e.core.name, a.Name()))
 	}
@@ -578,7 +589,6 @@ func (e *Env) Write2(a *darray.Array, i, j int, v float64) {
 		panic(fmt.Sprintf("forall %s: non-owner write to %s[%d,%d] on node %d",
 			e.core.name, a.Name(), i, j, e.node.ID()))
 	}
-	e.writes = append(e.writes, write{a: a, i: i, j: j, v: v})
 }
 
 // WriteSpan1 is the store side of a Loop.Segment body: the local

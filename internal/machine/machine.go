@@ -103,7 +103,7 @@ func NewWith(p int, params Params, tr Transport) (*Machine, error) {
 			phases:  map[string]float64{},
 		}
 		if ca != nil && tr.Virtual() {
-			m.nodes[i].clock = ca.ClockAddr(i)
+			m.nodes[i].clock, m.nodes[i].direct = ca.ClockAddr(i), true
 		}
 	}
 	return m, nil
@@ -298,7 +298,8 @@ type Node struct {
 	// accumulator directly (Transport implements ClockAddr), so the
 	// per-operator charges on the body hot path skip the interface
 	// dispatch.  The arithmetic is the same either way.
-	clock *float64
+	clock  *float64
+	direct bool // clock != nil
 	// idleClock is the cell ClockCell hands out on real backends, where
 	// charges are free and nothing reads the sum.
 	idleClock float64
@@ -341,13 +342,20 @@ func (n *Node) Advance(seconds float64) {
 
 // advance adds modeled seconds through the direct clock pointer when
 // the transport exposes one, else through the Transport interface.
+// The interface call lives in advanceTransport and the pointer test is
+// the direct flag, so that advance and the single-term charges built on
+// it stay within the inliner's budget: on real backends a charge
+// inlines to one branch on virtual.
 func (n *Node) advance(seconds float64) {
-	if n.clock != nil {
+	if n.direct {
 		*n.clock += seconds
-		return
+	} else {
+		n.advanceTransport(seconds)
 	}
-	n.m.tr.Advance(n.id, seconds)
 }
+
+//go:noinline
+func (n *Node) advanceTransport(seconds float64) { n.m.tr.Advance(n.id, seconds) }
 
 // Charge advances the clock by a combination of primitive costs; see
 // Params for the meaning of each count.  Real backends skip the cost
