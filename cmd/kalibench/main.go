@@ -21,27 +21,40 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 
 	"kali/internal/bench"
 )
 
-func main() {
-	table := flag.String("table", "all", "experiment id (see -list) or 'all'")
-	quick := flag.Bool("quick", false, "use shrunken problem sizes")
-	asJSON := flag.Bool("json", false, "emit tables as JSON instead of text")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	diff := flag.String("diff", "", "baseline JSON file to compare this run against (CI regression gate)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs passed in; it returns the
+// exit status: 2 for a usage error, 1 for a failed run or regression.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kalibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "experiment id (see -list) or 'all'")
+	quick := fs.Bool("quick", false, "use shrunken problem sizes")
+	asJSON := fs.Bool("json", false, "emit tables as JSON instead of text")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	diff := fs.String("diff", "", "baseline JSON file to compare this run against (CI regression gate)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range bench.Order {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
 	// Load the baseline before generating anything, so a bad -diff path
@@ -50,12 +63,12 @@ func main() {
 	if *diff != "" {
 		raw, err := os.ReadFile(*diff)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kalibench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "kalibench: %v\n", err)
+			return 1
 		}
 		if err := json.Unmarshal(raw, &baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "kalibench: bad baseline %s: %v\n", *diff, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "kalibench: bad baseline %s: %v\n", *diff, err)
+			return 1
 		}
 		// Compare only what this invocation runs: with -table X the
 		// unselected baseline entries are not missing, just not rerun
@@ -72,8 +85,8 @@ func main() {
 	} else {
 		gen, ok := bench.Registry[*table]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "kalibench: unknown experiment %q (use -list)\n", *table)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "kalibench: unknown experiment %q (use -list)\n", *table)
+			return 2
 		}
 		tables = []*bench.Table{gen(opt)}
 	}
@@ -81,32 +94,33 @@ func main() {
 	if *diff != "" {
 		regs := bench.Compare(baseline, tables)
 		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "kalibench: %d regression(s) vs %s:\n", len(regs), *diff)
+			fmt.Fprintf(stderr, "kalibench: %d regression(s) vs %s:\n", len(regs), *diff)
 			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
+				fmt.Fprintf(stderr, "  %s\n", r)
 			}
-			fmt.Fprintln(os.Stderr, "if the change is intentional, regenerate the baseline:")
-			fmt.Fprintln(os.Stderr, "  go run ./cmd/kalibench -quick -json > bench/baseline.json")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "if the change is intentional, regenerate the baseline:")
+			fmt.Fprintln(stderr, "  go run ./cmd/kalibench -quick -json > bench/baseline.json")
+			return 1
 		}
 		// Report on stderr so -json -diff can emit the artifact and
 		// gate the costs in one suite run.
-		fmt.Fprintf(os.Stderr, "kalibench: %d table(s) no worse than %s\n", len(tables), *diff)
+		fmt.Fprintf(stderr, "kalibench: %d table(s) no worse than %s\n", len(tables), *diff)
 		if !*asJSON {
-			return
+			return 0
 		}
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
-			fmt.Fprintf(os.Stderr, "kalibench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "kalibench: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	for _, t := range tables {
-		fmt.Println(t.Render())
+		fmt.Fprintln(stdout, t.Render())
 	}
+	return 0
 }

@@ -49,10 +49,10 @@ func packageDirs(t *testing.T) []string {
 	return dirs
 }
 
-// packageDoc returns the package comment of the package in dir (the
-// concatenation is unnecessary: godoc uses one file's doc; we accept
-// the first non-empty one).
-func packageDoc(t *testing.T, dir string) string {
+// packageClause returns the package name of the non-test files in dir
+// and their package comment (godoc uses one file's doc; we accept the
+// first non-empty one).
+func packageClause(t *testing.T, dir string) (name, doc string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -67,11 +67,12 @@ func packageDoc(t *testing.T, dir string) string {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
+		name = f.Name.Name
 		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-			return f.Doc.Text()
+			return name, f.Doc.Text()
 		}
 	}
-	return ""
+	return name, ""
 }
 
 // TestPackageDocsCitePaper: every package has a package comment, and
@@ -86,7 +87,7 @@ func TestPackageDocsCitePaper(t *testing.T) {
 		t.Fatalf("package walk found only %d directories (%v) — lint would be vacuous", len(dirs), dirs)
 	}
 	for _, dir := range dirs {
-		doc := packageDoc(t, dir)
+		_, doc := packageClause(t, dir)
 		if doc == "" {
 			t.Errorf("%s: no package comment", dir)
 			continue

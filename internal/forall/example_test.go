@@ -1,25 +1,9 @@
-// Grid2d exercises multi-dimensional processor arrays — the paper
-// declares them ("Multi-dimensional processor arrays can be declared
-// similarly") but evaluates only 1-D decompositions.  Here the same
-// five-point relaxation runs under
-//
-//	processors Procs : array[1..P]        (block rows)
-//	processors Procs : array[1..p, 1..p]  (block×block tiles)
-//
-// and the classic surface-to-volume effect appears: at equal processor
-// counts, square tiles exchange ~2/√P as many boundary elements as row
-// bands, so the 2-D decomposition pulls ahead as P grows.
-//
-//	go run ./examples/grid2d [-side 64] [-sweeps 20]
-package main
+package forall_test
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"sync"
 
-	"kali"
 	"kali/internal/analysis"
 	"kali/internal/darray"
 	"kali/internal/dist"
@@ -30,15 +14,29 @@ import (
 	"kali/internal/topology"
 )
 
-func main() {
-	side := flag.Int("side", 64, "mesh side")
-	sweeps := flag.Int("sweeps", 20, "Jacobi sweeps")
-	flag.Parse()
+// ExampleEngine_Run2 exercises multi-dimensional processor arrays,
+// which the paper declares ("Multi-dimensional processor arrays can be
+// declared similarly") but evaluates only in 1-D.  The same five-point
+// relaxation runs under
+//
+//	processors Procs : array[1..P]        (block rows)
+//	processors Procs : array[1..p, 1..p]  (block×block tiles)
+//
+// and the surface-to-volume effect appears: at equal processor counts,
+// square tiles exchange ~2/√P as many boundary elements as row bands,
+// so the 2-D decomposition pulls ahead as P grows.
+//
+// It then compares the §5 executor variants in 2-D: the same
+// relaxation, written with a shifted (non-identity) affine on clause,
+// still builds its schedule at compile time; the Saltz-style
+// enumerated executor must instead run the inspector and keep a
+// per-reference list, which needs strictly more schedule storage.
+func ExampleEngine_Run2() {
+	const side, sweeps = 64, 20
+	m := mesh.Rect(side, side)
+	want := mesh.SeqJacobi(m, mesh.InitValues(m), sweeps)
 
-	m := mesh.Rect(*side, *side)
-	want := mesh.SeqJacobi(m, mesh.InitValues(m), *sweeps)
-
-	fmt.Printf("five-point relaxation, %dx%d mesh, %d sweeps (NCUBE/7)\n\n", *side, *side, *sweeps)
+	fmt.Printf("five-point relaxation, %dx%d mesh, %d sweeps (NCUBE/7)\n\n", side, side, sweeps)
 	fmt.Printf("%-14s %8s %14s %12s %12s %12s\n", "decomposition", "procs", "schedule", "executor", "inspector", "bytes moved")
 
 	for _, cfg := range []struct {
@@ -48,10 +46,9 @@ func main() {
 		{"4x1 rows", 4, 1}, {"2x2 tiles", 2, 2},
 		{"16x1 rows", 16, 1}, {"4x4 tiles", 4, 4},
 	} {
-		got, exec, insp, bytes, kind := run2D(m, *side, *side, cfg.pr, cfg.pc, *sweeps, kali.NCUBE7())
+		got, exec, insp, bytes, kind := run2D(side, side, cfg.pr, cfg.pc, sweeps)
 		if d := mesh.MaxDelta(got, want); d != 0 {
-			fmt.Fprintf(os.Stderr, "%s: WRONG ANSWER (%g)\n", cfg.name, d)
-			os.Exit(1)
+			panic(fmt.Sprintf("%s: WRONG ANSWER (%g)", cfg.name, d))
 		}
 		fmt.Printf("%-14s %8d %14s %11.3fs %11.3fs %12d\n",
 			cfg.name, cfg.pr*cfg.pc, kind, exec, insp, bytes)
@@ -59,16 +56,26 @@ func main() {
 	fmt.Println("\ntiles win at P=16: each tile's perimeter (4·n/√P) is half the row")
 	fmt.Println("band's boundary (2·n), halving both messages and buffer searches.")
 
-	// §5 executor variants in 2-D: the same relaxation, written with a
-	// shifted (non-identity) affine on clause, still builds its
-	// schedule at compile time; the Saltz-style enumerated executor
-	// must instead run the inspector and keep a per-reference list,
-	// which needs strictly more schedule storage.
-	kindPre, memPre := variantStorage2D(*side, false)
-	kindEnum, memEnum := variantStorage2D(*side, true)
+	kindPre, memPre := variantStorage2D(side, false)
+	kindEnum, memEnum := variantStorage2D(side, true)
 	fmt.Printf("\nshifted on clause (on a[i+1,j+1].loc) on 2x2 tiles:\n")
 	fmt.Printf("  precomputed: build %-12v %6d schedule B/proc\n", kindPre, memPre)
 	fmt.Printf("  enumerated:  build %-12v %6d schedule B/proc\n", kindEnum, memEnum)
+	// Output:
+	// five-point relaxation, 64x64 mesh, 20 sweeps (NCUBE/7)
+	//
+	// decomposition     procs       schedule     executor    inspector  bytes moved
+	// 4x1 rows              4   compile-time       4.440s       0.001s        59520
+	// 2x2 tiles             4   compile-time       4.237s       0.001s        39680
+	// 16x1 rows            16   compile-time       1.622s       0.001s       297600
+	// 4x4 tiles            16   compile-time       1.600s       0.001s       119040
+	//
+	// tiles win at P=16: each tile's perimeter (4·n/√P) is half the row
+	// band's boundary (2·n), halving both messages and buffer searches.
+	//
+	// shifted on clause (on a[i+1,j+1].loc) on 2x2 tiles:
+	//   precomputed: build compile-time  17152 schedule B/proc
+	//   enumerated:  build inspector     20080 schedule B/proc
 }
 
 // variantStorage2D runs one relaxation sweep on a 2x2 grid with a
@@ -77,7 +84,7 @@ func main() {
 func variantStorage2D(n int, enumerate bool) (forall.BuildKind, int) {
 	g := topology.MustGrid(2, 2)
 	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
-	mach := sim.MustNew(4, kali.NCUBE7())
+	mach := sim.MustNew(4, machine.NCUBE7())
 	var kind forall.BuildKind
 	mem := 0
 	var mu sync.Mutex
@@ -88,7 +95,7 @@ func variantStorage2D(n int, enumerate bool) (forall.BuildKind, int) {
 		eng.Run2(&forall.Loop2{
 			Name: "relax-shifted", LoI: 1, HiI: n - 2, LoJ: 1, HiJ: n - 2,
 			On:   a,
-			OnF2: kali.Affine2{I: kali.Affine{A: 1, C: 1}, J: kali.Affine{A: 1, C: 1}},
+			OnF2: analysis.Affine2{I: analysis.Affine{A: 1, C: 1}, J: analysis.Affine{A: 1, C: 1}},
 			Reads: []forall.ReadSpec{
 				{Array: old, Affine2: analysis.Shift2(0, 1)}, {Array: old, Affine2: analysis.Shift2(2, 1)},
 				{Array: old, Affine2: analysis.Shift2(1, 0)}, {Array: old, Affine2: analysis.Shift2(1, 2)},
@@ -104,21 +111,20 @@ func variantStorage2D(n int, enumerate bool) (forall.BuildKind, int) {
 		mu.Lock()
 		s := eng.Schedule2("relax-shifted")
 		kind = s.Kind()
-		if mb := s.MemBytes(); mb > mem {
-			mem = mb
-		}
+		mem = max(mem, s.MemBytes())
 		mu.Unlock()
 	})
 	return kind, mem
 }
 
-// run2D runs the relaxation as 2-D foralls on a pr×pc grid.  The
-// stencil subscripts are per-dimension affine, so the engine derives
-// the halo-exchange schedules at compile time — no inspector pass.
-func run2D(m *mesh.Mesh, nx, ny, pr, pc, sweeps int, params machine.Params) ([]float64, float64, float64, int, forall.BuildKind) {
+// run2D runs the relaxation as 2-D foralls on a pr×pc grid of the
+// simulated NCUBE/7.  The stencil subscripts are per-dimension affine,
+// so the engine derives the halo-exchange schedules at compile time:
+// no inspector pass.
+func run2D(nx, ny, pr, pc, sweeps int) ([]float64, float64, float64, int, forall.BuildKind) {
 	g := topology.MustGrid(pr, pc)
 	d := dist.Must([]int{ny, nx}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
-	mach := sim.MustNew(pr*pc, params)
+	mach := sim.MustNew(pr*pc, machine.NCUBE7())
 	out := make([]float64, nx*ny)
 	var kind forall.BuildKind
 	var mu sync.Mutex

@@ -1,31 +1,6 @@
-// Multigrid tests the paper's §4 conjecture head-on.  The paper notes
-// that algorithms needing fewer relaxation sweeps — it names multigrid
-// explicitly — give the inspector less to amortize against, and
-// "suspect[s] our approach would be less useful in such cases".
-//
-// This example solves -u” = π²·sin(πx) to a fixed tolerance three
-// ways on the simulated NCUBE/7 and prints the §4 trade-off:
-//
-//   - plain Jacobi sweeps (many cheap, identical iterations: the
-//     inspector's best case),
-//   - multigrid V-cycles with compile-time analysis (the affine
-//     subscripts of smoothing/restriction/prolongation all admit it),
-//   - multigrid with the run-time inspector forced (what a compiler
-//     without the closed-form path would emit).
-//
-// The suspicion is confirmed and sharpened: run-time analysis burdens
-// the fast algorithm with schedule-building (each level's loops pay
-// the expensive global combine, and few V-cycles amortize it), but the
-// cure is not "avoid fast algorithms" — it is the compile-time
-// analysis the paper develops in [3], which makes multigrid's schedule
-// cost negligible while it solves the problem orders of magnitude
-// faster than Jacobi.
-//
-//	go run ./examples/multigrid [-depth 7] [-p 8]
-package main
+package mg_test
 
 import (
-	"flag"
 	"fmt"
 	"math"
 
@@ -38,23 +13,35 @@ import (
 
 const tol = 1e-6
 
-func main() {
-	depth := flag.Int("depth", 7, "fine grid has 2^depth - 1 points")
-	procs := flag.Int("p", 8, "processors")
-	flag.Parse()
-
-	n := 1<<uint(*depth) - 1
-	fmt.Printf("-u'' = π²sin(πx) on %d points, residual tol %.0e, %d processors (NCUBE/7)\n\n", n, tol, *procs)
+// ExampleSolver_VCycle tests the paper's §4 conjecture head-on.  The
+// paper notes that algorithms needing fewer relaxation sweeps (it names
+// multigrid) give the inspector less to amortize against, and
+// "suspect[s] our approach would be less useful in such cases".
+//
+// It solves -u” = π²·sin(πx) to a fixed tolerance three ways on the
+// simulated NCUBE/7: plain Jacobi sweeps (many cheap, identical
+// iterations: the inspector's best case), multigrid V-cycles with
+// compile-time analysis (the affine subscripts of smoothing,
+// restriction and prolongation all admit it), and multigrid with the
+// run-time inspector forced (what a compiler without the closed-form
+// path would emit).  Run-time analysis burdens the fast algorithm with
+// schedule building, but the cure is the compile-time analysis, which
+// makes multigrid's schedule cost negligible while it solves the
+// problem orders of magnitude faster than Jacobi.
+func ExampleSolver_VCycle() {
+	const depth, procs = 7, 8
+	n := 1<<uint(depth) - 1
+	fmt.Printf("-u'' = π²sin(πx) on %d points, residual tol %.0e, %d processors (NCUBE/7)\n\n", n, tol, procs)
 	fmt.Printf("%-34s %8s %10s %10s %10s %9s\n",
 		"method", "iters", "total", "executor", "inspector", "overhead")
 
-	iters, rep := runJacobi(n, *procs)
+	iters, rep := runJacobi(n, procs)
 	fmt.Printf("%-34s %8d %9.2fs %9.2fs %9.2fs %8.1f%%\n",
 		"jacobi sweeps (compile-time)", iters,
 		rep.Total, rep.Executor, rep.Inspector, rep.OverheadPct())
 
 	for _, force := range []bool{false, true} {
-		cycles, mrep := runMultigrid(*depth, *procs, force)
+		cycles, mrep := runMultigrid(depth, procs, force)
 		name := "multigrid (compile-time)"
 		if force {
 			name = "multigrid (run-time inspector)"
@@ -66,6 +53,17 @@ func main() {
 	fmt.Println("\nthe §4 suspicion holds for run-time analysis: a fast algorithm's few,")
 	fmt.Println("varied loops leave the inspector nothing to amortize against.  the cure")
 	fmt.Println("is the compile-time path — every multigrid subscript is affine.")
+	// Output:
+	// -u'' = π²sin(πx) on 127 points, residual tol 1e-06, 8 processors (NCUBE/7)
+	//
+	// method                                iters      total   executor  inspector  overhead
+	// jacobi sweeps (compile-time)          54000    195.35s    195.35s      0.00s      0.0%
+	// multigrid (compile-time)                  8      0.79s      0.77s      0.01s      1.9%
+	// multigrid (run-time inspector)            8     25.42s      0.76s     24.66s     97.0%
+	//
+	// the §4 suspicion holds for run-time analysis: a fast algorithm's few,
+	// varied loops leave the inspector nothing to amortize against.  the cure
+	// is the compile-time path — every multigrid subscript is affine.
 }
 
 // runJacobi sweeps until the true residual max-norm is below tol.

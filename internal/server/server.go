@@ -82,10 +82,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store returns the server's shared schedule store (for tests and
-// direct embedding).
-func (s *Server) Store() *forall.SharedStore { return s.store }
-
 // P returns the pooled machines' processor count.
 func (s *Server) P() int { return s.cfg.P }
 

@@ -35,7 +35,8 @@
 //	})
 //	fmt.Println(rep)
 //
-// Rank-2 loops run the same way over 2-D processor grids:
+// Rank-2 loops run the same way over 2-D processor grids
+// (ExampleContext_Forall2 runs this form):
 //
 //	ctx.Forall2(&kali.Loop2{
 //	    Name: "relax", LoI: 2, HiI: n - 1, LoJ: 2, HiJ: n - 1,
@@ -46,9 +47,10 @@
 //
 // Distributions are dynamic (paper §2.4): Context.Redistribute rebinds
 // an array to a new dist clause mid-run with a schedule-driven
-// all-to-all (examples/adi alternates row and column layouts this
-// way), and the engine's schedule caches key on distribution
-// fingerprints so a remapped array can never replay a stale schedule.
+// all-to-all (core's ExampleContext_Redistribute alternates row and
+// column layouts this way), and the engine's schedule caches key on
+// distribution fingerprints so a remapped array can never replay a
+// stale schedule.
 //
 // See docs/ARCHITECTURE.md for the paper-to-code map.  The deeper
 // layers are importable directly for advanced use:
