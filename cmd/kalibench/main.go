@@ -15,8 +15,9 @@
 //	kalibench -quick -diff bench/baseline.json
 //	                           # regression gate: rerun and compare
 //	                           # against a committed -json baseline,
-//	                           # exit 1 if a gated cell is worse by
-//	                           # more than its column's tolerance
+//	                           # exit 1 if a gated cell is worse, or
+//	                           # better, by more than its column's
+//	                           # tolerance
 package main
 
 import (

@@ -93,6 +93,25 @@ func TestRunStatsBodyPaths(t *testing.T) {
 	}
 }
 
+// TestRunsFigure4: the paper's Figure 4 program runs on the processors
+// asked for, and its simulated times and convergence delta are pinned.
+func TestRunsFigure4(t *testing.T) {
+	const prog = "../../internal/lang/testdata/relax.kali"
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-p", "4", "-print", "delta", prog}, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d: %s", got, stderr.String())
+	}
+	for _, want := range []string{
+		"processors chosen: 4\n",
+		"total 0.5221s  executor 0.1330s  inspector 0.3890s  (overhead 74.5%)\n",
+		"delta = 0.222076416015625\n",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout\n%swant a line %q", stdout.String(), want)
+		}
+	}
+}
+
 // TestServeClosesStalledHeaders: the -serve HTTP server bounds how long
 // a client may take over its headers (and the whole request, and an
 // idle keep-alive) but not how long a response may take, and a client

@@ -110,11 +110,3 @@ func Compute(on dist.Pattern, f Affine, lo, hi int, reads []Read, p int) Sets {
 	}
 	return s
 }
-
-// Analyzable reports whether compile-time analysis applies: it requires
-// an affine on clause and affine subscripts over static distributions,
-// which is what callers express by constructing Read values at all.
-// The helper exists to make call sites self-documenting.
-func Analyzable(onAffine bool, allReadsAffine bool) bool {
-	return onAffine && allReadsAffine
-}

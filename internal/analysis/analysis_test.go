@@ -221,12 +221,6 @@ func TestQuickSetsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestAnalyzable(t *testing.T) {
-	if !Analyzable(true, true) || Analyzable(false, true) || Analyzable(true, false) {
-		t.Fatal("Analyzable truth table wrong")
-	}
-}
-
 func TestAffineHelpers(t *testing.T) {
 	f := Affine{2, 3}
 	if f.Apply(4) != 11 {

@@ -545,7 +545,7 @@ func CompileVsRuntime2D(opt Options) *Table {
 		},
 	}
 	for _, force := range []bool{false, true} {
-		sched, exec := Run2DStencil(n, pr, pc, reps, machine.NCUBE7(), force)
+		_, sched, exec, _ := run2D(n, pr, pc, reps, force, false, true)
 		name := "compile-time"
 		if force {
 			name = "run-time inspector"
@@ -573,27 +573,6 @@ func Relax2DLoop(a, old *darray.Array, n int) *forall.Loop2 {
 			e.WriteAt(a, x, i, j)
 		},
 	}
-}
-
-// Run2DStencil executes the shared stencil loop reps times on an n×n
-// [block,block] array over a pr×pc grid with the schedule cache off,
-// returning the simulated schedule-build and executor times.
-func Run2DStencil(n, pr, pc, reps int, params machine.Params, forceInspector bool) (sched, exec float64) {
-	g := topology.MustGrid(pr, pc)
-	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
-	mach := sim.MustNew(pr*pc, params)
-	mach.Run(func(nd *machine.Node) {
-		a := darray.New("a", d, nd)
-		old := darray.New("old", d, nd)
-		eng := forall.NewEngine(nd)
-		eng.ForceInspector = forceInspector
-		eng.NoCache = true
-		loop := Relax2DLoop(a, old, n)
-		for r := 0; r < reps; r++ {
-			eng.Run2(loop)
-		}
-	})
-	return mach.MaxPhase(forall.PhaseInspector), mach.MaxPhase(forall.PhaseExecutor)
 }
 
 // DistChoice regenerates ABL5: the §2.4 claim that distributions can
@@ -697,26 +676,30 @@ func Enumeration2D(opt Options) *Table {
 		{"kali (inspector)", true, false},
 		{"saltz (enumerate)", false, true},
 	} {
-		kind, sched, exec, mem := run2DVariant(n, pr, pc, reps, machine.NCUBE7(), v.force, v.enum)
+		kind, sched, exec, mem := run2D(n, pr, pc, reps, v.force, v.enum, false)
 		t.add([]string{v.name, kind.String()}, sched, exec, float64(mem))
 	}
 	return t
 }
 
-// run2DVariant executes the shared stencil loop reps times with the
-// chosen executor variant (schedule cache on, so the build cost is
-// paid once) and reports the first build's kind, the simulated
+// run2D executes the shared stencil loop reps times on an n×n
+// [block,block] array over a pr×pc NCUBE/7 grid with the chosen
+// executor variant, and reports the first build's kind, the simulated
 // schedule and executor times, and the worst per-node schedule bytes.
-func run2DVariant(n, pr, pc, reps int, params machine.Params, forceInspector, enumerate bool) (kind forall.BuildKind, sched, exec float64, mem int) {
+// With the schedule cache on, the build cost is paid once; with
+// noCache every execution rebuilds, and no schedule is kept to
+// measure, so mem is 0.
+func run2D(n, pr, pc, reps int, forceInspector, enumerate, noCache bool) (kind forall.BuildKind, sched, exec float64, mem int) {
 	g := topology.MustGrid(pr, pc)
 	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
-	mach := sim.MustNew(pr*pc, params)
+	mach := sim.MustNew(pr*pc, machine.NCUBE7())
 	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
 		a := darray.New("a", d, nd)
 		old := darray.New("old", d, nd)
 		eng := forall.NewEngine(nd)
 		eng.ForceInspector = forceInspector
+		eng.NoCache = noCache
 		loop := Relax2DLoop(a, old, n)
 		loop.Enumerate = enumerate
 		first := forall.BuildKind(0)
@@ -728,8 +711,8 @@ func run2DVariant(n, pr, pc, reps int, params machine.Params, forceInspector, en
 		}
 		mu.Lock()
 		kind = first
-		if mb := eng.Schedule2(loop.Name).MemBytes(); mb > mem {
-			mem = mb
+		if s := eng.Schedule2(loop.Name); s != nil && s.MemBytes() > mem {
+			mem = s.MemBytes()
 		}
 		mu.Unlock()
 	})

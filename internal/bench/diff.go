@@ -10,21 +10,25 @@ import (
 // kalibench -json run (bench/baseline.json) is compared against a fresh
 // run of the same experiments, and any cell of a column declared Gated
 // — simulated times, overhead percentages, traffic, schedule memory,
-// builds, hits, allocations — that is worse than the baseline's by
-// more than the column's own tolerance fails the build.  The simulator
-// is deterministic, so the tolerances absorb no run-to-run noise;
-// regenerate the baseline (kalibench -quick -json >
-// bench/baseline.json) when a change moves a gated cell on purpose, in
-// either direction: a cell that improved is only guarded again once
-// the baseline holds the better value.
+// builds, hits, allocations — that differs from the baseline's by more
+// than the column's own tolerance fails the build.  The gate is
+// two-sided: a cell that got better beyond its tolerance fails too,
+// so that the baseline is re-measured and guards the better value
+// from then on.  The simulator is deterministic, so the tolerances
+// absorb no run-to-run noise; regenerate the baseline (kalibench
+// -quick -json > bench/baseline.json) when a change moves a gated
+// cell on purpose.
 
-// Regression is one baseline comparison failure: either a gated cell
-// that is worse than the baseline's by more than its column's
-// tolerance, or a structural mismatch between the baseline and the
-// fresh run.
+// Regression is one baseline comparison failure: a gated cell that is
+// worse than the baseline's by more than its column's tolerance, one
+// that is better by more than it (Improved), or a structural mismatch
+// between the baseline and the fresh run.
 type Regression struct {
 	Table, Row, Column string
 	Base, Cur          float64
+	// Improved marks a cell better than the baseline beyond tolerance:
+	// the baseline is stale and must be re-measured.
+	Improved bool
 	// Structural describes a shape mismatch (a table, row or gated
 	// column on one side only, different problem sizes); Base/Cur are
 	// meaningless when it is non-empty.
@@ -35,25 +39,28 @@ func (r Regression) String() string {
 	if r.Structural != "" {
 		return fmt.Sprintf("%s: %s", r.Table, r.Structural)
 	}
-	if r.Base == 0 || math.IsNaN(r.Base) || math.IsNaN(r.Cur) {
-		return fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g", r.Table, r.Row, r.Column, r.Base, r.Cur)
+	s := fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g", r.Table, r.Row, r.Column, r.Base, r.Cur)
+	if r.Base != 0 && !math.IsNaN(r.Base) && !math.IsNaN(r.Cur) {
+		s += fmt.Sprintf(" (%+.1f%%)", 100*(r.Cur/r.Base-1))
 	}
-	return fmt.Sprintf("%s [%s / %s]: %.4g -> %.4g (%+.1f%%)",
-		r.Table, r.Row, r.Column, r.Base, r.Cur, 100*(r.Cur/r.Base-1))
+	if r.Improved {
+		s += ": better than the baseline beyond tolerance, re-measure the baseline"
+	}
+	return s
 }
 
-// worse reports whether cur is worse than base by more than the
-// column's tolerance, or one of the two has no value where the other
-// does.
-func (c Column) worse(base, cur float64) bool {
+// drift reports whether cur is worse than base by more than the
+// column's tolerance (or one of the two has no value where the other
+// does), or better than base by more than it.
+func (c Column) drift(base, cur float64) (worse, better bool) {
 	if math.IsNaN(base) || math.IsNaN(cur) {
-		return math.IsNaN(base) != math.IsNaN(cur)
+		return math.IsNaN(base) != math.IsNaN(cur), false
 	}
 	slack := c.Tol * math.Abs(base)
 	if c.HigherIsBetter {
-		return cur < base-slack
+		return cur < base-slack, cur > base+slack
 	}
-	return cur > base+slack
+	return cur > base+slack, cur < base-slack
 }
 
 // Compare checks a fresh run against the baseline.  The two must hold
@@ -61,7 +68,8 @@ func (c Column) worse(base, cur float64) bool {
 // labels) and the same gated columns (matched by name; the fresh run's
 // declaration decides what is gated and how); anything on one side
 // only is a structural regression, since it is either lost coverage or
-// a baseline that needs regenerating.  Improvements always pass.
+// a baseline that needs regenerating.  A gated cell fails in either
+// direction: worse, or better, than the baseline beyond its tolerance.
 func Compare(baseline, current []*Table) []Regression {
 	curByID := map[string]*Table{}
 	for _, t := range current {
@@ -142,8 +150,9 @@ func compareTable(base, cur *Table) (regs []Regression) {
 			if !c.Gated || !ok {
 				continue
 			}
-			if bv, cv := float64(b.Values[bi]), float64(r.Values[ci]); c.worse(bv, cv) {
-				regs = append(regs, Regression{Table: cur.ID, Row: r.Key(), Column: c.Name, Base: bv, Cur: cv})
+			bv, cv := float64(b.Values[bi]), float64(r.Values[ci])
+			if worse, better := c.drift(bv, cv); worse || better {
+				regs = append(regs, Regression{Table: cur.ID, Row: r.Key(), Column: c.Name, Base: bv, Cur: cv, Improved: better})
 			}
 		}
 	}

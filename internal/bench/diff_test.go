@@ -24,12 +24,38 @@ func mkTable(id string, rows ...[]float64) *Table {
 
 func TestCompareWithinToleranceAndImprovementsPass(t *testing.T) {
 	base := []*Table{mkTable("x", []float64{4, 10.00, 1.00, 12.00, 4480, 8})}
-	cur := []*Table{mkTable("x", []float64{4, 10.04, 0.50, 99.00, 4000, 9})}
-	// +0.4% total is inside a simulated time's 0.5%, the inspector and
-	// the schedule shrank, a hit was gained, and the paper column is
-	// exempt however far it moves.
+	cur := []*Table{mkTable("x", []float64{4, 10.04, 0.996, 99.00, 4480, 8})}
+	// +0.4% total is inside a simulated time's 0.5%, so is the
+	// inspector's -0.4% improvement, and the paper column is exempt
+	// however far it moves.
 	if regs := Compare(base, cur); len(regs) != 0 {
 		t.Fatalf("unexpected regressions: %v", regs)
+	}
+}
+
+// TestCompareFlagsImprovementBeyondTolerance: the gate is two-sided.
+// A simulated time that shrank by more than its tolerance, and an exact
+// count or a benefit count that moved the good way at all, fail with a
+// message to re-measure the baseline.
+func TestCompareFlagsImprovementBeyondTolerance(t *testing.T) {
+	base := []*Table{mkTable("x", []float64{4, 10.00, 1.00, 12.00, 4480, 8})}
+	for _, c := range []struct {
+		name   string
+		row    []float64
+		column string
+	}{
+		{"simSec", []float64{4, 10.00, 0.99, 12.00, 4480, 8}, "inspector"},
+		{"exact", []float64{4, 10.00, 1.00, 12.00, 4479, 8}, "schedule bytes/proc"},
+		{"benefit", []float64{4, 10.00, 1.00, 12.00, 4480, 9}, "plan hits"},
+	} {
+		regs := Compare(base, []*Table{mkTable("x", c.row)})
+		if len(regs) != 1 || regs[0].Column != c.column || !regs[0].Improved {
+			t.Errorf("%s: want one improved %q cell, got %v", c.name, c.column, regs)
+			continue
+		}
+		if s := regs[0].String(); !strings.Contains(s, "re-measure the baseline") {
+			t.Errorf("%s: message %q does not ask to re-measure the baseline", c.name, s)
+		}
 	}
 }
 

@@ -298,16 +298,6 @@ func (s *InSet) RangesFrom(q int) []Range {
 	return nil
 }
 
-// BytesFrom returns the wire size of the data expected from q,
-// assuming 8-byte elements.
-func (s *InSet) BytesFrom(q int) int {
-	n := 0
-	for _, r := range s.RangesFrom(q) {
-		n += r.Len()
-	}
-	return n * 8
-}
-
 // BuildOut assembles a processor's OutSet from the collections of
 // in-records that name it as FromProc, as delivered by the global
 // exchange ("out(p,q) = in(q,p)": the transposition the paper performs

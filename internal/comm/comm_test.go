@@ -113,9 +113,6 @@ func TestSendersAndRangesFrom(t *testing.T) {
 	if got := in.RangesFrom(2); len(got) != 0 {
 		t.Fatalf("RangesFrom(2) = %v", got)
 	}
-	if in.BytesFrom(3) != 16 {
-		t.Fatalf("BytesFrom(3) = %d", in.BytesFrom(3))
-	}
 }
 
 func TestBuildOutTransposes(t *testing.T) {

@@ -230,7 +230,8 @@ func (r Report) String() string {
 }
 
 // Run executes prog as an SPMD program on a fresh P-node machine
-// (cfg.Backend selects the runtime) and returns the timing report.
+// (cfg.Backend selects the runtime), or on cfg.Machine reset, and
+// returns the timing report.
 func Run(cfg Config, prog func(ctx *Context)) Report {
 	m := cfg.Machine
 	if m == nil || m.P() != cfg.P {
@@ -240,21 +241,10 @@ func Run(cfg Config, prog func(ctx *Context)) Report {
 			panic(err)
 		}
 	}
-	return runOn(m, cfg.Reference, cfg.Store, prog)
-}
-
-// RunOn executes prog on an existing machine (reset first), allowing
-// reuse across experiments.  Engines run with default options (the
-// production executor, no shared store); use Run with a Config for the
-// reference executor or a store.
-func RunOn(m *machine.Machine, prog func(ctx *Context)) Report {
-	return runOn(m, false, nil, prog)
-}
-
-func runOn(m *machine.Machine, reference bool, store *forall.SharedStore, prog func(ctx *Context)) Report {
 	m.Reset()
 	grid := topology.MustGrid(m.P())
 	engines := make([]*forall.Engine, m.P())
+	reference, store := cfg.Reference, cfg.Store // copied so the closure does not move cfg to the heap
 	m.Run(func(n *machine.Node) {
 		eng := forall.NewEngine(n)
 		eng.Reference = reference

@@ -108,11 +108,18 @@ func TestReportString(t *testing.T) {
 	}
 }
 
-func TestRunOnReusesMachine(t *testing.T) {
+func TestRunReusesMachine(t *testing.T) {
 	m := sim.MustNew(2, machine.Ideal())
-	r1 := RunOn(m, func(ctx *Context) { ctx.Barrier() })
-	r2 := RunOn(m, func(ctx *Context) { ctx.Barrier() })
+	cfg := Config{P: m.P(), Machine: m}
+	prog := func(ctx *Context) {
+		if ctx.Node.Machine() != m {
+			t.Error("Run built a fresh machine instead of reusing cfg.Machine")
+		}
+		ctx.Barrier()
+	}
+	r1 := Run(cfg, prog)
+	r2 := Run(cfg, prog)
 	if r1.P != 2 || r2.P != 2 {
-		t.Fatal("RunOn reports wrong P")
+		t.Fatal("Run on a reused machine reports wrong P")
 	}
 }

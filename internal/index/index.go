@@ -53,11 +53,6 @@ func (iv Interval) Intersect(other Interval) Interval {
 	return Interval{lo, hi}
 }
 
-// Overlaps reports whether the two intervals share at least one integer.
-func (iv Interval) Overlaps(other Interval) bool {
-	return !iv.Intersect(other).Empty()
-}
-
 // Shift returns the interval translated by d.
 func (iv Interval) Shift(d int) Interval { return Interval{iv.Lo + d, iv.Hi + d} }
 
@@ -268,9 +263,6 @@ func (s Set) Equal(t Set) bool {
 	}
 	return true
 }
-
-// Subset reports whether every element of s is in t.
-func (s Set) Subset(t Set) bool { return s.Minus(t).Empty() }
 
 // Shift returns the set translated by d: {x + d : x ∈ s}.
 func (s Set) Shift(d int) Set {

@@ -77,9 +77,6 @@ func (c *Cache[K, V]) Put(k K, v V) {
 // Len returns the number of entries currently held.
 func (c *Cache[K, V]) Len() int { return len(c.entries) }
 
-// Cap returns the capacity bound.
-func (c *Cache[K, V]) Cap() int { return c.cap }
-
 // Evictions returns how many entries have been evicted for capacity
 // since creation (or the last Reset).
 func (c *Cache[K, V]) Evictions() int { return c.evictions }

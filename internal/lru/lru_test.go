@@ -12,8 +12,8 @@ func TestPutGet(t *testing.T) {
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("missing key found")
 	}
-	if c.Len() != 2 || c.Cap() != 3 {
-		t.Fatalf("Len=%d Cap=%d", c.Len(), c.Cap())
+	if c.Len() != 2 {
+		t.Fatalf("Len=%d", c.Len())
 	}
 }
 

@@ -611,75 +611,29 @@ func (n *Node) Recv(from int, tag Tag) Message {
 }
 
 // Request identifies one posted receive: the (sender, tag) pair a
-// Wait/WaitAny completes.  Requests are plain values so schedules can
+// WaitAnyFused completes.  Requests are plain values so schedules can
 // preallocate them per peer and replay without allocating.
 type Request struct {
 	From int
 	Tag  Tag
 }
 
-// IRecv posts a receive for the (from, tag) stream and returns the
-// request to pass to Wait or WaitAny.  Posting is free — matching
-// happens at completion time — so this is a pure constructor; it
-// exists so split-phase code reads as post-sends / post-receives /
-// compute / wait.
-func (n *Node) IRecv(from int, tag Tag) Request {
-	return Request{From: from, Tag: tag}
-}
-
-// Wait completes one posted receive, blocking until its message is
-// available (clock rules as in Recv).
-func (n *Node) Wait(r Request) Message {
-	msg := n.m.tr.Recv(n.id, r.From, r.Tag)
-	n.stats.MsgsReceived++
-	return msg
-}
-
-// WaitAny completes one not-yet-done posted receive among reqs,
+// WaitAnyFused completes one not-yet-done posted receive among reqs,
 // returning its index and message; the caller marks done[i] and loops
 // until every request has completed.  On wall-clock backends the
 // request that physically completes first is returned, so a boundary
 // pass blocks per-peer only as needed; the simulator completes
 // requests in slice order, which keeps virtual clocks deterministic.
-// done must be parallel to reqs; at least one entry must be unset.
-func (n *Node) WaitAny(reqs []Request, done []bool) (int, Message) {
-	i, msg := n.m.tr.WaitAny(n.id, reqs, done)
-	n.stats.MsgsReceived++
-	return i, msg
-}
-
-// WaitAnyFused is WaitAny for fused-section streams: completion order
-// and clock rules are identical, but only a fused message's first
-// section counts in MsgsReceived — continuation sections complete as
-// parts of the same logical message.  firsts must be parallel to reqs.
+// done and firsts must be parallel to reqs; at least one done entry
+// must be unset.  Only a fused message's first section (firsts[i])
+// counts in MsgsReceived: continuation sections complete as parts of
+// the same logical message.
 func (n *Node) WaitAnyFused(reqs []Request, done []bool, firsts []bool) (int, Message) {
 	i, msg := n.m.tr.WaitAny(n.id, reqs, done)
 	if firsts[i] {
 		n.stats.MsgsReceived++
 	}
 	return i, msg
-}
-
-// RecvFromEach receives exactly one message with the given tag from
-// every node in froms, returning them indexed as in froms.  On the
-// simulator, arrival processing is deterministic: clock effects are
-// applied in the order of the froms slice regardless of physical
-// arrival order.  On wall-clock backends messages are consumed in
-// completion order (WaitAny), so one late peer no longer serializes
-// the drain behind the peers before it in the slice.
-func (n *Node) RecvFromEach(tag Tag, froms []int) []Message {
-	out := make([]Message, len(froms))
-	reqs := make([]Request, len(froms))
-	done := make([]bool, len(froms))
-	for i, f := range froms {
-		reqs[i] = Request{From: f, Tag: tag}
-	}
-	for k := 0; k < len(froms); k++ {
-		i, msg := n.WaitAny(reqs, done)
-		done[i] = true
-		out[i] = msg
-	}
-	return out
 }
 
 // Barrier synchronizes all nodes (on the simulator, afterwards every

@@ -385,14 +385,25 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestRecvFromEachDeterministicClock(t *testing.T) {
-	// The final clock must not depend on physical arrival order.
+// TestDrainDeterministicClock: a WaitAnyFused drain of one message
+// from each peer ends on a clock that does not depend on physical
+// arrival order, and counts one received message per request.
+func TestDrainDeterministicClock(t *testing.T) {
 	run := func() float64 {
 		m := MustNew(4, machine.NCUBE7())
 		var clock float64
 		m.Run(func(n *machine.Node) {
 			if n.ID() == 0 {
-				n.RecvFromEach(machine.TagUser, []int{1, 2, 3})
+				reqs := []machine.Request{{From: 1, Tag: machine.TagUser}, {From: 2, Tag: machine.TagUser}, {From: 3, Tag: machine.TagUser}}
+				done := make([]bool, len(reqs))
+				firsts := []bool{true, true, true}
+				for range reqs {
+					i, _ := n.WaitAnyFused(reqs, done, firsts)
+					done[i] = true
+				}
+				if got := n.Stats().MsgsReceived; got != 3 {
+					t.Errorf("MsgsReceived = %d, want 3", got)
+				}
 				clock = n.Clock()
 			} else {
 				n.Advance(float64(n.ID()) * 0.001)

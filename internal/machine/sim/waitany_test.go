@@ -7,8 +7,8 @@ import (
 	"kali/internal/machine"
 )
 
-// TestWaitAnyCompletesInSliceOrder: the simulator's WaitAny must
-// complete requests in slice order — even when a later request's
+// TestWaitAnyCompletesInSliceOrder: the simulator's WaitAny (reached
+// through Node.WaitAnyFused) must complete requests in slice order — even when a later request's
 // message is already queued, the drain blocks for the earlier one —
 // so split-phase drains replay the exact clock sequence of the
 // phase-synchronous executor.
@@ -25,13 +25,11 @@ func TestWaitAnyCompletesInSliceOrder(t *testing.T) {
 			// starts; node 1's arrives only after the drain is underway.
 			sent2.Wait()
 			close(release1)
-			reqs := []machine.Request{
-				n.IRecv(1, machine.TagUser),
-				n.IRecv(2, machine.TagUser),
-			}
+			reqs := []machine.Request{{From: 1, Tag: machine.TagUser}, {From: 2, Tag: machine.TagUser}}
 			done := make([]bool, 2)
+			firsts := []bool{true, true}
 			for k := 0; k < 2; k++ {
-				i, _ := n.WaitAny(reqs, done)
+				i, _ := n.WaitAnyFused(reqs, done, firsts)
 				done[i] = true
 				order[k] = i
 			}

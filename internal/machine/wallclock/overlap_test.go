@@ -10,7 +10,7 @@ import (
 // TestWaitAnyCompletionOrder: the wall-clock drain must complete
 // whichever peer's message physically arrives first.  Node 1 only
 // sends after node 0 has consumed node 2's message, so a fixed-order
-// drain (receive from 1, then 2) would deadlock here; WaitAny
+// drain (receive from 1, then 2) would deadlock here; WaitAnyFused
 // returning node 2's request first is what breaks the cycle.
 func TestWaitAnyCompletionOrder(t *testing.T) {
 	m := MustNew(3, machine.Ideal())
@@ -19,16 +19,14 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 	m.Run(func(n *machine.Node) {
 		switch n.ID() {
 		case 0:
-			reqs := []machine.Request{
-				n.IRecv(1, machine.TagUser),
-				n.IRecv(2, machine.TagUser),
-			}
+			reqs := []machine.Request{{From: 1, Tag: machine.TagUser}, {From: 2, Tag: machine.TagUser}}
 			done := make([]bool, 2)
-			i, _ := n.WaitAny(reqs, done)
+			firsts := []bool{true, true}
+			i, _ := n.WaitAnyFused(reqs, done, firsts)
 			done[i] = true
 			firstIdx = i
 			close(gate) // node 2's message consumed; release node 1
-			n.WaitAny(reqs, done)
+			n.WaitAnyFused(reqs, done, firsts)
 		case 1:
 			<-gate
 			n.Send(0, machine.TagUser, nil, 8)
@@ -41,17 +39,25 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestRecvFromEachOutOfOrderArrival: RecvFromEach consumes messages in
-// completion order on this backend, but its results stay indexed by
-// the froms slice regardless of arrival order.
-func TestRecvFromEachOutOfOrderArrival(t *testing.T) {
+// TestDrainOutOfOrderArrival: a WaitAnyFused drain consumes messages
+// in completion order on this backend, but each result is indexed by
+// its request regardless of arrival order, and every request counts
+// one received message.
+func TestDrainOutOfOrderArrival(t *testing.T) {
 	m := MustNew(4, machine.Ideal())
 	var got [3]int
 	m.Run(func(n *machine.Node) {
 		if n.ID() == 0 {
-			msgs := n.RecvFromEach(machine.TagUser, []int{1, 2, 3})
-			for i, msg := range msgs {
+			reqs := []machine.Request{{From: 1, Tag: machine.TagUser}, {From: 2, Tag: machine.TagUser}, {From: 3, Tag: machine.TagUser}}
+			done := make([]bool, len(reqs))
+			firsts := []bool{true, true, true}
+			for range reqs {
+				i, msg := n.WaitAnyFused(reqs, done, firsts)
+				done[i] = true
 				got[i] = msg.Payload.(int)
+			}
+			if r := n.Stats().MsgsReceived; r != 3 {
+				t.Errorf("MsgsReceived = %d, want 3", r)
 			}
 			return
 		}
@@ -60,6 +66,6 @@ func TestRecvFromEachOutOfOrderArrival(t *testing.T) {
 		n.Send(0, machine.TagUser, 11*n.ID(), 8)
 	})
 	if got != [3]int{11, 22, 33} {
-		t.Fatalf("RecvFromEach results %v, want [11 22 33] (indexed by froms)", got)
+		t.Fatalf("drain results %v, want [11 22 33] (indexed by request)", got)
 	}
 }

@@ -30,15 +30,6 @@ type Mesh struct {
 	Desc string
 }
 
-// Degree returns Count for node i (1-based).
-func (m *Mesh) Degree(i int) int { return m.Count[i-1] }
-
-// Neighbor returns the k-th neighbor (0-based k) of node i.
-func (m *Mesh) Neighbor(i, k int) int { return m.Adj[(i-1)*m.MaxDeg+k] }
-
-// Weight returns the k-th coefficient of node i.
-func (m *Mesh) Weight(i, k int) float64 { return m.Coef[(i-1)*m.MaxDeg+k] }
-
 // AvgDegree returns the mean connectivity over interior nodes.
 func (m *Mesh) AvgDegree() float64 {
 	sum, cnt := 0, 0

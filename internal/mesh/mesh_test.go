@@ -14,10 +14,10 @@ func TestRectBasics(t *testing.T) {
 	}
 	interior := 0
 	for i := 1; i <= m.N; i++ {
-		if m.Degree(i) > 0 {
+		if m.Count[i-1] > 0 {
 			interior++
-			if m.Degree(i) != 4 {
-				t.Fatalf("interior node %d has degree %d", i, m.Degree(i))
+			if m.Count[i-1] != 4 {
+				t.Fatalf("interior node %d has degree %d", i, m.Count[i-1])
 			}
 		}
 	}
@@ -28,9 +28,9 @@ func TestRectBasics(t *testing.T) {
 	i := 6
 	got := map[int]bool{}
 	for k := 0; k < 4; k++ {
-		got[m.Neighbor(i, k)] = true
-		if m.Weight(i, k) != 0.25 {
-			t.Fatalf("weight = %g", m.Weight(i, k))
+		got[m.Adj[(i-1)*m.MaxDeg+k]] = true
+		if m.Coef[(i-1)*m.MaxDeg+k] != 0.25 {
+			t.Fatalf("weight = %g", m.Coef[(i-1)*m.MaxDeg+k])
 		}
 	}
 	for _, want := range []int{2, 5, 7, 10} {
@@ -82,13 +82,13 @@ func TestUnstructuredConnectivity(t *testing.T) {
 	}
 	// Weights of interior nodes sum to 1 (averaging scheme).
 	for i := 1; i <= m.N; i++ {
-		if m.Degree(i) == 0 {
+		if m.Count[i-1] == 0 {
 			continue
 		}
 		sum := 0.0
-		for k := 0; k < m.Degree(i); k++ {
-			sum += m.Weight(i, k)
-			nb := m.Neighbor(i, k)
+		for k := 0; k < m.Count[i-1]; k++ {
+			sum += m.Coef[(i-1)*m.MaxDeg+k]
+			nb := m.Adj[(i-1)*m.MaxDeg+k]
 			if nb < 1 || nb > m.N {
 				t.Fatalf("node %d neighbor %d out of range", i, nb)
 			}
@@ -124,10 +124,10 @@ func TestInitValues(t *testing.T) {
 	m := Rect(6, 6)
 	a := InitValues(m)
 	for i := 1; i <= m.N; i++ {
-		if m.Degree(i) == 0 && a[i-1] == 0 {
+		if m.Count[i-1] == 0 && a[i-1] == 0 {
 			t.Fatalf("boundary node %d not initialized", i)
 		}
-		if m.Degree(i) > 0 && a[i-1] != 0 {
+		if m.Count[i-1] > 0 && a[i-1] != 0 {
 			t.Fatalf("interior node %d not zero", i)
 		}
 	}
@@ -169,7 +169,7 @@ func TestSeqJacobiConverges(t *testing.T) {
 	// Maximum principle: interior values bounded by boundary extremes.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := 1; i <= m.N; i++ {
-		if m.Degree(i) == 0 {
+		if m.Count[i-1] == 0 {
 			if a400[i-1] < lo {
 				lo = a400[i-1]
 			}
@@ -179,7 +179,7 @@ func TestSeqJacobiConverges(t *testing.T) {
 		}
 	}
 	for i := 1; i <= m.N; i++ {
-		if m.Degree(i) > 0 && (a400[i-1] < lo-1e-9 || a400[i-1] > hi+1e-9) {
+		if m.Count[i-1] > 0 && (a400[i-1] < lo-1e-9 || a400[i-1] > hi+1e-9) {
 			t.Fatalf("maximum principle violated at %d: %g not in [%g,%g]", i, a400[i-1], lo, hi)
 		}
 	}
@@ -251,14 +251,14 @@ func TestQuickSymmetricAdjacency(t *testing.T) {
 			m = Unstructured(nx, ny, r.Intn(2) == 1, seed)
 		}
 		for i := 1; i <= m.N; i++ {
-			for k := 0; k < m.Degree(i); k++ {
-				j := m.Neighbor(i, k)
-				if m.Degree(j) == 0 {
+			for k := 0; k < m.Count[i-1]; k++ {
+				j := m.Adj[(i-1)*m.MaxDeg+k]
+				if m.Count[j-1] == 0 {
 					continue // boundary nodes list no neighbors
 				}
 				found := false
-				for l := 0; l < m.Degree(j); l++ {
-					if m.Neighbor(j, l) == i {
+				for l := 0; l < m.Count[j-1]; l++ {
+					if m.Adj[(j-1)*m.MaxDeg+l] == i {
 						found = true
 						break
 					}

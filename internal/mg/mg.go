@@ -75,9 +75,6 @@ func New(ctx *core.Context, depth int) *Solver {
 	return s
 }
 
-// FineN returns the number of fine-grid interior points.
-func (s *Solver) FineN() int { return s.levels[0].n }
-
 // SetRHS initializes the fine right-hand side from fn(x), x ∈ (0,1).
 func (s *Solver) SetRHS(fn func(x float64) float64) {
 	lv := s.levels[0]

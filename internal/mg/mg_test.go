@@ -138,10 +138,11 @@ func TestBadDepthPanics(t *testing.T) {
 	})
 }
 
+// TestFineN: depth 5 gives a fine grid of 2^5 - 1 interior points.
 func TestFineN(t *testing.T) {
 	core.Run(core.Config{P: 1, Params: machine.Ideal()}, func(ctx *core.Context) {
-		if New(ctx, 5).FineN() != 31 {
-			t.Error("FineN")
+		if n := New(ctx, 5).levels[0].n; n != 31 {
+			t.Errorf("fine grid has %d points, want 31", n)
 		}
 	})
 }

@@ -1,5 +1,4 @@
-// Package topology models Kali processor arrays (paper §2.1) and
-// their embedding into hypercube machines.
+// Package topology models Kali processor arrays (paper §2.1).
 //
 // A Kali program declares a processor array such as
 //
@@ -8,11 +7,12 @@
 // The "real estate agent" (Seitz's term, quoted in the paper) picks a
 // concrete P at run time within the declared bounds; the paper's
 // implementation picks the largest feasible P, which is what Choose
-// does.  Multi-dimensional processor arrays are supported and are
-// embedded into the physical hypercube using binary-reflected Gray
-// codes, so that neighbors in the processor grid are neighbors (single
-// link hops) in the hypercube whenever each grid extent is a power of
-// two.
+// does.  Multi-dimensional processor arrays are linearized row-major,
+// and a processor's linear id is its machine node id.  No embedding
+// is applied: a node id is its hypercube address, and the simulator
+// charges the Hamming distance of two ids as their hop count when P
+// is a power of two (1 hop otherwise), so grid neighbours whose ids
+// differ in several bits are several hops apart.
 package topology
 
 import (
@@ -72,9 +72,6 @@ func (g *Grid) Size() int { return g.size }
 // Extent returns the extent of dimension d.
 func (g *Grid) Extent(d int) int { return g.extents[d] }
 
-// Extents returns a copy of all extents.
-func (g *Grid) Extents() []int { return append([]int(nil), g.extents...) }
-
 // Linear converts grid coordinates to a linear processor id in
 // [0, Size).  It panics on out-of-range coordinates.
 func (g *Grid) Linear(coord ...int) int {
@@ -100,25 +97,6 @@ func (g *Grid) Coord(id int) []int {
 	for i, s := range g.strides {
 		out[i] = id / s
 		id %= s
-	}
-	return out
-}
-
-// Neighbors returns the linear ids of the grid-adjacent processors
-// (±1 in each dimension, no wraparound).
-func (g *Grid) Neighbors(id int) []int {
-	coord := g.Coord(id)
-	var out []int
-	for d := range coord {
-		for _, delta := range []int{-1, 1} {
-			c := coord[d] + delta
-			if c < 0 || c >= g.extents[d] {
-				continue
-			}
-			coord[d] = c
-			out = append(out, g.Linear(coord...))
-			coord[d] -= delta
-		}
 	}
 	return out
 }
@@ -150,84 +128,4 @@ func Choose(minP, maxP, avail int) (int, error) {
 		return pow, nil
 	}
 	return p, nil
-}
-
-// GrayCode returns the i-th binary-reflected Gray code.
-func GrayCode(i int) int { return i ^ (i >> 1) }
-
-// GrayDecode inverts GrayCode.
-func GrayDecode(gc int) int {
-	n := 0
-	for gc != 0 {
-		n ^= gc
-		gc >>= 1
-	}
-	return n
-}
-
-// Hypercube embeds a processor grid into a hypercube with node ids
-// being physical hypercube addresses.  Each grid dimension d with
-// extent 2^k is assigned k address bits; the grid coordinate in that
-// dimension is Gray-coded into those bits so grid neighbors differ in
-// exactly one address bit.
-type Hypercube struct {
-	grid    *Grid
-	dimBits []int // bits assigned to each grid dimension
-	dim     int   // total hypercube dimension
-}
-
-// NewHypercube embeds grid into the smallest hypercube that holds it.
-// Every grid extent must be a power of two (the paper's "basic
-// assumption ... natural for hypercubes").
-func NewHypercube(grid *Grid) (*Hypercube, error) {
-	h := &Hypercube{grid: grid}
-	for d := 0; d < grid.Rank(); d++ {
-		e := grid.Extent(d)
-		if e&(e-1) != 0 {
-			return nil, fmt.Errorf("topology: extent %d of dim %d is not a power of two", e, d)
-		}
-		k := bits.Len(uint(e)) - 1
-		h.dimBits = append(h.dimBits, k)
-		h.dim += k
-	}
-	return h, nil
-}
-
-// Dim returns the hypercube dimension (log2 of node count).
-func (h *Hypercube) Dim() int { return h.dim }
-
-// Nodes returns the number of hypercube nodes, 2^Dim.
-func (h *Hypercube) Nodes() int { return 1 << uint(h.dim) }
-
-// Address maps a linear grid processor id to its hypercube node
-// address.  Per-dimension coordinates are Gray-coded into disjoint
-// bit fields.
-func (h *Hypercube) Address(id int) int {
-	coord := h.grid.Coord(id)
-	addr := 0
-	shift := 0
-	for d := h.grid.Rank() - 1; d >= 0; d-- {
-		addr |= GrayCode(coord[d]) << uint(shift)
-		shift += h.dimBits[d]
-	}
-	return addr
-}
-
-// ProcID inverts Address.
-func (h *Hypercube) ProcID(addr int) int {
-	coord := make([]int, h.grid.Rank())
-	shift := 0
-	for d := h.grid.Rank() - 1; d >= 0; d-- {
-		mask := (1 << uint(h.dimBits[d])) - 1
-		coord[d] = GrayDecode((addr >> uint(shift)) & mask)
-		shift += h.dimBits[d]
-	}
-	return h.grid.Linear(coord...)
-}
-
-// Hops returns the hypercube distance (Hamming distance of addresses)
-// between two grid processors — the number of link traversals a
-// message needs on the physical machine.
-func (h *Hypercube) Hops(p, q int) int {
-	return bits.OnesCount(uint(h.Address(p) ^ h.Address(q)))
 }
