@@ -27,8 +27,10 @@
 // timing report is printed, plus the final contents of any arrays
 // named with -print.  -stats adds the message/traffic breakdown,
 // separating redistribute-statement traffic (and its phase time) from
-// the forall phases, and how many interior and how many boundary
-// iterations ran by row segments and column-wise.
+// the forall phases, how many interior and how many boundary
+// iterations ran by row segments and column-wise, and how many
+// schedules were built, adopted from the content-addressed store and
+// evicted from it.
 //
 // -serve addr starts the multi-tenant schedule server instead of
 // running one program:
@@ -77,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "sim", "node runtime: sim (virtual clock) or wall (real threads)")
 	procs := fs.Int("p", 8, "available processors")
 	printArrays := fs.String("print", "", "comma-separated array/scalar names to print")
-	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution) and the body paths interior and boundary iterations took")
+	stats := fs.Bool("stats", false, "print the traffic breakdown (forall vs redistribution), the body paths interior and boundary iterations took, and the schedules built, adopted and evicted")
 	ref := fs.Bool("ref", false, "oracle: run foralls on the reference executor (per loop, blocking, Figure 3 literally) instead of the production one")
 	serve := fs.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of running one program")
 	poolSize := fs.Int("pool", 4, "with -serve: number of pooled machines (max concurrent tenants)")
@@ -174,6 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  cross-loop fused:  %d msgs, %d bytes\n", r.FusedMsgs, r.FusedBytes)
 		fmt.Fprintf(stdout, "interior iterations: %d, %d by segments, %d column-wise\n", r.InteriorIters, r.SegmentIters, res.ColumnIters)
 		fmt.Fprintf(stdout, "boundary iterations: %d, %d by segments, %d column-wise\n", r.BoundaryIters, r.BoundarySegmentIters, res.BoundaryColumnIters)
+		fmt.Fprintf(stdout, "schedules: %d built, %d adopted, %d evicted\n", r.Builds, r.SharedHits, r.SchedEvictions)
 	}
 
 	for _, name := range strings.Split(*printArrays, ",") {

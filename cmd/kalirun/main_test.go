@@ -5,6 +5,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +89,46 @@ func TestRunStatsBodyPaths(t *testing.T) {
 		if extra != "" {
 			args = append([]string{extra}, args...)
 		}
+		if got := run(args, &stdout, &stderr); got != 0 || !strings.Contains(stdout.String(), want) {
+			t.Errorf("%v: exit %d, stdout\n%swant a line %q", args, got, stdout.String(), want)
+		}
+	}
+}
+
+// TestRunStatsSchedules: -stats counts the schedules built, adopted
+// and evicted.  Two foralls of one shape over different arrays build
+// one schedule per node: the second adopts the first's plan from the
+// content-addressed store, and the sweeps after the first replay both
+// from the per-name cache, on either executor.
+func TestRunStatsSchedules(t *testing.T) {
+	prog := filepath.Join(t.TempDir(), "twoshifts.kali")
+	src := `processors Procs : array[1..P] with P in 1..64;
+const N = 24;
+var A : array[1..N] of real dist by [block] on Procs;
+    B : array[1..N] of real dist by [block] on Procs;
+    i, s : integer;
+begin
+    for i in 1..N do
+        A[i] := float(i);
+        B[i] := float(2*i);
+    end;
+    for s in 1..3 do
+        forall i in 1..N-1 on A[i].loc do
+            A[i] := A[i+1];
+        end;
+        forall i in 1..N-1 on B[i].loc do
+            B[i] := B[i+1];
+        end;
+    end;
+end.
+`
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "schedules: 4 built, 4 adopted, 0 evicted\n"
+	for _, mode := range [][]string{nil, {"-ref"}} {
+		var stdout, stderr bytes.Buffer
+		args := append(mode, "-stats", "-machine", "ideal", "-p", "4", prog)
 		if got := run(args, &stdout, &stderr); got != 0 || !strings.Contains(stdout.String(), want) {
 			t.Errorf("%v: exit %d, stdout\n%swant a line %q", args, got, stdout.String(), want)
 		}

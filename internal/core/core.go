@@ -53,11 +53,11 @@ type Config struct {
 	// of the config (the language front end may elaborate to fewer
 	// processors than a pooled machine has).
 	Machine *machine.Machine
-	// Store, when non-nil, is a cross-tenant shared schedule store the
-	// run's engines consult before building (and publish into after):
-	// concurrently running programs adopt each other's compile-time
-	// schedules, and persisted schedule plans make warm starts skip
-	// building entirely.
+	// Store, when non-nil, is the content-addressed schedule store the
+	// run's engines share (forall.Engine.Store): concurrently running
+	// programs adopt each other's compile-time schedules, and persisted
+	// schedule plans make warm starts skip building entirely.  Left
+	// nil, each engine creates a private store of its own.
 	Store *forall.SharedStore
 }
 
@@ -144,7 +144,9 @@ func (c *Context) AllReduce(x float64, op string) float64 {
 func (c *Context) Barrier() { c.Node.Barrier() }
 
 // Report aggregates a program run: virtual times in seconds, maxima
-// over all processors, as the paper reports them.
+// over all processors, as the paper reports them.  It is the
+// sanctioned reader of machine.Stats and the engines' counters, plain
+// ints that Run reads only after Machine.Run has returned.
 type Report struct {
 	P       int
 	Machine string
@@ -180,8 +182,9 @@ type Report struct {
 	FusedMsgs  int
 	FusedBytes int
 
-	// SchedEvictions counts forall schedules dropped from the bounded
-	// content-addressed stores (summed over nodes); PlanEvictions
+	// SchedEvictions counts forall schedules dropped from the engines'
+	// private stores (summed over nodes; 0 under cfg.Store, whose
+	// evictions its Stats report, as Server.Stats().Store); PlanEvictions
 	// counts redistribution plans dropped from the machine's bounded
 	// plan store.  Nonzero values mean the working set exceeded the
 	// cache bounds and some replays are paying rebuild cost.
@@ -189,13 +192,12 @@ type Report struct {
 	PlanEvictions  int
 
 	// Builds counts forall schedules constructed from scratch (summed
-	// over nodes); SharedHits counts replays served by each engine's
-	// local structural cache; StoreHits counts schedules adopted from a
-	// cross-tenant SharedStore (cfg.Store) instead of built — the
-	// multi-tenant sharing benefit, zero when no store is configured.
+	// over nodes); SharedHits counts schedules adopted from the
+	// content-addressed store instead of built, whether another loop of
+	// the program built the plan or, under cfg.Store, another tenant or
+	// the store's disk directory supplied it.
 	Builds     int
 	SharedHits int
-	StoreHits  int
 
 	// InteriorIters counts the interior (all-local) forall iterations
 	// executed, summed over nodes; SegmentIters the subset a loop's
@@ -281,7 +283,6 @@ func Run(cfg Config, prog func(ctx *Context)) Report {
 			rep.SchedEvictions += e.SharedEvictions()
 			rep.Builds += e.Builds()
 			rep.SharedHits += e.SharedHits()
-			rep.StoreHits += e.StoreHits()
 			rep.InteriorIters += e.InteriorIters()
 			rep.SegmentIters += e.SegmentIters()
 			rep.BoundaryIters += e.BoundaryIters()

@@ -36,7 +36,7 @@ func TestSharedStoreBounded(t *testing.T) {
 			l.Hi = bound
 			eng.Run(l)
 		}
-		if got := eng.SharedSchedules(); got > sharedScheduleCap {
+		if got := eng.Store.Stats().Entries; got > sharedScheduleCap {
 			t.Errorf("shared store holds %d schedules, cap is %d", got, sharedScheduleCap)
 		}
 		// Only n-2 distinct bounds exist, so evictions occur only if
@@ -78,8 +78,8 @@ func TestSharedStoreEvictionCounted(t *testing.T) {
 			t.Errorf("expected evictions after %d distinct shapes with cap %d",
 				n-1, sharedScheduleCap)
 		}
-		if eng.SharedSchedules() != sharedScheduleCap {
-			t.Errorf("store holds %d, want exactly cap %d", eng.SharedSchedules(), sharedScheduleCap)
+		if got := eng.Store.Stats().Entries; got != sharedScheduleCap {
+			t.Errorf("store holds %d, want exactly cap %d", got, sharedScheduleCap)
 		}
 	})
 }
@@ -88,10 +88,10 @@ func TestSharedStoreEvictionCounted(t *testing.T) {
 // windows than the plan store holds must evict (counted, bounded) and
 // never corrupt results — an evicted window that comes back rebuilds
 // its plan from its schedules.  Distinct loop bounds give distinct
-// schedules, so each window is a distinct plan key; the window's two
-// identically-shaped loops also share one schedule, so every plan
-// drains two section streams out of one set of receive buffers — the
-// sharing case the stash-until-drain logic exists for.
+// schedules, so each window is a distinct plan key.  The window's two
+// identically-shaped loops share one plan but, under different names,
+// not their receive buffers (TestFusedWindowRepeatsOneLoop covers the
+// window whose loops share buffers).
 func TestFusedPlanStoreBounded(t *testing.T) {
 	const p = 2
 	windows := fusedPlanCap + 8 // force plan evictions

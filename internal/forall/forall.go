@@ -350,9 +350,9 @@ func (c *loopCore) analyzable() bool {
 type BuildKind int
 
 // Schedule provenance values.  BuildShared means the loop did not
-// build anything: an existing schedule with the same structural key
+// build anything: an existing plan with the same structural key
 // (distributions, bounds, read affines, on clause) was adopted from
-// the engine's content-addressed store.
+// the engine's content-addressed store (Engine.Store).
 const (
 	BuildCached BuildKind = iota
 	BuildCompileTime
@@ -451,11 +451,11 @@ type plan struct {
 	enum [][]enumRef
 }
 
-// Schedule is one engine's hold on a plan: the plan itself, shared by
-// pointer, plus the state replaying it mutates.  It carries no binding
-// to the arrays of any particular loop, so one Schedule may be held by
-// several cache entries at once (content-addressed sharing) and
-// replayed against different arrays.
+// Schedule is one loop name's hold on a plan: the plan itself, shared
+// by pointer with every other loop of its shape, plus the state
+// replaying it mutates.  It carries no binding to the arrays of any
+// particular loop, so loops of one name over different arrays replay
+// it in turn.
 type Schedule struct {
 	*plan
 	// bufs[k] is slot k's receive buffer, reused by every replay.
@@ -536,7 +536,7 @@ type schedKey struct {
 	name string
 }
 
-// cacheEntry binds one loop name to a (possibly shared) Schedule,
+// cacheEntry binds one loop name to its Schedule,
 // together with the loop shape the binding was made under.  The shape
 // fields guard replay: reusing a schedule under a different placement,
 // executor variant, or read pattern would execute the wrong iterations
@@ -586,19 +586,21 @@ func onDistOf(c *loopCore) uint64 {
 	return c.on.Dist().Fingerprint()
 }
 
-// sharedScheduleCap bounds the per-node content-addressed schedule
-// store.  Distinct share keys accumulate over a machine's lifetime
-// (every redistribution changes distribution fingerprints, minting
-// new keys), so the store is a bounded LRU rather than a map: the
-// working set of the current solver phase stays, dead schedules go,
-// and evictions are counted so thrashing is visible in reports.
+// sharedScheduleCap bounds an engine's private store.  Distinct share
+// keys accumulate (every redistribution mints new distribution
+// fingerprints), so the store is bounded: the working set of the
+// current solver phase stays, dead plans go, and evictions are
+// counted so thrashing is visible in reports.
 const sharedScheduleCap = 64
 
-// Engine executes forall loops on one node and caches their schedules.
+// Engine executes forall loops on one node and caches their schedules
+// in two tiers: the per-name cache, then the content-addressed Store.
+// Its counter accessors (Builds, SharedHits, ...) read plain ints the
+// node goroutine writes: call them from that goroutine, or once its
+// Machine.Run has returned.  core.Report is their sanctioned reader.
 type Engine struct {
-	node   *machine.Node
-	cache  map[schedKey]*cacheEntry
-	shared *lru.Cache[shareKey, *Schedule]
+	node  *machine.Node
+	cache map[schedKey]*cacheEntry
 	// NoCache disables schedule reuse — both the per-name cache and the
 	// content-addressed store (benchmark ABL1 measures the cost of
 	// re-inspecting on every execution).
@@ -615,20 +617,20 @@ type Engine struct {
 	// flop counts are identical and only clocks (and, across fusion
 	// windows, envelope counts) differ: the differential oracle.
 	Reference bool
-	// Store, when non-nil, is the cross-tenant content-addressed store
-	// (store.go): before building a shareable schedule the engine
-	// consults it, and after building it publishes the plan there.  A
-	// plan other programs built (or one revived from disk) is adopted by
-	// pointer, the engine allocating only its own receive buffers and
-	// window plan around it.  Build requests for the same shape are
-	// coalesced machine-wide (singleflight), which is deadlock-free
-	// because only communication-free compile-time builds participate.
+	// Store is the content-addressed schedule store (store.go), where
+	// compile-time plans are adopted by pointer or built and published;
+	// the adopting loop allocates only its receive buffers and window
+	// plan.  Set it to share plans across engines (a server's tenants);
+	// left nil, the first compile-time build creates a private store,
+	// own, whose evictions the engine reports and InvalidateAll drops.
+	// Builds of one shape are coalesced store-wide (singleflight),
+	// deadlock-free because compile-time builds do not communicate.
 	Store *SharedStore
+	own   *SharedStore
 
 	lastKind   BuildKind
 	builds     int
 	sharedHits int
-	storeHits  int
 	// interiorIters counts interior iterations executed, segmentIters
 	// the subset a loop's Segment body ran (the rest went through Body);
 	// boundaryIters and boundarySegIters count the same of the
@@ -668,7 +670,6 @@ func NewEngine(n *machine.Node) *Engine {
 		node:       n,
 		pool:       poolOf(n.Machine()),
 		cache:      map[schedKey]*cacheEntry{},
-		shared:     lru.New[shareKey, *Schedule](sharedScheduleCap),
 		fusedPlans: lru.New[uint64, *windowPlan](fusedPlanCap),
 	}
 }
@@ -684,14 +685,10 @@ func (e *Engine) LastBuildKind() BuildKind { return e.lastKind }
 // (compile-time or inspector); cache and shared hits do not count.
 func (e *Engine) Builds() int { return e.builds }
 
-// SharedHits returns how many times a loop adopted an existing
-// schedule from the content-addressed store instead of building one.
+// SharedHits returns how many times a loop adopted a plan from the
+// content-addressed store instead of building one: built by another
+// loop or, under a supplied Store, another tenant, or revived from disk.
 func (e *Engine) SharedHits() int { return e.sharedHits }
-
-// StoreHits returns how many times a loop adopted a plan from the
-// cross-tenant SharedStore (built by another program, or revived from
-// the persistence directory) instead of building a schedule itself.
-func (e *Engine) StoreHits() int { return e.storeHits }
 
 // InteriorIters returns how many interior (all-local) iterations the
 // engine has executed; SegmentIters how many of them a loop's Segment
@@ -714,13 +711,15 @@ func (e *Engine) BoundarySegmentIters() int { return e.boundarySegIters }
 // instead of Body per element.
 func (e *Engine) InspectSegmentIters() int { return e.inspectSegIters }
 
-// SharedSchedules returns the number of distinct schedules in the
-// content-addressed store.
-func (e *Engine) SharedSchedules() int { return e.shared.Len() }
-
-// SharedEvictions returns how many schedules the bounded
-// content-addressed store has evicted for capacity.
-func (e *Engine) SharedEvictions() int { return e.shared.Evictions() }
+// SharedEvictions returns how many plans the engine's private store
+// has evicted for capacity: 0 under a supplied Store, whose evictions
+// its own Stats report.
+func (e *Engine) SharedEvictions() int {
+	if e.own == nil {
+		return 0
+	}
+	return e.own.Stats().Evictions
+}
 
 // FusedWindows returns how many fusion windows (≥ 2 loops) the engine
 // has executed through RunSequence.
@@ -760,11 +759,15 @@ func (e *Engine) Invalidate(name string) {
 	delete(e.cache, schedKey{2, name})
 }
 
-// InvalidateAll drops all cached schedules, including the shared
-// store: the engine forgets everything and rebuilds from scratch.
+// InvalidateAll drops all cached schedules, including the engine's
+// private store: the engine forgets everything and rebuilds from
+// scratch.  A supplied Store is not the engine's to clear.
 func (e *Engine) InvalidateAll() {
 	e.cache = map[schedKey]*cacheEntry{}
-	e.shared.Reset()
+	if e.Store == e.own {
+		e.Store = nil
+	}
+	e.own = nil
 	e.fusedPlans.Reset()
 }
 
@@ -847,8 +850,8 @@ func (e *Engine) validate2(l *Loop2) {
 }
 
 // schedule returns a valid Schedule: from the per-name cache when the
-// loop reruns unchanged, from the content-addressed store when another
-// loop of identical structure already built one, else by building.
+// loop reruns unchanged, else around a plan the content-addressed
+// store adopts or builds.
 func (e *Engine) schedule(c *loopCore) *Schedule {
 	key := schedKey{c.rank, c.name}
 	if !e.NoCache {
@@ -861,45 +864,25 @@ func (e *Engine) schedule(c *loopCore) *Schedule {
 	// they are pure functions of (distribution, bounds, read affines,
 	// on clause), whereas inspector schedules depend on what the body
 	// actually referenced (indirect subscripts, OnProc, enumeration).
-	shareable := c.analyzable() && !e.ForceInspector && !e.NoCache
-	var sk shareKey
-	if shareable {
-		sk = shareKeyOf(c)
-		if s, ok := e.shared.Get(sk); ok {
-			e.sharedHits++
-			e.lastKind = BuildShared
-			e.store(key, c, s)
-			return s
-		}
-	}
 	var p *plan
 	adopted := false
-	if shareable && e.Store != nil {
-		// Cross-tenant store: adopt the plan some program already built
-		// (or a warm start revived from disk), else build exactly once
-		// machine-wide — concurrent tenants asking for the same shape
-		// block on the first build instead of duplicating it.
-		p, adopted = e.Store.getOrBuild(e.node.ID(), sk, func() *plan { return e.build(c) })
-		if adopted {
-			// Adoption allocates buffers, not set algebra: one call's
-			// worth, like a redistribution plan hit.
-			e.node.StartPhase(PhaseInspector)
-			e.node.Charge(machine.Cost{Calls: 1})
-			e.node.StopPhase(PhaseInspector)
+	if c.analyzable() && !e.ForceInspector && !e.NoCache {
+		if e.Store == nil {
+			e.own = NewSharedStore(sharedScheduleCap, "")
+			e.Store = e.own
 		}
+		// Adoption allocates buffers, not set algebra, so it is free.
+		p, adopted = e.Store.getOrBuild(e.node.ID(), shareKeyOf(c), func() *plan { return e.build(c) })
 	} else {
 		p = e.build(c)
 	}
 	s := e.instantiate(p)
 	if adopted {
-		e.storeHits++
+		e.sharedHits++
 		e.lastKind = BuildShared
 	} else {
 		e.builds++
 		e.lastKind = p.kind
-	}
-	if shareable {
-		e.shared.Put(sk, s)
 	}
 	if !e.NoCache {
 		e.store(key, c, s)

@@ -288,11 +288,11 @@ func readsAnyOf(c *loopCore, w []*darray.Array) bool {
 // program order, each draining only its own sections before its
 // boundary pass.  The schedules are structural; each loop's own arrays
 // are bound to its slots here, in the same first-appearance order
-// assembleSlots used, so a shared schedule executes correctly against
-// whichever loop adopted it.  Warm replay (all schedules cached, plan
-// cached) allocates nothing: the Env, write log, peer lists,
-// pending-receive slots, receive buffers and message payloads are all
-// reused.
+// assembleSlots used, so a schedule executes correctly against
+// whichever loop of its name runs it.  Warm replay (all schedules
+// cached, plan cached) allocates nothing: the Env, write log, peer
+// lists, pending-receive slots, receive buffers and message payloads
+// are all reused.
 func (e *Engine) runWindow(cores []loopCore) {
 	if e.Reference {
 		for k := range cores {
@@ -382,10 +382,10 @@ func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 // returns their payloads to the pool.  Completion order is the
 // transport's (slice order on the simulator, physical arrival order on
 // wall-clock backends); a section that outruns its loop is stashed and
-// unpacked only when its loop drains, because window loops may share
-// one Schedule — and therefore one set of receive buffers — which an
-// early unpack would overwrite before the earlier loop's boundary pass
-// reads it.
+// unpacked when its loop drains, so a loop's receive buffers change
+// only during its own drain.  Window loops hold distinct Schedules, and
+// so distinct buffers, unless one loop runs twice in the window
+// (TestFusedWindowRepeatsOneLoop).
 func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
 	for i := p.reqStart[k]; i < p.reqStart[k+1]; i++ {
 		if p.pending[i].Payload != nil {

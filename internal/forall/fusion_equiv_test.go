@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"kali/internal/analysis"
 	"kali/internal/darray"
@@ -292,5 +293,66 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 	}
 	if strictSavings == 0 {
 		t.Fatal("no trial saved messages through fusion")
+	}
+}
+
+// TestFusedWindowRepeatsOneLoop: a window that runs one loop twice
+// holds one Schedule twice, so both loops' sections land in one set of
+// receive buffers, and a section that completes before its loop drains
+// is stashed until it does (drainSections).  On the wall backend the
+// last node is late to every window, so the middle node finds loop 1's
+// section from its left neighbour before loop 0's from its right one.
+// Production must match the reference executor bit for bit, with
+// every window fused and every section's payload back in the pool.
+func TestFusedWindowRepeatsOneLoop(t *testing.T) {
+	const n, p, sweeps = 30, 3, 6
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, topology.MustGrid(p))
+	run := func(reference bool) ([]float64, int) {
+		vals := make([]float64, sweeps*n)
+		windows := 0
+		var mu sync.Mutex
+		m := wallclock.MustNew(p, machine.Ideal())
+		m.Run(func(nd *machine.Node) {
+			src, out := darray.New("src", d, nd), darray.New("out", d, nd)
+			l := &Loop{
+				Name: "l", Lo: 2, Hi: n - 1,
+				On: out, OnF: analysis.Identity,
+				Reads: []ReadSpec{
+					{Array: src, Affine: &analysis.Affine{A: 1, C: -1}},
+					{Array: src, Affine: &analysis.Affine{A: 1, C: 1}},
+				},
+				Body: func(i int, e *Env) { e.Write(out, i, e.Read(src, i-1)-2*e.Read(src, i+1)) },
+			}
+			seq := []SeqLoop{{L: l, Writes: []*darray.Array{out}}, {L: l, Writes: []*darray.Array{out}}}
+			eng := NewEngine(nd)
+			eng.Reference = reference
+			for s := 0; s < sweeps; s++ {
+				src.EachLocal(func(gl int) { src.Set1(gl, float64(gl*(s+1)+s)) })
+				if nd.ID() == p-1 {
+					time.Sleep(time.Millisecond)
+				}
+				eng.RunSequence(seq)
+				mu.Lock()
+				out.EachLocal(func(gl int) { vals[s*n+gl-1] = out.Get1(gl) })
+				mu.Unlock()
+			}
+			if nd.ID() == 1 {
+				windows = eng.FusedWindows()
+			}
+		})
+		if st := MachinePoolStats(m); st.Gets != st.Puts {
+			t.Errorf("reference=%v: %d payloads taken from the pool, %d returned", reference, st.Gets, st.Puts)
+		}
+		return vals, windows
+	}
+	prod, windows := run(false)
+	ref, _ := run(true)
+	for i := range ref {
+		if prod[i] != ref[i] {
+			t.Errorf("sweep %d: out[%d] = %g, reference %g", i/n, i%n+1, prod[i], ref[i])
+		}
+	}
+	if windows != sweeps {
+		t.Errorf("%d of %d windows fused", windows, sweeps)
 	}
 }

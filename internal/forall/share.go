@@ -10,17 +10,16 @@ import (
 // function of the loop's structure: the on array's distribution and
 // on-clause subscript, the bounds, and each read's affine subscript
 // and distribution — never of any array's *contents*.  Keying built
-// schedules by that structure lets identically-shaped loops over
+// plans by that structure lets identically-shaped loops over
 // different arrays, and repeated loops across time steps under
-// different names, replay one shared *Schedule instead of rebuilding
-// it, paying the set algebra once per shape per node.
+// different names, replay one shared plan instead of rebuilding it,
+// paying the set algebra once per shape per node.
 //
-// The key serves two scopes with one value type.  Within an engine,
-// the bounded LRU maps it to a *Schedule: the immutable plan and this
-// engine's receive buffers, which the engine's loops of one shape
-// share (they run one at a time).  Across engines, the SharedStore
-// (store.go) maps it to the bare *plan, and every adopting engine adds
-// buffers of its own.
+// The key addresses the second of an engine's two schedule tiers,
+// after the per-name cache: a SharedStore (store.go) mapping it to the
+// immutable *plan, at one of two scopes — an engine's private store,
+// or one store shared by every engine of a server's tenants.  Each
+// adopting loop adds receive buffers of its own (Engine.instantiate).
 //
 // Inspector-built schedules are excluded: their in sets record what
 // the body actually referenced (indirect subscripts, OnProc

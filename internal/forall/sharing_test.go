@@ -36,8 +36,9 @@ func checkShiftValues(t *testing.T, nd *machine.Node, out *darray.Array, n int, 
 
 // TestScheduleSharingAcrossLoops: two identically-shaped affine loops
 // over *different* arrays — with distributions built as distinct but
-// structurally equal Dist objects — must share one Schedule: the
-// second loop builds nothing and both compute correct values.
+// structurally equal Dist objects — must share one plan: the second
+// loop builds nothing, adopts the first loop's plan by pointer around
+// receive buffers of its own, and both compute correct values.
 func TestScheduleSharingAcrossLoops(t *testing.T) {
 	const n, p = 32, 4
 	g := topology.MustGrid(p)
@@ -63,12 +64,21 @@ func TestScheduleSharingAcrossLoops(t *testing.T) {
 		if k := eng.LastBuildKind(); k != BuildShared {
 			t.Errorf("second loop built %v, want shared", k)
 		}
-		if eng.Builds() != 1 || eng.SharedHits() != 1 || eng.SharedSchedules() != 1 {
-			t.Errorf("builds=%d sharedHits=%d sharedSchedules=%d, want 1/1/1",
-				eng.Builds(), eng.SharedHits(), eng.SharedSchedules())
+		if eng.Builds() != 1 || eng.SharedHits() != 1 || eng.Store.Stats().Entries != 1 {
+			t.Errorf("builds=%d sharedHits=%d store entries=%d, want 1/1/1",
+				eng.Builds(), eng.SharedHits(), eng.Store.Stats().Entries)
 		}
-		if eng.Schedule("la") == nil || eng.Schedule("la") != eng.Schedule("lb") {
-			t.Error("loops la and lb do not hold one shared schedule")
+		sa, sb := eng.Schedule("la"), eng.Schedule("lb")
+		if sa == nil || sb == nil || sa.plan != sb.plan {
+			t.Fatal("loops la and lb do not hold one shared plan")
+		}
+		if sa.Digest() != sb.Digest() {
+			t.Errorf("shared plan digests differ: %x vs %x", sa.Digest(), sb.Digest())
+		}
+		for k := range sa.bufs {
+			if len(sa.bufs[k]) > 0 && &sa.bufs[k][0] == &sb.bufs[k][0] {
+				t.Errorf("slot %d: loops la and lb share a receive buffer", k)
+			}
 		}
 		// Replays of both sharers hit the per-name cache.
 		eng.Run(shiftLoop("lb", n, outB, srcB))
@@ -82,8 +92,9 @@ func TestScheduleSharingAcrossLoops(t *testing.T) {
 
 // TestScheduleSharingInvalidate: dropping one sharer's name binding
 // must not disturb the other sharer, and the re-run of the dropped
-// name re-adopts the shared schedule rather than rebuilding.
-// InvalidateAll clears the shared store too, forcing a true rebuild.
+// name re-adopts the shared plan rather than rebuilding.
+// InvalidateAll drops the engine's private store too, forcing a true
+// rebuild.
 func TestScheduleSharingInvalidate(t *testing.T) {
 	const n, p = 32, 4
 	g := topology.MustGrid(p)
@@ -111,7 +122,7 @@ func TestScheduleSharingInvalidate(t *testing.T) {
 		if k := eng.LastBuildKind(); k != BuildCached {
 			t.Errorf("sharer after peer Invalidate: %v, want cached", k)
 		}
-		// The invalidated name re-adopts the shared schedule (builds
+		// The invalidated name re-adopts the shared plan (builds
 		// unchanged) — compile-time schedules cannot go stale.
 		eng.Run(shiftLoop("la", n, outA, srcA))
 		if k := eng.LastBuildKind(); k != BuildShared {
@@ -124,8 +135,8 @@ func TestScheduleSharingInvalidate(t *testing.T) {
 		checkShiftValues(t, nd, outB, n, func(i int) float64 { return float64(i) * 10 })
 
 		eng.InvalidateAll()
-		if eng.SharedSchedules() != 0 {
-			t.Errorf("InvalidateAll left %d shared schedules", eng.SharedSchedules())
+		if eng.Store != nil {
+			t.Errorf("InvalidateAll kept the private store and its %d plans", eng.Store.Stats().Entries)
 		}
 		eng.Run(shiftLoop("la", n, outA, srcA))
 		if k := eng.LastBuildKind(); k != BuildCompileTime {

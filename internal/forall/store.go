@@ -7,18 +7,18 @@ import (
 	"kali/internal/lru"
 )
 
-// Cross-tenant schedule sharing — the paper's §3.2 reuse argument
-// pushed past one program.  Engine-local sharing (share.go) lets loops
-// of one program adopt each other's compile-time schedules; the
-// SharedStore here lets concurrently running *programs* do the same:
-// many tenants on one machine pool publish plans into one
+// The content-addressed schedule store — the paper's §3.2 reuse
+// argument pushed past one loop name.  One type serves two scopes: an
+// engine left without a Store creates a private one, so loops of one
+// program adopt each other's compile-time schedules; a server hands
+// one store to every engine, so concurrently running *programs* do the
+// same, many tenants on one machine pool publishing plans into one
 // content-addressed, sharded, singleflight store, keyed by
-// (node, shareKey).  Only compile-time schedules participate, for the
-// same reason as engine-local sharing — they are pure functions of
-// loop structure — and that restriction is also what makes the
-// singleflight safe: a compile-time build performs no communication,
-// so a tenant blocked waiting for another tenant's build can never be
-// part of a communication cycle.
+// (node, shareKey).  Only compile-time schedules participate, because
+// they are pure functions of loop structure (share.go), and that
+// restriction is also what makes the singleflight safe: a compile-time
+// build performs no communication, so a tenant blocked waiting for
+// another tenant's build can never be part of a communication cycle.
 //
 // The store holds the same plan type every engine replays.  A plan is
 // immutable once built (its in sets' search indexes included), so an
@@ -48,16 +48,19 @@ type inflight struct {
 	p    *plan
 }
 
+// storeShard holds its LRU by value and makes its building map on the
+// first miss, so that an engine's private store costs one allocation.
 type storeShard struct {
 	mu       sync.Mutex
-	lru      *lru.Cache[storeKey, *plan]
+	lru      lru.Cache[storeKey, *plan]
 	building map[storeKey]*inflight
 }
 
-// SharedStore is the cross-tenant content-addressed schedule store: a
-// sharded, LRU-bounded map from (node, structural key) to plan,
-// with singleflight build coalescing and optional disk persistence.
-// All methods are safe for concurrent use by any number of tenants.
+// SharedStore is the content-addressed schedule store, private to one
+// engine or shared by many: a sharded, LRU-bounded map from
+// (node, structural key) to plan, with singleflight build coalescing
+// and optional disk persistence.  All methods are safe for concurrent
+// use by any number of tenants.
 type SharedStore struct {
 	dir    string
 	shards [storeShards]storeShard
@@ -84,8 +87,7 @@ func NewSharedStore(capacity int, dir string) *SharedStore {
 	per := (capacity + storeShards - 1) / storeShards
 	s := &SharedStore{dir: dir}
 	for i := range s.shards {
-		s.shards[i].lru = lru.New[storeKey, *plan](per)
-		s.shards[i].building = map[storeKey]*inflight{}
+		s.shards[i].lru = *lru.New[storeKey, *plan](per)
 	}
 	return s
 }
@@ -119,6 +121,9 @@ func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *plan) (p 
 			continue // builder failed; race to take over
 		}
 		fl := &inflight{done: make(chan struct{})}
+		if sh.building == nil {
+			sh.building = map[storeKey]*inflight{}
+		}
 		sh.building[k] = fl
 		sh.mu.Unlock()
 

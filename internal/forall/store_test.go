@@ -45,7 +45,7 @@ func runShiftWithStore(t *testing.T, n, p int, store *SharedStore) ([]float64, i
 		})
 		mu.Lock()
 		builds += eng.Builds()
-		storeHits += eng.StoreHits()
+		storeHits += eng.SharedHits()
 		a.EachLocal(func(gl int) { result[gl] = a.Get1(gl) })
 		mu.Unlock()
 	})
@@ -404,7 +404,7 @@ func TestAdoptedInSetsFindLikeLinearScan(t *testing.T) {
 				})
 				mu.Lock()
 				defer mu.Unlock()
-				hits += eng.StoreHits()
+				hits += eng.SharedHits()
 				for _, as := range eng.Schedule("shift").slots {
 					records += as.in.NumRanges()
 					for _, r := range as.in.Ranges {

@@ -17,7 +17,8 @@ type RunResponse struct {
 	// P is the processor count the real estate agent chose.
 	P int `json:"p"`
 	// Report is the run's timing/traffic report, including the
-	// Builds/SharedHits/StoreHits schedule-sharing counters.
+	// Builds/SharedHits schedule-sharing counters (the shared store's
+	// evictions are in GET /stats, not in SchedEvictions).
 	Report core.Report `json:"report"`
 	// Arrays holds the final contents of the arrays named in the
 	// request's ?print= list (omitted otherwise).

@@ -373,7 +373,7 @@ end.
 	if res2.Report.Builds != 0 {
 		t.Fatalf("warm run built %d schedules, want 0", res2.Report.Builds)
 	}
-	if res2.Report.StoreHits == 0 {
+	if res2.Report.SharedHits == 0 {
 		t.Fatal("warm run adopted nothing")
 	}
 	if st := warm.Stats(); st.Store.DiskHits == 0 {
