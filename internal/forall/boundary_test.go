@@ -62,7 +62,7 @@ func shiftLoops(t *testing.T, n, p int, spec dist.DimSpec, segment, reference bo
 			},
 		}
 		if segment {
-			cell, u, _ := nd.ClockCell()
+			cell, u := nd.ClockCell()
 			charge := func(t float64, checks int, search float64) float64 {
 				if checks > 0 {
 					t += u.LocTest

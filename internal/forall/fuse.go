@@ -33,7 +33,7 @@ import (
 // Only *when* traffic moves changes — contents, byte counts and
 // per-section receive charges are identical — which is what makes
 // fused simulated clocks provably no worse than per-loop ones (see
-// machine.FusedSender) and the per-loop reference executor
+// machine.Node.ISend) and the per-loop reference executor
 // (reference.go, Engine.Reference) an exact differential oracle.
 //
 // Legality: loop l joins the window only if none of its declared read
@@ -81,16 +81,13 @@ type windowPlan struct {
 	// Receive side: one entry per (window loop k, sending peer),
 	// loop-major; loop k's entries occupy [reqStart[k], reqStart[k+1]).
 	// firsts marks each peer's first section — the only one counted as
-	// a received message.  pending stashes sections that physically
-	// complete before their loop's drain (wall-clock backends), and
-	// remain counts down each loop's outstanding sections per window
-	// execution.
+	// a received message — and remain counts down each loop's
+	// outstanding sections per window execution.
 	reqs     []machine.Request
 	done     []bool
 	firsts   []bool
 	loopOf   []int
 	reqStart []int
-	pending  []machine.Message
 	remain   []int
 
 	// Send side: sendFirst parallels the loop-major (loop, sendTo peer)
@@ -141,11 +138,7 @@ func (e *Engine) buildWindowPlan(scheds []*Schedule) *windowPlan {
 		nReq += len(s.recvFrom)
 		nSend += len(s.sendTo)
 	}
-	p := &windowPlan{
-		fused:   n > 1,
-		reqs:    make([]machine.Request, nReq),
-		pending: make([]machine.Message, nReq),
-	}
+	p := &windowPlan{fused: n > 1, reqs: make([]machine.Request, nReq)}
 	ints := make([]int, 2*n+1+nReq)
 	p.reqStart, p.remain, p.loopOf = ints[:n+1], ints[n+1:2*n+1], ints[2*n+1:]
 	flags := make([]bool, 2*nReq+nSend)
@@ -309,12 +302,9 @@ func (e *Engine) runWindow(cores []loopCore) {
 	if plan.fused {
 		e.fusedWindows++
 	}
-	// Clear the drain state of the last execution (and whatever a window
-	// a panicking body aborted left stashed).
-	for i := range plan.done {
-		plan.done[i] = false
-		plan.pending[i] = machine.Message{}
-	}
+	// Clear the drain state of the last execution (or of a window a
+	// panicking body aborted).
+	clear(plan.done)
 	for k := range plan.remain {
 		plan.remain[k] = plan.reqStart[k+1] - plan.reqStart[k]
 	}
@@ -350,7 +340,7 @@ func (e *Engine) runWindow(cores []loopCore) {
 		}
 		env.reset(e, c, s, slots[k])
 		e.runInterior(c, s, env) // posted sends are in flight
-		e.drainSections(plan, c, s, k)
+		e.drainSections(plan, cores, scheds, k)
 		e.runBoundary(c, s, env)
 		env.commit()
 		e.node.StopPhase(ph)
@@ -365,14 +355,14 @@ func (e *Engine) runWindow(cores []loopCore) {
 func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 	si := 0
 	for k, s := range scheds {
+		tag := machine.TagData
+		if p.fused {
+			tag = machine.FusedTag(k)
+		}
 		for _, pc := range s.sendTo {
 			pb := e.pool.Get(pc.n)
 			off := packCombined(s, e.seqSlots[k], pc.q, pb.Vals)
-			if p.fused {
-				e.node.ISendFused(pc.q, machine.FusedTag(k), pb, 8*off, p.sendFirst[si])
-			} else {
-				e.node.ISend(pc.q, machine.TagData, pb, 8*off)
-			}
+			e.node.ISend(pc.q, tag, pb, 8*off, p.sendFirst[si])
 			si++
 		}
 	}
@@ -381,28 +371,21 @@ func (e *Engine) postSections(p *windowPlan, scheds []*Schedule) {
 // drainSections completes loop k's sections before its boundary pass and
 // returns their payloads to the pool.  Completion order is the
 // transport's (slice order on the simulator, physical arrival order on
-// wall-clock backends); a section that outruns its loop is stashed and
-// unpacked when its loop drains, so a loop's receive buffers change
-// only during its own drain.  Window loops hold distinct Schedules, and
-// so distinct buffers, unless one loop runs twice in the window
-// (TestFusedWindowRepeatsOneLoop).
-func (e *Engine) drainSections(p *windowPlan, c *loopCore, s *Schedule, k int) {
-	for i := p.reqStart[k]; i < p.reqStart[k+1]; i++ {
-		if p.pending[i].Payload != nil {
-			e.unpackPooled(c, s, p.pending[i])
-			p.pending[i] = machine.Message{}
-		}
-	}
+// wall-clock backends); a section of a later loop that completes first
+// is unpacked into that loop's schedule at once.  Its buffers are read
+// only by that loop's boundary pass, still to come, so loop k's buffers
+// change only during its own drain — unless one loop runs twice in the
+// window and so both hold one Schedule (TestFusedWindowRepeatsOneLoop).
+// Then both sections carry the same values: both were packed at window
+// start, and the window admits no loop whose reads an earlier loop
+// writes.
+func (e *Engine) drainSections(p *windowPlan, cores []loopCore, scheds []*Schedule, k int) {
 	for p.remain[k] > 0 {
-		i, msg := e.node.WaitAnyFused(p.reqs, p.done, p.firsts)
+		i, msg := e.node.WaitAny(p.reqs, p.done, p.firsts)
 		p.done[i] = true
 		j := p.loopOf[i]
 		p.remain[j]--
-		if j == k {
-			e.unpackPooled(c, s, msg)
-		} else {
-			p.pending[i] = msg
-		}
+		e.unpackPooled(&cores[j], scheds[j], msg)
 	}
 }
 

@@ -299,7 +299,8 @@ func TestFusionEquivalenceMatrix(t *testing.T) {
 // TestFusedWindowRepeatsOneLoop: a window that runs one loop twice
 // holds one Schedule twice, so both loops' sections land in one set of
 // receive buffers, and a section that completes before its loop drains
-// is stashed until it does (drainSections).  On the wall backend the
+// is unpacked into them at once (drainSections), with the same values
+// the earlier loop's section brought.  On the wall backend the
 // last node is late to every window, so the middle node finds loop 1's
 // section from its left neighbour before loop 0's from its right one.
 // Production must match the reference executor bit for bit, with

@@ -21,7 +21,7 @@ import (
 // old and write distinct arrays, so they form a fusion window — on the
 // wall-clock backend their sections from up to four neighbors complete
 // in whatever order the threads physically deliver them, exercising
-// the out-of-order stash/drain path of the wavefront executor.
+// the out-of-order drain of the wavefront executor.
 func runFusedWavefront(m *machine.Machine, pr, pc, n, sweeps, panicNode, panicSweep int, reference bool) []float64 {
 	g := topology.MustGrid(pr, pc)
 	d := dist.Must([]int{n, n}, []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, g)
@@ -128,7 +128,7 @@ func TestWallclockFusedPoisonInFlight(t *testing.T) {
 
 // TestFusedReplayAllocationFree: once a window's schedules and its
 // fused plan are cached and the payload pool is warm, replaying the
-// window — packing sections, posting, draining, stashing, unpacking,
+// window — packing sections, posting, draining, unpacking,
 // bodies, commits — performs zero heap allocations machine-wide, like
 // the single-loop replays pinned in sharing_test.go.
 func TestFusedReplayAllocationFree(t *testing.T) {

@@ -55,10 +55,7 @@ func gatherLoop(nd *machine.Node, n int, out, src *darray.Array, idx *darray.Int
 		}
 		return true
 	}
-	cell, u, ok := nd.ClockCell()
-	if !ok {
-		return l
-	}
+	cell, u := nd.ClockCell()
 	l.Segment = func(lo, hi int, e *Env) bool {
 		from, dst := idx.Span1(lo, hi), e.WriteSpan1(out, lo, hi)
 		if from == nil || dst == nil {

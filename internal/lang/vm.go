@@ -363,9 +363,7 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 		st.noViews = make([][]float64, len(cb.hoists)+1)
 	}
 	if len(cb.hoists) > 0 {
-		// A virtual clock without an address leaves cell nil: no
-		// segment kernel, every segment runs per element.
-		st.cell, st.units, _ = st.node.ClockCell()
+		st.cell, st.units = st.node.ClockCell()
 	}
 	if col := cb.col; col != nil && st.cell != nil {
 		st.step = machine.NewClockStep(st.charges())

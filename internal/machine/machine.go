@@ -74,10 +74,7 @@ type Machine struct {
 	params Params
 	p      int
 	tr     Transport
-	// fs caches the transport's optional FusedSender capability so the
-	// per-section send path skips the type assertion.
-	fs    FusedSender
-	nodes []*Node
+	nodes  []*Node
 
 	scratchMu sync.Mutex
 	scratch   map[any]any
@@ -92,19 +89,14 @@ func NewWith(p int, params Params, tr Transport) (*Machine, error) {
 		return nil, fmt.Errorf("machine: need at least one node, got %d", p)
 	}
 	m := &Machine{params: params, p: p, tr: tr}
-	m.fs, _ = tr.(FusedSender)
-	ca, _ := tr.(ClockAddr)
 	m.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
-		m.nodes[i] = &Node{
-			id:      i,
-			m:       m,
-			virtual: tr.Virtual(),
-			phases:  map[string]float64{},
+		n := &Node{id: i, m: m, clock: tr.ClockAddr(i), phases: map[string]float64{}}
+		n.virtual = n.clock != nil
+		if !n.virtual {
+			n.clock = &n.idleClock
 		}
-		if ca != nil && tr.Virtual() {
-			m.nodes[i].clock, m.nodes[i].direct = ca.ClockAddr(i), true
-		}
+		m.nodes[i] = n
 	}
 	return m, nil
 }
@@ -161,7 +153,7 @@ func (m *Machine) Scratch(key any, mk func() any) any {
 // have been released.
 func (m *Machine) Run(prog func(n *Node)) {
 	m.tr.Begin()
-	pin := !m.tr.Virtual()
+	pin := !m.nodes[0].virtual
 	var wg sync.WaitGroup
 	panics := make([]any, m.p)
 	for i := 0; i < m.p; i++ {
@@ -291,18 +283,22 @@ func (m *Machine) TotalStats() Stats {
 // Node is one processor of the machine.  All methods must be called
 // only from within the node's own program goroutine.
 type Node struct {
-	id      int
-	m       *Machine
-	virtual bool // cached Transport.Virtual: skip cost arithmetic on real backends
-	// clock, when non-nil, addresses this node's virtual-clock
-	// accumulator directly (Transport implements ClockAddr), so the
-	// per-operator charges on the body hot path skip the interface
-	// dispatch.  The arithmetic is the same either way.
-	clock  *float64
-	direct bool // clock != nil
-	// idleClock is the cell ClockCell hands out on real backends, where
-	// charges are free and nothing reads the sum.
+	id int
+	m  *Machine
+	// virtual is whether time is modeled (Transport.ClockAddr is not
+	// nil); charges skip the cost arithmetic on real backends.  clock
+	// addresses the transport's accumulator, so a charge is one add
+	// through a pointer, not an interface call; on real backends it is
+	// idleClock, a scratch word nothing reads.
+	virtual   bool
+	clock     *float64
 	idleClock float64
+
+	// recvReq and recvDone are Recv's one-request WaitAny, held here so
+	// that the slices passed through the Transport do not escape from
+	// a stack array on every receive.
+	recvReq  [1]Request
+	recvDone [1]bool
 
 	phases     map[string]float64
 	phaseStack []phaseFrame
@@ -340,22 +336,10 @@ func (n *Node) Advance(seconds float64) {
 	n.advance(seconds)
 }
 
-// advance adds modeled seconds through the direct clock pointer when
-// the transport exposes one, else through the Transport interface.
-// The interface call lives in advanceTransport and the pointer test is
-// the direct flag, so that advance and the single-term charges built on
-// it stay within the inliner's budget: on real backends a charge
-// inlines to one branch on virtual.
-func (n *Node) advance(seconds float64) {
-	if n.direct {
-		*n.clock += seconds
-	} else {
-		n.advanceTransport(seconds)
-	}
-}
-
-//go:noinline
-func (n *Node) advanceTransport(seconds float64) { n.m.tr.Advance(n.id, seconds) }
+// advance adds modeled seconds to the clock.  It and the single-term
+// charges built on it stay within the inliner's budget: on real
+// backends a charge inlines to one branch on virtual.
+func (n *Node) advance(seconds float64) { *n.clock += seconds }
 
 // Charge advances the clock by a combination of primitive costs; see
 // Params for the meaning of each count.  Real backends skip the cost
@@ -402,20 +386,13 @@ func (n *Node) ChargeFlopsUnit(k int) {
 	if !n.virtual {
 		return
 	}
-	f := n.m.params.Flop
-	if c := n.clock; c != nil {
-		// One load and one store around the k adds: through the pointer
-		// every add would round-trip memory.
-		t := *c
-		for i := 0; i < k; i++ {
-			t += f
-		}
-		*c = t
-		return
-	}
+	// One load and one store around the k adds: through the pointer
+	// every add would round-trip memory.
+	f, t := n.m.params.Flop, *n.clock
 	for i := 0; i < k; i++ {
-		n.m.tr.Advance(n.id, f)
+		t += f
 	}
+	*n.clock = t
 }
 
 // ChargeMemRefs charges k memory references, exactly like
@@ -475,18 +452,13 @@ type UnitCosts struct{ Flop, MemRef, LoopIter, LocTest float64 }
 // clock: every other Node method, and so every forall.Env and
 // transport call.  Flops charged this way are reported through
 // AddFlopCount.  On real backends charges are free: the cell is a
-// scratch word and the prices are zero.  ok is false only for a
-// virtual transport whose clock has no address (no ClockAddr); such
-// callers keep the Charge* methods.
-func (n *Node) ClockCell() (cell *float64, u UnitCosts, ok bool) {
+// scratch word and the prices are zero.
+func (n *Node) ClockCell() (cell *float64, u UnitCosts) {
 	if !n.virtual {
-		return &n.idleClock, UnitCosts{}, true
-	}
-	if n.clock == nil {
-		return nil, UnitCosts{}, false
+		return n.clock, UnitCosts{}
 	}
 	p := &n.m.params
-	return n.clock, UnitCosts{Flop: p.Flop, MemRef: p.MemRef, LoopIter: p.LoopIter, LocTest: p.LocTest}, true
+	return n.clock, UnitCosts{Flop: p.Flop, MemRef: p.MemRef, LoopIter: p.LoopIter, LocTest: p.LocTest}
 }
 
 // AddFlopCount records k flops whose time was charged through a
@@ -530,21 +502,8 @@ func (n *Node) SearchCost(r int) float64 {
 // network latency; on real backends the transfer happens through
 // shared memory and takes however long it takes.
 func (n *Node) Send(to int, tag Tag, payload any, nbytes int) {
-	if to == n.id {
-		panic("machine: send to self")
-	}
-	n.stats.MsgsSent++
-	n.stats.BytesSent += nbytes
-	if tag == TagRedist {
-		n.stats.RedistMsgsSent++
-		n.stats.RedistBytesSent += nbytes
-	}
-	n.m.tr.Send(n.id, to, Message{
-		From:    n.id,
-		Tag:     tag,
-		Payload: payload,
-		Bytes:   nbytes,
-	})
+	n.count(to, tag, nbytes, true)
+	n.m.tr.Send(n.id, to, Message{From: n.id, Tag: tag, Payload: payload, Bytes: nbytes})
 }
 
 // ISend posts payload for delivery to node `to` without blocking on
@@ -556,79 +515,73 @@ func (n *Node) Send(to int, tag Tag, payload any, nbytes int) {
 // interface, overlapping whatever the sender computes next; on real
 // backends every send already enqueues without rendezvous, so ISend
 // and Send coincide.
-func (n *Node) ISend(to int, tag Tag, payload any, nbytes int) {
-	if to == n.id {
-		panic("machine: send to self")
-	}
-	n.stats.MsgsSent++
-	n.stats.BytesSent += nbytes
-	if tag == TagRedist {
-		n.stats.RedistMsgsSent++
-		n.stats.RedistBytesSent += nbytes
-	}
-	n.m.tr.ISend(n.id, to, Message{
-		From:    n.id,
-		Tag:     tag,
-		Payload: payload,
-		Bytes:   nbytes,
-	})
+//
+// A fusion window sends each peer one logical message made of
+// per-loop sections under the fused tags; the section payloads are
+// bit-identical to the per-loop messages an unfused run would send,
+// but only the first section (first) is a real message start: it pays
+// the send startup and counts in MsgsSent (and FusedMsgsSent).
+// Continuation sections extend the same transfer — their bytes append
+// to the sender's network-interface timeline with no new startup and
+// no new message count, which is exactly why the fused sender's clock
+// can only shrink relative to the unfused one.
+func (n *Node) ISend(to int, tag Tag, payload any, nbytes int, first bool) {
+	n.count(to, tag, nbytes, first)
+	n.m.tr.ISend(n.id, to, Message{From: n.id, Tag: tag, Payload: payload, Bytes: nbytes}, first)
 }
 
-// ISendFused posts one section of a cross-loop aggregated message.
-// A fusion window sends each peer one logical message made of per-loop
-// sections; the section payloads are bit-identical to the per-loop
-// messages an unfused run would send, but only the first section is a
-// real message start: it pays the send startup and counts in MsgsSent
-// (and FusedMsgsSent).  Continuation sections extend the same transfer
-// — their bytes append to the sender's network-interface timeline with
-// no new startup and no new message count, which is exactly why the
-// fused sender's clock can only shrink relative to the unfused one.
-func (n *Node) ISendFused(to int, tag Tag, payload any, nbytes int, first bool) {
+// count records one sent message (or continuation section, !first) in
+// the node's Stats, attributing it by tag.
+func (n *Node) count(to int, tag Tag, nbytes int, first bool) {
 	if to == n.id {
 		panic("machine: send to self")
 	}
-	n.stats.BytesSent += nbytes
-	n.stats.FusedBytesSent += nbytes
+	msgs := 0
 	if first {
-		n.stats.MsgsSent++
-		n.stats.FusedMsgsSent++
+		msgs = 1
 	}
-	msg := Message{From: n.id, Tag: tag, Payload: payload, Bytes: nbytes}
-	if n.m.fs != nil {
-		n.m.fs.ISendPart(n.id, to, msg, first)
-		return
+	n.stats.MsgsSent += msgs
+	n.stats.BytesSent += nbytes
+	switch {
+	case tag == TagRedist:
+		n.stats.RedistMsgsSent += msgs
+		n.stats.RedistBytesSent += nbytes
+	case tag >= TagFused && tag < TagUser:
+		n.stats.FusedMsgsSent += msgs
+		n.stats.FusedBytesSent += nbytes
 	}
-	n.m.tr.ISend(n.id, to, msg)
 }
 
 // Recv blocks until a message from `from` with the given tag is
 // available and returns it (advancing the virtual clock to its arrival
-// time and charging receive overhead on the simulator).
+// time and charging receive overhead on the simulator): a WaitAny of
+// one request.
 func (n *Node) Recv(from int, tag Tag) Message {
-	msg := n.m.tr.Recv(n.id, from, tag)
+	n.recvReq[0], n.recvDone[0] = Request{From: from, Tag: tag}, false
+	_, msg := n.m.tr.WaitAny(n.id, n.recvReq[:], n.recvDone[:])
 	n.stats.MsgsReceived++
 	return msg
 }
 
 // Request identifies one posted receive: the (sender, tag) pair a
-// WaitAnyFused completes.  Requests are plain values so schedules can
+// WaitAny completes.  Requests are plain values so schedules can
 // preallocate them per peer and replay without allocating.
 type Request struct {
 	From int
 	Tag  Tag
 }
 
-// WaitAnyFused completes one not-yet-done posted receive among reqs,
+// WaitAny completes one not-yet-done posted receive among reqs,
 // returning its index and message; the caller marks done[i] and loops
 // until every request has completed.  On wall-clock backends the
 // request that physically completes first is returned, so a boundary
 // pass blocks per-peer only as needed; the simulator completes
 // requests in slice order, which keeps virtual clocks deterministic.
 // done and firsts must be parallel to reqs; at least one done entry
-// must be unset.  Only a fused message's first section (firsts[i])
-// counts in MsgsReceived: continuation sections complete as parts of
-// the same logical message.
-func (n *Node) WaitAnyFused(reqs []Request, done []bool, firsts []bool) (int, Message) {
+// must be unset.  Only a message's first section (firsts[i]) counts in
+// MsgsReceived: a fused message's continuation sections complete as
+// parts of the same logical message.
+func (n *Node) WaitAny(reqs []Request, done []bool, firsts []bool) (int, Message) {
 	i, msg := n.m.tr.WaitAny(n.id, reqs, done)
 	if firsts[i] {
 		n.stats.MsgsReceived++

@@ -2,9 +2,9 @@ package machine
 
 import "testing"
 
-// Behavioral tests of the machine live with the backends
-// (internal/machine/sim, internal/machine/wallclock); this file covers
-// what is backend-independent: the cost-model presets and the shared
+// The Transport contract is checked over both backends in
+// transport_test.go, and what one backend alone promises in its own
+// package; this file covers the cost-model presets and the shared
 // reduction kernel.
 
 func TestByName(t *testing.T) {

@@ -83,7 +83,6 @@ func max(a, b int) int {
 }
 
 func (t *transport) Backend() string { return "sim" }
-func (t *transport) Virtual() bool   { return true }
 func (t *transport) Begin()          {}
 func (t *transport) Done(me int)     {}
 
@@ -99,11 +98,9 @@ func (t *transport) MaxElapsed() float64 {
 	return max
 }
 
-func (t *transport) Advance(me int, seconds float64) { t.cells[me].clock += seconds }
-
-// ClockAddr exposes node me's clock accumulator for the Machine's
-// direct-charge fast path (machine.ClockAddr); Reset zeroes the
-// cells in place, so the address stays valid for the machine's life.
+// ClockAddr exposes node me's clock accumulator, which the Machine's
+// charges add to; Reset zeroes the cells in place, so the address
+// stays valid for the machine's life.
 func (t *transport) ClockAddr(me int) *float64 { return &t.cells[me].clock }
 
 // hops returns the link distance between two nodes.
@@ -141,30 +138,17 @@ func (t *transport) Send(me, to int, msg machine.Message) {
 // max of values that are each ≤ the blocking clock), and the receive
 // rules are monotone in ArriveAt, so overlap can only shrink simulated
 // clocks, never grow them.
-func (t *transport) ISend(me, to int, msg machine.Message) {
-	p, c := &t.params, &t.cells[me]
-	c.clock += p.MsgStartup
-	start := c.clock
-	if c.nicFree > start {
-		start = c.nicFree
-	}
-	end := start + float64(msg.Bytes)*p.MsgPerByte
-	c.nicFree = end
-	msg.ArriveAt = end + float64(t.hops(me, to))*p.PerHop
-	t.mailboxes[to] <- msg
-}
-
-// ISendPart posts one section of a cross-loop fused message
-// (machine.FusedSender).  A first section is exactly ISend; a
-// continuation section skips the startup charge and only appends its
-// wire time to the network-interface timeline.  Posting a window's
-// sections loop-major at the point the unfused run would post its
-// first loop's messages makes every section's ArriveAt ≤ the unfused
-// counterpart's: the first loop's sections get identical timestamps
-// (same clock, same NIC prefix), and later loops' sections leave a NIC
-// that never waits for intervening compute, while the unfused sender
-// posts them only after finishing the previous loop.
-func (t *transport) ISendPart(me, to int, msg machine.Message, first bool) {
+//
+// A continuation section of a cross-loop fused message (!first) skips
+// the startup charge and only appends its wire time to the
+// network-interface timeline.  Posting a window's sections loop-major
+// at the point the unfused run would post its first loop's messages
+// makes every section's ArriveAt ≤ the unfused counterpart's: the
+// first loop's sections get identical timestamps (same clock, same NIC
+// prefix), and later loops' sections leave a NIC that never waits for
+// intervening compute, while the unfused sender posts them only after
+// finishing the previous loop.
+func (t *transport) ISend(me, to int, msg machine.Message, first bool) {
 	p, c := &t.params, &t.cells[me]
 	if first {
 		c.clock += p.MsgStartup
@@ -179,10 +163,10 @@ func (t *transport) ISendPart(me, to int, msg machine.Message, first bool) {
 	t.mailboxes[to] <- msg
 }
 
-// Recv blocks until a message from `from` with the given tag is
+// recv blocks until a message from `from` with the given tag is
 // available, advances the clock to its arrival time, and charges
 // receive overhead.
-func (t *transport) Recv(me, from int, tag machine.Tag) machine.Message {
+func (t *transport) recv(me, from int, tag machine.Tag) machine.Message {
 	pend := t.pending[me]
 	for i, msg := range pend {
 		if msg.From == from && msg.Tag == tag {
@@ -209,7 +193,7 @@ func (t *transport) Recv(me, from int, tag machine.Tag) machine.Message {
 func (t *transport) WaitAny(me int, reqs []machine.Request, done []bool) (int, machine.Message) {
 	for i, r := range reqs {
 		if !done[i] {
-			return i, t.Recv(me, r.From, r.Tag)
+			return i, t.recv(me, r.From, r.Tag)
 		}
 	}
 	panic("sim: WaitAny with no outstanding request")

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWaitAnyCompletesInSliceOrder: the simulator's WaitAny (reached
-// through Node.WaitAnyFused) must complete requests in slice order — even when a later request's
+// through Node.WaitAny) must complete requests in slice order — even when a later request's
 // message is already queued, the drain blocks for the earlier one —
 // so split-phase drains replay the exact clock sequence of the
 // phase-synchronous executor.
@@ -29,7 +29,7 @@ func TestWaitAnyCompletesInSliceOrder(t *testing.T) {
 			done := make([]bool, 2)
 			firsts := []bool{true, true}
 			for k := 0; k < 2; k++ {
-				i, _ := n.WaitAnyFused(reqs, done, firsts)
+				i, _ := n.WaitAny(reqs, done, firsts)
 				done[i] = true
 				order[k] = i
 			}

@@ -16,20 +16,23 @@ package machine
 //     are no-ops, and elapsed time is measured with the monotonic
 //     clock — the same compiled schedules, timed for real.
 //
-// All per-node methods (Send, Recv, Advance, Elapsed, Barrier,
-// AllReduce) are called only from node me's program goroutine; Begin,
-// Poison, MaxElapsed and Reset are called by the Machine while no node
-// program is running (except Poison, which a panicking node calls to
-// release its peers).
+// The executor needs three things from the machine (Figure 3): send,
+// receive and a clock; each has one method here.  All per-node methods
+// (ISend, Send, WaitAny, Elapsed, Barrier, AllReduce) are called only
+// from node me's program goroutine; Begin, Poison, MaxElapsed and
+// Reset are called by the Machine while no node program is running
+// (except Poison, which a panicking node calls to release its peers).
 type Transport interface {
 	// Backend names the runtime ("sim", "wall") for reports.
 	Backend() string
 
-	// Virtual reports whether time is modeled: when true, Charge-style
-	// operations must call Advance with their cost-model seconds; when
-	// false the Machine skips the cost arithmetic entirely and elapsed
-	// time comes from the host's monotonic clock.
-	Virtual() bool
+	// ClockAddr returns the address of node me's virtual clock, a plain
+	// float64 accumulator the Machine adds cost-model seconds to, or nil
+	// when time is not modeled: then the Machine skips the cost
+	// arithmetic entirely and elapsed time comes from the host's
+	// monotonic clock.  The pointer must stay valid across Reset (Reset
+	// may zero the value, not replace the storage).
+	ClockAddr(me int) *float64
 
 	// Begin marks the start of one Machine.Run (wall-clock backends
 	// stamp the epoch all Elapsed values are measured from).
@@ -48,26 +51,22 @@ type Transport interface {
 	// machine's elapsed time (the slowest node determines it).
 	MaxElapsed() float64
 
-	// Advance charges seconds of modeled time to node me.  Real
-	// backends ignore it (real operations take real time).
-	Advance(me int, seconds float64)
-
 	// Send ships msg from me to node to; it must not block
-	// indefinitely when the receiver is not yet in Recv.  Recv blocks
-	// until the matching (from, tag) message is available and returns
-	// it; messages between one pair are delivered in send order.
+	// indefinitely when the receiver is not yet waiting for it.
+	// Messages between one pair are delivered in send order.
 	Send(me, to int, msg Message)
-	Recv(me, from int, tag Tag) Message
 
 	// ISend is the nonblocking Send behind split-phase executors: the
 	// transfer's wire time must not sit on the sender's critical path.
 	// The simulator charges the sender only the send startup and
 	// serializes the per-byte copy on the node's network interface,
 	// overlapping subsequent compute; real backends already enqueue
-	// without rendezvous, so ISend and Send coincide there.  Delivery
-	// order between one pair is still send order, and Send/ISend may be
-	// mixed on one stream.
-	ISend(me, to int, msg Message)
+	// without rendezvous, so ISend and Send coincide there.  first is
+	// false for a continuation section of a cross-loop fused message,
+	// which extends the transfer its peer's first section started: no
+	// new startup.  Delivery order between one pair is still send
+	// order, and Send/ISend may be mixed on one stream.
+	ISend(me, to int, msg Message, first bool)
 
 	// WaitAny blocks until some request reqs[i] with !done[i] has a
 	// matching message available and returns (i, message); the caller
@@ -90,29 +89,4 @@ type Transport interface {
 	// Reset restores the transport for another Run: clocks zeroed,
 	// queues drained.
 	Reset()
-}
-
-// FusedSender is an optional Transport extension for virtual-time
-// backends that model cross-loop aggregated messages: ISendPart posts
-// one section of a fused message.  The first section of a message is
-// charged like ISend (startup, then wire time serialized on the
-// sender's network interface); continuation sections append only their
-// wire time to the interface timeline — no startup — so fusing k
-// per-loop messages into one saves k-1 startups on the sender's clock
-// while every section still arrives no later than its unfused
-// counterpart.  Backends without modeled startup costs (wall-clock)
-// need not implement it; the Machine falls back to plain ISend, which
-// has identical delivery semantics there.
-type FusedSender interface {
-	ISendPart(me, to int, msg Message, first bool)
-}
-
-// ClockAddr is an optional Transport extension for virtual-time
-// backends whose per-node clock is a plain float64 accumulator: it
-// exposes the accumulator's address so the Machine can apply
-// per-operator charges without an interface call per advance.  The
-// pointer must stay valid across Reset (Reset may zero the value, not
-// replace the storage).
-type ClockAddr interface {
-	ClockAddr(me int) *float64
 }

@@ -10,7 +10,7 @@ import (
 // TestWaitAnyCompletionOrder: the wall-clock drain must complete
 // whichever peer's message physically arrives first.  Node 1 only
 // sends after node 0 has consumed node 2's message, so a fixed-order
-// drain (receive from 1, then 2) would deadlock here; WaitAnyFused
+// drain (receive from 1, then 2) would deadlock here; WaitAny
 // returning node 2's request first is what breaks the cycle.
 func TestWaitAnyCompletionOrder(t *testing.T) {
 	m := MustNew(3, machine.Ideal())
@@ -22,11 +22,11 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 			reqs := []machine.Request{{From: 1, Tag: machine.TagUser}, {From: 2, Tag: machine.TagUser}}
 			done := make([]bool, 2)
 			firsts := []bool{true, true}
-			i, _ := n.WaitAnyFused(reqs, done, firsts)
+			i, _ := n.WaitAny(reqs, done, firsts)
 			done[i] = true
 			firstIdx = i
 			close(gate) // node 2's message consumed; release node 1
-			n.WaitAnyFused(reqs, done, firsts)
+			n.WaitAny(reqs, done, firsts)
 		case 1:
 			<-gate
 			n.Send(0, machine.TagUser, nil, 8)
@@ -39,7 +39,7 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestDrainOutOfOrderArrival: a WaitAnyFused drain consumes messages
+// TestDrainOutOfOrderArrival: a WaitAny drain consumes messages
 // in completion order on this backend, but each result is indexed by
 // its request regardless of arrival order, and every request counts
 // one received message.
@@ -52,7 +52,7 @@ func TestDrainOutOfOrderArrival(t *testing.T) {
 			done := make([]bool, len(reqs))
 			firsts := []bool{true, true, true}
 			for range reqs {
-				i, msg := n.WaitAnyFused(reqs, done, firsts)
+				i, msg := n.WaitAny(reqs, done, firsts)
 				done[i] = true
 				got[i] = msg.Payload.(int)
 			}

@@ -76,7 +76,7 @@ func TestWaiterNoLostWakeup(t *testing.T) {
 // never comes.
 var blockers = map[string]func(n *machine.Node){
 	"drain": func(n *machine.Node) {
-		n.WaitAnyFused([]machine.Request{{From: 0, Tag: machine.TagUser}}, []bool{false}, []bool{true})
+		n.WaitAny([]machine.Request{{From: 0, Tag: machine.TagUser}}, []bool{false}, []bool{true})
 	},
 	"recv":      func(n *machine.Node) { n.Recv(0, machine.TagUser) },
 	"barrier":   func(n *machine.Node) { n.Barrier() },

@@ -90,7 +90,9 @@ func MustNew(p int, params machine.Params) *machine.Machine {
 }
 
 func (t *transport) Backend() string { return "wall" }
-func (t *transport) Virtual() bool   { return false }
+
+// ClockAddr is nil: time is not modeled here.
+func (t *transport) ClockAddr(me int) *float64 { return nil }
 
 // Begin counts the machine's nodes as running (Done takes each out
 // again): see uncrowded.
@@ -129,28 +131,18 @@ func (t *transport) MaxElapsed() float64 {
 	return slowest
 }
 
-// Advance is a no-op: real operations take real time.
-func (t *transport) Advance(me int, seconds float64) {}
-
 func (t *transport) Send(me, to int, msg machine.Message) {
 	t.queues[to*t.p+me].push(msg)
 	t.nodes[to].doorbell.bump()
 }
 
-// ISend is Send: pushes already complete without rendezvous on this
-// backend, so the nonblocking semantics hold for free.  The real
-// overlap is on the receive side — WaitAny lets the boundary pass
-// consume whichever peer finishes first instead of blocking on a
-// fixed order.
-func (t *transport) ISend(me, to int, msg machine.Message) {
+// ISend is Send, for first sections and continuations alike: pushes
+// already complete without rendezvous on this backend, so the
+// nonblocking semantics hold for free.  The real overlap is on the
+// receive side — WaitAny lets the boundary pass consume whichever peer
+// finishes first instead of blocking on a fixed order.
+func (t *transport) ISend(me, to int, msg machine.Message, first bool) {
 	t.Send(me, to, msg)
-}
-
-// Recv is a drain of one request.
-func (t *transport) Recv(me, from int, tag machine.Tag) machine.Message {
-	req, done := [1]machine.Request{{From: from, Tag: tag}}, [1]bool{}
-	_, msg := t.WaitAny(me, req[:], done[:])
-	return msg
 }
 
 // WaitAny polls every outstanding request's queue and returns the

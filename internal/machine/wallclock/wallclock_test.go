@@ -1,56 +1,10 @@
 package wallclock
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"kali/internal/machine"
 )
-
-func TestBackendName(t *testing.T) {
-	m := MustNew(2, machine.Ideal())
-	if m.Backend() != "wall" {
-		t.Fatalf("Backend() = %q, want wall", m.Backend())
-	}
-	if m.Transport().Virtual() {
-		t.Fatal("wall must not be virtual")
-	}
-}
-
-func TestNewErrors(t *testing.T) {
-	if _, err := New(0, machine.Ideal()); err == nil {
-		t.Fatal("expected error for 0 nodes")
-	}
-}
-
-func TestRunSPMD(t *testing.T) {
-	m := MustNew(8, machine.Ideal())
-	var total int64
-	m.Run(func(n *machine.Node) {
-		atomic.AddInt64(&total, int64(n.ID()))
-	})
-	if total != 28 {
-		t.Fatalf("all nodes should run exactly once; sum = %d", total)
-	}
-}
-
-func TestSendRecvDelivers(t *testing.T) {
-	m := MustNew(2, machine.Ideal())
-	m.Run(func(n *machine.Node) {
-		if n.ID() == 0 {
-			n.Send(1, machine.TagUser, []float64{1, 2, 3}, 24)
-		} else {
-			msg := n.Recv(0, machine.TagUser)
-			data := msg.Payload.([]float64)
-			if len(data) != 3 || data[2] != 3 {
-				t.Errorf("payload corrupted: %v", data)
-			}
-			if msg.Bytes != 24 || msg.From != 0 {
-				t.Errorf("metadata wrong: %+v", msg)
-			}
-		}
-	})
-}
 
 func TestRecvMatchesTagOutOfOrder(t *testing.T) {
 	// The receiver asks for the second tag first: the queue must scan
@@ -154,54 +108,6 @@ func TestPhaseTimersMeasure(t *testing.T) {
 	if m.MaxPhase("work") < 0 {
 		t.Fatal("phase time must be non-negative")
 	}
-}
-
-func TestAllReduceOps(t *testing.T) {
-	m := MustNew(4, machine.Ideal())
-	sums := make([]float64, 4)
-	maxs := make([]float64, 4)
-	mins := make([]float64, 4)
-	ands := make([]float64, 4)
-	m.Run(func(n *machine.Node) {
-		v := float64(n.ID() + 1)
-		sums[n.ID()] = n.AllReduce(v, "sum")
-		maxs[n.ID()] = n.AllReduce(v, "max")
-		mins[n.ID()] = n.AllReduce(v, "min")
-		b := 1.0
-		if n.ID() == 2 {
-			b = 0
-		}
-		ands[n.ID()] = n.AllReduce(b, "and")
-	})
-	for id := 0; id < 4; id++ {
-		if sums[id] != 10 || maxs[id] != 4 || mins[id] != 1 || ands[id] != 0 {
-			t.Fatalf("node %d: sum=%g max=%g min=%g and=%g", id, sums[id], maxs[id], mins[id], ands[id])
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	m := MustNew(3, machine.Ideal())
-	m.Run(func(n *machine.Node) {
-		for i := 0; i < 50; i++ {
-			n.Barrier()
-		}
-	})
-}
-
-func TestRunPropagatesPanic(t *testing.T) {
-	m := MustNew(4, machine.Ideal())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected node panic to propagate")
-		}
-	}()
-	m.Run(func(n *machine.Node) {
-		if n.ID() == 2 {
-			panic("boom")
-		}
-		n.Barrier() // others must be released, not deadlock
-	})
 }
 
 func TestPoisonReleasesBlockedRecv(t *testing.T) {

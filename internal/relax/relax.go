@@ -238,13 +238,9 @@ func run(opt Options, segments bool, plans []uint64) Result {
 
 // copySegment returns the copy loop's Segment body: dst[lo..hi] :=
 // src[lo..hi] as Body copies it, element by element charges included,
-// with the clock in the node's ClockCell; nil when the clock has no
-// cell.
+// with the clock in the node's ClockCell.
 func copySegment(nd *machine.Node, dst, src *darray.Array) func(lo, hi int, e *forall.Env) bool {
-	cell, u, ok := nd.ClockCell()
-	if !ok {
-		return nil
-	}
+	cell, u := nd.ClockCell()
 	return func(lo, hi int, e *forall.Env) bool {
 		from, checks, search := e.ReadSpan1(src, lo, hi)
 		if from == nil {
@@ -282,13 +278,9 @@ func copySegment(nd *machine.Node, dst, src *darray.Array) func(lo, hi int, e *f
 // inspector resolved, and charges their search, as Read does.  A
 // run it cannot take whole it declines before any side effect: a
 // distribution without a locality window, a count out of [0, maxdeg],
-// or an Env that leaves the reads to Read.  Nil when the clock has no
-// cell.
+// or an Env that leaves the reads to Read.
 func sweepSegment(nd *machine.Node, a, oldA *darray.Array, count, adj *darray.IntArray, coef *darray.Array) func(lo, hi int, e *forall.Env) bool {
-	cell, u, ok := nd.ClockCell()
-	if !ok {
-		return nil
-	}
+	cell, u := nd.ClockCell()
 	deg := coef.Extent(1)
 	return func(lo, hi int, e *forall.Env) bool {
 		cnt := count.Span1(lo, hi)
