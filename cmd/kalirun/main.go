@@ -38,8 +38,8 @@
 //	kalirun -serve :8080 [-pool N] [-cachedir DIR] [-p N] [-machine ...]
 //
 // POST a .kali program to /run (optionally ?print=a,b) to execute it
-// on a pool of -pool machines sharing one schedule store; the JSON
-// response carries the report including schedule-sharing counters.
+// on a pool of -pool machines sharing one schedule store; the compact
+// JSON response carries the report including schedule-sharing counters.
 // GET /stats snapshots the store and pool counters.  -cachedir
 // persists compiled schedules so a restarted server warm-starts.
 package main
@@ -154,7 +154,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "kalirun: %s: %v\n", fs.Arg(0), err)
 		return 1
 	}
-	res, err := prog.Run(core.Config{P: *procs, Params: params, Backend: *backend, Reference: *ref})
+	names := strings.Split(*printArrays, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	res, err := prog.Run(core.Config{P: *procs, Params: params, Backend: *backend, Reference: *ref}, names...)
 	if err != nil {
 		fmt.Fprintln(stderr, "kalirun:", err)
 		return 1
@@ -179,8 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "schedules: %d built, %d adopted, %d evicted\n", r.Builds, r.SharedHits, r.SchedEvictions)
 	}
 
-	for _, name := range strings.Split(*printArrays, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range names {
 		if name == "" {
 			continue
 		}

@@ -102,7 +102,10 @@ func diffVMWalker(t *testing.T, src string, p int) *Result {
 // column-wise, or element by element — with shapes they must decline,
 // so the test also checks that each really ran a real share of the
 // interiors and of the boundaries: a differential test whose optimized
-// side silently fell back would prove nothing.
+// side silently fell back would prove nothing.  Every draw also runs
+// testdata/jacobi2d.kali at P = 4, whose halo rows run column-wise
+// (144 of its 312 boundary iterations), so a draw that happens to hold
+// no column-wise boundary row cannot fail the floor below.
 func TestQuickVMDifferential(t *testing.T) {
 	interior, segment, column := 0, 0, 0
 	boundary, bSegment, bColumn := 0, 0, 0
@@ -111,6 +114,11 @@ func TestQuickVMDifferential(t *testing.T) {
 		boundary, bSegment = boundary+res.Report.BoundaryIters, bSegment+res.Report.BoundarySegmentIters
 		bColumn += int(res.BoundaryColumnIters)
 	}
+	jacobi, err := os.ReadFile(filepath.Join("testdata", "jacobi2d.kali"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count(diffVMWalker(t, string(jacobi), 4))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := langtest.GenVMProgram(r)

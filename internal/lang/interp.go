@@ -44,10 +44,10 @@ type Result struct {
 	BoundaryColumnIters int64
 	// P is the processor count the "real estate agent" chose.
 	P int
-	// Arrays holds the final contents of every distributed and
-	// replicated real array, gathered to the host.
+	// Arrays holds the final contents of every distributed and replicated
+	// real array, or the ones named to Run, gathered to the host.
 	Arrays map[string][]float64
-	// IntArrays likewise for integer arrays.
+	// IntArrays likewise for integer arrays: every one, or the ones named.
 	IntArrays map[string][]int
 	// Scalars holds final scalar values (node 0's copy).
 	Scalars map[string]float64
@@ -152,12 +152,16 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 
 // Run elaborates the program (choosing P within the declared bounds,
 // building distributions, compiling it) and executes it SPMD on the
-// simulated machine.
-func (p *Program) Run(cfg core.Config) (*Result, error) { return p.run(cfg, (*interp).exec) }
+// simulated machine.  With names, only the arrays named are gathered to
+// the host (unknown names are ignored); with none, every array is.
+// Scalars are always all returned.
+func (p *Program) Run(cfg core.Config, names ...string) (*Result, error) {
+	return p.run(cfg, (*interp).exec, names)
+}
 
 // run is Run with the per-node statement runner passed in: the tests
 // pass the walker oracle's (walker_test.go).
-func (p *Program) run(cfg core.Config, exec func(*interp)) (res *Result, err error) {
+func (p *Program) run(cfg core.Config, exec func(*interp), names []string) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("lang: runtime error: %v", r)
@@ -168,16 +172,17 @@ func (p *Program) run(cfg core.Config, exec func(*interp)) (res *Result, err err
 	if err != nil {
 		return nil, err
 	}
-	return p.execute(cfg, el, exec, nil), nil
+	return p.execute(cfg, el, exec, nil, names), nil
 }
 
 // execute runs an elaborated program with exec as every node's
 // statement runner and returns its final state.  The nodes leave it in
 // per-slot buffers allocated host-side (shapes are elaborable without
 // the machine), disjointly and with no lookup; Result's maps are filled
-// host-side from the symbol list.  done, unless nil, runs on every node
-// last.
-func (p *Program) execute(cfg core.Config, el *elaboration, exec func(*interp), done func(*interp)) *Result {
+// host-side from the symbol list.  Only the arrays in names get a
+// buffer, or every array when names is empty.  done, unless nil, runs
+// on every node last.
+func (p *Program) execute(cfg core.Config, el *elaboration, exec func(*interp), done func(*interp), names []string) *Result {
 	res := &Result{
 		P:         el.procP,
 		Arrays:    map[string][]float64{},
@@ -187,7 +192,7 @@ func (p *Program) execute(cfg core.Config, el *elaboration, exec func(*interp), 
 	reals, ints := make([][]float64, p.file.nReals), make([][]int, p.file.nInts)
 	ce := &constEval{consts: el.constVals}
 	for _, s := range p.file.syms {
-		if !s.isArray() {
+		if !s.isArray() || len(names) > 0 && !slices.Contains(names, s.Name) {
 			continue
 		}
 		size := 1
@@ -663,7 +668,8 @@ func (in *interp) execReduce(s *Reduce) {
 // gather collects the final array contents into the pre-allocated
 // buffers, by slot: distributed arrays are filled disjointly by their
 // owners, replicated ones by node 0, a run of local storage at a time.
-// Every node adds its column-wise iteration counts to res.
+// An array with no buffer was not asked for and is skipped.  Every node
+// adds its column-wise iteration counts to res.
 func (in *interp) gather(reals [][]float64, ints [][]int, res *Result) {
 	me := in.ctx.ID()
 	for _, st := range in.vms {
@@ -671,12 +677,12 @@ func (in *interp) gather(reals [][]float64, ints [][]int, res *Result) {
 		atomic.AddInt64(&res.BoundaryColumnIters, int64(st.bndColIters))
 	}
 	for k, a := range in.realArrs {
-		if me == 0 || !a.Replicated() {
+		if reals[k] != nil && (me == 0 || !a.Replicated()) {
 			gatherRuns(reals[k], a.LocalValues(), a.EachLocalRun)
 		}
 	}
 	for k, ia := range in.intArrs {
-		if me == 0 || !ia.Replicated() {
+		if ints[k] != nil && (me == 0 || !ia.Replicated()) {
 			gatherRuns(ints[k], ia.LocalValues(), ia.EachLocalRun)
 		}
 	}

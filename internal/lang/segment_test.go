@@ -70,7 +70,7 @@ func runKernel(t *testing.T, src, backend string, params machine.Params, p, mode
 				atomic.AddInt64(&run.chained, int64(st.step.Chained))
 			}
 		}
-	})
+	}, nil)
 	run.stats = m.TotalStats()
 	return run
 }

@@ -109,7 +109,10 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mode, run := range map[string]func(*Program, core.Config) (*Result, error){"vm": (*Program).Run, "walker": (*Program).walked} {
+	for mode, run := range map[string]func(*Program, core.Config) (*Result, error){
+		"vm":     func(p *Program, cfg core.Config) (*Result, error) { return p.Run(cfg) },
+		"walker": (*Program).walked,
+	} {
 		done := make(chan []float64, 1)
 		go func() {
 			res, err := run(prog, core.Config{P: 4, Params: machine.NCUBE7()})

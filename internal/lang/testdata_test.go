@@ -1,9 +1,11 @@
 package lang
 
 import (
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,5 +286,55 @@ func TestCorpusADI(t *testing.T) {
 	}
 	if want := 2 * (sweeps - 1) * res.P; hits != want {
 		t.Fatalf("redistribution plan hits = %d, want %d", hits, want)
+	}
+}
+
+// TestRunGathersOnlyNamedArrays: Run with names returns exactly the
+// arrays named, each bit-identical to the gather-everything run's, and
+// the same scalars and report; unknown names and scalars' names gather
+// no array.
+func TestRunGathersOnlyNamedArrays(t *testing.T) {
+	for _, c := range []struct {
+		file  string
+		names []string
+		reals []string
+		ints  []string
+	}{
+		{"jacobi2d.kali", []string{"u"}, []string{"u"}, nil},
+		{"gather.kali", []string{"idx", "nope", "B", "idx"}, []string{"B"}, []string{"idx"}},
+		{"gather.kali", []string{"i", "nope"}, nil, nil},
+	} {
+		prog := loadProgram(t, c.file)
+		cfg := core.Config{P: 4, Params: machine.NCUBE7()}
+		all, err := prog.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		some, err := prog.Run(cfg, c.names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(some.Arrays) != len(c.reals) || len(some.IntArrays) != len(c.ints) {
+			t.Fatalf("%s %v: gathered %d real and %d integer arrays, want %v and %v", c.file, c.names, len(some.Arrays), len(some.IntArrays), c.reals, c.ints)
+		}
+		for _, name := range c.reals {
+			got, want := some.Arrays[name], all.Arrays[name]
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s has %d elements, want %d", c.file, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: %s[%d] = %v, want %v", c.file, name, i+1, got[i], want[i])
+				}
+			}
+		}
+		for _, name := range c.ints {
+			if got, want := some.IntArrays[name], all.IntArrays[name]; !slices.Equal(got, want) {
+				t.Fatalf("%s: %s = %v, want %v", c.file, name, got, want)
+			}
+		}
+		if !maps.Equal(some.Scalars, all.Scalars) || some.Report != all.Report {
+			t.Fatalf("%s %v: scalars %v and report %+v, want %v and %+v", c.file, c.names, some.Scalars, some.Report, all.Scalars, all.Report)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // compiled top level, (*interp).walk this file.
 
 // walked is Program.Run on the walker.
-func (p *Program) walked(cfg core.Config) (*Result, error) { return p.run(cfg, (*interp).walk) }
+func (p *Program) walked(cfg core.Config) (*Result, error) { return p.run(cfg, (*interp).walk, nil) }
 
 // walk is the walker's per-node statement runner, in place of exec.
 func (in *interp) walk() { in.execStmts(in.file.Main, nil, nil) }

@@ -35,8 +35,12 @@ type errResponse struct {
 //
 //	POST /run?print=a,b  — body is .kali source; compiles and executes
 //	                       it on the pool and returns a RunResponse.
-//	                       Compile errors are 422, runtime errors 500.
+//	                       Only the arrays named are gathered to the
+//	                       host.  Compile errors are 422, runtime
+//	                       errors 500.
 //	GET  /stats          — returns a Stats snapshot as JSON.
+//
+// Every reply is one line of compact JSON.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", s.handleRun)
@@ -47,9 +51,7 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -66,7 +68,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusRequestEntityTooLarge, errResponse{Error: "program too large"})
 		return
 	}
-	res, err := s.Run(string(src))
+	// The run gathers only the arrays ?print= names; without it, the one
+	// empty name matches no array, so none is gathered.
+	names := strings.Split(r.URL.Query().Get("print"), ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	res, err := s.Run(string(src), names...)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if res == nil {
@@ -77,18 +85,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errResponse{Error: err.Error()})
 		return
 	}
-	resp := RunResponse{P: res.P, Report: res.Report}
-	if names := r.URL.Query().Get("print"); names != "" {
-		resp.Arrays = map[string][]float64{}
-		resp.Scalars = map[string]float64{}
-		for _, name := range strings.Split(names, ",") {
-			name = strings.TrimSpace(name)
-			if a, ok := res.Arrays[name]; ok {
-				resp.Arrays[name] = a
-			}
-			if v, ok := res.Scalars[name]; ok {
-				resp.Scalars[name] = v
-			}
+	resp := RunResponse{P: res.P, Report: res.Report, Arrays: map[string][]float64{}, Scalars: map[string]float64{}}
+	for _, name := range names {
+		if a, ok := res.Arrays[name]; ok {
+			resp.Arrays[name] = a
+		}
+		if v, ok := res.Scalars[name]; ok {
+			resp.Scalars[name] = v
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
+	"kali/internal/lang"
 	"kali/internal/machine"
 )
 
@@ -139,5 +144,111 @@ func TestHTTPMethodAndStats(t *testing.T) {
 	}
 	if st.Runs != 1 || st.Machines != 2 || st.P != srv.P() {
 		t.Fatalf("stats = %+v, want 1 run on a 2-machine P=4 pool", st)
+	}
+}
+
+// postRun posts httpTestProgram to /run with the given query and
+// returns the reply body.
+func postRun(t *testing.T, ts *httptest.Server, query string) []byte {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/run"+query, "text/plain", strings.NewReader(httpTestProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, body)
+	}
+	return body
+}
+
+// oneLine fails unless body is a single line of JSON.
+func oneLine(t *testing.T, what string, body []byte) {
+	t.Helper()
+	if bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("%s reply is not one line of JSON:\n%s", what, body)
+	}
+}
+
+// TestHTTPRepliesAreCompact: /run and /stats reply in one line each,
+// and the /run reply decodes to what RunProgram returned on a fresh
+// server, float bits included.
+func TestHTTPRepliesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := postRun(t, ts, "?print=a,i")
+	oneLine(t, "/run", body)
+	var got RunResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := newTestServer(t)
+	prog, err := lang.Compile(httpTestProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.RunProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.P != res.P || got.Report != res.Report || len(got.Arrays) != 1 || len(got.Scalars) != 1 || got.Scalars["i"] != res.Scalars["i"] {
+		t.Fatalf("reply %+v, want P %d, report %+v, a and i = %v", got, res.P, res.Report, res.Scalars["i"])
+	}
+	sameBits(t, got.Arrays["a"], res.Arrays["a"])
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stats, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneLine(t, "/stats", stats)
+}
+
+// TestHTTPPrintNames: ?print= names are trimmed, a duplicate prints
+// once and an unknown name is omitted; the arrays and scalars printed
+// are those of a run that gathers everything.
+func TestHTTPPrintNames(t *testing.T) {
+	_, ts := newTestServer(t)
+	var got RunResponse
+	if err := json.Unmarshal(postRun(t, ts, "?print="+url.QueryEscape(" a , nope,a,i ,")), &got); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t)
+	res, err := srv.Run(httpTestProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Arrays) != 1 || len(got.Scalars) != 1 || got.Scalars["i"] != res.Scalars["i"] {
+		t.Fatalf("printed arrays %v and scalars %v, want a and i = %v", got.Arrays, got.Scalars, res.Scalars["i"])
+	}
+	sameBits(t, got.Arrays["a"], res.Arrays["a"])
+
+	var none RunResponse
+	if err := json.Unmarshal(postRun(t, ts, ""), &none); err != nil {
+		t.Fatal(err)
+	}
+	if none.Arrays != nil || none.Scalars != nil {
+		t.Fatalf("with no ?print= the reply carries arrays %v and scalars %v", none.Arrays, none.Scalars)
+	}
+}
+
+// sameBits fails unless got holds want's values bit for bit.
+func sameBits(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d elements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("[%d] = %v, want %v", i+1, got[i], want[i])
+		}
 	}
 }

@@ -105,24 +105,25 @@ func (s *Server) config(m *machine.Machine) core.Config {
 	}
 }
 
-// Run compiles and executes one .kali program on the pool.  A compile
-// (parse/check) failure returns a *lang.Error when the source is at
-// fault; runtime failures return the recovered error.  Either way the
-// machine returns to the pool.
-func (s *Server) Run(src string) (*lang.Result, error) {
+// Run compiles and executes one .kali program on the pool, gathering
+// the arrays named (every array when none are; see lang.Program.Run).
+// A compile (parse/check) failure returns a *lang.Error when the source
+// is at fault; runtime failures return the recovered error.  Either way
+// the machine returns to the pool.
+func (s *Server) Run(src string, names ...string) (*lang.Result, error) {
 	prog, err := lang.Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunProgram(prog)
+	return s.RunProgram(prog, names...)
 }
 
 // RunProgram executes an already-compiled program on the pool.
-func (s *Server) RunProgram(prog *lang.Program) (*lang.Result, error) {
+func (s *Server) RunProgram(prog *lang.Program, names ...string) (*lang.Result, error) {
 	m := s.acquire()
 	defer s.release(m)
 	s.runs.Add(1)
-	res, err := prog.Run(s.config(m))
+	res, err := prog.Run(s.config(m), names...)
 	if err != nil {
 		s.errs.Add(1)
 	}
