@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kali/internal/core"
 	"kali/internal/machine"
@@ -541,6 +542,48 @@ end.
 		_, walkErr := prog.walked(cfg)
 		if vmErr == nil || walkErr == nil || vmErr.Error() != walkErr.Error() || !strings.Contains(vmErr.Error(), "divide by zero") {
 			t.Errorf("%s: vm error %q, walker error %q; want both the same division by zero", op, vmErr, walkErr)
+		}
+	}
+}
+
+// trapOnLastNode divides by zero on the last node only, before a halo
+// loop that every other node waits in for that node's boundary element.
+const trapOnLastNode = `processors Procs : array[1..P] with P in 1..64;
+const N = 24;
+var A, B : array[1..N] of real dist by [block] on Procs;
+    i : integer;
+begin
+  forall i in 1..N on B[i].loc do
+    B[i] := float(10 div (N - i));
+  end;
+  forall i in 1..N-1 on A[i].loc do
+    A[i] := B[i+1];
+  end;
+end.
+`
+
+// TestTrapOnOneNodeNamesIt: a trap on one node ends the run on both
+// backends — its peers, blocked in receives, are released — and the
+// error names that node and its trap, not a released peer.
+func TestTrapOnOneNodeNamesIt(t *testing.T) {
+	prog, err := Compile(trapOnLastNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"sim", "wall"} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := prog.Run(core.Config{P: 4, Params: machine.NCUBE7(), Backend: backend})
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			const want = "lang: runtime error: machine: node 3 panicked: runtime error: integer divide by zero"
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: error %v, want %q", backend, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: run still blocked after 10s", backend)
 		}
 	}
 }

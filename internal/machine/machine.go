@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -76,6 +77,12 @@ type Machine struct {
 	tr     Transport
 	nodes  []*Node
 
+	// reduceVals are AllReduce's operand slots, one per node, in two
+	// sets that alternate by the parity of the node's AllReduce count:
+	// a node can be at most one AllReduce ahead of another, so one
+	// barrier both publishes an operand set and guards the other.
+	reduceVals [2][]float64
+
 	scratchMu sync.Mutex
 	scratch   map[any]any
 }
@@ -89,6 +96,7 @@ func NewWith(p int, params Params, tr Transport) (*Machine, error) {
 		return nil, fmt.Errorf("machine: need at least one node, got %d", p)
 	}
 	m := &Machine{params: params, p: p, tr: tr}
+	m.reduceVals = [2][]float64{make([]float64, p), make([]float64, p)}
 	m.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
 		n := &Node{id: i, m: m, clock: tr.ClockAddr(i), phases: map[string]float64{}}
@@ -145,12 +153,20 @@ func (m *Machine) Scratch(key any, mk func() any) any {
 	return v
 }
 
+// Poisoned is the value a transport panics with in a wait that Poison
+// released: the node did nothing wrong, a peer's panic ended the run.
+type Poisoned struct{}
+
+func (Poisoned) Error() string { return "machine: poisoned by peer panic" }
+
 // Run executes prog on every node concurrently (SPMD) and returns when
 // all nodes finish.  On real (non-virtual) transports each node
 // goroutine is pinned to an OS thread for the duration of the program,
-// so P nodes genuinely occupy up to P cores.  It panics with the
-// node's panic value if any node program panics, after all other nodes
-// have been released.
+// so P nodes genuinely occupy up to P cores.  If any node program
+// panics, the transport is poisoned, which releases every peer blocked
+// in a wait, and once all nodes have returned Run panics with the
+// root cause: the panic of the lowest-id node that was not merely
+// released (Poisoned).
 func (m *Machine) Run(prog func(n *Node)) {
 	m.tr.Begin()
 	pin := !m.nodes[0].virtual
@@ -175,10 +191,15 @@ func (m *Machine) Run(prog func(n *Node)) {
 		}(m.nodes[i])
 	}
 	wg.Wait()
-	for id, r := range panics {
-		if r != nil {
-			panic(fmt.Sprintf("machine: node %d panicked: %v", id, r))
-		}
+	cause := slices.IndexFunc(panics, func(r any) bool {
+		_, released := r.(Poisoned)
+		return r != nil && !released
+	})
+	if cause < 0 {
+		cause = slices.IndexFunc(panics, func(r any) bool { return r != nil })
+	}
+	if cause >= 0 {
+		panic(fmt.Sprintf("machine: node %d panicked: %v", cause, panics[cause]))
 	}
 }
 
@@ -207,6 +228,7 @@ func (m *Machine) Reset() {
 		n.phases = map[string]float64{}
 		n.phaseStack = n.phaseStack[:0]
 		n.stats = Stats{}
+		n.reduces = 0
 	}
 	m.tr.Reset()
 }
@@ -299,6 +321,10 @@ type Node struct {
 	// a stack array on every receive.
 	recvReq  [1]Request
 	recvDone [1]bool
+
+	// reduces counts the node's AllReduce calls; its parity picks the
+	// machine's operand set.
+	reduces int
 
 	phases     map[string]float64
 	phaseStack []phaseFrame
@@ -597,9 +623,14 @@ func (n *Node) Barrier() { n.m.tr.Barrier(n.id) }
 // "max", "min", "and" — "and" treats nonzero as true) and returns the
 // combined value on every node.  Clocks synchronize like a barrier.
 // The combination order is by node id on every backend, so results
-// are bit-identical across backends.
+// are bit-identical across backends.  It is one barrier: each node
+// writes its operand before it and folds every operand after it.
 func (n *Node) AllReduce(x float64, op string) float64 {
-	return n.m.tr.AllReduce(n.id, x, op)
+	vals := n.m.reduceVals[n.reduces&1]
+	n.reduces++
+	vals[n.id] = x
+	n.m.tr.Barrier(n.id)
+	return reduceByID(vals, op)
 }
 
 // StartPhase begins accumulating elapsed time under the given name.
@@ -624,10 +655,9 @@ func (n *Node) StopPhase(name string) {
 // PhaseTime returns the accumulated time of a phase on this node.
 func (n *Node) PhaseTime(name string) float64 { return n.phases[name] }
 
-// ReduceByID combines per-node values in node-id order with op; it is
-// the shared deterministic reduction kernel backends use to implement
-// AllReduce so that results are bit-identical across backends.
-func ReduceByID(vals []float64, op string) float64 {
+// reduceByID combines per-node values in node-id order with op, so
+// AllReduce's results are bit-identical across backends.
+func reduceByID(vals []float64, op string) float64 {
 	acc := vals[0]
 	for i := 1; i < len(vals); i++ {
 		v := vals[i]

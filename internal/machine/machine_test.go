@@ -35,11 +35,11 @@ func TestReduceByID(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5}
 	cases := map[string]float64{"sum": 14, "max": 5, "min": 1, "and": 1}
 	for op, want := range cases {
-		if got := ReduceByID(vals, op); got != want {
-			t.Errorf("ReduceByID(%s) = %g, want %g", op, got, want)
+		if got := reduceByID(vals, op); got != want {
+			t.Errorf("reduceByID(%s) = %g, want %g", op, got, want)
 		}
 	}
-	if got := ReduceByID([]float64{1, 0, 1}, "and"); got != 0 {
+	if got := reduceByID([]float64{1, 0, 1}, "and"); got != 0 {
 		t.Errorf("and with a zero = %g, want 0", got)
 	}
 }
@@ -50,5 +50,5 @@ func TestUnknownReduceOpPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ReduceByID([]float64{1, 2}, "xor")
+	reduceByID([]float64{1, 2}, "xor")
 }

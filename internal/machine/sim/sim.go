@@ -6,14 +6,19 @@
 // of the host.  Virtual time obeys message causality: a message sent
 // at sender time t arrives no earlier than t + startup + perByte·n +
 // perHop·hops, and a receive advances the receiver's clock to at
-// least the arrival time.  Collectives (barrier, reductions)
-// synchronize clocks the way a dimension-exchange implementation
-// would on a hypercube.
+// least the arrival time.  The barrier (and so AllReduce, which the
+// machine builds on it) synchronizes clocks the way a
+// dimension-exchange implementation would on a hypercube.
+//
+// A node waits in one way only: a channel operation — its mailbox, a
+// peer's mailbox with no room, or its barrier wake-up — in a select
+// that also watches the run's dead channel, which Poison closes.  So a
+// node's panic releases every peer, wherever it waits.
 package sim
 
 import (
 	"math/bits"
-	"sync"
+	"sync/atomic"
 
 	"kali/internal/machine"
 )
@@ -28,9 +33,15 @@ type transport struct {
 	mailboxes []chan machine.Message
 	pending   [][]machine.Message // received but not yet matched, per node
 
-	barrier    *barrier
-	reduceMu   sync.Mutex
-	reduceVals []float64
+	// arrived counts the nodes at the current barrier; the last to
+	// arrive sets every clock and wakes the others, each through its
+	// own one-slot channel.
+	arrived atomic.Int32
+	wake    []chan struct{}
+
+	// dead is closed by Poison (once: poisoned) and replaced by Reset.
+	dead     chan struct{}
+	poisoned atomic.Bool
 }
 
 // cell is one node's virtual time.  Every charge of a forall body is a
@@ -58,10 +69,12 @@ func New(p int, params machine.Params) (*machine.Machine, error) {
 		cells:     make([]cell, max(p, 0)),
 		mailboxes: make([]chan machine.Message, max(p, 0)),
 		pending:   make([][]machine.Message, max(p, 0)),
-		barrier:   newBarrier(p),
+		wake:      make([]chan struct{}, max(p, 0)),
+		dead:      make(chan struct{}),
 	}
 	for i := range tr.mailboxes {
 		tr.mailboxes[i] = make(chan machine.Message, 4*p+16)
+		tr.wake[i] = make(chan struct{}, 1)
 	}
 	return machine.NewWith(p, params, tr)
 }
@@ -125,7 +138,7 @@ func (t *transport) Send(me, to int, msg machine.Message) {
 	c.clock += p.MsgStartup + float64(msg.Bytes)*p.MsgPerByte
 	c.nicFree = c.clock
 	msg.ArriveAt = c.clock + float64(t.hops(me, to))*p.PerHop
-	t.mailboxes[to] <- msg
+	t.post(to, msg)
 }
 
 // ISend charges the sender only the send startup; the per-byte wire
@@ -160,7 +173,38 @@ func (t *transport) ISend(me, to int, msg machine.Message, first bool) {
 	end := start + float64(msg.Bytes)*p.MsgPerByte
 	c.nicFree = end
 	msg.ArriveAt = end + float64(t.hops(me, to))*p.PerHop
-	t.mailboxes[to] <- msg
+	t.post(to, msg)
+}
+
+// post queues msg in node to's mailbox, waiting for room if it is full.
+// The first try has no dead case: a select of one channel and a
+// default costs a plain send, a select of two takes both channels'
+// locks.
+func (t *transport) post(to int, msg machine.Message) {
+	select {
+	case t.mailboxes[to] <- msg:
+	default:
+		select {
+		case t.mailboxes[to] <- msg:
+		case <-t.dead:
+			panic(machine.Poisoned{})
+		}
+	}
+}
+
+// take returns the next message in node me's mailbox, waiting for one
+// if it is empty; the first try is post's.
+func (t *transport) take(me int) (msg machine.Message) {
+	select {
+	case msg = <-t.mailboxes[me]:
+	default:
+		select {
+		case msg = <-t.mailboxes[me]:
+		case <-t.dead:
+			panic(machine.Poisoned{})
+		}
+	}
+	return msg
 }
 
 // recv blocks until a message from `from` with the given tag is
@@ -176,7 +220,7 @@ func (t *transport) recv(me, from int, tag machine.Tag) machine.Message {
 		}
 	}
 	for {
-		msg := <-t.mailboxes[me]
+		msg := t.take(me)
 		if msg.From == from && msg.Tag == tag {
 			t.deliver(me, msg)
 			return msg
@@ -224,44 +268,49 @@ func (t *transport) collectiveCost(nbytes int) float64 {
 }
 
 // Barrier synchronizes all nodes; afterwards every clock equals the
-// pre-barrier maximum plus the collective cost.
+// pre-barrier maximum plus the collective cost.  A node's clock is
+// final when it arrives, so the last arrival sets every clock before
+// it wakes the others.
 func (t *transport) Barrier(me int) {
-	max := t.barrier.wait(t.cells[me].clock)
-	t.cells[me].clock = max + t.collectiveCost(8)
-}
-
-// AllReduce combines one float64 from every node in node-id order
-// (so results are bit-identical across backends) and synchronizes
-// clocks like a barrier.
-func (t *transport) AllReduce(me int, x float64, op string) float64 {
-	t.reduceMu.Lock()
-	if t.reduceVals == nil {
-		t.reduceVals = make([]float64, t.p)
+	if t.arrived.Add(1) < int32(t.p) {
+		select {
+		case <-t.wake[me]:
+		case <-t.dead:
+			panic(machine.Poisoned{})
+		}
+		return
 	}
-	t.reduceVals[me] = x
-	t.reduceMu.Unlock()
-
-	max := t.barrier.wait(t.cells[me].clock)
-
-	t.reduceMu.Lock()
-	acc := machine.ReduceByID(t.reduceVals, op)
-	t.reduceMu.Unlock()
-
-	// Second rendezvous so no node races ahead and overwrites the
-	// scratch values of a subsequent AllReduce.
-	_ = t.barrier.wait(0)
-
-	t.cells[me].clock = max + t.collectiveCost(8)
-	return acc
+	t.arrived.Store(0)
+	at := t.MaxElapsed() + t.collectiveCost(8)
+	for i := range t.cells {
+		t.cells[i].clock = at
+	}
+	for i, w := range t.wake {
+		if i != me {
+			w <- struct{}{}
+		}
+	}
 }
 
-func (t *transport) Poison() { t.barrier.poison() }
+// Poison closes dead, releasing every node that waits.
+func (t *transport) Poison() {
+	if t.poisoned.CompareAndSwap(false, true) {
+		close(t.dead)
+	}
+}
 
 func (t *transport) Reset() {
-	t.barrier.reset()
+	if t.poisoned.CompareAndSwap(true, false) {
+		t.dead = make(chan struct{})
+	}
+	t.arrived.Store(0)
 	for i := range t.cells {
 		t.cells[i] = cell{}
 		t.pending[i] = t.pending[i][:0]
+		select {
+		case <-t.wake[i]:
+		default:
+		}
 	drain:
 		for {
 			select {

@@ -17,11 +17,13 @@ package machine
 //     clock — the same compiled schedules, timed for real.
 //
 // The executor needs three things from the machine (Figure 3): send,
-// receive and a clock; each has one method here.  All per-node methods
-// (ISend, Send, WaitAny, Elapsed, Barrier, AllReduce) are called only
-// from node me's program goroutine; Begin, Poison, MaxElapsed and
-// Reset are called by the Machine while no node program is running
-// (except Poison, which a panicking node calls to release its peers).
+// receive and a clock; each has one method here, and the collectives
+// need one more, Barrier (Node.AllReduce is built on it): twelve
+// methods in all.  All per-node methods (ISend, Send, WaitAny, Elapsed,
+// Barrier) are called only from node me's program goroutine; Begin,
+// Poison, MaxElapsed and Reset are called by the Machine while no node
+// program is running (except Poison, which a panicking node calls to
+// release its peers).
 type Transport interface {
 	// Backend names the runtime ("sim", "wall") for reports.
 	Backend() string
@@ -76,14 +78,14 @@ type Transport interface {
 	// allocate on the steady-state path.
 	WaitAny(me int, reqs []Request, done []bool) (int, Message)
 
-	// Barrier blocks until all nodes arrive.  AllReduce combines one
-	// value from every node ("sum", "max", "min", "and") and returns
-	// the result on every node.
+	// Barrier blocks until all nodes arrive.  Writes a node makes
+	// before it are visible to every node after it.
 	Barrier(me int)
-	AllReduce(me int, x float64, op string) float64
 
-	// Poison releases all blocked collective/receive waiters after a
-	// node panic so Machine.Run can unwind; released waiters panic.
+	// Poison releases every blocked wait after a node panic so
+	// Machine.Run can unwind: a Barrier, a WaitAny (so a Recv) and, on
+	// the simulator, a Send into a full mailbox.  A released wait
+	// panics with Poisoned.
 	Poison()
 
 	// Reset restores the transport for another Run: clocks zeroed,

@@ -1,8 +1,10 @@
 package machine_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kali/internal/alloctest"
 	"kali/internal/machine"
@@ -201,19 +203,67 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
+// runWithin runs prog on m and returns the value Run panicked with (nil
+// if none), failing the test if Run has not returned within d, so a
+// wait that Poison misses fails the suite instead of hanging it.
+func runWithin(t *testing.T, d time.Duration, m *machine.Machine, prog func(*machine.Node)) any {
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		m.Run(prog)
+	}()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(d):
+		t.Fatalf("Run still blocked after %v", d)
+		return nil
+	}
+}
+
+// TestRunPropagatesPanic: a node's panic releases peers blocked in
+// every kind of wait, Run names that node rather than a released peer
+// (all of which have lower ids), and after Reset the machine runs
+// again.
 func TestRunPropagatesPanic(t *testing.T) {
+	blockers := map[string]func(n *machine.Node){
+		"barrier": func(n *machine.Node) { n.Barrier() },
+		"recv":    func(n *machine.Node) { n.Recv(3, machine.TagUser) },
+		"waitany": func(n *machine.Node) {
+			n.WaitAny([]machine.Request{{From: 3, Tag: machine.TagUser}}, []bool{false}, []bool{true})
+		},
+		"allreduce": func(n *machine.Node) { n.AllReduce(1, "sum") },
+	}
 	eachBackend(t, func(t *testing.T, b backend) {
-		m := b.must(t, 4)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected node panic to propagate")
-			}
-		}()
-		m.Run(func(n *machine.Node) {
-			if n.ID() == 2 {
-				panic("boom")
-			}
-			n.Barrier() // others must be released, not deadlock
-		})
+		for name, block := range blockers {
+			t.Run(name, func(t *testing.T) {
+				m := b.must(t, 4)
+				r := runWithin(t, 10*time.Second, m, func(n *machine.Node) {
+					if n.ID() == 3 {
+						time.Sleep(10 * time.Millisecond) // let the peers block
+						panic("boom")
+					}
+					block(n)
+				})
+				if got := fmt.Sprint(r); got != "machine: node 3 panicked: boom" {
+					t.Fatalf("Run panicked with %q, want node 3's boom", got)
+				}
+				m.Reset()
+				sum := 0.0
+				if r := runWithin(t, 10*time.Second, m, func(n *machine.Node) {
+					if n.ID() == 3 {
+						n.Send(0, machine.TagUser, nil, 8)
+					} else if n.ID() == 0 {
+						n.Recv(3, machine.TagUser)
+					}
+					n.Barrier()
+					if s := n.AllReduce(float64(n.ID()+1), "sum"); n.ID() == 0 {
+						sum = s
+					}
+				}); r != nil || sum != 10 {
+					t.Fatalf("after Reset: panic %v, AllReduce = %g, want none and 10", r, sum)
+				}
+			})
+		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kali/internal/machine"
 )
 
 // spinFor bounds the polling phase of a wait: a small multiple of the
@@ -69,7 +71,7 @@ func (w *waiter) init() { w.cond.L, w.spin = &w.mu, spinFor }
 func (w *waiter) snapshot() uint64 {
 	seq := w.seq.Load()
 	if seq&poisoned != 0 {
-		panic("machine: wall transport poisoned by peer panic")
+		panic(machine.Poisoned{})
 	}
 	return seq
 }

@@ -38,9 +38,8 @@ type transport struct {
 
 	// barrier's word is the barrier's generation, arrived how many nodes
 	// wait for it to pass.
-	barrier    waiter
-	arrived    atomic.Int32
-	reduceVals []float64
+	barrier waiter
+	arrived atomic.Int32
 
 	epoch time.Time
 }
@@ -68,10 +67,9 @@ const nodeBytes = 256
 func New(p int, params machine.Params) (*machine.Machine, error) {
 	n := max(p, 0)
 	tr := &transport{
-		p:          p,
-		queues:     make([]queue, n*n),
-		nodes:      make([]node, n),
-		reduceVals: make([]float64, n),
+		p:      p,
+		queues: make([]queue, n*n),
+		nodes:  make([]node, n),
 	}
 	tr.barrier.init()
 	for i := range tr.nodes {
@@ -176,7 +174,7 @@ func (t *transport) WaitAny(me int, reqs []machine.Request, done []bool) (int, m
 // zeroes the count and bumps, the others wait for the generation they
 // arrived in to pass.  Nobody re-arrives before seeing the bump, so
 // generations cannot mix, and the arrival's add and the bump order
-// writes before the barrier ahead of reads after it (AllReduce).
+// writes before the barrier ahead of reads after it (Node.AllReduce).
 func (t *transport) Barrier(me int) {
 	gen := t.barrier.snapshot()
 	if t.arrived.Add(1) == int32(t.p) {
@@ -185,19 +183,6 @@ func (t *transport) Barrier(me int) {
 		return
 	}
 	t.barrier.wait(gen)
-}
-
-// AllReduce combines one float64 from every node in node-id order
-// (the same deterministic order as the simulator, so results are
-// bit-identical across backends).
-func (t *transport) AllReduce(me int, x float64, op string) float64 {
-	t.reduceVals[me] = x
-	t.Barrier(me) // all writes published (the barrier orders them)
-	acc := machine.ReduceByID(t.reduceVals, op)
-	// Second rendezvous so no node races ahead and overwrites the
-	// scratch values of a subsequent AllReduce.
-	t.Barrier(me)
-	return acc
 }
 
 func (t *transport) Poison() {

@@ -36,8 +36,8 @@ type errResponse struct {
 //	POST /run?print=a,b  — body is .kali source; compiles and executes
 //	                       it on the pool and returns a RunResponse.
 //	                       Only the arrays named are gathered to the
-//	                       host.  Compile errors are 422, runtime
-//	                       errors 500.
+//	                       host.  Compile and runtime errors are
+//	                       422.
 //	GET  /stats          — returns a Stats snapshot as JSON.
 //
 // Every reply is one line of compact JSON.
@@ -76,13 +76,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Run(string(src), names...)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if res == nil {
-			// No result means the program never ran: a compile or
-			// elaboration failure, i.e. the client's fault.
-			status = http.StatusUnprocessableEntity
-		}
-		writeJSON(w, status, errResponse{Error: err.Error()})
+		// The program is at fault: it did not compile or elaborate, or
+		// a node trapped.
+		writeJSON(w, http.StatusUnprocessableEntity, errResponse{Error: err.Error()})
 		return
 	}
 	resp := RunResponse{P: res.P, Report: res.Report, Arrays: map[string][]float64{}, Scalars: map[string]float64{}}

@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"kali/internal/lang"
 	"kali/internal/machine"
@@ -116,6 +118,55 @@ end.
 	}
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.HasPrefix(er.Error, "3:") || !strings.Contains(er.Error, `array "a"`) {
 		t.Fatalf("status %d, error %q; want 422 and an error at line 3 naming array \"a\"", resp.StatusCode, er.Error)
+	}
+}
+
+// TestHTTPTrapReleasesMachine: on a one-machine sim pool, a program
+// whose last node traps while its peers wait in a halo exchange
+// answers 422, and the machine is back in the pool for the next
+// request.  A wait that Poison missed would hold the only machine; the
+// handler runs on its own goroutine so that a deadline fails the test
+// instead of hanging it.
+func TestHTTPTrapReleasesMachine(t *testing.T) {
+	srv, err := New(Config{P: 4, Machines: 1, Params: machine.Ideal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift, err := os.ReadFile("../lang/testdata/shift.kali")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trap = `processors Procs : array[1..P] with P in 1..64;
+const N = 24;
+var A, B : array[1..N] of real dist by [block] on Procs;
+    i : integer;
+begin
+  forall i in 1..N on B[i].loc do
+    B[i] := float(10 div (N - i));
+  end;
+  forall i in 1..N-1 on A[i].loc do
+    A[i] := B[i+1];
+  end;
+end.
+`
+	for _, c := range []struct {
+		src  string
+		want int
+	}{{trap, http.StatusUnprocessableEntity}, {string(shift), http.StatusOK}} {
+		replied := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(c.src)))
+			replied <- rec
+		}()
+		select {
+		case rec := <-replied:
+			if rec.Code != c.want {
+				t.Fatalf("status %d, want %d: %s", rec.Code, c.want, rec.Body)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no reply after 10s (want %d)", c.want)
+		}
 	}
 }
 

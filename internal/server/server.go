@@ -91,7 +91,7 @@ func (s *Server) acquire() *machine.Machine { return <-s.pool }
 // release returns a machine to the pool.  Machines are reusable even
 // after a tenant panic: Machine.Run unwinds every node goroutine
 // before reporting, and Reset (called at the start of the next run)
-// clears transport state including barrier poison.
+// clears transport state including the poison.
 func (s *Server) release(m *machine.Machine) { s.pool <- m }
 
 // config returns a per-run core.Config bound to machine m.
