@@ -1,7 +1,7 @@
 // Command kalibench regenerates the paper's evaluation tables
-// (Figures 7–10), the §4 text numbers, and the ablations listed in
-// DESIGN.md §4, printing the simulated values side by side with the
-// published ones.  Every number it prints is determined by the
+// (Figures 7–10), the §4 text numbers, and the ablations docs/CLI.md
+// lists under kalibench, printing the simulated values side by side
+// with the published ones.  Every number it prints is determined by the
 // simulator (predicted clocks and exact counts); host time is
 // measured by benchmark/run.sh.
 //

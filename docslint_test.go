@@ -134,3 +134,50 @@ func TestMarkdownLinks(t *testing.T) {
 		}
 	}
 }
+
+// mdName matches a markdown file name, with or without a path.
+var mdName = regexp.MustCompile(`[\w./-]+\.md\b`)
+
+// TestGoCommentsCiteExistingDocs: every *.md file a Go comment names
+// exists, either beside the file that names it or from the repo root,
+// so a comment cannot send its reader to a document that is not there.
+func TestGoCommentsCiteExistingDocs(t *testing.T) {
+	fset := token.NewFileSet()
+	cited := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdName.FindAllString(c.Text, -1) {
+					cited++
+					_, errHere := os.Stat(filepath.Join(filepath.Dir(path), name))
+					if _, errRoot := os.Stat(name); errHere != nil && errRoot != nil {
+						t.Errorf("%s: comment cites %s, which does not exist", fset.Position(c.Pos()), name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited == 0 {
+		t.Fatal("no Go comment names a .md file: the check is vacuous")
+	}
+}

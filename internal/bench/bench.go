@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Figures 7–10 are tables; Figures 1–6 are program/code
-// artifacts exercised elsewhere), plus the ablations DESIGN.md calls
-// out.  Each generator returns a Table of typed columns carrying the
+// artifacts exercised elsewhere), plus the ablations docs/CLI.md
+// lists.  Each generator returns a Table of typed columns carrying the
 // values the simulated machines determine — the cost model's clocks
 // and exact counts of messages, bytes, builds, hits and allocations —
 // next to the paper's published values, so the output is a direct
@@ -183,7 +183,8 @@ type Options struct {
 // Generator produces one experiment table.
 type Generator func(Options) *Table
 
-// Registry maps experiment ids (DESIGN.md §4) to generators.
+// Registry maps experiment ids (kalibench -list; docs/CLI.md describes
+// each) to generators.
 var Registry = map[string]Generator{
 	"fig7":         Fig7,
 	"fig8":         Fig8,

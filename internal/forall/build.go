@@ -34,9 +34,11 @@ func (e *Engine) buildCompileTime1(c *loopCore) *plan {
 
 	reads := make([]analysis.Read, len(c.reads))
 	for i, r := range c.reads {
-		reads[i] = analysis.Read{Pat: r.Array.Dist().Pattern(0), G: *r.Affine}
+		reads[i] = analysis.Read{Pat: r.Array.Dist().Pattern(r.Dim), G: *r.Affine}
 	}
 	sets := analysis.Compute(onPat, c.onF, c.bounds[0], c.bounds[1], reads, me)
+	widenLines(c, sets.In)
+	widenLines(c, sets.Out)
 	// Symbolic evaluation: a handful of closed-form evaluations.
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
@@ -47,6 +49,25 @@ func (e *Engine) buildCompileTime1(c *loopCore) *plan {
 	sets.ExecNonlocal.Each(func(i int) { p.execNonlocal = append(p.execNonlocal, iteration{i: i}) })
 	p.slots = e.assembleSlots(c, sets.In, sets.Out)
 	return p
+}
+
+// widenLines turns the sets of lines each rank-2 read of a rank-1 loop
+// exchanges into sets of elements: the other dimension is collapsed, so
+// a line moves whole.
+func widenLines(c *loopCore, byRead []map[int]index.Set) {
+	for k, r := range c.reads {
+		if r.Array.Rank() != 2 {
+			continue
+		}
+		rows, cols := index.Range(1, r.Array.Extent(0)), index.Range(1, r.Array.Extent(1))
+		for q, lines := range byRead[k] {
+			if r.Dim == 0 {
+				byRead[k][q] = index.Linearize2(lines, cols, r.Array.Extent(1))
+			} else {
+				byRead[k][q] = index.Linearize2(rows, lines, r.Array.Extent(1))
+			}
+		}
+	}
 }
 
 // buildCompileTime2 is the rank-2 closed-form path: the exec and

@@ -16,10 +16,11 @@
 //     structure — distribution, bounds, read affines, on clause —
 //     already built one (§3.2's reuse argument applied across loops);
 //     else by compile-time analysis when every subscript is affine
-//     (paper §3.1/[3] — per dimension for rank-2 loops); else by the
-//     run-time inspector — a recording pass over the body followed by
-//     a Crystal-router exchange that turns each node's in sets into
-//     the senders' out sets (paper §3.3, Fig. 6).
+//     (paper §3.1/[3] — per dimension for rank-2 loops, whole lines
+//     for a matrix a rank-1 loop reads by its distributed dimension);
+//     else by the run-time inspector — a recording pass over the body
+//     followed by a Crystal-router exchange that turns each node's in
+//     sets into the senders' out sets (paper §3.3, Fig. 6).
 //  3. Run the executor: send all messages, run the local iterations,
 //     receive all messages, run the nonlocal iterations (Fig. 3),
 //     then commit buffered writes (copy-in/copy-out semantics).  The
@@ -67,6 +68,11 @@ type ReadSpec struct {
 	Array *darray.Array
 	// Affine is the rank-1 subscript a*i + c.
 	Affine *analysis.Affine
+	// Dim is the dimension Affine subscripts when a rank-1 loop reads a
+	// rank-2 array; the other subscript may be anything.  The read is
+	// analyzed only while the array's layout distributes exactly that
+	// dimension, whose lines then move whole.
+	Dim int
 	// Affine2 is the rank-2 subscript pair (aI*i + cI, aJ*j + cJ); it
 	// applies only to Loop2 reads of rank-2 arrays with both dimensions
 	// distributed.
@@ -319,7 +325,7 @@ func (l *Loop2) lower(c *loopCore) {
 
 // analyzable reports whether compile-time analysis applies: every
 // declared read must carry the affine form matching the loop's rank
-// over a fully distributed array.
+// over an array whose layout distributes what it subscripts.
 func (c *loopCore) analyzable() bool {
 	if c.enumerate || c.onProc != nil {
 		return false
@@ -330,7 +336,11 @@ func (c *loopCore) analyzable() bool {
 		}
 		switch c.rank {
 		case 1:
-			if r.Affine == nil || r.Affine.A == 0 || r.Array.Rank() != 1 {
+			// A rank-2 array is read by lines (ReadSpec.Dim): its layout
+			// must distribute that dimension and collapse the other.
+			d := r.Array.Dist()
+			if r.Affine == nil || r.Affine.A == 0 || r.Array.Rank() > 2 || d.Pattern(r.Dim) == nil ||
+				r.Array.Rank() == 2 && d.Pattern(1-r.Dim) != nil {
 				return false
 			}
 		default:
@@ -821,6 +831,9 @@ func (e *Engine) validate(l *Loop) {
 		if r.Array == nil {
 			panic(fmt.Sprintf("forall %s: nil read array", l.Name))
 		}
+		if r.Dim < 0 || r.Dim >= r.Array.Rank() {
+			panic(fmt.Sprintf("forall %s: read of %q: Dim %d out of range", l.Name, r.Array.Name(), r.Dim))
+		}
 	}
 }
 
@@ -941,13 +954,15 @@ func (e *Engine) store(key schedKey, c *loopCore, s *Schedule) {
 }
 
 // readSig is the comparable shape of one ReadSpec; form distinguishes
-// indirect (0), rank-1 affine (1), and rank-2 affine (2) reads.
+// indirect (0), rank-1 affine (1), and rank-2 affine (2) reads, and dim
+// the dimension a rank-1 affine subscript reads.
 // distFP records the array's distribution fingerprint at store time,
 // so in-place redistribution invalidates the binding.
 type readSig struct {
 	arr    *darray.Array
 	form   uint8
 	aff    analysis.Affine
+	dim    int
 	aff2   analysis.Affine2
 	distFP uint64
 }
@@ -956,7 +971,7 @@ type readSig struct {
 func sigOf(r ReadSpec) readSig {
 	sig := readSig{arr: r.Array, distFP: r.Array.Dist().Fingerprint()}
 	if r.Affine != nil {
-		sig.form, sig.aff = 1, *r.Affine
+		sig.form, sig.aff, sig.dim = 1, *r.Affine, r.Dim
 	} else if r.Affine2 != nil {
 		sig.form, sig.aff2 = 2, *r.Affine2
 	}

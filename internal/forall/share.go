@@ -67,7 +67,9 @@ func (k shareKey) fingerprint() uint64 {
 // the same order assembleSlots builds slots in and the executors bind
 // them in, so two reads of one array can never share with two reads of
 // different but identically-distributed arrays), its affine subscript,
-// and its array's distribution fingerprint.
+// and its array's distribution fingerprint; a line read of a rank-2
+// array also its dimension, so plans for rows and for columns are never
+// adopted for each other.
 func shareKeyOf(c *loopCore) shareKey {
 	key := shareKey{
 		rank:   c.rank,
@@ -89,6 +91,9 @@ func shareKeyOf(c *loopCore) shareKey {
 		switch {
 		case r.Affine != nil:
 			h = mixInt(mixInt(mixInt(h, 1), r.Affine.A), r.Affine.C)
+			if r.Array.Rank() == 2 {
+				h = mixInt(h, r.Dim)
+			}
 		case r.Affine2 != nil:
 			h = mixInt(mixInt(mixInt(h, 2), r.Affine2.I.A), r.Affine2.I.C)
 			h = mixInt(mixInt(h, r.Affine2.J.A), r.Affine2.J.C)

@@ -289,7 +289,9 @@ func TestQuickSetAlgebra(t *testing.T) {
 	}
 }
 
-// TestQuickAlgebraicLaws checks the identities from DESIGN.md §6.
+// TestQuickAlgebraicLaws checks the set identities the schedule
+// algebra relies on: commutativity, idempotence, and the partition of a
+// set by another.
 func TestQuickAlgebraicLaws(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -336,6 +336,9 @@ type readInfo struct {
 	affine bool
 	aExpr  Expr
 	cExpr  Expr
+	// dim is the dimension aExpr*i + cExpr subscripts when a rank-1
+	// forall reads a rank-2 array (forall.ReadSpec.Dim).
+	dim int
 	// rank-2 affine reads X[aI*i+cI, aJ*j+cJ] inside two-index foralls:
 	affine2                        bool
 	aIExpr, cIExpr, aJExpr, cJExpr Expr

@@ -637,40 +637,75 @@ func (c *checker) classify(fa *Forall) error {
 			}
 			return
 		}
-		switch len(d.Dims) {
-		case 1:
-			if aE, cE, ok := c.affineOf(ref.Indexes[0], fa.Var); ok {
+		if len(d.Dims) > 2 {
+			err = errf(ref.Line, 1, "arrays of rank > 2 are not supported in foralls")
+			return
+		}
+		if len(d.Dims) == 2 && c.alignedRows(fa, ref) {
+			ref.access = accAligned
+			return
+		}
+		// An affine read: an element of a rank-1 array, or a line of a
+		// rank-2 one by its one subscript affine in the loop variable,
+		// the other anything.  Whether a line read takes the
+		// compile-time path is decided against the layout the array has
+		// when the loop's schedule is built (forall.ReadSpec.Dim).
+		for dim, ix := range ref.Indexes {
+			if aE, cE, ok := c.affineOf(ix, fa.Var); ok && (aE != nil || len(d.Dims) == 1) {
 				ref.access = accAffine
-				fa.reads = append(fa.reads, &readInfo{array: ref.sym, affine: true, aExpr: aE, cExpr: cE})
+				fa.reads = append(fa.reads, &readInfo{array: ref.sym, affine: true, aExpr: aE, cExpr: cE, dim: dim})
 				return
 			}
-			ref.access = accIndirect
-			if !seen[ref.sym] {
-				seen[ref.sym] = true
-				fa.reads = append(fa.reads, &readInfo{array: ref.sym})
-			}
-		case 2:
-			// Aligned rank-2 read: first subscript is exactly the loop
-			// variable and so is the on-clause subscript.  Arrays the
-			// program redistributes (or placement arrays that move) lose
-			// the shortcut: alignment held for the declared layouts only.
-			if id, ok := ref.Indexes[0].(*Ident); ok && id.Name == fa.Var &&
-				!ref.sym.redist && !fa.on.array.redist {
-				if onID, ok2 := fa.OnIndex.(*Ident); ok2 && onID.Name == fa.Var {
-					ref.access = accAligned
-					return
-				}
-			}
-			ref.access = accIndirect
-			if !seen[ref.sym] {
-				seen[ref.sym] = true
-				fa.reads = append(fa.reads, &readInfo{array: ref.sym})
-			}
-		default:
-			err = errf(ref.Line, 1, "arrays of rank > 2 are not supported in foralls")
+		}
+		ref.access = accIndirect
+		if !seen[ref.sym] {
+			seen[ref.sym] = true
+			fa.reads = append(fa.reads, &readInfo{array: ref.sym})
 		}
 	})
 	return err
+}
+
+// alignedRows reports whether the rank-2 read ref of a rank-1 forall
+// is provably local, so that it may skip every check: it reads row i of
+// an array whose rows are placed as the on array's elements are, under
+// "on A[i].loc".  That needs its first dimension distributed as the on
+// array is, over the same extent, its second collapsed (*), and neither
+// array redistributed; alignment is proved against the declared layouts
+// only.  Any other rank-2 read goes through a schedule.
+func (c *checker) alignedRows(fa *Forall, ref *ArrayRef) bool {
+	id, ok1 := ref.Indexes[0].(*Ident)
+	onID, ok2 := fa.OnIndex.(*Ident)
+	if !ok1 || !ok2 || id.Name != fa.Var || onID.Name != fa.Var || ref.sym.redist || fa.on.array.redist {
+		return false
+	}
+	d, on := ref.sym.decl, fa.on.array.decl
+	row, onItem := d.Dist[0], on.Dist[0]
+	return d.Dist[1].Kind == STAR && row.Kind == onItem.Kind &&
+		sameExpr(row.Block, onItem.Block) && row.MapVar == onItem.MapVar && sameExpr(row.MapExpr, onItem.MapExpr) &&
+		sameExpr(d.Dims[0].Lo, on.Dims[0].Lo) && sameExpr(d.Dims[0].Hi, on.Dims[0].Hi)
+}
+
+// sameExpr reports whether two constant expressions are written alike,
+// and so have one value under every P (two nils are alike).
+func sameExpr(a, b Expr) bool {
+	switch a := a.(type) {
+	case nil:
+		return b == nil
+	case *IntLit:
+		b, ok := b.(*IntLit)
+		return ok && a.V == b.V
+	case *Ident:
+		b, ok := b.(*Ident)
+		return ok && a.Name == b.Name
+	case *Unary:
+		b, ok := b.(*Unary)
+		return ok && a.Op == b.Op && sameExpr(a.X, b.X)
+	case *Binary:
+		b, ok := b.(*Binary)
+		return ok && a.Op == b.Op && sameExpr(a.L, b.L) && sameExpr(a.R, b.R)
+	}
+	return false
 }
 
 // affineOf tries to express e as a*loopVar + c with loop-invariant

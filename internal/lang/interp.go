@@ -615,6 +615,7 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 		spec := forall.ReadSpec{Array: in.realArrs[ri.array.Slot]}
 		if ri.affine {
 			spec.Affine = &analysis.Affine{A: ce.coeff(ri.aExpr), C: ce.coeff(ri.cExpr)}
+			spec.Dim = ri.dim
 		}
 		reads = append(reads, spec)
 	}

@@ -230,8 +230,9 @@ func TestCorpusLoadbalance(t *testing.T) {
 // column Jacobi smooths, transposing u's layout with redistribute
 // statements between phases.  The final values must match a sequential
 // oracle, the transposes must move data under the redistribution
-// counters (not the forall ones), and with sweeps > 1 the ping-pong
-// remappings must replay cached plans rather than rebuilding.
+// counters (not the forall ones), both sweeps' schedules must be built
+// at compile time, and with sweeps > 1 the ping-pong remappings must
+// replay cached plans rather than rebuilding.
 func TestCorpusADI(t *testing.T) {
 	builds0, hits0 := darray.RedistBuilds(), darray.RedistHits()
 	res, err := loadProgram(t, "adi.kali").Run(core.Config{P: 4, Params: machine.NCUBE7()})
@@ -277,6 +278,13 @@ func TestCorpusADI(t *testing.T) {
 	}
 	if res.Report.RedistMsgs == 0 || res.Report.Redist <= 0 {
 		t.Fatalf("transposes moved nothing: %d redist msgs, %g s", res.Report.RedistMsgs, res.Report.Redist)
+	}
+	// Both sweeps read only whole lines of the dimension u's layout
+	// distributes at the time, so each node builds their two schedules
+	// in closed form and pays the compile-time charge alone: 2+3
+	// procedure calls a loop, where one inspector pays some 0.4 s.
+	if call := machine.NCUBE7().Call; res.Report.Inspector > 2*(2+3)*call*(1+1e-9) {
+		t.Errorf("inspector time %g s, want at most the compile-time charge %g s", res.Report.Inspector, 2*(2+3)*call)
 	}
 	// 2 distribution pairs x 4 nodes build once each; the remaining
 	// 2*(sweeps-1) cycles replay from the content-addressed plan store.

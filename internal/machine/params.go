@@ -2,7 +2,7 @@ package machine
 
 // Params is the machine cost model: the virtual-time price of each
 // primitive operation, in seconds.  Two presets reproduce the paper's
-// evaluation hardware; see DESIGN.md §5 for the calibration.
+// evaluation hardware; the calibration follows.
 //
 // The presets were fitted analytically to the paper's own tables.  The
 // published numbers decompose almost exactly into four constants per

@@ -110,23 +110,6 @@ func TestPhaseTimersMeasure(t *testing.T) {
 	}
 }
 
-func TestPoisonReleasesBlockedRecv(t *testing.T) {
-	// A node blocked in Recv on a message that will never come must be
-	// released when a peer panics — otherwise Run deadlocks.
-	m := MustNew(2, machine.Ideal())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Run(func(n *machine.Node) {
-		if n.ID() == 0 {
-			panic("boom")
-		}
-		n.Recv(0, machine.TagUser) // never sent
-	})
-}
-
 func TestResetReusable(t *testing.T) {
 	m := MustNew(2, machine.Ideal())
 	for round := 0; round < 3; round++ {

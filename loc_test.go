@@ -13,7 +13,7 @@ import (
 // benchmark/, .bench_build/ and dot-directories.  A change that adds
 // code raises it in its own diff, with the rows that paid for it; one
 // that deletes code lowers it.
-const nonTestGoCeiling = 19327
+const nonTestGoCeiling = 19408
 
 // TestNonTestGoCeiling holds the non-test Go line count at or under
 // nonTestGoCeiling, and no more than 50 lines under it, so that a
