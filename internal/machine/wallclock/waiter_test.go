@@ -175,16 +175,19 @@ func haloSweeps(sweeps int, spin time.Duration) (parks int) {
 // at the bound the backend ships with fewer than one warm sweep in a
 // hundred parks, where every sweep used to.  The second holds on a
 // host with two processors to spare: another process can hold one for
-// a whole time slice, many bounds long, so when even the best of three
-// runs misses, the count is reported and not failed.
+// a whole time slice, many bounds long.  `go test ./...` runs another
+// package's tests beside this one for a second or two, so a missed run
+// is retried, with a pause to let that process finish, for up to ten
+// seconds; when every run misses, the count is reported and not failed.
 func TestWarmHaloHandsOffByPolling(t *testing.T) {
 	needCPUs(t, 2)
 	const sweeps = 5_000
 	if parks := haloSweeps(sweeps/5, time.Hour); parks != 0 {
 		t.Errorf("%d waits parked with an hour to poll", parks)
 	}
-	best := sweeps
-	for try := 0; try < 3 && best >= sweeps/100; try++ {
+	best := haloSweeps(sweeps, spinFor)
+	for quiet := time.Now().Add(10 * time.Second); best >= sweeps/100 && time.Now().Before(quiet); {
+		time.Sleep(250 * time.Millisecond)
 		best = min(best, haloSweeps(sweeps, spinFor))
 	}
 	if t.Logf("%d of %d warm sweeps parked", best, sweeps); best >= sweeps/100 {
